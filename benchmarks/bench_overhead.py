@@ -11,7 +11,8 @@ disabled, what each construct costs **on top of** a hand-written baseline:
   vs calling the loop body directly the same number of times;
 * ``barrier``          — one team barrier round (2 threads);
 * ``critical``         — one uncontended named critical section;
-* ``region_spawn``     — entering+leaving an empty 2-thread parallel region.
+* ``region_spawn``     — entering+leaving an empty 2-thread parallel region;
+* ``pooled_region``    — the same on the warm process pool (2 members).
 
 The chunk-dispatch harness pushes an :class:`ExecutionContext` for a 2-member
 team and runs ``run_for`` with ``nowait=True`` on the calling thread only:
@@ -35,6 +36,7 @@ it with the fresh run.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import platform
 import sys
@@ -44,6 +46,7 @@ from typing import Any, Callable
 
 from repro.core import MethodAspect, Weaver, call
 from repro.runtime import context as ctx
+from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override
 from repro.runtime.critical import critical_call
 from repro.runtime.team import Team, parallel_region
@@ -214,6 +217,50 @@ def measure_region_spawn(regions: int, repeats: int) -> dict[str, float]:
     return {"regions": regions, "seconds_per_region": best / regions}
 
 
+class _PooledProbe:
+    """``process_safe`` owner, so the process backend ships ``noop`` to its pool."""
+
+    process_safe = True
+
+    def noop(self) -> None:
+        return None
+
+
+_pool_backend: "ProcessBackend | None" = None
+
+
+def _warm_pool() -> ProcessBackend:
+    """The process pool every suite run by this process shares, forked on first use.
+
+    ``run_suite`` calls this before its first case.  A process that has
+    forked takes a copy-on-write fault on each page it next writes; forked
+    between two suites, a pool would put ~45 us of them on the one cold
+    sample the chunk-dispatch cases keep in smoke mode.
+    """
+    global _pool_backend
+    if _pool_backend is None:
+        _pool_backend = ProcessBackend()
+        _pool_backend.prewarm(1)
+        atexit.register(_pool_backend.shutdown)
+    return _pool_backend
+
+
+def measure_pooled_region(regions: int, repeats: int) -> dict[str, float]:
+    """Hand-off+collect of an empty 2-member region on the warm process pool."""
+    backend = _warm_pool()
+    noop = _PooledProbe().noop
+
+    def once() -> float:
+        start = time.perf_counter()
+        for _ in range(regions):
+            parallel_region(noop, num_threads=2, backend=backend, name="bench-pooled")
+        return time.perf_counter() - start
+
+    once()  # first unpickle of the body in each worker: not what a warm pool costs
+    best = _best_of(repeats, once)
+    return {"regions": regions, "seconds_per_region": best / regions}
+
+
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
@@ -237,6 +284,7 @@ def run_suite(*, mode: str = "full", metrics: bool = False) -> dict[str, Any]:
     committed baseline document is always measured with ``metrics=False``.
     """
     call_samples, iters, rounds, regions, repeats = MODES[mode]
+    _warm_pool()
 
     with config_override(tracing=False, metrics=metrics):
         payload_metrics = {
@@ -245,6 +293,7 @@ def run_suite(*, mode: str = "full", metrics: bool = False) -> dict[str, Any]:
             "barrier": measure_barrier(rounds, repeats),
             "critical": measure_critical(call_samples // 4, repeats),
             "region_spawn": measure_region_spawn(regions, repeats),
+            "pooled_region": measure_pooled_region(regions, repeats),
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -306,6 +355,10 @@ def compare(baseline: dict[str, Any], current: dict[str, Any]) -> dict[str, floa
     ratios["region_spawn"] = _ratio(
         b["region_spawn"]["seconds_per_region"], c["region_spawn"]["seconds_per_region"]
     )
+    if "pooled_region" in b:  # baselines recorded before the case existed lack it
+        ratios["pooled_region"] = _ratio(
+            b["pooled_region"]["seconds_per_region"], c["pooled_region"]["seconds_per_region"]
+        )
     return ratios
 
 
@@ -325,6 +378,7 @@ def _format_table(payload: dict[str, Any]) -> str:
     lines.append(f"{'barrier (2 threads)':<28} {m['barrier']['seconds_per_barrier'] * 1e6:>11.3f} us")
     lines.append(f"{'critical (uncontended)':<28} {m['critical']['seconds_per_call'] * 1e6:>11.3f} us")
     lines.append(f"{'region spawn (2 threads)':<28} {m['region_spawn']['seconds_per_region'] * 1e6:>11.3f} us")
+    lines.append(f"{'pooled region (2 members)':<28} {m['pooled_region']['seconds_per_region'] * 1e6:>11.3f} us")
     return "\n".join(lines)
 
 

@@ -36,6 +36,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -62,7 +64,42 @@ GATED_METRICS = [
     ("barrier", ("barrier", "seconds_per_barrier")),
     ("critical", ("critical", "seconds_per_call")),
     ("region_spawn", ("region_spawn", "seconds_per_region")),
+    ("pooled_region", ("pooled_region", "seconds_per_region")),
 ]
+
+
+#: rows whose cost is thread/process wake-ups rather than interpreter work.
+HANDOFF_ROWS = frozenset({"barrier", "region_spawn", "pooled_region"})
+
+#: one thread wake-up (seconds) on the host BENCH_overhead.json was recorded
+#: on, with both CPUs awake — the state its best-of-5 full-mode rows kept.
+REFERENCE_WAKEUP = 5e-6
+
+
+def host_wakeup_seconds(rounds: int = 50) -> float:
+    """What this host charges right now for waking a thread parked on a lock.
+
+    Two threads hand two bare locks back and forth; a round trip is two
+    wake-ups.
+    """
+    ping, pong = threading.Lock(), threading.Lock()
+    ping.acquire()
+    pong.acquire()
+
+    def echo() -> None:
+        for _ in range(rounds):
+            ping.acquire()
+            pong.release()
+
+    partner = threading.Thread(target=echo, daemon=True)
+    partner.start()
+    start = time.perf_counter()
+    for _ in range(rounds):
+        ping.release()
+        pong.acquire()
+    elapsed = time.perf_counter() - start
+    partner.join()
+    return elapsed / (2 * rounds)
 
 
 def _lookup(metrics: dict, path: tuple) -> float:
@@ -92,14 +129,27 @@ def run_gate(
     document = json.loads(baseline_path.read_text())
     reference = _reference_metrics(document)
 
-    fresh_runs = [bench_overhead.run_suite(mode=mode)["metrics"] for _ in range(max(1, runs))]
+    # (metrics, how many times slower than the reference host a wake-up was
+    # right after them) per fresh run.
+    fresh_runs = []
+    for _ in range(max(1, runs)):
+        metrics = bench_overhead.run_suite(mode=mode)["metrics"]
+        fresh_runs.append((metrics, max(1.0, host_wakeup_seconds() / REFERENCE_WAKEUP)))
 
     failures: list[str] = []
     print(f"benchmark gate: mode={mode}, tolerance={tolerance}x, floor={floor_seconds * 1e6:.0f}us, runs={runs}")
+    print(
+        "host wake-up vs reference: "
+        + ", ".join(f"{slowdown:.1f}x" for _, slowdown in fresh_runs)
+        + f" (hand-off rows are read at {REFERENCE_WAKEUP * 1e6:.0f}us/wake-up: {', '.join(sorted(HANDOFF_ROWS))})"
+    )
     print(f"{'metric':<30} {'reference':>12} {'fresh':>12}  verdict")
     for label, path in GATED_METRICS:
         ref = _lookup(reference, path)
-        fresh = min(_lookup(metrics, path) for metrics in fresh_runs)
+        fresh = min(
+            _lookup(metrics, path) / (slowdown if label in HANDOFF_ROWS else 1.0)
+            for metrics, slowdown in fresh_runs
+        )
         regressed = fresh > ref * tolerance and fresh > ref + floor_seconds
         verdict = "REGRESSED" if regressed else "ok"
         print(f"{label:<30} {ref * 1e6:>10.3f}us {fresh * 1e6:>10.3f}us  {verdict}")

@@ -59,9 +59,9 @@ class MetricsArena:
         return int(capacity) * (int(slots) if slots is not None else _registry_slots())
 
     def reset(self) -> None:
-        cells = self.cells
-        for index in range(self.capacity * self.slots):
-            cells[index] = 0
+        from repro.runtime.shm import fill_cells
+
+        fill_cells(self.cells, 0, self.capacity * self.slots, 1, 0)
 
     def flush_member(self, member: int, pairs: "Iterable[tuple[int, int]]") -> None:
         """Add a flushed registry delta into ``member``'s cell range.

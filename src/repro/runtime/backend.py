@@ -2,10 +2,12 @@
 
 The backend is a strategy object deciding *how* team members execute:
 
-* :class:`ThreadBackend` — spawns real OS threads (``threading.Thread``), one
-  per team member beyond the master.  Correct concurrent semantics; actual
-  wall-clock speedup is limited by the CPython GIL for pure-Python work, which
-  is why :mod:`repro.perf` exists (see README.md).
+* :class:`ThreadBackend` — runs each team member beyond the master on a real
+  OS thread, taken from a process-wide stack of parked workers and returned
+  to it afterwards (a warm region costs a hand-off, not a thread start).
+  Correct concurrent semantics; actual wall-clock speedup is limited by the
+  CPython GIL for pure-Python work, which is why :mod:`repro.perf` exists
+  (see README.md).
 * :class:`SerialBackend` — forces a team of one and runs the body inline.
   Useful for debugging and as the embodiment of the paper's *sequential
   semantics* claim: a program composed with aspects still runs correctly
@@ -38,8 +40,10 @@ of :func:`repro.runtime.team.parallel_region` (a backend instance or name).
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
+import queue
 import signal
 import sys
 import sysconfig
@@ -145,17 +149,116 @@ class Backend:
         """Hook called after a region completes (releases pooled resources)."""
 
 
-class ThreadBackend(Backend):
-    """Run each non-master member on its own OS thread; the master runs inline.
+class _RegionJoin:
+    """Completion latch for one region: released by the last member to finish."""
 
-    This mirrors the paper's Figure 9: spawn ``numberOfThreads - 1`` threads,
-    have the master execute the body itself, then join all spawned threads.
+    __slots__ = ("_lock", "_left", "done")
+
+    def __init__(self, members: int) -> None:
+        self._lock = threading.Lock()
+        self._left = members
+        self.done = threading.Lock()
+        self.done.acquire()
+
+    def member_finished(self) -> None:
+        with self._lock:
+            self._left -= 1
+            last = self._left == 0
+        if last:
+            self.done.release()
+
+
+class _ParkedWorker:
+    """A reusable daemon thread that runs one team member at a time.
+
+    Between members the thread blocks in ``_wake.acquire()`` — a C-level
+    wait that holds no lock and no reference to the last region — so a
+    region on a warm team costs one lock hand-off per member instead of a
+    ``threading.Thread`` start and join.
+    """
+
+    __slots__ = ("thread", "_wake", "_job")
+
+    _ordinals = itertools.count()
+
+    def __init__(self) -> None:
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        self._job: "tuple[Callable[[int], Any], int, _RegionJoin, str] | None" = None
+        self.thread = threading.Thread(
+            target=self._serve, name=f"aomp-parked-{next(self._ordinals)}", daemon=True
+        )
+        self.thread.start()
+
+    def dispatch(self, run_member: Callable[[int], Any], thread_id: int, join: _RegionJoin, name: str) -> None:
+        self._job = (run_member, thread_id, join, name)
+        self._wake.release()
+
+    def _serve(self) -> None:
+        thread = self.thread
+        parked_name = thread.name
+        while True:
+            self._wake.acquire()
+            run_member, thread_id, join, name = self._job  # type: ignore[misc]
+            self._job = None
+            # Named after the member it is running, so a stack dump of a hung
+            # region says which team and member each thread belongs to.
+            thread.name = name
+            try:
+                run_member(thread_id)
+            except BaseException:
+                # The exception is recorded on the member by the region
+                # driver; swallowing it here keeps the worker reusable.
+                pass
+            del run_member  # a parked worker pins no region
+            thread.name = parked_name
+            # Park before reporting, so the master's next region finds this
+            # (cache-warm) worker on top of the idle stack.
+            _idle_workers.append(self)
+            join.member_finished()
+            del join
+
+
+#: parked workers, most recently used last, shared by every ThreadBackend so
+#: fallback teams, nested teams and the service's dispatch threads all reuse
+#: the same threads.  ``list.append``/``list.pop`` are atomic; the stack only
+#: ever holds workers that are parked (or about to park), so a taker never
+#: waits for one — it starts a new thread when the stack is empty.
+_idle_workers: "list[_ParkedWorker]" = []
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX in CI
+    # Threads do not survive fork: the child's copy of the stack names
+    # workers that no longer exist, and a member handed to one would never
+    # run.  Regions entered in a forked child start fresh workers.
+    os.register_at_fork(after_in_child=_idle_workers.clear)
+
+
+class ThreadBackend(Backend):
+    """Run each non-master member on a worker thread; the master runs inline.
+
+    This mirrors the paper's Figure 9 — ``numberOfThreads - 1`` members run
+    beside the master, which executes the body itself and then waits for
+    all of them — except that the threads are *kept*: a finished member's
+    thread parks on a process-wide idle stack and serves the next region,
+    so ``threading.local`` state a body leaves behind is visible to a later
+    region (use the team-scoped ``threadlocal`` construct instead).
     """
 
     name = "threads"
 
     def __init__(self, daemon: bool = True, name_prefix: str = "aomp-worker") -> None:
-        self.daemon = daemon
+        """``name_prefix`` leads the name a worker thread carries while it runs
+        a member of this backend's teams (``<prefix>-<team>-<member>``).
+        ``daemon`` is accepted for callers written against per-region
+        threads and no longer selects anything: parked workers are shared
+        process-wide and outlive their region, so they are always daemons."""
+        if not daemon:
+            warnings.warn(
+                "ThreadBackend(daemon=False) is ignored: worker threads are reused across "
+                "regions and are always daemons",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self.name_prefix = name_prefix
 
     @property
@@ -165,37 +268,35 @@ class ThreadBackend(Backend):
         return not gil_enabled()
 
     def run_team(self, team: "Team", run_member: Callable[[int], Any], body: Callable[[], Any] | None = None) -> Any:
-        def worker(thread_id: int) -> None:
-            try:
-                run_member(thread_id)
-            except BaseException:
-                # The exception is recorded on the member by the region
-                # driver; swallowing it here keeps the thread from printing
-                # an unraisable-traceback message.
-                pass
-
-        threads: list[threading.Thread] = []
-        for member in team.members[1:]:
-            thread = threading.Thread(
-                target=worker,
-                args=(member.thread_id,),
-                name=f"{self.name_prefix}-{team.name}-{member.thread_id}",
-                daemon=self.daemon,
-            )
-            member.thread = thread
-            threads.append(thread)
-        for thread in threads:
-            thread.start()
+        spawned = team.members[1:]
+        workers: list[_ParkedWorker] = []
+        try:
+            for member in spawned:
+                try:
+                    worker = _idle_workers.pop()
+                except IndexError:
+                    worker = _ParkedWorker()
+                workers.append(worker)
+                member.thread = worker.thread
+        except BaseException:
+            # Thread exhaustion: nothing was dispatched yet, so hand back
+            # what was taken instead of stranding it.
+            _idle_workers.extend(workers)
+            raise
+        join = _RegionJoin(len(workers))
+        prefix = f"{self.name_prefix}-{team.name}-"
+        for member, worker in zip(spawned, workers):
+            worker.dispatch(run_member, member.thread_id, join, f"{prefix}{member.thread_id}")
 
         master_result: Any = None
         try:
             master_result = run_member(0)
         except BaseException:
-            # Recorded on the member; do not propagate until workers joined.
+            # Recorded on the member; do not propagate until workers finished.
             pass
         finally:
-            for thread in threads:
-                thread.join()
+            if workers:
+                join.done.acquire()
         return master_result
 
 
@@ -286,7 +387,7 @@ class ProcessBackend(Backend):
         pool_workers: int | None = None,
         use_pool: bool = True,
     ) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-proc-fallback")
+        self._fallback = fallback if fallback is not None else ThreadBackend()
         self._plane = ShmDataPlane()
         self._pool_workers = pool_workers
         self._use_pool = use_pool
@@ -364,7 +465,7 @@ class ProcessBackend(Backend):
 
     def _run_forked(self, team: "Team", run_member: Callable[[int], Any]) -> Any:
         ctx = shm._mp_context()
-        channel = ctx.SimpleQueue()
+        channel = ResultChannel(ctx)
 
         def child(thread_id: int) -> None:
             try:
@@ -422,8 +523,7 @@ class ProcessBackend(Backend):
         pool = self._pool
         assert pool is not None
         ticket = pool.submit_region(team, sync.body_bytes)  # type: ignore[attr-defined]
-        monitor = faults.WorkerMonitor(team, pool.dead_workers, heartbeat=pool.heartbeat)
-        monitor.start()
+        monitor = pool.watch(team)
         master_result: Any = None
         try:
             master_result = run_member(0)
@@ -433,7 +533,7 @@ class ProcessBackend(Backend):
             payloads = pool.collect(
                 ticket, expected=team.size - 1, abort=team.abort, tripped=lambda: monitor.tripped
             )
-            monitor.stop()
+            pool.unwatch(monitor)
             if monitor.stalled:
                 pool.condemn()
             self._apply_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
@@ -491,7 +591,7 @@ class ProcessBackend(Backend):
     ) -> dict:
         """Drain member payloads, guarding against workers that died silently."""
         return collect_member_payloads(
-            channel,
+            channel.get,
             expected=expected,
             alive=lambda: any(worker.is_alive() for worker in workers),
             abort=abort,
@@ -619,8 +719,38 @@ def _worker_death_message(team: "Team", member: int, pid: "int | None", exitcode
 # ---------------------------------------------------------------------------
 
 
+#: Longest single block on a result channel; worker-death, monitor-tripped
+#: and deadline checks run between blocks.
+RESULT_POLL = 0.05
+
+
+class ResultChannel:
+    """Many-writer, one-reader pipe the members of a region report over.
+
+    What the collecting master needs and ``multiprocessing.SimpleQueue`` does
+    not offer is a *timed* read; owning the pipe gives one through
+    ``Connection.poll``.  Create it before the workers fork: they inherit
+    both ends and the writer lock.
+    """
+
+    def __init__(self, ctx) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._write_lock = ctx.Lock()
+
+    def put(self, item: Any) -> None:
+        data = pickle.dumps(item)
+        with self._write_lock:
+            self._writer.send_bytes(data)
+
+    def get(self, timeout: float) -> Any:
+        """The next item; :class:`queue.Empty` when none arrives in ``timeout`` seconds."""
+        if not self._reader.poll(timeout):
+            raise queue.Empty
+        return pickle.loads(self._reader.recv_bytes())
+
+
 def collect_member_payloads(
-    channel,
+    receive: Callable[[float], Any],
     *,
     expected: int,
     alive: Callable[[], bool],
@@ -631,55 +761,62 @@ def collect_member_payloads(
     give_up_grace: float = 2.0,
     tripped: Callable[[], bool] | None = None,
 ) -> dict:
-    """Drain ``expected`` member payloads from a result channel.
+    """Gather ``expected`` member payloads from a result channel.
 
-    ``accept`` maps a raw queue item to ``(thread_id, payload)`` or ``None``
-    to discard it (the pool uses this to filter stale region tickets).  When
-    the workers die, ``timeout`` passes, or ``tripped`` reports that the
-    worker monitor already aborted the team (a *stalled* member stays alive
-    but will never report, so waiting out the deadline would reintroduce the
-    very hang the monitor exists to prevent), ``on_give_up`` fires (the pool
-    poisons itself) and the team is aborted to release any members still
-    blocked in a barrier.  Survivors of a sibling's death then need a moment
-    to error out of the broken barrier and report: the give-up path keeps
-    draining for up to ``give_up_grace`` seconds — exiting early once the
-    channel has been idle for half a second — so late reporters are not
-    misclassified as having died silently, while a genuinely dead member
-    costs well under the barrier timeout (the monitor's abort makes the
-    whole detection path land in fractions of a second).
+    ``receive(timeout)`` blocks for the next raw item and raises
+    :class:`queue.Empty` after ``timeout`` seconds; ``accept`` maps an item
+    to ``(thread_id, payload)`` or ``None`` to discard it (the pool uses
+    this to filter stale region tickets).  The wait is a blocking read in
+    slices of at most :data:`RESULT_POLL`, so a payload wakes the master the
+    moment it lands.  When the workers die, ``timeout`` passes, or
+    ``tripped`` reports that the worker monitor already aborted the team (a
+    *stalled* member stays alive but will never report, so waiting out the
+    deadline would reintroduce the very hang the monitor exists to prevent),
+    ``on_give_up`` fires (the pool poisons itself) and the team is aborted
+    to release any members still blocked in a barrier.  Survivors of a
+    sibling's death then need a moment to error out of the broken barrier
+    and report: the give-up path keeps reading for up to ``give_up_grace``
+    seconds — exiting early once the channel has been idle for half a
+    second — so late reporters are not misclassified as having died
+    silently, while a genuinely dead member costs well under the barrier
+    timeout (the monitor's abort makes the whole detection path land in
+    fractions of a second).
     """
     payloads: dict[int, tuple] = {}
 
-    def drain() -> bool:
-        got_any = False
-        while not channel.empty():
-            accepted = accept(channel.get())
-            got_any = True
-            if accepted is not None:
-                payloads[accepted[0]] = accepted[1]
-        return got_any
+    def take(wait: float) -> bool:
+        try:
+            item = receive(wait)
+        except queue.Empty:
+            return False
+        accepted = accept(item)
+        if accepted is not None:
+            payloads[accepted[0]] = accepted[1]
+        return True
 
     deadline = time.monotonic() + timeout
     while len(payloads) < expected:
-        drained = drain()
-        if len(payloads) >= expected:
-            break
-        if not alive() or (tripped is not None and tripped()) or time.monotonic() > deadline:
-            if on_give_up is not None:
-                on_give_up()
-            abort()
-            grace_deadline = time.monotonic() + give_up_grace
-            last_progress = time.monotonic()
-            while len(payloads) < expected and time.monotonic() < grace_deadline:
-                if drain():
-                    last_progress = time.monotonic()
-                elif time.monotonic() - last_progress > 0.5:
-                    break
-                else:
-                    time.sleep(0.01)
-            break
-        if not drained:
-            time.sleep(0.001)
+        if take(RESULT_POLL):
+            continue
+        if alive() and not (tripped is not None and tripped()) and time.monotonic() <= deadline:
+            continue
+        # A member that reported and then exited put its payload in the
+        # channel before the checks above could see it gone: only an empty
+        # read *after* them proves the payload is not coming.
+        if take(0.0):
+            continue
+        if on_give_up is not None:
+            on_give_up()
+        abort()
+        grace_deadline = time.monotonic() + give_up_grace
+        idle_deadline = time.monotonic() + 0.5
+        while len(payloads) < expected:
+            wait = min(grace_deadline, idle_deadline) - time.monotonic()
+            if wait <= 0:
+                break
+            if take(wait):
+                idle_deadline = time.monotonic() + 0.5
+        break
     return payloads
 
 

@@ -9,6 +9,7 @@ team, and the same barrier object is reached repeatedly).
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from typing import Callable, Optional
@@ -36,8 +37,15 @@ def _default_barrier_timeout() -> "float | None":
     negative value disables the bound (wait forever); unset falls back to
     :data:`DEFAULT_BARRIER_TIMEOUT`, anything unparsable is rejected loudly
     (a typo here must not silently re-enable a two-minute hang bound).
+    Every team constructs a barrier, so each distinct raw value is parsed
+    once.
     """
-    env = (os.environ.get("AOMP_BARRIER_TIMEOUT") or "").strip()
+    return _parse_barrier_timeout(os.environ.get("AOMP_BARRIER_TIMEOUT"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_barrier_timeout(raw: "str | None") -> "float | None":
+    env = (raw or "").strip()
     if env:
         try:
             value = float(env)

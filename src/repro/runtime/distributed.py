@@ -217,7 +217,7 @@ class DistributedBackend(Backend):
     JOIN_GRACE = 30.0
 
     def __init__(self, fallback: "Backend | None" = None) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-dist-fallback")
+        self._fallback = fallback if fallback is not None else ThreadBackend()
         self._plane = dataplane.SocketDataPlane()
         self._warned_fallback: set[str] = set()
 
@@ -358,7 +358,7 @@ class DistributedBackend(Backend):
             # dead-worker and monitor-tripped checks still end the wait.
             barrier_bound = _default_barrier_timeout()
             payloads = collect_member_payloads(
-                coordinator.results,
+                lambda wait: coordinator.results.get(timeout=wait),
                 expected=team.size - 1,
                 alive=lambda: any(proc.poll() is None for proc in workers.values()),
                 abort=team.abort,

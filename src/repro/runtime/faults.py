@@ -37,12 +37,13 @@ process's first region.  Remaining selectors:
 ``p=F`` (fire with probability F, drawn from the plan's seeded RNG; add a
 ``seed:N`` rule for reproducibility).
 
-**Detection** — :class:`WorkerMonitor` is a daemon thread the process backend
-runs alongside each process-backed region.  The master normally learns about
-a dead worker only after its own barrier wait times out (120s); the monitor
-polls worker liveness every :func:`heartbeat_interval` seconds and *aborts
-the team barrier* the moment a worker dies, converting the hang into a
-diagnosed :class:`~repro.runtime.exceptions.WorkerProcessError` within
+**Detection** — :class:`WorkerMonitor` watches one process-backed region: on
+its own daemon thread for forked and distributed teams, driven by the
+persistent pool's long-lived watcher for pooled ones.  The master normally
+learns about a dead worker only after its own barrier wait times out (120s);
+the monitor polls worker liveness every :func:`heartbeat_interval` seconds
+and *aborts the team barrier* the moment a worker dies, converting the hang
+into a diagnosed :class:`~repro.runtime.exceptions.WorkerProcessError` within
 fractions of a second.  Optionally (``AOMP_HEARTBEAT_TIMEOUT``) it also
 treats a member whose :class:`~repro.runtime.shm.HeartbeatArena` cell has
 gone stale as lost, catching live-but-wedged workers.
@@ -455,7 +456,8 @@ class WorkerMonitor:
         self._team = team
         self._dead_workers = dead_workers
         self._heartbeat = heartbeat
-        self._interval = interval if interval is not None else heartbeat_interval()
+        #: seconds between liveness checks (whoever drives :meth:`check_once`).
+        self.interval = interval if interval is not None else heartbeat_interval()
         self._stall_timeout = stall_timeout if stall_timeout is not None else heartbeat_timeout()
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
@@ -475,9 +477,7 @@ class WorkerMonitor:
         if self._thread is not None:
             return  # idempotent: a second start must not orphan the first thread
         self._stop.clear()  # a stopped monitor may be started again
-        if self._metrics:
-            self._collector = self._liveness_samples
-            obsreg.register_collector(self._collector)
+        self.publish_liveness()
         thread = threading.Thread(
             target=self._watch, name=f"aomp-monitor-{self._team.name}", daemon=True
         )
@@ -495,6 +495,16 @@ class WorkerMonitor:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        self.withdraw_liveness()
+
+    def publish_liveness(self) -> None:
+        """Register the live member gauges (metrics on only; idempotent)."""
+        if self._metrics and self._collector is None:
+            self._collector = self._liveness_samples
+            obsreg.register_collector(self._collector)
+
+    def withdraw_liveness(self) -> None:
+        """Unregister the live member gauges (idempotent)."""
         if self._collector is not None:
             obsreg.unregister_collector(self._collector)
             self._collector = None
@@ -519,31 +529,40 @@ class WorkerMonitor:
         return samples
 
     def _watch(self) -> None:
+        while not self._stop.wait(self.interval):
+            if self.check_once():
+                return
+
+    def check_once(self) -> bool:
+        """One liveness check; ``True`` once there is nothing left to watch.
+
+        The single statement of the detection logic: the monitor's own thread
+        calls it every :attr:`interval` on the fork and distributed paths, the
+        persistent pool's long-lived watcher calls it for whichever region is
+        in flight.  On the first death — or stale heartbeat, when a stall
+        cutoff is configured — it records the diagnosis, aborts the team and
+        returns ``True``.
+        """
         team = self._team
-        while not self._stop.wait(self._interval):
-            try:
-                dead = list(self._dead_workers())
-            except Exception:  # pragma: no cover - teardown race
-                return
-            if dead:
-                self.deaths = [self._identify(member, pid, code) for member, pid, code in dead]
-                self._note_losses()
-                self._record_deaths()
-                team.abort()
-                return
-            if self._stall_timeout is not None and self._heartbeat is not None:
-                stalled = [
-                    member.thread_id
-                    for member in team.members[1:]
-                    if (age := self._heartbeat.age(member.thread_id)) is not None
-                    and age > self._stall_timeout
-                ]
-                if stalled:
-                    self.stalled = stalled
-                    self._note_losses()
-                    self._record_deaths()
-                    team.abort()
-                    return
+        try:
+            dead = list(self._dead_workers())
+        except Exception:  # pragma: no cover - teardown race
+            return True
+        if dead:
+            self.deaths = [self._identify(member, pid, code) for member, pid, code in dead]
+        elif self._stall_timeout is not None and self._heartbeat is not None:
+            self.stalled = [
+                member.thread_id
+                for member in team.members[1:]
+                if (age := self._heartbeat.age(member.thread_id)) is not None
+                and age > self._stall_timeout
+            ]
+        if not self.tripped:
+            return False
+        self._note_losses()
+        self._record_deaths()
+        team.abort()
+        return True
 
     def _note_losses(self) -> None:
         """Count the diagnosed losses and pin their liveness gauges to 0.

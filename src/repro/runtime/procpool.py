@@ -6,7 +6,8 @@ shared memory) can instead be dispatched to this pool of long-lived worker
 processes.  The pool owns the cross-process synchronisation objects — one
 reusable :class:`~repro.runtime.shm.SharedBarrier` and one
 :class:`~repro.runtime.shm.SyncArena` — created *before* the workers fork so
-every worker inherits them; they are reset between regions.
+every worker inherits them; they are reset between regions — and one watcher
+thread that checks worker liveness for whichever region is in flight.
 
 Only one region executes on the pool at a time (the backend serialises
 access); arbitrary non-picklable region bodies always use the backend's
@@ -16,12 +17,12 @@ fork-per-region path instead.
 from __future__ import annotations
 
 import itertools
-import pickle
+import threading
 from typing import Any, Callable, Dict, Tuple
 
 import repro.obs.registry as obsreg
 from repro.runtime import faults, shm
-from repro.runtime.backend import _encode_exception, _encode_result
+from repro.runtime.backend import ResultChannel, _encode_exception, _encode_result
 from repro.runtime.config import get_config
 from repro.runtime.dataplane import ShmDataPlane
 
@@ -50,8 +51,9 @@ def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
         if task is _STOP:
             break
         ticket, thread_id, size, nesting_level, region_id, name, fault_region, cfg, body_bytes = task
+        attached: "list[shm.SharedArray]" = []
         try:
-            body = pickle.loads(body_bytes)
+            body, attached = shm.loads_tracking_attachments(body_bytes)
             team = Team(
                 size,
                 region_id=region_id,
@@ -95,11 +97,23 @@ def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
             payload = (ticket, thread_id, None, _encode_exception(exc))
         else:
             payload = (ticket, thread_id, _encode_result(result), None)
+        # Every region re-attaches the arrays its pickled body names; detach
+        # them now (the payload above already encoded any it references by
+        # segment name) or the worker gains a mapping and an fd per array per
+        # region.
+        body = result = None
+        for array in attached:
+            array.close()
         result_queue.put(payload)
 
 
 class PersistentProcessPool:
     """A fixed-size pool of forked worker processes executing team members."""
+
+    #: Longest the master waits for the watcher's lock.  The watcher holds it
+    #: while it checks, and a check can wedge inside ``team.abort()`` when a
+    #: worker died holding the barrier's lock.
+    WATCHER_WAIT = 5.0
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
@@ -123,7 +137,7 @@ class PersistentProcessPool:
         self.heartbeat = self._sync.heartbeat
         self.metrics = self._sync.metrics
         self._tasks = ctx.SimpleQueue()
-        self._results = ctx.SimpleQueue()
+        self._results = ResultChannel(ctx)
         self._tickets = itertools.count(1)
         self._procs = [
             ctx.Process(
@@ -139,6 +153,13 @@ class PersistentProcessPool:
         self._shutdown = False
         self._broken = False
         self._condemned = False
+        # One watcher thread for the pool's lifetime, armed per region with
+        # that region's WorkerMonitor and parked in between.
+        self._watch_cond = threading.Condition()
+        self._watching: "faults.WorkerMonitor | None" = None
+        self._watcher_parked = False
+        self._watcher = threading.Thread(target=self._watch_loop, name="aomp-pool-watcher", daemon=True)
+        self._watcher.start()
 
     @property
     def healthy(self) -> bool:
@@ -197,6 +218,62 @@ class PersistentProcessPool:
                 dead.append((self.heartbeat.member_for_pid(proc.pid), proc.pid, proc.exitcode))
         return dead
 
+    def watch(self, team) -> "faults.WorkerMonitor":
+        """Arm the pool's watcher for ``team``'s region; returns its monitor.
+
+        Dead workers and, when configured, stale heartbeats abort the team
+        within a heartbeat interval, exactly as a monitor thread of the
+        region's own would — without starting and joining one per region.
+        """
+        monitor = faults.WorkerMonitor(team, self.dead_workers, heartbeat=self.heartbeat)
+        monitor.publish_liveness()
+        with self._watch_cond:
+            self._watching = monitor
+            if self._watcher_parked:
+                self._watch_cond.notify()
+        return monitor
+
+    def unwatch(self, monitor: "faults.WorkerMonitor") -> None:
+        """Disarm the watcher; on return no check of ``monitor`` is running.
+
+        Checks run under the watcher's lock, so taking it here means a late
+        check can never abort the pool's (shared, already reset) barrier
+        under the *next* region's team.  The wait is bounded: a watcher
+        wedged inside an abort (a worker died holding the barrier's lock)
+        condemns the pool instead of hanging the master.
+        """
+        if self._watch_cond.acquire(timeout=self.WATCHER_WAIT):
+            try:
+                if self._watching is monitor:
+                    self._watching = None
+            finally:
+                self._watch_cond.release()
+        else:  # pragma: no cover - watcher stuck on a poisoned barrier lock
+            self.condemn()
+        monitor.withdraw_liveness()
+
+    def _watch_loop(self) -> None:
+        """Check the region in flight once per heartbeat interval.
+
+        With nothing in flight the loop parks until :meth:`watch` (or
+        :meth:`shutdown`) notifies; regions armed while it sleeps out an
+        interval do not wake it, so a stream of short regions costs the
+        master at most one thread wake-up per interval.
+        """
+        cond = self._watch_cond
+        with cond:
+            while not self._shutdown:
+                monitor = self._watching
+                if monitor is None:
+                    self._watcher_parked = True
+                    cond.wait()
+                    self._watcher_parked = False
+                    continue
+                cond.wait(monitor.interval)
+                monitor = self._watching  # whichever region is in flight *now*
+                if monitor is not None and monitor.check_once():
+                    self._watching = None
+
     def condemn(self) -> None:
         """Mark the pool unhealable (a live worker is wedged in a dead region).
 
@@ -238,7 +315,7 @@ class PersistentProcessPool:
                 proc.join(timeout=1.0)
         ctx = shm._mp_context()
         self._tasks = ctx.SimpleQueue()
-        self._results = ctx.SimpleQueue()
+        self._results = ResultChannel(ctx)
         self._procs = [
             ctx.Process(
                 target=_pool_worker,
@@ -299,7 +376,7 @@ class PersistentProcessPool:
             self._broken = True
 
         return collect_member_payloads(
-            self._results,
+            self._results.get,
             expected=expected,
             alive=lambda: self.healthy,
             abort=abort,
@@ -314,6 +391,14 @@ class PersistentProcessPool:
         if self._shutdown:
             return
         self._shutdown = True
+        # Bounded like unwatch(): a watcher wedged inside an abort holds the
+        # condition; it is a daemon and sees _shutdown whenever it gets out.
+        if self._watch_cond.acquire(timeout=self.WATCHER_WAIT):
+            try:
+                self._watch_cond.notify()
+            finally:
+                self._watch_cond.release()
+            self._watcher.join(timeout=self.WATCHER_WAIT)
         for _ in self._procs:
             try:
                 self._tasks.put(_STOP)

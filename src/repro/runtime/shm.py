@@ -58,6 +58,7 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import secrets
 import time
 from dataclasses import dataclass
@@ -136,6 +137,22 @@ def _namespaced_ordinal(ordinal: int, level: int) -> int:
 
 def _mp_context():
     return multiprocessing.get_context(FORK_METHOD)
+
+
+def fill_cells(cells: Any, start: int, stop: int, step: int, value: int) -> None:
+    """``cells[start:stop:step] = value`` as one bulk store.
+
+    The arenas' ``reset()`` runs before every pooled region, so it must not
+    walk the cells in Python.  Works on each storage the arenas accept:
+    heap lists (slice assignment), and ``SharedArray`` / ``multiprocessing``
+    ctypes arrays / anything else exporting an int64 buffer (a strided numpy
+    store straight into the shared pages).
+    """
+    if isinstance(cells, list):
+        cells[start:stop:step] = [value] * len(range(start, stop, step))
+        return
+    view = cells.np if isinstance(cells, SharedArray) else np.frombuffer(cells, dtype=np.int64)
+    view[start:stop:step] = value
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +288,10 @@ def _segment_name() -> str:
 #: socket-backed mirrors instead of attaching locally.
 _attach_hook = None
 
+#: While :func:`loads_tracking_attachments` runs: the list every locally
+#: attached array is appended to.
+_attach_log: "list[SharedArray] | None" = None
+
 
 def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
     """Re-attach to an existing segment (pickle support for worker processes).
@@ -296,7 +317,32 @@ def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
         shm = shared_memory.SharedMemory(name=name)
     finally:
         resource_tracker.register = original_register  # type: ignore[assignment]
-    return SharedArray(shm, shape, np.dtype(dtype_str), owner=False)
+    array = SharedArray(shm, shape, np.dtype(dtype_str), owner=False)
+    if _attach_log is not None:
+        _attach_log.append(array)
+    return array
+
+
+def loads_tracking_attachments(data: bytes) -> "tuple[Any, list[SharedArray]]":
+    """``pickle.loads(data)`` plus the shared arrays it attached on the way.
+
+    A long-lived worker that unpickles a body per region must
+    :meth:`~SharedArray.close` those attachments when the region ends —
+    nothing else ever does, and each one holds a mapping and a descriptor.
+    The log is process-wide while the call runs: pool workers call this from
+    their only thread, between regions.
+    """
+    global _attach_log
+    attached: "list[SharedArray]" = []
+    previous, _attach_log = _attach_log, attached
+    try:
+        return pickle.loads(data), attached
+    except BaseException:
+        for array in attached:
+            array.close()
+        raise
+    finally:
+        _attach_log = previous
 
 
 def shared_zeros(shape: "int | tuple", dtype: Any = np.float64) -> SharedArray:
@@ -448,8 +494,7 @@ class HeartbeatArena:
 
     def reset(self) -> None:
         """Clear every member slot (called between regions by the pool)."""
-        for i in range(self.CELLS_PER_MEMBER * self.capacity):
-            self._cells[i] = 0
+        fill_cells(self._cells, 0, self.CELLS_PER_MEMBER * self.capacity, 1, 0)
 
     def register(self, member: int, pid: "int | None" = None) -> None:
         """Record the owner of ``member``'s slot.
@@ -682,10 +727,10 @@ class SyncArena:
 
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""
+        cells, stop = self._cells, self.CELLS_PER_SLOT * self.capacity
         with self._lock:
-            for i in range(self.capacity):
-                self._cells[2 * i + self._TAG] = -1
-                self._cells[2 * i + self._NEXT] = 0
+            fill_cells(cells, self._TAG, stop, self.CELLS_PER_SLOT, -1)
+            fill_cells(cells, self._NEXT, stop, self.CELLS_PER_SLOT, 0)
 
     def slot(self, ordinal: int, *, level: int = 0) -> "ArenaSlot":
         """Return the claim slot for loop-ordinal ``ordinal`` of team ``level``.
@@ -849,8 +894,7 @@ class TaskStealArena:
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""
         with self._lock:
-            for i in range(self.capacity):
-                self._cells[i * self._stride + self._TAG] = -1
+            fill_cells(self._cells, self._TAG, self._stride * self.capacity, self._stride, -1)
 
     def slot(self, ordinal: int, num_workers: int, ntiles: int, *, level: int = 0) -> "TaskStealSlot":
         """Attach (and, first time, seed) the deck for loop-ordinal ``ordinal``.
@@ -998,8 +1042,7 @@ class TunePlanArena:
     def reset(self) -> None:
         """Mark every slot unused (called between regions by the pool)."""
         with self._lock:
-            for i in range(self.capacity):
-                self._cells[i * self._FIELDS + self._TAG] = -1
+            fill_cells(self._cells, self._TAG, self._FIELDS * self.capacity, self._FIELDS, -1)
 
     def slot(self, ordinal: int, *, level: int = 0) -> "TunePlanSlot":
         """Return the plan slot for loop-ordinal ``ordinal`` of team ``level``."""

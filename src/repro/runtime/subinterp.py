@@ -377,7 +377,7 @@ class SubinterpreterBackend(Backend):
     JOIN_GRACE = 30.0
 
     def __init__(self, fallback: "Backend | None" = None) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend(name_prefix="aomp-interp-fallback")
+        self._fallback = fallback if fallback is not None else ThreadBackend()
         self._warned_fallback: set[str] = set()
 
     @property

@@ -41,6 +41,8 @@ def _validate_run_payload(payload: dict) -> None:
     assert metrics["barrier"]["seconds_per_barrier"] > 0.0
     assert metrics["critical"]["seconds_per_call"] > 0.0
     assert metrics["region_spawn"]["seconds_per_region"] > 0.0
+    pooled = metrics.get("pooled_region")  # baselines recorded before the case existed lack it
+    assert pooled is None or pooled["seconds_per_region"] > 0.0
 
 
 def test_benchmark_runs_and_emits_schema_valid_json(tmp_path):
@@ -55,14 +57,16 @@ def test_benchmark_runs_and_emits_schema_valid_json(tmp_path):
     )
     assert result.returncode == 0, f"benchmark failed:\n{result.stderr}"
 
-    _validate_run_payload(json.loads(result.stdout))
+    fresh = json.loads(result.stdout)
+    _validate_run_payload(fresh)
+    assert "pooled_region" in fresh["metrics"]
 
     document = json.loads(output.read_text())
     assert set(document) == {"schema_version", "baseline", "current", "speedup_vs_baseline"}
     _validate_run_payload(document["current"])
     _validate_run_payload(document["baseline"])
     ratios = document["speedup_vs_baseline"]
-    assert {"woven_call_overhead", "barrier", "critical", "region_spawn"} <= set(ratios)
+    assert {"woven_call_overhead", "barrier", "critical", "region_spawn", "pooled_region"} <= set(ratios)
     assert {f"chunk_dispatch.{s}" for s in ("static_block", "static_cyclic", "dynamic", "guided")} <= set(ratios)
 
 
@@ -115,6 +119,8 @@ def test_committed_baseline_document_is_schema_valid():
     document = json.loads(committed.read_text())
     _validate_run_payload(document["baseline"])
     _validate_run_payload(document["current"])
+    # check_bench.py gates the pooled-region floor against this row.
+    assert "pooled_region" in document["current"]["metrics"]
     ratios = document["speedup_vs_baseline"]
     assert ratios, "speedup_vs_baseline section empty"
     for name, ratio in ratios.items():

@@ -307,8 +307,11 @@ class TestBarrierTimeoutConfig:
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0")
         assert _default_barrier_timeout() is None  # disabled: wait forever
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "junk")
-        with pytest.raises(ValueError, match="AOMP_BARRIER_TIMEOUT"):
-            _default_barrier_timeout()
+        for _ in range(2):  # each value is parsed once; a rejection is never remembered
+            with pytest.raises(ValueError, match="AOMP_BARRIER_TIMEOUT"):
+                _default_barrier_timeout()
+        monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
+        assert _default_barrier_timeout() == 300.0
 
     def test_explicit_none_waits_past_default(self):
         """timeout=None is a true unbounded wait, distinct from the default."""

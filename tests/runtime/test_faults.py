@@ -451,6 +451,182 @@ class TestWorkerDeathPoolPath:
         assert not pool.heal()
 
 
+class TwoArrayBody:
+    """Picklable ``process_safe`` owner of two shared arrays, touched in full
+    by every member, whose spawned member hands one of them back."""
+
+    process_safe = True
+
+    def __init__(self, n: int) -> None:
+        self.a = shm.shared_zeros(n)
+        self.b = shm.shared_zeros(n)
+
+    def run(self):
+        member = ctx.get_thread_id()
+        self.a.np[member::2] += 1.0
+        self.b.np[member::2] = self.a.np[member::2] * 2.0
+        return self.b if member else None
+
+    def close(self) -> None:
+        self.a.close()
+        self.b.close()
+
+
+def _proc_fds(pid: int) -> int:
+    return len(os.listdir(f"/proc/{pid}/fd"))
+
+
+def _proc_rss_kb(pid: int) -> int:
+    with open(f"/proc/{pid}/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no VmRSS line for pid {pid}")
+
+
+@requires_fork
+class TestPoolWatcher:
+    """The pool's one long-lived watcher replaces a monitor thread per region."""
+
+    def test_sigkill_is_named_within_a_second_without_a_monitor_thread(self, process_backend, monkeypatch):
+        import threading
+
+        # 0.1 s to the watcher's look + the collector's 0.5 s idle grace.
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.1")
+        body = SharedFillBody(32)
+        try:
+            # Pool workers keep the plan they were forked with: arm it first.
+            install("kill:member=1,region=1")
+            parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-warm")
+            start = time.monotonic()
+            with pytest.raises(BrokenTeamError) as excinfo:
+                parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-kill")
+            elapsed = time.monotonic() - start
+            cause = excinfo.value.__cause__
+            assert isinstance(cause, WorkerProcessError)
+            assert cause.member == 1 and cause.pid and cause.exitcode == -9
+            assert f"pid {cause.pid}" in str(cause) and "SIGKILL" in str(cause)
+            assert elapsed < 1.0, f"detection took {elapsed:.2f}s"
+            assert process_backend._pool._watcher.is_alive()
+            assert not any(thread.name.startswith("aomp-monitor-") for thread in threading.enumerate())
+        finally:
+            body.close()
+
+    def test_heartbeat_stall_condemns_the_pool(self, process_backend, monkeypatch):
+        monkeypatch.setenv("AOMP_HEARTBEAT_TIMEOUT", "0.3")
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.05")
+        body = SharedFillBody(8)
+        try:
+            install("stall:member=1,region=1,seconds=1.0")
+            parallel_region(body.run, num_threads=2, backend=process_backend, name="stall-warm")
+            stalled_pool = process_backend._pool
+            start = time.monotonic()
+            with pytest.raises(BrokenTeamError) as excinfo:
+                parallel_region(body.run, num_threads=2, backend=process_backend, name="stall")
+            assert time.monotonic() - start < DETECTION_BOUND
+            assert "stopped heartbeating" in str(excinfo.value.__cause__)
+            assert stalled_pool._condemned and not stalled_pool.heal()
+            # The next region must not meet the wedged worker: fresh pool.
+            set_fault_plan(None)
+            body.out.view()[:] = 0.0
+            parallel_region(body.run, num_threads=2, backend=process_backend, name="stall-after")
+            assert process_backend._pool is not stalled_pool
+            assert np.array_equal(body.out.view(), body.expected())
+        finally:
+            body.close()
+
+    def test_unwatch_keeps_a_late_check_off_the_next_regions_barrier(self, monkeypatch):
+        """Pooled teams share one barrier object: a check of region N landing
+        after ``unwatch`` would abort region N+1."""
+        from repro.runtime.procpool import PersistentProcessPool
+        from repro.runtime.team import Team
+
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.02")
+        pool = PersistentProcessPool(1)
+        try:
+            casualties = [(1, 4242, -9)]
+            pool.dead_workers = lambda: casualties
+            pool.prepare(2)
+            first = pool.watch(Team(2, name="tripped", process_sync=pool._sync))
+            deadline = time.monotonic() + 5.0
+            while not first.tripped and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert first.tripped and pool.barrier.broken
+            pool.unwatch(first)
+
+            pool.prepare(2)  # the next region resets the shared barrier...
+            time.sleep(0.1)  # ...and nobody is watching: reported deaths go unheard
+            assert not pool.barrier.broken
+            casualties = []
+            second = pool.watch(Team(2, name="next", process_sync=pool._sync))
+            time.sleep(0.1)  # several intervals
+            assert not second.tripped and not pool.barrier.broken
+            pool.unwatch(second)
+        finally:
+            del pool.dead_workers
+            pool.shutdown()
+        assert not pool._watcher.is_alive()
+
+    def test_a_wedged_watcher_hangs_neither_unwatch_nor_shutdown(self, monkeypatch):
+        """A watcher stuck inside an abort (a worker died holding the barrier
+        lock) keeps the condition: the master condemns the pool and shuts it
+        down in bounded time instead of blocking on that lock."""
+        import threading
+
+        from repro.runtime.procpool import PersistentProcessPool
+        from repro.runtime.team import Team
+
+        monkeypatch.setattr(PersistentProcessPool, "WATCHER_WAIT", 0.2)
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.02")
+        pool = PersistentProcessPool(1)
+        wedged, release = threading.Event(), threading.Event()
+        try:
+            pool.prepare(2)
+            team = Team(2, name="wedged", process_sync=pool._sync)
+            team.abort = lambda: (wedged.set(), release.wait(10.0))
+            pool.dead_workers = lambda: [(1, 4242, -9)]
+            monitor = pool.watch(team)
+            assert wedged.wait(5.0)
+            start = time.monotonic()
+            pool.unwatch(monitor)
+            assert pool._condemned and not pool.healthy
+            pool.shutdown()
+            assert time.monotonic() - start < 2.0
+            assert all(not proc.is_alive() for proc in pool._procs)
+        finally:
+            release.set()
+            pool._watcher.join(5.0)
+        assert not pool._watcher.is_alive()
+
+    def test_five_hundred_regions_leave_worker_fds_and_rss_flat(self, process_backend):
+        from repro.runtime.team import watch_teams
+
+        body = TwoArrayBody(8192)  # 64 KiB each: a kept mapping per region would add up
+        teams = []
+        try:
+            with watch_teams(teams.append):
+                for _ in range(5):
+                    parallel_region(body.run, num_threads=2, backend=process_backend)
+                (worker,) = process_backend._pool._procs[:1]
+                fds, rss_kb = _proc_fds(worker.pid), _proc_rss_kb(worker.pid)
+                for _ in range(500):
+                    parallel_region(body.run, num_threads=2, backend=process_backend)
+            assert process_backend._pool._procs[0] is worker and worker.is_alive()
+            # "<=": a collection in the worker may also close inherited garbage.
+            assert _proc_fds(worker.pid) <= fds
+            assert _proc_rss_kb(worker.pid) - rss_kb < 2048
+            assert np.all(body.a.np == 505.0) and np.all(body.b.np == 1010.0)
+            # The member's result named an array the worker has since detached:
+            # it still arrives as a live attachment of the same segment.
+            returned = teams[-1].members[1].result
+            assert isinstance(returned, shm.SharedArray) and returned.name == body.b.name
+            assert np.array_equal(returned.np, body.b.np)
+            for team in teams:
+                team.members[1].result.close()
+        finally:
+            body.close()
+
+
 class TestRecoveryPolicy:
     def test_invalid_policy_is_rejected(self):
         with pytest.raises(ValueError, match="on_failure"):
@@ -646,6 +822,20 @@ class TestMonitorTeardown:
             t.name == "aomp-monitor-monitor-teardown" and t.is_alive()
             for t in threading.enumerate()
         )
+
+    def test_check_once_is_the_whole_detection_step(self):
+        """What the monitor's own loop and the pool's watcher both call."""
+        from repro.runtime.faults import WorkerMonitor
+        from repro.runtime.team import Team
+
+        team = Team(2, region_id=0, name="check-once")
+        casualties: list = []
+        monitor = WorkerMonitor(team, lambda: casualties, interval=60.0)
+        assert monitor.check_once() is False
+        assert not monitor.tripped and not team.broken
+        casualties.append((1, 4242, -9))
+        assert monitor.check_once() is True
+        assert monitor.deaths == [(1, 4242, -9)] and team.broken
 
     def test_repeated_cycles_keep_the_collector_count_stable(self):
         monitor, obsreg = self._monitor()

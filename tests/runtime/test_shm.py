@@ -7,7 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.arena import MetricsArena
 from repro.runtime import shm
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.shm import (
@@ -290,3 +293,94 @@ class TestSharedArrayLifecycle:
             parallel_region(body, num_threads=2, backend="processes")
         after = {path.name for path in Path("/dev/shm").glob("aomp_*")}
         assert after <= before
+
+
+# ---------------------------------------------------------------------------
+# Bulk reset(): one strided store per arena, equal to the cell-by-cell walk it
+# replaced, on every storage the arenas accept.
+# ---------------------------------------------------------------------------
+
+
+def _walk_heartbeat(cells, arena):
+    for i in range(arena.CELLS_PER_MEMBER * arena.capacity):
+        cells[i] = 0
+
+
+def _walk_sync(cells, arena):
+    for i in range(arena.capacity):
+        cells[2 * i + arena._TAG] = -1
+        cells[2 * i + arena._NEXT] = 0
+
+
+def _walk_steal(cells, arena):
+    for i in range(arena.capacity):
+        cells[i * arena._stride + arena._TAG] = -1
+
+
+def _walk_tune(cells, arena):
+    for i in range(arena.capacity):
+        cells[i * arena._FIELDS + arena._TAG] = -1
+
+
+def _walk_metrics(cells, arena):
+    for index in range(arena.capacity * arena.slots):
+        cells[index] = 0
+
+
+#: name -> (cells the arena spans, constructor over given cells, reference walk)
+_RESET_CASES = {
+    "heartbeat": (
+        shm.HeartbeatArena.CELLS_PER_MEMBER * 8,
+        lambda cells: shm.HeartbeatArena(8, cells=cells, fresh=False),
+        _walk_heartbeat,
+    ),
+    "sync": (
+        shm.SyncArena.CELLS_PER_SLOT * 16,
+        lambda cells: shm.SyncArena(16, cells=cells, lock=threading.Lock(), fresh=False),
+        _walk_sync,
+    ),
+    "steal": (
+        shm.TaskStealArena.cells_needed(3, 8),
+        lambda cells: shm.TaskStealArena(3, 8, cells=cells, lock=threading.Lock(), fresh=False),
+        _walk_steal,
+    ),
+    "tune": (
+        shm.TunePlanArena.CELLS_PER_SLOT * 8,
+        lambda cells: shm.TunePlanArena(8, cells=cells, lock=threading.Lock(), fresh=False),
+        _walk_tune,
+    ),
+    "metrics": (
+        4 * 7,
+        lambda cells: MetricsArena(4, slots=7, cells=cells, fresh=False),
+        _walk_metrics,
+    ),
+}
+
+_STORAGES = {
+    "list": lambda n: [0] * n,
+    "ctypes": lambda n: shm._mp_context().Array("q", n, lock=False),
+    "shared_array": lambda n: SharedArray.zeros(n, np.int64),
+}
+
+
+@pytest.mark.parametrize("storage", sorted(_STORAGES))
+@pytest.mark.parametrize("arena_kind", sorted(_RESET_CASES))
+class TestBulkReset:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bulk_reset_equals_the_cell_walk(self, arena_kind, storage, seed):
+        span, build, walk = _RESET_CASES[arena_kind]
+        total = span + 3  # cells past the arena's span must stay untouched
+        dirty = np.random.default_rng(seed).integers(-(2**62), 2**62, size=total).tolist()
+        cells = _STORAGES[storage](total)
+        try:
+            for index, value in enumerate(dirty):
+                cells[index] = value
+            arena = build(cells)
+            expected = list(dirty)
+            walk(expected, arena)
+            arena.reset()
+            assert [int(cells[index]) for index in range(total)] == expected
+        finally:
+            if isinstance(cells, SharedArray):
+                cells.close()

@@ -215,9 +215,21 @@ class TestBackends:
         finally:
             set_backend(previous)
 
-    def test_thread_backend_daemon_flag(self):
-        backend = ThreadBackend(daemon=False)
-        assert backend.daemon is False
+    def test_thread_backend_workers_are_daemons(self):
+        # Parked workers outlive their region; a non-daemon one would keep
+        # the interpreter from exiting.
+        threads = []
+
+        def body():
+            threads.append(ctx.current_team().members[ctx.get_thread_id()].thread)
+
+        # The pre-reuse constructor flags still construct: the prefix is
+        # honoured, a non-daemon request is refused out loud.
+        with pytest.warns(DeprecationWarning, match="always daemons"):
+            backend = ThreadBackend(daemon=False, name_prefix="legacy")
+        parallel_region(body, num_threads=3, backend=backend)
+        spawned = [thread for thread in threads if thread is not None]
+        assert len(spawned) == 2 and all(thread.daemon for thread in spawned)
 
 
 @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)

@@ -122,8 +122,12 @@ class TestConcurrentClients:
             assert value == pytest.approx(KERNELS[kernel].reference("tiny")), kernel
 
     def test_coalesced_submissions_share_one_result(self, service):
-        thread = service()
+        thread = service(workers=1)
         with client_for(thread) as first, client_for(thread) as second:
+            # Keep the only worker busy (~0.25 s) so the leader is still queued
+            # when its twin arrives: a finished leader stops attracting, and a
+            # tiny kernel can finish inside one socket round-trip.
+            first.submit("sleep", size="small", num_threads=2, coalesce=False)
             leader = first.submit("series", size="tiny", num_threads=2)
             follower = second.submit("series", size="tiny", num_threads=2)
             assert follower["id"] == leader["id"]
