@@ -81,8 +81,12 @@ class SparseMatmult:
             self.y.close()
 
     def _y(self) -> np.ndarray:
-        """The output vector as a plain ndarray (``np.add.at`` needs one)."""
-        return self.y.np if shm.is_shared(self.y) else self.y
+        """The output vector as a plain ndarray (``np.add.at`` needs one).
+
+        Zero-copy for an ``ndarray``, a ``SharedArray`` and a socket-plane
+        worker's ``RemoteArray`` mirror alike.
+        """
+        return np.asarray(self.y)
 
     # -- base program -----------------------------------------------------------
 

@@ -44,17 +44,15 @@ import itertools
 import os
 import pickle
 import queue
-import signal
 import sys
 import sysconfig
 import threading
-import time
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from repro.runtime import faults, shm
+from repro.runtime import shm
 from repro.runtime.dataplane import ShmDataPlane
-from repro.runtime.exceptions import WorkerProcessError
+from repro.runtime.member import _encode_exception, _encode_result, body_payload, join_team
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -330,7 +328,74 @@ class SerialBackend(Backend):
         return master_result
 
 
-class ProcessBackend(Backend):
+class ExternalBackend(Backend):
+    """A backend whose members live outside the master's Python heap.
+
+    What the process, subinterpreter and distributed tiers have in common on
+    the master's side: an in-process ``fallback`` for the regions they cannot
+    honour, one rule for which regions those are, and a warning — once per
+    reason — when the fallback is a degradation rather than the design.
+    """
+
+    supports_shared_locals = False
+
+    def __init__(self, fallback: Backend | None = None) -> None:
+        self._fallback = fallback if fallback is not None else ThreadBackend()
+        self._warned_fallback: set[str] = set()
+
+    @property
+    def fallback(self) -> Backend:
+        """The in-process backend used for regions this tier cannot honour."""
+        return self._fallback
+
+    def unavailable(self) -> "str | None":
+        """Why this tier's workers cannot exist on this host, or ``None``."""
+        return None
+
+    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> Backend:
+        if size <= 1:
+            return self
+        reason = self.unavailable()
+        if reason is not None:
+            self._warn_once("platform", f"{reason}; using thread backend")
+            return self._fallback
+        if nesting_level > 0:
+            # Designed hierarchy, not a degradation: the external team forms
+            # the outer level and nested regions spawned inside its workers
+            # run as thread sub-teams within each worker (new workers could
+            # not share the enclosing team's heap or its sync bundle).
+            return self._fallback
+        if requires_shared_locals:
+            self._warn_once(
+                "shared-locals",
+                "region needs a shared Python heap (constructs like single/master "
+                "broadcast, ordered, critical or reductions — or a woven target whose "
+                "mutable state is not shared-memory backed / marked process_safe); "
+                "using thread backend",
+            )
+            return self._fallback
+        return self
+
+    def _shippable(self, body: Callable[[], Any] | None) -> "bytes | None":
+        """``body`` pickled for this tier's workers; warns when it cannot travel."""
+        body_bytes = body_payload(body)
+        if body_bytes is None:
+            # create_process_sync then returns None and run_team delegates to
+            # the thread fallback.
+            self._warn_once(
+                "body",
+                "region body is not a picklable process_safe SPMD callable; "
+                "this tier's workers cannot receive it — using thread backend",
+            )
+        return body_bytes
+
+    def _warn_once(self, key: str, message: str) -> None:
+        if key not in self._warned_fallback:
+            self._warned_fallback.add(key)
+            warnings.warn(f"{type(self).__name__}: {message}", RuntimeWarning, stacklevel=3)
+
+
+class ProcessBackend(ExternalBackend):
     """Run team members in worker *processes* for true multi-core execution.
 
     Two execution paths, chosen per region:
@@ -364,7 +429,6 @@ class ProcessBackend(Backend):
     """
 
     name = "processes"
-    supports_shared_locals = False
     is_process_based = True
     #: fork + channel setup per region (amortised by the persistent pool, but
     #: the first region and non-picklable bodies pay full price).
@@ -376,10 +440,6 @@ class ProcessBackend(Backend):
         parallel wherever the backend can run at all (fork available)."""
         return shm.fork_available()
 
-    #: Seconds granted to workers beyond the barrier timeout before the
-    #: parent declares them lost.
-    JOIN_GRACE = 30.0
-
     def __init__(
         self,
         fallback: Backend | None = None,
@@ -387,53 +447,29 @@ class ProcessBackend(Backend):
         pool_workers: int | None = None,
         use_pool: bool = True,
     ) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend()
+        super().__init__(fallback)
         self._plane = ShmDataPlane()
         self._pool_workers = pool_workers
         self._use_pool = use_pool
         self._pool = None
         self._pool_lock = threading.Lock()
-        self._warned_fallback: set[str] = set()
-
-    @property
-    def fallback(self) -> Backend:
-        """The in-process backend used for regions processes cannot honour."""
-        return self._fallback
 
     # -- strategy hooks -------------------------------------------------------
 
-    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> Backend:
-        if size <= 1:
-            return self
-        if not shm.fork_available():
-            self._warn_once("platform", "fork start method unavailable; using thread backend")
-            return self._fallback
-        if nesting_level > 0:
-            # Designed hierarchy, not a degradation: a process team forms the
-            # outer level and nested regions spawned inside its workers run as
-            # thread sub-teams within each worker process (new processes could
-            # not share the enclosing team's heap or its pre-forked arenas).
-            return self._fallback
-        if requires_shared_locals and not self.supports_shared_locals:
-            self._warn_once(
-                "shared-locals",
-                "region needs a shared Python heap (constructs like single/master "
-                "broadcast, ordered, critical or reductions — or a woven target whose "
-                "mutable state is not shared-memory backed / marked process_safe); "
-                "using thread backend",
-            )
-            return self._fallback
-        return self
+    def unavailable(self) -> "str | None":
+        return None if shm.fork_available() else "fork start method unavailable"
 
     def create_process_sync(self, size: int, body: Callable[[], Any] | None) -> "shm.ProcessSync | None":
         if size <= 1 or not shm.fork_available():
             return None
-        body_bytes = self._pool_payload(body) if self._use_pool else None
+        # Bodies that cannot be pickled by value (closures over local state,
+        # woven classes) silently take the fork-per-region path instead.
+        body_bytes = body_payload(body) if self._use_pool else None
         if body_bytes is not None and self._pool_lock.acquire(blocking=False):
             pool = self._ensure_pool(size - 1)
             if pool is not None:
                 pool.prepare(size)
-                sync = shm.ProcessSync(
+                return shm.ProcessSync(
                     pool.barrier,
                     pool.arena,
                     pooled=True,
@@ -441,17 +477,18 @@ class ProcessBackend(Backend):
                     tune=pool.tune,
                     heartbeat=pool.heartbeat,
                     metrics=pool.metrics,
+                    body_bytes=body_bytes,
+                    owned=self._pool_lock,
                 )
-                sync.body_bytes = body_bytes  # type: ignore[attr-defined]
-                return sync
             self._pool_lock.release()
         return self._plane.create_sync(size)
 
     def finish_region(self, team: "Team") -> None:
         sync = team.process_sync
-        if sync is not None and sync.pooled and not getattr(sync, "released", False):
-            sync.released = True  # type: ignore[attr-defined]
-            self._pool_lock.release()
+        if sync is not None and sync.owned is not None:
+            # A pooled region holds the pool for its duration.
+            lock, sync.owned = sync.owned, None
+            lock.release()
 
     # -- execution ------------------------------------------------------------
 
@@ -460,7 +497,7 @@ class ProcessBackend(Backend):
         if sync is None:
             return self._fallback.run_team(team, run_member, body)
         if sync.pooled:
-            return self._run_pooled(team, run_member, sync)
+            return self._pool.run_region(team, run_member, sync.body_bytes)
         return self._run_forked(team, run_member)
 
     def _run_forked(self, team: "Team", run_member: Callable[[int], Any]) -> Any:
@@ -469,11 +506,10 @@ class ProcessBackend(Backend):
 
         def child(thread_id: int) -> None:
             try:
-                result = run_member(thread_id)
+                reply = (_encode_result(run_member(thread_id)), None)
             except BaseException as exc:
-                channel.put((thread_id, None, _encode_exception(exc)))
-            else:
-                channel.put((thread_id, _encode_result(result), None))
+                reply = (None, _encode_exception(exc))
+            channel.put((thread_id, reply))
 
         workers = [
             ctx.Process(target=child, args=(member.thread_id,), daemon=True, name=f"aomp-proc-{member.thread_id}")
@@ -491,71 +527,25 @@ class ProcessBackend(Backend):
                 if worker.exitcode not in (None, 0)
             ]
 
-        sync = team.process_sync
-        monitor = faults.WorkerMonitor(
-            team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None
-        )
-        monitor.start()
-        master_result: Any = None
-        try:
-            master_result = run_member(0)
-        except BaseException:
-            # Recorded on the member record; run_member already aborted the
-            # (cross-process) barrier so workers fail fast.
-            pass
-        finally:
-            payloads = self._collect(
-                channel, workers, expected=team.size - 1, abort=team.abort, tripped=lambda: monitor.tripped
-            )
-            monitor.stop()
-            self._apply_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
+        def reap(failed: bool) -> None:
             # A failed region may leave a wedged worker behind (e.g. a member
             # stalled in a long sleep): don't wait out its sleep, reap it.
-            failed = any(member.exception is not None for member in team.members)
             for worker in workers:
                 worker.join(timeout=0.5 if failed else 5.0)
                 if worker.is_alive():
                     worker.terminate()
                     worker.join(timeout=1.0)
-        return master_result
 
-    def _run_pooled(self, team: "Team", run_member: Callable[[int], Any], sync: "shm.ProcessSync") -> Any:
-        pool = self._pool
-        assert pool is not None
-        ticket = pool.submit_region(team, sync.body_bytes)  # type: ignore[attr-defined]
-        monitor = pool.watch(team)
-        master_result: Any = None
-        try:
-            master_result = run_member(0)
-        except BaseException:
-            pass
-        finally:
-            payloads = pool.collect(
-                ticket, expected=team.size - 1, abort=team.abort, tripped=lambda: monitor.tripped
-            )
-            pool.unwatch(monitor)
-            if monitor.stalled:
-                pool.condemn()
-            self._apply_payloads(team, payloads, deaths=monitor.deaths, stalled=monitor.stalled)
-        return master_result
+        return join_team(
+            team,
+            run_member,
+            receive=channel.get,
+            alive=lambda: any(worker.is_alive() for worker in workers),
+            dead_workers=dead_workers,
+            reap=reap,
+        )
 
     # -- helpers --------------------------------------------------------------
-
-    def _pool_payload(self, body: Callable[[], Any] | None) -> bytes | None:
-        """Pickle ``body`` for pool dispatch, or ``None`` when ineligible.
-
-        Pool dispatch pickles the body, so by-value state would be *copied*
-        into workers and its mutations lost; only callables whose owner
-        explicitly declares itself ``process_safe`` (all mutable state in
-        shared memory) are eligible.  Everything else uses fork inheritance.
-        """
-        owner = getattr(body, "__self__", None)
-        if owner is None or not getattr(owner, "process_safe", False):
-            return None
-        try:
-            return pickle.dumps(body)
-        except Exception:
-            return None
 
     def _ensure_pool(self, needed_workers: int):
         from repro.runtime.procpool import PersistentProcessPool
@@ -580,31 +570,6 @@ class ProcessBackend(Backend):
             self._pool = pool
         return pool
 
-    def _collect(
-        self,
-        channel,
-        workers,
-        *,
-        expected: int,
-        abort: Callable[[], None],
-        tripped: "Callable[[], bool] | None" = None,
-    ) -> dict:
-        """Drain member payloads, guarding against workers that died silently."""
-        return collect_member_payloads(
-            channel.get,
-            expected=expected,
-            alive=lambda: any(worker.is_alive() for worker in workers),
-            abort=abort,
-            timeout=shm.BARRIER_TIMEOUT + self.JOIN_GRACE,
-            accept=lambda item: (item[0], (item[1], item[2])),
-            tripped=tripped,
-        )
-
-    def _apply_payloads(
-        self, team: "Team", payloads: dict, deaths: "list | None" = None, stalled: "list | None" = None
-    ) -> None:
-        apply_member_payloads(team, payloads, deaths=deaths, stalled=stalled)
-
     def prewarm(self, workers: int) -> bool:
         """Spawn the persistent pool now so the first region finds it hot.
 
@@ -625,7 +590,7 @@ class ProcessBackend(Backend):
         """Condemn the live pool so an in-flight pooled region fails fast.
 
         External cancellation hook (PR-7 machinery): marking the pool
-        condemned makes ``collect()`` stop waiting on its workers, the region
+        condemned makes the region's join stop waiting on its workers, the region
         surfaces a :class:`BrokenTeamError`, and the *next* region rebuilds a
         fresh pool via ``_ensure_pool`` — the wedged team is torn down, not
         leaked.  Returns whether there was a pool to condemn.
@@ -642,86 +607,6 @@ class ProcessBackend(Backend):
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
-
-    def _warn_once(self, key: str, message: str) -> None:
-        if key not in self._warned_fallback:
-            self._warned_fallback.add(key)
-            warnings.warn(f"ProcessBackend: {message}", RuntimeWarning, stacklevel=3)
-
-
-def apply_member_payloads(
-    team: "Team",
-    payloads: dict,
-    *,
-    deaths: "list | None" = None,
-    stalled: "list | None" = None,
-    heartbeat=None,
-) -> None:
-    """Record collected member payloads (results/exceptions) on the team.
-
-    A member without a payload is diagnosed as a silent death or — when the
-    worker monitor flagged it — a heartbeat stall, and receives a
-    :class:`WorkerProcessError`.  Shared by every process-based backend
-    (forked, pooled, and socket-distributed); ``heartbeat`` overrides the
-    team sync's arena for backends whose authoritative liveness cells live
-    elsewhere (the distributed coordinator).
-    """
-    death_info = {m: (pid, code) for m, pid, code in (deaths or ()) if m is not None}
-    if heartbeat is None:
-        sync = team.process_sync
-        heartbeat = sync.heartbeat if sync is not None else None
-    for member in team.members[1:]:
-        payload = payloads.get(member.thread_id)
-        if payload is None:
-            pid, exitcode = death_info.get(member.thread_id, (None, None))
-            if pid is None and heartbeat is not None:
-                pid = heartbeat.pid(member.thread_id) or None
-            if stalled and member.thread_id in stalled:
-                message = (
-                    f"worker process (pid {pid}) for member {member.thread_id} of team "
-                    f"{team.name!r} (level {team.nesting_level}) stopped heartbeating "
-                    "past AOMP_HEARTBEAT_TIMEOUT and was abandoned"
-                )
-            else:
-                message = _worker_death_message(team, member.thread_id, pid, exitcode)
-            member.exception = WorkerProcessError(
-                message,
-                member=member.thread_id,
-                pid=pid,
-                exitcode=exitcode,
-            )
-            continue
-        result, exc = payload
-        if exc is not None:
-            member.exception = _decode_exception(exc)
-        else:
-            member.result = _decode_result(result)
-
-
-def _worker_death_message(team: "Team", member: int, pid: "int | None", exitcode: "int | None") -> str:
-    """Diagnose a worker that died before reporting: who, where, and how."""
-    where = f"member {member} of team {team.name!r} (level {team.nesting_level})"
-    who = f"worker process (pid {pid})" if pid else "worker process"
-    if exitcode is not None and exitcode < 0:
-        number = -exitcode
-        try:
-            signame = signal.Signals(number).name
-        except ValueError:  # pragma: no cover - unknown signal number
-            signame = f"signal {number}"
-        return f"{who} for {where} was killed by {signame} (signal {number}) before reporting"
-    if exitcode is not None:
-        return f"{who} for {where} exited with code {exitcode} before reporting"
-    return f"{who} for {where} died without reporting"
-
-
-# ---------------------------------------------------------------------------
-# Shared member-payload collection (fork path and persistent pool).
-# ---------------------------------------------------------------------------
-
-
-#: Longest single block on a result channel; worker-death, monitor-tripped
-#: and deadline checks run between blocks.
-RESULT_POLL = 0.05
 
 
 class ResultChannel:
@@ -747,113 +632,6 @@ class ResultChannel:
         if not self._reader.poll(timeout):
             raise queue.Empty
         return pickle.loads(self._reader.recv_bytes())
-
-
-def collect_member_payloads(
-    receive: Callable[[float], Any],
-    *,
-    expected: int,
-    alive: Callable[[], bool],
-    abort: Callable[[], None],
-    timeout: float,
-    accept: Callable[[tuple], "tuple[int, tuple] | None"],
-    on_give_up: Callable[[], None] | None = None,
-    give_up_grace: float = 2.0,
-    tripped: Callable[[], bool] | None = None,
-) -> dict:
-    """Gather ``expected`` member payloads from a result channel.
-
-    ``receive(timeout)`` blocks for the next raw item and raises
-    :class:`queue.Empty` after ``timeout`` seconds; ``accept`` maps an item
-    to ``(thread_id, payload)`` or ``None`` to discard it (the pool uses
-    this to filter stale region tickets).  The wait is a blocking read in
-    slices of at most :data:`RESULT_POLL`, so a payload wakes the master the
-    moment it lands.  When the workers die, ``timeout`` passes, or
-    ``tripped`` reports that the worker monitor already aborted the team (a
-    *stalled* member stays alive but will never report, so waiting out the
-    deadline would reintroduce the very hang the monitor exists to prevent),
-    ``on_give_up`` fires (the pool poisons itself) and the team is aborted
-    to release any members still blocked in a barrier.  Survivors of a
-    sibling's death then need a moment to error out of the broken barrier
-    and report: the give-up path keeps reading for up to ``give_up_grace``
-    seconds — exiting early once the channel has been idle for half a
-    second — so late reporters are not misclassified as having died
-    silently, while a genuinely dead member costs well under the barrier
-    timeout (the monitor's abort makes the whole detection path land in
-    fractions of a second).
-    """
-    payloads: dict[int, tuple] = {}
-
-    def take(wait: float) -> bool:
-        try:
-            item = receive(wait)
-        except queue.Empty:
-            return False
-        accepted = accept(item)
-        if accepted is not None:
-            payloads[accepted[0]] = accepted[1]
-        return True
-
-    deadline = time.monotonic() + timeout
-    while len(payloads) < expected:
-        if take(RESULT_POLL):
-            continue
-        if alive() and not (tripped is not None and tripped()) and time.monotonic() <= deadline:
-            continue
-        # A member that reported and then exited put its payload in the
-        # channel before the checks above could see it gone: only an empty
-        # read *after* them proves the payload is not coming.
-        if take(0.0):
-            continue
-        if on_give_up is not None:
-            on_give_up()
-        abort()
-        grace_deadline = time.monotonic() + give_up_grace
-        idle_deadline = time.monotonic() + 0.5
-        while len(payloads) < expected:
-            wait = min(grace_deadline, idle_deadline) - time.monotonic()
-            if wait <= 0:
-                break
-            if take(wait):
-                idle_deadline = time.monotonic() + 0.5
-        break
-    return payloads
-
-
-# ---------------------------------------------------------------------------
-# Payload encoding: results/exceptions must cross a process boundary.  The
-# object graph is pickled exactly once, in the worker; the channel then only
-# ships the resulting bytes (re-pickling bytes is a cheap copy).
-# ---------------------------------------------------------------------------
-
-
-def _encode_result(result: Any) -> bytes | None:
-    try:
-        return pickle.dumps(result)
-    except Exception:
-        return None  # non-picklable member results are dropped (master's is inline)
-
-
-def _decode_result(payload: bytes | None) -> Any:
-    if payload is None:
-        return None
-    return pickle.loads(payload)
-
-
-def _encode_exception(exc: BaseException) -> "bytes | str":
-    try:
-        return pickle.dumps(exc)
-    except Exception:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _decode_exception(payload: "bytes | str") -> BaseException:
-    if isinstance(payload, bytes):
-        try:
-            return pickle.loads(payload)
-        except Exception:  # pragma: no cover - unpicklable in the parent
-            return WorkerProcessError("worker exception could not be reconstructed")
-    return WorkerProcessError(str(payload))
 
 
 # ---------------------------------------------------------------------------

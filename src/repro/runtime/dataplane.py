@@ -502,7 +502,7 @@ class WorkerSession:
         self._lock = threading.Lock()
         self._arrays: "dict[str, RemoteArray]" = {}
         #: one-predicate metrics guard for the RPC hot path; ``_worker_main``
-        #: refreshes it once the master's config override is in effect.
+        #: sets it to the master's flag once the region descriptor is in.
         self.metrics = get_config().metrics
         try:
             with self._lock:
@@ -559,6 +559,16 @@ class WorkerSession:
         if ok:
             return payload
         raise payload
+
+    def send_result(self, member: int, result: "bytes | None", exc: "bytes | str | None") -> None:
+        """The member's reply: the connection's final frame.
+
+        Carries the final metrics flush — counts accumulated since the last
+        barrier piggyback, including the publish RPCs made just here.
+        """
+        self.flush_arrays()
+        delta = obsreg.flush_delta() if self.metrics else None
+        self.call("result", member, result, exc, delta)
 
     # -- array mirrors -------------------------------------------------------
 
@@ -852,18 +862,16 @@ class SocketDataPlane(DataPlane):
     def create_sync(self, size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
         coordinator = Coordinator(size)
         coordinator.start()
-        sync = shm.ProcessSync(
+        return shm.ProcessSync(
             coordinator.barrier,
             coordinator.arena,
             pooled=pooled,
             steal=coordinator.steal,
             tune=coordinator.tune,
             heartbeat=coordinator.heartbeat,
+            owned=coordinator,
         )
-        sync.coordinator = coordinator
-        return sync
 
     def release_sync(self, sync: shm.ProcessSync) -> None:
-        coordinator = getattr(sync, "coordinator", None)
-        if coordinator is not None:
-            coordinator.shutdown()
+        if sync.owned is not None:
+            sync.owned.shutdown()

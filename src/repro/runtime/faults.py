@@ -38,8 +38,9 @@ process's first region.  Remaining selectors:
 ``seed:N`` rule for reproducibility).
 
 **Detection** — :class:`WorkerMonitor` watches one process-backed region: on
-its own daemon thread for forked and distributed teams, driven by the
-persistent pool's long-lived watcher for pooled ones.  The master normally
+its own daemon thread for forked, subinterpreter and distributed teams,
+driven by the persistent pool's long-lived watcher for pooled ones (the one
+:func:`repro.runtime.member.join_team` sets up either).  The master normally
 learns about a dead worker only after its own barrier wait times out (120s);
 the monitor polls worker liveness every :func:`heartbeat_interval` seconds
 and *aborts the team barrier* the moment a worker dies, converting the hang
@@ -368,10 +369,11 @@ def current_plan() -> "FaultPlan | None":
 def set_fault_plan(plan: "FaultPlan | None") -> "FaultPlan | None":
     """Install ``plan`` (``None`` disarms injection); returns the previous plan.
 
-    Tests install parsed plans directly instead of mutating the environment;
-    worker *processes* inherit the parent's installed plan through fork,
-    while pool workers forked before the plan existed fall back to their own
-    ``AOMP_FAULTS`` resolution.
+    Tests install parsed plans directly instead of mutating the environment.
+    May be called at any time: fork-per-region workers inherit the installed
+    plan through fork, and every other tier's workers — a pool that was
+    already warm included — receive it with each region descriptor
+    (:func:`repro.runtime.member.describe_region`).
     """
     global _plan, _resolved
     with _state_lock:
@@ -537,7 +539,7 @@ class WorkerMonitor:
         """One liveness check; ``True`` once there is nothing left to watch.
 
         The single statement of the detection logic: the monitor's own thread
-        calls it every :attr:`interval` on the fork and distributed paths, the
+        calls it every :attr:`interval` on the fork, subinterpreter and distributed paths, the
         persistent pool's long-lived watcher calls it for whichever region is
         in flight.  On the first death — or stale heartbeat, when a stall
         cutoff is configured — it records the diagnosis, aborts the team and

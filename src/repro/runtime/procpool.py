@@ -18,93 +18,32 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, Dict, Tuple
 
 import repro.obs.registry as obsreg
 from repro.runtime import faults, shm
-from repro.runtime.backend import ResultChannel, _encode_exception, _encode_result
+from repro.runtime.backend import ResultChannel
 from repro.runtime.config import get_config
 from repro.runtime.dataplane import ShmDataPlane
+from repro.runtime.member import describe_region, join_team, run_shipped_member
 
 #: sentinel telling workers to exit
 _STOP = None
 
 
 def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
-    """Worker loop: execute one team member per task message.
+    """Worker loop (runs in a forked child): one team member per task message.
 
-    Runs in a forked child; imports are deferred so the module can be
-    imported by :mod:`repro.runtime.backend` without a circular import.
+    A task is ``(ticket, thread_id, descriptor)``; the reply is the member's
+    encoded outcome under the same ticket and id.
     """
-    import repro.obs.registry as obsreg
-    from repro.obs.exposition import suppress_exporter
-    from repro.runtime import context as ctx
-    from repro.runtime.team import Team
+    import repro.obs.exposition  # noqa: F401 - loaded at fork, not inside the first region
 
-    from repro.runtime.config import config_override, get_config
-
-    # Pool workers never serve scrapes: only the master holds the team-wide
-    # aggregated counts (and the inherited exporter state must stay dormant).
-    suppress_exporter()
     while True:
         task = task_queue.get()
         if task is _STOP:
             break
-        ticket, thread_id, size, nesting_level, region_id, name, fault_region, cfg, body_bytes = task
-        attached: "list[shm.SharedArray]" = []
-        try:
-            body, attached = shm.loads_tracking_attachments(body_bytes)
-            team = Team(
-                size,
-                region_id=region_id,
-                name=name,
-                nesting_level=nesting_level,
-                process_sync=sync,
-            )
-            team.fault_region = fault_region
-            team.backend_name = "processes"
-            if sync.heartbeat is not None:
-                # Pool workers pick members per region: the heartbeat cell is
-                # how the master maps this process back to the member it ran.
-                sync.heartbeat.register(thread_id)
-            frame = ctx.ExecutionContext(team=team, thread_id=thread_id, nesting_level=nesting_level)
-            ctx.push_context(frame)
-            try:
-                if faults.active():
-                    faults.fire(
-                        "member", member=thread_id, region=fault_region, backend="processes", team=team
-                    )
-                # Long-lived workers keep the config captured when the pool
-                # forked; the region's *current* schedule/nesting settings
-                # travel in the task message so master and workers always
-                # partition loops identically (a stale default_schedule here
-                # silently corrupts work-shared results).
-                with config_override(**cfg):
-                    # The Team above was built under the worker's inherited
-                    # config; the region's live metrics flag travels in cfg.
-                    team.metrics = get_config().metrics
-                    result = body()
-            finally:
-                ctx.pop_context()
-                # Pool members execute the body directly (not run_member), so
-                # the team-wide aggregation flush must happen here, before
-                # the result frame signals completion to the master.
-                if team.metrics and sync.metrics is not None:
-                    sync.metrics.flush_member(thread_id, obsreg.flush_delta())
-        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-            # Release siblings blocked in the team barrier, then report.
-            sync.barrier.abort()
-            payload = (ticket, thread_id, None, _encode_exception(exc))
-        else:
-            payload = (ticket, thread_id, _encode_result(result), None)
-        # Every region re-attaches the arrays its pickled body names; detach
-        # them now (the payload above already encoded any it references by
-        # segment name) or the worker gains a mapping and an fd per array per
-        # region.
-        body = result = None
-        for array in attached:
-            array.close()
-        result_queue.put(payload)
+        ticket, thread_id, descriptor = task
+        result_queue.put((ticket, thread_id, run_shipped_member(descriptor, thread_id, sync)))
 
 
 class PersistentProcessPool:
@@ -182,27 +121,35 @@ class PersistentProcessPool:
             # leak into the next region's drain.
             self._sync.metrics.reset()
 
-    def submit_region(self, team, body_bytes: bytes) -> int:
-        """Dispatch one task per non-master member; returns the region ticket."""
-        from repro.runtime.subinterp import _spmd_config_fields
+    def run_region(self, team, run_member, body_bytes: bytes):
+        """Run ``team``'s region on the pool; returns the master's result.
 
+        One task per non-master member goes out under a fresh ticket, and
+        replies carrying an earlier (aborted) region's ticket are discarded.
+        If workers die or the deadline passes, the remaining members are left
+        unreported (the join turns them into ``WorkerProcessError``) and the
+        pool poisons itself — a worker still stuck in the old region's body
+        would otherwise hit the *next* region's reset barrier/arena — so the
+        backend replaces it.
+        """
         ticket = next(self._tickets)
-        cfg = _spmd_config_fields()
+        descriptor = describe_region(team, body_bytes)
         for member in team.members[1:]:
-            self._tasks.put(
-                (
-                    ticket,
-                    member.thread_id,
-                    team.size,
-                    team.nesting_level,
-                    team.region_id,
-                    team.name,
-                    team.fault_region,
-                    cfg,
-                    body_bytes,
-                )
-            )
-        return ticket
+            self._tasks.put((ticket, member.thread_id, descriptor))
+
+        def give_up() -> None:
+            self._broken = True
+
+        return join_team(
+            team,
+            run_member,
+            receive=self._results.get,
+            accept=lambda item: item[1:] if item[0] == ticket else None,
+            alive=lambda: self.healthy,
+            dead_workers=self.dead_workers,
+            watcher=self,
+            on_give_up=give_up,
+        )
 
     def dead_workers(self) -> "list[tuple[int | None, int | None, int | None]]":
         """``(member, pid, exitcode)`` per exited worker (member via heartbeat).
@@ -218,20 +165,18 @@ class PersistentProcessPool:
                 dead.append((self.heartbeat.member_for_pid(proc.pid), proc.pid, proc.exitcode))
         return dead
 
-    def watch(self, team) -> "faults.WorkerMonitor":
-        """Arm the pool's watcher for ``team``'s region; returns its monitor.
+    def watch(self, monitor: "faults.WorkerMonitor") -> None:
+        """Arm the pool's watcher with ``monitor`` for the region in flight.
 
         Dead workers and, when configured, stale heartbeats abort the team
         within a heartbeat interval, exactly as a monitor thread of the
         region's own would — without starting and joining one per region.
         """
-        monitor = faults.WorkerMonitor(team, self.dead_workers, heartbeat=self.heartbeat)
         monitor.publish_liveness()
         with self._watch_cond:
             self._watching = monitor
             if self._watcher_parked:
                 self._watch_cond.notify()
-        return monitor
 
     def unwatch(self, monitor: "faults.WorkerMonitor") -> None:
         """Disarm the watcher; on return no check of ``monitor`` is running.
@@ -251,6 +196,10 @@ class PersistentProcessPool:
         else:  # pragma: no cover - watcher stuck on a poisoned barrier lock
             self.condemn()
         monitor.withdraw_liveness()
+        if monitor.stalled:
+            # A member that stopped heartbeating is still alive inside the old
+            # region's body; it must never meet the next region's barrier.
+            self.condemn()
 
     def _watch_loop(self) -> None:
         """Check the region in flight once per heartbeat interval.
@@ -351,40 +300,6 @@ class PersistentProcessPool:
                 return False
             lock.release()
         return True
-
-    def collect(
-        self,
-        ticket: int,
-        *,
-        expected: int,
-        abort: Callable[[], None],
-        timeout: float | None = None,
-        tripped: "Callable[[], bool] | None" = None,
-    ) -> Dict[int, Tuple[Any, Any]]:
-        """Gather ``expected`` member payloads for ``ticket``.
-
-        Stale payloads from earlier (aborted) regions are discarded.  If
-        workers die or the deadline passes, the remaining members are left
-        unreported (the backend converts them into ``WorkerProcessError``)
-        and the pool poisons itself — a worker still stuck in the old
-        region's body would otherwise hit the *next* region's reset
-        barrier/arena — so the backend replaces it.
-        """
-        from repro.runtime.backend import collect_member_payloads
-
-        def give_up() -> None:
-            self._broken = True
-
-        return collect_member_payloads(
-            self._results.get,
-            expected=expected,
-            alive=lambda: self.healthy,
-            abort=abort,
-            timeout=timeout if timeout is not None else shm.BARRIER_TIMEOUT + 30.0,
-            accept=lambda item: (item[1], (item[2], item[3])) if item[0] == ticket else None,
-            on_give_up=give_up,
-            tripped=tripped,
-        )
 
     def shutdown(self) -> None:
         """Stop all workers and release the queues."""

@@ -1184,3 +1184,11 @@ class ProcessSync:
     #: (the arena only exists when ``RuntimeConfig.metrics`` is enabled) or on
     #: planes that aggregate another way (socket workers piggyback on frames).
     metrics: "object | None" = None
+    #: the pickled region body, for tiers that ship it to their workers
+    #: (``None`` on the fork path, whose workers inherit the live callable).
+    body_bytes: "bytes | None" = None
+    #: whatever the plane or backend that built this bundle keeps with it to
+    #: share or release it — the socket plane's coordinator, the
+    #: subinterpreter tier's cells and locks with their shareable names, the
+    #: pool lock a pooled region holds.  Opaque to everyone else.
+    owned: Any = None

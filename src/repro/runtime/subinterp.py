@@ -41,22 +41,19 @@ from __future__ import annotations
 import importlib
 import os
 import pickle
+import queue
+import select
+import struct
 import threading
-import time
-import warnings
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from repro.runtime import faults, shm
+from repro.runtime import shm
+from repro.runtime.backend import ExternalBackend
 from repro.runtime.config import get_config
-from repro.runtime.backend import (
-    Backend,
-    ThreadBackend,
-    _decode_exception,
-    _decode_result,
-)
 from repro.runtime.exceptions import WorkerProcessError
+from repro.runtime.member import describe_region, join_team, path_prelude, run_shipped_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -167,7 +164,7 @@ def _probe() -> bool:
     api = interpreters_api()
     if api is None:
         return False
-    code = _path_prelude() + "import numpy\nimport pickle\n"
+    code = path_prelude() + "import numpy\nimport pickle\n"
     try:
         handle = api.create()
         try:
@@ -177,24 +174,6 @@ def _probe() -> bool:
     except BaseException:
         return False
     return True
-
-
-def _path_prelude() -> str:
-    """Bootstrap fragment aligning the worker interpreter's ``sys.path``.
-
-    Fresh interpreters initialise ``sys.path`` from the installation alone;
-    entries added by the embedding application (``PYTHONPATH=src``, test
-    harness insertions) must be replayed for ``repro`` to be importable.
-    """
-    import sys
-
-    paths = [p for p in sys.path if p]
-    return (
-        "import sys\n"
-        f"for _p in reversed({paths!r}):\n"
-        "    if _p not in sys.path:\n"
-        "        sys.path.insert(0, _p)\n"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +189,7 @@ def _bootstrap_source(descriptor: dict) -> str:
     under the pool's ``process_safe`` contract).
     """
     return (
-        _path_prelude()
+        path_prelude()
         + "from repro.runtime import subinterp as _si\n"
         + f"_si._member_main({descriptor!r})\n"
     )
@@ -273,78 +252,42 @@ def _attach_sync(descriptor: dict) -> "shm.ProcessSync":
 def _member_main(descriptor: dict) -> None:
     """Execute one team member inside a worker subinterpreter.
 
-    Mirrors the persistent pool's ``_pool_worker``: reconstruct the team and
-    execution context, run the (unpickled) body, ship the encoded result or
-    exception back — here over the member's result pipe instead of a queue.
+    The member shares the master's OS process (so an injected ``kill``
+    degrades to ``InjectedFault`` and the host survives) but none of its
+    module state; the reply goes out length-prefixed on the member's result
+    pipe.
     """
-    import struct
+    thread_id = descriptor["thread_id"]
+    reply = run_shipped_member(descriptor, thread_id, _attach_sync(descriptor))
+    data = pickle.dumps((thread_id, reply))
+    os.write(descriptor["result_fd"], struct.pack("<I", len(data)) + data)
 
-    import repro.obs.registry as obsreg
-    from repro.obs.exposition import suppress_exporter
-    from repro.runtime import context as ctx
-    from repro.runtime.backend import _encode_exception, _encode_result
-    from repro.runtime.config import config_override, get_config
-    from repro.runtime.team import Team
 
-    # This interpreter shares the master's process but not its module state;
-    # a nested region in here must never race the master for the scrape port.
-    suppress_exporter()
-    thread_id = int(descriptor["thread_id"])
-    result_fd = int(descriptor["result_fd"])
-    sync = None
-    try:
-        sync = _attach_sync(descriptor)
-        body = pickle.loads(descriptor["body"])
-        team = Team(
-            int(descriptor["size"]),
-            region_id=int(descriptor["region_id"]),
-            name=descriptor["name"],
-            nesting_level=int(descriptor["nesting_level"]),
-            process_sync=sync,
-        )
-        # SPMD agreement with the master: the fields that shape scheduling
-        # decisions must match the master's live configuration, not this
-        # fresh interpreter's environment defaults.  Nested regions spawned
-        # inside a worker run as thread sub-teams, like the process backend.
-        team.fault_region = int(descriptor.get("fault_region", 0))
-        team.backend_name = "subinterp"
-        if sync.heartbeat is not None:
-            sync.heartbeat.register(thread_id)
-        with config_override(tracing=False, backend="threads", **descriptor["config"]):
-            # The Team above was built under this interpreter's inherited
-            # config; the master's live metrics flag arrives in the descriptor.
-            team.metrics = get_config().metrics
-            frame = ctx.ExecutionContext(
-                team=team, thread_id=thread_id, nesting_level=int(descriptor["nesting_level"])
-            )
-            ctx.push_context(frame)
-            try:
-                if faults.active():
-                    # Subinterpreter members share the master's OS process: a
-                    # "kill" action degrades to InjectedFault inside the plan
-                    # (same pid), so the host process survives by design.
-                    faults.fire(
-                        "member",
-                        member=thread_id,
-                        region=team.fault_region,
-                        backend="subinterp",
-                        team=team,
-                    )
-                result = body()
-            finally:
-                ctx.pop_context()
-                # Workers run the body directly (no ``run_member``), so the
-                # team-wide aggregation flush must happen here.
-                if sync.metrics is not None and get_config().metrics:
-                    sync.metrics.flush_member(thread_id, obsreg.flush_delta())
-    except BaseException as exc:  # noqa: BLE001 - shipped to the master
-        if sync is not None:
-            sync.barrier.abort()
-        payload = (thread_id, None, _encode_exception(exc))
-    else:
-        payload = (thread_id, _encode_result(result), None)
-    data = pickle.dumps(payload)
-    os.write(result_fd, struct.pack("<I", len(data)) + data)
+class _ReplyPipes:
+    """The members' result pipes read as one timed channel.
+
+    Each pipe carries at most one ``<I``-length-prefixed pickled reply, which
+    may arrive in pieces; a pipe whose host thread closed the write end
+    without one (EOF) is dropped, so the join's liveness checks, not a read
+    deadline, decide when its member is given up on.
+    """
+
+    def __init__(self, read_fds: "list[int]") -> None:
+        self._pending = {fd: bytearray() for fd in read_fds}
+
+    def get(self, timeout: float) -> Any:
+        """The next complete reply; :class:`queue.Empty` when none lands in ``timeout`` seconds."""
+        ready, _, _ = select.select(list(self._pending), [], [], timeout)
+        for fd in ready:
+            chunk = os.read(fd, 65536)
+            buffer = self._pending[fd]
+            buffer += chunk
+            if not chunk:
+                del self._pending[fd]
+            elif len(buffer) >= 4 and len(buffer) - 4 >= struct.unpack_from("<I", buffer)[0]:
+                del self._pending[fd]
+                return pickle.loads(buffer[4:])
+        raise queue.Empty
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +295,7 @@ def _member_main(descriptor: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-class SubinterpreterBackend(Backend):
+class SubinterpreterBackend(ExternalBackend):
     """Run team members in PEP-734 subinterpreters (one GIL each).
 
     Eligibility mirrors the process pool: only *picklable SPMD bodies whose
@@ -363,7 +306,6 @@ class SubinterpreterBackend(Backend):
     """
 
     name = "subinterp"
-    supports_shared_locals = False
     #: one OS process — but no shared *heap*, which is the property dispatch
     #: actually cares about (``Team.is_process_team`` keys off the sync
     #: bundle, not this flag).
@@ -372,19 +314,6 @@ class SubinterpreterBackend(Backend):
     #: fork+pickle round-trip but far above a thread spawn.
     spinup_cost_scale = 6.0
 
-    #: seconds granted to workers beyond the barrier timeout before the
-    #: master declares them lost.
-    JOIN_GRACE = 30.0
-
-    def __init__(self, fallback: "Backend | None" = None) -> None:
-        self._fallback = fallback if fallback is not None else ThreadBackend()
-        self._warned_fallback: set[str] = set()
-
-    @property
-    def fallback(self) -> Backend:
-        """The in-process backend used for regions subinterpreters cannot honour."""
-        return self._fallback
-
     @property
     def true_parallel(self) -> bool:
         """Per-interpreter GIL: genuinely parallel wherever workers can exist."""
@@ -392,41 +321,19 @@ class SubinterpreterBackend(Backend):
 
     # -- strategy hooks -------------------------------------------------------
 
-    def resolve_for_region(self, *, size: int, nesting_level: int, requires_shared_locals: bool) -> Backend:
-        if size <= 1:
-            return self
-        if not subinterpreters_available():
-            self._warn_once(
-                "platform",
-                "no usable interpreters module on this build (PEP 734, CPython >= 3.12 "
-                "with subinterpreter-capable numpy); using thread backend",
-            )
-            return self._fallback
-        if nesting_level > 0:
-            # Same designed hierarchy as the process backend: the interpreter
-            # team forms the outer level; nested regions inside a worker run
-            # as thread sub-teams within that interpreter.
-            return self._fallback
-        if requires_shared_locals:
-            self._warn_once(
-                "shared-locals",
-                "region needs a shared Python heap (single/master broadcast, ordered, "
-                "critical or reductions); using thread backend",
-            )
-            return self._fallback
-        return self
+    def unavailable(self) -> "str | None":
+        if subinterpreters_available():
+            return None
+        return (
+            "no usable interpreters module on this build (PEP 734, CPython >= 3.12 "
+            "with subinterpreter-capable numpy)"
+        )
 
     def create_process_sync(self, size: int, body: "Callable[[], Any] | None") -> "shm.ProcessSync | None":
         if size <= 1 or not subinterpreters_available():
             return None
-        body_bytes = self._body_payload(body)
+        body_bytes = self._shippable(body)
         if body_bytes is None:
-            # run_team will see sync=None and delegate to the thread fallback.
-            self._warn_once(
-                "body",
-                "region body is not a picklable process_safe SPMD callable; "
-                "subinterpreter workers cannot receive it — using thread backend",
-            )
             return None
         barrier_cells = shm.SharedArray.zeros(shm.InterpBarrier.CELLS, np.int64)
         arena_cells = shm.SharedArray.zeros(shm.SyncArena.CELLS_PER_SLOT * ARENA_CAPACITY, np.int64)
@@ -437,14 +344,23 @@ class SubinterpreterBackend(Backend):
         locks = [shm.PipeLock() for _ in range(4)]
         barrier = shm.InterpBarrier(cells=barrier_cells, lock=locks[0])
         barrier.reset(size)
+        resources = [barrier_cells, arena_cells, steal_cells, tune_cells, heartbeat_cells, *locks]
+        shareable = {
+            "barrier": (barrier_cells.name, locks[0].fds),
+            "arena": (arena_cells.name, locks[1].fds),
+            "steal": (steal_cells.name, locks[2].fds, max_workers),
+            "tune": (tune_cells.name, locks[3].fds),
+            "heartbeat": (heartbeat_cells.name, max_workers),
+        }
         metrics_arena = None
-        metrics_cells = None
         if get_config().metrics:
             from repro.obs.arena import MetricsArena
 
             metrics_cells = shm.SharedArray.zeros(MetricsArena.cells_needed(max_workers), np.int64)
             metrics_arena = MetricsArena(max_workers, cells=metrics_cells, fresh=False)
-        sync = shm.ProcessSync(
+            resources.append(metrics_cells)
+            shareable["metrics"] = (metrics_cells.name, max_workers, metrics_arena.slots)
+        return shm.ProcessSync(
             barrier,
             shm.SyncArena(ARENA_CAPACITY, cells=arena_cells, lock=locks[1]),
             pooled=False,
@@ -452,27 +368,17 @@ class SubinterpreterBackend(Backend):
             tune=shm.TunePlanArena(TUNE_CAPACITY, cells=tune_cells, lock=locks[3]),
             heartbeat=shm.HeartbeatArena(max_workers, cells=heartbeat_cells),
             metrics=metrics_arena,
+            body_bytes=body_bytes,
+            # What finish_region closes, and what _attach_sync rebuilds from.
+            owned=(resources, shareable),
         )
-        sync.body_bytes = body_bytes  # type: ignore[attr-defined]
-        sync.resources = [barrier_cells, arena_cells, steal_cells, tune_cells, heartbeat_cells, *locks]  # type: ignore[attr-defined]
-        sync.shareable = {  # type: ignore[attr-defined]
-            "barrier": (barrier_cells.name, locks[0].fds),
-            "arena": (arena_cells.name, locks[1].fds),
-            "steal": (steal_cells.name, locks[2].fds, max_workers),
-            "tune": (tune_cells.name, locks[3].fds),
-            "heartbeat": (heartbeat_cells.name, max_workers),
-        }
-        if metrics_arena is not None:
-            sync.resources.append(metrics_cells)  # type: ignore[attr-defined]
-            sync.shareable["metrics"] = (metrics_cells.name, max_workers, metrics_arena.slots)  # type: ignore[attr-defined]
-        return sync
 
     def finish_region(self, team: "Team") -> None:
         sync = team.process_sync
-        for resource in getattr(sync, "resources", ()):
-            resource.close()
-        if sync is not None:
-            sync.resources = []  # type: ignore[attr-defined]
+        if sync is not None and sync.owned is not None:
+            for resource in sync.owned[0]:
+                resource.close()
+            sync.owned = None
 
     # -- execution ------------------------------------------------------------
 
@@ -481,24 +387,13 @@ class SubinterpreterBackend(Backend):
         if sync is None:
             return self._fallback.run_team(team, run_member, body)
 
-        config = _spmd_config_fields()
-        base = {
-            "size": team.size,
-            "region_id": team.region_id,
-            "name": team.name,
-            "nesting_level": team.nesting_level,
-            "fault_region": team.fault_region,
-            "body": sync.body_bytes,  # type: ignore[attr-defined]
-            "config": config,
-            **sync.shareable,  # type: ignore[attr-defined]
-        }
-
-        read_fds: dict[int, int] = {}
+        base = {**describe_region(team, sync.body_bytes), **sync.owned[1]}
+        read_fds: list[int] = []
         bootstrap_errors: dict[int, BaseException] = {}
         hosts: list[threading.Thread] = []
         for member in team.members[1:]:
             read_fd, write_fd = os.pipe()
-            read_fds[member.thread_id] = read_fd
+            read_fds.append(read_fd)
             descriptor = dict(base, thread_id=member.thread_id, result_fd=write_fd)
             host = threading.Thread(
                 target=self._host_member,
@@ -511,25 +406,27 @@ class SubinterpreterBackend(Backend):
         for host in hosts:
             host.start()
 
-        master_result: Any = None
-        try:
-            master_result = run_member(0)
-        except BaseException:
-            # Recorded on the member record; run_member already aborted the
-            # team barrier so workers fail fast.
-            pass
-        finally:
-            try:
-                payloads = self._collect(read_fds, team)
-                self._apply_payloads(team, payloads, bootstrap_errors)
-                for host in hosts:
-                    host.join(timeout=5.0)
-            finally:
-                for fd in read_fds.values():
-                    try:
-                        os.close(fd)
-                    except OSError:  # pragma: no cover - already closed
-                        pass
+        def reap(failed: bool) -> None:
+            for host in hosts:
+                host.join(timeout=5.0)
+            for fd in read_fds:
+                os.close(fd)
+
+        master_result = join_team(
+            team,
+            run_member,
+            receive=_ReplyPipes(read_fds).get,
+            alive=lambda: any(host.is_alive() for host in hosts),
+            # A worker interpreter cannot die on its own without taking the
+            # process with it; what can fail is its bootstrap, on the host.
+            dead_workers=lambda: [(thread_id, os.getpid(), None) for thread_id in list(bootstrap_errors)],
+            reap=reap,
+        )
+        for thread_id, cause in bootstrap_errors.items():
+            # The join's diagnosis names who was lost; the bootstrap error says why.
+            lost = team.members[thread_id].exception
+            if isinstance(lost, WorkerProcessError):
+                lost.__cause__ = cause
         return master_result
 
     def _host_member(
@@ -555,103 +452,8 @@ class SubinterpreterBackend(Backend):
             sync.barrier.abort()
         finally:
             # Close the write end so the master's reader sees EOF instead of
-            # waiting out the timeout when no payload was written.
+            # waiting on a pipe nobody will write.
             try:
                 os.close(write_fd)
             except OSError:  # pragma: no cover - already closed
                 pass
-
-    def _collect(self, read_fds: "dict[int, int]", team: "Team") -> dict:
-        """Read each member's length-prefixed payload off its result pipe."""
-        deadline = time.monotonic() + shm.BARRIER_TIMEOUT + self.JOIN_GRACE
-        payloads: dict[int, tuple] = {}
-        for thread_id, fd in read_fds.items():
-            data = _read_payload(fd, deadline)
-            if data is None:
-                team.abort()
-                continue
-            reported_id, result, exc = pickle.loads(data)
-            payloads[reported_id] = (result, exc)
-        return payloads
-
-    def _apply_payloads(self, team: "Team", payloads: dict, bootstrap_errors: dict) -> None:
-        for member in team.members[1:]:
-            payload = payloads.get(member.thread_id)
-            if payload is None:
-                cause = bootstrap_errors.get(member.thread_id)
-                detail = f": {cause}" if cause is not None else " (no payload received)"
-                member.exception = WorkerProcessError(
-                    f"subinterpreter worker for thread {member.thread_id} of {team.name} failed{detail}"
-                )
-                continue
-            result, exc = payload
-            if exc is not None:
-                member.exception = _decode_exception(exc)
-            else:
-                member.result = _decode_result(result)
-
-    # -- helpers --------------------------------------------------------------
-
-    def _body_payload(self, body: "Callable[[], Any] | None") -> "bytes | None":
-        """Pickle ``body`` for interpreter dispatch, or ``None`` when ineligible.
-
-        Same contract as the process pool: crossing the boundary copies
-        by-value state, so only callables whose owner declares itself
-        ``process_safe`` (all mutable state in shared memory) are eligible.
-        """
-        owner = getattr(body, "__self__", None)
-        if owner is None or not getattr(owner, "process_safe", False):
-            return None
-        try:
-            return pickle.dumps(body)
-        except Exception:
-            return None
-
-    def _warn_once(self, key: str, message: str) -> None:
-        if key not in self._warned_fallback:
-            self._warned_fallback.add(key)
-            warnings.warn(f"SubinterpreterBackend: {message}", RuntimeWarning, stacklevel=3)
-
-
-def _spmd_config_fields() -> dict:
-    """The master's configuration fields workers must mirror for SPMD agreement."""
-    from repro.runtime.config import get_config
-
-    config = get_config()
-    return {
-        "num_threads": config.num_threads,
-        "default_schedule": config.default_schedule,
-        "default_chunk": config.default_chunk,
-        "nested": config.nested,
-        "max_active_levels": config.max_active_levels,
-        # Workers must instrument iff the master does, and bucket layout must
-        # match the master's so flushed slot deltas mean the same thing.
-        "metrics": config.metrics,
-        "metrics_buckets": config.metrics_buckets,
-    }
-
-
-def _read_payload(fd: int, deadline: float) -> "bytes | None":
-    """Read one ``<I``-length-prefixed payload; ``None`` on EOF or timeout."""
-    import struct
-
-    os.set_blocking(fd, False)
-    buffer = bytearray()
-    needed: "int | None" = None
-    while True:
-        try:
-            chunk = os.read(fd, 65536)
-        except BlockingIOError:
-            chunk = None
-        if chunk == b"":  # EOF: host thread closed the write end, no payload coming
-            return None
-        if chunk:
-            buffer.extend(chunk)
-            if needed is None and len(buffer) >= 4:
-                needed = struct.unpack("<I", buffer[:4])[0]
-            if needed is not None and len(buffer) >= 4 + needed:
-                return bytes(buffer[4 : 4 + needed])
-        if time.monotonic() > deadline:
-            return None
-        if not chunk:
-            time.sleep(0.001)

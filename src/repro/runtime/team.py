@@ -19,11 +19,11 @@ import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import faults
 from repro.runtime import shm
-from repro.runtime import tasks
 from repro.runtime.backend import Backend, backend_by_name, resolve_backend
 from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import ON_FAILURE_POLICIES, get_config
 from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
+from repro.runtime.member import run_member as run_region_member
 from repro.runtime.trace import NO_REGION, EventKind, TraceRecorder, get_global_recorder
 
 
@@ -573,66 +573,7 @@ def _execute_region(
             )
 
         def run_member(thread_id: int) -> Any:
-            member = team.members[thread_id]
-            frame = ctx.ExecutionContext(
-                team=team,
-                thread_id=thread_id,
-                nesting_level=nesting_level,
-                # Every member — not just the master — keeps the link to the
-                # spawning member's frame: the per-level member-id path
-                # (ExecutionContext.member_path) must resolve on all of them.
-                parent=parent,
-            )
-            ctx.push_context(frame)
-            start = time.perf_counter()
-            try:
-                sync = team.process_sync
-                if sync is not None and sync.heartbeat is not None:
-                    # Claim the member's liveness cell: on the fork path this
-                    # runs in the freshly forked child, so the cell carries
-                    # the worker's own pid (the monitor maps dead pids back
-                    # to members through it).
-                    sync.heartbeat.register(thread_id)
-                if faults.active():
-                    faults.fire(
-                        "member",
-                        member=thread_id,
-                        region=team.fault_region,
-                        backend=team.backend_name or None,
-                        team=team,
-                    )
-                member.result = body()
-                # Implicit end-of-region task scheduling point: every member
-                # helps finish deferred tasks before the region's barrier, so
-                # spawned-but-never-waited tasks still complete (OpenMP
-                # semantics).  No-op when the region spawned no tasks.
-                tasks.drain_team_tasks(team, thread_id)
-                return member.result
-            except BaseException as exc:
-                member.exception = exc
-                team.abort()
-                raise
-            finally:
-                elapsed = time.perf_counter() - start
-                if recorder is not None:
-                    recorder.record(
-                        EventKind.PHASE_WORK,
-                        region_id,
-                        thread_id,
-                        elapsed=elapsed,
-                        label="region_body",
-                    )
-                if team.metrics:
-                    # Process-team members (fork children run this very
-                    # function in their own process) move their accumulated
-                    # counts into their arena range before reporting back;
-                    # the master drains the arena at region end.  In-process
-                    # members have no arena and keep counting in place.
-                    sync = team.process_sync
-                    arena = getattr(sync, "metrics", None) if sync is not None else None
-                    if arena is not None:
-                        arena.flush_member(thread_id, obsreg.flush_delta())
-                ctx.pop_context()
+            return run_region_member(team, thread_id, body, parent)
 
         try:
             result = backend.run_team(team, run_member, body)

@@ -5,7 +5,7 @@ Three layers of proof, cheapest first:
 * **wire/unit** — framing round-trips, token auth, proxy-vs-real arena
   equivalence and RemoteArray coherence, all against an in-process
   :class:`~repro.runtime.dataplane.Coordinator` (no worker processes);
-* **conformance** — Series and Crypt on ``backend="distributed"`` (real
+* **conformance** — Series, Crypt and Sparse on ``backend="distributed"`` (real
   spawned, non-forked worker processes talking TCP) must produce results
   identical to ``backend="processes"`` across static/cyclic/dynamic
   schedules, which is the acceptance bar for the socket plane;
@@ -455,6 +455,17 @@ class TestDistributedExecution:
         with config_override(default_schedule=schedule):
             expected = crypt.run_backend("tiny", num_threads=3, backend="processes")
             actual = crypt.run_backend("tiny", num_threads=3, backend="distributed")
+        assert actual.value == expected.value
+
+    @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
+    def test_sparse_matches_processes(self, schedule):
+        """The scatter kernel: ``np.add.at`` needs the worker's mirror as a
+        plain ndarray (it raised ``TypeError`` on the ``RemoteArray``)."""
+        from repro.jgf.sparse import parallel as sparse
+
+        with config_override(default_schedule=schedule):
+            expected = sparse.run_backend("tiny", num_threads=3, backend="processes")
+            actual = sparse.run_backend("tiny", num_threads=3, backend="distributed")
         assert actual.value == expected.value
 
 

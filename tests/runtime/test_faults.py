@@ -488,6 +488,15 @@ def _proc_rss_kb(pid: int) -> int:
 class TestPoolWatcher:
     """The pool's one long-lived watcher replaces a monitor thread per region."""
 
+    @staticmethod
+    def _armed(pool, team):
+        """Arm the pool's watcher for ``team`` the way the shared join does."""
+        from repro.runtime.faults import WorkerMonitor
+
+        monitor = WorkerMonitor(team, pool.dead_workers, heartbeat=pool.heartbeat)
+        pool.watch(monitor)
+        return monitor
+
     def test_sigkill_is_named_within_a_second_without_a_monitor_thread(self, process_backend, monkeypatch):
         import threading
 
@@ -547,7 +556,7 @@ class TestPoolWatcher:
             casualties = [(1, 4242, -9)]
             pool.dead_workers = lambda: casualties
             pool.prepare(2)
-            first = pool.watch(Team(2, name="tripped", process_sync=pool._sync))
+            first = self._armed(pool, Team(2, name="tripped", process_sync=pool._sync))
             deadline = time.monotonic() + 5.0
             while not first.tripped and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -558,7 +567,7 @@ class TestPoolWatcher:
             time.sleep(0.1)  # ...and nobody is watching: reported deaths go unheard
             assert not pool.barrier.broken
             casualties = []
-            second = pool.watch(Team(2, name="next", process_sync=pool._sync))
+            second = self._armed(pool, Team(2, name="next", process_sync=pool._sync))
             time.sleep(0.1)  # several intervals
             assert not second.tripped and not pool.barrier.broken
             pool.unwatch(second)
@@ -585,7 +594,7 @@ class TestPoolWatcher:
             team = Team(2, name="wedged", process_sync=pool._sync)
             team.abort = lambda: (wedged.set(), release.wait(10.0))
             pool.dead_workers = lambda: [(1, 4242, -9)]
-            monitor = pool.watch(team)
+            monitor = self._armed(pool, team)
             assert wedged.wait(5.0)
             start = time.monotonic()
             pool.unwatch(monitor)

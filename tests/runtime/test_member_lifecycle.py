@@ -1,0 +1,503 @@
+"""One member lifecycle: the conformance table for :mod:`repro.runtime.member`.
+
+Every execution tier runs the same three pieces — the core
+:func:`~repro.runtime.member.run_member`, the
+:func:`~repro.runtime.member.run_shipped_member` wrapper for members that
+rebuild their world from a descriptor, and the master's
+:func:`~repro.runtime.member.join_team` — so each obligation of the
+lifecycle is asserted here *once*, against the shared function, instead of
+once per tier against a private copy:
+
+* **shipped members** — ``run_shipped_member`` is driven directly, in this
+  process, over the sync bundle of every transport the host offers (fork/shm,
+  the subinterpreter tier's pipe-locked cells, the socket plane's proxies).
+  That executes the subinterpreter worker's logic on interpreters that cannot
+  start one.
+* **the join** — ``join_team`` against an in-memory tier, and the
+  subinterpreter backend's own use of it over an in-process stand-in for the
+  PEP-734 module.
+* **regressions, end to end on real tiers** — the two bugs the drift between
+  the copies had produced: un-waited tasks dropped on every shipped tier, and
+  a fault plan installed after the pool was warm never reaching its workers.
+"""
+
+from __future__ import annotations
+
+import os
+import queue
+import threading
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Any, Callable
+
+import numpy as np
+import pytest
+
+import repro.obs.exposition as exposition
+import repro.obs.registry as obsreg
+from repro.runtime import context as ctx
+from repro.runtime import dataplane, faults, shm, subinterp
+from repro.runtime import member as lifecycle
+from repro.runtime.backend import ProcessBackend
+from repro.runtime.config import config_override, get_config
+from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
+from repro.runtime.subinterp import SubinterpreterBackend, subinterpreters_available
+from repro.runtime.tasks import spawn_task
+from repro.runtime.team import Team, parallel_region
+
+#: what the probe body saw while it ran as a shipped member (same process).
+_OBSERVED: "dict[str, Any]" = {}
+
+#: stand-in for the master's pid in shipped fault plans.
+MASTER_PID = 424242
+
+
+class Probe:
+    """Picklable ``process_safe`` owner whose bodies exercise the lifecycle."""
+
+    process_safe = True
+
+    def __init__(self) -> None:
+        self.out = shm.shared_zeros(2)
+
+    def run(self) -> str:
+        team = ctx.current_team()
+        config = get_config()
+        _OBSERVED.update(
+            schedule=config.default_schedule,
+            tracing=config.tracing,
+            metrics=team.metrics,
+            backend=team.backend_name,
+            fault_region=team.fault_region,
+            name=team.name,
+        )
+        if team.metrics:
+            obsreg.inc(obsreg.BARRIERS, 3)
+        return "done"
+
+    def mark(self, thread_id: int) -> None:
+        self.out[thread_id] = 1.0
+
+    def spawn_unwaited(self) -> None:
+        spawn_task(self.mark, ctx.get_thread_id())
+
+    def explode(self) -> None:
+        raise ValueError("member exploded")
+
+    def unpicklable(self) -> Any:
+        return threading.Lock()
+
+    def close(self) -> None:
+        self.out.close()
+
+
+@pytest.fixture
+def probe():
+    _OBSERVED.clear()
+    body = Probe()
+    yield body
+    body.close()
+
+
+@pytest.fixture(autouse=True)
+def _worker_state_does_not_leak(monkeypatch):
+    """A shipped member marks its process as a worker; this process is not one."""
+    monkeypatch.setattr(exposition, "_suppressed", False)
+    monkeypatch.setattr(lifecycle, "_shipped_faults", False)
+    previous = faults.set_fault_plan(None)
+    yield
+    faults.set_fault_plan(previous)
+
+
+# ---------------------------------------------------------------------------
+# Transports: the sync bundle a shipped member runs over, built in-process.
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Transport:
+    #: the bundle the master's team is built over ...
+    master_sync: shm.ProcessSync
+    #: ... and what the worker rebuilt on its side of the boundary.
+    worker_sync: shm.ProcessSync
+    #: deliver ``reply`` the tier's way; returns the metric delta the master absorbs.
+    flushed: Callable[[tuple], "dict[int, int]"]
+
+
+def _shm_transport(monkeypatch):
+    if not shm.fork_available():
+        pytest.skip("the shm plane's primitives need the fork context")
+    with config_override(metrics=True):
+        sync = dataplane.ShmDataPlane().create_sync(2)
+    yield Transport(sync, sync, lambda reply: dict(sync.metrics.drain()))
+
+
+def _interp_transport(monkeypatch):
+    monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
+    backend = SubinterpreterBackend()
+    owner = Probe()
+    with config_override(metrics=True):
+        sync = backend.create_process_sync(2, owner.run)
+    try:
+        # Exactly what a worker interpreter receives: names and descriptors.
+        attached = subinterp._attach_sync(dict(sync.owned[1]))
+        yield Transport(sync, attached, lambda reply: dict(sync.metrics.drain()))
+    finally:
+        backend.finish_region(SimpleNamespace(process_sync=sync))
+        owner.close()
+
+
+def _socket_transport(monkeypatch):
+    plane = dataplane.SocketDataPlane()
+    sync = plane.create_sync(2)
+    coordinator = sync.owned
+    session = dataplane.WorkerSession(
+        dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
+    )
+    session.metrics = True
+    absorbed: "list[tuple[int, int]]" = []
+    monkeypatch.setattr(dataplane.obsreg, "absorb", absorbed.extend)
+
+    def flushed(reply: tuple) -> "dict[int, int]":
+        session.send_result(1, *reply)
+        assert coordinator.results.get(timeout=5.0) == (1, reply)
+        return dict(absorbed)
+
+    try:
+        yield Transport(sync, dataplane.worker_process_sync(session, 2), flushed)
+    finally:
+        session.close()
+        plane.release_sync(sync)
+
+
+@pytest.fixture(params=["shm", "interp", "socket"])
+def transport(request, monkeypatch):
+    yield from {"shm": _shm_transport, "interp": _interp_transport, "socket": _socket_transport}[request.param](
+        monkeypatch
+    )
+
+
+def ship(transport: Transport, body: Callable[[], Any], **master_config: Any) -> tuple:
+    """Describe a region on the master's side, run member 1 of it as shipped.
+
+    ``master_config`` is in force only while the descriptor is built: the
+    worker starts from this process's ambient configuration, as a long-lived
+    worker starts from whatever it captured when it was created.
+    """
+    team = Team(2, region_id=7, name="lifecycle", process_sync=transport.master_sync)
+    team.backend_name = "tier-under-test"
+    team.fault_region = 5
+    with config_override(**master_config):
+        descriptor = lifecycle.describe_region(team, lifecycle.body_payload(body))
+    return lifecycle.run_shipped_member(descriptor, 1, transport.worker_sync)
+
+
+class TestShippedMemberObligations:
+    """One assertion site per obligation, on every transport."""
+
+    def test_result_is_encoded_and_the_team_is_rebuilt_as_described(self, transport, probe):
+        result, exc = ship(transport, probe.run)
+        assert exc is None and lifecycle._decode_result(result) == "done"
+        assert (_OBSERVED["name"], _OBSERVED["backend"], _OBSERVED["fault_region"]) == (
+            "lifecycle",
+            "tier-under-test",
+            5,
+        )
+
+    def test_heartbeat_cell_carries_the_workers_pid(self, transport, probe):
+        ship(transport, probe.run)
+        assert transport.master_sync.heartbeat.pid(1) == os.getpid()
+
+    def test_shipped_spmd_config_is_applied_for_the_body_only(self, transport, probe):
+        ambient = get_config()
+        assert ambient.default_schedule != "dynamic,3" and not ambient.metrics
+        ship(transport, probe.run, default_schedule="dynamic,3", metrics=True)
+        assert _OBSERVED["schedule"] == "dynamic,3"
+        assert _OBSERVED["metrics"] is True
+        assert _OBSERVED["tracing"] is False  # a worker's events could not reach the master
+        assert get_config() == ambient
+
+    def test_shipped_member_fault_fires(self, transport, probe):
+        faults.set_fault_plan(faults.parse_fault_spec("raise:member=1"))
+        result, exc = ship(transport, probe.run)
+        assert result is None
+        assert isinstance(lifecycle._decode_exception(exc), InjectedFault)
+        assert not _OBSERVED, "the fault site precedes the body"
+
+    def test_unwaited_tasks_are_drained(self, transport, probe):
+        _result, exc = ship(transport, probe.spawn_unwaited)
+        assert exc is None
+        assert probe.out[1] == 1.0
+
+    def test_metrics_delta_is_flushed_to_the_master(self, transport, probe):
+        reply = ship(transport, probe.run, metrics=True)
+        assert transport.flushed(reply).get(obsreg.BARRIERS) == 3
+
+    def test_raising_body_aborts_the_barrier_and_is_encoded(self, transport, probe):
+        result, exc = ship(transport, probe.explode)
+        assert result is None
+        decoded = lifecycle._decode_exception(exc)
+        assert isinstance(decoded, ValueError) and "member exploded" in str(decoded)
+        assert transport.master_sync.barrier.broken
+
+    def test_context_stack_is_empty_afterwards(self, transport, probe):
+        for body in (probe.run, probe.explode):
+            ship(transport, body)
+            assert ctx.current_context() is None
+
+    def test_unpicklable_result_is_dropped_not_raised(self, transport, probe):
+        assert ship(transport, probe.unpicklable) == (None, None)
+        assert not transport.master_sync.barrier.broken
+
+    def test_a_body_that_cannot_be_rebuilt_is_reported_and_breaks_the_barrier(self, transport, probe):
+        team = Team(2, name="garbled", process_sync=transport.master_sync)
+        descriptor = lifecycle.describe_region(team, b"not a pickle")
+        result, exc = lifecycle.run_shipped_member(descriptor, 1, transport.worker_sync)
+        assert result is None and exc is not None
+        assert transport.master_sync.barrier.broken
+
+
+class TestShippedFaultPlan:
+    """The plan travels in the descriptor: spec plus the master's pid."""
+
+    def _descriptor(self, spec: "str | None") -> dict:
+        descriptor = lifecycle.describe_region(Team(2, name="plan"), b"")
+        descriptor["faults"] = None if spec is None else (spec, MASTER_PID)
+        return descriptor
+
+    def test_describe_region_ships_spec_seed_and_origin(self):
+        faults.set_fault_plan(faults.parse_fault_spec("kill:member=1,region=2;seed:9"))
+        spec, origin = lifecycle.describe_region(Team(2, name="plan"), b"")["faults"]
+        assert origin == os.getpid()
+        reparsed = faults.parse_fault_spec(spec)
+        assert reparsed.seed == 9 and repr(reparsed.rules[0]) == "kill:member=1,region=2"
+
+    def test_no_plan_ships_none_and_disarms_the_worker(self):
+        assert lifecycle.describe_region(Team(2, name="plan"), b"")["faults"] is None
+        faults.set_fault_plan(faults.parse_fault_spec("raise:member=0"))  # e.g. inherited at fork
+        lifecycle._install_fault_plan(None)
+        assert faults.current_plan() is None
+
+    def test_installed_plan_keeps_the_masters_origin_so_kill_stays_real(self):
+        lifecycle._install_fault_plan(("kill:member=1", MASTER_PID))
+        assert faults.current_plan().origin_pid == MASTER_PID != os.getpid()
+
+    def test_unchanged_spec_is_not_reparsed(self, monkeypatch):
+        parses = []
+        real = faults.parse_fault_spec
+        monkeypatch.setattr(faults, "parse_fault_spec", lambda spec: parses.append(spec) or real(spec))
+        for _ in range(3):
+            lifecycle._install_fault_plan(("raise:member=1,region=4", MASTER_PID))
+        installed = faults.current_plan()
+        assert parses == ["raise:member=1,region=4"]
+        lifecycle._install_fault_plan(("raise:member=1,region=5", MASTER_PID))
+        assert len(parses) == 2 and faults.current_plan() is not installed
+
+    def test_descriptor_survives_repr(self):
+        """The subinterpreter tier ships it as a source literal."""
+        faults.set_fault_plan(faults.parse_fault_spec("stall:member=1,seconds=0.5"))
+        with config_override(metrics=True):
+            descriptor = lifecycle.describe_region(Team(3, name="literal"), b"\x80body")
+        assert eval(repr(descriptor)) == descriptor  # noqa: S307 - our own literal
+
+
+# ---------------------------------------------------------------------------
+# The master's side.
+# ---------------------------------------------------------------------------
+
+
+class TestJoinTeam:
+    def _team(self, size: int = 3) -> Team:
+        return Team(size, name="joined", process_sync=dataplane.Coordinator(size))  # barrier + heartbeat only
+
+    def test_replies_are_applied_and_the_master_result_returned(self):
+        team = self._team()
+        replies: "queue.Queue" = queue.Queue()
+        for thread_id in (2, 1):
+            replies.put((thread_id, (lifecycle._encode_result(thread_id * 10), None)))
+        reaped = []
+        result = lifecycle.join_team(
+            team,
+            lambda thread_id: "master",
+            receive=lambda wait: replies.get(timeout=wait),
+            alive=lambda: True,
+            dead_workers=lambda: [],
+            reap=reaped.append,
+        )
+        assert result == "master"
+        assert [member.result for member in team.members[1:]] == [10, 20]
+        assert reaped == [False]
+        assert not any(thread.name.startswith("aomp-monitor-") for thread in threading.enumerate())
+
+    def test_a_dead_member_is_diagnosed_and_survivors_keep_their_replies(self, monkeypatch):
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.02")
+        team = self._team()
+        replies: "queue.Queue" = queue.Queue()
+        replies.put((2, (None, lifecycle._encode_exception(RuntimeError("survivor saw the break")))))
+        reaped = []
+
+        def receive(wait: float) -> Any:
+            return replies.get(timeout=wait)
+
+        lifecycle.join_team(
+            team,
+            lambda thread_id: None,
+            receive=receive,
+            alive=lambda: True,
+            dead_workers=lambda: [(1, 4242, -9)],
+            reap=reaped.append,
+        )
+        lost, survivor = team.members[1].exception, team.members[2].exception
+        assert isinstance(lost, WorkerProcessError)
+        assert (lost.member, lost.pid, lost.exitcode) == (1, 4242, -9) and "SIGKILL" in str(lost)
+        assert isinstance(survivor, RuntimeError)
+        assert team.broken and reaped == [True]
+
+    def test_a_raising_master_still_joins_and_reaps(self):
+        team = self._team(2)
+        replies: "queue.Queue" = queue.Queue()
+        replies.put((1, (lifecycle._encode_result("fine"), None)))
+        reaped = []
+
+        def master(thread_id: int) -> None:
+            team.members[0].exception = ValueError("master failed")
+            raise team.members[0].exception
+
+        assert (
+            lifecycle.join_team(
+                team,
+                master,
+                receive=lambda wait: replies.get(timeout=wait),
+                alive=lambda: True,
+                dead_workers=lambda: [],
+                reap=reaped.append,
+            )
+            is None
+        )
+        assert team.members[1].result == "fine" and reaped == [True]
+
+    def test_a_watcher_drives_the_monitor_instead_of_a_thread(self):
+        team = self._team(2)
+        replies: "queue.Queue" = queue.Queue()
+        replies.put((1, (None, None)))
+        calls = []
+        watcher = SimpleNamespace(
+            watch=lambda monitor: calls.append(("watch", monitor)),
+            unwatch=lambda monitor: calls.append(("unwatch", monitor)),
+        )
+        lifecycle.join_team(
+            team,
+            lambda thread_id: None,
+            receive=lambda wait: replies.get(timeout=wait),
+            alive=lambda: True,
+            dead_workers=lambda: [],
+            watcher=watcher,
+        )
+        assert [name for name, _ in calls] == ["watch", "unwatch"]
+        assert calls[0][1] is calls[1][1] and isinstance(calls[0][1], faults.WorkerMonitor)
+
+
+class _InProcessInterpreters:
+    """Stand-in for the PEP-734 module: "interpreters" that share this one.
+
+    Enough to drive the backend's master side — host threads, result pipes,
+    the shared join — and the worker's ``_member_main`` on interpreters
+    without PEP 734.
+    """
+
+    def __init__(self, fail_member: "int | None" = None) -> None:
+        self.fail_member = fail_member
+
+    def create(self) -> object:
+        return object()
+
+    def exec(self, handle: object, code: str) -> None:
+        if self.fail_member is not None and f"'thread_id': {self.fail_member}" in code:
+            raise RuntimeError("interpreter bootstrap failed")
+        exec(code, {"__name__": "__aomp_worker__"})  # noqa: S102 - our own bootstrap source
+
+    def destroy(self, handle: object) -> None:
+        pass
+
+
+class TestSubinterpreterMasterSide:
+    @pytest.fixture
+    def backend(self, monkeypatch):
+        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
+        return SubinterpreterBackend()
+
+    def test_region_runs_through_the_shared_join(self, backend, probe, monkeypatch):
+        monkeypatch.setattr(subinterp, "interpreters_api", lambda: _InProcessInterpreters())
+        segments = _own_segments()
+        parallel_region(probe.spawn_unwaited, num_threads=2, backend=backend, name="interp-join")
+        assert list(probe.out.np) == [1.0, 1.0]
+        assert _own_segments() == segments, "the region's sync cells were not released"
+
+    def test_failed_bootstrap_is_a_diagnosed_death_with_its_cause(self, backend, probe, monkeypatch):
+        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.02")
+        monkeypatch.setattr(subinterp, "interpreters_api", lambda: _InProcessInterpreters(fail_member=1))
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(probe.run, num_threads=2, backend=backend, name="interp-dead")
+        cause = excinfo.value.__cause__
+        assert isinstance(cause, WorkerProcessError) and cause.member == 1
+        assert "team 'interp-dead'" in str(cause)
+        assert "interpreter bootstrap failed" in str(cause.__cause__)
+
+
+def _own_segments() -> "set[str]":
+    if not os.path.isdir("/dev/shm"):
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith(f"aomp_{os.getpid()}_")}
+
+
+# ---------------------------------------------------------------------------
+# Regressions, end to end on the real tiers.
+# ---------------------------------------------------------------------------
+
+
+def _tier(name: str):
+    """``(backend, wrap)`` for a tier: ``wrap`` adapts the body to the tier's entry path."""
+    if name in ("fork", "pool") and not shm.fork_available():
+        pytest.skip("process tiers need fork")
+    if name == "subinterp" and not subinterpreters_available():
+        pytest.skip("subinterpreter workers unavailable on this build")
+    if name == "fork":
+        # A closure is not shippable: it takes the fork-per-region path.
+        return ProcessBackend(use_pool=False), lambda body: (lambda: body())
+    if name == "pool":
+        return ProcessBackend(), lambda body: body
+    return name, lambda body: body
+
+
+@pytest.mark.parametrize("tier", ["threads", "fork", "pool", "distributed", "subinterp"])
+def test_unwaited_tasks_complete_on_every_tier(tier, probe):
+    """One un-waited ``@Task`` per member: the end-of-region drain is part of
+    the lifecycle, not of one tier's copy of it (the pool left ``[1, 0]``)."""
+    backend, wrap = _tier(tier)
+    try:
+        parallel_region(wrap(probe.spawn_unwaited), num_threads=2, backend=backend, name=f"drain-{tier}")
+        assert list(probe.out.np) == [1.0, 1.0]
+    finally:
+        if isinstance(backend, ProcessBackend):
+            backend.shutdown()
+
+
+@pytest.mark.skipif(not shm.fork_available(), reason="the pool needs fork")
+def test_fault_plan_installed_after_warm_up_reaches_the_pool(probe):
+    """``set_fault_plan`` at any time: the plan rides the region descriptor
+    (it silently did nothing once the workers had forked)."""
+    backend = ProcessBackend()
+    try:
+        parallel_region(probe.run, num_threads=2, backend=backend, name="pool-warm")
+        warm = backend._pool
+        faults.set_fault_plan(faults.parse_fault_spec("raise:member=1"))
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(probe.run, num_threads=2, backend=backend, name="pool-armed")
+        assert isinstance(excinfo.value.__cause__, InjectedFault)
+        assert backend._pool is warm and warm.healthy, "a raise costs the region, not the pool"
+
+        faults.set_fault_plan(None)
+        parallel_region(probe.spawn_unwaited, num_threads=2, backend=backend, name="pool-disarmed")
+        assert np.array_equal(probe.out.np, [1.0, 1.0])
+    finally:
+        backend.shutdown()

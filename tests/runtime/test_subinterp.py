@@ -11,6 +11,8 @@ end-to-end worker-interpreter path additionally runs where
 from __future__ import annotations
 
 import os
+import pickle
+import queue
 import struct
 import threading
 import time
@@ -22,13 +24,14 @@ import pytest
 
 from repro.runtime import context as ctx
 from repro.runtime.barrier import BrokenBarrierError
+from repro.runtime import member as lifecycle
 from repro.runtime import shm
 from repro.runtime import subinterp
 from repro.runtime.backend import SerialBackend, ThreadBackend
 from repro.runtime.subinterp import (
     SubinterpreterBackend,
     _bootstrap_source,
-    _read_payload,
+    _ReplyPipes,
     subinterpreters_available,
 )
 from repro.runtime.team import parallel_region
@@ -172,20 +175,21 @@ class TestProcessSync:
             kernel = SharedFillKernel(array)
             sync = backend.create_process_sync(3, kernel.fill)
             assert sync is not None
-            assert set(sync.shareable) == {"barrier", "arena", "steal", "tune", "heartbeat"}
+            resources, shareable = sync.owned
+            assert set(shareable) == {"barrier", "arena", "steal", "tune", "heartbeat"}
             assert sync.barrier.parties == 3
             assert isinstance(sync.body_bytes, bytes)
 
             # A worker-side attach built purely from the shareable primitives
             # sees the *same* state: aborting through the attached barrier
             # breaks the master's.
-            descriptor = dict(sync.shareable)
+            descriptor = dict(shareable)
             attached = subinterp._attach_sync(descriptor)
             assert attached.barrier.parties == 3
             attached.barrier.abort()
             assert sync.barrier.broken
 
-            segment_names = [res.name for res in sync.resources if isinstance(res, shm.SharedArray)]
+            segment_names = [res.name for res in resources if isinstance(res, shm.SharedArray)]
             assert len(segment_names) == 5
             backend.finish_region(SimpleNamespace(process_sync=sync))
             for name in segment_names:
@@ -378,37 +382,51 @@ class TestInterpBarrier:
 
 
 class TestResultChannel:
-    def _framed(self, data: bytes) -> bytes:
+    """The members' result pipes, read through the one timed ``get`` the
+    shared join collects from."""
+
+    def _framed(self, reply) -> bytes:
+        data = pickle.dumps(reply)
         return struct.pack("<I", len(data)) + data
 
     def test_round_trip(self):
         read_fd, write_fd = os.pipe()
         try:
-            os.write(write_fd, self._framed(b"payload-bytes"))
-            assert _read_payload(read_fd, time.monotonic() + 5) == b"payload-bytes"
+            os.write(write_fd, self._framed((1, (b"payload-bytes", None))))
+            assert _ReplyPipes([read_fd]).get(5.0) == (1, (b"payload-bytes", None))
         finally:
             os.close(read_fd)
             os.close(write_fd)
 
-    def test_eof_returns_none(self):
+    def test_eof_yields_no_reply_and_drops_the_pipe(self):
         read_fd, write_fd = os.pipe()
         os.close(write_fd)
         try:
-            assert _read_payload(read_fd, time.monotonic() + 5) is None
+            pipes = _ReplyPipes([read_fd])
+            with pytest.raises(queue.Empty):
+                pipes.get(5.0)
+            # Dropped, not re-polled: the next read waits out its timeout
+            # instead of spinning on a descriptor that is always "ready".
+            start = time.monotonic()
+            with pytest.raises(queue.Empty):
+                pipes.get(0.05)
+            assert time.monotonic() - start >= 0.04
         finally:
             os.close(read_fd)
 
-    def test_timeout_returns_none(self):
+    def test_timeout_raises_empty(self):
         read_fd, write_fd = os.pipe()
         try:
-            assert _read_payload(read_fd, time.monotonic() + 0.05) is None
+            with pytest.raises(queue.Empty):
+                _ReplyPipes([read_fd]).get(0.05)
         finally:
             os.close(read_fd)
             os.close(write_fd)
 
     def test_split_writes_reassemble(self):
         read_fd, write_fd = os.pipe()
-        framed = self._framed(b"x" * 1000)
+        reply = (1, (b"x" * 1000, None))
+        framed = self._framed(reply)
 
         def trickle():
             for offset in range(0, len(framed), 100):
@@ -418,11 +436,31 @@ class TestResultChannel:
         writer = threading.Thread(target=trickle, daemon=True)
         writer.start()
         try:
-            assert _read_payload(read_fd, time.monotonic() + 10) == b"x" * 1000
+            pipes = _ReplyPipes([read_fd])
+            deadline = time.monotonic() + 10
+            received = None
+            while received is None and time.monotonic() < deadline:
+                try:
+                    received = pipes.get(0.05)
+                except queue.Empty:
+                    pass
+            assert received == reply
             writer.join(timeout=5)
         finally:
             os.close(read_fd)
             os.close(write_fd)
+
+    def test_replies_from_several_members_arrive_in_any_order(self):
+        pairs = [os.pipe() for _ in range(3)]
+        try:
+            pipes = _ReplyPipes([read_fd for read_fd, _ in pairs])
+            for thread_id in (3, 1, 2):
+                os.write(pairs[thread_id - 1][1], self._framed((thread_id, (None, None))))
+            assert sorted(pipes.get(5.0)[0] for _ in range(3)) == [1, 2, 3]
+        finally:
+            for read_fd, write_fd in pairs:
+                os.close(read_fd)
+                os.close(write_fd)
 
 
 class TestBootstrap:
@@ -435,7 +473,7 @@ class TestBootstrap:
 
     def test_path_prelude_replays_sys_path(self):
         namespace: dict = {}
-        exec(subinterp._path_prelude(), namespace)  # noqa: S102 - test fixture
+        exec(lifecycle.path_prelude(), namespace)  # noqa: S102 - test fixture
         import sys
 
         replayed = namespace["sys"].path
