@@ -8,7 +8,9 @@ disabled, what each construct costs **on top of** a hand-written baseline:
 * ``woven_call``       — calling a woven-but-sequential method vs a plain call;
 * ``chunk_dispatch.*`` — per-chunk cost of a workshared loop under each
   schedule (``static_block``, ``static_cyclic``, ``dynamic``, ``guided``)
-  vs calling the loop body directly the same number of times;
+  vs calling the loop body directly the same number of times.  The divisor
+  is *scheduling chunks* (``chunks``); a dynamic/guided claim runs its
+  adjacent chunks as one body call, so ``body_calls`` is recorded beside it;
 * ``barrier``          — one team barrier round (2 threads);
 * ``critical``         — one uncontended named critical section;
 * ``region_spawn``     — entering+leaving an empty 2-thread parallel region;
@@ -49,6 +51,7 @@ from repro.runtime import context as ctx
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override
 from repro.runtime.critical import critical_call
+from repro.runtime.scheduler import make_scheduler
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
 
@@ -106,7 +109,7 @@ def measure_woven_call(samples: int, repeats: int) -> dict[str, float]:
 
 
 class _CountingBody:
-    """Loop body that only counts invocations (one call per dispatched chunk)."""
+    """Loop body that only counts invocations (one per static chunk or dynamic/guided claim)."""
 
     __slots__ = ("calls",)
 
@@ -120,7 +123,7 @@ class _CountingBody:
 def _run_for_on_fake_team(
     schedule: str, iterations: int, chunk: int
 ) -> tuple[float, int]:
-    """Execute ``run_for`` as member 0 of a 2-member team; return (elapsed, chunks)."""
+    """Execute ``run_for`` as member 0 of a 2-member team; return (elapsed, body calls)."""
     team = Team(2, name="bench-overhead")
     frame = ctx.ExecutionContext(team=team, thread_id=0, nesting_level=0)
     body = _CountingBody()
@@ -139,16 +142,18 @@ def measure_chunk_dispatch(iterations: int, repeats: int) -> dict[str, dict[str,
     results: dict[str, dict[str, float]] = {}
     for schedule in SCHEDULES:
         best: float | None = None
-        chunks = 0
+        body_calls = 0
         for _ in range(max(1, repeats)):
-            elapsed, chunks = _run_for_on_fake_team(schedule, iterations, chunk=1)
+            elapsed, body_calls = _run_for_on_fake_team(schedule, iterations, chunk=1)
             best = elapsed if best is None else min(best, elapsed)
-        assert best is not None and chunks > 0
+        # Member 0's scheduling chunks, from the scheduler's boundary oracle.
+        chunks = sum(1 for _ in make_scheduler(schedule, 1).chunks_for(0, 2, 0, iterations, 1))
+        assert best is not None and 0 < body_calls <= chunks
 
         # Hand-written baseline: call the body directly the same number of times.
         body = _CountingBody()
 
-        def bare(calls: int = chunks, body: _CountingBody = body) -> float:
+        def bare(calls: int = body_calls, body: _CountingBody = body) -> float:
             start = time.perf_counter()
             for i in range(calls):
                 body(i, i + 1, 1)
@@ -158,6 +163,7 @@ def measure_chunk_dispatch(iterations: int, repeats: int) -> dict[str, dict[str,
         results[schedule] = {
             "iterations": iterations,
             "chunks": chunks,
+            "body_calls": body_calls,
             "seconds_total": best,
             "baseline_seconds_total": baseline,
             "overhead_seconds_per_chunk": max(0.0, (best - baseline) / chunks),
@@ -373,7 +379,7 @@ def _format_table(payload: dict[str, Any]) -> str:
         row = m["chunk_dispatch"][schedule]
         lines.append(
             f"{'chunk ' + schedule:<28} {row['overhead_seconds_per_chunk'] * 1e6:>11.3f} us"
-            f"   ({row['chunks']} chunks)"
+            f"   ({row['chunks']} chunks, {row['body_calls']} body calls)"
         )
     lines.append(f"{'barrier (2 threads)':<28} {m['barrier']['seconds_per_barrier'] * 1e6:>11.3f} us")
     lines.append(f"{'critical (uncontended)':<28} {m['critical']['seconds_per_call'] * 1e6:>11.3f} us")

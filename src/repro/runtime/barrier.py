@@ -119,9 +119,12 @@ class CyclicBarrier:
 
     @property
     def broken(self) -> bool:
-        """Whether the barrier is currently broken (aborted)."""
-        with self._cond:
-            return self._broken
+        """Whether the barrier is currently broken (aborted).
+
+        A plain read of the flag — no lock: the claim loops poll it once per
+        claim, and a stale answer only delays the poller by one claim.
+        """
+        return self._broken
 
     def wait(self, timeout: "float | None | object" = _UNSET) -> int:
         """Block until all parties have arrived.

@@ -200,6 +200,12 @@ class ShmDataPlane(DataPlane):
 SOCKET_TRANSPORT = f"socket data plane, tcp://{LOOPBACK_HOST}"
 
 
+#: ops that hand out work; refused once the coordinator barrier is broken.
+_CLAIM_OPS = frozenset(
+    ("arena_claim_batch", "arena_claim_guided", "arena_claim_guided_batch", "steal_claim_local", "steal_claim_steal")
+)
+
+
 class Coordinator:
     """Master-side server hosting a socket-plane team's real shared state.
 
@@ -354,6 +360,10 @@ class Coordinator:
     def _dispatch(self, member: "int | None", op: str, args: tuple) -> Any:
         if op == "ping":
             return args[0] if args else None
+        if op in _CLAIM_OPS and self.barrier.broken:
+            # The worker's abort check rides the claim it is making anyway:
+            # one RPC per claim, and a broken team hands out no more work.
+            raise BrokenBarrierError(f"{op} refused: the coordinator barrier is broken [{SOCKET_TRANSPORT}]")
         if op == "barrier_wait":
             timeout = args[0]
             if len(args) > 1 and args[1]:
@@ -366,8 +376,6 @@ class Coordinator:
         if op == "barrier_abort":
             self.barrier.abort()
             return None
-        if op == "barrier_broken":
-            return self.barrier.broken
         if op == "arena_attach":
             ordinal, level = args
             self.arena.slot(ordinal, level=level)
@@ -501,6 +509,10 @@ class WorkerSession:
         self._sock.settimeout(rpc_timeout if rpc_timeout is not None else _effective_rpc_timeout())
         self._lock = threading.Lock()
         self._arrays: "dict[str, RemoteArray]" = {}
+        #: what this worker has been told about the coordinator barrier: set
+        #: when an RPC comes back with (or times out into) a
+        #: ``BrokenBarrierError``, read by :attr:`SocketBarrier.broken`.
+        self.barrier_broken = False
         #: one-predicate metrics guard for the RPC hot path; ``_worker_main``
         #: sets it to the master's flag once the region descriptor is in.
         self.metrics = get_config().metrics
@@ -548,6 +560,7 @@ class WorkerSession:
                 sent = send_message(self._sock, (op, *args))
                 (ok, payload), received = recv_message_counted(self._sock)
         except (TimeoutError, socket.timeout) as exc:
+            self.barrier_broken = True
             raise BrokenBarrierError(
                 f"data-plane RPC {op!r} timed out ({SOCKET_TRANSPORT}); the coordinator may be gone"
             ) from exc
@@ -558,6 +571,8 @@ class WorkerSession:
             obsreg.observe("aomp_rpc_rtt_seconds", time.perf_counter() - start)
         if ok:
             return payload
+        if isinstance(payload, BrokenBarrierError):
+            self.barrier_broken = True
         raise payload
 
     def send_result(self, member: int, result: "bytes | None", exc: "bytes | str | None") -> None:
@@ -691,7 +706,15 @@ class SocketBarrier:
 
     @property
     def broken(self) -> bool:
-        return bool(self._session.call("barrier_broken"))
+        """Whether the coordinator has told this worker the barrier is broken.
+
+        No RPC: every op that hands out work or waits (``arena_claim_*``,
+        ``steal_claim_*``, ``barrier_wait``) is refused with a
+        ``BrokenBarrierError`` once the coordinator barrier is broken, so a
+        polling worker learns of the break from the claim it was making
+        anyway — one round-trip per claim.
+        """
+        return self._session.barrier_broken
 
     def wait(self, timeout: Optional[float] = None) -> int:
         self._session.flush_arrays()
@@ -704,6 +727,7 @@ class SocketBarrier:
 
     def abort(self) -> None:
         self._session.call("barrier_abort")
+        self._session.barrier_broken = True
 
 
 class _ProxySlotBase:

@@ -425,6 +425,9 @@ def wrap_chunk_body(body: Callable[..., Any], *, member: int, team: Any) -> Call
         fire("chunk", member=member, region=region, backend=backend, team=team)
         return body(*args, **kwargs)
 
+    # Read by the dynamic/guided claim loop: with a plan armed it dispatches
+    # chunk by chunk, so ``chunk=N`` keeps meaning the member's N-th chunk.
+    fault_body.chunk_site = True
     return fault_body
 
 

@@ -22,7 +22,10 @@ Hot-path design (this module sits under every workshared loop):
 * dynamic/guided claim states hand out **batches** of chunks per lock
   round-trip (:meth:`_DynamicLoopState.next_chunks`,
   :meth:`_GuidedLoopState.next_ranges`), with a tail fallback that shrinks
-  claims near the end of the range to preserve load balance.
+  claims near the end of the range to preserve load balance;
+* a batch is adjacent chunks, so :meth:`DynamicScheduler.claims_from` hands
+  the executor one contiguous run per claim and :meth:`DynamicScheduler.split`
+  recovers the chunk boundaries where something observes chunks.
 """
 
 from __future__ import annotations
@@ -137,8 +140,11 @@ def parse_schedule_spec(spec: "str | Schedule") -> "tuple[Schedule, int | None]"
 #: mid-loop, a claimer may sit on up to ``batch - 1`` chunks another thread
 #: could have stolen, so per-claim imbalance is bounded by ``batch`` chunks;
 #: near the tail the claim-cap decay shrinks claims back towards one chunk,
-#: where balance matters most.  Construct ``DynamicScheduler``/
-#: ``GuidedScheduler`` directly with ``batch=1`` for strict one-chunk claims.
+#: where balance matters most.  A claim's chunks are adjacent, and the
+#: executor runs them as **one body call** (:meth:`DynamicScheduler.claims_from`),
+#: so this is also the most chunks a single call of a for method can span.
+#: Construct ``DynamicScheduler``/``GuidedScheduler`` directly with
+#: ``batch=1`` for strict one-chunk claims, and therefore one chunk per call.
 DEFAULT_CLAIM_BATCH = 16
 
 
@@ -447,6 +453,8 @@ class DynamicScheduler(LoopScheduler):
     execution with :meth:`new_state` and passed to :meth:`chunks_from`.
     Claims are batched (:data:`DEFAULT_CLAIM_BATCH` chunk indices per lock
     round-trip) — chunk *boundaries* are unchanged, only the lock traffic is.
+    :meth:`claims_from` is what the executor runs (one contiguous run per
+    claim); :meth:`chunks_from` is the per-chunk boundary oracle.
     """
 
     schedule = Schedule.DYNAMIC
@@ -487,6 +495,44 @@ class DynamicScheduler(LoopScheduler):
                     size = chunk
                 chunk_start = start + begin * step
                 yield LoopChunk(chunk_start, chunk_start + size * step, step)
+
+    def claims_from(self, state, start: int, end: int, step: int) -> "Iterator[tuple[int, int, int]]":
+        """Yield ``(run_start, run_end, chunks)`` per claim round-trip on ``state``.
+
+        The chunks one claim hands out are adjacent by construction, so a
+        claim is one contiguous run ``range(run_start, run_end, step)`` of
+        ``chunks`` scheduling chunks.  The executor runs it as one body call
+        and asks :meth:`split` for the chunk boundaries only when something
+        observes chunks (tracing, an armed fault plan).
+        """
+        total = _validate(start, end, step)
+        chunk = self.chunk
+        batch = self.batch
+        while True:
+            claim = state.next_chunks(batch)
+            if claim is None:
+                return
+            first, count = claim
+            begin = first * chunk
+            span = min(count * chunk, total - begin)
+            run_start = start + begin * step
+            yield run_start, run_start + span * step, count
+
+    def split(self, run_start: int, run_end: int, step: int, chunks: int) -> Iterator[LoopChunk]:
+        """The ``chunks`` scheduling chunks of one claimed run, in order.
+
+        A multi-chunk claim is whole ``chunk``-sized pieces plus, at the
+        loop's end, a shorter last one; a single-chunk claim (a guided block
+        still decaying, or any ``batch=1`` claim) is the run itself.
+        """
+        if chunks == 1:
+            yield LoopChunk(run_start, run_end, step)
+            return
+        size = self.chunk
+        span = (run_end - run_start) // step
+        for offset in range(0, span, size):
+            chunk_start = run_start + offset * step
+            yield LoopChunk(chunk_start, chunk_start + min(size, span - offset) * step, step)
 
     def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
         """Single-threaded fallback: the calling thread claims every chunk.
@@ -538,6 +584,16 @@ class GuidedScheduler(DynamicScheduler):
             for begin, count in blocks:
                 chunk_start = start + begin * step
                 yield LoopChunk(chunk_start, chunk_start + count * step, step)
+
+    def claims_from(self, state, start: int, end: int, step: int) -> "Iterator[tuple[int, int, int]]":
+        """Guided twin of :meth:`DynamicScheduler.claims_from` over ``next_ranges``."""
+        batch = self.batch
+        while True:
+            blocks = state.next_ranges(batch)
+            if not blocks:
+                return
+            last_begin, last_count = blocks[-1]
+            yield start + blocks[0][0] * step, start + (last_begin + last_count) * step, len(blocks)
 
     def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
         state = self.new_guided_state(start, end, step, num_threads)

@@ -399,8 +399,9 @@ class SharedBarrier:
 
     @property
     def broken(self) -> bool:
-        with self._cond:
-            return bool(self._state[self._BROKEN])
+        """Lock-free read of the flag cell (an aligned 8-byte load); a stale
+        answer only delays a polling claim loop by one claim."""
+        return bool(self._state[self._BROKEN])
 
     def wait(self, timeout: Optional[float] = None) -> int:
         """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
@@ -641,8 +642,8 @@ class InterpBarrier:
 
     @property
     def broken(self) -> bool:
-        with self._lock:
-            return bool(self._cells[self._BROKEN])
+        """Lock-free read of the flag cell, as on :class:`SharedBarrier`."""
+        return bool(self._cells[self._BROKEN])
 
     def wait(self, timeout: Optional[float] = None) -> int:
         """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""

@@ -4,12 +4,14 @@ A *for method* exposes a loop's iteration range as its first three integer
 parameters ``(start, end, step)`` (paper Section III.A).  The executor in this
 module rewrites that range according to the calling thread's position in the
 team and the selected schedule, then invokes the original method once per
-assigned chunk — exactly the behaviour of the ``around`` advice in the paper's
-Figures 10 (static) and 11 (dynamic).
+assigned static chunk or per dynamic/guided *claim* — the behaviour of the
+``around`` advice in the paper's Figures 10 (static) and 11 (dynamic), with
+Figure 11's ``getTask()`` handing out up to ``batch`` adjacent chunks at a
+time and the member running them as one call.
 
 The executor also:
 
-* records one ``CHUNK`` trace event per executed chunk (consumed by
+* records one ``CHUNK`` trace event per scheduling chunk (consumed by
   :mod:`repro.perf`),
 * optionally installs an :class:`~repro.runtime.ordered.OrderedRegion`,
 * optionally performs the implicit end-of-loop barrier (``nowait=False``).
@@ -18,11 +20,13 @@ Outside a parallel region the full range is executed directly — the paper's
 sequential-semantics guarantee.
 
 Hot-path design: per-chunk dispatch is the cost the paper's claim lives or
-dies by, so the executor splits into a *traced* path (timestamps + one
-``CHUNK`` event per chunk) and an *untraced* path that does nothing per chunk
-beyond the claim and the body call.  Static plans come from the memoised
-:func:`~repro.runtime.scheduler.cached_partition`; dynamic/guided claims are
-batched (several chunks per lock or arena round-trip).
+dies by.  Static plans come from the memoised
+:func:`~repro.runtime.scheduler.cached_partition` and run through a traced
+or an untraced list walk.  Dynamic/guided loops run through one claim loop
+(:func:`_run_claims`): per claim it pays one lock-free abort read, one lock,
+arena or RPC round-trip and one body call over the claimed run; the run is
+split back into its chunks (boundaries from :mod:`~repro.runtime.scheduler`)
+only while tracing or a fault plan observes chunks.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from repro.runtime.scheduler import (
     PARTITION_CACHE_MAX_CHUNKS,
     CollapsedRange,
     DynamicScheduler,
-    GuidedScheduler,
     LoopChunk,
     Schedule,
     cached_partition,
@@ -163,13 +166,22 @@ def run_for(
     Parameters
     ----------
     body:
-        The original for method; called as ``body(chunk_start, chunk_end,
-        step, *args, **kwargs)`` for each chunk assigned to this thread.
+        The original for method; called as ``body(range_start, range_end,
+        step, *args, **kwargs)``.  Under a static schedule that is one call
+        per chunk assigned to this thread.  Under ``dynamic``/``guided`` it
+        is one call per *claim*: a claim hands this thread up to
+        :data:`~repro.runtime.scheduler.DEFAULT_CLAIM_BATCH` adjacent chunks
+        and the body receives them as a single range that starts on a chunk
+        boundary and is a whole number of chunks (short only at the loop's
+        end).  While tracing is on or a fault plan is armed the claim is
+        dispatched chunk by chunk instead.
     start, end, step:
         The full loop range as passed by the caller of the for method.
     schedule, chunk:
         Loop schedule and chunk size (``chunk`` applies to cyclic, dynamic and
-        guided schedules).  ``None`` uses the configured default
+        guided schedules; for dynamic/guided it bounds what a claim hands
+        out — the scheduling granularity — not the size of a body call).
+        ``None`` uses the configured default
         (``AOMP_SCHEDULE``); OpenMP-style ``"kind,chunk"`` specs are accepted.
         ``"auto"`` defers the choice to the adaptive tuner (:mod:`repro.tune`):
         each invocation runs a concrete schedule the tuner picked for this
@@ -320,29 +332,21 @@ def _dispatch_schedule(
     which calls it with whatever schedule the tuner decided for this
     invocation.
     """
-    if parsed is Schedule.GUIDED:
+    if parsed is Schedule.DYNAMIC or parsed is Schedule.GUIDED:
         scheduler = make_scheduler(parsed, chunk=chunk)
+        guided = parsed is Schedule.GUIDED
         if (slot := team.proc_loop_slot(ordinal)) is not None:
             total = LoopChunk(start, end, step).count
-            state = ProcessGuidedState(slot, total, scheduler.min_chunk, team.size)
+            if guided:
+                state = ProcessGuidedState(slot, total, scheduler.min_chunk, team.size)
+            else:
+                state = ProcessDynamicState(slot, partition_chunk_count(parsed, chunk, team.size, total), team.size)
         else:
-            loop_key = _loop_encounter_key(name)
+            new_state = scheduler.new_guided_state if guided else scheduler.new_state
             state = team.shared_slot(
-                loop_key, lambda: scheduler.new_guided_state(start, end, step, team.size)
+                _loop_encounter_key(name), lambda: new_state(start, end, step, team.size)
             )
-        return _run_guided(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
-    if parsed is Schedule.DYNAMIC:
-        scheduler = make_scheduler(parsed, chunk=chunk)
-        if (slot := team.proc_loop_slot(ordinal)) is not None:
-            total = LoopChunk(start, end, step).count
-            total_chunks = (total + scheduler.chunk - 1) // scheduler.chunk
-            state = ProcessDynamicState(slot, total_chunks, team.size)
-        else:
-            loop_key = _loop_encounter_key(name)
-            state = team.shared_slot(
-                loop_key, lambda: scheduler.new_state(start, end, step, team.size)
-            )
-        return _run_dynamic(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
+        return _run_claims(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
     return _run_chunk_list(
         body,
         _static_chunks(parsed, chunk, team.size, context.thread_id, start, end, step),
@@ -557,23 +561,7 @@ def _run_chunk_list(
     return result
 
 
-def _check_abort(team, name: str) -> None:
-    """Fail fast between chunk claims when the team barrier was aborted.
-
-    External cancellation (``Team.abort`` — the compute service's cancel
-    path, the worker monitor's death diagnosis) breaks the barrier, but a
-    member deep in a dynamic/guided claim loop would otherwise keep claiming
-    until the range runs dry and only notice at the closing barrier.  One
-    ``team.broken`` read per claim round-trip bounds cancellation latency to
-    a single batch instead of the loop remainder.
-    """
-    if team.broken:
-        raise BrokenBarrierError(
-            f"loop {name!r} aborted: team {team.name!r} barrier is broken"
-        )
-
-
-def _run_dynamic(
+def _run_claims(
     body: Callable[..., Any],
     scheduler: DynamicScheduler,
     state,
@@ -586,71 +574,43 @@ def _run_dynamic(
     name: str,
     weight: Callable[[int], float] | None,
 ) -> Any:
-    """Claim batched chunk indices and run them; per-chunk cost is the goal.
+    """The dynamic/guided claim loop: one abort read, one claim, one body call.
 
-    The untraced loop touches only integers: one ``next_chunks`` round-trip
-    per batch, then pure arithmetic and the body call per chunk.
+    A claim's chunks are adjacent, so the member runs them as one body call
+    over the claimed run.  The run is split back into its scheduling chunks
+    only where something observes chunks: tracing (one ``CHUNK`` event per
+    chunk) or an armed fault plan (``chunk=N`` is the member's N-th chunk).
+    The chunk counter counts scheduling chunks either way.
+
+    External cancellation (``Team.abort`` — the compute service's cancel
+    path, the worker monitor's death diagnosis) breaks the barrier, but a
+    member deep in the loop would otherwise keep claiming until the range
+    runs dry and only notice at the closing barrier.  One lock-free
+    ``team.broken`` read per claim bounds cancellation latency to a single
+    claim (a stale read costs at most one more; on the socket plane the
+    claim RPC itself is refused).
     """
-    total = LoopChunk(start, end, step).count
-    size = scheduler.chunk
-    batch = scheduler.batch
+    slot = _CHUNK_SLOTS[scheduler.schedule]
+    tracing = team.tracing
+    per_chunk = tracing or getattr(body, "chunk_site", False)
     result: Any = None
-    if not team.tracing:
-        executed = 0
-        while True:
-            _check_abort(team, name)
-            claim = state.next_chunks(batch)
-            if claim is None:
-                if executed and team.metrics:
-                    obsreg.inc(_CHUNK_SLOTS[Schedule.DYNAMIC], executed)
-                return result
-            first, count = claim
-            executed += count
-            for index in range(first, first + count):
-                begin = index * size
-                span = total - begin
-                if span > size:
-                    span = size
-                chunk_start = start + begin * step
-                result = body(chunk_start, chunk_start + span * step, step, *args, **kwargs)
-    for piece in scheduler.chunks_from(state, start, end, step):
-        _check_abort(team, name)
-        result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, _CHUNK_SLOTS[Schedule.DYNAMIC])
-    return result
-
-
-def _run_guided(
-    body: Callable[..., Any],
-    scheduler: GuidedScheduler,
-    state,
-    start: int,
-    end: int,
-    step: int,
-    args: tuple,
-    kwargs: dict,
-    team,
-    name: str,
-    weight: Callable[[int], float] | None,
-) -> Any:
-    """Claim batched guided blocks and run them."""
-    batch = scheduler.batch
-    result: Any = None
-    if not team.tracing:
-        executed = 0
-        while True:
-            _check_abort(team, name)
-            blocks = state.next_ranges(batch)
-            if not blocks:
-                if executed and team.metrics:
-                    obsreg.inc(_CHUNK_SLOTS[Schedule.GUIDED], executed)
-                return result
-            executed += len(blocks)
-            for begin, count in blocks:
-                chunk_start = start + begin * step
-                result = body(chunk_start, chunk_start + count * step, step, *args, **kwargs)
-    for piece in scheduler.chunks_from_guided(state, start, end, step):
-        _check_abort(team, name)
-        result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, _CHUNK_SLOTS[Schedule.GUIDED])
+    executed = 0
+    for run_start, run_end, chunks in scheduler.claims_from(state, start, end, step):
+        if team.broken:
+            raise BrokenBarrierError(f"loop {name!r} aborted: team {team.name!r} barrier is broken")
+        if not per_chunk:
+            result = body(run_start, run_end, step, *args, **kwargs)
+            executed += chunks
+            continue
+        for piece in scheduler.split(run_start, run_end, step, chunks):
+            if tracing:
+                result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, slot)
+            else:
+                result = body(piece.start, piece.end, step, *args, **kwargs)
+                executed += 1
+    # One batched increment per loop (traced chunks count themselves).
+    if executed and team.metrics:
+        obsreg.inc(slot, executed)
     return result
 
 

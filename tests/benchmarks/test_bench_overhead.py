@@ -35,8 +35,12 @@ def _validate_run_payload(payload: dict) -> None:
         assert REQUIRED_CHUNK_FIELDS <= set(row), f"{schedule} missing fields"
         assert row["chunks"] >= 1
         assert row["overhead_seconds_per_chunk"] >= 0.0
-    # Dynamic with chunk=1 dispatches one chunk per iteration — the headline metric.
+    # Dynamic with chunk=1 schedules one chunk per iteration — the headline
+    # metric's divisor — however few body calls (claims) carried them.
     assert dispatch["dynamic"]["chunks"] == dispatch["dynamic"]["iterations"]
+    for schedule in ("dynamic", "guided"):
+        # Rows recorded before a claim became one call lack ``body_calls``.
+        assert 1 <= dispatch[schedule].get("body_calls", 1) <= dispatch[schedule]["chunks"]
 
     assert metrics["barrier"]["seconds_per_barrier"] > 0.0
     assert metrics["critical"]["seconds_per_call"] > 0.0
@@ -60,6 +64,8 @@ def test_benchmark_runs_and_emits_schema_valid_json(tmp_path):
     fresh = json.loads(result.stdout)
     _validate_run_payload(fresh)
     assert "pooled_region" in fresh["metrics"]
+    dynamic = fresh["metrics"]["chunk_dispatch"]["dynamic"]
+    assert dynamic["body_calls"] < dynamic["chunks"]  # a claim is one call over several chunks
 
     document = json.loads(output.read_text())
     assert set(document) == {"schema_version", "baseline", "current", "speedup_vs_baseline"}

@@ -112,6 +112,28 @@ class TestThreadsExactTraceEquality:
         assert counters["aomp_regions_total"]["entered"] == 1
         assert counters["aomp_regions_total"]["completed"] == 1
 
+    @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
+    def test_chunk_counter_counts_scheduling_chunks_traced_or_not(self, schedule):
+        """An untraced claim is one body call over several chunks; the
+        counter still counts scheduling chunks, like a traced run's events."""
+        total = 400
+
+        def body():
+            run_for(lambda s, e, st: None, 0, total, 1, schedule=schedule, loop_name="conf.claims")
+
+        def chunks_counted(recorder) -> int:
+            obsreg.reset()
+            with config_override(metrics=True, num_threads=3):
+                parallel_region(body, num_threads=3, backend="threads", recorder=recorder, name="conf-claims")
+            return team_counters()["aomp_chunks_total"][schedule]
+
+        recorder = TraceRecorder()
+        traced = chunks_counted(recorder)
+        assert traced == len(recorder.events(EventKind.CHUNK))
+        assert chunks_counted(None) == traced
+        if schedule == "dynamic":
+            assert traced == total  # dynamic,1: one scheduling chunk per iteration
+
     def test_barrier_histogram_count_matches_the_counter(self):
         def body():
             ctx.current_team().barrier()

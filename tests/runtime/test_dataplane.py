@@ -24,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.runtime import context as ctx
 from repro.runtime import dataplane, shm
 from repro.runtime.backend import available_backends, backend_by_name
 from repro.runtime.barrier import BrokenBarrierError
@@ -31,7 +32,8 @@ from repro.runtime.config import config_override
 from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.faults import parse_fault_spec, set_fault_plan
-from repro.runtime.team import parallel_region
+from repro.runtime.team import Team, parallel_region
+from repro.runtime.worksharing import run_for
 
 #: acceptance bound for dead-member detection (against a 120s barrier timeout).
 DETECTION_BOUND = 5.0
@@ -359,6 +361,59 @@ class TestSocketBarrier:
         barrier = shm.SharedBarrier(2, timeout=0.05)
         with pytest.raises(BrokenBarrierError, match=r"shm data plane"):
             barrier.wait()
+
+
+class TestClaimLoopOnTheSocketPlane:
+    """A worker's dynamic/guided claim loop, driven in-process as member 1
+    over the proxy bundle: what it costs in RPCs, and how fast a cancel lands."""
+
+    @staticmethod
+    def _run_member_loop(session, loop, total):
+        """Run ``loop`` under ``dynamic,1`` as the socket-plane member; returns
+        ``(team, ops)`` with ``ops`` every RPC the loop made."""
+        ops = []
+        real_call = session.call
+        session.call = lambda op, *args: ops.append(op) or real_call(op, *args)
+        team = Team(2, process_sync=dataplane.worker_process_sync(session, 2))
+        ctx.push_context(ctx.ExecutionContext(team=team, thread_id=1, nesting_level=0))
+        try:
+            run_for(loop, 0, total, 1, schedule="dynamic", chunk=1, nowait=True)
+        finally:
+            ctx.pop_context()
+            del session.call
+        return team, ops
+
+    def test_dynamic_loop_makes_one_rpc_per_claim(self, session):
+        calls = []
+        _team, ops = self._run_member_loop(session, lambda s, e, st: calls.append((s, e)), 400)
+        # One body call per claim, tiling the range in claim order ...
+        assert calls[0][0] == 0 and calls[-1][1] == 400
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
+        assert len(calls) < 400 // 4
+        # ... and one RPC per claim: the attach, then the claims (the last one
+        # comes back empty).  No ``barrier_broken`` poll rides along.
+        assert ops == ["arena_attach"] + ["arena_claim_batch"] * (len(calls) + 1)
+
+    def test_cancel_lands_within_one_claim(self, coordinator, session):
+        calls = []
+
+        def loop(start, end, step):
+            calls.append((start, end))
+            if len(calls) == 2:
+                coordinator.barrier.abort()  # the master cancels mid-loop
+
+        barrier = dataplane.SocketBarrier(session, 2)
+        assert not barrier.broken
+        with pytest.raises(BrokenBarrierError):
+            self._run_member_loop(session, loop, 400)
+        # The very next claim was refused: no body call after the cancel.
+        assert len(calls) == 2
+        assert barrier.broken  # learned from the refused claim, not a poll
+        # The taskloop decks refuse claims the same way.
+        deck = dataplane.ProxyStealSlot(session, 0, 2, 4, 0)
+        for claim in (deck.claim_local, deck.claim_steal):
+            with pytest.raises(BrokenBarrierError):
+                claim(1)
 
 
 class TestTransportNamedDiagnostics:

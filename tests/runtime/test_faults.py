@@ -21,6 +21,7 @@ dedicated (non-blocking) CI job.
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -181,28 +182,54 @@ class TestInjectionInProcess:
         with pytest.raises(BrokenTeamError):
             parallel_region(lambda: None, num_threads=1, backend=SerialBackend(), name="serial")
 
-    def test_chunk_site_counts_per_member_dispatches(self):
-        # static_cyclic with chunk=2 over [0, 8) gives member 0 exactly two
-        # dispatches ([0,2) then [4,6)) — deterministic, unlike dynamic.
+    @pytest.mark.parametrize("schedule", ["static_cyclic", "dynamic"])
+    def test_chunk_site_counts_per_member_dispatches(self, schedule):
+        # static_cyclic with chunk=2 over [0, 32) gives member 0 the
+        # dispatches [0,2), [4,6), ...; under dynamic,2 its first claim is
+        # several adjacent chunks, which an armed plan makes it dispatch
+        # chunk by chunk — ``chunk=1`` is its second *chunk*, not its second
+        # claim.
         install("raise:chunk=1,member=0")
         seen = []
+        first_chunk_done = threading.Event()
+
+        def loop(s, e, st):
+            if ctx.get_thread_id() == 0:
+                seen.append((s, e))
+                first_chunk_done.set()
+            else:
+                # Keep member 1 from draining the dynamic loop before member
+                # 0 has claimed: hold its first dispatch until member 0 ran one.
+                first_chunk_done.wait(timeout=10.0)
 
         def body():
-            run_for(
-                lambda s, e, st: seen.append((ctx.get_thread_id(), s, e)),
-                0,
-                8,
-                1,
-                schedule="static_cyclic",
-                chunk=2,
-            )
+            run_for(loop, 0, 32, 1, schedule=schedule, chunk=2)
 
         with pytest.raises(BrokenTeamError) as excinfo:
             parallel_region(body, num_threads=2, name="chunk-site")
         cause = excinfo.value.__cause__
         assert isinstance(cause, InjectedFault) and cause.site == "chunk"
-        # member 0 completed exactly its first chunk before its 2nd dispatch fired
-        assert [(s, e) for tid, s, e in seen if tid == 0] == [(0, 2)]
+        # member 0 completed exactly its first chunk (its writes are there)
+        # before its 2nd dispatch fired
+        assert [e - s for s, e in seen] == [2]
+        if schedule == "static_cyclic":
+            assert seen == [(0, 2)]
+
+    def test_inactive_plan_costs_a_claim_loop_one_active_check(self, monkeypatch):
+        from repro.runtime.team import Team
+
+        checks = []
+        real_active = faults.active
+        monkeypatch.setattr(faults, "active", lambda: checks.append(1) or real_active())
+        calls = []
+        # Member 0 of a 2-member team on the calling thread, no barrier: the
+        # only fault hooks passed are the loop's own.
+        ctx.push_context(ctx.ExecutionContext(team=Team(2), thread_id=0, nesting_level=0))
+        try:
+            run_for(lambda s, e, st: calls.append((s, e)), 0, 400, 1, schedule="dynamic", chunk=2, nowait=True)
+        finally:
+            ctx.pop_context()
+        assert len(calls) > 4 and len(checks) == 1
 
     def test_barrier_site_fires_on_nth_arrival(self):
         install("raise:barrier=1,member=1")

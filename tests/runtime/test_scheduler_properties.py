@@ -9,13 +9,16 @@ keeps the cases reproducible without external property-testing dependencies.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.runtime import dataplane
 from repro.runtime.exceptions import SchedulingError
 from repro.runtime.scheduler import (
     CollapsedRange,
@@ -284,3 +287,101 @@ def test_collapse_rejects_single_dimension():
 def test_collapse_rejects_zero_step():
     with pytest.raises(SchedulingError):
         CollapsedRange(((0, 4, 1), (0, 4, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the claim contract (hypothesis): what one body call of a dynamic/guided
+# loop may be, on every home a claim cursor has
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _heap_slots():
+    yield None
+
+
+@contextlib.contextmanager
+def _list_cell_arena_slots():
+    # The coordinator's flavour of SyncArena: plain list cells, a thread lock.
+    arena = SyncArena(cells=[0] * (SyncArena.CELLS_PER_SLOT * 256), lock=threading.Lock())
+    yield lambda ordinal: arena.slot(ordinal)
+
+
+@contextlib.contextmanager
+def _socket_proxy_slots():
+    coordinator = dataplane.Coordinator(2)
+    coordinator.start()
+    session = dataplane.WorkerSession(
+        dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
+    )
+    try:
+        yield lambda ordinal: dataplane.ProxyArenaSlot(session, ordinal, 0)
+    finally:
+        session.close()
+        coordinator.shutdown()
+
+
+@pytest.mark.parametrize("slots", [_heap_slots, _list_cell_arena_slots, _socket_proxy_slots])
+def test_every_claim_is_a_run_of_whole_chunks_and_claims_tile_the_loop(slots):
+    """A claim is what one untraced body call receives.  It must start on a
+    chunk boundary, be ``chunks <= batch`` consecutive scheduling chunks
+    (short only at the loop's end), and the team's claims must tile the
+    iteration space exactly once — with the chunk boundaries ``split``
+    recovers being the per-chunk oracle's (``chunks_from*``)."""
+    ordinals = itertools.count()
+
+    with slots() as slot_for:
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            total=st.integers(0, 150),
+            start=st.integers(-30, 30),
+            step=st.sampled_from([-3, -1, 1, 2, 5]),
+            chunk=st.integers(1, 7),
+            batch=st.integers(1, 20),
+            team=st.integers(1, 6),
+            guided=st.booleans(),
+        )
+        def check(total, start, step, chunk, batch, team, guided):
+            end = start + total * step
+            if guided:
+                scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
+                oracle = list(
+                    scheduler.chunks_from_guided(scheduler.new_guided_state(start, end, step, team), start, end, step)
+                )
+                if slot_for is None:
+                    state = scheduler.new_guided_state(start, end, step, team)
+                else:
+                    state = ProcessGuidedState(slot_for(next(ordinals)), total, chunk, team)
+            else:
+                scheduler = DynamicScheduler(chunk=chunk, batch=batch)
+                oracle = list(scheduler.chunks_from(scheduler.new_state(start, end, step, team), start, end, step))
+                if slot_for is None:
+                    state = scheduler.new_state(start, end, step, team)
+                else:
+                    state = ProcessDynamicState(slot_for(next(ordinals)), -(-total // chunk), team)
+            assert sum(piece.count for piece in oracle) == total
+
+            # The team drains one shared cursor, one claim per member per turn.
+            claimers = [scheduler.claims_from(state, start, end, step) for _ in range(team)]
+            claims = []
+            while claimers:
+                for claimer in list(claimers):
+                    claim = next(claimer, None)
+                    if claim is None:
+                        claimers.remove(claimer)
+                    else:
+                        claims.append(claim)
+
+            index_of = {piece.start: index for index, piece in enumerate(oracle)}
+            covered = []
+            for run_start, run_end, chunks in claims:
+                assert 1 <= chunks <= batch
+                first = index_of[run_start]  # a claim starts on a chunk boundary
+                pieces = oracle[first : first + chunks]
+                assert list(scheduler.split(run_start, run_end, step, chunks)) == pieces
+                assert pieces[-1].end == run_end
+                covered.extend(range(first, first + chunks))
+            assert sorted(covered) == list(range(len(oracle)))
+
+        check()

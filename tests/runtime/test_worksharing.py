@@ -197,35 +197,74 @@ def test_loop_return_value_last_chunk():
     assert result == sum(range(10))
 
 
+def assert_claim_contract(calls, chunks, start, end, step):
+    """The body-call contract of a dynamic/guided loop.
+
+    ``calls`` are the ``(start, end, step)`` ranges bodies received, ``chunks``
+    the loop's scheduling chunks in loop order (the scheduler oracle's, or a
+    traced run's ``CHUNK`` events).  Every call must start on a chunk
+    boundary and cover a whole number of consecutive chunks (the last chunk
+    of the loop may be short — it is in ``chunks`` as such), and the calls
+    must tile the iteration space exactly once.
+    """
+    starts = {piece[0]: index for index, piece in enumerate(chunks)}
+    covered: list[int] = []
+    for call_start, call_end, call_step in calls:
+        assert call_step == step
+        assert call_start in starts, f"call {(call_start, call_end)} starts off the chunk grid"
+        index = starts[call_start]
+        cursor = call_start
+        while cursor != call_end:
+            assert index < len(chunks) and chunks[index][0] == cursor, (
+                f"call {(call_start, call_end)} is not a whole number of chunks"
+            )
+            cursor = chunks[index][1]
+            index += 1
+        covered.extend(range(call_start, call_end, step))
+    assert sorted(covered) == sorted(range(start, end, step))
+
+
 @pytest.mark.parametrize("schedule", ["dynamic", "guided"])
 def test_untraced_and_traced_paths_execute_identical_chunk_boundaries(schedule):
-    """run_for's untraced inline dispatch must mirror the schedulers exactly.
+    """Untraced body calls are whole claims; traced runs keep per-chunk boundaries.
 
-    The untraced fast path re-derives chunk bounds with inline arithmetic
-    instead of the scheduler generators; this pins the two implementations
-    to each other so a policy change in one cannot silently drift.
+    A traced run splits every claim back into its scheduling chunks — one
+    body call and one ``CHUNK`` event each, on the scheduler oracle's
+    boundaries.  An untraced run makes one call per claim, and each call
+    must be a run of those same chunks.
     """
+    from repro.runtime.scheduler import make_scheduler
     from repro.runtime.team import Team
 
-    def boundaries(tracing: bool) -> list[tuple[int, int, int]]:
+    start, end, step, chunk = 3, 120, 2, 3
+
+    def boundaries(recorder) -> list[tuple[int, int, int]]:
         seen: list[tuple[int, int, int]] = []
 
         def loop(start, end, step):
             seen.append((start, end, step))
 
-        recorder = TraceRecorder() if tracing else None
         team = Team(2, recorder=recorder)
         frame = ctx.ExecutionContext(team=team, thread_id=0, nesting_level=0)
         ctx.push_context(frame)
         try:
             # Single consumer on a 2-member team: member 0 claims every chunk
             # deterministically (the other member never runs).
-            run_for(loop, 3, 120, 2, schedule=schedule, chunk=3, nowait=True)
+            run_for(loop, start, end, step, schedule=schedule, chunk=chunk, nowait=True)
         finally:
             ctx.pop_context()
         return seen
 
-    assert boundaries(tracing=False) == boundaries(tracing=True)
+    oracle = [(c.start, c.end, c.step) for c in make_scheduler(schedule, chunk).chunks_for(0, 2, start, end, step)]
+    recorder = TraceRecorder()
+    assert boundaries(recorder) == oracle
+    events = [(e.data["start"], e.data["end"], e.data["step"]) for e in recorder.events(EventKind.CHUNK)]
+    assert events == oracle
+
+    untraced = boundaries(None)
+    assert_claim_contract(untraced, oracle, start, end, step)
+    if schedule == "dynamic":
+        assert len(untraced) < len(oracle)  # claims, not chunks: fewer calls
 
 
 def test_sequential_run_for_records_to_global_recorder(recorder):
@@ -395,7 +434,12 @@ class TestWorksharingConformance:
         assert result == (sum(range(10)) if backend_name == "serial" else sum(range(5)))
 
     def test_dynamic_chunk_sizes_respected(self, backend_name):
-        """Chunk boundaries are identical across backends (claim order is not)."""
+        """The claim contract holds on every backend (claim order differs).
+
+        A body call is one claim: it starts on the ``chunk`` grid, is a whole
+        number of chunks (short only at the loop's end) and the calls tile
+        the range exactly once.
+        """
         spans = shm.SharedArray.zeros(64, np.int64)
         try:
 
@@ -406,12 +450,13 @@ class TestWorksharingConformance:
                 run_for(loop, 0, 64, 1, schedule="dynamic", chunk=5)
 
             parallel_region(body, num_threads=4, backend=backend_name)
-            recorded = {int(i): int(spans[i]) for i in np.nonzero(spans.np)[0]}
+            calls = [(int(i), int(i + spans[i]), 1) for i in np.nonzero(spans.np)[0]]
             if backend_name == "serial":
                 # Sequential semantics: a team of one executes the untouched range.
-                assert recorded == {0: 64}
+                assert calls == [(0, 64, 1)]
             else:
-                assert recorded == {i: min(5, 64 - i) for i in range(0, 64, 5)}
+                grid = [(i, min(i + 5, 64), 1) for i in range(0, 64, 5)]
+                assert_claim_contract(calls, grid, 0, 64, 1)
         finally:
             spans.close()
 
@@ -622,7 +667,9 @@ class TestAutoScheduleTuning:
 
         with config_override(default_schedule="dynamic,5"):
             parallel_region(body, num_threads=2)
-        assert sorted(spans) == [(0, 5), (5, 10), (10, 15), (15, 20)]
+        # dynamic,5: every body call is a run of whole 5-iteration chunks.
+        grid = [(i, i + 5, 1) for i in range(0, 20, 5)]
+        assert_claim_contract([(s, e, 1) for s, e in spans], grid, 0, 20, 1)
 
 
 def test_thread_local_field_rejected_on_process_team():
