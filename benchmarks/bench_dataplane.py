@@ -82,11 +82,11 @@ def run_suite(mode: str = "quick", *, repeats: int = 3) -> "dict[str, Any]":
         metrics["ping"] = {"rtt_seconds": _best_of(repeats, lambda: time_rpcs(lambda: session.call("ping")))}
 
         # -- fetch_add: proxy RTT vs the identical in-process arena claim ----
-        proxy_slot = dataplane.ProxySyncArena(session).slot(0)
+        proxy_slot = dataplane.RemoteArena(session, "arena").slot(0)
         metrics["fetch_add"] = {
             "proxy_rtt_seconds": _best_of(repeats, lambda: time_rpcs(lambda: proxy_slot.fetch_add(1)))
         }
-        direct = shm.SyncArena(cells=[0] * (shm.SyncArena.CELLS_PER_SLOT * 256), lock=threading.Lock()).slot(0)
+        direct = shm.SyncArena(cells=shm.heap_cells).slot(0)
 
         def time_direct() -> float:
             start = time.perf_counter()
@@ -97,7 +97,7 @@ def run_suite(mode: str = "quick", *, repeats: int = 3) -> "dict[str, Any]":
         metrics["fetch_add"]["direct_seconds"] = _best_of(repeats, time_direct)
 
         # -- batched dynamic claims: RTT amortised over the batch ------------
-        batch_slot = dataplane.ProxySyncArena(session).slot(1)
+        batch_slot = dataplane.RemoteArena(session, "arena").slot(1)
         total_chunks = rpc_reps * CLAIM_BATCH * (repeats + 1)
 
         def time_batched() -> float:

@@ -1,9 +1,9 @@
 """Cross-process metrics aggregation over pluggable int64 cell storage.
 
 A :class:`MetricsArena` gives every team member a disjoint range of int64
-cells — one per registry slot — in whatever storage the data plane provides
-(``multiprocessing`` shared memory for fork teams, an attached
-``SharedArray`` for subinterpreters, plain heap cells under a coordinator).
+cells — one per registry slot — in whatever storage its allocator provides
+(see :class:`~repro.runtime.shm.CellArena`: ``multiprocessing`` shared
+memory for fork teams, a named ``SharedArray`` for subinterpreters).
 Because ranges are disjoint and each is written only by its own member's
 process, no lock is needed: the same design as
 :class:`~repro.runtime.shm.HeartbeatArena`.
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
+from repro.runtime.shm import CellArena, mp_cells
+
 #: matches ``HeartbeatArena.DEFAULT_CAPACITY`` — the largest team any one
 #: region is expected to field.
 DEFAULT_CAPACITY = 64
@@ -31,7 +33,7 @@ def _registry_slots() -> int:
     return get_registry().num_slots
 
 
-class MetricsArena:
+class MetricsArena(CellArena):
     """Per-member int64 slot ranges for team-wide metric aggregation."""
 
     def __init__(
@@ -39,29 +41,12 @@ class MetricsArena:
         capacity: int = DEFAULT_CAPACITY,
         *,
         slots: "int | None" = None,
-        cells: Any = None,
+        cells: Any = mp_cells,
         fresh: bool = True,
     ) -> None:
         self.capacity = int(capacity)
         self.slots = int(slots) if slots is not None else _registry_slots()
-        if cells is None:
-            from repro.runtime import shm
-
-            ctx = shm._mp_context()
-            cells = ctx.Array("q", self.capacity * self.slots, lock=False)
-        self.cells = cells
-        if fresh:
-            self.reset()
-
-    @staticmethod
-    def cells_needed(capacity: int = DEFAULT_CAPACITY, slots: "int | None" = None) -> int:
-        """Cell count an external allocator must provide for ``cells=``."""
-        return int(capacity) * (int(slots) if slots is not None else _registry_slots())
-
-    def reset(self) -> None:
-        from repro.runtime.shm import fill_cells
-
-        fill_cells(self.cells, 0, self.capacity * self.slots, 1, 0)
+        super().__init__(self.capacity * self.slots, cells, fresh)
 
     def flush_member(self, member: int, pairs: "Iterable[tuple[int, int]]") -> None:
         """Add a flushed registry delta into ``member``'s cell range.
@@ -73,14 +58,14 @@ class MetricsArena:
         if not 0 <= member < self.capacity:
             return
         base = member * self.slots
-        cells = self.cells
+        cells = self._cells
         for slot, value in pairs:
             if 0 <= slot < self.slots:
                 cells[base + slot] += value
 
     def drain(self) -> "list[tuple[int, int]]":
         """Move every member's counts out as sparse ``(slot, value)`` pairs."""
-        cells = self.cells
+        cells = self._cells
         totals: "dict[int, int]" = {}
         for member in range(self.capacity):
             base = member * self.slots

@@ -20,15 +20,22 @@ runtime one.  This module separates the two:
 * :class:`SocketDataPlane` — a message-passing plane for members in
   *independent* (non-forked, possibly remote-capable) processes.  A
   :class:`Coordinator` in the master process hosts the **real** arena
-  instances over plain heap cells (the ``cells=``/``lock=`` pluggability
-  the subinterpreter backend introduced) and serves claim / barrier /
-  heartbeat RPCs over length-prefixed TCP on localhost.  Workers hold
-  duck-typed proxies; the master, living in the coordinator's process,
-  uses the arenas directly and pays zero round-trips.  Claim *policy*
-  (``claim_cap``, ``guided_claim_batch``, steal-deck seeding) therefore
-  runs exactly once, master-side, through exactly the same code the shm
-  plane uses — which is what makes chunk boundaries identical across
-  planes by construction rather than by testing luck.
+  instances over plain heap cells (the :func:`~repro.runtime.shm.heap_cells`
+  allocator) and serves claim / barrier / heartbeat RPCs over
+  length-prefixed TCP on localhost.  Workers hold a :class:`RemoteArena` per
+  slot kind; the master, living in the coordinator's process, uses the
+  arenas directly and pays zero round-trips.  Claim *policy* (``claim_cap``,
+  ``guided_claim_batch``, steal-deck seeding) therefore runs exactly once,
+  master-side, through exactly the same code the shm plane uses — which is
+  what makes chunk boundaries identical across planes by construction
+  rather than by testing luck.
+
+The slot surface is not written here at all.  Each slot class in
+:mod:`repro.runtime.shm` declares the operations the wire may name
+(``OPS``) and which of them hand out work (``CLAIMS``); the coordinator's
+one ``slot`` request checks the wire-supplied method against that
+declaration before looking anything up, and the worker-side remote slot
+classes are generated from the same tuples (:data:`SLOT_KINDS`).
 
 Bulk arrays do not stream through the RPC channel.  Workers mirror each
 :class:`~repro.runtime.shm.SharedArray` locally (:class:`RemoteArray`) and
@@ -44,9 +51,10 @@ constant-time-compared *before* any pickled frame is read — an
 unauthenticated peer never reaches ``pickle.loads``, so a crafted frame
 cannot execute code in the master.  After authentication, every frame is a
 4-byte little-endian length followed by a pickled payload: first a
-``hello`` carrying the member id and pid, then ``(op, *args)`` request
-tuples answered by ``(ok, payload)`` pairs where a falsy ``ok`` carries an
-encoded exception to re-raise client-side.
+``hello`` carrying the member id and pid (a member outside ``[1, size)``
+is turned away like a bad token), then ``(op, *args)`` request tuples
+answered by ``(ok, payload)`` pairs where a falsy ``ok`` carries an encoded
+exception to re-raise client-side.
 """
 
 from __future__ import annotations
@@ -179,12 +187,13 @@ class ShmDataPlane(DataPlane):
             from repro.obs.arena import MetricsArena
 
             metrics = MetricsArena(capacity)
+        barrier = shm.SharedBarrier(size)
         return shm.ProcessSync(
-            shm.SharedBarrier(size),
+            barrier,
             shm.SyncArena(),
             pooled=pooled,
             steal=shm.TaskStealArena(max_workers=capacity),
-            tune=shm.TunePlanArena(),
+            tune=shm.TunePlanArena(barrier),
             heartbeat=shm.HeartbeatArena(),
             metrics=metrics,
         )
@@ -200,10 +209,11 @@ class ShmDataPlane(DataPlane):
 SOCKET_TRANSPORT = f"socket data plane, tcp://{LOOPBACK_HOST}"
 
 
-#: ops that hand out work; refused once the coordinator barrier is broken.
-_CLAIM_OPS = frozenset(
-    ("arena_claim_batch", "arena_claim_guided", "arena_claim_guided_batch", "steal_claim_local", "steal_claim_steal")
-)
+#: wire name of each slot kind -> the slot class the coordinator hosts.  The
+#: class's ``OPS`` is the allowlist a wire-supplied method name is checked
+#: against, its ``CLAIMS`` what a broken team refuses; the worker-side remote
+#: slots (:data:`REMOTE_SLOTS`) are generated from the same declaration.
+SLOT_KINDS = {"arena": shm.ArenaSlot, "steal": shm.TaskStealSlot, "tune": shm.TunePlanSlot}
 
 
 class Coordinator:
@@ -226,15 +236,10 @@ class Coordinator:
         self.size = size
         self.token = secrets.token_hex(16)
         self.barrier = CyclicBarrier(size, transport=SOCKET_TRANSPORT)
-        self.arena = shm.SyncArena(cells=self._cells(shm.SyncArena.CELLS_PER_SLOT * 256), lock=threading.Lock())
-        steal_workers = max(size, 2)
-        self.steal = shm.TaskStealArena(
-            max_workers=steal_workers,
-            cells=self._cells(shm.TaskStealArena.cells_needed(steal_workers, 64)),
-            lock=threading.Lock(),
-        )
-        self.tune = shm.TunePlanArena(cells=self._cells(shm.TunePlanArena.CELLS_PER_SLOT * 256), lock=threading.Lock())
-        self.heartbeat = shm.HeartbeatArena(cells=self._cells(shm.HeartbeatArena.CELLS_PER_MEMBER * 64))
+        self.arena = shm.SyncArena(cells=shm.heap_cells)
+        self.steal = shm.TaskStealArena(max_workers=max(size, 2), cells=shm.heap_cells)
+        self.tune = shm.TunePlanArena(self.barrier, cells=shm.heap_cells)
+        self.heartbeat = shm.HeartbeatArena(cells=shm.heap_cells)
         #: worker result frames, drained by ``collect_member_payloads`` —
         #: ``queue.Queue`` deliberately matches the ``empty()``/``get()``
         #: channel surface the forked path uses.
@@ -251,10 +256,6 @@ class Coordinator:
         self._closing = False
         self._listener: "socket.socket | None" = None
         self.port: "int | None" = None
-
-    @staticmethod
-    def _cells(count: int) -> "list[int]":
-        return [0] * count
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -320,6 +321,15 @@ class Coordinator:
             if not (isinstance(hello, tuple) and len(hello) == 3 and hello[0] == "hello"):
                 send_message(conn, (False, _encode_error(PermissionError("data-plane hello frame expected"))))
                 return
+            if not (type(hello[1]) is int and 0 < hello[1] < self.size and type(hello[2]) is int):
+                # Same treatment as a bad token: no heartbeat cell is touched
+                # and ``member`` stays None, so the impostor is never "lost".
+                refusal = PermissionError(
+                    f"data-plane hello rejected: member {hello[1]!r} (pid {hello[2]!r}) is not a worker "
+                    f"of this {self.size}-member team (workers are members 1..{self.size - 1})"
+                )
+                send_message(conn, (False, _encode_error(refusal)))
+                return
             _op, member, pid = hello
             self.heartbeat.register(member, pid=pid)
             send_message(conn, (True, self.descriptor))
@@ -358,12 +368,24 @@ class Coordinator:
                 pass
 
     def _dispatch(self, member: "int | None", op: str, args: tuple) -> Any:
+        if op == "slot":
+            kind, key, method, call_args = args
+            slot_class = SLOT_KINDS.get(kind)
+            # The allowlist comes first: a wire string never reaches getattr
+            # (or the arena) unless its slot class declares it an op.
+            if slot_class is None or method not in slot_class.OPS:
+                raise ValueError(f"unknown data-plane op {kind!r}.{method!r}")
+            if method in slot_class.CLAIMS and self.barrier.broken:
+                # The worker's abort check rides the claim it is making anyway:
+                # one RPC per claim, and a broken team hands out no more work.
+                raise BrokenBarrierError(
+                    f"{kind}.{method} refused: the coordinator barrier is broken [{SOCKET_TRANSPORT}]"
+                )
+            # Attaching per op is what lets a remote slot exist without a
+            # round-trip: the first op of a loop ordinal initialises its slot.
+            return getattr(slot_class(getattr(self, kind), *key), method)(*call_args)
         if op == "ping":
             return args[0] if args else None
-        if op in _CLAIM_OPS and self.barrier.broken:
-            # The worker's abort check rides the claim it is making anyway:
-            # one RPC per claim, and a broken team hands out no more work.
-            raise BrokenBarrierError(f"{op} refused: the coordinator barrier is broken [{SOCKET_TRANSPORT}]")
         if op == "barrier_wait":
             timeout = args[0]
             if len(args) > 1 and args[1]:
@@ -376,41 +398,6 @@ class Coordinator:
         if op == "barrier_abort":
             self.barrier.abort()
             return None
-        if op == "arena_attach":
-            ordinal, level = args
-            self.arena.slot(ordinal, level=level)
-            return None
-        if op == "arena_fetch_add":
-            ordinal, level, amount = args
-            return self.arena.slot(ordinal, level=level).fetch_add(amount)
-        if op == "arena_claim_batch":
-            ordinal, level, limit, num_threads, total_chunks = args
-            return self.arena.slot(ordinal, level=level).claim_batch(limit, num_threads, total_chunks)
-        if op == "arena_claim_guided":
-            ordinal, level, total, min_chunk, num_threads = args
-            return self.arena.slot(ordinal, level=level).claim_guided(total, min_chunk, num_threads)
-        if op == "arena_claim_guided_batch":
-            ordinal, level, total, min_chunk, num_threads, limit = args
-            return self.arena.slot(ordinal, level=level).claim_guided_batch(total, min_chunk, num_threads, limit)
-        if op == "steal_claim_local":
-            ordinal, level, num_workers, ntiles, worker = args
-            return self.steal.slot(ordinal, num_workers, ntiles, level=level).claim_local(worker)
-        if op == "steal_claim_steal":
-            ordinal, level, num_workers, ntiles, worker = args
-            return self.steal.slot(ordinal, num_workers, ntiles, level=level).claim_steal(worker)
-        if op == "steal_mark_done":
-            ordinal, level, num_workers, ntiles, amount = args
-            return self.steal.slot(ordinal, num_workers, ntiles, level=level).mark_done(amount)
-        if op == "steal_finished":
-            ordinal, level, num_workers, ntiles = args
-            return self.steal.slot(ordinal, num_workers, ntiles, level=level).finished()
-        if op == "tune_publish":
-            ordinal, level, plan = args
-            self.tune.slot(ordinal, level=level).publish(plan)
-            return None
-        if op == "tune_read":
-            ordinal, level, timeout = args
-            return self.tune.slot(ordinal, level=level).read(timeout)
         if op == "gather":
             name, shape, dtype_str = args
             return self._segment(name, shape, dtype_str).np.tobytes()
@@ -708,8 +695,8 @@ class SocketBarrier:
     def broken(self) -> bool:
         """Whether the coordinator has told this worker the barrier is broken.
 
-        No RPC: every op that hands out work or waits (``arena_claim_*``,
-        ``steal_claim_*``, ``barrier_wait``) is refused with a
+        No RPC: every op that hands out work or waits (each slot class's
+        ``CLAIMS``, ``tune.read``, ``barrier_wait``) comes back with a
         ``BrokenBarrierError`` once the coordinator barrier is broken, so a
         polling worker learns of the break from the claim it was making
         anyway — one round-trip per claim.
@@ -730,107 +717,54 @@ class SocketBarrier:
         self._session.barrier_broken = True
 
 
-class _ProxySlotBase:
-    __slots__ = ("_session", "_ordinal", "_level")
+class RemoteSlot:
+    """Worker-side handle to a coordinator-hosted slot: nothing but its address.
 
-    def __init__(self, session: WorkerSession, ordinal: int, level: int) -> None:
+    Constructing one costs no round-trip — the coordinator attaches the real
+    slot on every op.  The subclasses in :data:`REMOTE_SLOTS` add one method
+    per op the hosted slot class declares, each a single ``slot`` RPC.
+    """
+
+    __slots__ = ("_session", "_key")
+
+    def __init__(self, session: WorkerSession, key: tuple) -> None:
         self._session = session
-        self._ordinal = ordinal
-        self._level = level
+        self._key = key
 
 
-class ProxyArenaSlot(_ProxySlotBase):
-    """RPC twin of :class:`~repro.runtime.shm.ArenaSlot` (claim counters)."""
+def _remote_slot_class(kind: str, hosted: type) -> type:
+    """The remote twin of slot class ``hosted``: one RPC method per declared op."""
 
-    __slots__ = ()
+    def remote_op(op: str):
+        def call(self: RemoteSlot, *args: Any) -> Any:
+            return self._session.call("slot", kind, self._key, op, args)
 
-    def __init__(self, session: WorkerSession, ordinal: int, level: int) -> None:
-        super().__init__(session, ordinal, level)
-        session.call("arena_attach", ordinal, level)
+        call.__name__ = op
+        return call
 
-    def fetch_add(self, amount: int = 1) -> int:
-        return self._session.call("arena_fetch_add", self._ordinal, self._level, amount)
-
-    def claim_batch(self, limit: int, num_threads: int, total_chunks: int) -> "tuple[int, int] | None":
-        return self._session.call("arena_claim_batch", self._ordinal, self._level, limit, num_threads, total_chunks)
-
-    def claim_guided(self, total: int, min_chunk: int, num_threads: int) -> "tuple[int, int] | None":
-        return self._session.call("arena_claim_guided", self._ordinal, self._level, total, min_chunk, num_threads)
-
-    def claim_guided_batch(
-        self, total: int, min_chunk: int, num_threads: int, limit: int
-    ) -> "list[tuple[int, int]] | None":
-        return self._session.call(
-            "arena_claim_guided_batch", self._ordinal, self._level, total, min_chunk, num_threads, limit
-        )
+    namespace = {"__slots__": (), **{op: remote_op(op) for op in hosted.OPS}}
+    return type(f"Remote{hosted.__name__}", (RemoteSlot,), namespace)
 
 
-class ProxySyncArena:
-    """Worker-side stand-in for :class:`~repro.runtime.shm.SyncArena`."""
+#: kind -> remote slot class: exactly the declared ops, bound once here (no
+#: per-call ``__getattr__`` on the claim path).
+REMOTE_SLOTS = {kind: _remote_slot_class(kind, hosted) for kind, hosted in SLOT_KINDS.items()}
 
-    def __init__(self, session: WorkerSession) -> None:
+
+class RemoteArena:
+    """Worker-side stand-in for the coordinator's arena of slot ``kind``."""
+
+    def __init__(self, session: WorkerSession, kind: str) -> None:
         self._session = session
+        self._slot = REMOTE_SLOTS[kind]
 
-    def slot(self, ordinal: int, *, level: int = 0) -> ProxyArenaSlot:
-        return ProxyArenaSlot(self._session, ordinal, level)
-
-
-class ProxyStealSlot(_ProxySlotBase):
-    """RPC twin of :class:`~repro.runtime.shm.TaskStealSlot` (taskloop decks)."""
-
-    __slots__ = ("_num_workers", "_ntiles")
-
-    def __init__(self, session: WorkerSession, ordinal: int, num_workers: int, ntiles: int, level: int) -> None:
-        super().__init__(session, ordinal, level)
-        self._num_workers = num_workers
-        self._ntiles = ntiles
-
-    def _call(self, op: str, *args: Any) -> Any:
-        return self._session.call(op, self._ordinal, self._level, self._num_workers, self._ntiles, *args)
-
-    def claim_local(self, worker: int) -> "int | None":
-        return self._call("steal_claim_local", worker)
-
-    def claim_steal(self, worker: int) -> "tuple[int, int] | None":
-        return self._call("steal_claim_steal", worker)
-
-    def mark_done(self, amount: int = 1) -> int:
-        return self._call("steal_mark_done", amount)
-
-    def finished(self) -> bool:
-        return self._call("steal_finished")
+    def slot(self, *key: int, level: int = 0) -> RemoteSlot:
+        return self._slot(self._session, (*key, level))
 
 
-class ProxyStealArena:
-    """Worker-side stand-in for :class:`~repro.runtime.shm.TaskStealArena`."""
-
-    def __init__(self, session: WorkerSession) -> None:
-        self._session = session
-
-    def slot(self, ordinal: int, num_workers: int, ntiles: int, *, level: int = 0) -> ProxyStealSlot:
-        return ProxyStealSlot(self._session, ordinal, num_workers, ntiles, level)
-
-
-class ProxyTuneSlot(_ProxySlotBase):
-    """RPC twin of :class:`~repro.runtime.shm.TunePlanSlot` (auto-schedule plans)."""
-
-    __slots__ = ()
-
-    def publish(self, plan: "tuple[int, int, int, int]") -> None:
-        self._session.call("tune_publish", self._ordinal, self._level, tuple(plan))
-
-    def read(self, timeout: float = shm.BARRIER_TIMEOUT) -> "tuple[int, int, int, int]":
-        return tuple(self._session.call("tune_read", self._ordinal, self._level, timeout))
-
-
-class ProxyTuneArena:
-    """Worker-side stand-in for :class:`~repro.runtime.shm.TunePlanArena`."""
-
-    def __init__(self, session: WorkerSession) -> None:
-        self._session = session
-
-    def slot(self, ordinal: int, *, level: int = 0) -> ProxyTuneSlot:
-        return ProxyTuneSlot(self._session, ordinal, level)
+def ProxySyncArena(session: WorkerSession) -> RemoteArena:
+    """``RemoteArena(session, "arena")``, under the name ``bench/`` imports it by."""
+    return RemoteArena(session, "arena")
 
 
 class SessionHeartbeat:
@@ -869,10 +803,9 @@ def worker_process_sync(session: WorkerSession, size: int) -> shm.ProcessSync:
     """The proxy ``ProcessSync`` bundle a socket-plane worker member runs on."""
     return shm.ProcessSync(
         SocketBarrier(session, size),
-        ProxySyncArena(session),
-        pooled=False,
-        steal=ProxyStealArena(session),
-        tune=ProxyTuneArena(session),
+        RemoteArena(session, "arena"),
+        steal=RemoteArena(session, "steal"),
+        tune=RemoteArena(session, "tune"),
         heartbeat=SessionHeartbeat(),
     )
 

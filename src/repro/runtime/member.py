@@ -73,7 +73,7 @@ def run_member(
     start = time.perf_counter()
     sync = team.process_sync
     try:
-        if sync is not None and sync.heartbeat is not None:
+        if sync is not None:
             # Claim the member's liveness cell from the process that runs the
             # member, so the cell carries that worker's own pid (the monitor
             # maps dead pids back to members through it).

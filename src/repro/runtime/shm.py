@@ -44,13 +44,20 @@ changed away from fork), degrades to the thread backend where fork is
 missing, and components that cannot degrade — the persistent pool — fail
 loudly through :func:`require_fork`.
 
-The *subinterpreter* backend (:mod:`repro.runtime.subinterp`) reuses this
-module as its data plane with one twist: ``multiprocessing`` locks and
-condition variables cannot cross an interpreter boundary, so it builds the
-same arenas over :class:`SharedArray` cell storage guarded by
-:class:`PipeLock` (an OS-pipe token mutex — file descriptors are plain ints,
-valid in every interpreter of the process) and uses the polling
-:class:`InterpBarrier` instead of :class:`SharedBarrier`.
+**One arena surface.**  Every arena here is a :class:`CellArena`: a count of
+int64 cells only the arena knows, put wherever its *allocator* says —
+:func:`mp_cells` (fork-inherited ``multiprocessing`` cells, the default),
+:func:`heap_cells` (list cells and a thread lock: the socket plane's
+coordinator, whose every party is a thread of one process),
+:func:`pipe_cells` (a named :class:`SharedArray` guarded by a
+:class:`PipeLock`: subinterpreters, which can share no Python object) or
+:func:`attached_cells` (the segment and descriptors another party's
+``shareable()`` names).  The slot arenas add the tag-recycled slot layout
+once (:class:`SlotArena`), and each slot *operation* is written once, as a
+method of its slot class (:class:`ArenaSlot`, :class:`TaskStealSlot`,
+:class:`TunePlanSlot`), which also declares — ``OPS`` / ``CLAIMS`` — what
+the socket plane may call by name (:mod:`repro.runtime.dataplane` derives
+its whole remote surface from those two tuples).
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ import multiprocessing
 import os
 import pickle
 import secrets
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -67,7 +75,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.runtime.barrier import BrokenBarrierError
+from repro.runtime.barrier import BrokenBarrierError, _default_barrier_timeout
 from repro.runtime.exceptions import BackendError
 from repro.runtime.scheduler import block_counts, claim_cap, guided_claim_batch
 
@@ -451,7 +459,129 @@ class SharedBarrier:
             self._cond.notify_all()
 
 
-class HeartbeatArena:
+class PipeLock:
+    """A mutex built on an OS pipe holding a single token byte.
+
+    ``multiprocessing`` locks are Python objects and cannot cross a
+    subinterpreter boundary; file descriptors are process-wide integers valid
+    in *every* interpreter of the process (and, inherited across ``fork``, in
+    child processes too).  ``acquire`` blocks in ``os.read`` until the token
+    byte is available; ``release`` writes it back.  Not reentrant — exactly
+    like the ``multiprocessing`` locks it substitutes for, which the arenas
+    never nest.
+    """
+
+    __slots__ = ("_read_fd", "_write_fd", "_owner")
+
+    def __init__(self, fds: "tuple[int, int] | None" = None) -> None:
+        if fds is None:
+            self._read_fd, self._write_fd = os.pipe()
+            os.write(self._write_fd, b"\x00")  # seed the token: lock starts free
+            self._owner = True
+        else:
+            self._read_fd, self._write_fd = fds
+            self._owner = False
+
+    @property
+    def fds(self) -> "tuple[int, int]":
+        """The ``(read, write)`` descriptor pair — the lock's shareable identity."""
+        return (self._read_fd, self._write_fd)
+
+    def acquire(self) -> None:
+        os.read(self._read_fd, 1)
+
+    def release(self) -> None:
+        os.write(self._write_fd, b"\x00")
+
+    def __enter__(self) -> "PipeLock":
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+    def close(self) -> None:
+        """Close the pipe (creator only: fds are shared by every attached party)."""
+        if self._owner:
+            self._owner = False
+            os.close(self._read_fd)
+            os.close(self._write_fd)
+
+
+# ---------------------------------------------------------------------------
+# Cell storage: where an arena's int64 cells live, and what guards them
+# ---------------------------------------------------------------------------
+#
+# An *allocator* is ``(count, locked) -> (cells, lock)``.  The arena calls it
+# with the cell count only the arena knows; the allocator decides where those
+# cells live and, for arenas whose slots are shared between members
+# (``locked``), which mutex every party reaching that storage can take.
+
+
+def mp_cells(count: int, locked: bool) -> "tuple[Any, Any]":
+    """``multiprocessing`` cells and lock, handed to workers by fork inheritance."""
+    ctx = _mp_context()
+    return ctx.Array("q", count, lock=False), ctx.Lock() if locked else None
+
+
+def heap_cells(count: int, locked: bool) -> "tuple[Any, Any]":
+    """List cells and a thread lock: every party is a thread of this process
+    (the socket plane's coordinator acts for its remote members)."""
+    return [0] * count, threading.Lock() if locked else None
+
+
+def pipe_cells(count: int, locked: bool) -> "tuple[Any, Any]":
+    """A named :class:`SharedArray` and a :class:`PipeLock`: parties that share
+    no Python object (subinterpreters) attach through :func:`attached_cells`."""
+    return SharedArray.zeros(count, np.int64), PipeLock() if locked else None
+
+
+def attached_cells(shared: "tuple[str, tuple[int, int] | None]"):
+    """The allocator that attaches to what another party's ``shareable()`` names."""
+    name, fds = shared
+
+    def attach(count: int, locked: bool) -> "tuple[Any, Any]":
+        return _attach_shared_array(name, (count,), "<i8"), PipeLock(fds=fds) if locked else None
+
+    return attach
+
+
+class CellArena:
+    """``count`` int64 cells in allocator-chosen storage, and the lock guarding them.
+
+    The one constructor every arena shares: ask the allocator (see above) for
+    the cells, and :meth:`reset` them unless attaching to storage another
+    party already initialised (``fresh=False``).  ``LOCKED`` is ``False`` for
+    arenas whose members each write only their own cells (aligned 8-byte
+    stores need no mutex); those get no lock at all.
+    """
+
+    LOCKED = False
+
+    def __init__(self, count: int, cells: Any, fresh: bool) -> None:
+        self._count = count
+        self._cells, self._lock = cells(count, self.LOCKED)
+        if fresh:
+            self.reset()
+
+    def reset(self) -> None:
+        """Zero every cell — one bulk store (the pool runs this before every region)."""
+        fill_cells(self._cells, 0, self._count, 1, 0)
+
+    def shareable(self) -> "tuple[str, tuple[int, int] | None]":
+        """``(segment name, lock fds)`` of :func:`pipe_cells` storage: plain
+        primitives (``repr``-round-trippable) for :func:`attached_cells`."""
+        return self._cells.name, self._lock.fds if self.LOCKED else None
+
+    def close(self) -> None:
+        """Release what a :func:`pipe_cells` / :func:`attached_cells` allocator
+        opened (the creator unlinks the segment and closes the pipe)."""
+        self._cells.close()
+        if self.LOCKED:
+            self._lock.close()
+
+
+class HeartbeatArena(CellArena):
     """Per-member liveness cells shared across the team's processes.
 
     Three int64 cells per member: the member's OS **pid** (written once at
@@ -466,36 +596,17 @@ class HeartbeatArena:
     process list alone cannot); the beat cell drives optional stale-member
     detection (``AOMP_HEARTBEAT_TIMEOUT``); the arrival counter feeds
     "which members had arrived" barrier-failure diagnostics.
-
-    Like the other arenas, storage is pluggable: the subinterpreter backend
-    passes a :class:`SharedArray` int64 view via ``cells=`` (with
-    ``fresh=False`` on the attaching side).
     """
 
     _PID, _BEAT, _ARRIVALS = range(3)
-    #: int64 cells per member (for sizing external storage; see ``cells=``).
     CELLS_PER_MEMBER = 3
     DEFAULT_CAPACITY = 64
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, *, cells: Any = None, fresh: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY, *, cells: Any = mp_cells, fresh: bool = True) -> None:
         if capacity < 1:
             raise ValueError(f"heartbeat arena needs at least 1 member slot, got {capacity}")
-        if cells is None:
-            ctx = _mp_context()
-            cells = ctx.Array("q", self.CELLS_PER_MEMBER * capacity, lock=False)
         self.capacity = capacity
-        self._cells = cells
-        if fresh:
-            self.reset()
-
-    @property
-    def cells(self) -> Any:
-        """The backing int64 cell storage (for attaching a second arena)."""
-        return self._cells
-
-    def reset(self) -> None:
-        """Clear every member slot (called between regions by the pool)."""
-        fill_cells(self._cells, 0, self.CELLS_PER_MEMBER * self.capacity, 1, 0)
+        super().__init__(self.CELLS_PER_MEMBER * capacity, cells, fresh)
 
     def register(self, member: int, pid: "int | None" = None) -> None:
         """Record the owner of ``member``'s slot.
@@ -553,57 +664,8 @@ class HeartbeatArena:
         return None
 
 
-class PipeLock:
-    """A mutex built on an OS pipe holding a single token byte.
-
-    ``multiprocessing`` locks are Python objects and cannot cross a
-    subinterpreter boundary; file descriptors are process-wide integers valid
-    in *every* interpreter of the process (and, inherited across ``fork``, in
-    child processes too).  ``acquire`` blocks in ``os.read`` until the token
-    byte is available; ``release`` writes it back.  Not reentrant — exactly
-    like the ``multiprocessing`` locks it substitutes for, which the arenas
-    never nest.
-    """
-
-    __slots__ = ("_read_fd", "_write_fd", "_owner")
-
-    def __init__(self, fds: "tuple[int, int] | None" = None) -> None:
-        if fds is None:
-            self._read_fd, self._write_fd = os.pipe()
-            os.write(self._write_fd, b"\x00")  # seed the token: lock starts free
-            self._owner = True
-        else:
-            self._read_fd, self._write_fd = fds
-            self._owner = False
-
-    @property
-    def fds(self) -> "tuple[int, int]":
-        """The ``(read, write)`` descriptor pair — the lock's shareable identity."""
-        return (self._read_fd, self._write_fd)
-
-    def acquire(self) -> None:
-        os.read(self._read_fd, 1)
-
-    def release(self) -> None:
-        os.write(self._write_fd, b"\x00")
-
-    def __enter__(self) -> "PipeLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def close(self) -> None:
-        """Close the pipe (creator only: fds are shared by every attached party)."""
-        if self._owner:
-            self._owner = False
-            os.close(self._read_fd)
-            os.close(self._write_fd)
-
-
-class InterpBarrier:
-    """A cyclic barrier over :class:`SharedArray` cells and a :class:`PipeLock`.
+class InterpBarrier(CellArena):
+    """A cyclic barrier over :func:`pipe_cells` storage.
 
     The polling twin of :class:`SharedBarrier` for teams whose members cannot
     share a ``multiprocessing`` condition variable (subinterpreters).  State
@@ -612,28 +674,20 @@ class InterpBarrier:
     a condvar, with the same cadence the tune-plan slots already use.
     """
 
+    LOCKED = True
     _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
-    CELLS = 4
     POLL_INTERVAL = 0.0002
 
     def __init__(
-        self,
-        parties: "int | None" = None,
-        *,
-        cells: Any = None,
-        lock: Any = None,
-        timeout: float = BARRIER_TIMEOUT,
+        self, parties: "int | None" = None, *, cells: Any = pipe_cells, timeout: float = BARRIER_TIMEOUT
     ) -> None:
-        if cells is None:
-            if parties is None or parties < 1:
-                raise ValueError(f"barrier needs at least 1 party, got {parties}")
-            cells = SharedArray.zeros(self.CELLS, np.int64)
-            lock = PipeLock()
-            cells[self._PARTIES] = parties
-        elif lock is None:
-            raise ValueError("external cells need an external lock")
-        self._cells = cells
-        self._lock = lock
+        """``parties`` creates the barrier; without it, ``cells`` (an
+        :func:`attached_cells` allocator) attaches to one that exists."""
+        if parties is not None and parties < 1:
+            raise ValueError(f"barrier needs at least 1 party, got {parties}")
+        super().__init__(4, cells, fresh=False)
+        if parties is not None:
+            self._cells[self._PARTIES] = parties
         self._timeout = timeout
 
     @property
@@ -693,142 +747,230 @@ class InterpBarrier:
                 cells[self._PARTIES] = parties
 
 
-class SyncArena:
-    """Pre-allocated pool of shared claim counters for workshared loops.
+# ---------------------------------------------------------------------------
+# Slot arenas: per-loop shared state, recycled by SPMD loop ordinal
+# ---------------------------------------------------------------------------
 
-    Each slot is a ``(tag, next)`` pair guarded by one lock.  A member
-    attaching a slot for loop-ordinal *n* resets the counter the first time
-    that ordinal is seen; because ordinals increase monotonically and loops
-    are barrier-separated, a slot is never concurrently reused for two
-    different loops (adjacent ``nowait`` loops occupy adjacent slots).
+
+class _Slot:
+    """Handle to one slot of a :class:`SlotArena`: ``(arena, base cell index)``.
+
+    A slot operation is a method of the slot class and nothing else: it does
+    its work on ``arena._cells`` under ``arena._lock`` itself.  ``OPS`` names
+    the operations the socket plane may invoke by name on a member's behalf
+    and ``CLAIMS`` the ones among them that hand out work (refused once the
+    team is broken); :mod:`repro.runtime.dataplane` derives its dispatch
+    allowlist and its worker-side remote slots from these two tuples, so a
+    new op is one method here plus its name in ``OPS``.
     """
 
-    _TAG, _NEXT = 0, 1
-    #: int64 cells per slot (for sizing external storage; see ``cells=``).
-    CELLS_PER_SLOT = 2
+    __slots__ = ("arena", "ordinal", "_base")
+    OPS: "tuple[str, ...]" = ()
+    CLAIMS: "tuple[str, ...]" = ()
 
-    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None, fresh: bool = True) -> None:
-        """``cells``/``lock`` plug in alternative storage (e.g. a
-        :class:`SharedArray` int64 view guarded by a :class:`PipeLock` for the
-        subinterpreter backend); ``fresh=False`` attaches to storage another
-        party already initialised instead of resetting it."""
+    def __init__(self, arena: "SlotArena", ordinal: int, level: int = 0) -> None:
+        self.arena = arena
+        self.ordinal = ordinal = _namespaced_ordinal(ordinal, level)
+        self._base = (ordinal % arena.capacity) * arena._stride
+
+
+class SlotArena(CellArena):
+    """``capacity`` slots of ``stride`` cells, cell 0 of each the slot's *tag*.
+
+    The tag is the loop ordinal owning the slot (``-1``: free).  A member
+    attaching the slot for ordinal *n* re-initialises it the first time that
+    ordinal is seen; because ordinals increase monotonically and loops are
+    barrier-separated, ``ordinal % capacity`` never serves two live loops at
+    once (adjacent ``nowait`` loops occupy adjacent slots).  :meth:`reset`
+    therefore only has to clear the tags: after it every attach mismatches.
+    """
+
+    LOCKED = True
+    _TAG = 0
+    #: the slot class :meth:`slot` returns; its constructor's positional
+    #: arguments after the arena are the slot's *key*.
+    SLOT: "type[_Slot]"
+
+    def __init__(self, capacity: int, stride: int, cells: Any, fresh: bool) -> None:
         if capacity % MAX_TEAM_LEVELS:
             raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
-        if cells is None:
-            ctx = _mp_context()
-            lock = ctx.Lock()
-            cells = ctx.Array("q", self.CELLS_PER_SLOT * capacity, lock=False)
-        elif lock is None:
-            raise ValueError("external cells need an external lock")
         self.capacity = capacity
-        self._lock = lock
-        self._cells = cells
-        if fresh:
-            self.reset()
+        self._stride = stride
+        super().__init__(stride * capacity, cells, fresh)
 
     def reset(self) -> None:
-        """Mark every slot unused (called between regions by the pool)."""
-        cells, stop = self._cells, self.CELLS_PER_SLOT * self.capacity
+        """Mark every slot unused — one strided bulk store."""
         with self._lock:
-            fill_cells(cells, self._TAG, stop, self.CELLS_PER_SLOT, -1)
-            fill_cells(cells, self._NEXT, stop, self.CELLS_PER_SLOT, 0)
+            fill_cells(self._cells, self._TAG, self._count, self._stride, -1)
 
-    def slot(self, ordinal: int, *, level: int = 0) -> "ArenaSlot":
-        """Return the claim slot for loop-ordinal ``ordinal`` of team ``level``.
+    def slot(self, *key: int, **named: int) -> Any:
+        """Attach the slot ``key`` names — ``SLOT``'s arguments: the loop ordinal
+        first, a trailing ``level=0``.
 
         Ordinals count the loops encountered by one team; ``level`` namespaces
         them so nested teams sharing the arena cannot collide with an
         ancestor's slots (see :data:`MAX_TEAM_LEVELS`).
         """
-        return ArenaSlot(self, _namespaced_ordinal(ordinal, level))
+        return self.SLOT(self, *key, **named)
 
-    # -- slot operations (called through ArenaSlot) --------------------------
 
-    def _attach(self, ordinal: int) -> None:
-        index = ordinal % self.capacity
-        with self._lock:
-            if self._cells[2 * index + self._TAG] != ordinal:
-                self._cells[2 * index + self._TAG] = ordinal
-                self._cells[2 * index + self._NEXT] = 0
+class ArenaSlot(_Slot):
+    """Handle to one :class:`SyncArena` claim counter, bound to a loop ordinal."""
 
-    def _fetch_add(self, ordinal: int, amount: int) -> int:
-        index = ordinal % self.capacity
-        with self._lock:
-            value = self._cells[2 * index + self._NEXT]
-            self._cells[2 * index + self._NEXT] = value + amount
+    __slots__ = ()
+    _NEXT = 1
+    CELLS = 2  # (tag, next)
+    OPS = ("fetch_add", "claim_batch", "claim_guided", "claim_guided_batch")
+    CLAIMS = ("claim_batch", "claim_guided", "claim_guided_batch")
+
+    def __init__(self, arena: "SyncArena", ordinal: int, level: int = 0) -> None:
+        super().__init__(arena, ordinal, level)
+        cells, base = arena._cells, self._base
+        with arena._lock:
+            if cells[base] != self.ordinal:
+                cells[base] = self.ordinal
+                cells[base + self._NEXT] = 0
+
+    def fetch_add(self, amount: int = 1) -> int:
+        """Atomically return the current value and advance it by ``amount``."""
+        arena, cursor = self.arena, self._base + self._NEXT
+        with arena._lock:
+            value = arena._cells[cursor]
+            arena._cells[cursor] = value + amount
             return int(value)
 
-    def _claim_batch(
-        self, ordinal: int, limit: int, num_threads: int, total_chunks: int
-    ) -> "tuple[int, int] | None":
-        """Claim up to ``limit`` consecutive chunk indices in one round-trip.
+    def claim_batch(self, limit: int, num_threads: int, total_chunks: int) -> "tuple[int, int] | None":
+        """Atomically claim up to ``limit`` consecutive chunk indices: ``(first, count)``.
 
         Same batching/tail policy as the in-process
         ``_DynamicLoopState.next_chunks``: near the tail the claim shrinks to
         a fraction of the remaining chunks (at least one) to preserve load
         balance.
         """
-        index = ordinal % self.capacity
-        with self._lock:
-            first = int(self._cells[2 * index + self._NEXT])
+        arena, cursor = self.arena, self._base + self._NEXT
+        with arena._lock:
+            first = int(arena._cells[cursor])
             remaining = total_chunks - first
             if remaining <= 0:
                 return None
             count = claim_cap(remaining, num_threads, limit)
-            self._cells[2 * index + self._NEXT] = first + count
+            arena._cells[cursor] = first + count
             return first, count
 
-    def _fetch_add_guided(self, ordinal: int, total: int, min_chunk: int, num_threads: int) -> "tuple[int, int] | None":
-        blocks = self._claim_guided_batch(ordinal, total, min_chunk, num_threads, 1)
+    def claim_guided(self, total: int, min_chunk: int, num_threads: int) -> "tuple[int, int] | None":
+        """Atomically claim a guided-schedule ``(begin, count)`` block."""
+        blocks = self.claim_guided_batch(total, min_chunk, num_threads, 1)
         return None if blocks is None else blocks[0]
 
-    def _claim_guided_batch(
-        self, ordinal: int, total: int, min_chunk: int, num_threads: int, limit: int
+    def claim_guided_batch(
+        self, total: int, min_chunk: int, num_threads: int, limit: int
     ) -> "list[tuple[int, int]] | None":
-        """Claim up to ``limit`` guided blocks in one arena round-trip.
+        """Atomically claim up to ``limit`` guided blocks in one round-trip.
 
         Delegates to the scheduler's shared ``guided_claim_batch`` policy —
         only the cursor storage and locking live here — so claims are
         identical to the thread backend's by construction.
         """
-        index = ordinal % self.capacity
-        with self._lock:
-            cursor = int(self._cells[2 * index + self._NEXT])
-            blocks, cursor = guided_claim_batch(cursor, total, min_chunk, num_threads, limit)
-            self._cells[2 * index + self._NEXT] = cursor
+        arena, cursor = self.arena, self._base + self._NEXT
+        with arena._lock:
+            blocks, after = guided_claim_batch(int(arena._cells[cursor]), total, min_chunk, num_threads, limit)
+            arena._cells[cursor] = after
             return blocks or None
 
 
-@dataclass
-class ArenaSlot:
-    """Handle to one :class:`SyncArena` cell, bound to a loop ordinal."""
+class SyncArena(SlotArena):
+    """Pre-allocated pool of shared claim counters for workshared loops.
 
-    arena: SyncArena
-    ordinal: int
+    Each slot is a ``(tag, next)`` pair (see :class:`SlotArena` for the
+    recycling discipline); :meth:`~SlotArena.slot` takes the loop ordinal and
+    returns an :class:`ArenaSlot`.
+    """
 
-    def __post_init__(self) -> None:
-        self.arena._attach(self.ordinal)
+    SLOT = ArenaSlot
 
-    def fetch_add(self, amount: int = 1) -> int:
-        """Atomically return the current value and advance it by ``amount``."""
-        return self.arena._fetch_add(self.ordinal, amount)
-
-    def claim_batch(self, limit: int, num_threads: int, total_chunks: int) -> "tuple[int, int] | None":
-        """Atomically claim up to ``limit`` chunk indices: ``(first, count)``."""
-        return self.arena._claim_batch(self.ordinal, limit, num_threads, total_chunks)
-
-    def claim_guided(self, total: int, min_chunk: int, num_threads: int) -> "tuple[int, int] | None":
-        """Atomically claim a guided-schedule ``(begin, count)`` block."""
-        return self.arena._fetch_add_guided(self.ordinal, total, min_chunk, num_threads)
-
-    def claim_guided_batch(
-        self, total: int, min_chunk: int, num_threads: int, limit: int
-    ) -> "list[tuple[int, int]] | None":
-        """Atomically claim up to ``limit`` guided blocks in one round-trip."""
-        return self.arena._claim_guided_batch(self.ordinal, total, min_chunk, num_threads, limit)
+    def __init__(self, capacity: int = 256, *, cells: Any = mp_cells, fresh: bool = True) -> None:
+        super().__init__(capacity, ArenaSlot.CELLS, cells, fresh)
 
 
-class TaskStealArena:
+class TaskStealSlot(_Slot):
+    """Handle to one :class:`TaskStealArena` deck, bound to a loop ordinal.
+
+    Duck-types the task runtime's in-heap taskloop state (``claim_local`` /
+    ``claim_steal`` / ``mark_done`` / ``finished``), so the ``taskloop``
+    drain loop is backend-agnostic.
+    """
+
+    __slots__ = ("num_workers", "ntiles")
+    _COMPLETED = 1
+    _FIELDS = 2  # per-slot header cells before the per-worker (head, tail) pairs
+    OPS = ("claim_local", "claim_steal", "mark_done", "finished")
+    CLAIMS = ("claim_local", "claim_steal")
+
+    def __init__(
+        self, arena: "TaskStealArena", ordinal: int, num_workers: int, ntiles: int, level: int = 0
+    ) -> None:
+        """Attach the deck and, first time, seed its per-worker blocks (SPMD:
+        every member computes the identical partition, only the first write wins)."""
+        if num_workers > arena.max_workers:
+            raise ValueError(
+                f"taskloop team of {num_workers} exceeds the steal arena's "
+                f"max_workers={arena.max_workers}"
+            )
+        super().__init__(arena, ordinal, level)
+        self.num_workers = num_workers
+        self.ntiles = ntiles
+        cells, base = arena._cells, self._base
+        with arena._lock:
+            if cells[base] == self.ordinal:
+                return
+            cells[base] = self.ordinal
+            cells[base + self._COMPLETED] = 0
+            counts = block_counts(ntiles, num_workers)
+            cursor = 0
+            for w in range(arena.max_workers):
+                count = counts[w] if w < num_workers else 0
+                cells[base + self._FIELDS + 2 * w] = cursor
+                cells[base + self._FIELDS + 2 * w + 1] = cursor + count
+                cursor += count
+
+    def claim_local(self, worker: int) -> "int | None":
+        """Take the next tile of ``worker``'s own block, or ``None`` if empty."""
+        cells, head = self.arena._cells, self._base + self._FIELDS + 2 * worker
+        with self.arena._lock:
+            tile = cells[head]
+            if tile >= cells[head + 1]:
+                return None
+            cells[head] = tile + 1
+            return int(tile)
+
+    def claim_steal(self, worker: int) -> "tuple[int, int] | None":
+        """Steal a tile from another member's tail: ``(victim, tile)`` or ``None``."""
+        cells, blocks = self.arena._cells, self._base + self._FIELDS
+        with self.arena._lock:
+            for offset in range(1, self.num_workers):
+                victim = (worker + offset) % self.num_workers
+                head = blocks + 2 * victim
+                tail = cells[head + 1]
+                if cells[head] < tail:
+                    cells[head + 1] = tail - 1
+                    return victim, int(tail - 1)
+            return None
+
+    def mark_done(self, amount: int = 1) -> int:
+        """Count ``amount`` tiles finished; returns the new completed total."""
+        cells, completed = self.arena._cells, self._base + self._COMPLETED
+        with self.arena._lock:
+            done = cells[completed] + amount
+            cells[completed] = done
+            return int(done)
+
+    def finished(self) -> bool:
+        """Whether every tile of the loop has been executed (by anyone)."""
+        with self.arena._lock:
+            return self.arena._cells[self._base + self._COMPLETED] >= self.ntiles
+
+
+class TaskStealArena(SlotArena):
     """Pre-allocated pool of cross-process work-stealing decks for ``taskloop``.
 
     A *taskloop* tiles an iteration space into ``ntiles`` stealable tasks and
@@ -848,12 +990,10 @@ class TaskStealArena:
 
     Worker ``w``'s remaining tiles are ``range(head[w], tail[w])``; the block
     is empty when ``head[w] >= tail[w]``.  All cells of a slot are guarded by
-    a single ``multiprocessing`` lock (claims are per *tile*, i.e. per
-    ``grainsize`` iterations, so one lock round-trip amortises over the tile
-    body).  Slots are recycled by loop ordinal exactly like
-    :class:`SyncArena` slots: ordinals increase monotonically per region and
-    taskloops are barrier-separated, so ``ordinal % capacity`` never serves
-    two live loops at once.
+    the arena's one lock (claims are per *tile*, i.e. per ``grainsize``
+    iterations, so one lock round-trip amortises over the tile body).
+    :meth:`~SlotArena.slot` takes ``(ordinal, num_workers, ntiles)`` and
+    returns a :class:`TaskStealSlot`.
 
     The arena works identically under the serial and thread backends (shared
     memory is just memory), which is what the cross-backend task conformance
@@ -861,147 +1001,72 @@ class TaskStealArena:
     ``deque``-per-member pool in :mod:`repro.runtime.tasks` instead.
     """
 
-    _TAG, _COMPLETED = 0, 1
-    _FIELDS = 2  # per-slot header cells before the per-worker (head, tail) pairs
+    SLOT = TaskStealSlot
 
-    @staticmethod
-    def cells_needed(max_workers: int, capacity: int) -> int:
-        """Total int64 cells external storage must provide (see ``cells=``)."""
-        return (TaskStealArena._FIELDS + 2 * max_workers) * capacity
-
-    def __init__(
-        self, max_workers: int = 64, capacity: int = 64, *, cells: Any = None, lock: Any = None, fresh: bool = True
-    ) -> None:
-        """``cells``/``lock``/``fresh`` as for :class:`SyncArena`: alternative
-        storage for backends whose locks cannot cross the member boundary."""
+    def __init__(self, max_workers: int = 64, capacity: int = 64, *, cells: Any = mp_cells, fresh: bool = True) -> None:
         if max_workers < 1:
             raise ValueError(f"arena needs at least 1 worker, got {max_workers}")
-        if capacity % MAX_TEAM_LEVELS:
-            raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
         self.max_workers = max_workers
-        self.capacity = capacity
-        self._stride = self._FIELDS + 2 * max_workers
-        if cells is None:
-            ctx = _mp_context()
-            lock = ctx.Lock()
-            cells = ctx.Array("q", self._stride * capacity, lock=False)
-        elif lock is None:
-            raise ValueError("external cells need an external lock")
-        self._lock = lock
-        self._cells = cells
-        if fresh:
-            self.reset()
+        super().__init__(capacity, TaskStealSlot._FIELDS + 2 * max_workers, cells, fresh)
 
-    def reset(self) -> None:
-        """Mark every slot unused (called between regions by the pool)."""
-        with self._lock:
-            fill_cells(self._cells, self._TAG, self._stride * self.capacity, self._stride, -1)
 
-    def slot(self, ordinal: int, num_workers: int, ntiles: int, *, level: int = 0) -> "TaskStealSlot":
-        """Attach (and, first time, seed) the deck for loop-ordinal ``ordinal``.
+class TunePlanSlot(_Slot):
+    """Handle to one :class:`TunePlanArena` slot, bound to a loop ordinal."""
 
-        ``level`` namespaces the ordinal per team nesting level, exactly like
-        :meth:`SyncArena.slot`.
+    __slots__ = ()
+    _SCHEDULE, _CHUNK, _FLAGS, _INVOCATION = range(1, 5)
+    CELLS = 5  # the tag, then the four plan fields
+    OPS = ("publish", "read")
+
+    #: seconds between polls while waiting for the master's plan.
+    POLL_INTERVAL = 0.0002
+
+    def publish(self, plan: "tuple[int, int, int, int]") -> None:
+        """Publish the master's ``(schedule, chunk, flags, invocation)`` plan."""
+        cells, base = self.arena._cells, self._base
+        with self.arena._lock:
+            schedule_code, chunk, flags, invocation = plan
+            cells[base + self._SCHEDULE] = schedule_code
+            cells[base + self._CHUNK] = chunk
+            cells[base + self._FLAGS] = flags
+            cells[base + self._INVOCATION] = invocation
+            # Tag written last: a reader that sees the tag sees the full plan.
+            cells[base] = self.ordinal
+
+    def read(self, timeout: "float | None" = None) -> "tuple[int, int, int, int]":
+        """Wait for and return the published plan (worker side).
+
+        A master that failed before the loop never publishes; it aborts the
+        team barrier instead, so the wait ends within one poll of that break.
+        Otherwise it is bounded by ``timeout`` — by default the barrier
+        timeout in force (``AOMP_BARRIER_TIMEOUT``; unbounded when disabled).
         """
-        if num_workers > self.max_workers:
-            raise ValueError(
-                f"taskloop team of {num_workers} exceeds the steal arena's "
-                f"max_workers={self.max_workers}"
-            )
-        return TaskStealSlot(self, _namespaced_ordinal(ordinal, level), num_workers, ntiles)
-
-    # -- slot operations (called through TaskStealSlot) ----------------------
-
-    def _attach(self, ordinal: int, num_workers: int, ntiles: int) -> None:
-        """Seed the slot's per-worker blocks on first attach (SPMD: every
-        member computes the identical partition, only the first write wins)."""
-        base = (ordinal % self.capacity) * self._stride
-        cells = self._cells
-        with self._lock:
-            if cells[base + self._TAG] == ordinal:
-                return
-            cells[base + self._TAG] = ordinal
-            cells[base + self._COMPLETED] = 0
-            counts = block_counts(ntiles, num_workers)
-            cursor = 0
-            for w in range(self.max_workers):
-                count = counts[w] if w < num_workers else 0
-                cells[base + self._FIELDS + 2 * w] = cursor
-                cells[base + self._FIELDS + 2 * w + 1] = cursor + count
-                cursor += count
-
-    def _claim_local(self, ordinal: int, worker: int) -> "int | None":
-        base = (ordinal % self.capacity) * self._stride
-        head = base + self._FIELDS + 2 * worker
-        cells = self._cells
-        with self._lock:
-            tile = cells[head]
-            if tile >= cells[head + 1]:
-                return None
-            cells[head] = tile + 1
-            return int(tile)
-
-    def _claim_steal(self, ordinal: int, thief: int, num_workers: int) -> "tuple[int, int] | None":
-        base = (ordinal % self.capacity) * self._stride
-        cells = self._cells
-        with self._lock:
-            for offset in range(1, num_workers):
-                victim = (thief + offset) % num_workers
-                head = base + self._FIELDS + 2 * victim
-                tail = cells[head + 1]
-                if cells[head] < tail:
-                    cells[head + 1] = tail - 1
-                    return victim, int(tail - 1)
-            return None
-
-    def _mark_done(self, ordinal: int, amount: int) -> int:
-        base = (ordinal % self.capacity) * self._stride
-        with self._lock:
-            done = self._cells[base + self._COMPLETED] + amount
-            self._cells[base + self._COMPLETED] = done
-            return int(done)
-
-    def _completed(self, ordinal: int) -> int:
-        base = (ordinal % self.capacity) * self._stride
-        with self._lock:
-            return int(self._cells[base + self._COMPLETED])
+        arena, cells, base = self.arena, self.arena._cells, self._base
+        limit = _default_barrier_timeout() if timeout is None else timeout
+        deadline = None if limit is None else time.monotonic() + limit
+        while True:
+            with arena._lock:
+                if cells[base] == self.ordinal:
+                    return (
+                        int(cells[base + self._SCHEDULE]),
+                        int(cells[base + self._CHUNK]),
+                        int(cells[base + self._FLAGS]),
+                        int(cells[base + self._INVOCATION]),
+                    )
+            if arena._barrier.broken:
+                raise BrokenBarrierError(
+                    f"the team barrier broke while waiting for the tune plan of loop ordinal {self.ordinal} "
+                    "(the master failed before the loop)"
+                )
+            if deadline is not None and time.monotonic() > deadline:
+                raise BrokenBarrierError(
+                    f"timed out after {limit:g}s waiting for the tune plan of loop ordinal {self.ordinal} "
+                    "(the master never published)"
+                )
+            time.sleep(self.POLL_INTERVAL)
 
 
-class TaskStealSlot:
-    """Handle to one :class:`TaskStealArena` deck, bound to a loop ordinal.
-
-    Duck-types the task runtime's in-heap taskloop state (``claim_local`` /
-    ``claim_steal`` / ``mark_done`` / ``finished``), so the ``taskloop``
-    drain loop is backend-agnostic.
-    """
-
-    __slots__ = ("arena", "ordinal", "num_workers", "ntiles")
-
-    def __init__(self, arena: TaskStealArena, ordinal: int, num_workers: int, ntiles: int) -> None:
-        self.arena = arena
-        self.ordinal = ordinal
-        self.num_workers = num_workers
-        self.ntiles = ntiles
-        arena._attach(ordinal, num_workers, ntiles)
-
-    def claim_local(self, worker: int) -> "int | None":
-        """Take the next tile of ``worker``'s own block, or ``None`` if empty."""
-        return self.arena._claim_local(self.ordinal, worker)
-
-    def claim_steal(self, worker: int) -> "tuple[int, int] | None":
-        """Steal a tile from another member's tail: ``(victim, tile)`` or ``None``."""
-        return self.arena._claim_steal(self.ordinal, worker, self.num_workers)
-
-    def mark_done(self, amount: int = 1) -> int:
-        """Count ``amount`` tiles finished; returns the new completed total."""
-        return self.arena._mark_done(self.ordinal, amount)
-
-    def finished(self) -> bool:
-        """Whether every tile of the loop has been executed (by anyone)."""
-        return self.arena._completed(self.ordinal) >= self.ntiles
-
-
-class TunePlanArena:
+class TunePlanArena(SlotArena):
     """Pre-allocated pool of *tune plan* slots for ``schedule="auto"`` loops.
 
     The adaptive tuner lives in the parent process (its state is fed by the
@@ -1009,103 +1074,21 @@ class TunePlanArena:
     the *same* concrete schedule for a given loop invocation.  The master
     therefore publishes its decision — ``(schedule_code, chunk, flags,
     invocation)`` — into the slot for the loop's SPMD ordinal before
-    dispatching, and workers read it (spin-waiting briefly for a master that
-    has not arrived yet).  Slots are recycled by ordinal exactly like
-    :class:`SyncArena` slots.
+    dispatching, and workers read it, waiting for a master that has not
+    arrived yet — until ``barrier``, the team barrier the arena is built
+    with, breaks.  :meth:`~SlotArena.slot` takes the loop ordinal and returns
+    a :class:`TunePlanSlot`.
 
     Kept separate from :class:`SyncArena` on purpose: when the published plan
     is dynamic/guided, the *same ordinal's* SyncArena slot is used for the
     claim counter, so the two arenas must not share cells.
     """
 
-    _TAG, _SCHEDULE, _CHUNK, _FLAGS, _INVOCATION = range(5)
-    _FIELDS = 5
-    #: int64 cells per slot (for sizing external storage; see ``cells=``).
-    CELLS_PER_SLOT = 5
+    SLOT = TunePlanSlot
 
-    def __init__(self, capacity: int = 256, *, cells: Any = None, lock: Any = None, fresh: bool = True) -> None:
-        """``cells``/``lock``/``fresh`` as for :class:`SyncArena`: alternative
-        storage for backends whose locks cannot cross the member boundary."""
-        if capacity % MAX_TEAM_LEVELS:
-            raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
-        if cells is None:
-            ctx = _mp_context()
-            lock = ctx.Lock()
-            cells = ctx.Array("q", self._FIELDS * capacity, lock=False)
-        elif lock is None:
-            raise ValueError("external cells need an external lock")
-        self.capacity = capacity
-        self._lock = lock
-        self._cells = cells
-        if fresh:
-            self.reset()
-
-    def reset(self) -> None:
-        """Mark every slot unused (called between regions by the pool)."""
-        with self._lock:
-            fill_cells(self._cells, self._TAG, self._FIELDS * self.capacity, self._FIELDS, -1)
-
-    def slot(self, ordinal: int, *, level: int = 0) -> "TunePlanSlot":
-        """Return the plan slot for loop-ordinal ``ordinal`` of team ``level``."""
-        return TunePlanSlot(self, _namespaced_ordinal(ordinal, level))
-
-    # -- slot operations (called through TunePlanSlot) -----------------------
-
-    def _publish(self, ordinal: int, plan: "tuple[int, int, int, int]") -> None:
-        base = (ordinal % self.capacity) * self._FIELDS
-        cells = self._cells
-        with self._lock:
-            schedule_code, chunk, flags, invocation = plan
-            cells[base + self._SCHEDULE] = schedule_code
-            cells[base + self._CHUNK] = chunk
-            cells[base + self._FLAGS] = flags
-            cells[base + self._INVOCATION] = invocation
-            # Tag written last: a reader that sees the tag sees the full plan.
-            cells[base + self._TAG] = ordinal
-
-    def _read(self, ordinal: int) -> "tuple[int, int, int, int] | None":
-        base = (ordinal % self.capacity) * self._FIELDS
-        cells = self._cells
-        with self._lock:
-            if cells[base + self._TAG] != ordinal:
-                return None
-            return (
-                int(cells[base + self._SCHEDULE]),
-                int(cells[base + self._CHUNK]),
-                int(cells[base + self._FLAGS]),
-                int(cells[base + self._INVOCATION]),
-            )
-
-
-class TunePlanSlot:
-    """Handle to one :class:`TunePlanArena` slot, bound to a loop ordinal."""
-
-    __slots__ = ("arena", "ordinal")
-
-    #: seconds between polls while waiting for the master's plan.
-    POLL_INTERVAL = 0.0002
-
-    def __init__(self, arena: TunePlanArena, ordinal: int) -> None:
-        self.arena = arena
-        self.ordinal = ordinal
-
-    def publish(self, plan: "tuple[int, int, int, int]") -> None:
-        """Publish the master's ``(schedule, chunk, flags, invocation)`` plan."""
-        self.arena._publish(self.ordinal, plan)
-
-    def read(self, timeout: float = BARRIER_TIMEOUT) -> "tuple[int, int, int, int]":
-        """Wait for and return the published plan (worker side)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            plan = self.arena._read(self.ordinal)
-            if plan is not None:
-                return plan
-            if time.monotonic() > deadline:
-                raise BrokenBarrierError(
-                    f"timed out waiting for the tune plan of loop ordinal {self.ordinal} "
-                    "(the master never published; did it fail before the loop?)"
-                )
-            time.sleep(self.POLL_INTERVAL)
+    def __init__(self, barrier: Any, capacity: int = 256, *, cells: Any = mp_cells, fresh: bool = True) -> None:
+        self._barrier = barrier
+        super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh)
 
 
 class ProcessDynamicState:
@@ -1166,20 +1149,17 @@ class ProcessSync:
     (picklable SPMD body) or on per-region forked workers (arbitrary
     closures, shipped by address-space inheritance).  ``steal`` carries the
     pre-allocated work-stealing deck pool used by ``taskloop``; ``tune``
-    carries the plan-publication arena used by ``schedule="auto"`` loops
-    (either may be ``None`` only for legacy constructions; the backend always
-    provides both).
+    carries the plan-publication arena used by ``schedule="auto"`` loops.
     """
 
     barrier: SharedBarrier
     arena: SyncArena
-    pooled: bool = False
-    steal: "TaskStealArena | None" = None
-    tune: "TunePlanArena | None" = None
+    steal: TaskStealArena
+    tune: TunePlanArena
     #: per-member liveness cells (pid / beat / barrier arrivals) consulted by
-    #: the worker monitor and the barrier-failure diagnostics; ``None`` only
-    #: for legacy constructions — the backends always provide one.
-    heartbeat: "HeartbeatArena | None" = None
+    #: the worker monitor and the barrier-failure diagnostics.
+    heartbeat: HeartbeatArena
+    pooled: bool = False
     #: per-member metric cells (:class:`repro.obs.arena.MetricsArena`) the
     #: workers flush their counter deltas into; ``None`` when metrics are off
     #: (the arena only exists when ``RuntimeConfig.metrics`` is enabled) or on
@@ -1190,6 +1170,6 @@ class ProcessSync:
     body_bytes: "bytes | None" = None
     #: whatever the plane or backend that built this bundle keeps with it to
     #: share or release it — the socket plane's coordinator, the
-    #: subinterpreter tier's cells and locks with their shareable names, the
-    #: pool lock a pooled region holds.  Opaque to everyone else.
+    #: subinterpreter tier's arenas with their shareable names, the pool lock
+    #: a pooled region holds.  Opaque to everyone else.
     owned: Any = None

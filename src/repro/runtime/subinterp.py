@@ -15,10 +15,14 @@ through process-wide primitives:
   by name exactly as the process backend's workers do;
 * **synchronisation** — the same :class:`~repro.runtime.shm.SyncArena` /
   :class:`~repro.runtime.shm.TaskStealArena` /
-  :class:`~repro.runtime.shm.TunePlanArena` logic, but built over shared
-  int64 cells guarded by :class:`~repro.runtime.shm.PipeLock` (OS pipe fds
-  are plain integers, valid in every interpreter of the process), plus the
-  polling :class:`~repro.runtime.shm.InterpBarrier`;
+  :class:`~repro.runtime.shm.TunePlanArena` logic, built through the
+  :func:`~repro.runtime.shm.pipe_cells` allocator: shared int64 cells
+  guarded by :class:`~repro.runtime.shm.PipeLock` (OS pipe fds are plain
+  integers, valid in every interpreter of the process), plus the polling
+  :class:`~repro.runtime.shm.InterpBarrier`.  The master creates the arenas
+  and ships each one's ``shareable()`` primitives; a worker attaches through
+  :func:`~repro.runtime.shm.attached_cells` — one helper
+  (:func:`_sync_arenas`) builds both sides;
 * **region descriptors** — a pickle-free channel: each worker receives the
   region descriptor as a ``repr``'d literal of primitives (ints, strings,
   bytes, tuples) embedded in its bootstrap source.  Only the region *body*
@@ -47,8 +51,7 @@ import struct
 import threading
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
+import repro.obs.registry as obsreg
 from repro.runtime import shm
 from repro.runtime.backend import ExternalBackend
 from repro.runtime.config import get_config
@@ -195,57 +198,36 @@ def _bootstrap_source(descriptor: dict) -> str:
     )
 
 
-def _attach_sync(descriptor: dict) -> "shm.ProcessSync":
-    """Reconstruct the region's sync bundle from shareable primitives."""
-    b_name, b_fds = descriptor["barrier"]
-    barrier = shm.InterpBarrier(
-        cells=shm._attach_shared_array(b_name, (shm.InterpBarrier.CELLS,), "<i8"),
-        lock=shm.PipeLock(fds=tuple(b_fds)),
-    )
-    a_name, a_fds = descriptor["arena"]
-    arena = shm.SyncArena(
-        ARENA_CAPACITY,
-        cells=shm._attach_shared_array(a_name, (shm.SyncArena.CELLS_PER_SLOT * ARENA_CAPACITY,), "<i8"),
-        lock=shm.PipeLock(fds=tuple(a_fds)),
-        fresh=False,
-    )
-    s_name, s_fds, max_workers = descriptor["steal"]
-    steal = shm.TaskStealArena(
-        max_workers,
-        STEAL_CAPACITY,
-        cells=shm._attach_shared_array(
-            s_name, (shm.TaskStealArena.cells_needed(max_workers, STEAL_CAPACITY),), "<i8"
-        ),
-        lock=shm.PipeLock(fds=tuple(s_fds)),
-        fresh=False,
-    )
-    t_name, t_fds = descriptor["tune"]
-    tune = shm.TunePlanArena(
-        TUNE_CAPACITY,
-        cells=shm._attach_shared_array(t_name, (shm.TunePlanArena.CELLS_PER_SLOT * TUNE_CAPACITY,), "<i8"),
-        lock=shm.PipeLock(fds=tuple(t_fds)),
-        fresh=False,
-    )
-    hb_name, hb_members = descriptor["heartbeat"]
-    heartbeat = shm.HeartbeatArena(
-        hb_members,
-        cells=shm._attach_shared_array(hb_name, (shm.HeartbeatArena.CELLS_PER_MEMBER * hb_members,), "<i8"),
-        fresh=False,
-    )
-    metrics = None
-    shared_metrics = descriptor.get("metrics")
-    if shared_metrics:
+def _sync_arenas(max_workers: int, metric_slots: int, parties: "int | None", cells_for: Callable[[str], Any]) -> dict:
+    """Every arena of a region's sync bundle, keyed by its ``ProcessSync`` field.
+
+    ``cells_for(name)`` is the allocator arena ``name`` is built over.  The
+    master creates the bundle (``parties`` given) over fresh
+    :func:`~repro.runtime.shm.pipe_cells` storage; a worker interpreter
+    attaches (``parties=None``) to what the master's ``shareable()`` tuples
+    name.  Sizes are the arenas' own business either way.
+    """
+    fresh = parties is not None
+    barrier = shm.InterpBarrier(parties, cells=cells_for("barrier"))
+    arenas = {
+        "barrier": barrier,
+        "arena": shm.SyncArena(ARENA_CAPACITY, cells=cells_for("arena"), fresh=fresh),
+        "steal": shm.TaskStealArena(max_workers, STEAL_CAPACITY, cells=cells_for("steal"), fresh=fresh),
+        "tune": shm.TunePlanArena(barrier, TUNE_CAPACITY, cells=cells_for("tune"), fresh=fresh),
+        "heartbeat": shm.HeartbeatArena(max_workers, cells=cells_for("heartbeat"), fresh=fresh),
+    }
+    if metric_slots:
         from repro.obs.arena import MetricsArena
 
-        m_name, m_capacity, m_slots = shared_metrics
-        metrics = MetricsArena(
-            m_capacity,
-            slots=m_slots,
-            cells=shm._attach_shared_array(m_name, (m_capacity * m_slots,), "<i8"),
-            fresh=False,
-        )
+        arenas["metrics"] = MetricsArena(max_workers, slots=metric_slots, cells=cells_for("metrics"), fresh=fresh)
+    return arenas
+
+
+def _attach_sync(descriptor: dict) -> "shm.ProcessSync":
+    """Reconstruct the region's sync bundle from shareable primitives."""
+    max_workers, metric_slots, shared = descriptor["sync"]
     return shm.ProcessSync(
-        barrier, arena, pooled=False, steal=steal, tune=tune, heartbeat=heartbeat, metrics=metrics
+        **_sync_arenas(max_workers, metric_slots, None, lambda name: shm.attached_cells(shared[name]))
     )
 
 
@@ -335,49 +317,22 @@ class SubinterpreterBackend(ExternalBackend):
         body_bytes = self._shippable(body)
         if body_bytes is None:
             return None
-        barrier_cells = shm.SharedArray.zeros(shm.InterpBarrier.CELLS, np.int64)
-        arena_cells = shm.SharedArray.zeros(shm.SyncArena.CELLS_PER_SLOT * ARENA_CAPACITY, np.int64)
         max_workers = max(size, 2)
-        steal_cells = shm.SharedArray.zeros(shm.TaskStealArena.cells_needed(max_workers, STEAL_CAPACITY), np.int64)
-        tune_cells = shm.SharedArray.zeros(shm.TunePlanArena.CELLS_PER_SLOT * TUNE_CAPACITY, np.int64)
-        heartbeat_cells = shm.SharedArray.zeros(shm.HeartbeatArena.CELLS_PER_MEMBER * max_workers, np.int64)
-        locks = [shm.PipeLock() for _ in range(4)]
-        barrier = shm.InterpBarrier(cells=barrier_cells, lock=locks[0])
-        barrier.reset(size)
-        resources = [barrier_cells, arena_cells, steal_cells, tune_cells, heartbeat_cells, *locks]
-        shareable = {
-            "barrier": (barrier_cells.name, locks[0].fds),
-            "arena": (arena_cells.name, locks[1].fds),
-            "steal": (steal_cells.name, locks[2].fds, max_workers),
-            "tune": (tune_cells.name, locks[3].fds),
-            "heartbeat": (heartbeat_cells.name, max_workers),
-        }
-        metrics_arena = None
-        if get_config().metrics:
-            from repro.obs.arena import MetricsArena
-
-            metrics_cells = shm.SharedArray.zeros(MetricsArena.cells_needed(max_workers), np.int64)
-            metrics_arena = MetricsArena(max_workers, cells=metrics_cells, fresh=False)
-            resources.append(metrics_cells)
-            shareable["metrics"] = (metrics_cells.name, max_workers, metrics_arena.slots)
+        metric_slots = obsreg.get_registry().num_slots if get_config().metrics else 0
+        arenas = _sync_arenas(max_workers, metric_slots, size, lambda name: shm.pipe_cells)
+        shared = {name: arena.shareable() for name, arena in arenas.items()}
         return shm.ProcessSync(
-            barrier,
-            shm.SyncArena(ARENA_CAPACITY, cells=arena_cells, lock=locks[1]),
-            pooled=False,
-            steal=shm.TaskStealArena(max_workers, STEAL_CAPACITY, cells=steal_cells, lock=locks[2]),
-            tune=shm.TunePlanArena(TUNE_CAPACITY, cells=tune_cells, lock=locks[3]),
-            heartbeat=shm.HeartbeatArena(max_workers, cells=heartbeat_cells),
-            metrics=metrics_arena,
+            **arenas,
             body_bytes=body_bytes,
             # What finish_region closes, and what _attach_sync rebuilds from.
-            owned=(resources, shareable),
+            owned=(arenas, {"sync": (max_workers, metric_slots, shared)}),
         )
 
     def finish_region(self, team: "Team") -> None:
         sync = team.process_sync
         if sync is not None and sync.owned is not None:
-            for resource in sync.owned[0]:
-                resource.close()
+            for arena in sync.owned[0].values():
+                arena.close()
             sync.owned = None
 
     # -- execution ------------------------------------------------------------

@@ -841,10 +841,7 @@ def run_taskloop(
     ntiles = -(-total // grain)
 
     if team.is_process_team:
-        arena = team.process_sync.steal
-        if arena is None:  # pragma: no cover - legacy ProcessSync without a deck pool
-            raise TaskError(f"taskloop {name!r}: process team has no steal arena")
-        state = arena.slot(ordinal, team.size, ntiles, level=team.nesting_level)
+        state = team.process_sync.steal.slot(ordinal, team.size, ntiles, level=team.nesting_level)
     else:
         state = team.shared_slot(
             ("taskloop", ordinal), lambda: _HeapTaskLoopState(team.size, ntiles)

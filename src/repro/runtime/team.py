@@ -15,10 +15,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional
 
+# shm before repro.obs: the obs package's MetricsArena derives from shm's
+# CellArena, so importing shm here keeps its (and numpy's) first import at
+# this depth instead of re-entering repro.runtime from inside repro.obs's own
+# import — which measured ~50 ms dearer in every spawned worker interpreter.
+from repro.runtime import shm  # isort: skip
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import faults
-from repro.runtime import shm
 from repro.runtime.backend import Backend, backend_by_name, resolve_backend
 from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import ON_FAILURE_POLICIES, get_config
@@ -133,11 +137,11 @@ class Team:
     def proc_tune_slot(self, ordinal: int) -> "shm.TunePlanSlot | None":
         """Cross-process tune-plan slot for the ``ordinal``-th workshared loop.
 
-        ``None`` for in-process teams (which agree on a plan through
-        :meth:`shared_slot`) and for legacy process syncs without a tune arena.
-        Namespaced per nesting level exactly like :meth:`proc_loop_slot`.
+        ``None`` for in-process teams, which agree on a plan through
+        :meth:`shared_slot`.  Namespaced per nesting level exactly like
+        :meth:`proc_loop_slot`.
         """
-        if self.process_sync is None or self.process_sync.tune is None:
+        if self.process_sync is None:
             return None
         return self.process_sync.tune.slot(ordinal, level=self.nesting_level)
 
@@ -165,7 +169,7 @@ class Team:
         if metrics:
             obsreg.inc(obsreg.BARRIERS)
         sync = self.process_sync
-        if sync is not None and sync.heartbeat is not None:
+        if sync is not None:
             sync.heartbeat.note_arrival(member)
         elif member < len(self._arrivals):
             self._arrivals[member] += 1
@@ -197,7 +201,7 @@ class Team:
     def arrival_counts(self) -> list[int]:
         """Barrier arrivals per member so far (diagnostic for barrier failures)."""
         sync = self.process_sync
-        if sync is not None and sync.heartbeat is not None:
+        if sync is not None:
             return sync.heartbeat.arrivals(self.size)
         return list(self._arrivals)
 

@@ -17,13 +17,26 @@ from repro.runtime import shm
 requires_fork = pytest.mark.skipif(not shm.fork_available(), reason="needs fork")
 
 
+def _over(cells):
+    """The allocator that hands an arena ``cells`` (these arenas take no lock)."""
+    return lambda count, locked: (cells, None)
+
+
 class TestArenaBasics:
-    def test_cells_needed_matches_the_registry_layout(self):
-        assert MetricsArena.cells_needed(4) == 4 * obsreg.get_registry().num_slots
-        assert MetricsArena.cells_needed(4, slots=10) == 40
+    def test_the_arena_asks_for_the_registry_layout(self):
+        """The cell count is the arena's to know: capacity x registry slots."""
+        asked = []
+
+        def counting(count, locked):
+            asked.append((count, locked))
+            return shm.heap_cells(count, locked)
+
+        MetricsArena(4, cells=counting)
+        MetricsArena(4, slots=10, cells=counting)
+        assert asked == [(4 * obsreg.get_registry().num_slots, False), (40, False)]
 
     def test_flush_and_drain_round_trip(self):
-        arena = MetricsArena(4, cells=[0] * MetricsArena.cells_needed(4))
+        arena = MetricsArena(4, cells=shm.heap_cells)
         arena.flush_member(0, [(2, 5)])
         arena.flush_member(3, [(2, 1), (7, 2)])
         assert arena.drain() == [(2, 6), (7, 2)]
@@ -31,13 +44,13 @@ class TestArenaBasics:
 
     def test_flush_adds_across_regions(self):
         """Pooled workers flush once per region into the same range."""
-        arena = MetricsArena(2, cells=[0] * MetricsArena.cells_needed(2))
+        arena = MetricsArena(2, cells=shm.heap_cells)
         arena.flush_member(1, [(0, 1)])
         arena.flush_member(1, [(0, 2)])
         assert arena.drain() == [(0, 3)]
 
     def test_out_of_range_member_and_slot_are_dropped_silently(self):
-        arena = MetricsArena(2, slots=4, cells=[0] * 8)
+        arena = MetricsArena(2, slots=4, cells=shm.heap_cells)
         arena.flush_member(5, [(0, 1)])       # no such member
         arena.flush_member(-1, [(0, 1)])
         arena.flush_member(1, [(9, 1)])       # no such slot
@@ -46,23 +59,23 @@ class TestArenaBasics:
 
     def test_members_use_disjoint_ranges(self):
         cells = [0] * 8
-        arena = MetricsArena(2, slots=4, cells=cells)
+        arena = MetricsArena(2, slots=4, cells=_over(cells))
         arena.flush_member(0, [(0, 1)])
         arena.flush_member(1, [(0, 10)])
         assert cells[0] == 1 and cells[4] == 10
 
     def test_reset_zeroes_everything(self):
-        arena = MetricsArena(2, slots=3, cells=[0] * 6)
+        arena = MetricsArena(2, slots=3, cells=shm.heap_cells)
         arena.flush_member(0, [(1, 9)])
         arena.reset()
         assert arena.drain() == []
 
     def test_attach_shares_the_storage(self):
-        """``cells=``/``fresh=False`` attaches a second view without clearing."""
+        """``fresh=False`` attaches a second view without clearing."""
         cells = [0] * 6
-        owner = MetricsArena(2, slots=3, cells=cells)
+        owner = MetricsArena(2, slots=3, cells=_over(cells))
         owner.flush_member(0, [(2, 4)])
-        attached = MetricsArena(2, slots=3, cells=cells, fresh=False)
+        attached = MetricsArena(2, slots=3, cells=_over(cells), fresh=False)
         assert attached.drain() == [(2, 4)]
 
 

@@ -2,9 +2,10 @@
 
 Three layers of proof, cheapest first:
 
-* **wire/unit** — framing round-trips, token auth, proxy-vs-real arena
-  equivalence and RemoteArray coherence, all against an in-process
-  :class:`~repro.runtime.dataplane.Coordinator` (no worker processes);
+* **wire/unit** — framing round-trips, token and hello auth, the ``slot``
+  request's allowlist and RemoteArray coherence, all against an in-process
+  :class:`~repro.runtime.dataplane.Coordinator` (no worker processes; the
+  slot ops themselves are ``test_slot_conformance``'s);
 * **conformance** — Series, Crypt and Sparse on ``backend="distributed"`` (real
   spawned, non-forked worker processes talking TCP) must produce results
   identical to ``backend="processes"`` across static/cyclic/dynamic
@@ -182,56 +183,60 @@ class TestCoordinatorRPC:
         finally:
             sock.close()
 
-    def test_bad_token_rejected_without_marking_a_member_lost(self, coordinator):
-        with pytest.raises(PermissionError, match="token"):
+    @pytest.mark.parametrize(
+        "token, member, complaint",
+        [
+            ("wrong-token", 1, "token"),
+            # A valid token does not make every hello a team member's: the
+            # master's own id, a negative index, an id past the team, a non-int.
+            (None, 0, "member 0"),
+            (None, -1, "member -1"),
+            (None, 7, "member 7"),
+            (None, "x", "member 'x'"),
+        ],
+    )
+    def test_bad_token_rejected_without_marking_a_member_lost(self, coordinator, token, member, complaint):
+        cells_before = list(coordinator.heartbeat._cells)
+        with pytest.raises(PermissionError, match=complaint):
             dataplane.WorkerSession(
-                dataplane.LOOPBACK_HOST, coordinator.port, "wrong-token", 1, install_hook=False
+                dataplane.LOOPBACK_HOST, coordinator.port, token or coordinator.token, member, install_hook=False
             )
-        # The impostor's disconnect must not be mistaken for a worker death.
+        # The impostor's disconnect must not be mistaken for a worker death,
+        # and it never got to write a heartbeat cell (the master's included).
         time.sleep(0.05)
         assert coordinator.lost_members() == []
+        assert not coordinator.barrier.broken
+        assert list(coordinator.heartbeat._cells) == cells_before
 
     def test_unknown_op_raises_client_side(self, session):
         with pytest.raises(ValueError, match="unknown data-plane op"):
             session.call("no-such-op")
 
-    def test_proxy_and_real_arena_share_one_counter(self, coordinator, session):
-        proxy = dataplane.ProxySyncArena(session).slot(0)
-        real = coordinator.arena.slot(0)
-        assert proxy.fetch_add(4) == 0
-        assert real.fetch_add(4) == 4
-        assert proxy.fetch_add(0) == 8
+    @pytest.mark.parametrize(
+        "request_args, error",
+        [
+            # A wire string names a declared op or nothing at all ...
+            (("arena", (0, 0), "_lock", ()), ValueError),
+            (("arena", (0, 0), "reset", ()), ValueError),
+            (("arena", (0, 0), "__class__", ()), ValueError),
+            (("tune", (0, 0), "__init__", ()), ValueError),
+            (("heartbeat", (0, 0), "fetch_add", (1,)), ValueError),
+            # ... and a key of the wrong arity attaches no slot.
+            (("steal", (0, 0), "claim_local", (1,)), TypeError),
+        ],
+    )
+    def test_the_slot_allowlist_holds_on_the_wire(self, coordinator, session, request_args, error):
+        """The slot surface proper is ``test_slot_conformance``; this is what
+        the one ``slot`` request does with a name its table does not hold."""
 
-    def test_claim_sequences_match_a_private_shm_arena(self, coordinator, session):
-        """The coordinator hosts the *same* arena code, so any interleaved
-        claim sequence through the proxy must equal the sequence a plain
-        in-process arena produces — chunk boundaries identical by construction."""
-        reference = shm.SyncArena(cells=[0] * (shm.SyncArena.CELLS_PER_SLOT * 256), lock=threading.Lock())
-        proxy = dataplane.ProxySyncArena(session).slot(1)
-        ref = reference.slot(1)
-        for _ in range(10):
-            assert proxy.claim_batch(3, 2, 25) == ref.claim_batch(3, 2, 25)
-        proxy_g, ref_g = dataplane.ProxySyncArena(session).slot(2), reference.slot(2)
-        while True:
-            mine, theirs = proxy_g.claim_guided(100, 4, 2), ref_g.claim_guided(100, 4, 2)
-            assert mine == theirs
-            if mine is None:
-                break
+        def cells():
+            return [list(arena._cells) for arena in (coordinator.arena, coordinator.steal, coordinator.tune)]
 
-    def test_steal_slot_round_trip(self, coordinator, session):
-        deck = dataplane.ProxyStealArena(session).slot(0, 2, 8)
-        tiles = []
-        while (tile := deck.claim_local(1)) is not None:
-            tiles.append(tile)
-            deck.mark_done()
-        assert tiles == [4, 5, 6, 7]  # worker 1's half of the 8-tile deck
-        stolen = deck.claim_steal(1)
-        assert stolen is not None and stolen[0] == 0  # victim is worker 0
-        assert deck.finished() is False
-
-    def test_tune_slot_publish_and_read(self, coordinator, session):
-        coordinator.tune.slot(0).publish((2, 7, 1, 3))
-        assert dataplane.ProxyTuneArena(session).slot(0).read(timeout=2.0) == (2, 7, 1, 3)
+        before = cells()
+        with pytest.raises(error, match="unknown data-plane op" if error is ValueError else None):
+            session.call("slot", *request_args)
+        assert session.call("ping", "still serving") == "still serving"
+        assert cells() == before
 
     def test_rpcs_refresh_the_heartbeat(self, coordinator, session):
         session.call("ping")
@@ -373,7 +378,13 @@ class TestClaimLoopOnTheSocketPlane:
         ``(team, ops)`` with ``ops`` every RPC the loop made."""
         ops = []
         real_call = session.call
-        session.call = lambda op, *args: ops.append(op) or real_call(op, *args)
+
+        def recording_call(op, *args):
+            # a slot request reads ("slot", kind, key, method, args)
+            ops.append(f"{args[0]}.{args[2]}" if op == "slot" else op)
+            return real_call(op, *args)
+
+        session.call = recording_call
         team = Team(2, process_sync=dataplane.worker_process_sync(session, 2))
         ctx.push_context(ctx.ExecutionContext(team=team, thread_id=1, nesting_level=0))
         try:
@@ -390,9 +401,10 @@ class TestClaimLoopOnTheSocketPlane:
         assert calls[0][0] == 0 and calls[-1][1] == 400
         assert all(prev[1] == nxt[0] for prev, nxt in zip(calls, calls[1:]))
         assert len(calls) < 400 // 4
-        # ... and one RPC per claim: the attach, then the claims (the last one
-        # comes back empty).  No ``barrier_broken`` poll rides along.
-        assert ops == ["arena_attach"] + ["arena_claim_batch"] * (len(calls) + 1)
+        # ... and one RPC per claim, the last one coming back empty.  Nothing
+        # else: constructing the remote slot cost no round-trip, and no
+        # ``barrier_broken`` poll rides along.
+        assert ops == ["arena.claim_batch"] * (len(calls) + 1)
 
     def test_cancel_lands_within_one_claim(self, coordinator, session):
         calls = []
@@ -409,11 +421,6 @@ class TestClaimLoopOnTheSocketPlane:
         # The very next claim was refused: no body call after the cancel.
         assert len(calls) == 2
         assert barrier.broken  # learned from the refused claim, not a poll
-        # The taskloop decks refuse claims the same way.
-        deck = dataplane.ProxyStealSlot(session, 0, 2, 4, 0)
-        for claim in (deck.claim_local, deck.claim_steal):
-            with pytest.raises(BrokenBarrierError):
-                claim(1)
 
 
 class TestTransportNamedDiagnostics:

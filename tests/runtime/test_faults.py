@@ -322,10 +322,15 @@ class TestHeartbeatArena:
         assert arena.pid(5) == 0 and arena.age(5) is None
 
     def test_attach_to_existing_cells(self):
-        arena = shm.HeartbeatArena(capacity=4)
-        arena.register(1)
-        attached = shm.HeartbeatArena(capacity=4, cells=arena.cells, fresh=False)
-        assert attached.pid(1) == os.getpid()
+        """The create / ``shareable()`` / attach pair the subinterpreter tier uses."""
+        arena = shm.HeartbeatArena(capacity=4, cells=shm.pipe_cells)
+        try:
+            arena.register(1)
+            attached = shm.HeartbeatArena(capacity=4, cells=shm.attached_cells(arena.shareable()), fresh=False)
+            assert attached.pid(1) == os.getpid()
+            attached.close()
+        finally:
+            arena.close()
 
 
 class TestBarrierDiagnostics:

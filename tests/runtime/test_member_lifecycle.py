@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable
@@ -44,6 +45,7 @@ from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProce
 from repro.runtime.subinterp import SubinterpreterBackend, subinterpreters_available
 from repro.runtime.tasks import spawn_task
 from repro.runtime.team import Team, parallel_region
+from repro.runtime.worksharing import run_for
 
 #: what the probe body saw while it ran as a shipped member (same process).
 _OBSERVED: "dict[str, Any]" = {}
@@ -83,6 +85,15 @@ class Probe:
 
     def explode(self) -> None:
         raise ValueError("member exploded")
+
+    def master_fails_before_an_auto_loop(self) -> None:
+        if ctx.get_thread_id() == 0:
+            raise RuntimeError("master failed before the loop")
+        run_for(self.mark_range, 0, 2, 1, schedule="auto")
+
+    def mark_range(self, start: int, end: int, step: int) -> None:
+        for index in range(start, end, step):
+            self.mark(index)
 
     def unpicklable(self) -> Any:
         return threading.Lock()
@@ -140,7 +151,7 @@ def _interp_transport(monkeypatch):
         sync = backend.create_process_sync(2, owner.run)
     try:
         # Exactly what a worker interpreter receives: names and descriptors.
-        attached = subinterp._attach_sync(dict(sync.owned[1]))
+        attached = subinterp._attach_sync(sync.owned[1])
         yield Transport(sync, attached, lambda reply: dict(sync.metrics.drain()))
     finally:
         backend.finish_region(SimpleNamespace(process_sync=sync))
@@ -477,6 +488,30 @@ def test_unwaited_tasks_complete_on_every_tier(tier, probe):
     try:
         parallel_region(wrap(probe.spawn_unwaited), num_threads=2, backend=backend, name=f"drain-{tier}")
         assert list(probe.out.np) == [1.0, 1.0]
+    finally:
+        if isinstance(backend, ProcessBackend):
+            backend.shutdown()
+
+
+@pytest.mark.parametrize("tier", ["fork", "pool", "distributed", "subinterp"])
+def test_a_worker_waiting_for_a_tune_plan_learns_the_team_is_broken(tier, probe, monkeypatch):
+    """The master publishes an ``auto`` loop's plan; one that fails before the
+    loop aborts the team instead, and the wait for its plan must end on that
+    break (it polled only the plan's tag, for a fixed 120 s — also under a
+    shorter ``AOMP_BARRIER_TIMEOUT``)."""
+    monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "60")
+    backend, wrap = _tier(tier)
+    try:
+        if tier == "pool":
+            parallel_region(probe.run, num_threads=2, backend=backend, name="tune-warm-up")
+        began = time.monotonic()
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(
+                wrap(probe.master_fails_before_an_auto_loop), num_threads=2, backend=backend, name=f"tune-{tier}"
+            )
+        assert time.monotonic() - began < 5.0
+        assert isinstance(excinfo.value.__cause__, RuntimeError), excinfo.value
+        assert "master failed before the loop" in str(excinfo.value.__cause__)
     finally:
         if isinstance(backend, ProcessBackend):
             backend.shutdown()

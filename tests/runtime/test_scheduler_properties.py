@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +28,7 @@ from repro.runtime.scheduler import (
     StaticCyclicScheduler,
     make_scheduler,
 )
-from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState, SyncArena
+from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState, SyncArena, heap_cells
 
 CASES = 150
 
@@ -303,8 +302,8 @@ def _heap_slots():
 @contextlib.contextmanager
 def _list_cell_arena_slots():
     # The coordinator's flavour of SyncArena: plain list cells, a thread lock.
-    arena = SyncArena(cells=[0] * (SyncArena.CELLS_PER_SLOT * 256), lock=threading.Lock())
-    yield lambda ordinal: arena.slot(ordinal)
+    arena = SyncArena(cells=heap_cells)
+    yield arena.slot
 
 
 @contextlib.contextmanager
@@ -315,7 +314,7 @@ def _socket_proxy_slots():
         dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
     )
     try:
-        yield lambda ordinal: dataplane.ProxyArenaSlot(session, ordinal, 0)
+        yield dataplane.RemoteArena(session, "arena").slot
     finally:
         session.close()
         coordinator.shutdown()

@@ -182,6 +182,14 @@ class TestSyncArena:
         recycled = arena.slot(2)
         assert recycled.fetch_add() == 0
 
+    def test_reset_recycles_every_slot(self):
+        """``reset`` clears only the tags; the next attach of the *same*
+        ordinal (the pool's next region) must still start from zero."""
+        arena = SyncArena(capacity=8)
+        arena.slot(0).fetch_add(5)
+        arena.reset()
+        assert arena.slot(0).fetch_add() == 0
+
     def test_dynamic_state_exhausts_exactly(self):
         arena = SyncArena(capacity=8)
         state = ProcessDynamicState(arena.slot(0), total_chunks=3)
@@ -301,59 +309,25 @@ class TestSharedArrayLifecycle:
 # ---------------------------------------------------------------------------
 
 
-def _walk_heartbeat(cells, arena):
-    for i in range(arena.CELLS_PER_MEMBER * arena.capacity):
-        cells[i] = 0
-
-
-def _walk_sync(cells, arena):
-    for i in range(arena.capacity):
-        cells[2 * i + arena._TAG] = -1
-        cells[2 * i + arena._NEXT] = 0
-
-
-def _walk_steal(cells, arena):
-    for i in range(arena.capacity):
-        cells[i * arena._stride + arena._TAG] = -1
-
-
-def _walk_tune(cells, arena):
-    for i in range(arena.capacity):
-        cells[i * arena._FIELDS + arena._TAG] = -1
-
-
-def _walk_metrics(cells, arena):
-    for index in range(arena.capacity * arena.slots):
+def _walk_zero(cells, arena):
+    for index in range(arena._count):
         cells[index] = 0
 
 
-#: name -> (cells the arena spans, constructor over given cells, reference walk)
+def _walk_tags(cells, arena):
+    # A slot arena only clears the tags: after that every attach mismatches
+    # and re-initialises its slot (see TestSyncArena.test_reset_recycles_every_slot).
+    for slot in range(arena.capacity):
+        cells[slot * arena._stride + arena._TAG] = -1
+
+
+#: name -> (constructor over a given allocator, reference walk)
 _RESET_CASES = {
-    "heartbeat": (
-        shm.HeartbeatArena.CELLS_PER_MEMBER * 8,
-        lambda cells: shm.HeartbeatArena(8, cells=cells, fresh=False),
-        _walk_heartbeat,
-    ),
-    "sync": (
-        shm.SyncArena.CELLS_PER_SLOT * 16,
-        lambda cells: shm.SyncArena(16, cells=cells, lock=threading.Lock(), fresh=False),
-        _walk_sync,
-    ),
-    "steal": (
-        shm.TaskStealArena.cells_needed(3, 8),
-        lambda cells: shm.TaskStealArena(3, 8, cells=cells, lock=threading.Lock(), fresh=False),
-        _walk_steal,
-    ),
-    "tune": (
-        shm.TunePlanArena.CELLS_PER_SLOT * 8,
-        lambda cells: shm.TunePlanArena(8, cells=cells, lock=threading.Lock(), fresh=False),
-        _walk_tune,
-    ),
-    "metrics": (
-        4 * 7,
-        lambda cells: MetricsArena(4, slots=7, cells=cells, fresh=False),
-        _walk_metrics,
-    ),
+    "heartbeat": (lambda cells: shm.HeartbeatArena(8, cells=cells, fresh=False), _walk_zero),
+    "sync": (lambda cells: shm.SyncArena(16, cells=cells, fresh=False), _walk_tags),
+    "steal": (lambda cells: shm.TaskStealArena(3, 8, cells=cells, fresh=False), _walk_tags),
+    "tune": (lambda cells: shm.TunePlanArena(None, 8, cells=cells, fresh=False), _walk_tags),
+    "metrics": (lambda cells: MetricsArena(4, slots=7, cells=cells, fresh=False), _walk_zero),
 }
 
 _STORAGES = {
@@ -369,18 +343,25 @@ class TestBulkReset:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_bulk_reset_equals_the_cell_walk(self, arena_kind, storage, seed):
-        span, build, walk = _RESET_CASES[arena_kind]
-        total = span + 3  # cells past the arena's span must stay untouched
-        dirty = np.random.default_rng(seed).integers(-(2**62), 2**62, size=total).tolist()
-        cells = _STORAGES[storage](total)
-        try:
+        build, walk = _RESET_CASES[arena_kind]
+        handed = []
+
+        def dirtied(count, locked):
+            """The allocator: the arena says how many cells, and gets them dirty."""
+            total = count + 3  # cells past the arena's span must stay untouched
+            cells = _STORAGES[storage](total)
+            dirty = np.random.default_rng(seed).integers(-(2**62), 2**62, size=total).tolist()
             for index, value in enumerate(dirty):
                 cells[index] = value
-            arena = build(cells)
-            expected = list(dirty)
+            handed.append((cells, dirty))
+            return cells, threading.Lock() if locked else None
+
+        arena = build(dirtied)
+        ((cells, expected),) = handed
+        try:
             walk(expected, arena)
             arena.reset()
-            assert [int(cells[index]) for index in range(total)] == expected
+            assert [int(cells[index]) for index in range(len(expected))] == expected
         finally:
             if isinstance(cells, SharedArray):
                 cells.close()

@@ -19,7 +19,6 @@ import time
 import warnings
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from repro.runtime import context as ctx
@@ -175,22 +174,28 @@ class TestProcessSync:
             kernel = SharedFillKernel(array)
             sync = backend.create_process_sync(3, kernel.fill)
             assert sync is not None
-            resources, shareable = sync.owned
-            assert set(shareable) == {"barrier", "arena", "steal", "tune", "heartbeat"}
+            arenas, shipped = sync.owned
+            max_workers, metric_slots, shareable = shipped["sync"]
+            assert (max_workers, metric_slots) == (3, 0)
+            assert set(shareable) == set(arenas) == {"barrier", "arena", "steal", "tune", "heartbeat"}
             assert sync.barrier.parties == 3
             assert isinstance(sync.body_bytes, bytes)
 
             # A worker-side attach built purely from the shareable primitives
-            # sees the *same* state: aborting through the attached barrier
-            # breaks the master's.
-            descriptor = dict(shareable)
-            attached = subinterp._attach_sync(descriptor)
+            # — as the worker gets them, through a ``repr`` literal — sees the
+            # *same* state: aborting through the attached barrier breaks the
+            # master's, and a claim through the attached arena moves its cursor.
+            attached = subinterp._attach_sync(eval(repr(shipped)))
             assert attached.barrier.parties == 3
+            assert attached.arena.slot(0).fetch_add(2) == 0
+            assert sync.arena.slot(0).fetch_add() == 2
             attached.barrier.abort()
             assert sync.barrier.broken
+            with pytest.raises(BrokenBarrierError, match="team barrier broke"):
+                attached.tune.slot(0).read()
 
-            segment_names = [res.name for res in resources if isinstance(res, shm.SharedArray)]
-            assert len(segment_names) == 5
+            segment_names = [name for name, _fds in shareable.values()]
+            assert len(set(segment_names)) == 5
             backend.finish_region(SimpleNamespace(process_sync=sync))
             for name in segment_names:
                 with pytest.raises(FileNotFoundError):
@@ -348,15 +353,10 @@ class TestInterpBarrier:
         assert barrier.parties == 3
 
     def test_attached_instance_shares_state(self):
-        cells = shm.SharedArray.zeros(shm.InterpBarrier.CELLS, np.int64)
-        lock = shm.PipeLock()
+        master = shm.InterpBarrier(2)
         try:
-            master = shm.InterpBarrier(cells=cells, lock=lock)
-            master.reset(2)
-            attached = shm.InterpBarrier(
-                cells=shm._attach_shared_array(cells.name, (shm.InterpBarrier.CELLS,), "<i8"),
-                lock=shm.PipeLock(fds=lock.fds),
-            )
+            attached = shm.InterpBarrier(cells=shm.attached_cells(master.shareable()))
+            assert attached.parties == 2
             released = threading.Event()
 
             def party():
@@ -369,16 +369,11 @@ class TestInterpBarrier:
             assert released.wait(5)
             thread.join(timeout=5)
         finally:
-            cells.close()
-            lock.close()
+            master.close()
 
-    def test_external_cells_require_external_lock(self):
-        cells = shm.SharedArray.zeros(shm.InterpBarrier.CELLS, np.int64)
-        try:
-            with pytest.raises(ValueError, match="external lock"):
-                shm.InterpBarrier(cells=cells)
-        finally:
-            cells.close()
+    def test_a_barrier_needs_a_party(self):
+        with pytest.raises(ValueError, match="at least 1 party"):
+            shm.InterpBarrier(0)
 
 
 class TestResultChannel:
