@@ -63,6 +63,8 @@ COUNTER_SPECS: "tuple[tuple[str, str, str | None, tuple[str, ...]], ...]" = (
     # catalogue, so extension is append-only.
     ("aomp_service_requests_total", "Compute-service requests by lifecycle event.", "event",
      ("accepted", "rejected", "coalesced", "completed", "failed", "cancelled")),
+    ("aomp_distributed_teams_total", "Distributed worker teams by lifecycle event (reused = a warm region).", "event",
+     ("spawned", "reused", "retired")),
 )
 
 #: ``(name, help text)`` — histograms over seconds.  Bucket boundaries come
@@ -138,6 +140,9 @@ SERVICE_REQUEST_SLOTS = {
     value: counter_slot("aomp_service_requests_total", value)
     for value in ("accepted", "rejected", "coalesced", "completed", "failed", "cancelled")
 }
+DISTRIBUTED_TEAMS_SPAWNED = counter_slot("aomp_distributed_teams_total", "spawned")
+DISTRIBUTED_TEAMS_REUSED = counter_slot("aomp_distributed_teams_total", "reused")
+DISTRIBUTED_TEAMS_RETIRED = counter_slot("aomp_distributed_teams_total", "retired")
 
 
 # ---------------------------------------------------------------------------

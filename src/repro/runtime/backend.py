@@ -601,6 +601,11 @@ class ProcessBackend(ExternalBackend):
         pool.condemn()
         return True
 
+    def live_workers(self) -> list:
+        """Pool worker processes that are still running (none after :meth:`shutdown`)."""
+        pool = self._pool
+        return [proc for proc in pool._procs if proc.is_alive()] if pool is not None else []
+
     def shutdown(self) -> None:
         """Stop the persistent worker pool (used by tests and at interpreter exit)."""
         with self._pool_lock:

@@ -126,7 +126,9 @@ class CyclicBarrier:
         """
         return self._broken
 
-    def wait(self, timeout: "float | None | object" = _UNSET) -> int:
+    def wait(
+        self, timeout: "float | None | object" = _UNSET, arrived: "Callable[[int], None] | None" = None
+    ) -> int:
         """Block until all parties have arrived.
 
         Returns the arrival index for this round (``parties - 1`` for the first
@@ -134,7 +136,9 @@ class CyclicBarrier:
         Raises :class:`BrokenBarrierError` if the barrier is, or becomes,
         broken while waiting, or if ``timeout`` — defaulting to the barrier's
         construction-time bound; pass ``None`` explicitly to wait forever —
-        expires.
+        expires.  ``arrived(index)`` is called as this party is counted,
+        before the round's ``action`` can run: a party that wants the action
+        to act for it says so here.
         """
         if timeout is _UNSET:
             timeout = self._timeout
@@ -144,6 +148,8 @@ class CyclicBarrier:
             generation = self._generation
             index = self._parties - 1 - self._waiting
             self._waiting += 1
+            if arrived is not None:
+                arrived(index)
             if self._waiting == self._parties:
                 # Last arrival: run the action, then open the next generation.
                 try:

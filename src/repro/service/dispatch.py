@@ -1,11 +1,12 @@
 """Dispatch: worker threads that run admitted requests on warm backends.
 
-Each :class:`DispatchWorker` owns a *private* backend instance — under the
-``processes`` backend that means its own :class:`PersistentProcessPool`,
-pre-spawned at service start (``prewarm``) and kept hot across requests, so
-concurrent requests never contend on one pool lock and the fork cost is paid
-once, not per request.  In-process backends (threads/serial) are stateless
-and shared.
+Each :class:`DispatchWorker` owns a *private* instance of any backend that
+keeps workers between regions — under ``processes`` its own
+:class:`PersistentProcessPool`, pre-spawned at service start (``prewarm``),
+under ``distributed`` its own parked team — so concurrent requests never
+contend for one pool lock or one parked team and the start cost is paid once,
+not per request.  In-process backends (threads/serial) are stateless and
+shared.
 
 Per-tenant tuning: the worker wraps each request in a
 :class:`repro.tune.tuner_scope` carrying the tenant's own
@@ -26,7 +27,7 @@ import os
 import threading
 from typing import Any
 
-from repro.runtime.backend import Backend, ProcessBackend, resolve_backend
+from repro.runtime.backend import Backend, resolve_backend
 from repro.runtime.team import watch_teams
 from repro.service.admission import AdmissionQueue, Request
 from repro.service.kernels import KERNELS
@@ -39,15 +40,16 @@ _CLAIM_POLL_SECONDS = 0.1
 def _make_backend(name: str) -> Backend:
     """A backend instance for one dispatch worker.
 
-    The ``processes`` backend gets a *fresh private* instance so each worker
-    owns its own persistent pool (the shared registry instance guards its
-    pool with a non-blocking lock and falls back to fork-per-region under
-    contention — exactly what a warm service must avoid).  Everything else
-    resolves through the shared registry.
+    A backend that keeps workers between regions (it says so by having
+    ``live_workers``) gets a *fresh private* instance: the shared registry
+    instance guards its one pool with a non-blocking lock and falls back to
+    fork-per-region under contention, and parks only one distributed team —
+    exactly what a warm service must avoid.  Everything else resolves
+    through the shared registry.
     """
     backend = resolve_backend(name or None)
-    if isinstance(backend, ProcessBackend):
-        return ProcessBackend()
+    if hasattr(backend, "live_workers"):
+        return type(backend)()
     return backend
 
 
@@ -187,7 +189,7 @@ class DispatchWorker(threading.Thread):
         self._halt.set()
         self.join(timeout=timeout)
         shutdown = getattr(self._backend, "shutdown", None)
-        if isinstance(self._backend, ProcessBackend) and shutdown is not None:
+        if shutdown is not None:
             shutdown()
 
 
@@ -234,13 +236,10 @@ class DispatchPool:
         self.tuners.save_all()
 
     def leaked_workers(self) -> "list[Any]":
-        """Live pool worker processes after shutdown (must be empty)."""
+        """Worker processes the backends still keep after shutdown (must be empty)."""
         leaked: "list[Any]" = []
         for worker in self.workers:
-            pool = getattr(worker.backend, "_pool", None)
-            if pool is None:
-                continue
-            for proc in getattr(pool, "_procs", []):
-                if proc.is_alive():
-                    leaked.append(proc)
+            live_workers = getattr(worker.backend, "live_workers", None)
+            if live_workers is not None:
+                leaked.extend(live_workers())
         return leaked

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import faulthandler
+import multiprocessing
+import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -84,3 +87,36 @@ def recorder():
     set_global_recorder(rec)
     yield rec
     set_global_recorder(None)
+
+
+def _stray_children() -> "list[str]":
+    """Children of this process that nobody will collect: zombies, and
+    distributed workers still running (``pid:state:command``)."""
+    multiprocessing.active_children()  # multiprocessing reaps its own finished workers here
+    me = str(os.getpid())
+    strays = []
+    for pid in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+                state, parent = handle.read().rsplit(")", 1)[1].split()[:2]
+            with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode("utf-8", "replace")
+        except (OSError, IndexError, ValueError):
+            continue  # ended while we were looking
+        if parent == me and (state == "Z" or "_dist._worker_main" in command):
+            strays.append(f"{pid}:{state}:{command[-60:].strip()}")
+    return strays
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """No test calls ``DistributedBackend.shutdown()`` for the registry's
+    instance: its parked workers must leave, and be reaped, by themselves."""
+    deadline = time.monotonic() + 10.0
+    while (strays := _stray_children()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if strays:
+        print(f"\nERROR: child processes left behind by the session: {strays}", file=sys.stderr)
+        session.exitstatus = 1
+

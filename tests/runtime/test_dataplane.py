@@ -6,10 +6,14 @@ Three layers of proof, cheapest first:
   request's allowlist and RemoteArray coherence, all against an in-process
   :class:`~repro.runtime.dataplane.Coordinator` (no worker processes; the
   slot ops themselves are ``test_slot_conformance``'s);
-* **conformance** — Series, Crypt and Sparse on ``backend="distributed"`` (real
-  spawned, non-forked worker processes talking TCP) must produce results
-  identical to ``backend="processes"`` across static/cyclic/dynamic
-  schedules, which is the acceptance bar for the socket plane;
+* **coherence** — a barrier is one ``sync`` RPC moving only what changed:
+  the run codec, the *mirror == shadow == master array* invariant under
+  random writes (hypothesis), and SOR's recorded op list;
+* **conformance** — Series, Crypt, SOR and Sparse on ``backend="distributed"``
+  (real spawned, non-forked worker processes talking TCP) must produce
+  results identical to ``backend="processes"`` across static/cyclic/dynamic
+  schedules, on a cold team and again on the parked one, which is the
+  acceptance bar for the socket plane;
 * **liveness** — a SIGKILLed remote member must surface as a diagnosed
   :class:`~repro.runtime.exceptions.WorkerProcessError` within seconds via
   the dropped-connection signal, not the barrier timeout.
@@ -17,6 +21,7 @@ Three layers of proof, cheapest first:
 
 from __future__ import annotations
 
+import copy
 import pickle
 import socket
 import threading
@@ -24,9 +29,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
-from repro.runtime import dataplane, shm
+from repro.runtime import dataplane, member, shm
 from repro.runtime.backend import available_backends, backend_by_name
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.config import config_override
@@ -208,6 +216,44 @@ class TestCoordinatorRPC:
         assert not coordinator.barrier.broken
         assert list(coordinator.heartbeat._cells) == cells_before
 
+    @pytest.mark.parametrize("attempt", ["second hello", "next_region before result"])
+    def test_a_seat_can_be_taken_once(self, coordinator, session, attempt):
+        """The token lives as long as the team, so it no longer proves who is
+        asking: a second hello for a seated member is an impostor, and a
+        seated member asking for the next region before answering this one
+        would run it twice.  Both are refused without a trace."""
+        cells_before = list(coordinator.heartbeat._cells)
+        if attempt == "second hello":
+            with pytest.raises(PermissionError, match="member 1 is already seated"):
+                dataplane.WorkerSession(
+                    dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
+                )
+        else:
+            with pytest.raises(PermissionError, match="has not delivered its result"):
+                session.call("next_region")
+        time.sleep(0.05)
+        # The seated member is neither displaced nor marked lost, no heartbeat
+        # cell moved (ping's own beat comes after), and it is still served.
+        assert list(coordinator._seats) == [1]
+        assert coordinator.lost_members() == []
+        assert not coordinator.barrier.broken
+        assert list(coordinator.heartbeat._cells) == cells_before
+        assert session.call("ping", "still seated") == "still seated"
+
+    def test_a_vacated_seat_can_be_taken_again(self, coordinator, session):
+        session.call("result", 1, b"done", None)
+        session.close()
+        deadline = time.monotonic() + 5.0
+        while coordinator._seats and time.monotonic() < deadline:
+            time.sleep(0.01)
+        again = dataplane.WorkerSession(
+            dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
+        )
+        try:
+            assert again.call("ping", "seated") == "seated"
+        finally:
+            again.close()
+
     def test_unknown_op_raises_client_side(self, session):
         with pytest.raises(ValueError, match="unknown data-plane op"):
             session.call("no-such-op")
@@ -256,7 +302,7 @@ class TestRemoteArrayCoherence:
             session.flush_arrays()
             assert master.np[3] == 99.0
             master.np[0] = -1.0
-            session.refresh_arrays()
+            mirror.refresh()
             assert mirror[0] == -1.0 and mirror[3] == 99.0
         finally:
             coordinator.shutdown()  # release the master-side attachment first
@@ -271,7 +317,7 @@ class TestRemoteArrayCoherence:
             mirror = session.attach_array(master.name, (4,), master.np.dtype.str)
             cached = mirror.np  # what a kernel would hold across a barrier
             master.np[1] = 3.0
-            session.refresh_arrays()
+            mirror.refresh()
             assert mirror.np is cached
             assert cached[1] == 3.0  # refreshed data visible through the cache
             cached[2] = 8.0  # writes through the cache must flush
@@ -297,7 +343,214 @@ class TestRemoteArrayCoherence:
             master.close()
 
 
+def _meet(coordinator, barrier) -> None:
+    """One barrier round: this thread as the socket member, a helper as the master."""
+    master = threading.Thread(target=coordinator.barrier.wait)
+    master.start()
+    barrier.wait(timeout=10.0)
+    master.join(timeout=10.0)
+    assert not master.is_alive()
+
+
+class TestRunCodec:
+    @pytest.mark.parametrize(
+        "indices, runs",
+        [
+            ([], []),
+            ([5], [5, 1]),
+            (list(range(8)), [0, 8]),
+            ([0, 2, 4, 6], [0, 1, 2, 1, 4, 1, 6, 1]),
+            ([2, 3, 4, 7, 9, 10], [2, 3, 7, 1, 9, 2]),
+        ],
+        ids=["empty", "single", "full", "alternating", "mixed"],
+    )
+    def test_round_trip(self, indices, runs):
+        encoded = dataplane.encode_runs(np.asarray(indices, dtype=np.int64))
+        assert encoded.dtype == np.int64 and encoded.tolist() == runs
+        assert dataplane.decode_runs(encoded).tolist() == indices
+
+    def test_change_sets_compare_bit_patterns(self):
+        """A NaN is not forever dirty, and a 0.0 overwritten with -0.0 is."""
+        known = np.array([np.nan, 0.0, 1.0, 2.0])
+        current = np.array([np.nan, -0.0, 1.0, 3.0])
+        runs, values = dataplane._take_changes(current, known)
+        assert np.frombuffer(runs, dtype=np.int64).tolist() == [1, 1, 3, 1]
+        assert known.tobytes() == current.tobytes()
+        assert dataplane._take_changes(current, known) is None
+        target = np.zeros(4)
+        dataplane._put_changes(runs, values, target)
+        assert target.tobytes() == np.array([0.0, -0.0, 0.0, 3.0]).tobytes()
+
+    @pytest.mark.parametrize("dtype", ["u1", "<i4", "<f8", "<c16", "?"])
+    def test_change_sets_work_at_every_item_size(self, dtype):
+        known = np.zeros(6, dtype=dtype)
+        current = known.copy()
+        current[[1, 2, 5]] = 1
+        runs, values = dataplane._take_changes(current, known)
+        assert np.frombuffer(runs, dtype=np.int64).tolist() == [1, 2, 5, 1]
+        assert len(values) == 3 * known.dtype.itemsize and known.tobytes() == current.tobytes()
+
+
+_DTYPES = {"f8": np.float64, "i8": np.int64, "u2": np.uint16}
+
+
+@st.composite
+def _write_rounds(draw):
+    """``(dtype, size, rounds)``: per round, disjoint master and worker writes
+    as ``{index: value}`` — a value of ``None`` rewrites what is already there."""
+    dtype = draw(st.sampled_from(sorted(_DTYPES)))
+    size = draw(st.integers(1, 24))
+    if dtype == "f8":
+        values = st.one_of(st.none(), st.sampled_from([float("nan"), 0.0, -0.0]), st.floats(allow_nan=False))
+    else:
+        info = np.iinfo(_DTYPES[dtype])
+        values = st.one_of(st.none(), st.integers(int(info.min), int(info.max)))
+    rounds = []
+    for _ in range(draw(st.integers(1, 4))):
+        writes = draw(st.dictionaries(st.integers(0, size - 1), st.tuples(st.booleans(), values), max_size=size))
+        rounds.append(
+            (
+                {index: value for index, (mine, value) in writes.items() if mine},
+                {index: value for index, (mine, value) in writes.items() if not mine},
+            )
+        )
+    return dtype, size, rounds
+
+
+class TestBarrierCoherence:
+    """The barrier is the single coherence message: one ``sync`` carries this
+    member's writes out and the other members' writes back."""
+
+    # One coordinator and one session serve every example: each example
+    # attaches its own array and drops it (and its shadow) again.
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_write_rounds())
+    def test_mirror_shadow_and_master_agree_after_every_barrier(self, coordinator, session, case):
+        dtype, size, rounds = case
+        master = shm.SharedArray.zeros(size, _DTYPES[dtype])
+        try:
+            master.np[:] = np.arange(size)
+            mirror = session.attach_array(master.name, (size,), master.np.dtype.str)
+            barrier = dataplane.SocketBarrier(session, 2)
+            for master_writes, worker_writes in rounds:
+                for target, writes in ((master.np, master_writes), (mirror.np, worker_writes)):
+                    for index, value in writes.items():
+                        target[index] = target[index] if value is None else value
+                _meet(coordinator, barrier)
+                shadow = coordinator._shadows[1][master.name]
+                assert mirror.np.tobytes() == master.np.tobytes() == shadow.tobytes()
+                assert mirror._known.tobytes() == shadow.tobytes()
+        finally:
+            session._arrays.clear()
+            coordinator.end_region()
+            master.close()
+
+    def test_a_barrier_moves_only_what_changed(self, coordinator, session):
+        master = shm.shared_zeros(1000)
+        frames = []
+        real_exchange = session._exchange
+
+        def recording_exchange(request):
+            reply, sent, received = real_exchange(request)
+            frames.append((request[0], sent, received))
+            return reply, sent, received
+
+        try:
+            mirror = session.attach_array(master.name, (1000,), master.np.dtype.str)
+            barrier = dataplane.SocketBarrier(session, 2)
+            session._exchange = recording_exchange
+            _meet(coordinator, barrier)  # nothing written: nothing moves
+            mirror[10:14] = 1.0
+            master.np[500:508] = 2.0
+            _meet(coordinator, barrier)
+            assert [op for op, _sent, _received in frames] == ["sync", "sync"]
+            (_op, idle_sent, idle_received), (_op, sent, received) = frames
+            # Out: 4 values and one (start, length) run; back: 8 values and one
+            # run — plus the array's name and pickle framing, not 8000 bytes.
+            assert 4 * 8 + 2 * 8 < sent - idle_sent < 4 * 8 + 2 * 8 + 64
+            assert 8 * 8 + 2 * 8 < received - idle_received < 8 * 8 + 2 * 8 + 64
+            assert np.array_equal(mirror.np, master.np) and mirror[500] == 2.0 and master.np[10] == 1.0
+        finally:
+            del session._exchange
+            coordinator.shutdown()
+            master.close()
+
+    def test_sor_makes_one_rpc_per_barrier(self, coordinator, session):
+        """SOR `small` as a two-member team, the socket member run in-process
+        over its mirror of the grid: its whole conversation is the attach, one
+        ``sync`` per barrier, and the ``result``."""
+        from repro.jgf.sor.kernel import SORBenchmark
+
+        bench = SORBenchmark(64, iterations=10, shared=True)
+        expected = SORBenchmark(64, iterations=10).run()
+        ops = []
+        real_call = session.call
+
+        def recording_call(op, *args):
+            ops.append(op)
+            return real_call(op, *args)
+
+        session.call = recording_call
+        try:
+            remote = copy.copy(bench)
+            remote.grid = session.attach_array(bench.grid.name, bench.grid.np.shape, bench.grid.np.dtype.str)
+            master_sync = shm.ProcessSync(
+                coordinator.barrier,
+                coordinator.arena,
+                steal=coordinator.steal,
+                tune=coordinator.tune,
+                heartbeat=coordinator.heartbeat,
+            )
+            teams = [
+                Team(2, name="sor-ops", process_sync=master_sync),
+                Team(2, name="sor-ops", process_sync=dataplane.worker_process_sync(session, 2)),
+            ]
+
+            def socket_member():
+                result = member.run_member(teams[1], 1, remote.run_spmd)
+                session.send_result(1, member._encode_result(result), None)
+
+            worker = threading.Thread(target=socket_member)
+            worker.start()
+            value = member.run_member(teams[0], 0, bench.run_spmd)
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+            barriers = 2 * 10  # one per half-sweep
+            assert ops == ["gather"] + ["sync"] * barriers + ["result"]
+            _member, (result, exc) = coordinator.results.get(timeout=5.0)
+            assert exc is None and value == expected == member._decode_result(result)
+        finally:
+            del session.call
+            coordinator.shutdown()
+            bench.release_shared()
+
+
 class TestSocketBarrier:
+    def test_a_sync_meeting_a_broken_barrier_is_answered_with_the_break(self, coordinator, session):
+        barrier = dataplane.SocketBarrier(session, 2)
+        coordinator.barrier.abort()
+        with pytest.raises(BrokenBarrierError):
+            barrier.wait(timeout=10.0)
+        assert barrier.broken
+        assert session.call("ping", "in step") == "in step"  # exactly one reply was sent
+
+    def test_an_abort_releases_a_waiting_sync_with_the_break(self, coordinator, session):
+        barrier = dataplane.SocketBarrier(session, 2)
+
+        def abort_once_it_waits():
+            deadline = time.monotonic() + 10.0
+            while coordinator.barrier.n_waiting == 0 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            coordinator.barrier.abort()
+
+        aborter = threading.Thread(target=abort_once_it_waits)
+        aborter.start()
+        with pytest.raises(BrokenBarrierError):
+            barrier.wait(timeout=10.0)
+        aborter.join(timeout=10.0)
+        assert not coordinator._syncing
+        assert session.call("ping", "in step") == "in step"
+
     def test_master_and_remote_meet_at_the_barrier(self, coordinator, session):
         barrier = dataplane.SocketBarrier(session, 2)
         indices = []
@@ -501,23 +754,42 @@ class TestDistributedExecution:
         finally:
             body.close()
 
+    @staticmethod
+    def _assert_matches_processes(kernel, schedule):
+        """``==``, not approximately: once on a cold team, again on the parked one."""
+        backend = DistributedBackend()
+        try:
+            with config_override(default_schedule=schedule, metrics=True):
+                obsreg.reset()
+                expected = kernel.run_backend("tiny", num_threads=3, backend="processes").value
+                cold = kernel.run_backend("tiny", num_threads=3, backend=backend).value
+                parked = kernel.run_backend("tiny", num_threads=3, backend=backend).value
+                teams = obsreg.get_registry().snapshot()["counters"]["aomp_distributed_teams_total"]
+        finally:
+            backend.shutdown()
+        assert cold == expected and parked == expected
+        # On a loaded box the team may have lingered out between the two runs
+        # (then both were cold); it must never have been spawned a third time.
+        assert teams["spawned"] + teams["reused"] == 2 and teams["spawned"] >= 1
+
     @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
     def test_series_matches_processes(self, schedule):
         from repro.jgf.series import parallel as series
 
-        with config_override(default_schedule=schedule):
-            expected = series.run_backend("tiny", num_threads=3, backend="processes")
-            actual = series.run_backend("tiny", num_threads=3, backend="distributed")
-        assert actual.value == expected.value
+        self._assert_matches_processes(series, schedule)
 
     @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
     def test_crypt_matches_processes(self, schedule):
         from repro.jgf.crypt import parallel as crypt
 
-        with config_override(default_schedule=schedule):
-            expected = crypt.run_backend("tiny", num_threads=3, backend="processes")
-            actual = crypt.run_backend("tiny", num_threads=3, backend="distributed")
-        assert actual.value == expected.value
+        self._assert_matches_processes(crypt, schedule)
+
+    @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
+    def test_sor_matches_processes(self, schedule):
+        """The kernel with a barrier (and a change set each way) per half-sweep."""
+        from repro.jgf.sor import parallel as sor
+
+        self._assert_matches_processes(sor, schedule)
 
     @pytest.mark.parametrize("schedule", CONFORMANCE_SCHEDULES)
     def test_sparse_matches_processes(self, schedule):
@@ -525,10 +797,7 @@ class TestDistributedExecution:
         plain ndarray (it raised ``TypeError`` on the ``RemoteArray``)."""
         from repro.jgf.sparse import parallel as sparse
 
-        with config_override(default_schedule=schedule):
-            expected = sparse.run_backend("tiny", num_threads=3, backend="processes")
-            actual = sparse.run_backend("tiny", num_threads=3, backend="distributed")
-        assert actual.value == expected.value
+        self._assert_matches_processes(sparse, schedule)
 
 
 class TestDeadMemberDetection:
@@ -553,7 +822,7 @@ class TestDeadMemberDetection:
             body.close()
 
     def test_region_after_a_death_still_works(self):
-        """Coordinators are per-region: a death must not poison the backend."""
+        """A team that lost a member is not handed back: a death must not poison the backend."""
         set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
         backend = DistributedBackend()
         body = _SharedFillBody(8)

@@ -10,6 +10,7 @@ responses.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
@@ -316,3 +317,25 @@ class TestProcessBackendService:
         assert worker.backend._pool is pool  # same pool instance: no respawn churn
         thread.drain()
         assert thread.service.dispatch.leaked_workers() == []
+
+
+class TestDistributedBackendService:
+    def test_parked_team_serves_and_drains_without_leaks(self, service):
+        """Any backend that keeps workers is retired by the drain, not only a
+        pool: each dispatch worker owns its team, and nothing is left of it."""
+        from repro.runtime.backend import backend_by_name
+
+        thread = service(backend="distributed", workers=1, num_threads=2)
+        worker = thread.service.dispatch.workers[0]
+        assert worker.backend is not backend_by_name("distributed")  # private, as a pool is
+        with client_for(thread) as client:
+            for _ in range(2):
+                done = client.submit("crypt", size="tiny", num_threads=2, wait=True, timeout=120, coalesce=False)
+                assert done["status"] == "done"
+                assert done["value"] == pytest.approx(KERNELS["crypt"].reference("tiny"))
+        spawned = [proc.pid for proc in worker.backend.live_workers()]
+        thread.drain()
+        assert thread.service.dispatch.leaked_workers() == []
+        # Reaped before the drain returned: not running, and no zombie either.
+        assert not any(os.path.exists(f"/proc/{pid}") for pid in spawned)
+
