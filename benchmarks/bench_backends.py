@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -51,6 +50,7 @@ from repro.jgf.sor import parallel as sor
 from repro.jgf.sparse import parallel as sparse
 from repro.runtime import shm
 from repro.runtime.backend import backend_by_name, free_threaded_build, gil_enabled
+from repro.runtime.config import usable_cpus
 
 #: bumped whenever the JSON payload shape changes (scripts/check_bench.py
 #: validates against this).
@@ -79,13 +79,6 @@ class Measurement:
     speedup_vs_serial: float
     value: float
     valid: bool
-
-
-def _available_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
 
 
 def _backend_available(name: str) -> bool:
@@ -168,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     args = parser.parse_args(argv)
 
-    cores = _available_cores()
+    cores = usable_cpus()
     paths = ("python", "vector") if args.mode == "full" else ("python",)
     rows: list[Measurement] = []
     started = time.perf_counter()

@@ -315,7 +315,7 @@ def run_backends_smoke() -> int:
         "size": "tiny",
         "workers": 2,
         "repeat": 1,
-        "available_cores": bench_backends._available_cores(),
+        "available_cores": bench_backends.usable_cpus(),
         "free_threaded_build": False,
         "gil_enabled": True,
         "backends": bench_backends.backend_rows(),

@@ -65,6 +65,7 @@ COUNTER_SPECS: "tuple[tuple[str, str, str | None, tuple[str, ...]], ...]" = (
      ("accepted", "rejected", "coalesced", "completed", "failed", "cancelled")),
     ("aomp_distributed_teams_total", "Distributed worker teams by lifecycle event (reused = a warm region).", "event",
      ("spawned", "reused", "retired")),
+    ("aomp_member_moves_total", "Team members re-placed because their master changed processor.", None, ()),
 )
 
 #: ``(name, help text)`` — histograms over seconds.  Bucket boundaries come
@@ -143,6 +144,7 @@ SERVICE_REQUEST_SLOTS = {
 DISTRIBUTED_TEAMS_SPAWNED = counter_slot("aomp_distributed_teams_total", "spawned")
 DISTRIBUTED_TEAMS_REUSED = counter_slot("aomp_distributed_teams_total", "reused")
 DISTRIBUTED_TEAMS_RETIRED = counter_slot("aomp_distributed_teams_total", "retired")
+MEMBER_MOVES = counter_slot("aomp_member_moves_total")
 
 
 # ---------------------------------------------------------------------------

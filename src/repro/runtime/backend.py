@@ -40,6 +40,7 @@ of :func:`repro.runtime.team.parallel_region` (a backend instance or name).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pickle
@@ -51,6 +52,8 @@ import warnings
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.runtime import shm
+import repro.obs.registry as obsreg
+from repro.runtime.config import get_config, usable_cpus
 from repro.runtime.dataplane import ShmDataPlane
 from repro.runtime.member import _encode_exception, _encode_result, body_payload, join_team
 
@@ -175,11 +178,13 @@ class _ParkedWorker:
     ``threading.Thread`` start and join.
     """
 
-    __slots__ = ("thread", "_wake", "_job")
+    __slots__ = ("thread", "cpu", "_wake", "_job")
 
     _ordinals = itertools.count()
 
     def __init__(self) -> None:
+        #: the one processor a master last asked this thread to run on
+        self.cpu: "int | None" = None
         self._wake = threading.Lock()
         self._wake.acquire()
         self._job: "tuple[Callable[[int], Any], int, _RegionJoin, str] | None" = None
@@ -187,6 +192,17 @@ class _ParkedWorker:
             target=self._serve, name=f"aomp-parked-{next(self._ordinals)}", daemon=True
         )
         self.thread.start()
+
+    def follow(self, cpu: int) -> None:
+        """Bind this parked thread to ``cpu``, the processor its next master is on."""
+        moved = self.cpu is not None
+        self.cpu = cpu  # remembered even if refused: one call per move, not per region
+        try:
+            os.sched_setaffinity(self.thread.native_id, (cpu,))
+        except OSError:
+            return  # a cpuset or sandbox said no: the worker runs where it is
+        if moved and get_config().metrics:
+            obsreg.inc(obsreg.MEMBER_MOVES)
 
     def dispatch(self, run_member: Callable[[int], Any], thread_id: int, join: _RegionJoin, name: str) -> None:
         self._job = (run_member, thread_id, join, name)
@@ -231,6 +247,24 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX in CI
     os.register_at_fork(after_in_child=_idle_workers.clear)
 
 
+@functools.lru_cache(maxsize=None)
+def _find_sched_getcpu() -> "Callable[[], int] | None":
+    """libc's ``sched_getcpu``, or ``None`` where members are not placed (no
+    such call, or one usable processor).  Looked for once, by the first
+    multi-member region: a program without one never opens libc through
+    ``ctypes``, and the mask is read when teams start, not at import."""
+    if hasattr(os, "sched_setaffinity") and usable_cpus() > 1:
+        try:
+            import ctypes
+
+            probe = ctypes.CDLL(None).sched_getcpu  # int sched_getcpu(void): ctypes' defaults
+            if probe() >= 0:
+                return probe
+        except (ImportError, OSError, AttributeError):  # no _ctypes, no libc, no symbol
+            pass
+    return None
+
+
 class ThreadBackend(Backend):
     """Run each non-master member on a worker thread; the master runs inline.
 
@@ -240,6 +274,15 @@ class ThreadBackend(Backend):
     thread parks on a process-wide idle stack and serves the next region,
     so ``threading.local`` state a body leaves behind is visible to a later
     region (use the team-scoped ``threadlocal`` construct instead).
+
+    Members that share a GIL cannot run Python side by side, so a hand-off
+    to a worker parked on another processor buys no parallelism and pays
+    that processor's wake-up, and the kernel never repairs it: two threads
+    that alternate on a lock do not look imbalanced.  The master therefore
+    binds each worker it takes to the processor it is itself running on (a
+    system call only when that differs from the worker's last place).  Its
+    own mask is never written, and a body that re-binds its thread keeps
+    what it set until its master next moves.
     """
 
     name = "threads"
@@ -276,9 +319,16 @@ class ThreadBackend(Backend):
                     worker = _ParkedWorker()
                 workers.append(worker)
                 member.thread = worker.thread
+            if workers and not self.true_parallel:
+                getcpu = _find_sched_getcpu()
+                if getcpu is not None:
+                    cpu = getcpu()
+                    for worker in workers:
+                        if worker.cpu != cpu:
+                            worker.follow(cpu)
         except BaseException:
-            # Thread exhaustion: nothing was dispatched yet, so hand back
-            # what was taken instead of stranding it.
+            # Thread exhaustion (or placement raised): nothing was dispatched
+            # yet, so hand back what was taken instead of stranding it.
             _idle_workers.extend(workers)
             raise
         join = _RegionJoin(len(workers))
@@ -562,7 +612,7 @@ class ProcessBackend(ExternalBackend):
                 pool.shutdown()
                 pool = self._pool = None
         if pool is None:
-            default = self._pool_workers or max(needed_workers, (os.cpu_count() or 2) - 1)
+            default = self._pool_workers or max(needed_workers, usable_cpus() - 1)
             try:
                 pool = PersistentProcessPool(max(needed_workers, default))
             except Exception:  # pragma: no cover - pool creation failure

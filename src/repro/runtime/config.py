@@ -30,6 +30,17 @@ def _env_pair(primary: str, fallback: "str | None" = None) -> "tuple[str, str | 
     return primary, None
 
 
+def usable_cpus() -> int:
+    """Processors this process may run on — its affinity mask, which ``taskset``,
+    a cpuset or a container shrinks — not the number installed.  The mask read
+    is the main thread's: a team member's own may be the one processor its
+    master was on (``ThreadBackend``)."""
+    try:
+        return len(os.sched_getaffinity(os.getpid()))
+    except (AttributeError, OSError):  # no such call on this platform
+        return os.cpu_count() or 1
+
+
 def _default_backend() -> str:
     """Backend name from ``AOMP_BACKEND`` (``serial`` | ``threads`` |
     ``processes`` | ``subinterp`` | ``distributed``).
@@ -69,7 +80,7 @@ def _default_num_threads() -> int:
         if value < 1:
             raise ValueError(f"{name} must be an integer >= 1; got {env!r}")
         return value
-    return max(1, os.cpu_count() or 1)
+    return usable_cpus()
 
 
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})

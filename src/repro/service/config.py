@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.runtime.config import usable_cpus
+
 
 def _default_service_host() -> str:
     """Bind address from ``AOMP_SERVICE_HOST`` (default loopback only)."""
@@ -50,7 +52,7 @@ def _default_service_workers() -> int:
         if value < 1:
             raise ValueError(f"AOMP_SERVICE_WORKERS must be an integer >= 1; got {env!r}")
         return value
-    return max(1, min(4, (os.cpu_count() or 2) // 2))
+    return max(1, min(4, usable_cpus() // 2))
 
 
 def _default_service_queue() -> int:

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import os
 import re
+import subprocess
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import pytest
@@ -42,6 +45,7 @@ from repro.runtime.config import (
     _default_retry_backoff,
     _default_schedule,
     _default_tune_cache,
+    usable_cpus,
 )
 from repro.runtime.exceptions import FaultSpecError
 from repro.runtime.faults import heartbeat_interval, heartbeat_timeout, parse_fault_spec
@@ -106,7 +110,8 @@ class EnvVarCase:
     fallback_garbage: "tuple[tuple[str, str], ...]" = field(default=())
 
 
-_CPU_DEFAULT = max(1, os.cpu_count() or 1)
+#: the processors this process may use (its affinity mask), not the ones installed
+_CPU_DEFAULT = usable_cpus()
 
 CASES = (
     EnvVarCase(
@@ -227,7 +232,7 @@ CASES = (
     EnvVarCase(
         var="AOMP_SERVICE_WORKERS",
         read=_default_service_workers,
-        default=max(1, min(4, (os.cpu_count() or 2) // 2)),
+        default=max(1, min(4, _CPU_DEFAULT // 2)),
         valid=(("1", 1), ("8", 8)),
         garbage=("many", "0", "-1", "2.5"),
     ),
@@ -365,6 +370,30 @@ class TestRuntimeConfigIntegration:
         assert config.on_failure == "degrade"
         assert config.max_retries == 1
         assert config.retry_backoff == 0.01
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks here")
+    def test_defaults_count_the_processors_the_process_may_use(self):
+        """Under ``taskset``/a cpuset every default follows the mask, not the box:
+        teams, pools and dispatch workers sized for processors the process
+        never gets only queue behind each other."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        script = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from repro.runtime.config import RuntimeConfig, usable_cpus\n"
+            "from repro.service.config import ServiceConfig\n"
+            "print(usable_cpus(), RuntimeConfig().num_threads, ServiceConfig().workers)\n"
+            "from repro.runtime.backend import ProcessBackend\n"
+            "pool = ProcessBackend()\n"
+            "if pool.prewarm(1):\n"
+            "    print(len(pool.live_workers()))\n"
+            "pool.shutdown()\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key not in ALL_VARS}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() in (["1", "1", "1", "1"], ["1", "1", "1"])  # the pool needs fork
 
     def test_construction_fails_loudly_on_garbage(self, monkeypatch):
         monkeypatch.setenv("AOMP_RETRY_BACKOFF", "whenever")

@@ -1,12 +1,13 @@
 """Stateful fuzzing of the runtime API with hypothesis rule-based machines.
 
 ROADMAP item 5's harness: a :class:`~hypothesis.stateful.RuleBasedStateMachine`
-interleaves parallel regions, workshared loops, explicit tasks, named locks and
-nested teams in randomised orders — the lifecycles the example-based
-conformance suites only exercise in fixed sequences.  Every rule checks the
-runtime's core invariants (results identical to a serial oracle, no leaked
-execution context, lock registry re-entrant across regions), so hypothesis
-shrinks any ordering bug it finds to a minimal reproducing step sequence.
+interleaves parallel regions, workshared loops, explicit tasks, named locks,
+nested teams and a master that changes processor in randomised orders — the
+lifecycles the example-based conformance suites only exercise in fixed
+sequences.  Every rule checks the runtime's core invariants (results identical
+to a serial oracle, no leaked execution context, lock registry re-entrant
+across regions), so hypothesis shrinks any ordering bug it finds to a minimal
+reproducing step sequence.
 
 Backends: serial and threads — the in-process backends where thousands of
 short regions are cheap.  The process/interpreter paths get their own
@@ -16,11 +17,14 @@ fuzz step would dominate the runtime without adding interleaving coverage.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test
 
+from repro.runtime import backend as backend_mod
 from repro.runtime import context as ctx
 from repro.runtime.backend import SerialBackend, ThreadBackend
 from repro.runtime.critical import critical_call
@@ -49,10 +53,23 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         super().__init__()
         self.backend = ThreadBackend()
         self.counter_total = 0  # serial oracle for every counting region run
+        #: the processors the fuzz thread (every region's master) may use, the
+        #: mask the machine last gave it, and the masks the members of the
+        #: last ``move_master`` region ran under
+        self.processors = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        self.master_mask = set(self.processors)
+        self.member_masks: "list[set[int]]" = []
 
     @initialize(backend=st.sampled_from(["serial", "threads"]))
     def pick_backend(self, backend):
         self.backend = SerialBackend() if backend == "serial" else ThreadBackend()
+        # Placement is decided once, by the first thread team, under the
+        # whole mask: before any move, whichever backend the rules run on.
+        parallel_region(lambda: None, num_threads=2, backend=ThreadBackend(), name="fuzz.prime")
+
+    def teardown(self):
+        if self.processors:
+            os.sched_setaffinity(0, self.processors)
 
     # -- rules ---------------------------------------------------------------
 
@@ -149,7 +166,30 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         assert records, "every outer member must have run an inner region"
         assert all(level == 2 for level, _, _ in records)
 
+    @rule(slot=st.integers(min_value=0, max_value=7), num_threads=st.integers(min_value=2, max_value=4))
+    def move_master(self, slot, num_threads):
+        """Pin the fuzz thread to another processor; the next team goes with it."""
+        if len(self.processors) < 2:
+            return
+        self.master_mask = {self.processors[slot % len(self.processors)]}
+        os.sched_setaffinity(0, self.master_mask)
+        masks = self.member_masks = []
+
+        def body():
+            masks.append(os.sched_getaffinity(0))
+
+        parallel_region(body, num_threads=num_threads, backend=self.backend, name="fuzz.move")
+
     # -- invariants ----------------------------------------------------------
+
+    @invariant()
+    def members_ran_beside_an_untouched_master(self):
+        """Whatever ran since, only the machine has written the master's mask,
+        and the members of a moved master's team ran where it was."""
+        if self.processors:
+            assert os.sched_getaffinity(0) == self.master_mask
+        if not ThreadBackend().true_parallel and backend_mod._find_sched_getcpu():
+            assert all(mask == self.master_mask for mask in self.member_masks)
 
     @invariant()
     def no_leaked_context(self):
@@ -180,5 +220,9 @@ def test_machine_rules_run_once_each():
     machine.task_region(tasks=4)
     machine.future_result(value=21)
     machine.nested_teams(outer=2, inner=2)
+    machine.move_master(slot=1, num_threads=3)
+    machine.spmd_region(num_threads=3)
+    machine.members_ran_beside_an_untouched_master()
     machine.no_leaked_context()
+    machine.teardown()
     global_locks.clear()
