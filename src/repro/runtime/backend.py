@@ -43,8 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import pickle
-import queue
 import sys
 import sysconfig
 import threading
@@ -55,7 +53,7 @@ from repro.runtime import shm
 import repro.obs.registry as obsreg
 from repro.runtime.config import get_config, usable_cpus
 from repro.runtime.dataplane import ShmDataPlane
-from repro.runtime.member import _encode_exception, _encode_result, body_payload, join_team
+from repro.runtime.member import FrameReader, _encode_exception, _encode_result, body_payload, join_team, send_frame
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -66,6 +64,10 @@ def free_threaded_build() -> bool:
     return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
+#: the live GIL probe of free-threaded builds; regular builds lack it
+_GIL_PROBE = getattr(sys, "_is_gil_enabled", None)
+
+
 def gil_enabled() -> bool:
     """Whether the GIL is actually active in this process.
 
@@ -74,10 +76,7 @@ def gil_enabled() -> bool:
     the live :func:`sys._is_gil_enabled` answer is authoritative where it
     exists; regular builds lack the probe and always hold the GIL.
     """
-    probe = getattr(sys, "_is_gil_enabled", None)
-    if probe is not None:
-        return bool(probe())
-    return True
+    return True if _GIL_PROBE is None else bool(_GIL_PROBE())
 
 
 class Backend:
@@ -467,8 +466,8 @@ class ProcessBackend(ExternalBackend):
     barriers are :class:`~repro.runtime.shm.SharedBarrier` instances, and
     dynamic/guided loop claims go through a pre-allocated
     :class:`~repro.runtime.shm.SyncArena`.  Member results and exceptions are
-    shipped back over a result channel, so ``BrokenTeamError`` semantics are
-    identical to the thread backend.
+    shipped back over a private reply pipe per member, so ``BrokenTeamError``
+    semantics are identical to the thread backend.
 
     Regions the backend cannot honour — regions whose aspects require a
     shared Python heap (``supports_shared_locals``) — run on the ``fallback``
@@ -519,17 +518,7 @@ class ProcessBackend(ExternalBackend):
             pool = self._ensure_pool(size - 1)
             if pool is not None:
                 pool.prepare(size)
-                return shm.ProcessSync(
-                    pool.barrier,
-                    pool.arena,
-                    pooled=True,
-                    steal=pool.steal,
-                    tune=pool.tune,
-                    heartbeat=pool.heartbeat,
-                    metrics=pool.metrics,
-                    body_bytes=body_bytes,
-                    owned=self._pool_lock,
-                )
+                return pool.region_sync(body_bytes, self._pool_lock)
             self._pool_lock.release()
         return self._plane.create_sync(size)
 
@@ -552,21 +541,34 @@ class ProcessBackend(ExternalBackend):
 
     def _run_forked(self, team: "Team", run_member: Callable[[int], Any]) -> Any:
         ctx = shm._mp_context()
-        channel = ResultChannel(ctx)
 
-        def child(thread_id: int) -> None:
+        def child(thread_id: int, reply_fd: int) -> None:
             try:
                 reply = (_encode_result(run_member(thread_id)), None)
             except BaseException as exc:
                 reply = (None, _encode_exception(exc))
-            channel.put((thread_id, reply))
+            send_frame(reply_fd, (thread_id, reply))
 
-        workers = [
-            ctx.Process(target=child, args=(member.thread_id,), daemon=True, name=f"aomp-proc-{member.thread_id}")
-            for member in team.members[1:]
-        ]
-        for worker in workers:
-            worker.start()
+        # One reply pipe per member, its write end closed here as soon as its
+        # child holds it: a child that dies without replying leaves EOF.
+        workers, read_fds = [], []
+        try:
+            for member in team.members[1:]:
+                read_fd, write_fd = os.pipe()
+                read_fds.append(read_fd)
+                worker = ctx.Process(
+                    target=child, args=(member.thread_id, write_fd), daemon=True, name=f"aomp-proc-{member.thread_id}"
+                )
+                try:
+                    worker.start()
+                finally:
+                    os.close(write_fd)
+                workers.append(worker)
+        except BaseException:
+            for fd in read_fds:
+                os.close(fd)
+            raise
+        replies = FrameReader(read_fds)
 
         def dead_workers() -> list:
             # Fork path: worker i *is* member i+1, and a worker that finished
@@ -585,11 +587,12 @@ class ProcessBackend(ExternalBackend):
                 if worker.is_alive():
                     worker.terminate()
                     worker.join(timeout=1.0)
+            replies.close()
 
         return join_team(
             team,
             run_member,
-            receive=channel.get,
+            receive=replies.get,
             alive=lambda: any(worker.is_alive() for worker in workers),
             dead_workers=dead_workers,
             reap=reap,
@@ -598,9 +601,12 @@ class ProcessBackend(ExternalBackend):
     # -- helpers --------------------------------------------------------------
 
     def _ensure_pool(self, needed_workers: int):
+        pool = self._pool
+        if pool is not None and pool.workers >= needed_workers and pool.healthy:
+            return pool
+        # Lazy: a program that never pools never loads the pool module.
         from repro.runtime.procpool import PersistentProcessPool
 
-        pool = self._pool
         if pool is not None and pool.workers < needed_workers:
             pool.shutdown()
             pool = self._pool = None
@@ -662,31 +668,6 @@ class ProcessBackend(ExternalBackend):
             if self._pool is not None:
                 self._pool.shutdown()
                 self._pool = None
-
-
-class ResultChannel:
-    """Many-writer, one-reader pipe the members of a region report over.
-
-    What the collecting master needs and ``multiprocessing.SimpleQueue`` does
-    not offer is a *timed* read; owning the pipe gives one through
-    ``Connection.poll``.  Create it before the workers fork: they inherit
-    both ends and the writer lock.
-    """
-
-    def __init__(self, ctx) -> None:
-        self._reader, self._writer = ctx.Pipe(duplex=False)
-        self._write_lock = ctx.Lock()
-
-    def put(self, item: Any) -> None:
-        data = pickle.dumps(item)
-        with self._write_lock:
-            self._writer.send_bytes(data)
-
-    def get(self, timeout: float) -> Any:
-        """The next item; :class:`queue.Empty` when none arrives in ``timeout`` seconds."""
-        if not self._reader.poll(timeout):
-            raise queue.Empty
-        return pickle.loads(self._reader.recv_bytes())
 
 
 # ---------------------------------------------------------------------------
@@ -763,10 +744,13 @@ def backend_by_name(name: str) -> Backend:
         raise ValueError(
             f"unknown backend {name!r}; valid backends: {', '.join(available_backends())}"
         ) from None
-    with _backend_lock:
-        if canonical not in _named_instances:
-            _named_instances[canonical] = _BACKEND_FACTORIES[canonical]()
-        return _named_instances[canonical]
+    instance = _named_instances.get(canonical)
+    if instance is None:  # the lock guards creation only
+        with _backend_lock:
+            instance = _named_instances.get(canonical)
+            if instance is None:
+                instance = _named_instances[canonical] = _BACKEND_FACTORIES[canonical]()
+    return instance
 
 
 def resolve_backend(spec: "Backend | str | None" = None) -> Backend:

@@ -65,6 +65,11 @@ _UNSET = object()
 class CyclicBarrier:
     """A reusable barrier for a fixed number of parties.
 
+    A party that has to wait sleeps on a lock of its own, and the round's
+    last arrival releases each such lock once: one wake-up per waiting
+    party, and no condition variable (whose waits and notifies cost a
+    reentrant lock's save/restore on both sides).
+
     Parameters
     ----------
     parties:
@@ -73,7 +78,9 @@ class CyclicBarrier:
     action:
         Optional callable invoked exactly once per round, by the last thread
         to arrive, before the others are released (mirrors
-        ``java.util.concurrent.CyclicBarrier``'s barrier action).
+        ``java.util.concurrent.CyclicBarrier``'s barrier action).  It runs
+        under the barrier's (non-reentrant) lock and must not call back into
+        the barrier.
     timeout:
         Default per-round wait bound; when omitted, resolved from the
         ``AOMP_BARRIER_TIMEOUT`` environment variable at construction time
@@ -100,7 +107,9 @@ class CyclicBarrier:
         self._action = action
         self._timeout = _default_barrier_timeout() if timeout is _UNSET else timeout
         self.transport = transport
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        #: one held lock per party waiting in the current round
+        self._sleepers: "list[threading.Lock]" = []
         self._generation = 0
         self._waiting = 0
         self._broken = False
@@ -114,7 +123,7 @@ class CyclicBarrier:
     @property
     def n_waiting(self) -> int:
         """Number of threads currently blocked in :meth:`wait`."""
-        with self._cond:
+        with self._lock:
             return self._waiting
 
     @property
@@ -142,7 +151,7 @@ class CyclicBarrier:
         """
         if timeout is _UNSET:
             timeout = self._timeout
-        with self._cond:
+        with self._lock:
             if self._broken:
                 raise BrokenBarrierError("barrier is broken")
             generation = self._generation
@@ -156,41 +165,53 @@ class CyclicBarrier:
                     if self._action is not None:
                         self._action()
                 except BaseException:
-                    self._broken = True
-                    self._broken_generations.add(generation)
-                    self._waiting = 0
-                    self._generation += 1
-                    self._cond.notify_all()
+                    self._break(generation)
                     raise
-                self._waiting = 0
-                self._generation += 1
-                self._cond.notify_all()
+                self._next_generation()
                 return index
-            while generation == self._generation:
-                if self._broken:
-                    break
-                if not self._cond.wait(timeout):
+            sleeper = threading.Lock()
+            sleeper.acquire()
+            self._sleepers.append(sleeper)
+        if not sleeper.acquire(True, -1 if timeout is None else timeout):
+            with self._lock:
+                if sleeper in self._sleepers:
+                    # Nobody released this round: it timed out, here first.
                     arrived = self._waiting
-                    self._broken = True
-                    self._broken_generations.add(generation)
-                    self._waiting = 0
-                    self._generation += 1
-                    self._cond.notify_all()
+                    self._break(generation)
                     where = f" [{self.transport}]" if self.transport else ""
                     raise BrokenBarrierError(
                         f"barrier wait timed out after {timeout:g}s "
                         f"({arrived} of {self._parties} parties arrived){where}"
                     )
-            if self._broken or generation in self._broken_generations:
-                raise BrokenBarrierError("barrier is broken")
-            return index
+        # Released: whoever did it set the round's outcome first.
+        if self._broken or generation in self._broken_generations:
+            raise BrokenBarrierError("barrier is broken")
+        return index
+
+    def _wake_sleepers(self) -> None:
+        """Release every party asleep in the current round (lock held)."""
+        sleepers, self._sleepers = self._sleepers, []
+        for sleeper in sleepers:
+            sleeper.release()
+
+    def _next_generation(self) -> None:
+        """Close the current round and wake its sleepers (lock held)."""
+        self._waiting = 0
+        self._generation += 1
+        self._wake_sleepers()
+
+    def _break(self, generation: int) -> None:
+        """Break round ``generation`` and every later one (lock held)."""
+        self._broken = True
+        self._broken_generations.add(generation)
+        self._next_generation()
 
     def abort(self) -> None:
         """Break the barrier permanently, waking all waiters with an error."""
-        with self._cond:
+        with self._lock:
             self._broken = True
             self._broken_generations.add(self._generation)
-            self._cond.notify_all()
+            self._wake_sleepers()
 
     def reset(self) -> None:
         """Reset the barrier to a fresh, unbroken state.
@@ -198,10 +219,8 @@ class CyclicBarrier:
         Threads currently waiting are released with :class:`BrokenBarrierError`;
         subsequent rounds proceed normally.
         """
-        with self._cond:
+        with self._lock:
             if self._waiting:
                 self._broken_generations.add(self._generation)
-            self._generation += 1
-            self._waiting = 0
             self._broken = False
-            self._cond.notify_all()
+            self._next_generation()

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from repro.runtime.team import Team
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecutionContext:
     """One frame of parallel-region context for a single thread.
 

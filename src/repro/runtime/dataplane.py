@@ -1076,9 +1076,6 @@ class SessionHeartbeat:
     def arrivals(self, size: int) -> "list[int]":
         return [0] * size
 
-    def member_for_pid(self, pid: int) -> "int | None":
-        return None
-
 
 def worker_process_sync(session: WorkerSession, size: int) -> shm.ProcessSync:
     """The proxy ``ProcessSync`` bundle a socket-plane worker member runs on."""

@@ -42,11 +42,12 @@ import time
 from typing import TYPE_CHECKING, Any, Callable
 
 import repro.obs.registry as obsreg
+from repro.obs.exposition import suppress_exporter
 from repro.runtime import dataplane, shm
 from repro.runtime.barrier import _default_barrier_timeout
 from repro.runtime.backend import Backend, ExternalBackend
 from repro.runtime.config import get_config
-from repro.runtime.member import describe_region, join_team, path_prelude, run_shipped_member
+from repro.runtime.member import WorkerState, describe_region, join_team, path_prelude, run_shipped_member
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -91,14 +92,15 @@ def _worker_main(host: str, port: int, token: str, member: int) -> None:
     stdio and leaves through ``os._exit`` as ``multiprocessing`` children do.
     """
     code = 0
+    suppress_exporter()  # only the master serves scrapes: it alone holds the team-wide counts
     try:
-        session = dataplane.WorkerSession(host, port, token, member)
+        session, state = dataplane.WorkerSession(host, port, token, member), WorkerState()
         try:
             descriptor = session.descriptor
             while descriptor is not None:
                 session.metrics = descriptor["config"]["metrics"]
                 sync = dataplane.worker_process_sync(session, descriptor["size"])
-                session.send_result(member, *run_shipped_member(descriptor, member, sync))
+                session.send_result(member, *run_shipped_member(descriptor, member, sync, state))
                 descriptor = session.next_region()
         finally:
             session.close()

@@ -478,6 +478,15 @@ class WorkerMonitor:
         """Whether the monitor already diagnosed a loss and aborted the team."""
         return bool(self.deaths or self.stalled)
 
+    def rearm(self, team: Any) -> None:
+        """Watch ``team`` from now on, with nothing diagnosed yet: how one
+        long-lived watcher's monitor (the persistent pool's) serves region
+        after region."""
+        self._team = team
+        self._metrics = bool(getattr(team, "metrics", False))
+        self.deaths = []
+        self.stalled = []
+
     def start(self) -> None:
         if self._thread is not None:
             return  # idempotent: a second start must not orphan the first thread
@@ -554,7 +563,7 @@ class WorkerMonitor:
         except Exception:  # pragma: no cover - teardown race
             return True
         if dead:
-            self.deaths = [self._identify(member, pid, code) for member, pid, code in dead]
+            self.deaths = dead
         elif self._stall_timeout is not None and self._heartbeat is not None:
             self.stalled = [
                 member.thread_id
@@ -583,13 +592,6 @@ class WorkerMonitor:
                 obsreg.set_gauge("aomp_member_alive", {"member": member}, 0.0)
         for member in self.stalled:
             obsreg.set_gauge("aomp_member_alive", {"member": member}, 0.0)
-
-    def _identify(
-        self, member: "int | None", pid: "int | None", exitcode: "int | None"
-    ) -> "tuple[int | None, int | None, int | None]":
-        if member is None and pid is not None and self._heartbeat is not None:
-            member = self._heartbeat.member_for_pid(pid)
-        return (member, pid, exitcode)
 
     def _record_deaths(self) -> None:
         team = self._team

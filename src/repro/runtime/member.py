@@ -18,14 +18,20 @@ reply leaves*:
 
 A tier therefore supplies four things and nothing else: a way to deliver
 the descriptor, a sync bundle on the worker's side, a way to deliver the
-reply, and a way to say who is dead.
+reply, and a way to say who is dead.  The pool, fork and subinterpreter
+tiers deliver both over *private* pipes — one writer and one reader each, so
+no lock — in :func:`send_frame` frames, and the master reads every member's
+reply pipe as one timed channel (:class:`FrameReader`).
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue
+import select
 import signal
+import struct
 import sys
 import time
 from typing import TYPE_CHECKING, Any, Callable
@@ -33,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import faults, shm, tasks
-from repro.runtime.config import config_override, get_config
+from repro.runtime.config import RuntimeConfig, get_config, set_config
 from repro.runtime.exceptions import WorkerProcessError
 from repro.runtime.trace import EventKind
 
@@ -201,26 +207,66 @@ def describe_region(team: "Team", body_bytes: bytes) -> "dict[str, Any]":
     }
 
 
-#: the ``descriptor["faults"]`` value this worker last installed (``False``:
-#: none yet), so an unchanged spec is not re-parsed — and its rule state not
-#: reset — on every region a long-lived worker serves.
-_shipped_faults: Any = False
+class WorkerState:
+    """What a long-lived worker carries from one region to the next.
 
+    A pool worker or a parked socket worker runs one shipped member after
+    another; handing each the same state lets a region rebuild only what its
+    descriptor says changed.  The fault plan is re-parsed — and its rule
+    state reset — only for a different spec, the configuration rebuilt only
+    for different fields, and the shared arrays the last body attached stay
+    mapped for a body that names them again: at most one body's, so nothing
+    grows with the number of regions, and only while regions keep coming (a
+    pool worker closes them once idle, a parked socket worker retires).
+    """
 
-def _install_fault_plan(shipped: "tuple[str, int] | None") -> None:
-    global _shipped_faults
-    if shipped == _shipped_faults:
-        return
-    plan = None
-    if shipped is not None:
-        plan = faults.parse_fault_spec(shipped[0])
-        plan.origin_pid = shipped[1]
-    faults.set_fault_plan(plan)
-    _shipped_faults = shipped
+    def __init__(self) -> None:
+        #: ``(descriptor["faults"], the plan installed from it)``
+        self._faults: Any = (False, None)
+        #: ``(base, fields, config)``: the worker's own configuration, the
+        #: master's shipped fields, and the configuration built from the two
+        self._config: Any = None
+        #: the shared arrays the last body attached
+        self._arrays: "list[shm.SharedArray]" = []
+
+    def install_faults(self, shipped: "tuple[str, int] | None") -> None:
+        """Install the master's fault plan, unless it is the one installed."""
+        spec, plan = self._faults
+        if shipped == spec and faults.current_plan() is plan:
+            return
+        plan = None
+        if shipped is not None:
+            plan = faults.parse_fault_spec(shipped[0])
+            plan.origin_pid = shipped[1]
+        faults.set_fault_plan(plan)
+        self._faults = (shipped, plan)
+
+    def config(self, fields: "dict[str, Any]") -> RuntimeConfig:
+        """The configuration to run under: the master's shipped ``fields``
+        over the worker's own, rebuilt only when either changed."""
+        base = get_config()
+        memo = self._config
+        if memo is None or memo[0] is not base or memo[1] != fields:
+            # Nested regions spawned inside a worker run as thread sub-teams,
+            # and a worker's trace events could not reach the master's recorder.
+            memo = self._config = (base, fields, base.with_updates(tracing=False, backend="threads", **fields))
+        return memo[2]
+
+    def load(self, body: bytes) -> Any:
+        """Unpickle a region body, reusing the last body's attachments."""
+        kept, self._arrays = self._arrays, []
+        loaded, self._arrays = shm.loads_tracking_attachments(body, kept)
+        return loaded
+
+    def close(self) -> None:
+        """Detach the kept arrays (a worker that runs no further region)."""
+        arrays, self._arrays = self._arrays, []
+        for array in arrays:
+            array.close()
 
 
 def run_shipped_member(
-    descriptor: "dict[str, Any]", thread_id: int, sync: "shm.ProcessSync"
+    descriptor: "dict[str, Any]", thread_id: int, sync: "shm.ProcessSync", state: "WorkerState | None" = None
 ) -> "tuple[bytes | None, bytes | str | None]":
     """Run member ``thread_id`` of the region ``descriptor`` names, over ``sync``.
 
@@ -229,22 +275,18 @@ def run_shipped_member(
     plan, run :func:`run_member`, and return the reply — the pickled result
     and ``None``, or ``None`` and the encoded exception.  Never raises: a
     failure anywhere aborts the team barrier (releasing siblings blocked in
-    it) and travels back in the reply.
+    it) and travels back in the reply.  A long-lived worker passes the
+    :class:`WorkerState` it keeps between regions; without one nothing is
+    kept.
     """
-    # Lazy: team.py imports this module, and the exposition stack is only
-    # loaded where a worker actually starts.
-    from repro.obs.exposition import suppress_exporter
-    from repro.runtime.team import Team
+    from repro.runtime.team import Team  # team.py imports this module
 
-    # Only the master serves scrapes: it alone holds the team-wide counts.
-    suppress_exporter()
-    attached: "list[shm.SharedArray]" = []
+    kept = state if state is not None else WorkerState()
     try:
-        _install_fault_plan(descriptor["faults"])
-        # Nested regions spawned inside a worker run as thread sub-teams, and
-        # a worker's trace events could not reach the master's recorder.
-        with config_override(tracing=False, backend="threads", **descriptor["config"]):
-            body, attached = shm.loads_tracking_attachments(descriptor["body"])
+        kept.install_faults(descriptor["faults"])
+        body = kept.load(descriptor["body"])
+        previous = set_config(kept.config(descriptor["config"]))
+        try:
             team = Team(
                 descriptor["size"],
                 region_id=descriptor["region_id"],
@@ -255,6 +297,8 @@ def run_shipped_member(
             team.fault_region = descriptor["fault_region"]
             team.backend_name = descriptor["backend"]
             return _encode_result(run_member(team, thread_id, body)), None
+        finally:
+            set_config(previous)
     except BaseException as exc:  # noqa: BLE001 - shipped to the master
         try:
             sync.barrier.abort()
@@ -262,12 +306,8 @@ def run_shipped_member(
             pass  # transport already gone; the master's loss path reports this member
         return None, _encode_exception(exc)
     finally:
-        # A long-lived worker re-attaches the arrays its pickled body names
-        # on every region; detach them (the reply already encoded any it
-        # references by segment name) or the worker gains a mapping and an fd
-        # per array per region.
-        for array in attached:
-            array.close()
+        if state is None:
+            kept.close()
 
 
 # ---------------------------------------------------------------------------
@@ -299,17 +339,19 @@ def join_team(
     ``barrier_bound`` is the team barrier's own timeout (``None``: unbounded)
     — a healthy worker legitimately blocked in a long barrier must not be
     declared lost by a join deadline shorter than the barrier's.  ``watcher``
-    is an object with ``watch(monitor)``/``unwatch(monitor)`` that drives the
-    liveness checks (the pool's long-lived watcher thread); without one the
-    monitor runs its own thread for the region.  Returns the master's result;
-    member failures are recorded on the team, never raised from here.
+    is an object whose ``watch(team)`` returns a
+    :class:`~repro.runtime.faults.WorkerMonitor` it drives for the region —
+    its own, re-armed, with its own ``dead_workers`` (the pool's long-lived
+    watcher thread) — and whose ``unwatch(monitor)`` disarms it; without one
+    a monitor of the region's own runs its own thread.  Returns the master's
+    result; member failures are recorded on the team, never raised from here.
     """
-    sync = team.process_sync
-    monitor = faults.WorkerMonitor(team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None)
     if watcher is None:
+        sync = team.process_sync
+        monitor = faults.WorkerMonitor(team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None)
         monitor.start()
     else:
-        watcher.watch(monitor)
+        monitor = watcher.watch(team)
     master_result: Any = None
     try:
         master_result = run_member(0)
@@ -468,6 +510,73 @@ def _worker_death_message(team: "Team", member: int, pid: "int | None", exitcode
     if exitcode is not None:
         return f"{who} for {where} exited with code {exitcode} before reporting"
     return f"{who} for {where} died without reporting"
+
+
+# ---------------------------------------------------------------------------
+# Private pipes: descriptors out, replies back.  Each pipe has one writer and
+# one reader, so a frame needs no lock even when it is longer than the
+# pipe's atomic write size.
+# ---------------------------------------------------------------------------
+
+_FRAME = struct.Struct("<I")
+
+
+def send_frame(fd: int, item: Any) -> None:
+    """Write ``item`` to pipe ``fd`` as one ``<I``-length-prefixed pickle."""
+    data = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
+    view = memoryview(_FRAME.pack(len(data)) + data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+class FrameReader:
+    """:func:`send_frame` frames arriving on private pipes, read as one timed
+    channel: the master's reply pipes (``receive`` of :func:`join_team`), a
+    pool worker's task pipe.
+
+    A frame may arrive in pieces.  A pipe whose writer has gone (EOF) is
+    dropped and ends the read at once, so the join's liveness checks, not a
+    read deadline, decide when its member is given up on.
+    """
+
+    def __init__(self, fds: "list[int]") -> None:
+        self.fds = list(fds)
+        self._buffers = {fd: bytearray() for fd in fds}
+        self._poll = select.poll()
+        for fd in fds:
+            self._poll.register(fd, select.POLLIN)
+
+    def get(self, timeout: "float | None" = None) -> Any:
+        """The next complete frame; :class:`queue.Empty` when none lands in
+        ``timeout`` seconds (``None``: however long) or a writer has gone."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            for buffer in self._buffers.values():
+                if len(buffer) >= _FRAME.size and len(buffer) >= (end := _FRAME.size + _FRAME.unpack_from(buffer)[0]):
+                    item = pickle.loads(buffer[_FRAME.size : end])
+                    del buffer[:end]
+                    return item
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic()) * 1000.0
+            events = self._poll.poll(wait)
+            if not events:
+                raise queue.Empty
+            for fd, _event in events:
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    self._poll.unregister(fd)
+                    del self._buffers[fd]
+                    raise queue.Empty
+                self._buffers[fd] += chunk
+
+    @property
+    def open(self) -> bool:
+        """Whether any writer is still there."""
+        return bool(self._buffers)
+
+    def close(self) -> None:
+        """Close the read ends (every pipe's, also those already at EOF)."""
+        for fd in self.fds:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,46 +4,74 @@ Forking per region is cheap on Linux but not free; regions whose bodies are
 *picklable* SPMD callables (bound methods of kernels whose arrays live in
 shared memory) can instead be dispatched to this pool of long-lived worker
 processes.  The pool owns the cross-process synchronisation objects — one
-reusable :class:`~repro.runtime.shm.SharedBarrier` and one
-:class:`~repro.runtime.shm.SyncArena` — created *before* the workers fork so
-every worker inherits them; they are reset between regions — and one watcher
-thread that checks worker liveness for whichever region is in flight.
+reusable :class:`~repro.runtime.shm.SharedBarrier` and the claim, steal,
+tune, heartbeat and metric arenas — created *before* the workers fork so
+every worker inherits them; they are reset between regions.  Each worker has
+two private pipes, descriptors in and replies out, and member ``k`` of a
+region always runs on worker ``k - 1``: only one region owns the pool at a
+time (the backend serialises access), so a pipe has one writer and one
+reader and needs no lock.  One watcher thread, with one monitor, checks
+worker liveness for whichever region is in flight.
 
-Only one region executes on the pool at a time (the backend serialises
-access); arbitrary non-picklable region bodies always use the backend's
+Arbitrary non-picklable region bodies always use the backend's
 fork-per-region path instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import queue
 import threading
 
 import repro.obs.registry as obsreg
+from repro.obs.exposition import suppress_exporter
 from repro.runtime import faults, shm
-from repro.runtime.backend import ResultChannel
 from repro.runtime.config import get_config
 from repro.runtime.dataplane import ShmDataPlane
-from repro.runtime.member import describe_region, join_team, run_shipped_member
+from repro.runtime.member import (
+    FrameReader,
+    WorkerState,
+    describe_region,
+    join_team,
+    run_shipped_member,
+    send_frame,
+)
 
-#: sentinel telling workers to exit
-_STOP = None
+
+#: Seconds without a task after which a worker lets go of the shared arrays
+#: its last body attached: the master may have unlinked them since, and their
+#: memory is only freed once every mapping is gone.
+IDLE_RELEASE = 1.0
 
 
-def _pool_worker(task_queue, result_queue, sync: "shm.ProcessSync") -> None:
-    """Worker loop (runs in a forked child): one team member per task message.
+def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "list[int]") -> None:
+    """Worker loop (runs in a forked child): one team member per task frame.
 
     A task is ``(ticket, thread_id, descriptor)``; the reply is the member's
-    encoded outcome under the same ticket and id.
+    encoded outcome under the same ticket and id.  ``None`` — or the master's
+    end of the pipe closing — sends the worker home.  ``inherited`` are the
+    master's ends of every pipe this child was forked with; closing them is
+    what lets a pipe report its other side gone.
     """
-    import repro.obs.exposition  # noqa: F401 - loaded at fork, not inside the first region
-
+    for fd in inherited:
+        os.close(fd)
+    suppress_exporter()  # only the master serves scrapes: it alone holds the team-wide counts
+    reader, state, wait = FrameReader([tasks]), WorkerState(), IDLE_RELEASE
     while True:
-        task = task_queue.get()
-        if task is _STOP:
-            break
+        try:
+            task = reader.get(wait)
+        except queue.Empty:
+            if not reader.open:
+                return  # the master has gone
+            state.close()  # idle: nothing kept mapped until the next task
+            wait = None
+            continue
+        if task is None:
+            return
         ticket, thread_id, descriptor = task
-        result_queue.put((ticket, thread_id, run_shipped_member(descriptor, thread_id, sync)))
+        send_frame(replies, (ticket, thread_id, run_shipped_member(descriptor, thread_id, sync, state)))
+        wait = IDLE_RELEASE
 
 
 class PersistentProcessPool:
@@ -57,13 +85,12 @@ class PersistentProcessPool:
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"pool needs at least 1 worker, got {workers}")
-        # The pool's contract is fork inheritance: barrier, arenas and queues
+        # The pool's contract is fork inheritance: barrier, arenas and pipes
         # below are created first and handed to the children by address-space
         # inheritance.  Fail loudly (BackendError) rather than let a spawn/
         # forkserver platform break the handoff silently — _mp_context() pins
         # the explicit "fork" context, never the ambient default.
         shm.require_fork("the persistent process pool")
-        ctx = shm._mp_context()
         self.workers = workers
         # Constructed through the shm data plane (the barrier starts with one
         # party and is reset per region; the steal arena gets the full
@@ -75,30 +102,55 @@ class PersistentProcessPool:
         self.tune = self._sync.tune
         self.heartbeat = self._sync.heartbeat
         self.metrics = self._sync.metrics
-        self._tasks = ctx.SimpleQueue()
-        self._results = ResultChannel(ctx)
         self._tickets = itertools.count(1)
-        self._procs = [
-            ctx.Process(
-                target=_pool_worker,
-                args=(self._tasks, self._results, self._sync),
-                daemon=True,
-                name=f"aomp-pool-{i}",
-            )
-            for i in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._start_workers()
         self._shutdown = False
         self._broken = False
         self._condemned = False
-        # One watcher thread for the pool's lifetime, armed per region with
-        # that region's WorkerMonitor and parked in between.
+        # One watcher thread and one monitor for the pool's lifetime, armed
+        # per region with that region's team and parked in between.
+        self._monitor = faults.WorkerMonitor(None, lambda: self.dead_workers(), heartbeat=self.heartbeat)
         self._watch_cond = threading.Condition()
         self._watching: "faults.WorkerMonitor | None" = None
         self._watcher_parked = False
         self._watcher = threading.Thread(target=self._watch_loop, name="aomp-pool-watcher", daemon=True)
         self._watcher.start()
+
+    def _start_workers(self) -> None:
+        """Fork a generation of workers, each with its two private pipes.
+
+        A pipe is created just before its worker forks and the master closes
+        the worker's ends just after, so no later worker inherits them: a
+        worker that dies leaves its reply pipe at EOF and its task pipe
+        without a reader.
+        """
+        ctx = shm._mp_context()
+        self._procs = []
+        self._tasks: "list[int]" = []
+        replies: "list[int]" = []
+        for i in range(self.workers):
+            task_read, task_write = os.pipe()
+            reply_read, reply_write = os.pipe()
+            proc = ctx.Process(
+                target=_pool_worker,
+                args=(task_read, reply_write, self._sync, [*self._tasks, *replies, task_write, reply_read]),
+                daemon=True,
+                name=f"aomp-pool-{i}",
+            )
+            try:
+                proc.start()
+            finally:
+                os.close(task_read)
+                os.close(reply_write)
+            self._procs.append(proc)
+            self._tasks.append(task_write)
+            replies.append(reply_read)
+        self._replies = FrameReader(replies)
+
+    def _close_pipes(self) -> None:
+        for fd in self._tasks:
+            os.close(fd)
+        self._replies.close()
 
     @property
     def healthy(self) -> bool:
@@ -121,10 +173,17 @@ class PersistentProcessPool:
             # leak into the next region's drain.
             self._sync.metrics.reset()
 
+    def region_sync(self, body_bytes: bytes, owned) -> "shm.ProcessSync":
+        """The pool's one sync bundle, carrying this region's body and the lock
+        it holds the pool by (regions run one at a time)."""
+        sync = self._sync
+        sync.body_bytes, sync.owned = body_bytes, owned
+        return sync
+
     def run_region(self, team, run_member, body_bytes: bytes):
         """Run ``team``'s region on the pool; returns the master's result.
 
-        One task per non-master member goes out under a fresh ticket, and
+        Member ``k``'s task goes to worker ``k - 1`` under a fresh ticket, and
         replies carrying an earlier (aborted) region's ticket are discarded.
         If workers die or the deadline passes, the remaining members are left
         unreported (the join turns them into ``WorkerProcessError``) and the
@@ -135,48 +194,54 @@ class PersistentProcessPool:
         ticket = next(self._tickets)
         descriptor = describe_region(team, body_bytes)
         for member in team.members[1:]:
-            self._tasks.put((ticket, member.thread_id, descriptor))
+            try:
+                send_frame(self._tasks[member.thread_id - 1], (ticket, member.thread_id, descriptor))
+            except OSError:
+                pass  # the worker is gone: the join's liveness checks name it
 
         def give_up() -> None:
             self._broken = True
 
-        return join_team(
-            team,
-            run_member,
-            receive=self._results.get,
-            accept=lambda item: item[1:] if item[0] == ticket else None,
-            alive=lambda: self.healthy,
-            dead_workers=self.dead_workers,
-            watcher=self,
-            on_give_up=give_up,
-        )
+        try:
+            return join_team(
+                team,
+                run_member,
+                receive=self._replies.get,
+                accept=lambda item: item[1:] if item[0] == ticket else None,
+                alive=lambda: self.healthy,
+                dead_workers=self.dead_workers,
+                watcher=self,
+                on_give_up=give_up,
+            )
+        finally:
+            self._monitor.rearm(None)  # a parked pool pins no region's team
 
     def dead_workers(self) -> "list[tuple[int | None, int | None, int | None]]":
-        """``(member, pid, exitcode)`` per exited worker (member via heartbeat).
-
-        Unlike the fork path, a pool worker has no fixed member identity —
-        the heartbeat arena's pid cells, written at region entry, provide
-        the mapping; a worker that died before claiming a member maps to
-        ``None`` (the monitor still aborts the team).
-        """
+        """``(member, pid, exitcode)`` per exited worker: worker ``i`` serves
+        member ``i + 1`` (``None`` when the region has no such member)."""
         dead = []
-        for proc in self._procs:
-            if proc.exitcode is not None:
-                dead.append((self.heartbeat.member_for_pid(proc.pid), proc.pid, proc.exitcode))
+        parties = self.barrier.parties
+        for index, proc in enumerate(self._procs):
+            if (code := proc.exitcode) is not None:
+                dead.append((index + 1 if index + 1 < parties else None, proc.pid, code))
         return dead
 
-    def watch(self, monitor: "faults.WorkerMonitor") -> None:
-        """Arm the pool's watcher with ``monitor`` for the region in flight.
+    def watch(self, team) -> "faults.WorkerMonitor":
+        """Arm the pool's watcher for ``team``, the region in flight.
 
         Dead workers and, when configured, stale heartbeats abort the team
         within a heartbeat interval, exactly as a monitor thread of the
         region's own would — without starting and joining one per region.
+        Returns the monitor the join reads the diagnosis from.
         """
-        monitor.publish_liveness()
+        monitor = self._monitor
         with self._watch_cond:
+            monitor.rearm(team)
             self._watching = monitor
             if self._watcher_parked:
                 self._watch_cond.notify()
+        monitor.publish_liveness()
+        return monitor
 
     def unwatch(self, monitor: "faults.WorkerMonitor") -> None:
         """Disarm the watcher; on return no check of ``monitor`` is running.
@@ -238,17 +303,14 @@ class PersistentProcessPool:
         """Rebuild the pool's workers in place; ``False`` if it cannot be saved.
 
         A worker killed *while holding* one of the shared synchronisation
-        locks (an arena lock, the barrier's condition) leaves it locked
-        forever; each is probed with a short timeout and any poisoned lock
-        vetoes healing — those are the warm, preallocated primitives whose
-        reuse the pool exists for.  The task/result queues cannot be probed
-        the same way: an idle worker blocks inside ``SimpleQueue.get()``
-        *holding* the queue's reader lock by design, so a worker SIGKILLed
-        while idle may have poisoned it undetectably.  They are therefore
-        replaced wholesale, every worker (dead or alive) is reaped, and a
-        fresh generation is forked against the new queues — forks are cheap,
-        and a survivor still wedged in the old region's body must not meet
-        the next region's reset barrier anyway.
+        locks (an arena's, the barrier's) leaves it locked forever; each is
+        probed with a short timeout and any poisoned lock vetoes healing —
+        those are the warm, preallocated primitives whose reuse the pool
+        exists for.  Every worker (dead or alive) is reaped and a fresh
+        generation is forked with fresh pipes — forks are cheap, a pipe whose
+        worker died mid-frame cannot be trusted, and a survivor still wedged
+        in the old region's body must not meet the next region's reset
+        barrier anyway.
         """
         if self._shutdown or self._condemned:
             return False
@@ -262,47 +324,22 @@ class PersistentProcessPool:
             if proc.is_alive():  # pragma: no cover - unkillable worker
                 proc.kill()
                 proc.join(timeout=1.0)
-        ctx = shm._mp_context()
-        self._tasks = ctx.SimpleQueue()
-        self._results = ResultChannel(ctx)
-        self._procs = [
-            ctx.Process(
-                target=_pool_worker,
-                args=(self._tasks, self._results, self._sync),
-                daemon=True,
-                name=f"aomp-pool-{i}",
-            )
-            for i in range(self.workers)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._close_pipes()
+        self._start_workers()
         self._broken = False
         if get_config().metrics:
             obsreg.inc(obsreg.POOL_HEALS)
         return self.healthy
 
     def _probe_locks(self, timeout: float = 0.5) -> bool:
-        locks = (
-            getattr(self.barrier, "_cond", None),
-            getattr(self.arena, "_lock", None),
-            getattr(self.steal, "_lock", None),
-            getattr(self.tune, "_lock", None),
-        )
-        for lock in locks:
-            acquire = getattr(lock, "acquire", None)
-            if acquire is None:
-                continue
-            try:
-                acquired = acquire(timeout=timeout)
-            except TypeError:  # pragma: no cover - lock without timeout support
-                continue
-            if not acquired:
+        for arena in (self.barrier, self.arena, self.steal, self.tune):
+            if not arena._lock.acquire(timeout=timeout):
                 return False
-            lock.release()
+            arena._lock.release()
         return True
 
     def shutdown(self) -> None:
-        """Stop all workers and release the queues."""
+        """Stop all workers and close the pipes."""
         if self._shutdown:
             return
         self._shutdown = True
@@ -314,12 +351,16 @@ class PersistentProcessPool:
             finally:
                 self._watch_cond.release()
             self._watcher.join(timeout=self.WATCHER_WAIT)
-        for _ in self._procs:
+        # The monitor calls back into the pool: without this cycle the pool's
+        # shared memory and semaphores go the moment the backend drops it.
+        self._monitor = None
+        for fd in self._tasks:
             try:
-                self._tasks.put(_STOP)
-            except Exception:  # pragma: no cover - queue already closed
-                break
+                send_frame(fd, None)
+            except OSError:
+                pass  # that worker is already gone
         for proc in self._procs:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
+        self._close_pipes()

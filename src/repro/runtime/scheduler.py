@@ -16,9 +16,10 @@ Hot-path design (this module sits under every workshared loop):
 * :func:`make_scheduler` memoises scheduler instances per
   ``(schedule, chunk)`` — schedulers are stateless, per-execution claim state
   lives in the ``new_state``/``new_guided_state`` objects;
-* :func:`cached_partition` memoises *static* partitions per
-  ``(schedule, chunk, team_size, start, end, step)`` so repeated executions
-  of the same loop (every sweep of an iterative kernel) reuse the plan;
+* a team member's static share is arithmetic in its id
+  (:func:`block_span`, :func:`cyclic_spans`): ``run_for`` builds no plan;
+  :func:`cached_partition` memoises whole-team *static* plans for the
+  callers that want one (``static_partition``, the threaded baselines);
 * dynamic/guided claim states hand out **batches** of chunks per lock
   round-trip (:meth:`_DynamicLoopState.next_chunks`,
   :meth:`_GuidedLoopState.next_ranges`), with a tail fallback that shrinks
@@ -162,15 +163,7 @@ class LoopChunk:
     @property
     def count(self) -> int:
         """Number of iterations in the chunk."""
-        if self.step == 0:
-            raise SchedulingError("loop step must be non-zero")
-        if self.step > 0:
-            span = self.end - self.start
-        else:
-            span = self.start - self.end
-        if span <= 0:
-            return 0
-        return (span + abs(self.step) - 1) // abs(self.step)
+        return trip_count(self.start, self.end, self.step)
 
     def indices(self) -> range:
         """Return the iteration indices as a :class:`range`."""
@@ -181,12 +174,35 @@ class LoopChunk:
         return self.count == 0
 
 
-def _validate(start: int, end: int, step: int) -> int:
-    """Validate a loop range and return the total iteration count."""
-    if step == 0:
+def trip_count(start: int, end: int, step: int) -> int:
+    """Number of iterations of ``range(start, end, step)``; a zero step is an error."""
+    if step > 0:
+        span = end - start
+    elif step < 0:
+        span, step = start - end, -step
+    else:
         raise SchedulingError("loop step must be non-zero")
-    chunk = LoopChunk(start, end, step)
-    return chunk.count
+    return (span + step - 1) // step if span > 0 else 0
+
+
+def block_span(total: int, parts: int, index: int) -> "tuple[int, int]":
+    """``(first, count)`` of block ``index`` when ``total`` units are cut into
+    ``parts`` contiguous blocks, the first ``total % parts`` one unit longer.
+
+    The static-block schedule (paper Figure 10, with the rounding fixed so
+    every iteration is assigned exactly once) is this one arithmetic step.
+    """
+    base, extra = divmod(total, parts)
+    return index * base + (index if index < extra else extra), base + (index < extra)
+
+
+def cyclic_spans(total: int, parts: int, index: int, chunk: int) -> "Iterator[tuple[int, int]]":
+    """``(first, count)`` of each block of ``chunk`` units part ``index`` of
+    ``parts`` takes when ``total`` units are dealt out round-robin: blocks
+    from ``index * chunk``, every ``parts * chunk`` (the static-cyclic
+    schedule)."""
+    for first in range(index * chunk, total, parts * chunk):
+        yield first, min(chunk, total - first)
 
 
 class CollapsedRange:
@@ -218,7 +234,7 @@ class CollapsedRange:
         if len(ranges) < 2:
             raise SchedulingError(f"collapse needs at least 2 loop ranges, got {len(ranges)}")
         self.ranges = tuple((int(s), int(e), int(st)) for s, e, st in ranges)
-        self.counts = tuple(_validate(*r) for r in self.ranges)
+        self.counts = tuple(trip_count(*r) for r in self.ranges)
         total = 1
         for count in self.counts:
             total *= count
@@ -359,17 +375,12 @@ class StaticBlockScheduler(LoopScheduler):
     schedule = Schedule.STATIC_BLOCK
 
     def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         if num_threads < 1:
             raise SchedulingError("num_threads must be >= 1")
         if not (0 <= thread_id < num_threads):
             raise SchedulingError(f"thread_id {thread_id} outside team of {num_threads}")
-        if total == 0:
-            return
-        base, extra = divmod(total, num_threads)
-        # Threads [0, extra) get one extra iteration, preserving order.
-        begin_index = thread_id * base + min(thread_id, extra)
-        count = base + (1 if thread_id < extra else 0)
+        begin_index, count = block_span(total, num_threads, thread_id)
         if count == 0:
             return
         chunk_start = start + begin_index * step
@@ -393,21 +404,14 @@ class StaticCyclicScheduler(LoopScheduler):
         self.chunk = chunk
 
     def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         if num_threads < 1:
             raise SchedulingError("num_threads must be >= 1")
         if not (0 <= thread_id < num_threads):
             raise SchedulingError(f"thread_id {thread_id} outside team of {num_threads}")
-        chunk = self.chunk
-        # Iterate over this thread's blocks of `chunk` logical iterations.
-        block = thread_id * chunk
-        stride = num_threads * chunk
-        while block < total:
-            count = min(chunk, total - block)
-            chunk_start = start + block * step
-            chunk_end = chunk_start + count * step
-            yield LoopChunk(chunk_start, chunk_end, step)
-            block += stride
+        for first, count in cyclic_spans(total, num_threads, thread_id, self.chunk):
+            chunk_start = start + first * step
+            yield LoopChunk(chunk_start, chunk_start + count * step, step)
 
 
 class _DynamicLoopState:
@@ -469,7 +473,7 @@ class DynamicScheduler(LoopScheduler):
 
     def new_state(self, start: int, end: int, step: int, num_threads: int = 1) -> _DynamicLoopState:
         """Create the shared claim counter for one loop execution."""
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         total_chunks = (total + self.chunk - 1) // self.chunk
         return _DynamicLoopState(total_chunks, num_threads)
 
@@ -480,7 +484,7 @@ class DynamicScheduler(LoopScheduler):
         :class:`_DynamicLoopState` or the process arena's
         :class:`~repro.runtime.shm.ProcessDynamicState`.
         """
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         chunk = self.chunk
         batch = self.batch
         while True:
@@ -505,7 +509,7 @@ class DynamicScheduler(LoopScheduler):
         and asks :meth:`split` for the chunk boundaries only when something
         observes chunks (tracing, an armed fault plan).
         """
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         chunk = self.chunk
         batch = self.batch
         while True:
@@ -566,7 +570,7 @@ class GuidedScheduler(DynamicScheduler):
 
     def new_guided_state(self, start: int, end: int, step: int, num_threads: int) -> "_GuidedLoopState":
         """Create the shared claim state for one guided loop execution."""
-        total = _validate(start, end, step)
+        total = trip_count(start, end, step)
         return _GuidedLoopState(total, self.min_chunk, max(1, num_threads))
 
     def chunks_from_guided(self, state, start: int, end: int, step: int) -> Iterator[LoopChunk]:
@@ -787,19 +791,19 @@ def cached_partition(
 ) -> tuple[tuple[LoopChunk, ...], ...]:
     """Memoised per-thread chunk plan for a *static* schedule.
 
-    Keyed by ``(schedule, chunk, num_threads, start, end, step)`` and shared
-    by :func:`repro.runtime.worksharing.run_for` and
+    Keyed by ``(schedule, chunk, num_threads, start, end, step)``; behind
     :func:`repro.runtime.worksharing.static_partition` (which the threaded
-    baselines and analytic callers use), so an iterative kernel re-running
-    the same loop every sweep pays for the partition arithmetic once.  Returns immutable tuples — callers
-    must not mutate the plan.  Plans larger than
+    baselines and analytic callers use), so a caller re-planning the same
+    loop every sweep pays for the partition once.  ``run_for`` does not use
+    it: a member computes its own share in one step.  Returns immutable
+    tuples — callers must not mutate the plan.  Plans larger than
     :data:`PARTITION_CACHE_MAX_CHUNKS` chunks are built fresh each call
-    instead of pinned in the LRU (``run_for`` streams such loops instead).
+    instead of pinned in the LRU.
     """
     parsed = Schedule.parse(schedule)
     if parsed not in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
         raise SchedulingError(f"schedule {parsed.value!r} has no static partition")
-    total = _validate(start, end, step)
+    total = trip_count(start, end, step)
     if partition_chunk_count(parsed, chunk, num_threads, total) > PARTITION_CACHE_MAX_CHUNKS:
         scheduler = _scheduler_instance(parsed, chunk)
         return tuple(tuple(chunks) for chunks in scheduler.partition(num_threads, start, end, step))

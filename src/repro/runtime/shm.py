@@ -9,8 +9,8 @@ backend does not.  This module provides the pieces that make OpenMP-style
   mutate the *same* pages the master reads, so a ``@For`` loop over a
   shared array behaves exactly as it does under threads — no pickling of
   array copies, no gather step.
-* :class:`SharedBarrier` — a reusable cyclic barrier built on a
-  ``multiprocessing`` condition variable, API-compatible with
+* :class:`SharedBarrier` — a reusable cyclic barrier over arena cells and
+  semaphores (one wake-up per waiting party), API-compatible with
   :class:`repro.runtime.barrier.CyclicBarrier` (``wait``/``abort``/``reset``).
 * :class:`SyncArena` — a pre-allocated pool of shared claim counters.
   Dynamic/guided loop schedules need a cross-member claim counter, but loops
@@ -32,9 +32,9 @@ memory is just memory), which is what lets the conformance test suite assert
 identical construct behaviour across all backends.
 
 **The fork constraint.**  Every ``multiprocessing`` primitive in this module
-(barrier condition variables, arena locks, the queues of the persistent
-pool) is created *before* worker processes exist and handed to them by
-address-space inheritance — which only the ``fork`` start method provides.
+(barrier semaphores, arena locks, the pipes of the persistent pool) is
+created *before* worker processes exist and handed to them by address-space
+inheritance — which only the ``fork`` start method provides.
 Under ``spawn`` or ``forkserver`` the children would re-import and pickle
 their arguments instead: closures and woven classes cannot be pickled, and a
 pre-created ``SharedArray`` handoff would silently attach *after* the parent
@@ -63,6 +63,7 @@ its whole remote surface from those two tuples).
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import os
 import pickle
@@ -86,6 +87,7 @@ from repro.runtime.scheduler import block_counts, claim_cap, guided_claim_batch
 FORK_METHOD = "fork"
 
 
+@functools.lru_cache(maxsize=None)
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform."""
     return FORK_METHOD in multiprocessing.get_all_start_methods()
@@ -96,7 +98,7 @@ def require_fork(component: str) -> None:
 
     Components that *can* degrade (the process backend itself) fall back to
     threads instead; components whose contract is fork inheritance — the
-    persistent worker pool hands pre-created barriers, arenas and queues to
+    persistent worker pool hands pre-created barriers, arenas and pipes to
     its children by address-space inheritance — must not be constructed at
     all under spawn/forkserver, where the handoff would silently break.
     """
@@ -191,6 +193,8 @@ class SharedArray:
         self._shm = shm
         self._shape = tuple(shape)
         self._dtype = np.dtype(dtype)
+        #: what a reference to this array pickles to: segment, shape, dtype
+        self._ref = (shm.name, self._shape, self._dtype.str)
         self._owner = owner
         self._closed = False
         self.np: np.ndarray = np.ndarray(self._shape, dtype=self._dtype, buffer=shm.buf)
@@ -220,7 +224,7 @@ class SharedArray:
     # -- pickling: attach by name -------------------------------------------
 
     def __reduce__(self):
-        return (_attach_shared_array, (self._shm.name, self._shape, self._dtype.str))
+        return (_attach_shared_array, self._ref)
 
     # -- ndarray-ish surface -------------------------------------------------
 
@@ -296,9 +300,20 @@ def _segment_name() -> str:
 #: socket-backed mirrors instead of attaching locally.
 _attach_hook = None
 
-#: While :func:`loads_tracking_attachments` runs: the list every locally
-#: attached array is appended to.
-_attach_log: "list[SharedArray] | None" = None
+#: While :func:`loads_tracking_attachments` runs: the kept arrays not yet
+#: named again, by segment name, and the list every array the body resolves
+#: locally is appended to.
+_attach_log: "tuple[dict[str, SharedArray], list[SharedArray]] | None" = None
+
+
+def _still_attachable(array: SharedArray, shape: tuple, dtype_str: str) -> bool:
+    """Whether a kept attachment can stand for ``(its name, shape, dtype)``:
+    open, the same view, and its segment still linked — a linked name
+    denotes exactly one segment, so the name cannot have been recycled."""
+    try:
+        return array._ref[1:] == (shape, dtype_str) and os.fstat(array._shm._fd).st_nlink > 0
+    except (AttributeError, OSError):  # closed, or no descriptor to ask on this platform
+        return False
 
 
 def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
@@ -315,6 +330,14 @@ def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
     """
     if _attach_hook is not None:
         return _attach_hook(name, shape, dtype_str)
+    if _attach_log is not None:
+        kept, resolved = _attach_log
+        array = kept.pop(name, None)
+        if array is not None:
+            if _still_attachable(array, shape, dtype_str):
+                resolved.append(array)
+                return array
+            array.close()
 
     def _suppress_register(*args: Any, **kwargs: Any) -> None:
         return None
@@ -327,30 +350,42 @@ def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
         resource_tracker.register = original_register  # type: ignore[assignment]
     array = SharedArray(shm, shape, np.dtype(dtype_str), owner=False)
     if _attach_log is not None:
-        _attach_log.append(array)
+        _attach_log[1].append(array)
     return array
 
 
-def loads_tracking_attachments(data: bytes) -> "tuple[Any, list[SharedArray]]":
+def loads_tracking_attachments(
+    data: bytes, kept: "list[SharedArray]" = ()
+) -> "tuple[Any, list[SharedArray]]":
     """``pickle.loads(data)`` plus the shared arrays it attached on the way.
 
-    A long-lived worker that unpickles a body per region must
-    :meth:`~SharedArray.close` those attachments when the region ends —
-    nothing else ever does, and each one holds a mapping and a descriptor.
-    The log is process-wide while the call runs: pool workers call this from
-    their only thread, between regions.
+    A long-lived worker unpickles a body per region, and each attachment
+    holds a mapping and a descriptor that only the worker can release.  It
+    passes the arrays the previous body resolved as ``kept``: a reference to
+    one of their segments (same name, shape and dtype, segment still linked)
+    reuses the attachment instead of mapping the segment again, and every
+    kept array the new body does not name is closed before this returns.  The
+    caller owns the returned list: it closes it, or keeps it for the next
+    body.  The log is process-wide while the call runs: workers call this
+    from their only thread, between regions.
     """
     global _attach_log
-    attached: "list[SharedArray]" = []
-    previous, _attach_log = _attach_log, attached
+    remaining: "dict[str, SharedArray]" = {}
+    for array in kept:
+        if remaining.setdefault(array.name, array) is not array:
+            array.close()  # a second attachment of one segment
+    resolved: "list[SharedArray]" = []
+    previous, _attach_log = _attach_log, (remaining, resolved)
     try:
-        return pickle.loads(data), attached
+        return pickle.loads(data), resolved
     except BaseException:
-        for array in attached:
+        for array in resolved:
             array.close()
         raise
     finally:
         _attach_log = previous
+        for array in remaining.values():
+            array.close()
 
 
 def shared_zeros(shape: "int | tuple", dtype: Any = np.float64) -> SharedArray:
@@ -378,85 +413,6 @@ def is_shared(array: Any) -> bool:
 #: declaring it broken.  Prevents livelock when a sibling process dies
 #: without reaching the barrier (the stress suite relies on this guard).
 BARRIER_TIMEOUT = 120.0
-
-
-class SharedBarrier:
-    """A reusable cyclic barrier usable from multiple processes.
-
-    Mirrors the :class:`~repro.runtime.barrier.CyclicBarrier` surface used by
-    :class:`~repro.runtime.team.Team` (``wait``, ``abort``, ``reset``,
-    ``parties``).  Built on a ``multiprocessing`` condition plus a small
-    shared state vector so it can be *reset* to a new party count and reused
-    by a persistent worker pool across regions.
-    """
-
-    _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
-
-    def __init__(self, parties: int, *, timeout: float = BARRIER_TIMEOUT) -> None:
-        if parties < 1:
-            raise ValueError(f"barrier needs at least 1 party, got {parties}")
-        ctx = _mp_context()
-        self._cond = ctx.Condition()
-        self._state = ctx.Array("q", 4, lock=False)
-        self._state[self._PARTIES] = parties
-        self._timeout = timeout
-
-    @property
-    def parties(self) -> int:
-        return int(self._state[self._PARTIES])
-
-    @property
-    def broken(self) -> bool:
-        """Lock-free read of the flag cell (an aligned 8-byte load); a stale
-        answer only delays a polling claim loop by one claim."""
-        return bool(self._state[self._BROKEN])
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
-        limit = timeout if timeout is not None else self._timeout
-        state = self._state
-        with self._cond:
-            if state[self._BROKEN]:
-                raise BrokenBarrierError("barrier is broken")
-            generation = state[self._GENERATION]
-            index = state[self._PARTIES] - 1 - state[self._COUNT]
-            state[self._COUNT] += 1
-            if state[self._COUNT] == state[self._PARTIES]:
-                state[self._COUNT] = 0
-                state[self._GENERATION] += 1
-                self._cond.notify_all()
-                return int(index)
-            while state[self._GENERATION] == generation and not state[self._BROKEN]:
-                if not self._cond.wait(limit):
-                    state[self._BROKEN] = 1
-                    self._cond.notify_all()
-                    raise BrokenBarrierError(
-                        f"barrier wait timed out after {limit:g}s "
-                        f"({int(state[self._COUNT])} of {int(state[self._PARTIES])} parties arrived) "
-                        "[shm data plane, fork-inherited condition barrier]"
-                    )
-            if state[self._BROKEN]:
-                raise BrokenBarrierError("barrier is broken")
-            return int(index)
-
-    def abort(self) -> None:
-        """Break the barrier, releasing all waiters with an error."""
-        with self._cond:
-            self._state[self._BROKEN] = 1
-            self._cond.notify_all()
-
-    def reset(self, parties: Optional[int] = None) -> None:
-        """Restore the barrier to a fresh state, optionally with a new party count."""
-        with self._cond:
-            state = self._state
-            state[self._COUNT] = 0
-            state[self._GENERATION] += 1
-            state[self._BROKEN] = 0
-            if parties is not None:
-                if parties < 1:
-                    raise ValueError(f"barrier needs at least 1 party, got {parties}")
-                state[self._PARTIES] = parties
-            self._cond.notify_all()
 
 
 class PipeLock:
@@ -591,11 +547,10 @@ class HeartbeatArena(CellArena):
     needed; readers (the master's :class:`~repro.runtime.faults.WorkerMonitor`
     and error-enrichment paths) tolerate slightly stale values by design.
 
-    The pid cell lets the master map a dead worker process back to the team
-    member it was executing (pool workers pick members per region, so the
-    process list alone cannot); the beat cell drives optional stale-member
-    detection (``AOMP_HEARTBEAT_TIMEOUT``); the arrival counter feeds
-    "which members had arrived" barrier-failure diagnostics.
+    The pid cell names the process of a member that never reported; the beat
+    cell drives optional stale-member detection (``AOMP_HEARTBEAT_TIMEOUT``);
+    the arrival counter feeds "which members had arrived" barrier-failure
+    diagnostics.
     """
 
     _PID, _BEAT, _ARRIVALS = range(3)
@@ -655,13 +610,121 @@ class HeartbeatArena(CellArena):
         size = min(size, self.capacity)
         return [int(self._cells[self.CELLS_PER_MEMBER * m + self._ARRIVALS]) for m in range(size)]
 
-    def member_for_pid(self, pid: int) -> "int | None":
-        """Team member registered by the process ``pid``, or ``None``."""
-        if pid:
-            for member in range(self.capacity):
-                if int(self._cells[self.CELLS_PER_MEMBER * member + self._PID]) == pid:
-                    return member
-        return None
+
+class SharedBarrier(CellArena):
+    """A reusable cyclic barrier for a team whose members are processes.
+
+    Mirrors the :class:`~repro.runtime.barrier.CyclicBarrier` surface used by
+    :class:`~repro.runtime.team.Team` (``wait``, ``abort``, ``reset``,
+    ``parties``) and can be *reset* to a new party count, so a persistent
+    worker pool reuses one across regions.  The round's state — arrivals,
+    generation, broken flag, parties — is four fork-inherited cells under the
+    arena's lock.  A party that has to wait sleeps on a semaphore, and whoever
+    ends the round (its last arrival, an abort, a timeout, a reset) posts one
+    wake-up per sleeper and carries on: nobody waits for a sleeper to say it
+    woke, so a round costs each sleeper one wake-up and the last arrival none.
+    There is a semaphore per generation parity, so a party already asleep in
+    round *g + 1* can never take a wake-up meant for round *g*.
+    """
+
+    LOCKED = True
+    _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
+
+    def __init__(self, parties: int, *, timeout: float = BARRIER_TIMEOUT) -> None:
+        if parties < 1:
+            raise ValueError(f"barrier needs at least 1 party, got {parties}")
+        super().__init__(4, mp_cells, fresh=False)
+        ctx = _mp_context()
+        self._wakes = (ctx.Semaphore(0), ctx.Semaphore(0))
+        self._cells[self._PARTIES] = parties
+        self._timeout = timeout
+
+    @property
+    def parties(self) -> int:
+        return int(self._cells[self._PARTIES])
+
+    @property
+    def broken(self) -> bool:
+        """Lock-free read of the flag cell (an aligned 8-byte load); a stale
+        answer only delays a polling claim loop by one claim."""
+        return bool(self._cells[self._BROKEN])
+
+    def _wake(self, generation: int, sleepers: int) -> None:
+        """Post one wake-up to each of round ``generation``'s ``sleepers``.
+
+        Called with the lock held and *after* the round's new state is in
+        the cells: a woken party reads that state without the lock.
+        """
+        wake = self._wakes[generation & 1]
+        for _ in range(sleepers):
+            wake.release()
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
+        limit = timeout if timeout is not None else self._timeout
+        cells = self._cells
+        with self._lock:
+            if cells[self._BROKEN]:
+                raise BrokenBarrierError("barrier is broken")
+            generation = cells[self._GENERATION]
+            index = int(cells[self._PARTIES] - 1 - cells[self._COUNT])
+            if index == 0:
+                sleepers = cells[self._COUNT]
+                cells[self._COUNT] = 0
+                cells[self._GENERATION] = generation + 1
+                self._wake(generation, sleepers)
+                return 0
+            cells[self._COUNT] += 1
+        # Whoever ends the round posts exactly one wake-up for this party.  A
+        # wake-up posted for a party that died asleep is never taken; whoever
+        # takes it in a later round finds that round still open and waits on.
+        wake = self._wakes[generation & 1]
+        deadline = time.monotonic() + limit
+        while wake.acquire(True, max(0.0, deadline - time.monotonic())):
+            if cells[self._GENERATION] != generation or cells[self._BROKEN]:
+                break
+        else:
+            with self._lock:
+                if cells[self._GENERATION] == generation and not cells[self._BROKEN]:
+                    cells[self._BROKEN] = 1
+                    arrived = int(cells[self._COUNT])
+                    self._wake(generation, arrived - 1)  # everyone but this party
+                    raise BrokenBarrierError(
+                        f"barrier wait timed out after {limit:g}s "
+                        f"({arrived} of {int(cells[self._PARTIES])} parties arrived) "
+                        "[shm data plane, fork-inherited semaphore barrier]"
+                    )
+                # The round ended as the wait expired: take the wake-up it posted.
+                wake.acquire(False)
+        if cells[self._BROKEN]:
+            raise BrokenBarrierError("barrier is broken")
+        return index
+
+    def abort(self) -> None:
+        """Break the barrier, releasing all waiters with an error."""
+        with self._lock:
+            cells = self._cells
+            if not cells[self._BROKEN]:
+                cells[self._BROKEN] = 1
+                self._wake(cells[self._GENERATION], cells[self._COUNT])
+
+    def reset(self, parties: Optional[int] = None) -> None:
+        """Restore the barrier to a fresh state, optionally with a new party count.
+
+        Parties asleep in an open, unbroken round are released (as if it had
+        completed); a broken round already released its own.
+        """
+        if parties is not None and parties < 1:
+            raise ValueError(f"barrier needs at least 1 party, got {parties}")
+        with self._lock:
+            cells = self._cells
+            generation, sleepers = cells[self._GENERATION], 0 if cells[self._BROKEN] else cells[self._COUNT]
+            cells[self._COUNT] = 0
+            cells[self._GENERATION] = generation + 1
+            cells[self._BROKEN] = 0
+            if parties is not None:
+                cells[self._PARTIES] = parties
+            self._wake(generation, sleepers)
 
 
 class InterpBarrier(CellArena):

@@ -28,7 +28,9 @@ through process-wide primitives:
   bytes, tuples) embedded in its bootstrap source.  Only the region *body*
   itself is pickled, under the same ``process_safe`` opt-in contract the
   persistent process pool uses;
-* **results** — a length-prefixed payload written to a per-member pipe.
+* **results** — a :func:`~repro.runtime.member.send_frame` frame written to
+  a per-member pipe, read with the other shipped tiers'
+  :class:`~repro.runtime.member.FrameReader`.
 
 Because the worker interpreters must import :mod:`numpy` (for the shared
 arrays) and this package, and C-extension support inside subinterpreters is
@@ -44,19 +46,23 @@ from __future__ import annotations
 
 import importlib
 import os
-import pickle
-import queue
-import select
-import struct
 import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 import repro.obs.registry as obsreg
+from repro.obs.exposition import suppress_exporter
 from repro.runtime import shm
 from repro.runtime.backend import ExternalBackend
 from repro.runtime.config import get_config
 from repro.runtime.exceptions import WorkerProcessError
-from repro.runtime.member import describe_region, join_team, path_prelude, run_shipped_member
+from repro.runtime.member import (
+    FrameReader,
+    describe_region,
+    join_team,
+    path_prelude,
+    run_shipped_member,
+    send_frame,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -236,40 +242,13 @@ def _member_main(descriptor: dict) -> None:
 
     The member shares the master's OS process (so an injected ``kill``
     degrades to ``InjectedFault`` and the host survives) but none of its
-    module state; the reply goes out length-prefixed on the member's result
+    module state; the reply goes out as one frame on the member's result
     pipe.
     """
     thread_id = descriptor["thread_id"]
+    suppress_exporter()  # only the master serves scrapes: it alone holds the team-wide counts
     reply = run_shipped_member(descriptor, thread_id, _attach_sync(descriptor))
-    data = pickle.dumps((thread_id, reply))
-    os.write(descriptor["result_fd"], struct.pack("<I", len(data)) + data)
-
-
-class _ReplyPipes:
-    """The members' result pipes read as one timed channel.
-
-    Each pipe carries at most one ``<I``-length-prefixed pickled reply, which
-    may arrive in pieces; a pipe whose host thread closed the write end
-    without one (EOF) is dropped, so the join's liveness checks, not a read
-    deadline, decide when its member is given up on.
-    """
-
-    def __init__(self, read_fds: "list[int]") -> None:
-        self._pending = {fd: bytearray() for fd in read_fds}
-
-    def get(self, timeout: float) -> Any:
-        """The next complete reply; :class:`queue.Empty` when none lands in ``timeout`` seconds."""
-        ready, _, _ = select.select(list(self._pending), [], [], timeout)
-        for fd in ready:
-            chunk = os.read(fd, 65536)
-            buffer = self._pending[fd]
-            buffer += chunk
-            if not chunk:
-                del self._pending[fd]
-            elif len(buffer) >= 4 and len(buffer) - 4 >= struct.unpack_from("<I", buffer)[0]:
-                del self._pending[fd]
-                return pickle.loads(buffer[4:])
-        raise queue.Empty
+    send_frame(descriptor["result_fd"], (thread_id, reply))
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +340,17 @@ class SubinterpreterBackend(ExternalBackend):
         for host in hosts:
             host.start()
 
+        replies = FrameReader(read_fds)
+
         def reap(failed: bool) -> None:
             for host in hosts:
                 host.join(timeout=5.0)
-            for fd in read_fds:
-                os.close(fd)
+            replies.close()
 
         master_result = join_team(
             team,
             run_member,
-            receive=_ReplyPipes(read_fds).get,
+            receive=replies.get,
             alive=lambda: any(host.is_alive() for host in hosts),
             # A worker interpreter cannot die on its own without taking the
             # process with it; what can fail is its bootstrap, on the host.

@@ -10,6 +10,7 @@ barriers, single/master, thread-local fields...) locate their team through
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from repro.runtime.member import run_member as run_region_member
 from repro.runtime.trace import NO_REGION, EventKind, TraceRecorder, get_global_recorder
 
 
-@dataclass
+@dataclass(slots=True)
 class TeamMember:
     """One member of a team: its id and (for spawned members) the OS thread."""
 
@@ -81,7 +82,7 @@ class Team:
         self.metrics = get_config().metrics
         self.nesting_level = nesting_level
         self.parent = parent
-        self.members = [TeamMember(thread_id=i) for i in range(size)]
+        self.members = [TeamMember(i) for i in range(size)]
         self.process_sync = process_sync
         #: identity of the backend that executes this team, set by
         #: ``parallel_region`` after backend resolution (master side only —
@@ -230,9 +231,12 @@ class Team:
             self._shared.pop(key, None)
 
     def get_slot(self, key: Hashable, default: Any = None) -> Any:
-        """Peek at a shared slot without creating it (unlike :meth:`shared_slot`)."""
-        with self._shared_lock:
-            return self._shared.get(key, default)
+        """Peek at a shared slot without creating it (unlike :meth:`shared_slot`).
+
+        No lock: a dict read is atomic, and a peek racing a creation sees the
+        slot or its absence, as it would one instant either side of the lock.
+        """
+        return self._shared.get(key, default)
 
     # -- tracing helpers -----------------------------------------------------
 
@@ -536,11 +540,11 @@ def _execute_region(
     # stamped onto the team so every member agrees on it — the in-process
     # auto path lets the first arriver open the invocation, and that can be
     # a worker thread with no scope of its own.  Nested regions, entered on
-    # member threads, inherit the parent team's stamp.  Lazy import: the
-    # tune package imports runtime modules.
-    from repro.tune.tuner import scoped_tuner
-
-    team.tuner = scoped_tuner()
+    # member threads, inherit the parent team's stamp.  A scope can only be
+    # open once the tune package is loaded, so a region need not load it to
+    # look (the tune package imports runtime modules).
+    tuner_module = sys.modules.get("repro.tune.tuner")
+    team.tuner = tuner_module.scoped_tuner() if tuner_module is not None else None
     if team.tuner is None and parent is not None:
         team.tuner = parent.team.tuner
     watcher = getattr(_region_watch, "callback", None)

@@ -20,9 +20,10 @@ Outside a parallel region the full range is executed directly — the paper's
 sequential-semantics guarantee.
 
 Hot-path design: per-chunk dispatch is the cost the paper's claim lives or
-dies by.  Static plans come from the memoised
-:func:`~repro.runtime.scheduler.cached_partition` and run through a traced
-or an untraced list walk.  Dynamic/guided loops run through one claim loop
+dies by.  A static member's chunks are arithmetic in its id: a
+``static_block`` loop is one step and one body call per member, a
+``static_cyclic`` one step and one call per chunk (:func:`_run_spans`), with
+no plan built or looked up.  Dynamic/guided loops run through one claim loop
 (:func:`_run_claims`): per claim it pays one lock-free abort read, one lock,
 arena or RPC round-trip and one body call over the claimed run; the run is
 split back into its chunks (boundaries from :mod:`~repro.runtime.scheduler`)
@@ -44,15 +45,17 @@ from repro.runtime.exceptions import BackendCapabilityError, SchedulingError
 from repro.runtime.ordered import OrderedRegion, install_ordered_region
 from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState
 from repro.runtime.scheduler import (
-    PARTITION_CACHE_MAX_CHUNKS,
     CollapsedRange,
     DynamicScheduler,
     LoopChunk,
     Schedule,
+    block_span,
     cached_partition,
+    cyclic_spans,
     make_scheduler,
     parse_schedule_spec,
     partition_chunk_count,
+    trip_count,
 )
 from repro.runtime.trace import EventKind, NO_REGION, TraceRecorder, get_global_recorder, global_tracing_active
 
@@ -237,7 +240,7 @@ def run_for(
     # does), and in a team the loop ordinal is still claimed and the implicit
     # barrier still performed, so SPMD alignment and synchronisation
     # semantics are unchanged.
-    zero_trip = LoopChunk(start, end, step).count == 0
+    zero_trip = trip_count(start, end, step) == 0
 
     if context is None or context.team.size == 1:
         if zero_trip:
@@ -330,33 +333,32 @@ def _dispatch_schedule(
 
     Shared by the normal ``run_for`` path and the adaptive (``auto``) path,
     which calls it with whatever schedule the tuner decided for this
-    invocation.
+    invocation.  A static member's share is arithmetic in its id, with the
+    boundaries of :func:`static_partition`: a ``static_block`` member runs
+    one contiguous block (:func:`~repro.runtime.scheduler.block_span`) in
+    one body call.
     """
-    if parsed is Schedule.DYNAMIC or parsed is Schedule.GUIDED:
-        scheduler = make_scheduler(parsed, chunk=chunk)
-        guided = parsed is Schedule.GUIDED
-        if (slot := team.proc_loop_slot(ordinal)) is not None:
-            total = LoopChunk(start, end, step).count
-            if guided:
-                state = ProcessGuidedState(slot, total, scheduler.min_chunk, team.size)
-            else:
-                state = ProcessDynamicState(slot, partition_chunk_count(parsed, chunk, team.size, total), team.size)
+    if chunk < 1:
+        raise SchedulingError("chunk must be >= 1")
+    if parsed is Schedule.STATIC_BLOCK or parsed is Schedule.STATIC_CYCLIC:
+        total, size, member = trip_count(start, end, step), team.size, context.thread_id
+        if parsed is Schedule.STATIC_BLOCK:
+            spans: Any = (block_span(total, size, member),)
         else:
-            new_state = scheduler.new_guided_state if guided else scheduler.new_state
-            state = team.shared_slot(
-                _loop_encounter_key(name), lambda: new_state(start, end, step, team.size)
-            )
-        return _run_claims(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
-    return _run_chunk_list(
-        body,
-        _static_chunks(parsed, chunk, team.size, context.thread_id, start, end, step),
-        args,
-        kwargs,
-        team,
-        name,
-        weight,
-        slot=_CHUNK_SLOTS.get(parsed, obsreg.CHUNKS_OTHER),
-    )
+            spans = cyclic_spans(total, size, member, chunk)
+        return _run_spans(body, spans, start, step, args, kwargs, team, name, weight, _CHUNK_SLOTS[parsed])
+    scheduler = make_scheduler(parsed, chunk=chunk)
+    guided = parsed is Schedule.GUIDED
+    if (slot := team.proc_loop_slot(ordinal)) is not None:
+        total = trip_count(start, end, step)
+        if guided:
+            state = ProcessGuidedState(slot, total, scheduler.min_chunk, team.size)
+        else:
+            state = ProcessDynamicState(slot, partition_chunk_count(parsed, chunk, team.size, total), team.size)
+    else:
+        new_state = scheduler.new_guided_state if guided else scheduler.new_state
+        state = team.shared_slot(_loop_encounter_key(name), lambda: new_state(start, end, step, team.size))
+    return _run_claims(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
 
 
 def _run_auto(
@@ -391,7 +393,7 @@ def _run_auto(
     # ``import repro.tune`` as the first repro import a circular-import crash.
     from repro.tune.tuner import Candidate, tuner_for_team
 
-    total = LoopChunk(start, end, step).count
+    total = trip_count(start, end, step)
     thread_id = context.thread_id
     ticket = None
     ticket_key = None
@@ -431,9 +433,7 @@ def _run_auto(
         # the master executes the untouched range, everyone else falls
         # through to the barrier.
         if thread_id == 0:
-            result = _run_chunk_list(
-                body, (LoopChunk(start, end, step),), args, kwargs, team, name, weight, slot=_SERIAL_SLOT
-            )
+            result = _run_spans(body, ((0, total),), start, step, args, kwargs, team, name, weight, _SERIAL_SLOT)
     else:
         result = _dispatch_schedule(
             body,
@@ -519,45 +519,36 @@ def _run_sequential(
     return result
 
 
-def _static_chunks(
-    parsed: Schedule, chunk: int, team_size: int, thread_id: int, start: int, end: int, step: int
-):
-    """This member's chunks for a static schedule: cached plan or stream.
-
-    Small plans come from the shared :func:`cached_partition` memo; plans too
-    large to pin (fine-grained cyclic over a huge range) are streamed from the
-    scheduler generator instead of being materialised for the whole team.
-    """
-    total = LoopChunk(start, end, step).count
-    if partition_chunk_count(parsed, chunk, team_size, total) > PARTITION_CACHE_MAX_CHUNKS:
-        return make_scheduler(parsed, chunk).chunks_for(thread_id, team_size, start, end, step)
-    return cached_partition(team_size, start, end, step, schedule=parsed, chunk=chunk)[thread_id]
-
-
-def _run_chunk_list(
+def _run_spans(
     body: Callable[..., Any],
-    pieces,
+    spans,
+    start: int,
+    step: int,
     args: tuple,
     kwargs: dict,
     team,
     name: str,
     weight: Callable[[int], float] | None,
-    slot: int = obsreg.CHUNKS_OTHER,
+    slot: int,
 ) -> Any:
-    """Execute this member's chunks (materialised plan or streamed generator)."""
+    """One body call per ``(first, count)`` span of the loop's iterations
+    (a for method is called over a dense range, so ``static_cyclic``'s
+    blocks are not fused into one strided call); each span is one chunk."""
+    tracing = team.tracing
     result: Any = None
-    if not team.tracing:
-        executed = 0
-        for piece in pieces:
-            result = body(piece.start, piece.end, piece.step, *args, **kwargs)
+    executed = 0
+    for first, count in spans:
+        if not count:
+            continue
+        lo = start + first * step
+        if tracing:
+            result = _run_traced_chunk(body, LoopChunk(lo, lo + count * step, step), args, kwargs, team, name, weight, slot)
+        else:
+            result = body(lo, lo + count * step, step, *args, **kwargs)
             executed += 1
-        # One batched increment per loop, not one per chunk: the untraced
-        # path's per-chunk cost stays a local integer add.
-        if executed and team.metrics:
-            obsreg.inc(slot, executed)
-        return result
-    for piece in pieces:
-        result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, slot)
+    # One batched increment per loop (traced chunks count themselves).
+    if executed and team.metrics:
+        obsreg.inc(slot, executed)
     return result
 
 

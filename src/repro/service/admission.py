@@ -371,13 +371,22 @@ class AdmissionQueue:
             }
 
     def _trim_history(self) -> None:
-        # under self._lock — drop the oldest *finished* requests past the bound
+        """Drop the oldest *finished* requests past the bound (lock held).
+
+        ``_requests`` is in creation order, so the walk stops at the
+        ``excess``-th finished entry: a submit examines the live requests
+        older than it and no more, however long the history.
+        """
         excess = len(self._requests) - HISTORY_LIMIT
         if excess <= 0:
             return
-        for request_id in [
-            rid for rid, req in self._requests.items() if req.state not in _LIVE_STATES
-        ][:excess]:
+        finished = []
+        for request_id, request in self._requests.items():
+            if request.state not in _LIVE_STATES:
+                finished.append(request_id)
+                if len(finished) == excess:
+                    break
+        for request_id in finished:
             request = self._requests.pop(request_id)
             key = _coalesce_key(request.tenant, request.kernel, request.params)
             if self._by_key.get(key) is request:

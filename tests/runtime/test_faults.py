@@ -298,7 +298,6 @@ class TestHeartbeatArena:
         arena = shm.HeartbeatArena(capacity=4)
         arena.register(2)
         assert arena.pid(2) == os.getpid()
-        assert arena.member_for_pid(os.getpid()) == 2
         age = arena.age(2)
         assert age is not None and 0 <= age < 1.0
         assert arena.age(1) is None  # never registered
@@ -445,9 +444,9 @@ class TestWorkerDeathPoolPath:
     def test_heal_replaces_a_worker_killed_while_idle(self):
         from repro.runtime.procpool import PersistentProcessPool
 
-        # An idle worker dies blocked inside SimpleQueue.get(), possibly
-        # holding the queue's reader lock — heal replaces the queues and the
-        # whole worker generation, so the poison cannot carry over.
+        # An idle worker dies blocked reading its task pipe — heal replaces
+        # the pipes and the whole worker generation, so nothing half-read
+        # carries over.
         pool = PersistentProcessPool(2)
         try:
             victim = pool._procs[0]
@@ -523,11 +522,7 @@ class TestPoolWatcher:
     @staticmethod
     def _armed(pool, team):
         """Arm the pool's watcher for ``team`` the way the shared join does."""
-        from repro.runtime.faults import WorkerMonitor
-
-        monitor = WorkerMonitor(team, pool.dead_workers, heartbeat=pool.heartbeat)
-        pool.watch(monitor)
-        return monitor
+        return pool.watch(team)
 
     def test_sigkill_is_named_within_a_second_without_a_monitor_thread(self, process_backend, monkeypatch):
         import threading

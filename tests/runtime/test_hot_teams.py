@@ -9,6 +9,7 @@ workers — threads do not survive ``fork``.
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -23,6 +24,7 @@ from repro.runtime import shm
 from repro.runtime.backend import ProcessBackend, ThreadBackend
 from repro.runtime.config import config_override
 from repro.runtime.exceptions import BrokenTeamError
+from repro.runtime.member import FrameReader, send_frame
 from repro.runtime.team import parallel_region
 
 requires_fork = pytest.mark.skipif(not shm.fork_available(), reason="process scenarios need fork")
@@ -236,26 +238,34 @@ class TestForkedChildren:
 
 @requires_fork
 class TestResultChannel:
-    """The members' report pipe: many forked writers, one reader with a timed read."""
+    """The members' reply pipes: one forked writer each, one reader with a timed read."""
 
     def test_an_empty_channel_times_out(self):
-        channel = backend_mod.ResultChannel(shm._mp_context())
-        start = time.monotonic()
-        with pytest.raises(queue.Empty):
-            channel.get(0.05)
-        assert 0.04 < time.monotonic() - start < 1.0
-        with pytest.raises(queue.Empty):
-            channel.get(0.0)
+        read_fd, write_fd = os.pipe()
+        try:
+            channel = FrameReader([read_fd])
+            start = time.monotonic()
+            with pytest.raises(queue.Empty):
+                channel.get(0.05)
+            assert 0.04 < time.monotonic() - start < 1.0
+            with pytest.raises(queue.Empty):
+                channel.get(0.0)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
     def test_concurrent_writers_keep_large_items_whole(self):
         mp = shm._mp_context()
-        channel = backend_mod.ResultChannel(mp)
-        # 200 kB each: far past PIPE_BUF, so only the writer lock keeps two
-        # members' frames from interleaving.
+        pipes = [os.pipe() for _ in (1, 2)]
+        # 200 kB each, five to a pipe: frames far past PIPE_BUF, several of
+        # them buffered at once on one pipe, two pipes written concurrently.
         writers = [
-            mp.Process(target=lambda tag=tag: [channel.put((tag, i, bytes([tag]) * 200_000)) for i in range(5)])
-            for tag in (1, 2)
+            mp.Process(
+                target=lambda tag=tag, fd=write_fd: [send_frame(fd, (tag, i, bytes([tag]) * 200_000)) for i in range(5)]
+            )
+            for tag, (_read_fd, write_fd) in zip((1, 2), pipes)
         ]
+        channel = FrameReader([read_fd for read_fd, _ in pipes])
         for writer in writers:
             writer.start()
         try:
@@ -263,5 +273,8 @@ class TestResultChannel:
         finally:
             for writer in writers:
                 writer.join(10.0)
+            for read_fd, write_fd in pipes:
+                os.close(read_fd)
+                os.close(write_fd)
         assert sorted((tag, i) for tag, i, _ in items) == [(tag, i) for tag in (1, 2) for i in range(5)]
         assert all(blob == bytes([tag]) * 200_000 for tag, _, blob in items)

@@ -112,9 +112,10 @@ def probe():
 
 @pytest.fixture(autouse=True)
 def _worker_state_does_not_leak(monkeypatch):
-    """A shipped member marks its process as a worker; this process is not one."""
+    """Shipped members leave worker state behind — a suppressed exporter (the
+    in-process interpreter stand-in runs a worker's entry point), an installed
+    fault plan; this process is not a worker."""
     monkeypatch.setattr(exposition, "_suppressed", False)
-    monkeypatch.setattr(lifecycle, "_shipped_faults", False)
     previous = faults.set_fault_plan(None)
     yield
     faults.set_fault_plan(previous)
@@ -286,23 +287,38 @@ class TestShippedFaultPlan:
     def test_no_plan_ships_none_and_disarms_the_worker(self):
         assert lifecycle.describe_region(Team(2, name="plan"), b"")["faults"] is None
         faults.set_fault_plan(faults.parse_fault_spec("raise:member=0"))  # e.g. inherited at fork
-        lifecycle._install_fault_plan(None)
+        lifecycle.WorkerState().install_faults(None)
         assert faults.current_plan() is None
 
     def test_installed_plan_keeps_the_masters_origin_so_kill_stays_real(self):
-        lifecycle._install_fault_plan(("kill:member=1", MASTER_PID))
+        lifecycle.WorkerState().install_faults(("kill:member=1", MASTER_PID))
         assert faults.current_plan().origin_pid == MASTER_PID != os.getpid()
 
     def test_unchanged_spec_is_not_reparsed(self, monkeypatch):
         parses = []
         real = faults.parse_fault_spec
         monkeypatch.setattr(faults, "parse_fault_spec", lambda spec: parses.append(spec) or real(spec))
+        state = lifecycle.WorkerState()
         for _ in range(3):
-            lifecycle._install_fault_plan(("raise:member=1,region=4", MASTER_PID))
+            state.install_faults(("raise:member=1,region=4", MASTER_PID))
         installed = faults.current_plan()
         assert parses == ["raise:member=1,region=4"]
-        lifecycle._install_fault_plan(("raise:member=1,region=5", MASTER_PID))
+        state.install_faults(("raise:member=1,region=5", MASTER_PID))
         assert len(parses) == 2 and faults.current_plan() is not installed
+        # A plan someone else installed since is not the one the state knows.
+        faults.set_fault_plan(None)
+        state.install_faults(("raise:member=1,region=5", MASTER_PID))
+        assert len(parses) == 3 and faults.current_plan() is not None
+
+    def test_unchanged_fields_reuse_the_configuration(self):
+        state = lifecycle.WorkerState()
+        fields = {"default_schedule": "dynamic", "metrics": False}
+        built = state.config(fields)
+        assert (built.default_schedule, built.tracing, built.backend) == ("dynamic", False, "threads")
+        assert state.config(dict(fields)) is built
+        assert state.config({**fields, "metrics": True}).metrics is True
+        with config_override(num_threads=7):  # the worker's own configuration changed
+            assert state.config(fields).num_threads == 7
 
     def test_descriptor_survives_repr(self):
         """The subinterpreter tier ships it as a source literal."""
@@ -392,10 +408,13 @@ class TestJoinTeam:
         replies: "queue.Queue" = queue.Queue()
         replies.put((1, (None, None)))
         calls = []
-        watcher = SimpleNamespace(
-            watch=lambda monitor: calls.append(("watch", monitor)),
-            unwatch=lambda monitor: calls.append(("unwatch", monitor)),
-        )
+        monitor = faults.WorkerMonitor(team, lambda: [])
+
+        def watch(watched):
+            calls.append(("watch", watched))
+            return monitor
+
+        watcher = SimpleNamespace(watch=watch, unwatch=lambda monitor: calls.append(("unwatch", monitor)))
         lifecycle.join_team(
             team,
             lambda thread_id: None,
@@ -404,8 +423,7 @@ class TestJoinTeam:
             dead_workers=lambda: [],
             watcher=watcher,
         )
-        assert [name for name, _ in calls] == ["watch", "unwatch"]
-        assert calls[0][1] is calls[1][1] and isinstance(calls[0][1], faults.WorkerMonitor)
+        assert calls == [("watch", team), ("unwatch", monitor)]
 
 
 class _InProcessInterpreters:

@@ -9,16 +9,22 @@ to a serial oracle, no leaked execution context, lock registry re-entrant
 across regions), so hypothesis shrinks any ordering bug it finds to a minimal
 reproducing step sequence.
 
-Backends: serial and threads — the in-process backends where thousands of
-short regions are cheap.  The process/interpreter paths get their own
-deterministic suites (``test_faults.py``, ``test_subinterp.py``); forking per
-fuzz step would dominate the runtime without adding interleaving coverage.
+Backends: serial, threads and the warm ``processes`` pool.  On the pool the
+SPMD and loop rules ship a picklable shared-memory body (:class:`Shipped`),
+the rules that need one Python heap run their regions on threads between the
+pool's, and ``config_between_regions`` changes the configuration a pooled
+worker must follow from one region to the next (a worker that kept a stale
+``default_schedule`` computed the wrong partition once).  The fork-per-region
+and interpreter paths get their own deterministic suites (``test_faults.py``,
+``test_subinterp.py``); forking per fuzz step would dominate the runtime
+without adding interleaving coverage.
 """
 
 from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -26,7 +32,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.runtime import backend as backend_mod
 from repro.runtime import context as ctx
-from repro.runtime.backend import SerialBackend, ThreadBackend
+from repro.runtime import shm
+from repro.runtime.backend import ProcessBackend, SerialBackend, ThreadBackend
+from repro.runtime.config import config_override, get_config
 from repro.runtime.critical import critical_call
 from repro.runtime.locks import global_locks
 from repro.runtime.tasks import spawn_future, spawn_task, task_wait
@@ -39,11 +47,60 @@ from repro.runtime.worksharing import run_for
 #: fixture resets *global* runtime state once around the whole test, and the
 #: machine's @initialize resets the per-example state hypothesis cares about.
 MACHINE_SETTINGS = settings(
-    max_examples=15,
+    max_examples=40,
     stateful_step_count=10,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+
+
+SCHEDULES = ["static_block", "static_cyclic", "dynamic", "guided"]
+
+BACKENDS = ["serial", "threads"] + (["processes"] if shm.fork_available() else [])
+
+
+class Shipped:
+    """A picklable, ``process_safe`` region body whose state is shared memory
+    only, so every backend — the pool's workers included — runs it: each
+    member records what it sees, then counts the iterations its share of a
+    loop covered."""
+
+    process_safe = True
+
+    def __init__(self) -> None:
+        self.seen = shm.shared_zeros((4, 4), np.int64)  # per member: seen, team size, level, schedule
+        self.hits = shm.shared_zeros(40, np.int64)
+        self.span = 0
+        self.schedule: "str | None" = None
+
+    def observe(self) -> None:
+        config = get_config()
+        self.seen[ctx.get_thread_id()] = (
+            1,
+            ctx.get_num_team_threads(),
+            ctx.get_level(),
+            SCHEDULES.index(config.default_schedule),
+        )
+
+    def loop(self) -> None:
+        self.observe()
+        run_for(self.count, 0, self.span, 1, schedule=self.schedule, loop_name="fuzz.loop")
+
+    def count(self, start: int, end: int, step: int) -> None:
+        for i in range(start, end, step):
+            self.hits[i] += 1
+
+    def reset(self) -> None:
+        self.seen.np[:] = 0
+        self.hits.np[:] = 0
+
+    def members(self) -> "list[tuple[int, ...]]":
+        """``(size, level, schedule)`` of every member that ran, by member id."""
+        return [tuple(int(v) for v in row[1:]) for row in self.seen.np if row[0]]
+
+    def close(self) -> None:
+        self.seen.close()
+        self.hits.close()
 
 
 class RuntimeLifecycleMachine(RuleBasedStateMachine):
@@ -52,6 +109,10 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
         self.backend = ThreadBackend()
+        #: where regions that need one Python heap run: the backend itself,
+        #: or threads between the pool's regions
+        self.heap_backend = self.backend
+        self.shipped = Shipped()
         self.counter_total = 0  # serial oracle for every counting region run
         #: the processors the fuzz thread (every region's master) may use, the
         #: mask the machine last gave it, and the masks the members of the
@@ -60,9 +121,12 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         self.master_mask = set(self.processors)
         self.member_masks: "list[set[int]]" = []
 
-    @initialize(backend=st.sampled_from(["serial", "threads"]))
+    @initialize(backend=st.sampled_from(BACKENDS))
     def pick_backend(self, backend):
-        self.backend = SerialBackend() if backend == "serial" else ThreadBackend()
+        if backend == "processes":
+            self.backend, self.heap_backend = ProcessBackend(pool_workers=3), ThreadBackend()
+        else:
+            self.backend = self.heap_backend = SerialBackend() if backend == "serial" else ThreadBackend()
         # Placement is decided once, by the first thread team, under the
         # whole mask: before any move, whichever backend the rules run on.
         parallel_region(lambda: None, num_threads=2, backend=ThreadBackend(), name="fuzz.prime")
@@ -70,40 +134,53 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
     def teardown(self):
         if self.processors:
             os.sched_setaffinity(0, self.processors)
+        if isinstance(self.backend, ProcessBackend):
+            self.backend.shutdown()
+        self.shipped.close()
+
+    def _team_size(self, num_threads: int) -> int:
+        """Members a region of ``num_threads`` gets: a serial team is clamped to one."""
+        return 1 if isinstance(self.backend, SerialBackend) else num_threads
 
     # -- rules ---------------------------------------------------------------
 
     @rule(num_threads=st.integers(min_value=1, max_value=4))
     def spmd_region(self, num_threads):
         """A bare SPMD region: every member observes a consistent context."""
-        observed = []
-
-        def body():
-            observed.append((ctx.get_thread_id(), ctx.get_num_team_threads(), ctx.get_level()))
-
-        parallel_region(body, num_threads=num_threads, backend=self.backend, name="fuzz.spmd")
-        size = observed[0][1]
-        assert sorted(tid for tid, _, _ in observed) == list(range(size))
-        assert all(n == size and level == 1 for _, n, level in observed)
+        self.shipped.reset()
+        parallel_region(self.shipped.observe, num_threads=num_threads, backend=self.backend, name="fuzz.spmd")
+        size = self._team_size(num_threads)
+        schedule = SCHEDULES.index(get_config().default_schedule)
+        assert self.shipped.members() == [(size, 1, schedule)] * size
 
     @rule(
         num_threads=st.integers(min_value=1, max_value=4),
         span=st.integers(min_value=0, max_value=40),
-        schedule=st.sampled_from(["static_block", "static_cyclic", "dynamic", "guided"]),
+        schedule=st.sampled_from(SCHEDULES),
     )
     def workshared_loop(self, num_threads, span, schedule):
         """run_for must cover [0, span) exactly once under any schedule."""
-        hits = [0] * span
+        self.shipped.reset()
+        self.shipped.span, self.shipped.schedule = span, schedule
+        parallel_region(self.shipped.loop, num_threads=num_threads, backend=self.backend, name="fuzz.for")
+        assert list(self.shipped.hits.np[:span]) == [1] * span
 
-        def loop(start, end, step):
-            for i in range(start, end, step):
-                hits[i] += 1
-
-        def body():
-            run_for(loop, 0, span, 1, schedule=schedule, loop_name="fuzz.loop")
-
-        parallel_region(body, num_threads=num_threads, backend=self.backend, name="fuzz.for")
-        assert hits == [1] * span
+    @rule(
+        num_threads=st.integers(min_value=2, max_value=4),
+        span=st.integers(min_value=0, max_value=40),
+        schedule=st.sampled_from(SCHEDULES),
+    )
+    def config_between_regions(self, num_threads, span, schedule):
+        """A loop under the *configured* schedule, with the configuration
+        changed since the last region: every member must run under the new
+        one (a warm worker keeps the old one only when nothing changed)."""
+        self.shipped.reset()
+        self.shipped.span, self.shipped.schedule = span, None
+        with config_override(default_schedule=schedule):
+            parallel_region(self.shipped.loop, num_threads=num_threads, backend=self.backend, name="fuzz.config")
+        size = self._team_size(num_threads)
+        assert self.shipped.members() == [(size, 1, SCHEDULES.index(schedule))] * size
+        assert list(self.shipped.hits.np[:span]) == [1] * span
 
     @rule(
         num_threads=st.integers(min_value=1, max_value=4),
@@ -120,9 +197,9 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
             for _ in range(increments):
                 critical_call(bump, key="fuzz.counter")
 
-        parallel_region(body, num_threads=num_threads, backend=self.backend, name="fuzz.critical")
+        parallel_region(body, num_threads=num_threads, backend=self.heap_backend, name="fuzz.critical")
         # A serial team is clamped to one member; threads run all of them.
-        members = 1 if isinstance(self.backend, SerialBackend) else num_threads
+        members = 1 if isinstance(self.heap_backend, SerialBackend) else num_threads
         assert cell["value"] == members * increments
         self.counter_total += cell["value"]
 
@@ -137,7 +214,7 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
                     spawn_task(lambda i=index: done.append(i))
             task_wait()
 
-        parallel_region(body, num_threads=2, backend=self.backend, name="fuzz.tasks")
+        parallel_region(body, num_threads=2, backend=self.heap_backend, name="fuzz.tasks")
         assert sorted(done) == list(range(tasks))
 
     @rule(value=st.integers(min_value=-100, max_value=100))
@@ -149,7 +226,7 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
                 assert future.get() == value * 2
             task_wait()
 
-        parallel_region(body, num_threads=2, backend=self.backend, name="fuzz.future")
+        parallel_region(body, num_threads=2, backend=self.heap_backend, name="fuzz.future")
 
     @rule(outer=st.integers(min_value=1, max_value=3), inner=st.integers(min_value=1, max_value=3))
     def nested_teams(self, outer, inner):
@@ -160,9 +237,9 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
             records.append((ctx.get_level(), ctx.get_ancestor_thread_id(0), ctx.get_thread_id()))
 
         def outer_body():
-            parallel_region(inner_body, num_threads=inner, backend=self.backend, name="fuzz.inner")
+            parallel_region(inner_body, num_threads=inner, backend=self.heap_backend, name="fuzz.inner")
 
-        parallel_region(outer_body, num_threads=outer, backend=self.backend, name="fuzz.outer")
+        parallel_region(outer_body, num_threads=outer, backend=self.heap_backend, name="fuzz.outer")
         assert records, "every outer member must have run an inner region"
         assert all(level == 2 for level, _, _ in records)
 
@@ -178,7 +255,7 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         def body():
             masks.append(os.sched_getaffinity(0))
 
-        parallel_region(body, num_threads=num_threads, backend=self.backend, name="fuzz.move")
+        parallel_region(body, num_threads=num_threads, backend=self.heap_backend, name="fuzz.move")
 
     # -- invariants ----------------------------------------------------------
 
@@ -210,12 +287,15 @@ def test_runtime_lifecycle_state_machine(machine, _clean_runtime_state):
     run_state_machine_as_test(machine, settings=MACHINE_SETTINGS)
 
 
-def test_machine_rules_run_once_each():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_machine_rules_run_once_each(backend):
     """Smoke: every rule works as a plain method call (no hypothesis search)."""
     machine = RuntimeLifecycleMachine()
-    machine.pick_backend(backend="threads")
+    machine.pick_backend(backend=backend)
     machine.spmd_region(num_threads=3)
     machine.workshared_loop(num_threads=2, span=17, schedule="dynamic")
+    machine.config_between_regions(num_threads=3, span=23, schedule="static_cyclic")
+    machine.config_between_regions(num_threads=3, span=23, schedule="guided")
     machine.critical_counter(num_threads=2, increments=3)
     machine.task_region(tasks=4)
     machine.future_result(value=21)

@@ -27,10 +27,10 @@ from repro.runtime import member as lifecycle
 from repro.runtime import shm
 from repro.runtime import subinterp
 from repro.runtime.backend import SerialBackend, ThreadBackend
+from repro.runtime.member import FrameReader
 from repro.runtime.subinterp import (
     SubinterpreterBackend,
     _bootstrap_source,
-    _ReplyPipes,
     subinterpreters_available,
 )
 from repro.runtime.team import parallel_region
@@ -388,7 +388,7 @@ class TestResultChannel:
         read_fd, write_fd = os.pipe()
         try:
             os.write(write_fd, self._framed((1, (b"payload-bytes", None))))
-            assert _ReplyPipes([read_fd]).get(5.0) == (1, (b"payload-bytes", None))
+            assert FrameReader([read_fd]).get(5.0) == (1, (b"payload-bytes", None))
         finally:
             os.close(read_fd)
             os.close(write_fd)
@@ -397,7 +397,7 @@ class TestResultChannel:
         read_fd, write_fd = os.pipe()
         os.close(write_fd)
         try:
-            pipes = _ReplyPipes([read_fd])
+            pipes = FrameReader([read_fd])
             with pytest.raises(queue.Empty):
                 pipes.get(5.0)
             # Dropped, not re-polled: the next read waits out its timeout
@@ -413,7 +413,7 @@ class TestResultChannel:
         read_fd, write_fd = os.pipe()
         try:
             with pytest.raises(queue.Empty):
-                _ReplyPipes([read_fd]).get(0.05)
+                FrameReader([read_fd]).get(0.05)
         finally:
             os.close(read_fd)
             os.close(write_fd)
@@ -431,7 +431,7 @@ class TestResultChannel:
         writer = threading.Thread(target=trickle, daemon=True)
         writer.start()
         try:
-            pipes = _ReplyPipes([read_fd])
+            pipes = FrameReader([read_fd])
             deadline = time.monotonic() + 10
             received = None
             while received is None and time.monotonic() < deadline:
@@ -448,7 +448,7 @@ class TestResultChannel:
     def test_replies_from_several_members_arrive_in_any_order(self):
         pairs = [os.pipe() for _ in range(3)]
         try:
-            pipes = _ReplyPipes([read_fd for read_fd, _ in pairs])
+            pipes = FrameReader([read_fd for read_fd, _ in pairs])
             for thread_id in (3, 1, 2):
                 os.write(pairs[thread_id - 1][1], self._framed((thread_id, (None, None))))
             assert sorted(pipes.get(5.0)[0] for _ in range(3)) == [1, 2, 3]

@@ -322,6 +322,24 @@ def test_zero_step_rejected():
         parallel_region(body, num_threads=2)
 
 
+@pytest.mark.parametrize("schedule", ["static_block", "static_cyclic", "dynamic", "guided"])
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_a_chunk_below_one_is_rejected_in_a_team(schedule, chunk):
+    """Never an empty share: a static member computes its share without a
+    scheduler object, so it checks the chunk itself."""
+    from repro.runtime.exceptions import SchedulingError
+    from repro.runtime.team import Team
+
+    calls = []
+    ctx.push_context(ctx.ExecutionContext(team=Team(2), thread_id=1))
+    try:
+        with pytest.raises(SchedulingError, match="chunk must be >= 1"):
+            run_for(lambda *r: calls.append(r), 0, 10, 1, schedule=schedule, chunk=chunk, nowait=True)
+    finally:
+        ctx.pop_context()
+    assert calls == []
+
+
 @pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
 class TestWorksharingConformance:
     """Every schedule must partition identically-observably on every backend.

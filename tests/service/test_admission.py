@@ -9,9 +9,11 @@ on top in ``test_service.py``.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import pytest
 
+from repro.service import admission
 from repro.service.admission import (
     CANCELLED,
     DONE,
@@ -204,6 +206,75 @@ class TestHistory:
         # the leader was trimmed; a new identical submission starts fresh
         fresh, coalesced = submit(queue, coalescable=True)
         assert fresh is not leader and not coalesced
+
+
+class _CountingRequests(OrderedDict):
+    """The queue's request table, counting the entries its walks examine."""
+
+    examined = 0
+
+    def items(self):
+        for item in super().items():
+            self.examined += 1
+            yield item
+
+
+class TestHistoryTrim:
+    """``_trim_history`` under a small bound: what it keeps, what it drops,
+    and how much of the table one submit walks."""
+
+    LIMIT = 8
+
+    @pytest.fixture(autouse=True)
+    def small_history(self, monkeypatch):
+        monkeypatch.setattr(admission, "HISTORY_LIMIT", self.LIMIT)
+
+    @staticmethod
+    def run_one(queue, **kwargs):
+        request, _ = submit(queue, **kwargs)
+        claimed = queue.claim(timeout=0.1)
+        queue.finish(claimed, value=0.0)
+        return claimed
+
+    def test_the_bound_holds(self):
+        queue = make_queue(queue_limit=64)
+        for index in range(5 * self.LIMIT):
+            self.run_one(queue, tenant=f"t{index}")
+            assert len(queue._requests) <= self.LIMIT
+        assert sum(queue.snapshot()["requests_by_state"].values()) == self.LIMIT
+
+    def test_a_live_old_request_survives(self):
+        queue = make_queue(queue_limit=64, tenant_cap=1)
+        keeper, _ = submit(queue, tenant="keeper")
+        assert queue.claim(timeout=0.1) is keeper  # running, and the oldest entry
+        for index in range(5 * self.LIMIT):
+            self.run_one(queue, tenant=f"t{index}")
+        assert queue.get(keeper.id) is keeper and keeper.state == RUNNING
+        assert len(queue._requests) == self.LIMIT
+
+    def test_a_coalescing_key_is_dropped_with_its_request(self):
+        queue = make_queue(queue_limit=64)
+        leader = self.run_one(queue, coalescable=True)
+        assert leader.id in queue._requests and len(queue._by_key) == 1
+        for index in range(self.LIMIT):
+            self.run_one(queue, tenant=f"t{index}")
+        assert leader.id not in queue._requests and not queue._by_key
+        fresh, coalesced = submit(queue, coalescable=True)
+        assert fresh is not leader and not coalesced
+
+    def test_a_submit_examines_no_more_entries_as_history_grows(self):
+        queue = make_queue(queue_limit=64, tenant_cap=2)
+        old, _ = submit(queue, tenant="old")
+        assert queue.claim(timeout=0.1) is old  # one live entry ahead of the history
+        queue._requests = _CountingRequests(queue._requests)
+        per_submit = []
+        for index in range(6 * self.LIMIT):
+            before = queue._requests.examined
+            self.run_one(queue, tenant=f"t{index}")
+            per_submit.append(queue._requests.examined - before)
+        trimming = per_submit[self.LIMIT :]  # once the history is full
+        # the live entry, then the one finished entry that goes: never the history
+        assert max(trimming) <= 2, per_submit
 
 
 class TestServiceConfig:
