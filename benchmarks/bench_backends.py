@@ -1,4 +1,4 @@
-"""Backend comparison: serial vs threads vs processes vs subinterp wall-clock.
+"""Backend comparison: serial vs threads vs processes wall-clock.
 
 Runs the shared-memory-ported JGF kernels (Series, Crypt, SOR, Sparse)
 through ``parallel_region`` on each execution backend and reports wall-clock
@@ -7,9 +7,9 @@ numbers, as opposed to the calibrated :mod:`repro.perf` model.
 
 Two knobs shape the comparison:
 
-* **backend** — ``serial`` / ``threads`` / ``processes`` / ``subinterp``.
-  Rows for backends that cannot run here (no fork, no usable interpreters
-  module) are reported as unavailable rather than silently dropped.
+* **backend** — ``serial`` / ``threads`` / ``processes``.  Rows for
+  backends that cannot run here (no fork) are reported as unavailable rather
+  than silently dropped.
 * **kernel path** — ``python`` (the paper-faithful pure-Python chunk bodies)
   or ``vector`` (numpy chunk bodies that release the GIL; Series, SOR and
   Sparse only).  ``--mode full`` measures both paths.
@@ -21,7 +21,7 @@ How to read the numbers honestly:
   can scale because numpy releases the GIL inside the chunk.  On a
   free-threaded build (PEP 703) the python bodies scale too — the report
   prints the live GIL state rather than assuming.
-* ``processes`` / ``subinterp`` — genuine multi-core execution, *bounded by
+* ``processes`` — genuine multi-core execution, *bounded by
   the cores the OS grants this process*.  On a 1-core container no backend
   can beat serial no matter how many workers are configured; the detected
   core count is printed with every report.
@@ -66,7 +66,7 @@ KERNELS = {
 #: kernels whose drivers accept a ``kernel="vector"`` path
 VECTOR_KERNELS = frozenset({"series", "sor", "sparse"})
 
-BACKENDS = ("serial", "threads", "processes", "subinterp")
+BACKENDS = ("serial", "threads", "processes")
 
 
 @dataclass
@@ -84,10 +84,6 @@ class Measurement:
 def _backend_available(name: str) -> bool:
     if name == "processes":
         return shm.fork_available()
-    if name == "subinterp":
-        from repro.runtime.subinterp import subinterpreters_available
-
-        return subinterpreters_available()
     return True
 
 

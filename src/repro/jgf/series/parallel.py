@@ -63,7 +63,7 @@ def run_aomp(
     n = resolve_size(SIZES, size)
     backend_obj = resolve_backend(backend) if backend is not None else None
     # Shared memory whenever members do not share a Python heap — true for
-    # process *and* subinterpreter teams, so key off the capability flag
+    # process *and* distributed teams, so key off the capability flag
     # rather than is_process_based.
     shared = bool(backend_obj is not None and not backend_obj.supports_shared_locals)
     kernel = FourierSeries(n, shared=shared)

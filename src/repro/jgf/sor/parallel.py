@@ -84,7 +84,7 @@ def run_aomp(
     n = resolve_size(SIZES, size)
     backend_obj = resolve_backend(backend) if backend is not None else None
     # Shared memory whenever members do not share a Python heap (process and
-    # subinterpreter teams alike).
+    # distributed teams alike).
     shared = bool(backend_obj is not None and not backend_obj.supports_shared_locals)
     kernel = SORBenchmark(n, iterations=_iterations_for(size), shared=shared)
     try:

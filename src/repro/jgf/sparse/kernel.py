@@ -27,7 +27,7 @@ class SparseMatmult:
 
     With ``shared=True`` the *output* vector ``y`` lives in
     :mod:`repro.runtime.shm` shared memory, making the kernel safe for
-    isolated-heap backends (process / subinterpreter teams): the read-only
+    isolated-heap backends (process / distributed teams): the read-only
     matrix triplets and input vector are shipped by value when the SPMD body
     is pickled (a one-time copy), but every member's row updates land in the
     one physical ``y``.

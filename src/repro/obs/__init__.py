@@ -19,7 +19,7 @@ Design rules (the PR-2 tracing discipline, applied to metrics):
   (:class:`~repro.obs.registry.MetricsRegistry`); snapshots merge the
   vectors.  Hot loops batch: one ``add()`` per claim batch, not per chunk.
 
-* **Team-wide aggregation.**  Fork/subinterpreter workers flush their
+* **Team-wide aggregation.**  Fork and pool workers flush their
   deltas into a :class:`~repro.obs.arena.MetricsArena` of int64 cells over
   the same pluggable ``cells=`` storage the heartbeat arena uses; socket
   plane workers piggyback ``(slot, value)`` deltas on their barrier and

@@ -3,7 +3,7 @@
 A :class:`MetricsArena` gives every team member a disjoint range of int64
 cells — one per registry slot — in whatever storage its allocator provides
 (see :class:`~repro.runtime.shm.CellArena`: ``multiprocessing`` shared
-memory for fork teams, a named ``SharedArray`` for subinterpreters).
+memory, inherited by fork and pool workers).
 Because ranges are disjoint and each is written only by its own member's
 process, no lock is needed: the same design as
 :class:`~repro.runtime.shm.HeartbeatArena`.

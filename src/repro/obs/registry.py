@@ -5,7 +5,7 @@ slot vector whose layout is fixed at registry construction: counters first
 (their slots are import-time constants, independent of configuration), then
 each histogram's bucket cells plus an integer-nanosecond sum cell.  The
 layout is a pure function of the ``AOMP_METRICS_BUCKETS`` boundaries, so
-every process of a team — fork children, subinterpreters, spawned socket
+every process of a team — fork children, pool workers, spawned socket
 workers — derives the *same* layout from its inherited environment and raw
 ``(slot, value)`` deltas can cross process boundaries without any schema.
 

@@ -73,7 +73,6 @@ from repro.runtime.scheduler import (
     Schedule,
     StaticBlockScheduler,
     StaticCyclicScheduler,
-    cached_partition,
     make_scheduler,
 )
 from repro.runtime.worksharing import collapse_loop, run_for, run_sections, static_partition
@@ -190,7 +189,6 @@ __all__ = [
     "DynamicScheduler",
     "GuidedScheduler",
     "make_scheduler",
-    "cached_partition",
     "collapse_loop",
     "run_for",
     "run_sections",

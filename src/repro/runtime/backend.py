@@ -19,12 +19,9 @@ The backend is a strategy object deciding *how* team members execute:
   thread-local reductions) transparently fall back to the thread backend via
   the :attr:`Backend.supports_shared_locals` capability flag, which the
   weaver and the worksharing layer consult.
-* :class:`~repro.runtime.subinterp.SubinterpreterBackend` (registered as
-  ``subinterp``) — runs team members in PEP-734 subinterpreters, one per
-  member, each with its own GIL: true multi-core parallelism without fork
-  or pickled data, using the same :mod:`repro.runtime.shm` data plane as
-  the process backend.  Requires CPython ≥ 3.12 with an interpreters
-  module; degrades to threads elsewhere.
+* :class:`~repro.runtime.distributed.DistributedBackend` (registered as
+  ``distributed``) — runs team members in spawned worker processes over the
+  socket data plane: no fork, so it works on every platform.
 
 Capability flags describe what each backend can honour; the
 :attr:`Backend.true_parallel` flag additionally reports whether members can
@@ -86,7 +83,7 @@ class Backend:
 
     #: Whether team members share one Python heap: mutations of ordinary
     #: Python objects made by one member are visible to the others.  Process
-    #: and subinterpreter backends set this to ``False``; constructs that
+    #: and distributed backends set this to ``False``; constructs that
     #: need shared locals (single/master broadcast, ordered, critical
     #: sections, reductions) are routed to a fallback backend when it is
     #: unset.
@@ -110,8 +107,8 @@ class Backend:
         """Whether team members can execute Python bytecode simultaneously.
 
         ``False`` for GIL-bound threads (pure-Python bodies serialise even on
-        many cores); ``True`` for process teams, subinterpreter teams
-        (per-interpreter GIL) and threads on a live free-threaded build.
+        many cores); ``True`` for process teams and threads on a live
+        free-threaded build.
         Consumers — the tuner's arbitration, the benchmark report — must ask
         the *backend*, not assume thread ⇒ GIL-bound.
         """
@@ -380,7 +377,7 @@ class SerialBackend(Backend):
 class ExternalBackend(Backend):
     """A backend whose members live outside the master's Python heap.
 
-    What the process, subinterpreter and distributed tiers have in common on
+    What the process and distributed tiers have in common on
     the master's side: an in-process ``fallback`` for the regions they cannot
     honour, one rule for which regions those are, and a warning — once per
     reason — when the fallback is a degradation rather than the design.
@@ -688,10 +685,6 @@ _BACKEND_ALIASES = {
     "processes": "processes",
     "proc": "processes",
     "multiprocessing": "processes",
-    "subinterp": "subinterp",
-    "subinterpreter": "subinterp",
-    "subinterpreters": "subinterp",
-    "interpreters": "subinterp",
 }
 _named_instances: Dict[str, Backend] = {}
 
@@ -705,20 +698,9 @@ def register_backend(name: str, factory: Callable[[], Backend], *, aliases: tupl
     _named_instances.pop(name, None)
 
 
-def _subinterpreter_backend() -> Backend:
-    # Imported lazily: subinterp.py imports this module for the Backend base
-    # class, so a module-level import would be circular.  The backend is
-    # registered unconditionally — on interpreters without PEP-734 support
-    # its resolve_for_region degrades to the thread fallback with a warning,
-    # so ``AOMP_BACKEND=subinterp`` stays a safe setting everywhere.
-    from repro.runtime.subinterp import SubinterpreterBackend
-
-    return SubinterpreterBackend()
-
-
 def _distributed_backend() -> Backend:
-    # Lazily imported for the same circularity reason as the subinterpreter
-    # backend: distributed.py needs the Backend base class from this module.
+    # Imported lazily: distributed.py imports this module for the Backend
+    # base class, so a module-level import would be circular.
     from repro.runtime.distributed import DistributedBackend
 
     return DistributedBackend()
@@ -727,7 +709,6 @@ def _distributed_backend() -> Backend:
 register_backend("serial", SerialBackend)
 register_backend("threads", ThreadBackend)
 register_backend("processes", ProcessBackend)
-register_backend("subinterp", _subinterpreter_backend)
 register_backend("distributed", _distributed_backend, aliases=("dist", "sockets", "socket"))
 
 

@@ -19,10 +19,11 @@ class BrokenBarrierError(RuntimeError):
     """Raised when a barrier is broken because a participant failed or the barrier was aborted."""
 
 
-#: Upper bound on how long any member waits in a team barrier by default.
-#: Mirrors the shm barrier's timeout: a deadlocked team (e.g. a nested inner
-#: team whose sibling died) breaks the barrier with an error instead of
-#: hanging the process — the test-tier watchdogs rely on this backstop.
+#: Upper bound on how long any member waits in a team barrier by default, on
+#: every tier (thread, shm and socket barriers): a deadlocked team (e.g. a
+#: nested inner team whose sibling died) breaks the barrier with an error
+#: instead of hanging the process — the test-tier watchdogs rely on this
+#: backstop.
 #: Raise (or disable, with ``<= 0``) via ``AOMP_BARRIER_TIMEOUT`` when a
 #: legitimately serialised phase (e.g. an ``auto`` loop's serial fallback
 #: over a huge range) keeps siblings waiting longer than the default.

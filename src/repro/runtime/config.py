@@ -43,7 +43,7 @@ def usable_cpus() -> int:
 
 def _default_backend() -> str:
     """Backend name from ``AOMP_BACKEND`` (``serial`` | ``threads`` |
-    ``processes`` | ``subinterp`` | ``distributed``).
+    ``processes`` | ``distributed``).
 
     Validity is checked loudly — but *at use*, by ``backend_by_name`` (which
     names the valid set), so plugin backends registered after import still
@@ -243,7 +243,7 @@ class RuntimeConfig:
         Default team size for parallel regions that do not specify one.
     backend:
         Name of the default execution backend (``"serial"``, ``"threads"``,
-        ``"processes"`` or ``"subinterp"``), seeded from the ``AOMP_BACKEND``
+        ``"processes"`` or ``"distributed"``), seeded from the ``AOMP_BACKEND``
         environment variable.  Overridden globally by
         :func:`repro.runtime.backend.set_backend` and per-region via the
         ``backend=`` argument of ``parallel_region``.

@@ -26,7 +26,7 @@ schedules are pure functions of the member id and cost **zero** messages;
 dynamic/guided claims go through the batched ``_claim_batch`` /
 ``guided_claim_batch`` shapes (one RPC claims many chunks); taskloop
 steals ride the same per-tile RPCs the shm deck uses per-lock-round-trip.
-Eligibility matches the pool/subinterpreter contract: only picklable
+Eligibility matches the persistent pool's contract: only picklable
 ``process_safe`` SPMD bodies can cross the wire; everything else runs on
 the thread fallback.
 """
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Callable
 import repro.obs.registry as obsreg
 from repro.obs.exposition import suppress_exporter
 from repro.runtime import dataplane, shm
-from repro.runtime.barrier import _default_barrier_timeout
 from repro.runtime.backend import Backend, ExternalBackend
 from repro.runtime.config import get_config
 from repro.runtime.member import WorkerState, describe_region, join_team, path_prelude, run_shipped_member
@@ -308,10 +307,6 @@ class DistributedBackend(ExternalBackend):
             receive=lambda wait: workers.coordinator.results.get(timeout=wait),
             alive=lambda: any(proc.poll() is None for proc in workers.workers.values()),
             dead_workers=workers.dead_workers,
-            # The coordinator barrier honours AOMP_BARRIER_TIMEOUT (as the
-            # workers' RPC timeout does); with the bound disabled the
-            # dead-worker and monitor-tripped checks still end the wait.
-            barrier_bound=_default_barrier_timeout(),
         )
 
     # -- the parked team ------------------------------------------------------

@@ -18,9 +18,9 @@ A spec is a ``;``-separated list of rules, each ``action:key=value,...``:
 
 ===========  ================================================================
 ``kill``     SIGKILL the member's worker process.  *Backend-aware*: when the
-             member shares the master's process (threads, subinterpreters,
-             serial — or the master itself), a real SIGKILL would take down
-             the whole program, so the action degrades to raising
+             member shares the master's process (threads, serial — or the
+             master itself), a real SIGKILL would take down the whole
+             program, so the action degrades to raising
              :class:`~repro.runtime.exceptions.InjectedFault` instead.
 ``raise``    Raise :class:`InjectedFault` in the member.
 ``stall``    Sleep ``seconds`` (default 1.0) at the site, simulating a hung
@@ -38,7 +38,7 @@ process's first region.  Remaining selectors:
 ``seed:N`` rule for reproducibility).
 
 **Detection** — :class:`WorkerMonitor` watches one process-backed region: on
-its own daemon thread for forked, subinterpreter and distributed teams,
+its own daemon thread for forked and distributed teams,
 driven by the persistent pool's long-lived watcher for pooled ones (the one
 :func:`repro.runtime.member.join_team` sets up either).  The master normally
 learns about a dead worker only after its own barrier wait times out (120s);
@@ -185,7 +185,7 @@ class FaultPlan:
     deterministic regardless of how members interleave.  The plan also owns
     the region occurrence counter that ``region=N`` selectors match against
     (stamped on each team as ``fault_region`` and shipped to worker
-    processes/interpreters with the region descriptor).
+    processes with the region descriptor).
     """
 
     def __init__(self, rules: Iterable[FaultRule], *, seed: "int | None" = None) -> None:
@@ -217,7 +217,7 @@ class FaultPlan:
 
         ``kill`` sends a real SIGKILL only when the calling member runs in a
         *different process* than the one that created the plan; in-process
-        members (threads, subinterpreters, the master) raise
+        members (threads, the master) raise
         :class:`InjectedFault` instead so the program under test survives.
         """
         with self._lock:
@@ -551,7 +551,7 @@ class WorkerMonitor:
         """One liveness check; ``True`` once there is nothing left to watch.
 
         The single statement of the detection logic: the monitor's own thread
-        calls it every :attr:`interval` on the fork, subinterpreter and distributed paths, the
+        calls it every :attr:`interval` on the fork and distributed paths, the
         persistent pool's long-lived watcher calls it for whichever region is
         in flight.  On the first death — or stale heartbeat, when a stall
         cutoff is configured — it records the diagnosis, aborts the team and

@@ -12,16 +12,16 @@ reply leaves*:
   context.  Thread, serial and forked members call it with the live team.
 * :func:`run_shipped_member` — wraps the core for members that rebuild
   their world from a :func:`describe_region` descriptor (pool workers,
-  subinterpreters, socket workers) and encodes the outcome for the reply.
+  socket workers) and encodes the outcome for the reply.
 * :func:`join_team` — the master's side: watch the workers, run member 0
   inline, collect the replies, diagnose who never replied, reap.
 
 A tier therefore supplies four things and nothing else: a way to deliver
 the descriptor, a sync bundle on the worker's side, a way to deliver the
-reply, and a way to say who is dead.  The pool, fork and subinterpreter
-tiers deliver both over *private* pipes — one writer and one reader each, so
-no lock — in :func:`send_frame` frames, and the master reads every member's
-reply pipe as one timed channel (:class:`FrameReader`).
+reply, and a way to say who is dead.  The pool and fork tiers deliver both
+over *private* pipes — one writer and one reader each, so no lock — in
+:func:`send_frame` frames, and the master reads every member's reply pipe as
+one timed channel (:class:`FrameReader`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import faults, shm, tasks
+from repro.runtime.barrier import _default_barrier_timeout
 from repro.runtime.config import RuntimeConfig, get_config, set_config
 from repro.runtime.exceptions import WorkerProcessError
 from repro.runtime.trace import EventKind
@@ -163,9 +164,7 @@ def path_prelude() -> str:
 def describe_region(team: "Team", body_bytes: bytes) -> "dict[str, Any]":
     """Everything a shipped member needs to rebuild ``team`` on its side.
 
-    Values are primitives (ints, strings, bytes, tuples, dicts, ``None``) so
-    the descriptor survives ``repr`` — the subinterpreter tier's pickle-free
-    channel — as well as pickling.
+    Values are primitives (ints, strings, bytes, tuples, dicts, ``None``).
     """
     config = get_config()
     plan = faults.current_plan()
@@ -266,7 +265,7 @@ class WorkerState:
 
 
 def run_shipped_member(
-    descriptor: "dict[str, Any]", thread_id: int, sync: "shm.ProcessSync", state: "WorkerState | None" = None
+    descriptor: "dict[str, Any]", thread_id: int, sync: "shm.ProcessSync", state: WorkerState
 ) -> "tuple[bytes | None, bytes | str | None]":
     """Run member ``thread_id`` of the region ``descriptor`` names, over ``sync``.
 
@@ -275,17 +274,15 @@ def run_shipped_member(
     plan, run :func:`run_member`, and return the reply — the pickled result
     and ``None``, or ``None`` and the encoded exception.  Never raises: a
     failure anywhere aborts the team barrier (releasing siblings blocked in
-    it) and travels back in the reply.  A long-lived worker passes the
-    :class:`WorkerState` it keeps between regions; without one nothing is
-    kept.
+    it) and travels back in the reply.  ``state`` is the
+    :class:`WorkerState` the long-lived worker keeps between regions.
     """
     from repro.runtime.team import Team  # team.py imports this module
 
-    kept = state if state is not None else WorkerState()
     try:
-        kept.install_faults(descriptor["faults"])
-        body = kept.load(descriptor["body"])
-        previous = set_config(kept.config(descriptor["config"]))
+        state.install_faults(descriptor["faults"])
+        body = state.load(descriptor["body"])
+        previous = set_config(state.config(descriptor["config"]))
         try:
             team = Team(
                 descriptor["size"],
@@ -305,9 +302,6 @@ def run_shipped_member(
         except Exception:
             pass  # transport already gone; the master's loss path reports this member
         return None, _encode_exception(exc)
-    finally:
-        if state is None:
-            kept.close()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +317,6 @@ def join_team(
     alive: Callable[[], bool],
     dead_workers: Callable[[], list],
     accept: Callable[[Any], "tuple[int, tuple] | None"] = lambda item: item,
-    barrier_bound: "float | None" = shm.BARRIER_TIMEOUT,
     watcher: Any = None,
     on_give_up: "Callable[[], None] | None" = None,
     reap: Callable[[bool], None] = lambda failed: None,
@@ -336,9 +329,10 @@ def join_team(
     left to wait for", ``dead_workers`` for the monitor's
     ``(member, pid, exitcode)`` triples) and how to ``reap`` its workers once
     everyone is accounted for (called with whether the region failed).
-    ``barrier_bound`` is the team barrier's own timeout (``None``: unbounded)
-    — a healthy worker legitimately blocked in a long barrier must not be
-    declared lost by a join deadline shorter than the barrier's.  ``watcher``
+    The join deadline tracks the team barrier's bound
+    (``AOMP_BARRIER_TIMEOUT``; none when unbounded) — a healthy worker
+    legitimately blocked in a long barrier must not be declared lost by a
+    join deadline shorter than the barrier's.  ``watcher``
     is an object whose ``watch(team)`` returns a
     :class:`~repro.runtime.faults.WorkerMonitor` it drives for the region —
     its own, re-armed, with its own ``dead_workers`` (the pool's long-lived
@@ -352,6 +346,7 @@ def join_team(
         monitor.start()
     else:
         monitor = watcher.watch(team)
+    barrier_bound = _default_barrier_timeout()
     master_result: Any = None
     try:
         master_result = run_member(0)

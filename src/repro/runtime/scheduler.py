@@ -18,8 +18,6 @@ Hot-path design (this module sits under every workshared loop):
   lives in the ``new_state``/``new_guided_state`` objects;
 * a team member's static share is arithmetic in its id
   (:func:`block_span`, :func:`cyclic_spans`): ``run_for`` builds no plan;
-  :func:`cached_partition` memoises whole-team *static* plans for the
-  callers that want one (``static_partition``, the threaded baselines);
 * dynamic/guided claim states hand out **batches** of chunks per lock
   round-trip (:meth:`_DynamicLoopState.next_chunks`,
   :meth:`_GuidedLoopState.next_ranges`), with a tail fallback that shrinks
@@ -754,57 +752,10 @@ def make_scheduler(schedule: "str | Schedule", chunk: int = 1) -> LoopScheduler:
     return _scheduler_instance(parsed, chunk)
 
 
-#: Plans whose total chunk count exceeds this are built on demand and never
-#: stored in the LRU: a fine-grained cyclic loop over millions of iterations
-#: would otherwise pin millions of LoopChunk objects until eviction.
-PARTITION_CACHE_MAX_CHUNKS = 4096
-
-
 def partition_chunk_count(schedule: Schedule, chunk: int, num_threads: int, total: int) -> int:
-    """Number of chunks a static plan would materialise (cache-size guard)."""
+    """Number of chunks a plan of ``schedule`` cuts ``total`` iterations into."""
     if chunk < 1:
         raise SchedulingError("chunk must be >= 1")
     if schedule is Schedule.STATIC_BLOCK:
         return min(num_threads, total)
     return (total + chunk - 1) // chunk
-
-
-# maxsize 64 bounds the cache's *aggregate* footprint too: worst case
-# 64 plans x PARTITION_CACHE_MAX_CHUNKS chunks.  Real workloads re-run a
-# handful of loop shapes, so a small LRU still gets near-perfect hit rates.
-@lru_cache(maxsize=64)
-def _partition_cache(
-    schedule: Schedule, chunk: int, num_threads: int, start: int, end: int, step: int
-) -> tuple[tuple[LoopChunk, ...], ...]:
-    scheduler = _scheduler_instance(schedule, chunk)
-    return tuple(tuple(chunks) for chunks in scheduler.partition(num_threads, start, end, step))
-
-
-def cached_partition(
-    num_threads: int,
-    start: int,
-    end: int,
-    step: int,
-    *,
-    schedule: "str | Schedule" = Schedule.STATIC_BLOCK,
-    chunk: int = 1,
-) -> tuple[tuple[LoopChunk, ...], ...]:
-    """Memoised per-thread chunk plan for a *static* schedule.
-
-    Keyed by ``(schedule, chunk, num_threads, start, end, step)``; behind
-    :func:`repro.runtime.worksharing.static_partition` (which the threaded
-    baselines and analytic callers use), so a caller re-planning the same
-    loop every sweep pays for the partition once.  ``run_for`` does not use
-    it: a member computes its own share in one step.  Returns immutable
-    tuples — callers must not mutate the plan.  Plans larger than
-    :data:`PARTITION_CACHE_MAX_CHUNKS` chunks are built fresh each call
-    instead of pinned in the LRU.
-    """
-    parsed = Schedule.parse(schedule)
-    if parsed not in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
-        raise SchedulingError(f"schedule {parsed.value!r} has no static partition")
-    total = trip_count(start, end, step)
-    if partition_chunk_count(parsed, chunk, num_threads, total) > PARTITION_CACHE_MAX_CHUNKS:
-        scheduler = _scheduler_instance(parsed, chunk)
-        return tuple(tuple(chunks) for chunks in scheduler.partition(num_threads, start, end, step))
-    return _partition_cache(parsed, chunk, num_threads, start, end, step)

@@ -48,11 +48,8 @@ loudly through :func:`require_fork`.
 int64 cells only the arena knows, put wherever its *allocator* says —
 :func:`mp_cells` (fork-inherited ``multiprocessing`` cells, the default),
 :func:`heap_cells` (list cells and a thread lock: the socket plane's
-coordinator, whose every party is a thread of one process),
-:func:`pipe_cells` (a named :class:`SharedArray` guarded by a
-:class:`PipeLock`: subinterpreters, which can share no Python object) or
-:func:`attached_cells` (the segment and descriptors another party's
-``shareable()`` names).  The slot arenas add the tag-recycled slot layout
+coordinator, whose every party is a thread of one process).  The slot
+arenas add the tag-recycled slot layout
 once (:class:`SlotArena`), and each slot *operation* is written once, as a
 method of its slot class (:class:`ArenaSlot`, :class:`TaskStealSlot`,
 :class:`TunePlanSlot`), which also declares — ``OPS`` / ``CLAIMS`` — what
@@ -76,7 +73,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.runtime.barrier import BrokenBarrierError, _default_barrier_timeout
+from repro.runtime.barrier import _UNSET, BrokenBarrierError, _default_barrier_timeout
 from repro.runtime.exceptions import BackendError
 from repro.runtime.scheduler import block_counts, claim_cap, guided_claim_batch
 
@@ -109,7 +106,7 @@ def require_fork(component: str) -> None:
             "workers by address-space inheritance; spawn/forkserver would "
             "re-import and pickle instead), "
             f"but this platform only offers: {', '.join(multiprocessing.get_all_start_methods())}. "
-            "Use the threads or subinterp backend here, or the distributed "
+            "Use the threads backend here, or the distributed "
             "backend (socket data plane), which does not fork."
         )
 
@@ -406,65 +403,6 @@ def is_shared(array: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process synchronisation
-# ---------------------------------------------------------------------------
-
-#: Upper bound on how long any member waits in a team barrier before
-#: declaring it broken.  Prevents livelock when a sibling process dies
-#: without reaching the barrier (the stress suite relies on this guard).
-BARRIER_TIMEOUT = 120.0
-
-
-class PipeLock:
-    """A mutex built on an OS pipe holding a single token byte.
-
-    ``multiprocessing`` locks are Python objects and cannot cross a
-    subinterpreter boundary; file descriptors are process-wide integers valid
-    in *every* interpreter of the process (and, inherited across ``fork``, in
-    child processes too).  ``acquire`` blocks in ``os.read`` until the token
-    byte is available; ``release`` writes it back.  Not reentrant — exactly
-    like the ``multiprocessing`` locks it substitutes for, which the arenas
-    never nest.
-    """
-
-    __slots__ = ("_read_fd", "_write_fd", "_owner")
-
-    def __init__(self, fds: "tuple[int, int] | None" = None) -> None:
-        if fds is None:
-            self._read_fd, self._write_fd = os.pipe()
-            os.write(self._write_fd, b"\x00")  # seed the token: lock starts free
-            self._owner = True
-        else:
-            self._read_fd, self._write_fd = fds
-            self._owner = False
-
-    @property
-    def fds(self) -> "tuple[int, int]":
-        """The ``(read, write)`` descriptor pair — the lock's shareable identity."""
-        return (self._read_fd, self._write_fd)
-
-    def acquire(self) -> None:
-        os.read(self._read_fd, 1)
-
-    def release(self) -> None:
-        os.write(self._write_fd, b"\x00")
-
-    def __enter__(self) -> "PipeLock":
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()
-
-    def close(self) -> None:
-        """Close the pipe (creator only: fds are shared by every attached party)."""
-        if self._owner:
-            self._owner = False
-            os.close(self._read_fd)
-            os.close(self._write_fd)
-
-
-# ---------------------------------------------------------------------------
 # Cell storage: where an arena's int64 cells live, and what guards them
 # ---------------------------------------------------------------------------
 #
@@ -484,22 +422,6 @@ def heap_cells(count: int, locked: bool) -> "tuple[Any, Any]":
     """List cells and a thread lock: every party is a thread of this process
     (the socket plane's coordinator acts for its remote members)."""
     return [0] * count, threading.Lock() if locked else None
-
-
-def pipe_cells(count: int, locked: bool) -> "tuple[Any, Any]":
-    """A named :class:`SharedArray` and a :class:`PipeLock`: parties that share
-    no Python object (subinterpreters) attach through :func:`attached_cells`."""
-    return SharedArray.zeros(count, np.int64), PipeLock() if locked else None
-
-
-def attached_cells(shared: "tuple[str, tuple[int, int] | None]"):
-    """The allocator that attaches to what another party's ``shareable()`` names."""
-    name, fds = shared
-
-    def attach(count: int, locked: bool) -> "tuple[Any, Any]":
-        return _attach_shared_array(name, (count,), "<i8"), PipeLock(fds=fds) if locked else None
-
-    return attach
 
 
 class CellArena:
@@ -523,18 +445,6 @@ class CellArena:
     def reset(self) -> None:
         """Zero every cell — one bulk store (the pool runs this before every region)."""
         fill_cells(self._cells, 0, self._count, 1, 0)
-
-    def shareable(self) -> "tuple[str, tuple[int, int] | None]":
-        """``(segment name, lock fds)`` of :func:`pipe_cells` storage: plain
-        primitives (``repr``-round-trippable) for :func:`attached_cells`."""
-        return self._cells.name, self._lock.fds if self.LOCKED else None
-
-    def close(self) -> None:
-        """Release what a :func:`pipe_cells` / :func:`attached_cells` allocator
-        opened (the creator unlinks the segment and closes the pipe)."""
-        self._cells.close()
-        if self.LOCKED:
-            self._lock.close()
 
 
 class HeartbeatArena(CellArena):
@@ -566,7 +476,7 @@ class HeartbeatArena(CellArena):
     def register(self, member: int, pid: "int | None" = None) -> None:
         """Record the owner of ``member``'s slot.
 
-        ``pid`` defaults to the calling process — the fork/subinterp planes
+        ``pid`` defaults to the calling process — the fork and pool planes
         register in-process — but the socket plane's coordinator registers on
         a remote worker's behalf and passes the pid from its hello frame.
         """
@@ -630,14 +540,17 @@ class SharedBarrier(CellArena):
     LOCKED = True
     _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
 
-    def __init__(self, parties: int, *, timeout: float = BARRIER_TIMEOUT) -> None:
+    def __init__(self, parties: int, *, timeout: "float | None | object" = _UNSET) -> None:
+        """``timeout`` is the default wait bound, ``None`` for unbounded; when
+        omitted it is ``AOMP_BARRIER_TIMEOUT``, read now, as for
+        :class:`~repro.runtime.barrier.CyclicBarrier`."""
         if parties < 1:
             raise ValueError(f"barrier needs at least 1 party, got {parties}")
         super().__init__(4, mp_cells, fresh=False)
         ctx = _mp_context()
         self._wakes = (ctx.Semaphore(0), ctx.Semaphore(0))
         self._cells[self._PARTIES] = parties
-        self._timeout = timeout
+        self._timeout = _default_barrier_timeout() if timeout is _UNSET else timeout
 
     @property
     def parties(self) -> int:
@@ -679,8 +592,8 @@ class SharedBarrier(CellArena):
         # wake-up posted for a party that died asleep is never taken; whoever
         # takes it in a later round finds that round still open and waits on.
         wake = self._wakes[generation & 1]
-        deadline = time.monotonic() + limit
-        while wake.acquire(True, max(0.0, deadline - time.monotonic())):
+        deadline = None if limit is None else time.monotonic() + limit
+        while wake.acquire(True, None if deadline is None else max(0.0, deadline - time.monotonic())):
             if cells[self._GENERATION] != generation or cells[self._BROKEN]:
                 break
         else:
@@ -725,89 +638,6 @@ class SharedBarrier(CellArena):
             if parties is not None:
                 cells[self._PARTIES] = parties
             self._wake(generation, sleepers)
-
-
-class InterpBarrier(CellArena):
-    """A cyclic barrier over :func:`pipe_cells` storage.
-
-    The polling twin of :class:`SharedBarrier` for teams whose members cannot
-    share a ``multiprocessing`` condition variable (subinterpreters).  State
-    layout and semantics (``wait``/``abort``/``reset``/``parties``/``broken``)
-    are identical; waiters poll the generation counter instead of sleeping on
-    a condvar, with the same cadence the tune-plan slots already use.
-    """
-
-    LOCKED = True
-    _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
-    POLL_INTERVAL = 0.0002
-
-    def __init__(
-        self, parties: "int | None" = None, *, cells: Any = pipe_cells, timeout: float = BARRIER_TIMEOUT
-    ) -> None:
-        """``parties`` creates the barrier; without it, ``cells`` (an
-        :func:`attached_cells` allocator) attaches to one that exists."""
-        if parties is not None and parties < 1:
-            raise ValueError(f"barrier needs at least 1 party, got {parties}")
-        super().__init__(4, cells, fresh=False)
-        if parties is not None:
-            self._cells[self._PARTIES] = parties
-        self._timeout = timeout
-
-    @property
-    def parties(self) -> int:
-        return int(self._cells[self._PARTIES])
-
-    @property
-    def broken(self) -> bool:
-        """Lock-free read of the flag cell, as on :class:`SharedBarrier`."""
-        return bool(self._cells[self._BROKEN])
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
-        limit = timeout if timeout is not None else self._timeout
-        cells = self._cells
-        with self._lock:
-            if cells[self._BROKEN]:
-                raise BrokenBarrierError("barrier is broken")
-            generation = int(cells[self._GENERATION])
-            index = int(cells[self._PARTIES]) - 1 - int(cells[self._COUNT])
-            cells[self._COUNT] += 1
-            if cells[self._COUNT] == cells[self._PARTIES]:
-                cells[self._COUNT] = 0
-                cells[self._GENERATION] += 1
-                return index
-        deadline = time.monotonic() + limit
-        while True:
-            with self._lock:
-                if cells[self._BROKEN]:
-                    raise BrokenBarrierError("barrier is broken")
-                if cells[self._GENERATION] != generation:
-                    return index
-                if time.monotonic() > deadline:
-                    cells[self._BROKEN] = 1
-                    raise BrokenBarrierError(
-                        f"barrier wait timed out after {limit:g}s "
-                        f"({int(cells[self._COUNT])} of {int(cells[self._PARTIES])} parties arrived) "
-                        "[shm data plane, pipe-lock polling barrier]"
-                    )
-            time.sleep(self.POLL_INTERVAL)
-
-    def abort(self) -> None:
-        """Break the barrier, releasing all waiters with an error."""
-        with self._lock:
-            self._cells[self._BROKEN] = 1
-
-    def reset(self, parties: Optional[int] = None) -> None:
-        """Restore the barrier to a fresh state, optionally with a new party count."""
-        with self._lock:
-            cells = self._cells
-            cells[self._COUNT] = 0
-            cells[self._GENERATION] += 1
-            cells[self._BROKEN] = 0
-            if parties is not None:
-                if parties < 1:
-                    raise ValueError(f"barrier needs at least 1 party, got {parties}")
-                cells[self._PARTIES] = parties
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1062,6 @@ class ProcessSync:
     #: (``None`` on the fork path, whose workers inherit the live callable).
     body_bytes: "bytes | None" = None
     #: whatever the plane or backend that built this bundle keeps with it to
-    #: share or release it — the socket plane's coordinator, the
-    #: subinterpreter tier's arenas with their shareable names, the pool lock
-    #: a pooled region holds.  Opaque to everyone else.
+    #: share or release it — the socket plane's coordinator, the pool lock a
+    #: pooled region holds.  Opaque to everyone else.
     owned: Any = None

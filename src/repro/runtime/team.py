@@ -98,7 +98,7 @@ class Team:
         self.tuner: Any = None
         #: occurrence index matched by ``AOMP_FAULTS`` ``region=`` selectors,
         #: stamped by the region driver while a fault plan is active (and
-        #: shipped to worker processes/interpreters with the region
+        #: shipped to worker processes with the region
         #: descriptor so the SPMD sides agree).
         self.fault_region = 0
         self._barrier = process_sync.barrier if process_sync is not None else CyclicBarrier(size)

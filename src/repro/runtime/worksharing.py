@@ -50,7 +50,6 @@ from repro.runtime.scheduler import (
     LoopChunk,
     Schedule,
     block_span,
-    cached_partition,
     cyclic_spans,
     make_scheduler,
     parse_schedule_spec,
@@ -267,7 +266,7 @@ def run_for(
     if ordered and team.is_process_team:
         raise BackendCapabilityError(
             f"loop {name!r}: ordered execution needs a shared Python heap; "
-            "isolated-heap teams (process or subinterpreter backends) cannot "
+            "isolated-heap teams (process or distributed backends) cannot "
             "honour it (weave with threads, or mark the region as requiring "
             "shared locals to get the automatic fallback)"
         )
@@ -845,16 +844,10 @@ def static_partition(
     schedule: "str | Schedule" = Schedule.STATIC_BLOCK,
     chunk: int = 1,
 ) -> list[list[LoopChunk]]:
-    """Return the per-thread chunk lists for a static schedule.
-
-    Convenience wrapper used by the hand-written threaded baselines and by
-    the performance model's analytic mode (large problem sizes that are not
-    actually executed).  Backed by the shared
-    :func:`~repro.runtime.scheduler.cached_partition` memo; the returned
-    lists are fresh copies the caller may mutate.
-    """
+    """Return the per-thread chunk lists for a static schedule: the whole
+    team's plan at once, where a member of a ``run_for`` loop computes only
+    its own share."""
     parsed = Schedule.parse(schedule)
     if parsed not in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
         raise ValueError(f"schedule {schedule!r} has no static partition")
-    plan = cached_partition(num_threads, start, end, step, schedule=parsed, chunk=chunk)
-    return [list(chunks) for chunks in plan]
+    return make_scheduler(parsed, chunk).partition(num_threads, start, end, step)

@@ -40,7 +40,7 @@ the *identity and spin-up cost* of the backend running each site (sites are
 keyed per backend, and the serial cutoff scales with
 :attr:`repro.runtime.backend.Backend.spinup_cost_scale`) — a loop tuned
 under GIL-bound threads must not dictate the plan for the same loop under
-processes or subinterpreters.  Cross-member agreement is the work-sharing
+processes or distributed workers.  Cross-member agreement is the work-sharing
 executor's job
 (team shared slots in-process, the shm plan-publication arena for process
 teams — see :func:`repro.runtime.worksharing.run_for`).

@@ -1,6 +1,6 @@
 """Unit coverage of :class:`repro.obs.arena.MetricsArena`.
 
-The arena is the fork/subinterp aggregation plane: disjoint per-member int64
+The arena is the fork and pool aggregation plane: disjoint per-member int64
 cell ranges over pluggable storage, flushed by workers and drained by the
 master.  The fork round-trip test exercises the real cross-process path the
 process backend uses.

@@ -13,7 +13,6 @@ import pytest
 
 from repro.runtime import backend as backend_mod
 from repro.runtime import shm
-from repro.runtime import subinterp
 from repro.runtime.backend import (
     ProcessBackend,
     SerialBackend,
@@ -24,7 +23,7 @@ from repro.runtime.backend import (
     gil_enabled,
 )
 from repro.runtime.exceptions import BackendError
-from repro.runtime.subinterp import SubinterpreterBackend
+from repro.runtime.subinterp import interpreters_api, subinterpreters_available
 
 #: the (size, nesting_level, requires_shared_locals) shapes the matrix covers
 REGION_SHAPES = [
@@ -39,19 +38,18 @@ REGION_SHAPES = [
 
 class TestRegistry:
     def test_all_four_backends_registered(self):
-        assert {"serial", "threads", "processes", "subinterp"} <= set(available_backends())
+        assert {"serial", "threads", "processes", "distributed"} <= set(available_backends())
 
-    def test_subinterp_resolves_to_backend_instance(self):
-        backend = backend_by_name("subinterp")
-        assert isinstance(backend, SubinterpreterBackend)
-        assert backend_by_name("subinterp") is backend  # cached singleton
+    def test_an_unknown_name_names_the_valid_set(self):
+        with pytest.raises(ValueError, match="unknown backend 'subinterp'; valid backends: .*distributed"):
+            backend_by_name("subinterp")
 
     def test_capability_flags_per_backend(self):
         expectations = {
             "serial": (True, 1.0),
             "threads": (True, 1.0),
             "processes": (False, 4.0),
-            "subinterp": (False, 6.0),
+            "distributed": (False, 8.0),
         }
         for name, (shared_locals, spinup) in expectations.items():
             backend = backend_by_name(name)
@@ -61,11 +59,22 @@ class TestRegistry:
     def test_spinup_cost_ordering(self):
         # Isolated-heap teams cost more to spin up; the tuner's serial cutoff
         # scales with this, so the ordering is semantically meaningful.
-        assert (
-            ThreadBackend().spinup_cost_scale
-            < ProcessBackend().spinup_cost_scale
-            < SubinterpreterBackend().spinup_cost_scale
-        )
+        assert ThreadBackend().spinup_cost_scale < ProcessBackend().spinup_cost_scale
+
+
+class TestSubinterpreterProbe:
+    """The host capability the benchmark harness records."""
+
+    def test_probe_is_cached_and_boolean(self):
+        first = subinterpreters_available()
+        assert isinstance(first, bool)
+        assert subinterpreters_available() is first
+
+    def test_api_adapter_consistency(self):
+        api = interpreters_api()
+        if subinterpreters_available():
+            assert api is not None
+        assert interpreters_api() is api
 
 
 class TestInProcessBackends:
@@ -114,38 +123,6 @@ class TestProcessResolution:
         assert resolved is backend.fallback
 
 
-class TestSubinterpResolution:
-    @pytest.mark.parametrize("shared_locals", [False, True])
-    def test_size_one_resolves_to_self(self, shared_locals):
-        backend = SubinterpreterBackend()
-        assert (
-            backend.resolve_for_region(size=1, nesting_level=0, requires_shared_locals=shared_locals) is backend
-        )
-
-    def test_matrix_when_available(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-        backend = SubinterpreterBackend()
-        assert backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=False) is backend
-        assert backend.resolve_for_region(size=4, nesting_level=1, requires_shared_locals=False) is backend.fallback
-        with pytest.warns(RuntimeWarning, match="SubinterpreterBackend.*shared Python heap"):
-            resolved = backend.resolve_for_region(size=4, nesting_level=0, requires_shared_locals=True)
-        assert resolved is backend.fallback
-
-    def test_matrix_when_unavailable(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: False)
-        backend = SubinterpreterBackend()
-        with pytest.warns(RuntimeWarning, match="SubinterpreterBackend"):
-            for nesting in (0, 1):
-                for shared_locals in (False, True):
-                    resolved = backend.resolve_for_region(
-                        size=4, nesting_level=nesting, requires_shared_locals=shared_locals
-                    )
-                    assert resolved is backend.fallback
-
-    def test_fallback_is_a_thread_backend(self):
-        assert isinstance(SubinterpreterBackend().fallback, ThreadBackend)
-
-
 class TestTrueParallel:
     def test_serial_is_never_parallel(self):
         assert SerialBackend().true_parallel is False
@@ -160,12 +137,6 @@ class TestTrueParallel:
         assert ProcessBackend().true_parallel == shm.fork_available()
         monkeypatch.setattr(shm, "fork_available", lambda: False)
         assert ProcessBackend().true_parallel is False
-
-    def test_subinterp_follows_the_probe(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-        assert SubinterpreterBackend().true_parallel is True
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: False)
-        assert SubinterpreterBackend().true_parallel is False
 
     def test_build_introspection_is_consistent(self):
         assert isinstance(free_threaded_build(), bool)
@@ -189,7 +160,7 @@ class TestForkRequirement:
         message = str(excinfo.value)
         assert "the persistent process pool" in message
         # The error points at the backends that do work here.
-        assert "threads or subinterp" in message
+        assert "threads backend" in message and "distributed" in message
 
     def test_persistent_pool_refuses_to_build_without_fork(self, monkeypatch):
         from repro.runtime.procpool import PersistentProcessPool

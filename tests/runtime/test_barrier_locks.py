@@ -298,6 +298,29 @@ class TestBarrierTimeoutConfig:
         assert DEFAULT_BARRIER_TIMEOUT == 120.0
         assert CyclicBarrier(2)._timeout == DEFAULT_BARRIER_TIMEOUT  # noqa: SLF001
 
+    @pytest.mark.parametrize("make", ["thread", "shm"])
+    def test_every_team_barrier_reads_the_env_knob(self, make, monkeypatch):
+        """Thread teams and fork/pool teams follow one timeout contract."""
+        from repro.runtime import shm
+        from repro.runtime.barrier import DEFAULT_BARRIER_TIMEOUT
+
+        if make == "shm" and not shm.fork_available():
+            pytest.skip("the shm barrier lives in fork-inherited cells")
+        barrier_class = CyclicBarrier if make == "thread" else shm.SharedBarrier
+        monkeypatch.delenv("AOMP_BARRIER_TIMEOUT", raising=False)
+        assert barrier_class(2)._timeout == DEFAULT_BARRIER_TIMEOUT  # noqa: SLF001
+        monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
+        assert barrier_class(2)._timeout == 300.0  # noqa: SLF001
+        monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0")
+        barrier = barrier_class(2)
+        assert barrier._timeout is None  # noqa: SLF001 - disabled: wait forever
+        waiter = threading.Thread(target=barrier.wait)
+        waiter.start()
+        time.sleep(0.05)
+        barrier.wait(timeout=5)
+        waiter.join(timeout=5)
+        assert not waiter.is_alive() and not barrier.broken
+
     def test_env_knob_read_at_construction(self, monkeypatch):
         from repro.runtime.barrier import _default_barrier_timeout, CyclicBarrier
 

@@ -320,17 +320,6 @@ class TestHeartbeatArena:
         arena.note_arrival(5)
         assert arena.pid(5) == 0 and arena.age(5) is None
 
-    def test_attach_to_existing_cells(self):
-        """The create / ``shareable()`` / attach pair the subinterpreter tier uses."""
-        arena = shm.HeartbeatArena(capacity=4, cells=shm.pipe_cells)
-        try:
-            arena.register(1)
-            attached = shm.HeartbeatArena(capacity=4, cells=shm.attached_cells(arena.shareable()), fresh=False)
-            assert attached.pid(1) == os.getpid()
-            attached.close()
-        finally:
-            arena.close()
-
 
 class TestBarrierDiagnostics:
     def test_broken_barrier_carries_team_context(self):

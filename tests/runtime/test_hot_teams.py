@@ -10,7 +10,9 @@ workers — threads do not survive ``fork``.
 from __future__ import annotations
 
 import os
+import pickle
 import queue
+import struct
 import threading
 import time
 
@@ -250,6 +252,42 @@ class TestResultChannel:
             assert 0.04 < time.monotonic() - start < 1.0
             with pytest.raises(queue.Empty):
                 channel.get(0.0)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+
+    def test_eof_yields_no_reply_and_drops_the_pipe(self):
+        read_fd, write_fd = os.pipe()
+        os.close(write_fd)
+        try:
+            channel = FrameReader([read_fd])
+            with pytest.raises(queue.Empty):
+                channel.get(5.0)
+            # Dropped, not re-polled: the next read waits out its timeout
+            # instead of spinning on a descriptor that is always "ready".
+            start = time.monotonic()
+            with pytest.raises(queue.Empty):
+                channel.get(0.05)
+            assert time.monotonic() - start >= 0.04
+        finally:
+            os.close(read_fd)
+
+    def test_a_frame_written_in_pieces_reassembles(self):
+        read_fd, write_fd = os.pipe()
+        reply = (1, (b"x" * 1000, None))
+        data = pickle.dumps(reply)
+        framed = struct.pack("<I", len(data)) + data  # send_frame's framing
+
+        def trickle():
+            for offset in range(0, len(framed), 100):
+                os.write(write_fd, framed[offset : offset + 100])
+                time.sleep(0.002)
+
+        writer = threading.Thread(target=trickle, daemon=True)
+        writer.start()
+        try:
+            assert FrameReader([read_fd]).get(10.0) == reply
+            writer.join(timeout=5)
         finally:
             os.close(read_fd)
             os.close(write_fd)

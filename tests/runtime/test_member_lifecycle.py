@@ -9,13 +9,9 @@ lifecycle is asserted here *once*, against the shared function, instead of
 once per tier against a private copy:
 
 * **shipped members** — ``run_shipped_member`` is driven directly, in this
-  process, over the sync bundle of every transport the host offers (fork/shm,
-  the subinterpreter tier's pipe-locked cells, the socket plane's proxies).
-  That executes the subinterpreter worker's logic on interpreters that cannot
-  start one.
-* **the join** — ``join_team`` against an in-memory tier, and the
-  subinterpreter backend's own use of it over an in-process stand-in for the
-  PEP-734 module.
+  process, over the sync bundle of every transport (fork/shm and the socket
+  plane's proxies).
+* **the join** — ``join_team`` against an in-memory tier.
 * **regressions, end to end on real tiers** — the two bugs the drift between
   the copies had produced: un-waited tasks dropped on every shipped tier, and
   a fault plan installed after the pool was warm never reaching its workers.
@@ -34,15 +30,13 @@ from typing import Any, Callable
 import numpy as np
 import pytest
 
-import repro.obs.exposition as exposition
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
-from repro.runtime import dataplane, faults, shm, subinterp
+from repro.runtime import dataplane, faults, shm
 from repro.runtime import member as lifecycle
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override, get_config
 from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
-from repro.runtime.subinterp import SubinterpreterBackend, subinterpreters_available
 from repro.runtime.tasks import spawn_task
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
@@ -111,11 +105,9 @@ def probe():
 
 
 @pytest.fixture(autouse=True)
-def _worker_state_does_not_leak(monkeypatch):
-    """Shipped members leave worker state behind — a suppressed exporter (the
-    in-process interpreter stand-in runs a worker's entry point), an installed
-    fault plan; this process is not a worker."""
-    monkeypatch.setattr(exposition, "_suppressed", False)
+def _worker_state_does_not_leak():
+    """Shipped members leave an installed fault plan behind; this process is
+    not a worker."""
     previous = faults.set_fault_plan(None)
     yield
     faults.set_fault_plan(previous)
@@ -144,21 +136,6 @@ def _shm_transport(monkeypatch):
     yield Transport(sync, sync, lambda reply: dict(sync.metrics.drain()))
 
 
-def _interp_transport(monkeypatch):
-    monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-    backend = SubinterpreterBackend()
-    owner = Probe()
-    with config_override(metrics=True):
-        sync = backend.create_process_sync(2, owner.run)
-    try:
-        # Exactly what a worker interpreter receives: names and descriptors.
-        attached = subinterp._attach_sync(sync.owned[1])
-        yield Transport(sync, attached, lambda reply: dict(sync.metrics.drain()))
-    finally:
-        backend.finish_region(SimpleNamespace(process_sync=sync))
-        owner.close()
-
-
 def _socket_transport(monkeypatch):
     plane = dataplane.SocketDataPlane()
     sync = plane.create_sync(2)
@@ -182,11 +159,9 @@ def _socket_transport(monkeypatch):
         plane.release_sync(sync)
 
 
-@pytest.fixture(params=["shm", "interp", "socket"])
+@pytest.fixture(params=["shm", "socket"])
 def transport(request, monkeypatch):
-    yield from {"shm": _shm_transport, "interp": _interp_transport, "socket": _socket_transport}[request.param](
-        monkeypatch
-    )
+    yield from {"shm": _shm_transport, "socket": _socket_transport}[request.param](monkeypatch)
 
 
 def ship(transport: Transport, body: Callable[[], Any], **master_config: Any) -> tuple:
@@ -201,7 +176,16 @@ def ship(transport: Transport, body: Callable[[], Any], **master_config: Any) ->
     team.fault_region = 5
     with config_override(**master_config):
         descriptor = lifecycle.describe_region(team, lifecycle.body_payload(body))
-    return lifecycle.run_shipped_member(descriptor, 1, transport.worker_sync)
+    return run_once(descriptor, transport)
+
+
+def run_once(descriptor: dict, transport: Transport) -> tuple:
+    """Run member 1 as a worker that runs no further region."""
+    state = lifecycle.WorkerState()
+    try:
+        return lifecycle.run_shipped_member(descriptor, 1, transport.worker_sync, state)
+    finally:
+        state.close()
 
 
 class TestShippedMemberObligations:
@@ -264,7 +248,7 @@ class TestShippedMemberObligations:
     def test_a_body_that_cannot_be_rebuilt_is_reported_and_breaks_the_barrier(self, transport, probe):
         team = Team(2, name="garbled", process_sync=transport.master_sync)
         descriptor = lifecycle.describe_region(team, b"not a pickle")
-        result, exc = lifecycle.run_shipped_member(descriptor, 1, transport.worker_sync)
+        result, exc = run_once(descriptor, transport)
         assert result is None and exc is not None
         assert transport.master_sync.barrier.broken
 
@@ -320,12 +304,15 @@ class TestShippedFaultPlan:
         with config_override(num_threads=7):  # the worker's own configuration changed
             assert state.config(fields).num_threads == 7
 
-    def test_descriptor_survives_repr(self):
-        """The subinterpreter tier ships it as a source literal."""
-        faults.set_fault_plan(faults.parse_fault_spec("stall:member=1,seconds=0.5"))
-        with config_override(metrics=True):
-            descriptor = lifecycle.describe_region(Team(3, name="literal"), b"\x80body")
-        assert eval(repr(descriptor)) == descriptor  # noqa: S307 - our own literal
+
+def test_path_prelude_replays_sys_path():
+    """A spawned worker imports this package from wherever the master did."""
+    import sys
+
+    namespace: dict = {}
+    exec(lifecycle.path_prelude(), namespace)  # noqa: S102 - our own prelude
+    replayed = namespace["sys"].path
+    assert all(entry in replayed for entry in sys.path if entry)
 
 
 # ---------------------------------------------------------------------------
@@ -426,59 +413,6 @@ class TestJoinTeam:
         assert calls == [("watch", team), ("unwatch", monitor)]
 
 
-class _InProcessInterpreters:
-    """Stand-in for the PEP-734 module: "interpreters" that share this one.
-
-    Enough to drive the backend's master side — host threads, result pipes,
-    the shared join — and the worker's ``_member_main`` on interpreters
-    without PEP 734.
-    """
-
-    def __init__(self, fail_member: "int | None" = None) -> None:
-        self.fail_member = fail_member
-
-    def create(self) -> object:
-        return object()
-
-    def exec(self, handle: object, code: str) -> None:
-        if self.fail_member is not None and f"'thread_id': {self.fail_member}" in code:
-            raise RuntimeError("interpreter bootstrap failed")
-        exec(code, {"__name__": "__aomp_worker__"})  # noqa: S102 - our own bootstrap source
-
-    def destroy(self, handle: object) -> None:
-        pass
-
-
-class TestSubinterpreterMasterSide:
-    @pytest.fixture
-    def backend(self, monkeypatch):
-        monkeypatch.setattr(subinterp, "subinterpreters_available", lambda: True)
-        return SubinterpreterBackend()
-
-    def test_region_runs_through_the_shared_join(self, backend, probe, monkeypatch):
-        monkeypatch.setattr(subinterp, "interpreters_api", lambda: _InProcessInterpreters())
-        segments = _own_segments()
-        parallel_region(probe.spawn_unwaited, num_threads=2, backend=backend, name="interp-join")
-        assert list(probe.out.np) == [1.0, 1.0]
-        assert _own_segments() == segments, "the region's sync cells were not released"
-
-    def test_failed_bootstrap_is_a_diagnosed_death_with_its_cause(self, backend, probe, monkeypatch):
-        monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.02")
-        monkeypatch.setattr(subinterp, "interpreters_api", lambda: _InProcessInterpreters(fail_member=1))
-        with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(probe.run, num_threads=2, backend=backend, name="interp-dead")
-        cause = excinfo.value.__cause__
-        assert isinstance(cause, WorkerProcessError) and cause.member == 1
-        assert "team 'interp-dead'" in str(cause)
-        assert "interpreter bootstrap failed" in str(cause.__cause__)
-
-
-def _own_segments() -> "set[str]":
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {name for name in os.listdir("/dev/shm") if name.startswith(f"aomp_{os.getpid()}_")}
-
-
 # ---------------------------------------------------------------------------
 # Regressions, end to end on the real tiers.
 # ---------------------------------------------------------------------------
@@ -488,8 +422,6 @@ def _tier(name: str):
     """``(backend, wrap)`` for a tier: ``wrap`` adapts the body to the tier's entry path."""
     if name in ("fork", "pool") and not shm.fork_available():
         pytest.skip("process tiers need fork")
-    if name == "subinterp" and not subinterpreters_available():
-        pytest.skip("subinterpreter workers unavailable on this build")
     if name == "fork":
         # A closure is not shippable: it takes the fork-per-region path.
         return ProcessBackend(use_pool=False), lambda body: (lambda: body())
@@ -498,7 +430,7 @@ def _tier(name: str):
     return name, lambda body: body
 
 
-@pytest.mark.parametrize("tier", ["threads", "fork", "pool", "distributed", "subinterp"])
+@pytest.mark.parametrize("tier", ["threads", "fork", "pool", "distributed"])
 def test_unwaited_tasks_complete_on_every_tier(tier, probe):
     """One un-waited ``@Task`` per member: the end-of-region drain is part of
     the lifecycle, not of one tier's copy of it (the pool left ``[1, 0]``)."""
@@ -511,7 +443,7 @@ def test_unwaited_tasks_complete_on_every_tier(tier, probe):
             backend.shutdown()
 
 
-@pytest.mark.parametrize("tier", ["fork", "pool", "distributed", "subinterp"])
+@pytest.mark.parametrize("tier", ["fork", "pool", "distributed"])
 def test_a_worker_waiting_for_a_tune_plan_learns_the_team_is_broken(tier, probe, monkeypatch):
     """The master publishes an ``auto`` loop's plan; one that fails before the
     loop aborts the team instead, and the wait for its plan must end on that

@@ -100,28 +100,6 @@ class TestBatchedDynamicClaims:
         assert cursor == 100
 
 
-class TestPartitionCacheBounds:
-    def test_small_plans_are_cached_large_plans_are_not(self):
-        from repro.runtime.scheduler import PARTITION_CACHE_MAX_CHUNKS, cached_partition
-
-        small_a = cached_partition(4, 0, 64, 1, schedule="staticCyclic", chunk=1)
-        small_b = cached_partition(4, 0, 64, 1, schedule="staticCyclic", chunk=1)
-        assert small_a is small_b  # memo hit
-
-        huge = PARTITION_CACHE_MAX_CHUNKS * 2
-        big_a = cached_partition(4, 0, huge, 1, schedule="staticCyclic", chunk=1)
-        big_b = cached_partition(4, 0, huge, 1, schedule="staticCyclic", chunk=1)
-        assert big_a is not big_b  # built fresh, not pinned in the LRU
-        assert sum(len(chunks) for chunks in big_a) == huge
-
-    def test_invalid_chunk_raises_scheduling_error_not_zero_division(self):
-        from repro.runtime.exceptions import SchedulingError
-        from repro.runtime.scheduler import cached_partition
-
-        with pytest.raises(SchedulingError):
-            cached_partition(4, 0, 100, 1, schedule="staticCyclic", chunk=0)
-
-
 class TestMemoisedSchedulers:
     def test_make_scheduler_returns_shared_instance(self):
         from repro.runtime.scheduler import make_scheduler

@@ -7,9 +7,7 @@ driven by that table (:data:`repro.runtime.dataplane.SLOT_KINDS`):
 * **conformance** — one recorded op sequence per kind, covering every
   declared op, is driven through two views of the same slot state on each
   storage an arena can live in — fork-inherited ``multiprocessing`` cells,
-  heap cells, a ``SharedArray`` + ``PipeLock`` created on one side and
-  attached through ``shareable()`` on the other, and the generated remote
-  slot against a live :class:`~repro.runtime.dataplane.Coordinator` next to
+  heap cells, and the generated remote slot against a live :class:`~repro.runtime.dataplane.Coordinator` next to
   the coordinator's real arena.  Ops alternate between the two views, and the
   returns must equal a private heap-cell reference arena's, op for op;
 * **surface** — the slot classes expose nothing the table does not declare,
@@ -88,12 +86,12 @@ SEQUENCES = {
 }
 
 
-def _arena(kind: str, cells, *, fresh: bool = True, barrier=_INTACT):
+def _arena(kind: str, cells, *, barrier=_INTACT):
     if kind == "arena":
-        return shm.SyncArena(16, cells=cells, fresh=fresh)
+        return shm.SyncArena(16, cells=cells)
     if kind == "steal":
-        return shm.TaskStealArena(2, 8, cells=cells, fresh=fresh)
-    return shm.TunePlanArena(barrier, 8, cells=cells, fresh=fresh)
+        return shm.TaskStealArena(2, 8, cells=cells)
+    return shm.TunePlanArena(barrier, 8, cells=cells)
 
 
 @contextlib.contextmanager
@@ -117,19 +115,6 @@ def _heap_views(kind):
 
 
 @contextlib.contextmanager
-def _pipe_views(kind):
-    """What the subinterpreter tier does: create, ship ``shareable()``, attach."""
-    creator = _arena(kind, shm.pipe_cells)
-    shared = eval(repr(creator.shareable()))  # the descriptor is a repr'd literal
-    attached = _arena(kind, shm.attached_cells(shared), fresh=False)
-    try:
-        yield creator, attached
-    finally:
-        attached.close()
-        creator.close()
-
-
-@contextlib.contextmanager
 def _socket_session():
     coordinator = dataplane.Coordinator(2)
     coordinator.start()
@@ -149,7 +134,7 @@ def _remote_views(kind):
         yield getattr(coordinator, kind), dataplane.RemoteArena(session, kind)
 
 
-STORAGES = {"mp": _mp_views, "heap": _heap_views, "pipe": _pipe_views, "remote": _remote_views}
+STORAGES = {"mp": _mp_views, "heap": _heap_views, "remote": _remote_views}
 
 
 def _drive(kind, views):

@@ -15,9 +15,8 @@ the rules that need one Python heap run their regions on threads between the
 pool's, and ``config_between_regions`` changes the configuration a pooled
 worker must follow from one region to the next (a worker that kept a stale
 ``default_schedule`` computed the wrong partition once).  The fork-per-region
-and interpreter paths get their own deterministic suites (``test_faults.py``,
-``test_subinterp.py``); forking per fuzz step would dominate the runtime
-without adding interleaving coverage.
+path gets its own deterministic suite (``test_faults.py``); forking per fuzz
+step would dominate the runtime without adding interleaving coverage.
 """
 
 from __future__ import annotations

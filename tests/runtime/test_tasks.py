@@ -27,30 +27,11 @@ from repro.runtime.tasks import (
     spawn_task,
     task_wait,
 )
-from repro.runtime.subinterp import subinterpreters_available
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 
-#: backend names runnable on this interpreter (iterated directly by the
-#: all-backends-agree test)
-AVAILABLE_BACKEND_NAMES = ("serial", "threads", "processes") + (
-    ("subinterp",) if subinterpreters_available() else ()
-)
-
-#: every backend the conformance suite asserts identical behaviour on; the
-#: subinterpreter entry skips where worker interpreters are unavailable.
-CONFORMANCE_BACKENDS = (
-    "serial",
-    "threads",
-    "processes",
-    pytest.param(
-        "subinterp",
-        marks=pytest.mark.skipif(
-            not subinterpreters_available(),
-            reason="subinterpreter workers unavailable on this build",
-        ),
-    ),
-)
+#: every backend the conformance suite asserts identical behaviour on
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
 
 
 class TestWorkStealingDeque:
@@ -350,7 +331,7 @@ class TestTaskloopConformance:
         assert np.array_equal(self._run(backend_name), reference)
 
     def test_all_backends_agree(self):
-        runs = {name: self._run(name) for name in AVAILABLE_BACKEND_NAMES}
+        runs = {name: self._run(name) for name in CONFORMANCE_BACKENDS}
         for name, result in runs.items():
             assert np.array_equal(result, runs["serial"]), name
 

@@ -20,26 +20,11 @@ from repro.runtime.backend import (
 )
 from repro.runtime.config import config_override, set_num_threads
 from repro.runtime.exceptions import BrokenTeamError
-from repro.runtime.subinterp import subinterpreters_available
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 
-#: every backend the conformance suite asserts identical behaviour on; the
-#: subinterpreter entry skips on builds whose worker interpreters cannot
-#: import numpy (the backend would just exercise its thread fallback there,
-#: which the "threads" entry already covers).
-CONFORMANCE_BACKENDS = (
-    "serial",
-    "threads",
-    "processes",
-    pytest.param(
-        "subinterp",
-        marks=pytest.mark.skipif(
-            not subinterpreters_available(),
-            reason="subinterpreter workers unavailable on this build",
-        ),
-    ),
-)
+#: every backend the conformance suite asserts identical behaviour on
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
 
 
 class TestParallelRegion:

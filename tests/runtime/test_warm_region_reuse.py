@@ -1,9 +1,9 @@
 """Warm regions rebuild only what changed.
 
-A long-lived worker — a ``processes`` pool worker, a parked ``distributed``
-socket worker, the host of a ``subinterp`` member — keeps what the last
-region built when the next descriptor ships the same: the configuration, the
-fault plan, the attachments of the shared arrays its body names.  These tests
+A long-lived worker — a ``processes`` pool worker or a parked
+``distributed`` socket worker — keeps what the last region built when the
+next descriptor ships the same: the configuration, the fault plan, the
+attachments of the shared arrays its body names.  These tests
 change each of them between two warm regions and check that the worker sees
 the change; break a region and check that the next one runs clean on the same
 workers; kill a parked pool worker; and check the one-step static ranges a
@@ -29,7 +29,6 @@ from repro.runtime.config import get_config, config_override
 from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
 from repro.runtime.faults import parse_fault_spec, set_fault_plan
-from repro.runtime.subinterp import SubinterpreterBackend, subinterpreters_available
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for, static_partition
 
@@ -141,17 +140,13 @@ class Filler:
         self.array.np[start:end:step] = self.value
 
 
-@pytest.fixture(params=["processes", "subinterp", "distributed"])
+@pytest.fixture(params=["processes", "distributed"])
 def backend(request, monkeypatch):
     """The tier under test; a distributed team is kept for a minute between regions."""
     if request.param == "processes":
         if not shm.fork_available():
             pytest.skip("the pool needs fork")
         instance = ProcessBackend()
-    elif request.param == "subinterp":
-        if not subinterpreters_available():
-            pytest.skip("subinterpreter workers unavailable on this build")
-        instance = SubinterpreterBackend()
     else:
         monkeypatch.setattr(distributed, "LINGER_CAP", 60.0)
         monkeypatch.setattr(distributed._WorkerTeam, "start_seconds", property(lambda self: 60.0))

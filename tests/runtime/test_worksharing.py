@@ -11,23 +11,11 @@ from repro.runtime import context as ctx
 from repro.runtime import shm
 from repro.runtime.exceptions import BackendCapabilityError
 from repro.runtime.single import MasterRegion, SingleRegion
-from repro.runtime.subinterp import subinterpreters_available
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 from repro.runtime.worksharing import run_for, static_partition
 
-CONFORMANCE_BACKENDS = (
-    "serial",
-    "threads",
-    "processes",
-    pytest.param(
-        "subinterp",
-        marks=pytest.mark.skipif(
-            not subinterpreters_available(),
-            reason="subinterpreter workers unavailable on this build",
-        ),
-    ),
-)
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
 
 
 def make_accumulating_loop(results, lock):

@@ -192,16 +192,16 @@ class TestBackendKeyedSites:
         legacy = SiteKey("loop", 10, 4)
         assert legacy.cache_key() == "loop|10|4"  # pre-backend caches stay valid
         threads = SiteKey("loop", 10, 4, "threads")
-        subinterp = SiteKey("loop", 10, 4, "subinterp")
+        distributed = SiteKey("loop", 10, 4, "distributed")
         assert threads.cache_key() == "loop|10|4|threads"
-        assert threads.cache_key() != subinterp.cache_key()
+        assert threads.cache_key() != distributed.cache_key()
 
     def test_sites_are_independent_per_backend(self):
         tuner = LoopTuner(TunerConfig(), cache_path=None)
         threads_site = tuner.site("loop", 1000, 4, backend="threads")
-        subinterp_site = tuner.site("loop", 1000, 4, backend="subinterp")
+        distributed_site = tuner.site("loop", 1000, 4, backend="distributed")
         legacy_site = tuner.site("loop", 1000, 4)
-        assert len({id(threads_site), id(subinterp_site), id(legacy_site)}) == 3
+        assert len({id(threads_site), id(distributed_site), id(legacy_site)}) == 3
         # A decision learned on one backend never leaks into another's site.
         converge(tuner, make_costs(candidates_for(1000, 4)[0]), loop="loop")
         assert not tuner.site("loop", 1000, 4, backend="threads").converged
@@ -209,7 +209,7 @@ class TestBackendKeyedSites:
     def test_spinup_scale_raises_the_serial_cutoff(self):
         tuner = LoopTuner(TunerConfig(), cache_path=None)
         cheap = tuner.site("cheap", 1000, 4, backend="threads", spinup_scale=1.0)
-        costly = tuner.site("costly", 1000, 4, backend="subinterp", spinup_scale=6.0)
+        costly = tuner.site("costly", 1000, 4, backend="distributed", spinup_scale=6.0)
         assert costly._serial_cutoff == pytest.approx(cheap._serial_cutoff * 6.0)
 
     def test_scale_below_one_never_lowers_the_cutoff(self):
@@ -226,7 +226,7 @@ class TestBackendKeyedSites:
         ticket = tuner.begin_invocation("flip", 1000, 4, backend="threads", spinup_scale=1.0)
         tuner.observe(ticket, elapsed)
         assert not tuner.site("flip", 1000, 4, backend="threads").converged
-        ticket = tuner.begin_invocation("flip", 1000, 4, backend="subinterp", spinup_scale=6.0)
+        ticket = tuner.begin_invocation("flip", 1000, 4, backend="distributed", spinup_scale=6.0)
         tuner.observe(ticket, elapsed)
-        site = tuner.site("flip", 1000, 4, backend="subinterp")
+        site = tuner.site("flip", 1000, 4, backend="distributed")
         assert site.converged and site.choice.serial
