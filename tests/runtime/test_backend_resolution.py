@@ -9,6 +9,8 @@ execution tier).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.runtime import backend as backend_mod
@@ -22,6 +24,8 @@ from repro.runtime.backend import (
     free_threaded_build,
     gil_enabled,
 )
+from repro.runtime import subinterp
+from repro.runtime.config import config_override
 from repro.runtime.exceptions import BackendError
 from repro.runtime.subinterp import interpreters_api, subinterpreters_available
 
@@ -43,6 +47,18 @@ class TestRegistry:
     def test_an_unknown_name_names_the_valid_set(self):
         with pytest.raises(ValueError, match="unknown backend 'subinterp'; valid backends: .*distributed"):
             backend_by_name("subinterp")
+
+    @pytest.mark.parametrize("name", ["subinterp", "subinterpreter", "subinterpreters", "interpreters"])
+    def test_no_former_subinterpreter_name_resolves(self, name):
+        """No alias is left behind: by name and through the configuration alike."""
+        with pytest.raises(ValueError, match=f"unknown backend '{name}'; valid backends: "):
+            backend_by_name(name)
+        previous = backend_mod.set_backend(None)
+        try:
+            with config_override(backend=name), pytest.raises(ValueError, match=f"unknown backend '{name}'"):
+                backend_mod.get_backend()
+        finally:
+            backend_mod.set_backend(previous)
 
     def test_capability_flags_per_backend(self):
         expectations = {
@@ -75,6 +91,48 @@ class TestSubinterpreterProbe:
         if subinterpreters_available():
             assert api is not None
         assert interpreters_api() is api
+
+    def test_high_level_interpreter_objects_run_and_close_themselves(self):
+        ran, closed = [], []
+        handle = SimpleNamespace(exec=ran.append, close=lambda: closed.append(True))
+        api = subinterp._InterpretersAPI(SimpleNamespace(create=lambda: handle))
+        assert api.create() is handle
+        api.exec(handle, "x = 1")
+        api.destroy(handle)
+        assert ran == ["x = 1"] and closed == [True]
+
+    def test_a_low_level_failure_snapshot_raises(self):
+        destroyed = []
+        module = SimpleNamespace(
+            __name__="_interpreters",
+            create=lambda: 7,
+            run_string=lambda handle, code: "ImportError: numpy" if "numpy" in code else None,
+            destroy=destroyed.append,
+        )
+        api = subinterp._InterpretersAPI(module)
+        api.exec(7, "x = 1")
+        with pytest.raises(RuntimeError, match="ImportError: numpy"):
+            api.exec(7, "import numpy")
+        api.destroy(7)
+        assert destroyed == [7]
+
+    def test_the_probe_is_false_without_an_api(self, monkeypatch):
+        monkeypatch.setattr(subinterp, "interpreters_api", lambda: None)
+        assert subinterp._probe() is False
+
+    @pytest.mark.parametrize("imports", [True, False])
+    def test_the_probe_reports_whether_a_throwaway_interpreter_imports_numpy(self, monkeypatch, imports):
+        created, destroyed = [], []
+
+        def run(handle, code):
+            assert "import numpy" in code
+            if not imports:
+                raise RuntimeError("numpy cannot load here")
+
+        api = SimpleNamespace(create=lambda: created.append(object()) or created[-1], exec=run, destroy=destroyed.append)
+        monkeypatch.setattr(subinterp, "interpreters_api", lambda: api)
+        assert subinterp._probe() is imports
+        assert destroyed == created and len(created) == 1  # the interpreter goes either way
 
 
 class TestInProcessBackends:

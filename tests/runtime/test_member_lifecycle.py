@@ -85,6 +85,11 @@ class Probe:
             raise RuntimeError("master failed before the loop")
         run_for(self.mark_range, 0, 2, 1, schedule="auto")
 
+    def straggle(self) -> None:
+        if ctx.get_thread_id() == 1:
+            time.sleep(1.5)
+        ctx.current_team().barrier(label="straggler")
+
     def mark_range(self, start: int, end: int, step: int) -> None:
         for index in range(start, end, step):
             self.mark(index)
@@ -462,6 +467,21 @@ def test_a_worker_waiting_for_a_tune_plan_learns_the_team_is_broken(tier, probe,
         assert time.monotonic() - began < 5.0
         assert isinstance(excinfo.value.__cause__, RuntimeError), excinfo.value
         assert "master failed before the loop" in str(excinfo.value.__cause__)
+    finally:
+        if isinstance(backend, ProcessBackend):
+            backend.shutdown()
+
+
+@pytest.mark.parametrize("tier", ["threads", "fork", "pool", "distributed"])
+def test_a_team_barrier_gives_up_after_the_env_bound_on_every_tier(tier, probe, monkeypatch):
+    """One timeout contract: a member that reaches the barrier later than
+    ``AOMP_BARRIER_TIMEOUT`` breaks the team on every tier (fork and pool
+    teams waited out a fixed 120 s and then ran on)."""
+    monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0.3")
+    backend, wrap = _tier(tier)
+    try:
+        with pytest.raises(BrokenTeamError):
+            parallel_region(wrap(probe.straggle), num_threads=2, backend=backend, name=f"bound-{tier}")
     finally:
         if isinstance(backend, ProcessBackend):
             backend.shutdown()

@@ -31,7 +31,7 @@ from repro.runtime.team import Team, parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 
 #: every backend the conformance suite asserts identical behaviour on
-CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes", "distributed")
 
 
 class TestWorkStealingDeque:

@@ -30,7 +30,7 @@ from repro.runtime.trace import (
 )
 from repro.runtime.worksharing import run_for
 
-CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes", "distributed")
 
 #: trace payload fields that carry wall-clock measurements (non-deterministic).
 _TIMING_FIELDS = ("elapsed", "waited", "held")

@@ -15,7 +15,7 @@ from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 from repro.runtime.worksharing import run_for, static_partition
 
-CONFORMANCE_BACKENDS = ("serial", "threads", "processes")
+CONFORMANCE_BACKENDS = ("serial", "threads", "processes", "distributed")
 
 
 def make_accumulating_loop(results, lock):
@@ -297,6 +297,16 @@ def test_static_partition_helper():
     assert sum(len(list(c.indices())) for p in parts for c in p) == 16
     with pytest.raises(ValueError):
         static_partition(4, 0, 16, 1, schedule="dynamic")
+
+
+@pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic"])
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_static_partition_rejects_a_chunk_below_one(schedule, chunk):
+    """A scheduling error, never a ``ZeroDivisionError`` or an empty plan."""
+    from repro.runtime.exceptions import SchedulingError
+
+    with pytest.raises(SchedulingError, match="chunk must be >= 1"):
+        static_partition(4, 0, 100, 1, schedule=schedule, chunk=chunk)
 
 
 def test_zero_step_rejected():
