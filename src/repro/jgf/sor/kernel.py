@@ -98,7 +98,7 @@ class SORBenchmark:
     def _relax_rows_python(self, start: int, end: int, step: int) -> None:
         omega = self.OMEGA
         one_minus_omega = 1.0 - omega
-        grid = self.grid
+        grid = np.asarray(self.grid)  # the view: a SharedArray/RemoteArray index is a Python call
         for i in range(start, end, step):
             grid[i, 1:-1] = (
                 omega * 0.25 * (grid[i - 1, 1:-1] + grid[i + 1, 1:-1] + grid[i, :-2] + grid[i, 2:])
@@ -120,7 +120,7 @@ class SORBenchmark:
             return
         omega = self.OMEGA
         one_minus_omega = 1.0 - omega
-        grid = self.grid.np if shm.is_shared(self.grid) else self.grid
+        grid = np.asarray(self.grid)
         rows = grid[start:end:step, 1:-1]
         rows[...] = (
             omega

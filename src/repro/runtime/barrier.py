@@ -9,53 +9,14 @@ team, and the same barrier object is reached repeatedly).
 
 from __future__ import annotations
 
-import functools
-import os
 import threading
 from typing import Callable, Optional
+
+from repro.runtime.config import env
 
 
 class BrokenBarrierError(RuntimeError):
     """Raised when a barrier is broken because a participant failed or the barrier was aborted."""
-
-
-#: Upper bound on how long any member waits in a team barrier by default, on
-#: every tier (thread, shm and socket barriers): a deadlocked team (e.g. a
-#: nested inner team whose sibling died) breaks the barrier with an error
-#: instead of hanging the process — the test-tier watchdogs rely on this
-#: backstop.
-#: Raise (or disable, with ``<= 0``) via ``AOMP_BARRIER_TIMEOUT`` when a
-#: legitimately serialised phase (e.g. an ``auto`` loop's serial fallback
-#: over a huge range) keeps siblings waiting longer than the default.
-DEFAULT_BARRIER_TIMEOUT = 120.0
-
-
-def _default_barrier_timeout() -> "float | None":
-    """Barrier wait bound from ``AOMP_BARRIER_TIMEOUT`` (seconds).
-
-    Read at *barrier construction* time (not import time), so setting the
-    variable mid-process affects teams created afterwards.  ``0`` or a
-    negative value disables the bound (wait forever); unset falls back to
-    :data:`DEFAULT_BARRIER_TIMEOUT`, anything unparsable is rejected loudly
-    (a typo here must not silently re-enable a two-minute hang bound).
-    Every team constructs a barrier, so each distinct raw value is parsed
-    once.
-    """
-    return _parse_barrier_timeout(os.environ.get("AOMP_BARRIER_TIMEOUT"))
-
-
-@functools.lru_cache(maxsize=8)
-def _parse_barrier_timeout(raw: "str | None") -> "float | None":
-    env = (raw or "").strip()
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"AOMP_BARRIER_TIMEOUT must be a number of seconds (<= 0 disables the bound); got {env!r}"
-            ) from None
-        return None if value <= 0 else value
-    return DEFAULT_BARRIER_TIMEOUT
 
 
 #: sentinel distinguishing "use the default bound" from an explicit None
@@ -85,7 +46,8 @@ class CyclicBarrier:
     timeout:
         Default per-round wait bound; when omitted, resolved from the
         ``AOMP_BARRIER_TIMEOUT`` environment variable at construction time
-        (falling back to :data:`DEFAULT_BARRIER_TIMEOUT`).  Pass ``None``
+        (falling back to
+        :data:`~repro.runtime.config.DEFAULT_BARRIER_TIMEOUT`).  Pass ``None``
         explicitly to wait forever (not recommended outside tests).
     transport:
         Optional label naming the data plane/transport this barrier
@@ -106,7 +68,7 @@ class CyclicBarrier:
             raise ValueError(f"barrier needs at least 1 party, got {parties}")
         self._parties = parties
         self._action = action
-        self._timeout = _default_barrier_timeout() if timeout is _UNSET else timeout
+        self._timeout = env("AOMP_BARRIER_TIMEOUT") if timeout is _UNSET else timeout
         self.transport = transport
         self._lock = threading.Lock()
         #: one held lock per party waiting in the current round

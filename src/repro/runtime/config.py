@@ -1,33 +1,28 @@
-"""Global runtime configuration.
+"""Global runtime configuration, and the one environment contract.
 
 Mirrors the role of OpenMP environment variables (``OMP_NUM_THREADS``,
 ``OMP_SCHEDULE``, ``OMP_NESTED``): a process-wide default consulted when an
 individual parallel region or for-method does not specify its own settings.
+
+Every variable the library reads is one row of :data:`ENV_VARS` — its name,
+the ``OMP_*`` spelling it falls back to (if any), its parse rule and its
+default — and :func:`env` is the only reader of the process environment.  A
+blank value means unset.  Garbage is rejected *loudly*, naming the exact
+variable the user set: a typo'd setting that silently does nothing is worse
+than a crash at startup.  ``AOMP_BACKEND``, ``AOMP_SCHEDULE``,
+``AOMP_SERVICE_BACKEND`` and ``AOMP_FAULTS`` are read as words or text here
+and validated where they are used (the backend registry, the schedule parser
+and the fault-spec parser), so plugin backends registered after import still
+resolve.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass, field, replace
-
-
-def _env_pair(primary: str, fallback: "str | None" = None) -> "tuple[str, str | None]":
-    """``(variable_name, value)`` for the first of two variables that is set.
-
-    The variable *name* travels with the value so a parse failure can blame
-    the exact variable the user set — every ``AOMP_*`` parser here rejects
-    garbage loudly rather than silently substituting a default (a typo'd
-    setting that silently does nothing is worse than a crash at import).
-    """
-    env = os.environ.get(primary)
-    if env:
-        return primary, env
-    if fallback is not None:
-        env = os.environ.get(fallback)
-        if env:
-            return fallback, env
-    return primary, None
+from typing import Any, Callable, NamedTuple
 
 
 def usable_cpus() -> int:
@@ -41,233 +36,192 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _default_backend() -> str:
-    """Backend name from ``AOMP_BACKEND`` (``serial`` | ``threads`` |
-    ``processes`` | ``distributed``).
-
-    Validity is checked loudly — but *at use*, by ``backend_by_name`` (which
-    names the valid set), so plugin backends registered after import still
-    resolve.
-    """
-    env = (os.environ.get("AOMP_BACKEND") or "").strip().lower()
-    return env or "threads"
-
-
-def _default_schedule() -> str:
-    """Default loop schedule from ``AOMP_SCHEDULE`` (or ``OMP_SCHEDULE``).
-
-    OpenMP-style ``"kind[,chunk]"`` specs are accepted (e.g. ``"dynamic,4"``
-    or ``"auto"``); parsing/validation happens at loop-execution time.
-    """
-    env = (os.environ.get("AOMP_SCHEDULE") or os.environ.get("OMP_SCHEDULE") or "").strip()
-    return env or "static_block"
-
-
-def _default_tune_cache() -> "str | None":
-    """Path of the adaptive tuner's persistent cache from ``AOMP_TUNE_CACHE``."""
-    env = (os.environ.get("AOMP_TUNE_CACHE") or "").strip()
-    return env or None
-
-
-def _default_num_threads() -> int:
-    """Default team size from ``AOMP_NUM_THREADS``/``OMP_NUM_THREADS`` (int >= 1)."""
-    name, env = _env_pair("AOMP_NUM_THREADS", "OMP_NUM_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer >= 1; got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"{name} must be an integer >= 1; got {env!r}")
-        return value
-    return usable_cpus()
-
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
 ON_FAILURE_POLICIES = ("raise", "retry", "degrade")
-
-
-def _default_on_failure() -> str:
-    """Region failure policy from ``AOMP_ON_FAILURE`` (``raise``/``retry``/``degrade``)."""
-    env = (os.environ.get("AOMP_ON_FAILURE") or "").strip().lower()
-    if not env:
-        return "raise"
-    if env not in ON_FAILURE_POLICIES:
-        raise ValueError(
-            f"AOMP_ON_FAILURE must be one of {', '.join(ON_FAILURE_POLICIES)}; got {env!r}"
-        )
-    return env
-
-
-def _default_max_retries() -> int:
-    """Retry budget per backend level from ``AOMP_MAX_RETRIES`` (>= 0)."""
-    env = os.environ.get("AOMP_MAX_RETRIES")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"AOMP_MAX_RETRIES must be an integer >= 0; got {env!r}") from None
-        if value < 0:
-            raise ValueError(f"AOMP_MAX_RETRIES must be an integer >= 0; got {env!r}")
-        return value
-    return 2
-
-
-def _default_retry_backoff() -> float:
-    """Base retry delay in seconds from ``AOMP_RETRY_BACKOFF`` (doubles per attempt)."""
-    env = os.environ.get("AOMP_RETRY_BACKOFF")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(f"AOMP_RETRY_BACKOFF must be a number of seconds >= 0; got {env!r}") from None
-        if value < 0.0:
-            raise ValueError(f"AOMP_RETRY_BACKOFF must be a number of seconds >= 0; got {env!r}")
-        return value
-    return 0.05
-
-
-def _default_nested() -> bool:
-    """Whether nested regions create real teams, from ``AOMP_NESTED``/``OMP_NESTED``."""
-    name, env = _env_pair("AOMP_NESTED", "OMP_NESTED")
-    if env is None or not env.strip():
-        return True
-    word = env.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ValueError(
-        f"{name} must be a boolean word ({'/'.join(sorted(_TRUE_WORDS))} or "
-        f"{'/'.join(sorted(_FALSE_WORDS))}); got {env!r}"
-    )
-
-
-def _default_max_active_levels() -> int:
-    """Nesting-depth cap from ``AOMP_MAX_ACTIVE_LEVELS``/``OMP_MAX_ACTIVE_LEVELS``.
-
-    Counts *active* levels — enclosing teams with more than one member —
-    exactly like OpenMP's ``omp_set_max_active_levels``.
-    """
-    name, env = _env_pair("AOMP_MAX_ACTIVE_LEVELS", "OMP_MAX_ACTIVE_LEVELS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer >= 1; got {env!r}") from None
-        if value < 1:
-            raise ValueError(f"{name} must be an integer >= 1; got {env!r}")
-        return value
-    return 4
-
-
-def _default_metrics() -> bool:
-    """Whether the runtime accumulates metrics, from ``AOMP_METRICS``."""
-    env = os.environ.get("AOMP_METRICS")
-    if env is None or not env.strip():
-        return False
-    word = env.strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ValueError(
-        f"AOMP_METRICS must be a boolean word ({'/'.join(sorted(_TRUE_WORDS))} or "
-        f"{'/'.join(sorted(_FALSE_WORDS))}); got {env!r}"
-    )
-
-
-def _default_metrics_port() -> "int | None":
-    """TCP port of the opt-in metrics scrape endpoint, from ``AOMP_METRICS_PORT``.
-
-    ``None`` (unset/empty) disables the endpoint; ``0`` asks for an ephemeral
-    port (the bound port is reported by ``repro.obs.exporter_port()``).
-    """
-    env = os.environ.get("AOMP_METRICS_PORT")
-    if env is None or not env.strip():
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"AOMP_METRICS_PORT must be an integer port (0..65535); got {env!r}") from None
-    if not 0 <= value <= 65535:
-        raise ValueError(f"AOMP_METRICS_PORT must be an integer port (0..65535); got {env!r}")
-    return value
-
 
 #: default histogram bucket boundaries (seconds): log-scale from 1 us to 10 s,
 #: covering everything from a hot barrier round to a wedged worker.
 DEFAULT_METRICS_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
+#: Upper bound on how long any member waits in a team barrier by default, on
+#: every tier (thread, shm and socket barriers): a deadlocked team (e.g. a
+#: nested inner team whose sibling died) breaks the barrier with an error
+#: instead of hanging the process — the test-tier watchdogs rely on this
+#: backstop.  Raise (or disable, with ``<= 0``) via ``AOMP_BARRIER_TIMEOUT``
+#: when a legitimately serialised phase (e.g. an ``auto`` loop's serial
+#: fallback over a huge range) keeps siblings waiting longer than the default.
+DEFAULT_BARRIER_TIMEOUT = 120.0
 
-def _default_metrics_buckets() -> "tuple[float, ...]":
-    """Histogram bucket boundaries from ``AOMP_METRICS_BUCKETS``.
 
-    Comma-separated, strictly increasing, positive seconds.  The boundaries
-    fix the metrics slot layout process-wide, so workers inherit them through
-    the environment rather than per-region plumbing.
+class Rule(NamedTuple):
+    """How a variable's stripped, non-blank value parses: ``parse(raw)`` raises
+    ``ValueError`` or ``KeyError`` on garbage, and the error says ``what`` a
+    valid value is."""
+
+    what: str
+    parse: Callable[[str], Any]
+
+
+def _integer(low: int, high: "int | None" = None) -> Rule:
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low or (high is not None and value > high):
+            raise ValueError(raw)
+        return value
+
+    return Rule(f"an integer >= {low}" if high is None else f"an integer in {low}..{high}", parse)
+
+
+def _seconds(floor: "str | None") -> Rule:
+    """Seconds, bounded below by ``floor`` (``">= 0"`` or ``"> 0"``); without
+    one, ``<= 0`` reads as ``None``: no bound at all."""
+
+    def parse(raw: str) -> "float | None":
+        value = float(raw)
+        if floor is None:
+            return value if value > 0 else None
+        if value < 0 or (value == 0 and floor == "> 0"):
+            raise ValueError(raw)
+        return value
+
+    return Rule(f"a number of seconds {floor or '(<= 0 disables the bound)'}", parse)
+
+
+def _choice(*options: str) -> Rule:
+    """A case-insensitive word; with no ``options``, any word (validated at use)."""
+
+    def parse(raw: str) -> str:
+        word = raw.lower()
+        if options and word not in options:
+            raise ValueError(raw)
+        return word
+
+    return Rule(f"one of {', '.join(options)}", parse)
+
+
+def _buckets(raw: str) -> "tuple[float, ...]":
+    bounds = tuple(float(piece) for piece in raw.split(",") if piece.strip())
+    if not bounds or bounds[0] <= 0 or any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise ValueError(raw)
+    return bounds
+
+
+_BOOLEAN_WORDS = dict.fromkeys(("1", "on", "true", "yes"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+_BOOLEAN = Rule("a boolean word (1/on/true/yes or 0/false/no/off)", lambda raw: _BOOLEAN_WORDS[raw.lower()])
+_BUCKETS = Rule("comma-separated increasing positive seconds", _buckets)
+_TEXT = Rule("text", str)
+
+
+class EnvVar(NamedTuple):
+    """One row of the environment contract."""
+
+    name: str
+    #: the ``OMP_*`` spelling read when ``name`` is unset or blank
+    fallback: "str | None"
+    rule: Rule
+    #: the value when both are unset or blank; a callable is called each time
+    default: Any
+
+
+#: The environment contract, in the order README's table lists it.
+ENV_VARS = (
+    EnvVar("AOMP_NUM_THREADS", "OMP_NUM_THREADS", _integer(1), usable_cpus),
+    EnvVar("AOMP_BACKEND", None, _choice(), "threads"),
+    EnvVar("AOMP_SCHEDULE", "OMP_SCHEDULE", _TEXT, "static_block"),
+    EnvVar("AOMP_TUNE_CACHE", None, _TEXT, None),
+    EnvVar("AOMP_NESTED", "OMP_NESTED", _BOOLEAN, True),
+    EnvVar("AOMP_MAX_ACTIVE_LEVELS", "OMP_MAX_ACTIVE_LEVELS", _integer(1), 4),
+    EnvVar("AOMP_BARRIER_TIMEOUT", None, _seconds(None), DEFAULT_BARRIER_TIMEOUT),
+    EnvVar("AOMP_FAULTS", None, _TEXT, None),
+    EnvVar("AOMP_HEARTBEAT_INTERVAL", None, _seconds("> 0"), 0.25),
+    EnvVar("AOMP_HEARTBEAT_TIMEOUT", None, _seconds(None), None),
+    EnvVar("AOMP_ON_FAILURE", None, _choice(*ON_FAILURE_POLICIES), "raise"),
+    EnvVar("AOMP_MAX_RETRIES", None, _integer(0), 2),
+    EnvVar("AOMP_RETRY_BACKOFF", None, _seconds(">= 0"), 0.05),
+    EnvVar("AOMP_METRICS", None, _BOOLEAN, False),
+    EnvVar("AOMP_METRICS_PORT", None, _integer(0, 65535), None),
+    EnvVar("AOMP_METRICS_BUCKETS", None, _BUCKETS, DEFAULT_METRICS_BUCKETS),
+    EnvVar("AOMP_SERVICE_HOST", None, _TEXT, "127.0.0.1"),
+    EnvVar("AOMP_SERVICE_PORT", None, _integer(0, 65535), 0),
+    EnvVar("AOMP_SERVICE_WORKERS", None, _integer(1), lambda: max(1, min(4, usable_cpus() // 2))),
+    EnvVar("AOMP_SERVICE_QUEUE", None, _integer(1), 64),
+    EnvVar("AOMP_SERVICE_TENANT_CAP", None, _integer(1), 2),
+    EnvVar("AOMP_SERVICE_BACKEND", None, _choice(), ""),
+    EnvVar("AOMP_SERVICE_TUNE_DIR", None, _TEXT, None),
+)
+
+_ROWS = {row.name: row for row in ENV_VARS}
+
+
+def env(name: str) -> Any:
+    """The current value of contract variable ``name``.
+
+    Read on every call, so a variable set mid-process affects what is
+    constructed afterwards (every team reads ``AOMP_BARRIER_TIMEOUT``); each
+    distinct raw value is parsed once.
     """
-    env = os.environ.get("AOMP_METRICS_BUCKETS")
-    if env is None or not env.strip():
-        return DEFAULT_METRICS_BUCKETS
-    bounds: "list[float]" = []
-    for piece in env.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            value = float(piece)
-        except ValueError:
-            raise ValueError(
-                f"AOMP_METRICS_BUCKETS must be comma-separated increasing positive "
-                f"seconds; got {env!r}"
-            ) from None
-        bounds.append(value)
-    if not bounds or any(b <= 0 for b in bounds) or any(a >= b for a, b in zip(bounds, bounds[1:])):
-        raise ValueError(
-            f"AOMP_METRICS_BUCKETS must be comma-separated increasing positive "
-            f"seconds; got {env!r}"
-        )
-    return tuple(bounds)
+    row = _ROWS[name]
+    var, raw = name, os.environ.get(name, "").strip()
+    if not raw and row.fallback:
+        var, raw = row.fallback, os.environ.get(row.fallback, "").strip()
+    if raw:
+        return _parse(name, var, raw)
+    return row.default() if callable(row.default) else row.default
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(name: str, var: str, raw: str) -> Any:
+    """``raw`` under ``name``'s rule; a rejection (never cached) blames ``var``,
+    the spelling the user set."""
+    rule = _ROWS[name].rule
+    try:
+        return rule.parse(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{var} must be {rule.what}; got {raw!r}") from None
+
+
+def env_field(name: str) -> Any:
+    """A dataclass field seeded from contract variable ``name`` at construction."""
+    return field(default_factory=functools.partial(env, name))
 
 
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Process-wide defaults for the PyAOmpLib runtime.
 
+    Every field but ``default_chunk`` and ``tracing`` is seeded from its
+    environment variable (README's environment table lists them all).
+
     Attributes
     ----------
     num_threads:
-        Default team size for parallel regions that do not specify one.
+        Default team size for parallel regions that do not specify one
+        (``AOMP_NUM_THREADS``/``OMP_NUM_THREADS``; the processors this
+        process may use when unset).
     backend:
         Name of the default execution backend (``"serial"``, ``"threads"``,
-        ``"processes"`` or ``"distributed"``), seeded from the ``AOMP_BACKEND``
-        environment variable.  Overridden globally by
-        :func:`repro.runtime.backend.set_backend` and per-region via the
-        ``backend=`` argument of ``parallel_region``.
+        ``"processes"`` or ``"distributed"``; ``AOMP_BACKEND``).  Overridden
+        globally by :func:`repro.runtime.backend.set_backend` and per-region
+        via the ``backend=`` argument of ``parallel_region``.
     default_schedule:
         Default loop schedule spec (``"static_block"``, ``"static_cyclic"``,
         ``"dynamic"``, ``"guided"`` or ``"auto"``, optionally with an
-        OpenMP-style chunk suffix such as ``"dynamic,4"``), seeded from the
-        ``AOMP_SCHEDULE``/``OMP_SCHEDULE`` environment variables.  Consulted
-        by work-shared loops that do not pass an explicit ``schedule=``.
+        OpenMP-style chunk suffix such as ``"dynamic,4"``;
+        ``AOMP_SCHEDULE``/``OMP_SCHEDULE``).  Consulted by work-shared loops
+        that do not pass an explicit ``schedule=``.
     default_chunk:
         Default chunk size for dynamic/guided schedules.
     tune_cache:
         Path of the adaptive tuner's persistent decision cache (``None``
-        disables persistence), seeded from ``AOMP_TUNE_CACHE``.  See
-        :mod:`repro.tune`.
+        disables persistence; ``AOMP_TUNE_CACHE``).  See :mod:`repro.tune`.
     nested:
-        Whether nested parallel regions create new teams (OpenMP ``OMP_NESTED``),
-        seeded from the ``AOMP_NESTED``/``OMP_NESTED`` environment variables.
-        When ``False`` a nested region executes with a team of one.
+        Whether nested parallel regions create new teams (OpenMP
+        ``OMP_NESTED``; ``AOMP_NESTED``).  When ``False`` a nested region
+        executes with a team of one.
     max_active_levels:
         Cap on the number of *active* nesting levels — enclosing teams with
         more than one member — mirroring OpenMP's
-        ``omp_set_max_active_levels``/``OMP_MAX_ACTIVE_LEVELS`` (seeded from
-        ``AOMP_MAX_ACTIVE_LEVELS`` too).  A region whose enclosing contexts
+        ``omp_set_max_active_levels`` (``AOMP_MAX_ACTIVE_LEVELS``/
+        ``OMP_MAX_ACTIVE_LEVELS``).  A region whose enclosing contexts
         already hold this many active teams gets a team of one; serialised
         (size-1) levels do not consume the budget.
     tracing:
@@ -275,47 +229,48 @@ class RuntimeConfig:
         events (needed by :mod:`repro.perf`).
     on_failure:
         Default region failure policy (``"raise"``, ``"retry"`` or
-        ``"degrade"``), seeded from ``AOMP_ON_FAILURE``.  ``retry`` re-runs a
-        region whose failure was recoverable infrastructure (dead worker,
-        broken barrier, injected fault) with exponential backoff; ``degrade``
+        ``"degrade"``; ``AOMP_ON_FAILURE``).  ``retry`` re-runs a region
+        whose failure was recoverable infrastructure (dead worker, broken
+        barrier, injected fault) with exponential backoff; ``degrade``
         additionally walks down the backend fallback chain (processes →
         threads → serial) once the retry budget is exhausted.  Both only act
         on bodies marked ``retry_safe`` — see
         :func:`repro.runtime.team.parallel_region`.
     max_retries:
-        Retry budget per backend level under ``retry``/``degrade``, seeded
-        from ``AOMP_MAX_RETRIES``.
+        Retry budget per backend level under ``retry``/``degrade``
+        (``AOMP_MAX_RETRIES``).
     retry_backoff:
-        Base delay in seconds before a retry (doubling each attempt), seeded
-        from ``AOMP_RETRY_BACKOFF``.
+        Base delay in seconds before a retry, doubling each attempt
+        (``AOMP_RETRY_BACKOFF``).
     metrics:
         Whether the runtime accumulates :mod:`repro.obs` metrics (counters,
-        gauges, histograms), seeded from ``AOMP_METRICS``.  Off by default:
-        every instrumentation site is guarded by this single predicate, so
-        the hot path pays one attribute load when disabled.
+        gauges, histograms; ``AOMP_METRICS``).  Off by default: every
+        instrumentation site is guarded by this single predicate, so the hot
+        path pays one attribute load when disabled.
     metrics_port:
-        TCP port of the opt-in stdlib-HTTP Prometheus scrape endpoint,
-        seeded from ``AOMP_METRICS_PORT`` (``None`` disables it, ``0`` binds
-        an ephemeral port).
+        TCP port of the opt-in stdlib-HTTP Prometheus scrape endpoint
+        (``AOMP_METRICS_PORT``; ``None`` disables it, ``0`` binds an
+        ephemeral port reported by ``repro.obs.exporter_port()``).
     metrics_buckets:
-        Histogram bucket boundaries in seconds (strictly increasing), seeded
-        from ``AOMP_METRICS_BUCKETS``.
+        Histogram bucket boundaries in seconds, strictly increasing
+        (``AOMP_METRICS_BUCKETS``).  They fix the metrics slot layout
+        process-wide, so workers inherit them through the environment.
     """
 
-    num_threads: int = field(default_factory=_default_num_threads)
-    backend: str = field(default_factory=_default_backend)
-    default_schedule: str = field(default_factory=_default_schedule)
+    num_threads: int = env_field("AOMP_NUM_THREADS")
+    backend: str = env_field("AOMP_BACKEND")
+    default_schedule: str = env_field("AOMP_SCHEDULE")
     default_chunk: int = 1
-    tune_cache: "str | None" = field(default_factory=_default_tune_cache)
-    nested: bool = field(default_factory=_default_nested)
-    max_active_levels: int = field(default_factory=_default_max_active_levels)
+    tune_cache: "str | None" = env_field("AOMP_TUNE_CACHE")
+    nested: bool = env_field("AOMP_NESTED")
+    max_active_levels: int = env_field("AOMP_MAX_ACTIVE_LEVELS")
     tracing: bool = True
-    on_failure: str = field(default_factory=_default_on_failure)
-    max_retries: int = field(default_factory=_default_max_retries)
-    retry_backoff: float = field(default_factory=_default_retry_backoff)
-    metrics: bool = field(default_factory=_default_metrics)
-    metrics_port: "int | None" = field(default_factory=_default_metrics_port)
-    metrics_buckets: "tuple[float, ...]" = field(default_factory=_default_metrics_buckets)
+    on_failure: str = env_field("AOMP_ON_FAILURE")
+    max_retries: int = env_field("AOMP_MAX_RETRIES")
+    retry_backoff: float = env_field("AOMP_RETRY_BACKOFF")
+    metrics: bool = env_field("AOMP_METRICS")
+    metrics_port: "int | None" = env_field("AOMP_METRICS_PORT")
+    metrics_buckets: "tuple[float, ...]" = env_field("AOMP_METRICS_BUCKETS")
 
     def with_updates(self, **kwargs) -> "RuntimeConfig":
         """Return a copy of this configuration with the given fields replaced."""

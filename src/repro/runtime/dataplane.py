@@ -91,8 +91,8 @@ import numpy as np
 
 import repro.obs.registry as obsreg
 from repro.runtime import shm
-from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier, _default_barrier_timeout
-from repro.runtime.config import get_config
+from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
+from repro.runtime.config import env, get_config
 
 #: Socket planes bind to loopback only: the raw token preamble (verified
 #: before anything is unpickled) guards against port-scanning neighbours,
@@ -716,7 +716,7 @@ def _effective_rpc_timeout() -> "float | None":
     rests on the connection itself (a dead coordinator closes the socket,
     surfacing as ``EOFError``/``ConnectionError``).
     """
-    bound = _default_barrier_timeout()
+    bound = env("AOMP_BARRIER_TIMEOUT")
     return None if bound is None else bound + _RPC_GRACE
 
 #: the active worker session of this process, if any.  Installed by

@@ -42,7 +42,7 @@ its own daemon thread for forked and distributed teams,
 driven by the persistent pool's long-lived watcher for pooled ones (the one
 :func:`repro.runtime.member.join_team` sets up either).  The master normally
 learns about a dead worker only after its own barrier wait times out (120s);
-the monitor polls worker liveness every :func:`heartbeat_interval` seconds
+the monitor polls worker liveness every ``AOMP_HEARTBEAT_INTERVAL`` seconds
 and *aborts the team barrier* the moment a worker dies, converting the hang
 into a diagnosed :class:`~repro.runtime.exceptions.WorkerProcessError` within
 fractions of a second.  Optionally (``AOMP_HEARTBEAT_TIMEOUT``) it also
@@ -61,6 +61,7 @@ import time
 from typing import Any, Callable, Iterable, Optional
 
 import repro.obs.registry as obsreg
+from repro.runtime.config import env
 from repro.runtime.exceptions import FaultSpecError, InjectedFault
 from repro.runtime.trace import EventKind
 
@@ -69,41 +70,6 @@ SITES = ("member", "chunk", "barrier")
 
 _INT_KEYS = frozenset({"member", "region", "chunk", "barrier", "times"})
 _FLOAT_KEYS = frozenset({"seconds", "p"})
-
-
-def heartbeat_interval() -> float:
-    """Worker liveness poll period in seconds (``AOMP_HEARTBEAT_INTERVAL``)."""
-    env = os.environ.get("AOMP_HEARTBEAT_INTERVAL")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(f"AOMP_HEARTBEAT_INTERVAL must be a number of seconds > 0; got {env!r}") from None
-        if value <= 0:
-            raise ValueError(f"AOMP_HEARTBEAT_INTERVAL must be a number of seconds > 0; got {env!r}")
-        return value
-    return 0.25
-
-
-def heartbeat_timeout() -> "float | None":
-    """Stale-heartbeat cutoff in seconds (``AOMP_HEARTBEAT_TIMEOUT``), or ``None``.
-
-    Disabled by default: a member legitimately blocked in a long chunk beats
-    only at barriers, so a stall cutoff is an opt-in for workloads that know
-    their cadence.  ``0`` or negative disables explicitly; garbage is
-    rejected loudly.
-    """
-    env = os.environ.get("AOMP_HEARTBEAT_TIMEOUT")
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(
-                f"AOMP_HEARTBEAT_TIMEOUT must be a number of seconds (<= 0 disables); got {env!r}"
-            ) from None
-        if value > 0:
-            return value
-    return None
 
 
 class FaultRule:
@@ -346,7 +312,7 @@ def _resolve() -> "FaultPlan | None":
     global _plan, _resolved
     with _state_lock:
         if not _resolved:
-            spec = (os.environ.get("AOMP_FAULTS") or "").strip()
+            spec = env("AOMP_FAULTS")
             _plan = parse_fault_spec(spec) if spec else None
             _resolved = True
     return _plan
@@ -462,8 +428,8 @@ class WorkerMonitor:
         self._dead_workers = dead_workers
         self._heartbeat = heartbeat
         #: seconds between liveness checks (whoever drives :meth:`check_once`).
-        self.interval = interval if interval is not None else heartbeat_interval()
-        self._stall_timeout = stall_timeout if stall_timeout is not None else heartbeat_timeout()
+        self.interval = interval if interval is not None else env("AOMP_HEARTBEAT_INTERVAL")
+        self._stall_timeout = stall_timeout if stall_timeout is not None else env("AOMP_HEARTBEAT_TIMEOUT")
         self._stop = threading.Event()
         self._thread: "threading.Thread | None" = None
         self._metrics = bool(getattr(team, "metrics", False))

@@ -39,8 +39,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import faults, shm, tasks
-from repro.runtime.barrier import _default_barrier_timeout
-from repro.runtime.config import RuntimeConfig, get_config, set_config
+from repro.runtime.config import RuntimeConfig, env, get_config, set_config
 from repro.runtime.exceptions import WorkerProcessError
 from repro.runtime.trace import EventKind
 
@@ -346,7 +345,7 @@ def join_team(
         monitor.start()
     else:
         monitor = watcher.watch(team)
-    barrier_bound = _default_barrier_timeout()
+    barrier_bound = env("AOMP_BARRIER_TIMEOUT")
     master_result: Any = None
     try:
         master_result = run_member(0)

@@ -73,7 +73,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.runtime.barrier import _UNSET, BrokenBarrierError, _default_barrier_timeout
+from repro.runtime.barrier import _UNSET, BrokenBarrierError
+from repro.runtime.config import env
 from repro.runtime.exceptions import BackendError
 from repro.runtime.scheduler import block_counts, claim_cap, guided_claim_batch
 
@@ -550,7 +551,7 @@ class SharedBarrier(CellArena):
         ctx = _mp_context()
         self._wakes = (ctx.Semaphore(0), ctx.Semaphore(0))
         self._cells[self._PARTIES] = parties
-        self._timeout = _default_barrier_timeout() if timeout is _UNSET else timeout
+        self._timeout = env("AOMP_BARRIER_TIMEOUT") if timeout is _UNSET else timeout
 
     @property
     def parties(self) -> int:
@@ -935,7 +936,7 @@ class TunePlanSlot(_Slot):
         timeout in force (``AOMP_BARRIER_TIMEOUT``; unbounded when disabled).
         """
         arena, cells, base = self.arena, self.arena._cells, self._base
-        limit = _default_barrier_timeout() if timeout is None else timeout
+        limit = env("AOMP_BARRIER_TIMEOUT") if timeout is None else timeout
         deadline = None if limit is None else time.monotonic() + limit
         while True:
             with arena._lock:

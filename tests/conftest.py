@@ -58,9 +58,9 @@ def run_with_watchdog(fn, timeout: float = WATCHDOG_TIMEOUT):
     conformance tests (marker ``nested``): a deadlocked or livelocked team —
     including an inner team of a team-of-teams — turns into a test failure
     with a stack dump instead of hanging tier-1.  The runtime's own barrier
-    timeouts (:data:`repro.runtime.barrier.DEFAULT_BARRIER_TIMEOUT`,
-    :data:`repro.runtime.shm.BARRIER_TIMEOUT`) are the backstop that
-    eventually unblocks the abandoned worker thread.
+    timeouts (:data:`repro.runtime.config.DEFAULT_BARRIER_TIMEOUT`, on every
+    tier) are the backstop that eventually unblocks the abandoned worker
+    thread.
     """
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="watchdog")
     future = pool.submit(fn)

@@ -292,7 +292,8 @@ class TestStripedLocks:
 
 class TestBarrierTimeoutConfig:
     def test_default_timeout_bounds_waits(self, monkeypatch):
-        from repro.runtime.barrier import DEFAULT_BARRIER_TIMEOUT, CyclicBarrier
+        from repro.runtime.barrier import CyclicBarrier
+        from repro.runtime.config import DEFAULT_BARRIER_TIMEOUT
 
         monkeypatch.delenv("AOMP_BARRIER_TIMEOUT", raising=False)
         assert DEFAULT_BARRIER_TIMEOUT == 120.0
@@ -302,7 +303,7 @@ class TestBarrierTimeoutConfig:
     def test_every_team_barrier_reads_the_env_knob(self, make, monkeypatch):
         """Thread teams and fork/pool teams follow one timeout contract."""
         from repro.runtime import shm
-        from repro.runtime.barrier import DEFAULT_BARRIER_TIMEOUT
+        from repro.runtime.config import DEFAULT_BARRIER_TIMEOUT
 
         if make == "shm" and not shm.fork_available():
             pytest.skip("the shm barrier lives in fork-inherited cells")
@@ -322,19 +323,20 @@ class TestBarrierTimeoutConfig:
         assert not waiter.is_alive() and not barrier.broken
 
     def test_env_knob_read_at_construction(self, monkeypatch):
-        from repro.runtime.barrier import _default_barrier_timeout, CyclicBarrier
+        from repro.runtime.barrier import CyclicBarrier
+        from repro.runtime.config import env
 
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
-        assert _default_barrier_timeout() == 300.0
+        assert env("AOMP_BARRIER_TIMEOUT") == 300.0
         assert CyclicBarrier(2)._timeout == 300.0  # noqa: SLF001 - not frozen at import
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0")
-        assert _default_barrier_timeout() is None  # disabled: wait forever
+        assert env("AOMP_BARRIER_TIMEOUT") is None  # disabled: wait forever
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "junk")
         for _ in range(2):  # each value is parsed once; a rejection is never remembered
             with pytest.raises(ValueError, match="AOMP_BARRIER_TIMEOUT"):
-                _default_barrier_timeout()
+                env("AOMP_BARRIER_TIMEOUT")
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
-        assert _default_barrier_timeout() == 300.0
+        assert env("AOMP_BARRIER_TIMEOUT") == 300.0
 
     def test_explicit_none_waits_past_default(self):
         """timeout=None is a true unbounded wait, distinct from the default."""

@@ -1,92 +1,54 @@
-"""Table-driven coverage of every ``AOMP_*`` environment variable.
+"""Table-driven coverage of every row of the environment contract.
 
-Contract under test, uniformly for each variable:
+Contract under test, uniformly for each variable, read through ``env(name)``:
 
-* **default** — unset (or empty) yields the documented default;
+* **default** — unset (or blank) yields the documented default;
 * **valid** — a well-formed value parses to the documented Python value,
   including the ``OMP_*`` fallback spellings where one exists;
 * **garbage** — a malformed value is rejected *loudly* with an error naming
   the exact variable the user set, never silently replaced by the default
   (a typo'd setting that does nothing is worse than a crash at import).
 
-Two variables are deliberately deferred-but-loud instead of parse-at-import:
-``AOMP_BACKEND`` (validity depends on the backend registry, which plugins
-may extend after import) and ``AOMP_SCHEDULE`` (validated by
-``parse_schedule_spec`` at loop execution).  Their garbage cases assert the
-*use-site* rejection names the valid forms.
+Four variables are deliberately deferred-but-loud instead of parse-at-import:
+``AOMP_BACKEND`` and ``AOMP_SERVICE_BACKEND`` (validity depends on the
+backend registry, which plugins may extend after import), ``AOMP_SCHEDULE``
+(validated by ``parse_schedule_spec`` at loop execution) and ``AOMP_FAULTS``
+(validated by ``parse_fault_spec`` when the plan is resolved).  Their garbage
+cases assert the *use-site* rejection names the valid forms.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 import pytest
 
-from repro.runtime.barrier import _default_barrier_timeout
 from repro.runtime.config import (
     DEFAULT_METRICS_BUCKETS,
+    ENV_VARS,
     ON_FAILURE_POLICIES,
     RuntimeConfig,
-    _default_backend,
-    _default_max_active_levels,
-    _default_max_retries,
-    _default_metrics,
-    _default_metrics_buckets,
-    _default_metrics_port,
-    _default_nested,
-    _default_num_threads,
-    _default_on_failure,
-    _default_retry_backoff,
-    _default_schedule,
-    _default_tune_cache,
+    env,
     usable_cpus,
 )
 from repro.runtime.exceptions import FaultSpecError
-from repro.runtime.faults import heartbeat_interval, heartbeat_timeout, parse_fault_spec
-from repro.service.config import (
-    _default_service_backend,
-    _default_service_host,
-    _default_service_port,
-    _default_service_queue,
-    _default_service_tenant_cap,
-    _default_service_tune_dir,
-    _default_service_workers,
-)
+from repro.runtime.faults import parse_fault_spec
 
-ALL_VARS = (
-    "AOMP_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "AOMP_BACKEND",
-    "AOMP_SCHEDULE",
-    "OMP_SCHEDULE",
-    "AOMP_TUNE_CACHE",
-    "AOMP_NESTED",
-    "OMP_NESTED",
-    "AOMP_MAX_ACTIVE_LEVELS",
-    "OMP_MAX_ACTIVE_LEVELS",
-    "AOMP_ON_FAILURE",
-    "AOMP_MAX_RETRIES",
-    "AOMP_RETRY_BACKOFF",
-    "AOMP_BARRIER_TIMEOUT",
-    "AOMP_HEARTBEAT_INTERVAL",
-    "AOMP_HEARTBEAT_TIMEOUT",
-    "AOMP_METRICS",
-    "AOMP_METRICS_PORT",
-    "AOMP_METRICS_BUCKETS",
-    "AOMP_SERVICE_HOST",
-    "AOMP_SERVICE_PORT",
-    "AOMP_SERVICE_WORKERS",
-    "AOMP_SERVICE_QUEUE",
-    "AOMP_SERVICE_TENANT_CAP",
-    "AOMP_SERVICE_BACKEND",
-    "AOMP_SERVICE_TUNE_DIR",
-)
+#: every name the contract reads: each row's variable and its OMP_* fallback
+ALL_VARS = tuple(name for row in ENV_VARS for name in (row.name, row.fallback) if name)
+
+#: read as words or text by the table, validated where they are used
+VALIDATED_AT_USE = ("AOMP_BACKEND", "AOMP_SCHEDULE", "AOMP_SERVICE_BACKEND", "AOMP_FAULTS")
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+README = Path(__file__).resolve().parents[2] / "README.md"
 
 
 @pytest.fixture(autouse=True)
@@ -100,7 +62,6 @@ class EnvVarCase:
     """One row of the parsing contract: how a variable defaults/parses/rejects."""
 
     var: str
-    read: Callable[[], Any]
     default: Any
     valid: "tuple[tuple[str, Any], ...]"
     garbage: "tuple[str, ...]"
@@ -109,6 +70,9 @@ class EnvVarCase:
     #: garbage values for the fallback spelling (error must blame *it*).
     fallback_garbage: "tuple[tuple[str, str], ...]" = field(default=())
 
+    def read(self) -> Any:
+        return env(self.var)
+
 
 #: the processors this process may use (its affinity mask), not the ones installed
 _CPU_DEFAULT = usable_cpus()
@@ -116,7 +80,6 @@ _CPU_DEFAULT = usable_cpus()
 CASES = (
     EnvVarCase(
         var="AOMP_NUM_THREADS",
-        read=_default_num_threads,
         default=_CPU_DEFAULT,
         valid=(("3", 3), ("1", 1), ("64", 64)),
         garbage=("three", "0", "-2", "2.5", "4 threads"),
@@ -124,8 +87,32 @@ CASES = (
         fallback_garbage=(("OMP_NUM_THREADS", "junk"),),
     ),
     EnvVarCase(
+        var="AOMP_BACKEND",
+        default="threads",
+        valid=(("processes", "processes"), ("PROCESSES", "processes")),
+        garbage=(),  # resolved loudly at use by backend_by_name
+    ),
+    EnvVarCase(
+        var="AOMP_SCHEDULE",
+        default="static_block",
+        valid=(("dynamic,4", "dynamic,4"), ("auto", "auto")),
+        garbage=(),  # parsed loudly at loop execution by parse_schedule_spec
+        fallback=(("OMP_SCHEDULE", "guided,8", "guided,8"),),
+    ),
+    EnvVarCase(
+        var="AOMP_TUNE_CACHE",
+        default=None,  # unset disables the persistent cache
+        valid=(("/tmp/tune.json", "/tmp/tune.json"),),
+        garbage=(),  # free-form path; IO errors surface at persist time
+    ),
+    EnvVarCase(
+        var="AOMP_FAULTS",
+        default=None,  # no plan
+        valid=(("kill:member=1,region=0", "kill:member=1,region=0"),),
+        garbage=(),  # parsed loudly by parse_fault_spec when the plan resolves
+    ),
+    EnvVarCase(
         var="AOMP_NESTED",
-        read=_default_nested,
         default=True,
         valid=(
             ("1", True), ("true", True), ("YES", True), ("on", True),
@@ -137,7 +124,6 @@ CASES = (
     ),
     EnvVarCase(
         var="AOMP_MAX_ACTIVE_LEVELS",
-        read=_default_max_active_levels,
         default=4,
         valid=(("1", 1), ("8", 8)),
         garbage=("not-a-number", "0", "-1", "1.5"),
@@ -146,49 +132,42 @@ CASES = (
     ),
     EnvVarCase(
         var="AOMP_ON_FAILURE",
-        read=_default_on_failure,
         default="raise",
         valid=tuple((policy, policy) for policy in ON_FAILURE_POLICIES) + (("RETRY", "retry"),),
         garbage=("panic", "raise,retry"),
     ),
     EnvVarCase(
         var="AOMP_MAX_RETRIES",
-        read=_default_max_retries,
         default=2,
         valid=(("0", 0), ("7", 7)),
         garbage=("many", "-1", "1.5"),
     ),
     EnvVarCase(
         var="AOMP_RETRY_BACKOFF",
-        read=_default_retry_backoff,
         default=0.05,
         valid=(("0", 0.0), ("0.5", 0.5), ("2", 2.0)),
         garbage=("soon", "-0.1", "1s"),
     ),
     EnvVarCase(
         var="AOMP_BARRIER_TIMEOUT",
-        read=_default_barrier_timeout,
         default=120.0,
         valid=(("300", 300.0), ("0", None), ("-1", None)),  # <= 0 disables the bound
         garbage=("junk", "2m", ""),
     ),
     EnvVarCase(
         var="AOMP_HEARTBEAT_INTERVAL",
-        read=heartbeat_interval,
         default=0.25,
         valid=(("0.5", 0.5), ("2", 2.0)),
         garbage=("fast", "0", "-1"),  # a poll period must be > 0
     ),
     EnvVarCase(
         var="AOMP_HEARTBEAT_TIMEOUT",
-        read=heartbeat_timeout,
         default=None,
         valid=(("2.5", 2.5), ("0", None), ("-3", None)),  # <= 0 disables explicitly
         garbage=("stale", "1 minute"),
     ),
     EnvVarCase(
         var="AOMP_METRICS",
-        read=_default_metrics,
         default=False,
         valid=(
             ("1", True), ("true", True), ("YES", True), ("on", True),
@@ -198,14 +177,12 @@ CASES = (
     ),
     EnvVarCase(
         var="AOMP_METRICS_PORT",
-        read=_default_metrics_port,
         default=None,  # unset means "no scrape endpoint"
         valid=(("0", 0), ("9464", 9464), ("65535", 65535)),
         garbage=("default", "-1", "65536", "8080http"),
     ),
     EnvVarCase(
         var="AOMP_METRICS_BUCKETS",
-        read=_default_metrics_buckets,
         default=DEFAULT_METRICS_BUCKETS,
         valid=(
             ("0.001,0.01,0.1", (0.001, 0.01, 0.1)),
@@ -217,49 +194,42 @@ CASES = (
     ),
     EnvVarCase(
         var="AOMP_SERVICE_HOST",
-        read=_default_service_host,
         default="127.0.0.1",
         valid=(("0.0.0.0", "0.0.0.0"), ("service.internal", "service.internal")),
         garbage=(),  # free-form bind address; bind errors surface at listen
     ),
     EnvVarCase(
         var="AOMP_SERVICE_PORT",
-        read=_default_service_port,
         default=0,  # 0 = ephemeral, the safe always-works default
         valid=(("0", 0), ("9465", 9465), ("65535", 65535)),
         garbage=("default", "-1", "65536", "9465tcp"),
     ),
     EnvVarCase(
         var="AOMP_SERVICE_WORKERS",
-        read=_default_service_workers,
         default=max(1, min(4, _CPU_DEFAULT // 2)),
         valid=(("1", 1), ("8", 8)),
         garbage=("many", "0", "-1", "2.5"),
     ),
     EnvVarCase(
         var="AOMP_SERVICE_QUEUE",
-        read=_default_service_queue,
         default=64,
         valid=(("1", 1), ("256", 256)),
         garbage=("unbounded", "0", "-1", "1.5"),
     ),
     EnvVarCase(
         var="AOMP_SERVICE_TENANT_CAP",
-        read=_default_service_tenant_cap,
         default=2,
         valid=(("1", 1), ("16", 16)),
         garbage=("fair", "0", "-1"),
     ),
     EnvVarCase(
         var="AOMP_SERVICE_BACKEND",
-        read=_default_service_backend,
         default="",  # empty = inherit AOMP_BACKEND; resolved loudly at use
         valid=(("threads", "threads"), ("PROCESSES", "processes")),
         garbage=(),  # deferred-but-loud, like AOMP_BACKEND itself
     ),
     EnvVarCase(
         var="AOMP_SERVICE_TUNE_DIR",
-        read=_default_service_tune_dir,
         default=None,  # unset disables persistent per-tenant caches
         valid=(("/tmp/aomp-tune", "/tmp/aomp-tune"),),
         garbage=(),  # free-form path; IO errors surface at persist time
@@ -289,14 +259,21 @@ class TestEnvVarTable:
             monkeypatch.delenv(case.var)
 
     def test_empty_value_means_unset(self, case, monkeypatch):
-        monkeypatch.setenv(case.var, "")
-        assert case.read() == case.default
+        for blank in ("", "   "):
+            monkeypatch.setenv(case.var, blank)
+            assert case.read() == case.default, f"{case.var}={blank!r}"
 
     def test_fallback_spelling(self, case, monkeypatch):
         for fallback_var, raw, expected in case.fallback:
             monkeypatch.setenv(fallback_var, raw)
             assert case.read() == expected
             monkeypatch.delenv(fallback_var)
+
+    def test_blank_primary_does_not_hide_the_fallback(self, case, monkeypatch):
+        for fallback_var, raw, expected in case.fallback:
+            monkeypatch.setenv(case.var, "   ")
+            monkeypatch.setenv(fallback_var, raw)
+            assert case.read() == expected
 
     def test_fallback_garbage_blames_the_fallback_variable(self, case, monkeypatch):
         for fallback_var, raw in case.fallback_garbage:
@@ -316,11 +293,6 @@ class TestEnvVarTable:
 class TestDeferredButLoudVariables:
     """Registry/loop-time validated variables still reject garbage loudly at use."""
 
-    def test_backend_default_and_normalisation(self, monkeypatch):
-        assert _default_backend() == "threads"
-        monkeypatch.setenv("AOMP_BACKEND", "PROCESSES")
-        assert _default_backend() == "processes"
-
     def test_backend_garbage_rejected_at_resolution(self):
         from repro.runtime.backend import backend_by_name
 
@@ -330,9 +302,8 @@ class TestDeferredButLoudVariables:
     def test_schedule_default_and_chunk_spec(self, monkeypatch):
         from repro.runtime.scheduler import Schedule, parse_schedule_spec
 
-        assert _default_schedule() == "static_block"
         monkeypatch.setenv("AOMP_SCHEDULE", "dynamic,4")
-        schedule, chunk = parse_schedule_spec(_default_schedule())
+        schedule, chunk = parse_schedule_spec(env("AOMP_SCHEDULE"))
         assert schedule is Schedule.DYNAMIC and chunk == 4
 
     def test_schedule_garbage_rejected_at_parse(self, monkeypatch):
@@ -341,22 +312,49 @@ class TestDeferredButLoudVariables:
 
         monkeypatch.setenv("AOMP_SCHEDULE", "sometimes,maybe")
         with pytest.raises(SchedulingError):
-            parse_schedule_spec(_default_schedule())
-
-    def test_omp_schedule_fallback(self, monkeypatch):
-        monkeypatch.setenv("OMP_SCHEDULE", "guided,8")
-        assert _default_schedule() == "guided,8"
-
-    def test_tune_cache_is_free_form(self, monkeypatch):
-        assert _default_tune_cache() is None
-        monkeypatch.setenv("AOMP_TUNE_CACHE", "/tmp/tune.json")
-        assert _default_tune_cache() == "/tmp/tune.json"
+            parse_schedule_spec(env("AOMP_SCHEDULE"))
 
     def test_faults_spec_garbage_rejected_at_parse(self):
         with pytest.raises(FaultSpecError):
             parse_fault_spec("explode:everything")
         plan = parse_fault_spec("kill:member=1,region=0")
         assert plan is not None and len(plan.rules) == 1
+
+
+class TestOneContract:
+    """One table, one reader, and every row of it tested and documented."""
+
+    def test_only_the_config_module_reads_the_environment(self):
+        readers = []
+        for path in sorted((SRC / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                    touched = isinstance(node.value, ast.Name) and node.value.id == "os"
+                elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                    touched = any(alias.name in ("environ", "getenv") for alias in node.names)
+                else:
+                    continue
+                if touched:
+                    readers.append(f"{path.relative_to(SRC)}:{node.lineno}")
+        assert readers and all(where.startswith("repro/runtime/config.py:") for where in readers), readers
+
+    def test_every_variable_has_a_test_row(self):
+        tested = {case.var for case in CASES} | {name for case in CASES for name, *_ in case.fallback}
+        assert tested | set(VALIDATED_AT_USE) == set(ALL_VARS)
+        assert len(ALL_VARS) == len(set(ALL_VARS)) == 27
+
+    def test_validated_at_use_rows_accept_any_word(self, monkeypatch):
+        for name in VALIDATED_AT_USE:
+            monkeypatch.setenv(name, "no-such-thing")
+            assert env(name) == "no-such-thing"  # the registry or parser at use rejects it
+
+    def test_readme_table_lists_the_contract_in_order(self):
+        listed = []
+        for line in README.read_text().splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and re.fullmatch(r"`A?OMP_[A-Z_]+`", cells[0]):
+                listed.append((cells[0].strip("`"), cells[1].strip("`") if cells[1] != "—" else None))
+        assert listed == [(row.name, row.fallback) for row in ENV_VARS]
 
 
 class TestRuntimeConfigIntegration:
