@@ -267,7 +267,7 @@ class ShmDataPlane(DataPlane):
             shm.SyncArena(),
             pooled=pooled,
             steal=shm.TaskStealArena(max_workers=capacity),
-            tune=shm.TunePlanArena(barrier),
+            tune=shm.TunePlanArena(barrier, max_workers=capacity),
             heartbeat=shm.HeartbeatArena(),
             metrics=metrics,
         )
@@ -320,7 +320,7 @@ class Coordinator:
         self.barrier = CyclicBarrier(size, action=self._answer_syncs, transport=SOCKET_TRANSPORT)
         self.arena = shm.SyncArena(cells=shm.heap_cells)
         self.steal = shm.TaskStealArena(max_workers=max(size, 2), cells=shm.heap_cells)
-        self.tune = shm.TunePlanArena(self.barrier, cells=shm.heap_cells)
+        self.tune = shm.TunePlanArena(self.barrier, max_workers=max(size, 2), cells=shm.heap_cells)
         self.heartbeat = shm.HeartbeatArena(cells=shm.heap_cells)
         #: worker result frames, drained by ``collect_member_payloads`` —
         #: ``queue.Queue`` deliberately matches the ``empty()``/``get()``

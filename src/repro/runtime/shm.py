@@ -685,17 +685,18 @@ class SlotArena(CellArena):
     #: arguments after the arena are the slot's *key*.
     SLOT: "type[_Slot]"
 
-    def __init__(self, capacity: int, stride: int, cells: Any, fresh: bool) -> None:
+    def __init__(self, capacity: int, stride: int, cells: Any, fresh: bool, extra: int = 0) -> None:
+        """``extra`` cells follow the slots, outside the tag-recycled layout."""
         if capacity % MAX_TEAM_LEVELS:
             raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
         self.capacity = capacity
         self._stride = stride
-        super().__init__(stride * capacity, cells, fresh)
+        super().__init__(stride * capacity + extra, cells, fresh)
 
     def reset(self) -> None:
         """Mark every slot unused — one strided bulk store."""
         with self._lock:
-            fill_cells(self._cells, self._TAG, self._count, self._stride, -1)
+            fill_cells(self._cells, self._TAG, self._stride * self.capacity, self._stride, -1)
 
     def slot(self, *key: int, **named: int) -> Any:
         """Attach the slot ``key`` names — ``SLOT``'s arguments: the loop ordinal
@@ -910,7 +911,7 @@ class TunePlanSlot(_Slot):
     __slots__ = ()
     _SCHEDULE, _CHUNK, _FLAGS, _INVOCATION = range(1, 5)
     CELLS = 5  # the tag, then the four plan fields
-    OPS = ("publish", "read")
+    OPS = ("publish", "read", "report", "reports")
 
     #: seconds between polls while waiting for the master's plan.
     POLL_INTERVAL = 0.0002
@@ -959,6 +960,27 @@ class TunePlanSlot(_Slot):
                 )
             time.sleep(self.POLL_INTERVAL)
 
+    def report(self, member: int, nanoseconds: int) -> None:
+        """Record how long ``member`` spent on its own share of the loop.
+
+        Lock-free: a member writes only its own cell, and the master reads
+        the cells after the loop's barrier (:meth:`reports`).
+        """
+        arena = self.arena
+        if not 0 <= member < arena.max_workers:
+            raise ValueError(f"member {member} outside the tune arena's max_workers={arena.max_workers}")
+        arena._cells[self._reports() + member] = nanoseconds
+
+    def reports(self, count: int) -> "list[int]":
+        """The report cells of members ``0 .. count - 1`` (master side)."""
+        first = self._reports()
+        return [int(value) for value in self.arena._cells[first : first + count]]
+
+    def _reports(self) -> int:
+        """First report cell of this slot's team level (see :class:`TunePlanArena`)."""
+        arena = self.arena
+        return arena._stride * arena.capacity + self.ordinal % MAX_TEAM_LEVELS * arena.max_workers
+
 
 class TunePlanArena(SlotArena):
     """Pre-allocated pool of *tune plan* slots for ``schedule="auto"`` loops.
@@ -973,6 +995,14 @@ class TunePlanArena(SlotArena):
     with, breaks.  :meth:`~SlotArena.slot` takes the loop ordinal and returns
     a :class:`TunePlanSlot`.
 
+    When the plan's flags ask for it, each of up to ``max_workers`` members
+    also reports the time its own share took, and the master reads the
+    reports after the loop's barrier: the tuner's imbalance probe.  The
+    report cells follow the slots, one row of ``max_workers`` per team level
+    rather than per slot: a member reports only after it read the plan, and
+    the master publishes the next plan only after it read the last reports,
+    so one team never has two reporting loops in flight.
+
     Kept separate from :class:`SyncArena` on purpose: when the published plan
     is dynamic/guided, the *same ordinal's* SyncArena slot is used for the
     claim counter, so the two arenas must not share cells.
@@ -980,9 +1010,12 @@ class TunePlanArena(SlotArena):
 
     SLOT = TunePlanSlot
 
-    def __init__(self, barrier: Any, capacity: int = 256, *, cells: Any = mp_cells, fresh: bool = True) -> None:
+    def __init__(
+        self, barrier: Any, capacity: int = 256, *, max_workers: int = 64, cells: Any = mp_cells, fresh: bool = True
+    ) -> None:
         self._barrier = barrier
-        super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh)
+        self.max_workers = max_workers
+        super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh, MAX_TEAM_LEVELS * max_workers)
 
 
 class ProcessDynamicState:

@@ -385,12 +385,16 @@ def _run_auto(
 
     The master measures wall time from its dispatch start to the far side of
     the implicit barrier (≈ the loop phase makespan) and feeds it back to the
-    tuner, recording the acted-on decision as a ``TUNE_DECISION`` event.
+    tuner, recording the acted-on decision as a ``TUNE_DECISION`` event.  A
+    probe also asks every member what its own share cost
+    (:func:`~repro.tune.tuner.member_seconds`): members write it into the
+    shared ticket, or report it into the plan slot, before the barrier.
+    ``nowait`` loops have no barrier to collect behind, so they never report.
     """
     # Imported here, not at module level: repro.tune imports runtime modules
     # (config, scheduler), so a module-level import would make
     # ``import repro.tune`` as the first repro import a circular-import crash.
-    from repro.tune.tuner import Candidate, tuner_for_team
+    from repro.tune.tuner import FLAG_REPORT, Candidate, member_seconds, share_clock, tuner_for_team
 
     total = trip_count(start, end, step)
     thread_id = context.thread_id
@@ -405,12 +409,15 @@ def _run_auto(
                 backend=team.backend_name,
                 spinup_scale=team.backend_spinup_scale,
             )
-            code, size, flags = ticket.encode()
+            code, size, flags = ticket.candidate.encode()
+            if ticket.member_times is not None and not nowait:
+                flags |= FLAG_REPORT
             slot.publish((code, size, flags, ticket.invocation))
             candidate = ticket.candidate
         else:
             code, size, flags, _invocation = slot.read()
             candidate = Candidate.decode(code, size, flags)
+        report = bool(flags & FLAG_REPORT)
     else:
         ticket_key = _loop_encounter_key(f"{name}#auto")
         ticket = team.shared_slot(
@@ -424,7 +431,9 @@ def _run_auto(
             ),
         )
         candidate = ticket.candidate
+        report = ticket.member_times is not None and not nowait
 
+    share_began = share_clock() if report else None
     began = time.perf_counter()
     result: Any = None
     if candidate.serial:
@@ -449,12 +458,21 @@ def _run_auto(
             ordinal,
             weight,
         )
+    if report:
+        share = member_seconds(share_began)
+        if slot is not None:
+            slot.report(thread_id, int(share * 1e9))
+        else:
+            ticket.member_times[thread_id] = share
     if not nowait:
         team.barrier(label=f"for:{name}")
     elapsed = time.perf_counter() - began
 
     if ticket is not None and thread_id == 0:
-        payload = tuner_for_team(team).observe(ticket, elapsed)
+        member_times = None
+        if report:
+            member_times = [ns / 1e9 for ns in slot.reports(team.size)] if slot is not None else ticket.member_times
+        payload = tuner_for_team(team).observe(ticket, elapsed, member_times)
         if team.metrics:
             obsreg.inc(obsreg.TUNE_DECISIONS)
         if team.tracing:

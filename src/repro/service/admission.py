@@ -22,6 +22,7 @@ therefore its result) and only one region runs.
 from __future__ import annotations
 
 import itertools
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -59,6 +60,17 @@ class Draining(AdmissionError):
     """The service is draining and accepts no new work."""
 
     code = "draining"
+
+
+class BadTenant(AdmissionError):
+    """The tenant name is not a plain file-name stem (it names the tenant's tune cache)."""
+
+    code = "bad_tenant"
+
+
+#: a tenant is 1-64 letters, digits, ``_``, ``-`` or ``.``, not led by ``.``:
+#: it becomes ``<tune_dir>/<tenant>.json``, so it must never be a path.
+_TENANT_NAME = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]{0,63}")
 
 
 class Request:
@@ -195,10 +207,15 @@ class AdmissionQueue:
     ) -> "tuple[Request, bool]":
         """Admit one request; returns ``(request, coalesced)``.
 
-        Raises :class:`Draining` once a drain started and :class:`QueueFull`
-        when the wait queue is at capacity.  ``coalescable`` submissions of
-        an identical live request return the leader instead of a new entry.
+        Raises :class:`BadTenant` for a tenant name that is not a plain
+        file-name stem, :class:`Draining` once a drain started and
+        :class:`QueueFull` when the wait queue is at capacity.
+        ``coalescable`` submissions of an identical live request return the
+        leader instead of a new entry.
         """
+        if not _TENANT_NAME.fullmatch(tenant):
+            self._count("rejected")
+            raise BadTenant(f"tenant {tenant!r} must be 1-64 of [A-Za-z0-9_.-], not starting with '.'")
         key = _coalesce_key(tenant, kernel, params)
         with self._lock:
             if self._draining:

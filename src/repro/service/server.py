@@ -12,7 +12,8 @@ kernels    the servable kernel catalogue
 submit     admit a request (``kernel``, ``size``, ``tenant``,
            ``num_threads``, ``on_failure``); ``wait=true`` blocks for the
            result, otherwise returns the request id immediately.
-           Rejections: ``queue_full`` (backpressure), ``draining``.
+           Rejections: ``queue_full`` (backpressure), ``draining``,
+           ``bad_tenant`` (a tenant name that is not a file-name stem).
 poll       non-blocking status/result for a request id
 wait       block (with optional ``timeout``) for a request to finish
 cancel     cancel a request (queued: immediate; running: aborts the team)

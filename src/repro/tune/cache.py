@@ -13,7 +13,7 @@ Document schema (``schema_version`` 1)::
       "schema_version": 1,
       "generated_by": "repro.tune",
       "sites": {
-        "MolDyn.compute_forces|11|4": {
+        "MolDyn.compute_forces|11|4|threads": {
           "schedule": "static_cyclic",   # Schedule value, or "serial"
           "chunk": 1,
           "serial": false,
@@ -24,8 +24,9 @@ Document schema (``schema_version`` 1)::
       }
     }
 
-Site keys are ``loop-name|trip-count-bucket|team-size`` — the same key the
-in-memory tuner uses (:class:`repro.tune.tuner.SiteKey`).
+Site keys are ``loop-name|trip-count-bucket|team-size|backend`` — the same
+key the in-memory tuner uses (:meth:`repro.tune.tuner.SiteKey.cache_key`;
+a site that never learned its backend keeps the older three-field key).
 """
 
 from __future__ import annotations

@@ -15,8 +15,14 @@ How a site evolves
    small to amortise the *measured team spin-up cost* (see
    :attr:`repro.perf.cost.CostModel.team_spinup_seconds`) — the site
    converges immediately to the **serial fallback**: the master executes the
-   whole range and the other members skip straight to the barrier.
-2. **Explore** — otherwise each candidate in
+   whole range and the other members skip straight to the barrier.  Every
+   member of a probe also reports what its own share cost
+   (:func:`member_seconds`), and the site takes all of ``static_block``'s
+   samples as probes: if the lower of their imbalances (:func:`imbalance`)
+   is below :data:`BALANCED_IMBALANCE`, it converges on ``static_block``
+   (transition ``"balanced"``) — a claiming schedule has nothing to win back.
+2. **Explore** — otherwise (and always for ``nowait`` loops, whose members
+   cannot report behind a barrier) each candidate in
    {static_block, static_cyclic, dynamic, guided} × chunk sizes is measured
    ``samples_per_candidate`` times (minimum kept, which filters scheduling
    jitter).
@@ -49,8 +55,9 @@ teams — see :func:`repro.runtime.worksharing.run_for`).
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.runtime.config import get_config
 from repro.runtime.scheduler import Schedule
@@ -78,6 +85,51 @@ _SCHEDULE_CODES: dict[Schedule, int] = {
 }
 _CODE_SCHEDULES = {code: schedule for schedule, code in _SCHEDULE_CODES.items()}
 _FLAG_SERIAL = 1
+#: plan flag: every member reports the time its share took (:func:`member_seconds`).
+FLAG_REPORT = 2
+
+#: A site whose static probes all read at least this imbalance keeps
+#: searching; below it, ``static_block`` is committed as ``"balanced"``.  On
+#: a 2-vCPU host, single probes of the balanced 16k-iteration loop of
+#: ``irregular_claims`` read 0.00-0.20 (threads and pool, quiet and with four
+#: spinning processes beside them), while triangular and random sleep loops
+#: (``bench_tune`` and the tuner tests) read 0.29-0.51.
+BALANCED_IMBALANCE = 0.25
+
+#: A member whose CPU seconds are at least this share of the time its share
+#: took on a processor of its own is CPU-bound and reports CPU seconds: GIL
+#: hand-offs and a loaded host do not inflate them.  Otherwise it reports
+#: that own-processor time, the only clock that sees a sleeping or blocking
+#: share.  Same host: CPU-bound members read 0.44-1.0, sleeping ones 0.01-0.19.
+CPU_BOUND_SHARE = 0.3
+
+
+def share_clock() -> "tuple[float, float, float]":
+    """The three clocks a member reads around its share: wall, CPU, and the
+    time the thread waited runnable for a processor (Linux schedstat; 0
+    where the kernel does not say)."""
+    try:
+        with open("/proc/thread-self/schedstat", "rb") as stat:
+            waited = int(stat.read().split()[1]) / 1e9
+    except (OSError, IndexError, ValueError):
+        waited = 0.0
+    return time.perf_counter(), time.thread_time(), waited
+
+
+def member_seconds(began: "tuple[float, float, float]") -> float:
+    """What the calling member's share cost since :func:`share_clock` gave
+    ``began``: CPU seconds when CPU-bound, own-processor seconds otherwise
+    (wall minus the run-queue wait; see :data:`CPU_BOUND_SHARE`)."""
+    wall, cpu, waited = (now - then for now, then in zip(share_clock(), began))
+    own = max(wall - waited, cpu)
+    return cpu if cpu >= CPU_BOUND_SHARE * own else own
+
+
+def imbalance(times: "Sequence[float]") -> float:
+    """``1 - mean/max`` over the members' times: 0 when every member took as
+    long as the slowest, approaching 1 when one member did all the work."""
+    slowest = max(times, default=0.0)
+    return 1.0 - sum(times) / len(times) / slowest if slowest > 0 else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,9 +224,8 @@ class TuneTicket:
     candidate: Candidate
     invocation: int
     phase: str  # "probe" | "explore" | "confirm" | "converged" | "serial"
-
-    def encode(self) -> tuple[int, int, int]:
-        return self.candidate.encode()
+    #: one cell per member for the time its share took; only a probe asks.
+    member_times: "list[float] | None" = None
 
 
 class TuneSite:
@@ -193,6 +244,7 @@ class TuneSite:
         "probation",
         "drift_strikes",
         "reexplorations",
+        "imbalances",
         "_samples_needed",
         "_serial_cutoff",
         "_drift_tolerance",
@@ -224,6 +276,8 @@ class TuneSite:
         self.probation = False
         self.drift_strikes = 0
         self.reexplorations = 0
+        #: imbalances of the static probes that came with member times.
+        self.imbalances: list[float] = []
         self._samples_needed = max(1, samples_per_candidate)
         self._serial_cutoff = serial_cutoff
         self._drift_tolerance = drift_tolerance
@@ -260,22 +314,36 @@ class TuneSite:
             assert self.choice is not None
             phase = "serial" if self.choice.serial else ("confirm" if self.probation else "converged")
             return TuneTicket(self, self.choice, self.invocations, phase)
-        if not self.counts:
-            # First measured invocation: probe with the cheapest static plan
-            # to learn the loop's scale before committing to a full search.
-            return TuneTicket(self, self.candidates[0], self.invocations, "probe")
+        static = self.candidates[0]
+        if not self.counts or (self.imbalances and self.counts.get(static, 0) < self._samples_needed):
+            # Probe with the cheapest static plan, first to learn the loop's
+            # scale, then — once members report their shares — to take all
+            # of its samples before the imbalance says whether to search.
+            return TuneTicket(self, static, self.invocations, "probe", [0.0] * self.key.team)
         pending = min(self.candidates, key=lambda c: self.counts.get(c, 0))
         return TuneTicket(self, pending, self.invocations, "explore")
 
-    def observe(self, candidate: Candidate, elapsed: float, invocation: "int | None" = None) -> dict[str, Any]:
+    def observe(
+        self,
+        candidate: Candidate,
+        elapsed: float,
+        invocation: "int | None" = None,
+        member_times: "Sequence[float] | None" = None,
+    ) -> dict[str, Any]:
         """Feed one wall-time observation; returns the trace-event payload.
 
         ``invocation`` is the ticket's invocation number (decisions can be
         handed out ahead of their observations when members pipeline loop
         executions, so the site counter may already be further along).
+        ``member_times`` are what each member's share of a probe took
+        (:func:`member_seconds`); without them the search runs in full.
         """
         elapsed = max(0.0, float(elapsed))
         transition: str | None = None
+        spread = None
+        if member_times is not None and not self.converged and candidate == self.candidates[0]:
+            spread = imbalance(member_times)
+            self.imbalances.append(spread)
         if self.converged:
             if self.choice is not None and candidate == self.choice:
                 transition = self._observe_converged(elapsed)
@@ -287,7 +355,10 @@ class TuneSite:
                 self._record_sample(candidate, elapsed)
         else:
             transition = self._observe_exploring(candidate, elapsed)
-        return self._payload(candidate, elapsed, transition, invocation)
+        payload = self._payload(candidate, elapsed, transition, invocation)
+        if spread is not None:
+            payload["imbalance"] = spread
+        return payload
 
     def _observe_converged(self, elapsed: float) -> "str | None":
         if self.probation:
@@ -335,6 +406,10 @@ class TuneSite:
             # set by the first observation of the serial fallback itself.
             self.best_seconds = None
             return "serial"
+        if len(self.imbalances) >= self._samples_needed and min(self.imbalances) < BALANCED_IMBALANCE:
+            # Every member of the static plan finished at about the same
+            # time: a claiming schedule has no imbalance to win back.
+            return self._converge(self.candidates[0], "balanced")
         if all(self.counts.get(c, 0) >= self._samples_needed for c in self.candidates):
             return self._converge()
         return None
@@ -345,13 +420,15 @@ class TuneSite:
         if best is None or elapsed < best:
             self.samples[candidate] = elapsed
 
-    def _converge(self) -> str:
-        self.choice = min(self.candidates, key=lambda c: self.samples.get(c, float("inf")))
-        self.best_seconds = self.samples[self.choice]
+    def _converge(self, choice: "Candidate | None" = None, transition: str = "converged") -> str:
+        if choice is None:
+            choice = min(self.candidates, key=lambda c: self.samples.get(c, float("inf")))
+        self.choice = choice
+        self.best_seconds = self.samples[choice]
         self.converged = True
         self.probation = False
         self.drift_strikes = 0
-        return "converged"
+        return transition
 
     def _reset_search(self) -> None:
         self.converged = False
@@ -361,6 +438,7 @@ class TuneSite:
         self.drift_strikes = 0
         self.samples.clear()
         self.counts.clear()
+        self.imbalances.clear()
         self.reexplorations += 1
 
     # -- serialisation ---------------------------------------------------------
@@ -474,15 +552,19 @@ class LoopTuner:
         path = self.cache_path
         if path is None:
             return
-        entries = dict(self._entries())
+        stored = self._entries()
+        entries = dict(stored)
         for site in self._sites.values():
             entry = site.cache_entry()
             if entry is not None:
                 entries[site.key.cache_key()] = entry
+        if entries == stored:
+            return  # nothing to add or change: leave the file (or its absence) alone
         try:
             save_cache(path, entries)
         except OSError:
-            pass  # persistence is advisory; never fail the loop over it
+            return  # persistence is advisory; never fail the loop over it
+        self._cache_entries = entries
 
     # -- sites -----------------------------------------------------------------
 
@@ -541,14 +623,18 @@ class LoopTuner:
         with self._lock:
             return self._site_locked(key, total, spinup_scale=spinup_scale).decide()
 
-    def observe(self, ticket: TuneTicket, elapsed: float) -> dict[str, Any]:
+    def observe(
+        self, ticket: TuneTicket, elapsed: float, member_times: "Sequence[float] | None" = None
+    ) -> dict[str, Any]:
         """Feed a wall-time observation; returns the TUNE_DECISION payload.
 
-        Persists the cache whenever the observation (re)converged the site.
+        ``member_times`` are the members' reports for a probe ticket (see
+        :meth:`TuneSite.observe`).  Persists the cache whenever the
+        observation (re)converged the site.
         """
         with self._lock:
             was_converged = ticket.site.converged and not ticket.site.probation
-            payload = ticket.site.observe(ticket.candidate, elapsed, ticket.invocation)
+            payload = ticket.site.observe(ticket.candidate, elapsed, ticket.invocation, member_times)
             if ticket.site.converged and (not was_converged or "transition" in payload):
                 self._persist_locked()
         return payload

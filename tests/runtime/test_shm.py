@@ -212,6 +212,23 @@ class TestSyncArena:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
+class TestTunePlanReports:
+    def test_reports_are_per_level_and_survive_reset(self):
+        arena = shm.TunePlanArena(None, 8, max_workers=3, cells=shm.heap_cells)
+        outer, inner = arena.slot(5, level=0), arena.slot(5, level=1)
+        for member, nanoseconds in enumerate((10, 20, 30)):
+            outer.report(member, nanoseconds)
+        inner.report(0, 7)
+        arena.reset()  # clears the slot tags, never the report rows
+        assert arena.slot(6).reports(3) == [10, 20, 30]  # one row per level
+        assert inner.reports(1) == [7]
+
+    def test_a_member_outside_max_workers_is_refused(self):
+        arena = shm.TunePlanArena(None, 8, max_workers=2, cells=shm.heap_cells)
+        with pytest.raises(ValueError, match="max_workers=2"):
+            arena.slot(0).report(2, 1)
+
+
 def test_fork_available_reports_platform_truth():
     import multiprocessing
 

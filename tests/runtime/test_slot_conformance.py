@@ -82,6 +82,12 @@ SEQUENCES = {
         Step((0,), "read", (2.0,), (2, 7, 1, 3)),
         Step((1,), "publish", ((1, 16, 0, 9),), None),
         Step((1,), "read", (), (1, 16, 0, 9)),
+        # each member reports its own cell; the master reads them all
+        Step((1,), "report", (0, 1_500), None),
+        Step((1,), "report", (1, 2_500), None),
+        Step((1,), "reports", (2,), [1_500, 2_500]),
+        Step((1,), "report", (1, 700), None),
+        Step((1,), "reports", (2,), [1_500, 700]),
     ],
 }
 

@@ -657,6 +657,30 @@ class TestAutoScheduleTuning:
             site = tuner.sites()[0]
         assert site.converged
         assert not site.choice.serial
+        assert len(site.samples) > 1  # its static probes were imbalanced: it searched
+
+    def test_nowait_auto_loop_keeps_the_full_search(self, recorder):
+        """A nowait loop has no barrier to collect member times behind."""
+        from repro.tune import LoopTuner, TunerConfig, candidates_for, tuner_override
+
+        n = 64
+
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                sum(range(2000))
+
+        def body():
+            for _ in range(3):
+                run_for(loop, 0, n, 1, schedule="auto", loop_name="nowait", nowait=True)
+                ctx.current_context().team.barrier()  # the master has observed
+
+        with tuner_override(LoopTuner(TunerConfig(serial_margin=0.0), cache_path=None)):
+            parallel_region(body, num_threads=2, backend="threads")
+        decisions = [event.data for event in recorder.tune_decisions()]
+        expected = candidates_for(n, 2)[:3]
+        assert [(d["schedule"], d["chunk"]) for d in decisions] == [(c.schedule.value, c.chunk) for c in expected]
+        assert not any("imbalance" in d or d.get("transition") == "balanced" for d in decisions)
+
 
     def test_auto_outside_any_region_runs_sequentially(self):
         executed = []
@@ -686,6 +710,35 @@ class TestAutoScheduleTuning:
         # dynamic,5: every body call is a run of whole 5-iteration chunks.
         grid = [(i, i + 5, 1) for i in range(0, 20, 5)]
         assert_claim_contract([(s, e, 1) for s, e in spans], grid, 0, 20, 1)
+
+
+@pytest.mark.parametrize("backend_name", ("threads", "processes", "distributed"))
+def test_uniform_cpu_loop_commits_static_block_in_two_invocations(backend_name, recorder):
+    """The static probes read a balanced loop: no search, on every tier."""
+    from repro.runtime.scheduler import Schedule
+    from repro.tune import Candidate, LoopTuner, TunerConfig, tuner_override
+
+    n = 400
+    with shm.SharedArray.zeros(n, np.int64) as out:
+
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                out[i] = sum(range(3000))
+
+        def body():
+            for _ in range(2):
+                run_for(loop, 0, n, 1, schedule="auto", loop_name="uniform")
+
+        with tuner_override(LoopTuner(TunerConfig(), cache_path=None)) as tuner:
+            parallel_region(body, num_threads=2, backend=backend_name)
+            (site,) = tuner.sites()
+        assert out.np.tolist() == [sum(range(3000))] * n
+    decisions = [event.data for event in recorder.tune_decisions()]
+    assert [d["schedule"] for d in decisions] == ["static_block", "static_block"]
+    assert decisions[-1]["transition"] == "balanced"
+    assert all(0.0 <= d["imbalance"] < 1.0 for d in decisions)
+    assert site.converged and not site.probation
+    assert site.choice == Candidate(Schedule.STATIC_BLOCK)
 
 
 def test_thread_local_field_rejected_on_process_team():

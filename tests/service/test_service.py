@@ -259,6 +259,19 @@ class TestDrain:
             thread.service.queue.submit(tenant="late", kernel="series", params={"size": "tiny"})
         assert excinfo.value.code == "draining"
 
+    def test_tenant_names_cannot_escape_the_tune_dir(self, service, tmp_path):
+        tune_dir = tmp_path / "td" / "inner"
+        thread = service(tune_dir=str(tune_dir))
+        with client_for(thread) as client:
+            for tenant in ("../escaped", str(tmp_path / "abs_escape"), ".hidden", "a/b", ""):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit("series", size="tiny", tenant=tenant, wait=True, timeout=60)
+                assert excinfo.value.code == "bad_tenant", tenant
+            assert client.submit("series", size="tiny", tenant="acme-1.b", wait=True, timeout=60)["status"] == "done"
+        thread.drain()
+        outside = [path for path in tmp_path.rglob("*") if path.is_file() and tune_dir not in path.parents]
+        assert outside == []
+
     @staticmethod
     def _assert_clean(thread: ServiceThread) -> None:
         """Post-drain invariants: no dispatch threads, no pool processes."""

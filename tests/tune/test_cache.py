@@ -130,6 +130,24 @@ class TestTunerPersistence:
         warm = LoopTuner(TunerConfig(), cache_path=str(path))
         assert warm.begin_invocation("tiny", 64, 4).candidate.serial
 
+    def test_save_writes_only_an_entry_to_add_or_change(self, tmp_path):
+        path = tmp_path / "cache.json"
+        tuner = LoopTuner(TunerConfig(), cache_path=str(path))
+        tuner.observe(tuner.begin_invocation("loop", 1000, 4), BASE_COST)  # still searching
+        tuner.save()
+        assert not path.exists()  # no converged site: no document at all
+
+        converge(tuner, make_costs(candidates_for(1000, 4)[2]))
+        assert set(load_cache(path)) == {"loop|10|4"}
+        path.unlink()
+        tuner.save()
+        assert not path.exists()  # nothing changed since the last write
+
+        ticket = tuner.begin_invocation("loop", 1000, 4)
+        tuner.observe(ticket, BASE_COST / 2)  # a faster converged observation
+        tuner.save()
+        assert load_cache(path)["loop|10|4"]["best_seconds"] == BASE_COST / 2
+
     def test_cache_path_resolves_from_runtime_config(self, tmp_path):
         path = tmp_path / "from_config.json"
         with config_override(tune_cache=str(path)):

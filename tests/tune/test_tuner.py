@@ -230,3 +230,98 @@ class TestBackendKeyedSites:
         tuner.observe(ticket, elapsed)
         site = tuner.site("flip", 1000, 4, backend="distributed")
         assert site.converged and site.choice.serial
+
+
+class TestBalancedVerdict:
+    """Member times on the static probes decide whether the site searches at all."""
+
+    @staticmethod
+    def drive(tuner, member_times, *, limit=40, total=1000, team=4):
+        """Converge with every probe reporting ``member_times``; returns the payloads."""
+        payloads = []
+        costs = make_costs(candidates_for(total, team)[2])
+        for _ in range(limit):
+            ticket = tuner.begin_invocation("loop", total, team)
+            times = member_times if ticket.member_times is not None else None
+            payloads.append(tuner.observe(ticket, costs(ticket.candidate), times))
+            if tuner.site("loop", total, team).converged:
+                return payloads
+        raise AssertionError(f"no convergence within {limit} invocations")
+
+    def test_balanced_probes_commit_static_block_on_the_second_invocation(self):
+        from repro.tune.tuner import BALANCED_IMBALANCE, imbalance
+
+        times = [0.010, 0.0101, 0.0098, 0.0102]
+        assert imbalance(times) < BALANCED_IMBALANCE
+        tuner = LoopTuner(TunerConfig(), cache_path=None)
+        payloads = self.drive(tuner, times)
+        assert len(payloads) == 2
+        assert [p["schedule"] for p in payloads] == ["static_block", "static_block"]
+        assert payloads[-1]["transition"] == "balanced"
+        assert payloads[-1]["imbalance"] == pytest.approx(imbalance(times))
+        site = tuner.site("loop", 1000, 4)
+        assert site.choice == Candidate(Schedule.STATIC_BLOCK) and not site.probation
+        assert site.best_seconds == 2 * BASE_COST  # the static samples' minimum
+
+    def test_imbalanced_probes_search_every_candidate_as_before(self):
+        from repro.tune.tuner import BALANCED_IMBALANCE, imbalance
+
+        times = [0.040, 0.030, 0.020, 0.010]  # the triangular shape: 0.375
+        assert imbalance(times) >= BALANCED_IMBALANCE
+        tuner = LoopTuner(TunerConfig(), cache_path=None)
+        payloads = self.drive(tuner, times)
+        candidates = candidates_for(1000, 4)
+        assert len(payloads) == TunerConfig().samples_per_candidate * len(candidates)
+        assert [p["schedule"] for p in payloads[:2]] == ["static_block", "static_block"]
+        assert payloads[-1]["transition"] == "converged"
+        assert tuner.site("loop", 1000, 4).choice == candidates[2]
+
+    def test_one_balanced_probe_is_enough_when_the_other_is_not(self):
+        tuner = LoopTuner(TunerConfig(), cache_path=None)
+        first = tuner.begin_invocation("loop", 1000, 4)
+        tuner.observe(first, BASE_COST, [0.04, 0.01, 0.01, 0.01])  # a noisy probe
+        second = tuner.begin_invocation("loop", 1000, 4)
+        assert second.phase == "probe" and second.candidate == first.candidate
+        payload = tuner.observe(second, BASE_COST, [0.01, 0.01, 0.01, 0.01])
+        assert payload["transition"] == "balanced"
+
+    def test_absent_member_times_keep_todays_search_order(self):
+        tuner = LoopTuner(TunerConfig(), cache_path=None)
+        candidates = candidates_for(1000, 4)
+        seen = []
+        for _ in range(len(candidates)):
+            ticket = tuner.begin_invocation("loop", 1000, 4)
+            seen.append(ticket.candidate)
+            payload = tuner.observe(ticket, BASE_COST)
+            assert "imbalance" not in payload
+        assert seen == list(candidates)  # probe, then every other candidate once
+        assert tuner.site("loop", 1000, 4).imbalances == []
+
+    def test_only_a_probe_asks_for_member_times(self):
+        tuner = LoopTuner(TunerConfig(), cache_path=None)
+        payloads = self.drive(tuner, [0.01] * 4)
+        assert payloads[-1]["transition"] == "balanced"
+        ticket = tuner.begin_invocation("loop", 1000, 4)
+        assert ticket.phase == "converged" and ticket.member_times is None
+
+    def test_member_seconds_counts_cpu_only_for_a_cpu_bound_share(self, monkeypatch):
+        from repro.tune import tuner
+
+        def reading(wall, cpu, waited):
+            monkeypatch.setattr(tuner, "share_clock", lambda: (wall, cpu, waited))
+            return tuner.member_seconds((0.0, 0.0, 0.0))
+
+        assert reading(0.010, 0.009, 0.0) == 0.009  # computing
+        assert reading(0.020, 0.009, 0.0) == 0.009  # computing, a GIL hand-off in its wall
+        assert reading(0.030, 0.004, 0.020) == 0.004  # computing on a loaded host
+        assert reading(0.010, 0.0002, 0.0) == 0.010  # sleeping: only the wall sees it
+        assert reading(0.030, 0.0002, 0.020) == pytest.approx(0.010)  # ... less its run-queue wait
+
+    def test_reexploration_forgets_the_old_imbalances(self):
+        tuner = LoopTuner(TunerConfig(drift_patience=1), cache_path=None)
+        self.drive(tuner, [0.01] * 4)
+        site = tuner.site("loop", 1000, 4)
+        ticket = tuner.begin_invocation("loop", 1000, 4)
+        assert tuner.observe(ticket, 100 * BASE_COST)["transition"] == "re-explore"
+        assert site.imbalances == []
+        assert tuner.begin_invocation("loop", 1000, 4).member_times == [0.0] * 4
