@@ -52,6 +52,7 @@ from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override
 from repro.runtime.critical import critical_call
 from repro.runtime.scheduler import make_scheduler
+from repro.runtime.shm import SyncArena, heap_cells
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
 
@@ -137,6 +138,17 @@ def _run_for_on_fake_team(
     return elapsed, body.calls
 
 
+def _member_zero_chunks(schedule: str, iterations: int) -> int:
+    """Member 0's scheduling chunks in a 2-member team where only it claims,
+    from the scheduler's per-chunk boundary oracle."""
+    scheduler = make_scheduler(schedule, 1)
+    if schedule in ("static_block", "static_cyclic"):
+        return sum(1 for _ in scheduler.chunks_for(0, 2, 0, iterations, 1))
+    cursor = SyncArena(cells=heap_cells).slot(0)
+    claims = scheduler.chunks_from_guided if schedule == "guided" else scheduler.chunks_from
+    return sum(1 for _ in claims(cursor, 0, iterations, 1, 2))
+
+
 def measure_chunk_dispatch(iterations: int, repeats: int) -> dict[str, dict[str, float]]:
     """Per-chunk dispatch overhead per schedule, against direct body calls."""
     results: dict[str, dict[str, float]] = {}
@@ -146,8 +158,7 @@ def measure_chunk_dispatch(iterations: int, repeats: int) -> dict[str, dict[str,
         for _ in range(max(1, repeats)):
             elapsed, body_calls = _run_for_on_fake_team(schedule, iterations, chunk=1)
             best = elapsed if best is None else min(best, elapsed)
-        # Member 0's scheduling chunks, from the scheduler's boundary oracle.
-        chunks = sum(1 for _ in make_scheduler(schedule, 1).chunks_for(0, 2, 0, iterations, 1))
+        chunks = _member_zero_chunks(schedule, iterations)
         assert best is not None and 0 < body_calls <= chunks
 
         # Hand-written baseline: call the body directly the same number of times.

@@ -39,7 +39,8 @@ from typing import Any, Callable
 
 from repro.runtime import context as ctx
 from repro.runtime.config import config_override
-from repro.runtime.tasks import TaskPool, _HeapTaskLoopState, run_taskloop
+from repro.runtime.shm import TaskStealArena, heap_cells
+from repro.runtime.tasks import TaskPool, run_taskloop
 from repro.runtime.team import Team
 
 SCHEMA_VERSION = 1
@@ -152,23 +153,28 @@ def measure_taskloop_dispatch(iterations: int, repeats: int) -> dict[str, float]
     }
 
 
+def _heap_deck(num_workers: int, ntiles: int):
+    """A taskloop deck as an in-process team's steal arena hands it out."""
+    return TaskStealArena(max_workers=num_workers, cells=heap_cells).slot(0, num_workers, ntiles)
+
+
 def measure_steal_claim(tiles: int, repeats: int) -> dict[str, float]:
     """Raw deck claims: local pops vs cross-member steals, per claim."""
 
     def local() -> float:
-        state = _HeapTaskLoopState(1, tiles)
+        deck = _heap_deck(1, tiles)
         start = time.perf_counter()
-        while state.claim_local(0) is not None:
+        while deck.claim_local(0) is not None:
             pass
         return time.perf_counter() - start
 
     def steal() -> float:
         # Two-member deck, the claimer owns nothing: every claim is a steal.
-        state = _HeapTaskLoopState(2, 2 * tiles)
-        while state.claim_local(0) is not None:
+        deck = _heap_deck(2, 2 * tiles)
+        while deck.claim_local(0) is not None:
             pass
         start = time.perf_counter()
-        while state.claim_steal(0) is not None:
+        while deck.claim_steal(0) is not None:
             pass
         return time.perf_counter() - start
 

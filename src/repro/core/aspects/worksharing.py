@@ -187,8 +187,8 @@ class SectionAspect(MethodAspect):
     member, which executes the method and gets its return value, while the
     other members skip it and get ``None``.  Successive sections therefore
     spread across the team, one member per section.  Works on every backend:
-    in-process teams claim through a team-shared cell, process teams through
-    the cross-process claim arena (:func:`repro.runtime.worksharing.claim_section`).
+    the claim is a slot of the team's claim arena
+    (:func:`repro.runtime.worksharing.claim_section`).
 
     There is no implied barrier after an individual section — combine with
     ``@BarrierAfter`` (or a following work-shared loop's implicit barrier)
@@ -206,7 +206,7 @@ class SectionAspect(MethodAspect):
         if context is None or context.team.size == 1:
             return joinpoint.proceed()
         label = self.group or joinpoint.qualified_name
-        if not claim_section(label):
+        if not claim_section():
             return None
         team = context.team
         began = time.perf_counter()

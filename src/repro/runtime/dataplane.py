@@ -24,9 +24,10 @@ runtime one.  This module separates the two:
   allocator) and serves claim / barrier / heartbeat RPCs over
   length-prefixed TCP on localhost.  Workers hold a :class:`RemoteArena` per
   slot kind; the master, living in the coordinator's process, uses the
-  arenas directly and pays zero round-trips.  Claim *policy* (``claim_cap``,
-  ``guided_claim_batch``, steal-deck seeding) therefore runs exactly once,
-  master-side, through exactly the same code the shm plane uses — which is
+  arenas directly and pays zero round-trips.  Claim *policy* (the slot ops
+  ``claim_batch`` / ``claim_guided_batch``, steal-deck seeding) therefore
+  runs exactly once, master-side, through exactly the same code the shm
+  plane and every in-process team use — which is
   what makes chunk boundaries identical across planes by construction
   rather than by testing luck.
 
@@ -318,9 +319,7 @@ class Coordinator:
         self.size = size
         self.token = secrets.token_hex(16)
         self.barrier = CyclicBarrier(size, action=self._answer_syncs, transport=SOCKET_TRANSPORT)
-        self.arena = shm.SyncArena(cells=shm.heap_cells)
-        self.steal = shm.TaskStealArena(max_workers=max(size, 2), cells=shm.heap_cells)
-        self.tune = shm.TunePlanArena(self.barrier, max_workers=max(size, 2), cells=shm.heap_cells)
+        self.arena, self.steal, self.tune = shm.SlotArenas.on_heap(max(size, 2), self.barrier)
         self.heartbeat = shm.HeartbeatArena(cells=shm.heap_cells)
         #: worker result frames, drained by ``collect_member_payloads`` —
         #: ``queue.Queue`` deliberately matches the ``empty()``/``get()``

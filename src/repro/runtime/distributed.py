@@ -23,8 +23,8 @@ Division of labour with :mod:`repro.runtime.dataplane`:
 
 Round-trip economics mirror the paper's worksharing split: static/cyclic
 schedules are pure functions of the member id and cost **zero** messages;
-dynamic/guided claims go through the batched ``_claim_batch`` /
-``guided_claim_batch`` shapes (one RPC claims many chunks); taskloop
+dynamic/guided claims go through the batched ``claim_batch`` /
+``claim_guided_batch`` slot ops (one RPC claims many chunks); taskloop
 steals ride the same per-tile RPCs the shm deck uses per-lock-round-trip.
 Eligibility matches the persistent pool's contract: only picklable
 ``process_safe`` SPMD bodies can cross the wire; everything else runs on

@@ -14,14 +14,15 @@ aspects/threaded code execute those chunks; the trace layer records them.
 Hot-path design (this module sits under every workshared loop):
 
 * :func:`make_scheduler` memoises scheduler instances per
-  ``(schedule, chunk)`` — schedulers are stateless, per-execution claim state
-  lives in the ``new_state``/``new_guided_state`` objects;
+  ``(schedule, chunk)`` — schedulers are stateless; a loop execution's claim
+  cursor is a slot of the team's :class:`~repro.runtime.shm.SyncArena`;
 * a team member's static share is arithmetic in its id
   (:func:`block_span`, :func:`cyclic_spans`): ``run_for`` builds no plan;
-* dynamic/guided claim states hand out **batches** of chunks per lock
-  round-trip (:meth:`_DynamicLoopState.next_chunks`,
-  :meth:`_GuidedLoopState.next_ranges`), with a tail fallback that shrinks
-  claims near the end of the range to preserve load balance;
+* dynamic/guided claims hand out **batches** of chunks per slot round-trip
+  (:meth:`~repro.runtime.shm.ArenaSlot.claim_batch`,
+  :meth:`~repro.runtime.shm.ArenaSlot.claim_guided_batch`), with a tail
+  fallback that shrinks claims near the end of the range to preserve load
+  balance;
 * a batch is adjacent chunks, so :meth:`DynamicScheduler.claims_from` hands
   the executor one contiguous run per claim and :meth:`DynamicScheduler.split`
   recovers the chunk boundaries where something observes chunks.
@@ -29,7 +30,6 @@ Hot-path design (this module sits under every workshared loop):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -349,15 +349,15 @@ class LoopScheduler:
         object.__setattr__(self, name, value)
 
     def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        """Yield the chunks that ``thread_id`` (of ``num_threads``) must execute."""
-        raise NotImplementedError
+        """Yield the chunks that ``thread_id`` (of ``num_threads``) must execute.
+
+        Static schedules only: a dynamic/guided assignment depends on
+        execution order, so those schedulers raise :class:`SchedulingError`.
+        """
+        raise SchedulingError(f"{self.schedule.value} schedules have no static partition")
 
     def partition(self, num_threads: int, start: int, end: int, step: int) -> list[list[LoopChunk]]:
-        """Return every thread's chunk list (static schedules only).
-
-        Dynamic schedulers raise :class:`SchedulingError` because their
-        assignment depends on execution order.
-        """
+        """Return every thread's chunk list (static schedules only)."""
         return [list(self.chunks_for(t, num_threads, start, end, step)) for t in range(num_threads)]
 
 
@@ -412,49 +412,16 @@ class StaticCyclicScheduler(LoopScheduler):
             yield LoopChunk(chunk_start, chunk_start + count * step, step)
 
 
-class _DynamicLoopState:
-    """Shared iteration counter for one execution of a dynamic loop."""
-
-    __slots__ = ("total_chunks", "num_threads", "_next", "_lock")
-
-    def __init__(self, total_chunks: int, num_threads: int = 1) -> None:
-        self.total_chunks = total_chunks
-        self.num_threads = max(1, num_threads)
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def next_chunk(self) -> int | None:
-        """Atomically claim the next chunk index, or ``None`` when exhausted."""
-        claim = self.next_chunks(1)
-        return None if claim is None else claim[0]
-
-    def next_chunks(self, limit: int = 1) -> "tuple[int, int] | None":
-        """Atomically claim up to ``limit`` consecutive chunk indices.
-
-        Returns ``(first_index, count)`` or ``None`` when exhausted.  Near the
-        tail the claim shrinks to a fraction of the remaining chunks (at
-        least one), so one claimer can never strip the counter bare while
-        other consumers of the same state still want work.
-        """
-        with self._lock:
-            remaining = self.total_chunks - self._next
-            if remaining <= 0:
-                return None
-            count = claim_cap(remaining, self.num_threads, limit)
-            first = self._next
-            self._next = first + count
-            return first, count
-
-
 class DynamicScheduler(LoopScheduler):
     """Dynamic (self-scheduling) distribution.
 
     Matches the paper's Figure 11: threads repeatedly claim the next chunk of
     ``chunk`` logical iterations from a shared counter (``getTask()``) until
-    the loop is exhausted.  The shared state must be created once per loop
-    execution with :meth:`new_state` and passed to :meth:`chunks_from`.
-    Claims are batched (:data:`DEFAULT_CLAIM_BATCH` chunk indices per lock
-    round-trip) — chunk *boundaries* are unchanged, only the lock traffic is.
+    the loop is exhausted.  The counter is a :class:`~repro.runtime.shm.ArenaSlot`
+    — one per loop execution, from the team's :class:`~repro.runtime.shm.SyncArena`
+    — passed to :meth:`claims_from`.  Claims are batched
+    (:data:`DEFAULT_CLAIM_BATCH` chunk indices per slot round-trip) — chunk
+    *boundaries* are unchanged, only the lock traffic is.
     :meth:`claims_from` is what the executor runs (one contiguous run per
     claim); :meth:`chunks_from` is the per-chunk boundary oracle.
     """
@@ -469,37 +436,22 @@ class DynamicScheduler(LoopScheduler):
         self.chunk = chunk
         self.batch = batch if batch is not None else DEFAULT_CLAIM_BATCH
 
-    def new_state(self, start: int, end: int, step: int, num_threads: int = 1) -> _DynamicLoopState:
-        """Create the shared claim counter for one loop execution."""
-        total = trip_count(start, end, step)
-        total_chunks = (total + self.chunk - 1) // self.chunk
-        return _DynamicLoopState(total_chunks, num_threads)
-
-    def chunks_from(self, state, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        """Yield chunks claimed by the calling thread from ``state``.
-
-        ``state`` is anything with ``next_chunks(limit)`` —
-        :class:`_DynamicLoopState` or the process arena's
-        :class:`~repro.runtime.shm.ProcessDynamicState`.
-        """
+    def chunks_from(self, slot, start: int, end: int, step: int, num_threads: int = 1) -> Iterator[LoopChunk]:
+        """Yield the chunks the calling member claims from the counter ``slot``,
+        one :class:`LoopChunk` per scheduling chunk (``num_threads`` members
+        share the counter)."""
         total = trip_count(start, end, step)
         chunk = self.chunk
-        batch = self.batch
-        while True:
-            claim = state.next_chunks(batch)
-            if claim is None:
-                return
+        total_chunks = -(-total // chunk)
+        while (claim := slot.claim_batch(self.batch, num_threads, total_chunks)) is not None:
             first, count = claim
             for index in range(first, first + count):
                 begin = index * chunk
-                size = total - begin
-                if size > chunk:
-                    size = chunk
                 chunk_start = start + begin * step
-                yield LoopChunk(chunk_start, chunk_start + size * step, step)
+                yield LoopChunk(chunk_start, chunk_start + min(chunk, total - begin) * step, step)
 
-    def claims_from(self, state, start: int, end: int, step: int) -> "Iterator[tuple[int, int, int]]":
-        """Yield ``(run_start, run_end, chunks)`` per claim round-trip on ``state``.
+    def claims_from(self, slot, start: int, end: int, step: int, num_threads: int) -> "Iterator[tuple[int, int, int]]":
+        """Yield ``(run_start, run_end, chunks)`` per claim round-trip on ``slot``.
 
         The chunks one claim hands out are adjacent by construction, so a
         claim is one contiguous run ``range(run_start, run_end, step)`` of
@@ -509,16 +461,12 @@ class DynamicScheduler(LoopScheduler):
         """
         total = trip_count(start, end, step)
         chunk = self.chunk
-        batch = self.batch
-        while True:
-            claim = state.next_chunks(batch)
-            if claim is None:
-                return
+        total_chunks = -(-total // chunk)
+        while (claim := slot.claim_batch(self.batch, num_threads, total_chunks)) is not None:
             first, count = claim
             begin = first * chunk
-            span = min(count * chunk, total - begin)
             run_start = start + begin * step
-            yield run_start, run_start + span * step, count
+            yield run_start, run_start + min(count * chunk, total - begin) * step, count
 
     def split(self, run_start: int, run_end: int, step: int, chunks: int) -> Iterator[LoopChunk]:
         """The ``chunks`` scheduling chunks of one claimed run, in order.
@@ -536,19 +484,6 @@ class DynamicScheduler(LoopScheduler):
             chunk_start = run_start + offset * step
             yield LoopChunk(chunk_start, chunk_start + min(size, span - offset) * step, step)
 
-    def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        """Single-threaded fallback: the calling thread claims every chunk.
-
-        Used when the construct runs outside a parallel region (sequential
-        semantics) or in tests.  In a real team, use :meth:`new_state` +
-        :meth:`chunks_from` so that claims are shared.
-        """
-        state = self.new_state(start, end, step)
-        yield from self.chunks_from(state, start, end, step)
-
-    def partition(self, num_threads: int, start: int, end: int, step: int) -> list[list[LoopChunk]]:
-        raise SchedulingError("dynamic schedules have no static partition")
-
 
 class GuidedScheduler(DynamicScheduler):
     """Guided self-scheduling: chunk sizes decay exponentially.
@@ -557,7 +492,7 @@ class GuidedScheduler(DynamicScheduler):
     reducing scheduling overhead at the start while keeping good load balance
     at the tail.  Extension over the paper's three schedules, used by the
     scheduling ablation benchmark.  In the ``min_chunk`` tail several blocks
-    are claimed per lock round-trip (block boundaries are unchanged).
+    are claimed per slot round-trip (block boundaries are unchanged).
     """
 
     schedule = Schedule.GUIDED
@@ -566,153 +501,32 @@ class GuidedScheduler(DynamicScheduler):
         super().__init__(chunk=min_chunk, batch=batch)
         self.min_chunk = min_chunk
 
-    def new_guided_state(self, start: int, end: int, step: int, num_threads: int) -> "_GuidedLoopState":
-        """Create the shared claim state for one guided loop execution."""
+    def chunks_from_guided(self, slot, start: int, end: int, step: int, num_threads: int) -> Iterator[LoopChunk]:
+        """Yield the guided blocks the calling member claims from the cursor ``slot``."""
         total = trip_count(start, end, step)
-        return _GuidedLoopState(total, self.min_chunk, max(1, num_threads))
-
-    def chunks_from_guided(self, state, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        """Yield chunks claimed by the calling thread from guided ``state``.
-
-        ``state`` is anything with ``next_ranges(limit)`` —
-        :class:`_GuidedLoopState` or the process arena's
-        :class:`~repro.runtime.shm.ProcessGuidedState`.
-        """
-        batch = self.batch
-        while True:
-            blocks = state.next_ranges(batch)
-            if not blocks:
-                return
+        while blocks := slot.claim_guided_batch(total, self.min_chunk, num_threads, self.batch):
             for begin, count in blocks:
                 chunk_start = start + begin * step
                 yield LoopChunk(chunk_start, chunk_start + count * step, step)
 
-    def claims_from(self, state, start: int, end: int, step: int) -> "Iterator[tuple[int, int, int]]":
-        """Guided twin of :meth:`DynamicScheduler.claims_from` over ``next_ranges``."""
-        batch = self.batch
-        while True:
-            blocks = state.next_ranges(batch)
-            if not blocks:
-                return
+    def claims_from(self, slot, start: int, end: int, step: int, num_threads: int) -> "Iterator[tuple[int, int, int]]":
+        """Guided twin of :meth:`DynamicScheduler.claims_from` over ``claim_guided_batch``."""
+        total = trip_count(start, end, step)
+        while blocks := slot.claim_guided_batch(total, self.min_chunk, num_threads, self.batch):
             last_begin, last_count = blocks[-1]
             yield start + blocks[0][0] * step, start + (last_begin + last_count) * step, len(blocks)
-
-    def chunks_for(self, thread_id: int, num_threads: int, start: int, end: int, step: int) -> Iterator[LoopChunk]:
-        state = self.new_guided_state(start, end, step, num_threads)
-        yield from self.chunks_from_guided(state, start, end, step)
-
-
-def guided_claim(next_: int, total: int, min_chunk: int, num_threads: int) -> tuple[int, int]:
-    """One guided claim at cursor ``next_``: returns ``(begin, count)``.
-
-    Shared by the in-process state and the shm arena so block boundaries are
-    bit-identical across backends.
-    """
-    remaining = total - next_
-    count = remaining // num_threads
-    if count < min_chunk:
-        count = min_chunk
-    if count > remaining:
-        count = remaining
-    return next_, count
 
 
 def block_counts(total: int, parts: int) -> "list[int]":
     """Sizes of ``parts`` contiguous blocks covering ``total`` units.
 
     The first ``total % parts`` blocks get one extra unit.  Shared by the
-    task runtime's in-heap taskloop deck, the shm
-    :class:`~repro.runtime.shm.TaskStealArena` seeding and the taskloop
-    trace payload, so tile ownership is identical on every backend by
-    construction.
+    :class:`~repro.runtime.shm.TaskStealArena` deck seeding, the taskloop
+    trace payload and the MolDyn sections, so a taskloop's traced tile
+    counts are the deck's by construction.
     """
     per, extra = divmod(total, parts)
     return [per + (1 if index < extra else 0) for index in range(parts)]
-
-
-def claim_cap(remaining: int, num_threads: int, limit: int) -> int:
-    """Units one batched claim may take: the shared tail-fallback policy.
-
-    At most a fraction of the ``remaining`` units (and never more than
-    ``limit``), at least one — so one claimer can never strip a shared
-    counter bare while other consumers still want work.  Shared by the
-    in-process states and the shm arena so claims are identical on every
-    backend.
-    """
-    cap = remaining // (num_threads if num_threads > 2 else 2)
-    if cap > limit:
-        cap = limit
-    elif cap < 1:
-        cap = 1
-    return cap
-
-
-def guided_batch_cap(remaining: int, min_chunk: int, num_threads: int, limit: int) -> int:
-    """Blocks one guided batch may claim: :func:`claim_cap` over the
-    remaining ``min_chunk``-sized tail blocks."""
-    return claim_cap(remaining // max(1, min_chunk), num_threads, limit)
-
-
-def guided_claim_batch(
-    cursor: int, total: int, min_chunk: int, num_threads: int, limit: int
-) -> "tuple[list[tuple[int, int]], int]":
-    """One guided batched claim: ``(blocks, new_cursor)`` from ``cursor``.
-
-    The single shared implementation of the batched guided claim loop —
-    callers (:class:`_GuidedLoopState` and the shm arena) only supply cursor
-    storage and locking, so thread- and process-backend block boundaries can
-    never drift apart.  Block boundaries follow the standard guided decay;
-    batching only kicks in once the decay has bottomed out at ``min_chunk``
-    (a larger block is plenty of work for one round-trip already), and
-    :func:`guided_batch_cap` keeps one batch from claiming more than a
-    fraction of the remaining tail blocks.
-    """
-    cap = guided_batch_cap(total - cursor, min_chunk, num_threads, limit)
-    blocks: list[tuple[int, int]] = []
-    for _ in range(cap):
-        if cursor >= total:
-            break
-        begin, count = guided_claim(cursor, total, min_chunk, num_threads)
-        blocks.append((begin, count))
-        cursor = begin + count
-        if count > min_chunk:
-            break
-    return blocks, cursor
-
-
-class _GuidedLoopState:
-    """Shared claim state for guided scheduling."""
-
-    __slots__ = ("total", "min_chunk", "num_threads", "_next", "_lock")
-
-    def __init__(self, total: int, min_chunk: int, num_threads: int) -> None:
-        self.total = total
-        self.min_chunk = min_chunk
-        self.num_threads = num_threads
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def next_range(self) -> tuple[int, int] | None:
-        """Atomically claim the next (begin, count) block, or ``None`` when done."""
-        blocks = self.next_ranges(1)
-        return None if blocks is None else blocks[0]
-
-    def next_ranges(self, limit: int = 1) -> "list[tuple[int, int]] | None":
-        """Atomically claim up to ``limit`` blocks in one lock round-trip.
-
-        Blocks follow the standard guided decay; batching only kicks in once
-        the decay has bottomed out at ``min_chunk`` (a larger block is plenty
-        of work for one round-trip already), so the produced block boundaries
-        are identical to unbatched claiming.  As with the dynamic state, a
-        batch never claims more than a fraction of the remaining tail blocks,
-        so one claimer cannot strip the counter bare while other consumers
-        still want work.
-        """
-        with self._lock:
-            blocks, self._next = guided_claim_batch(
-                self._next, self.total, self.min_chunk, self.num_threads, limit
-            )
-            return blocks or None
 
 
 @lru_cache(maxsize=64)
@@ -734,8 +548,8 @@ def _scheduler_instance(schedule: Schedule, chunk: int) -> LoopScheduler:
 def make_scheduler(schedule: "str | Schedule", chunk: int = 1) -> LoopScheduler:
     """Factory returning the (memoised) scheduler instance for ``schedule``.
 
-    Schedulers hold no per-execution state — dynamic/guided claim cursors live
-    in the objects returned by ``new_state``/``new_guided_state`` — so one
+    Schedulers hold no per-execution state — a dynamic/guided claim cursor is
+    a slot of the team's :class:`~repro.runtime.shm.SyncArena` — so one
     instance per ``(schedule, chunk)`` is shared by all loops and teams.
     """
     if chunk < 1:
@@ -751,11 +565,3 @@ def make_scheduler(schedule: "str | Schedule", chunk: int = 1) -> LoopScheduler:
         )
     return _scheduler_instance(parsed, chunk)
 
-
-def partition_chunk_count(schedule: Schedule, chunk: int, num_threads: int, total: int) -> int:
-    """Number of chunks a plan of ``schedule`` cuts ``total`` iterations into."""
-    if chunk < 1:
-        raise SchedulingError("chunk must be >= 1")
-    if schedule is Schedule.STATIC_BLOCK:
-        return min(num_threads, total)
-    return (total + chunk - 1) // chunk

@@ -1,4 +1,4 @@
-"""Shared-memory primitives backing the process-based execution backend.
+"""Shared-memory primitives: the process tiers' data plane and every team's claim state.
 
 The thread backend shares state for free (one address space); the process
 backend does not.  This module provides the pieces that make OpenMP-style
@@ -12,24 +12,22 @@ backend does not.  This module provides the pieces that make OpenMP-style
 * :class:`SharedBarrier` — a reusable cyclic barrier over arena cells and
   semaphores (one wake-up per waiting party), API-compatible with
   :class:`repro.runtime.barrier.CyclicBarrier` (``wait``/``abort``/``reset``).
-* :class:`SyncArena` — a pre-allocated pool of shared claim counters.
-  Dynamic/guided loop schedules need a cross-member claim counter, but loops
-  are only *encountered* after worker processes have been created, when new
-  ``multiprocessing`` primitives can no longer be shared.  The arena is
-  allocated before the workers exist; because region bodies are SPMD, the
-  *n*-th workshared loop encountered by each member maps to the same arena
-  slot on every member (the same trick the thread runtime uses for its
-  shared-slot keys).
-* :class:`ProcessDynamicState` / :class:`ProcessGuidedState` — process-safe
-  drop-ins for the thread schedulers' shared loop state, built on arena slots.
-* :class:`TaskStealArena` — a pre-allocated pool of work-stealing *tile decks*
-  for the task runtime's ``taskloop`` construct (see
-  :mod:`repro.runtime.tasks`).  Like the :class:`SyncArena`, it is allocated
-  before worker processes exist and indexed by the SPMD loop ordinal.
+* :class:`SyncArena` — a pool of shared claim counters: the dynamic/guided
+  loop cursors and the ``sections`` first-arriver flag.  Process teams need
+  it pre-allocated, because loops are only *encountered* after worker
+  processes have been created, when new ``multiprocessing`` primitives can
+  no longer be shared.  Because region bodies are SPMD, the *n*-th
+  workshared loop encountered by each member maps to the same arena slot on
+  every member.
+* :class:`TaskStealArena` — a pool of work-stealing *tile decks* for the task
+  runtime's ``taskloop`` construct (see :mod:`repro.runtime.tasks`), and
+  :class:`TunePlanArena` — the ``schedule="auto"`` plan hand-off; both are
+  indexed by the SPMD loop ordinal like the :class:`SyncArena`.
 
-Everything here also works under the serial and thread backends (shared
-memory is just memory), which is what lets the conformance test suite assert
-identical construct behaviour across all backends.
+These three slot arenas are the *only* claim state a team has, on every
+tier: a :class:`ProcessSync` carries fork-inherited ones, and an in-process
+team (and the socket plane's coordinator) builds the same arenas on heap
+cells (:meth:`SlotArenas.on_heap`).
 
 **The fork constraint.**  Every ``multiprocessing`` primitive in this module
 (barrier semaphores, arena locks, the pipes of the persistent pool) is
@@ -47,10 +45,10 @@ loudly through :func:`require_fork`.
 **One arena surface.**  Every arena here is a :class:`CellArena`: a count of
 int64 cells only the arena knows, put wherever its *allocator* says —
 :func:`mp_cells` (fork-inherited ``multiprocessing`` cells, the default),
-:func:`heap_cells` (list cells and a thread lock: the socket plane's
-coordinator, whose every party is a thread of one process).  The slot
-arenas add the tag-recycled slot layout
-once (:class:`SlotArena`), and each slot *operation* is written once, as a
+:func:`heap_cells` (list cells and a thread lock: an in-process team, and
+the socket plane's coordinator, whose every party is a thread of one
+process).  The slot arenas add the tag-recycled slot layout once
+(:class:`SlotArena`), and each slot *operation* is written once, as a
 method of its slot class (:class:`ArenaSlot`, :class:`TaskStealSlot`,
 :class:`TunePlanSlot`), which also declares — ``OPS`` / ``CLAIMS`` — what
 the socket plane may call by name (:mod:`repro.runtime.dataplane` derives
@@ -69,14 +67,14 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
 from repro.runtime.barrier import _UNSET, BrokenBarrierError
 from repro.runtime.config import env
 from repro.runtime.exceptions import BackendError
-from repro.runtime.scheduler import block_counts, claim_cap, guided_claim_batch
+from repro.runtime.scheduler import block_counts
 
 #: start method used for every process-backend primitive.  Workers must
 #: inherit the parent's address space (closures and woven classes cannot be
@@ -124,12 +122,11 @@ def require_fork(component: str) -> None:
 #:
 #: Today this is a *defensive* invariant: process teams only exist at
 #: nesting level 0 (``ProcessBackend.resolve_for_region`` routes nested
-#: regions to in-process thread sub-teams, which use the heap
-#: ``Team.shared_slot`` instead of the arenas), so production slots always
-#: carry ``level=0``.  The namespace guarantees the arenas stay correct the
-#: day a nested team *does* share an ancestor's ProcessSync — a silent
-#: claim-slot collision would corrupt loop results, the worst failure mode
-#: this module can have.
+#: regions to in-process thread sub-teams, each of which builds arenas of
+#: its own), so production slots always carry ``level=0``.  The namespace
+#: guarantees the arenas stay correct the day a nested team *does* share an
+#: ancestor's ProcessSync — a silent claim-slot collision would corrupt loop
+#: results, the worst failure mode this module can have.
 MAX_TEAM_LEVELS = 8
 
 
@@ -421,7 +418,8 @@ def mp_cells(count: int, locked: bool) -> "tuple[Any, Any]":
 
 def heap_cells(count: int, locked: bool) -> "tuple[Any, Any]":
     """List cells and a thread lock: every party is a thread of this process
-    (the socket plane's coordinator acts for its remote members)."""
+    (an in-process team's members; the socket plane's coordinator acting for
+    its remote members)."""
     return [0] * count, threading.Lock() if locked else None
 
 
@@ -673,10 +671,15 @@ class SlotArena(CellArena):
 
     The tag is the loop ordinal owning the slot (``-1``: free).  A member
     attaching the slot for ordinal *n* re-initialises it the first time that
-    ordinal is seen; because ordinals increase monotonically and loops are
-    barrier-separated, ``ordinal % capacity`` never serves two live loops at
-    once (adjacent ``nowait`` loops occupy adjacent slots).  :meth:`reset`
-    therefore only has to clear the tags: after it every attach mismatches.
+    ordinal is seen; ordinals increase monotonically, so :meth:`reset` only
+    has to clear the tags: after it every attach starts afresh.
+
+    Constructs with no barrier between them (``nowait`` loops, ``sections``
+    claims) let a fast member take a slot over for a later ordinal while a
+    slow one has yet to finish an earlier one there.  The fast member only
+    moved on once the earlier construct was claimed out, so the slow member's
+    handle is *stale*: its claim and steal ops find a newer tag, write
+    nothing, and report the construct exhausted.
     """
 
     LOCKED = True
@@ -709,6 +712,21 @@ class SlotArena(CellArena):
         return self.SLOT(self, *key, **named)
 
 
+def claim_cap(remaining: int, num_threads: int, limit: int) -> int:
+    """Units one batched claim may take: the tail-fallback policy.
+
+    At most a fraction of the ``remaining`` units (and never more than
+    ``limit``), at least one — so one claimer can never strip a shared
+    counter bare while other consumers still want work.
+    """
+    cap = remaining // (num_threads if num_threads > 2 else 2)
+    if cap > limit:
+        cap = limit
+    elif cap < 1:
+        cap = 1
+    return cap
+
+
 class ArenaSlot(_Slot):
     """Handle to one :class:`SyncArena` claim counter, bound to a loop ordinal."""
 
@@ -722,14 +740,17 @@ class ArenaSlot(_Slot):
         super().__init__(arena, ordinal, level)
         cells, base = arena._cells, self._base
         with arena._lock:
-            if cells[base] != self.ordinal:
+            if cells[base] < self.ordinal:
                 cells[base] = self.ordinal
                 cells[base + self._NEXT] = 0
 
     def fetch_add(self, amount: int = 1) -> int:
-        """Atomically return the current value and advance it by ``amount``."""
+        """Atomically return the current value and advance it by ``amount``;
+        ``-1``, advancing nothing, on a stale handle (see :class:`SlotArena`)."""
         arena, cursor = self.arena, self._base + self._NEXT
         with arena._lock:
+            if arena._cells[self._base] != self.ordinal:
+                return -1
             value = arena._cells[cursor]
             arena._cells[cursor] = value + amount
             return int(value)
@@ -737,16 +758,14 @@ class ArenaSlot(_Slot):
     def claim_batch(self, limit: int, num_threads: int, total_chunks: int) -> "tuple[int, int] | None":
         """Atomically claim up to ``limit`` consecutive chunk indices: ``(first, count)``.
 
-        Same batching/tail policy as the in-process
-        ``_DynamicLoopState.next_chunks``: near the tail the claim shrinks to
-        a fraction of the remaining chunks (at least one) to preserve load
-        balance.
+        Near the tail the claim shrinks to a fraction of the remaining chunks
+        (at least one, :func:`claim_cap`) to preserve load balance.
         """
         arena, cursor = self.arena, self._base + self._NEXT
         with arena._lock:
             first = int(arena._cells[cursor])
             remaining = total_chunks - first
-            if remaining <= 0:
+            if remaining <= 0 or arena._cells[self._base] != self.ordinal:
                 return None
             count = claim_cap(remaining, num_threads, limit)
             arena._cells[cursor] = first + count
@@ -760,16 +779,32 @@ class ArenaSlot(_Slot):
     def claim_guided_batch(
         self, total: int, min_chunk: int, num_threads: int, limit: int
     ) -> "list[tuple[int, int]] | None":
-        """Atomically claim up to ``limit`` guided blocks in one round-trip.
+        """Atomically claim up to ``limit`` guided ``(begin, count)`` blocks in one round-trip.
 
-        Delegates to the scheduler's shared ``guided_claim_batch`` policy —
-        only the cursor storage and locking live here — so claims are
-        identical to the thread backend's by construction.
+        Blocks follow the standard guided decay: ``remaining // num_threads``
+        iterations, at least ``min_chunk``, at most what remains.  Batching
+        only kicks in once the decay has bottomed out at ``min_chunk`` (a
+        larger block is plenty of work for one round-trip already), and
+        :func:`claim_cap` over the remaining ``min_chunk``-sized tail blocks
+        keeps one batch from taking more than a fraction of them, so block
+        boundaries are those of unbatched claiming.
         """
         arena, cursor = self.arena, self._base + self._NEXT
         with arena._lock:
-            blocks, after = guided_claim_batch(int(arena._cells[cursor]), total, min_chunk, num_threads, limit)
-            arena._cells[cursor] = after
+            if arena._cells[self._base] != self.ordinal:
+                return None
+            at = int(arena._cells[cursor])
+            blocks: "list[tuple[int, int]]" = []
+            for _ in range(claim_cap((total - at) // max(1, min_chunk), num_threads, limit)):
+                remaining = total - at
+                if remaining <= 0:
+                    break
+                count = min(max(remaining // num_threads, min_chunk), remaining)
+                blocks.append((at, count))
+                at += count
+                if count > min_chunk:
+                    break
+            arena._cells[cursor] = at
             return blocks or None
 
 
@@ -788,12 +823,9 @@ class SyncArena(SlotArena):
 
 
 class TaskStealSlot(_Slot):
-    """Handle to one :class:`TaskStealArena` deck, bound to a loop ordinal.
-
-    Duck-types the task runtime's in-heap taskloop state (``claim_local`` /
-    ``claim_steal`` / ``mark_done`` / ``finished``), so the ``taskloop``
-    drain loop is backend-agnostic.
-    """
+    """Handle to one :class:`TaskStealArena` deck, bound to a loop ordinal:
+    the ``taskloop`` drain loop's ``claim_local`` / ``claim_steal`` /
+    ``mark_done`` / ``finished`` on every tier."""
 
     __slots__ = ("num_workers", "ntiles")
     _COMPLETED = 1
@@ -816,7 +848,7 @@ class TaskStealSlot(_Slot):
         self.ntiles = ntiles
         cells, base = arena._cells, self._base
         with arena._lock:
-            if cells[base] == self.ordinal:
+            if cells[base] >= self.ordinal:
                 return
             cells[base] = self.ordinal
             cells[base + self._COMPLETED] = 0
@@ -833,7 +865,7 @@ class TaskStealSlot(_Slot):
         cells, head = self.arena._cells, self._base + self._FIELDS + 2 * worker
         with self.arena._lock:
             tile = cells[head]
-            if tile >= cells[head + 1]:
+            if tile >= cells[head + 1] or cells[self._base] != self.ordinal:
                 return None
             cells[head] = tile + 1
             return int(tile)
@@ -842,6 +874,8 @@ class TaskStealSlot(_Slot):
         """Steal a tile from another member's tail: ``(victim, tile)`` or ``None``."""
         cells, blocks = self.arena._cells, self._base + self._FIELDS
         with self.arena._lock:
+            if cells[self._base] != self.ordinal:
+                return None
             for offset in range(1, self.num_workers):
                 victim = (worker + offset) % self.num_workers
                 head = blocks + 2 * victim
@@ -855,14 +889,17 @@ class TaskStealSlot(_Slot):
         """Count ``amount`` tiles finished; returns the new completed total."""
         cells, completed = self.arena._cells, self._base + self._COMPLETED
         with self.arena._lock:
+            if cells[self._base] != self.ordinal:
+                return self.ntiles
             done = cells[completed] + amount
             cells[completed] = done
             return int(done)
 
     def finished(self) -> bool:
         """Whether every tile of the loop has been executed (by anyone)."""
+        cells = self.arena._cells
         with self.arena._lock:
-            return self.arena._cells[self._base + self._COMPLETED] >= self.ntiles
+            return cells[self._base] != self.ordinal or cells[self._base + self._COMPLETED] >= self.ntiles
 
 
 class TaskStealArena(SlotArena):
@@ -890,10 +927,10 @@ class TaskStealArena(SlotArena):
     :meth:`~SlotArena.slot` takes ``(ordinal, num_workers, ntiles)`` and
     returns a :class:`TaskStealSlot`.
 
-    The arena works identically under the serial and thread backends (shared
-    memory is just memory), which is what the cross-backend task conformance
-    suite relies on; in-heap teams normally use the faster
-    ``deque``-per-member pool in :mod:`repro.runtime.tasks` instead.
+    Every tier's taskloop draws its deck from one: a process team's is
+    fork-inherited, an in-process team's lives on heap cells
+    (:meth:`SlotArenas.on_heap`).  (Explicit ``@Task`` spawns use the
+    ``deque``-per-member :class:`~repro.runtime.tasks.TaskPool` instead.)
     """
 
     SLOT = TaskStealSlot
@@ -933,21 +970,30 @@ class TunePlanSlot(_Slot):
 
         A master that failed before the loop never publishes; it aborts the
         team barrier instead, so the wait ends within one poll of that break.
-        Otherwise it is bounded by ``timeout`` — by default the barrier
-        timeout in force (``AOMP_BARRIER_TIMEOUT``; unbounded when disabled).
+        A master that already published a later loop's plan into this slot
+        (see :class:`SlotArena`) overwrote this one, which is refused at
+        once.  Otherwise the wait is bounded by ``timeout`` — by default the
+        barrier timeout in force (``AOMP_BARRIER_TIMEOUT``; unbounded when
+        disabled).
         """
         arena, cells, base = self.arena, self.arena._cells, self._base
         limit = env("AOMP_BARRIER_TIMEOUT") if timeout is None else timeout
         deadline = None if limit is None else time.monotonic() + limit
         while True:
             with arena._lock:
-                if cells[base] == self.ordinal:
+                tag = cells[base]
+                if tag == self.ordinal:
                     return (
                         int(cells[base + self._SCHEDULE]),
                         int(cells[base + self._CHUNK]),
                         int(cells[base + self._FLAGS]),
                         int(cells[base + self._INVOCATION]),
                     )
+            if tag > self.ordinal:
+                raise BrokenBarrierError(
+                    f"the tune plan of loop ordinal {self.ordinal} was overwritten by ordinal {tag}'s: more "
+                    f"than {arena.capacity // MAX_TEAM_LEVELS} auto loops with no barrier between them in flight"
+                )
             if arena._barrier.broken:
                 raise BrokenBarrierError(
                     f"the team barrier broke while waiting for the tune plan of loop ordinal {self.ordinal} "
@@ -985,9 +1031,9 @@ class TunePlanSlot(_Slot):
 class TunePlanArena(SlotArena):
     """Pre-allocated pool of *tune plan* slots for ``schedule="auto"`` loops.
 
-    The adaptive tuner lives in the parent process (its state is fed by the
-    master's measurements), but every member of a process team must execute
-    the *same* concrete schedule for a given loop invocation.  The master
+    The adaptive tuner lives in the master's process (its state is fed by
+    the master's measurements), and every member of a team must execute the
+    *same* concrete schedule for a given loop invocation.  The master
     therefore publishes its decision — ``(schedule_code, chunk, flags,
     invocation)`` — into the slot for the loop's SPMD ordinal before
     dispatching, and workers read it, waiting for a master that has not
@@ -1018,52 +1064,27 @@ class TunePlanArena(SlotArena):
         super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh, MAX_TEAM_LEVELS * max_workers)
 
 
-class ProcessDynamicState:
-    """Process-safe twin of the dynamic scheduler's shared claim counter.
+class SlotArenas(NamedTuple):
+    """The three slot arenas every claiming construct draws from.
 
-    Duck-types ``_DynamicLoopState`` (``next_chunks(limit)`` returning
-    ``(first_index, count)`` or ``None``), so
-    :meth:`DynamicScheduler.chunks_from` works unchanged on top of it.
+    A :class:`ProcessSync` carries fork-inherited ones under the same three
+    names; an in-process team, and the socket plane's coordinator, build
+    theirs with :meth:`on_heap`.
     """
 
-    __slots__ = ("_slot", "total_chunks", "num_threads")
+    arena: SyncArena
+    steal: TaskStealArena
+    tune: TunePlanArena
 
-    def __init__(self, slot: ArenaSlot, total_chunks: int, num_threads: int = 1) -> None:
-        self._slot = slot
-        self.total_chunks = total_chunks
-        self.num_threads = max(1, num_threads)
-
-    def next_chunk(self) -> "int | None":
-        claim = self.next_chunks(1)
-        return None if claim is None else claim[0]
-
-    def next_chunks(self, limit: int = 1) -> "tuple[int, int] | None":
-        return self._slot.claim_batch(limit, self.num_threads, self.total_chunks)
-
-
-class ProcessGuidedState:
-    """Process-safe twin of the guided scheduler's shared claim state.
-
-    Duck-types ``_GuidedLoopState`` (``next_ranges(limit)`` returning a list
-    of ``(begin, count)`` blocks or ``None``).  ``total``/``min_chunk``/
-    ``num_threads`` are derived identically by every member; only the claim
-    cursor is shared.
-    """
-
-    __slots__ = ("_slot", "total", "min_chunk", "num_threads")
-
-    def __init__(self, slot: ArenaSlot, total: int, min_chunk: int, num_threads: int) -> None:
-        self._slot = slot
-        self.total = total
-        self.min_chunk = min_chunk
-        self.num_threads = max(1, num_threads)
-
-    def next_range(self) -> "tuple[int, int] | None":
-        blocks = self.next_ranges(1)
-        return None if blocks is None else blocks[0]
-
-    def next_ranges(self, limit: int = 1) -> "list[tuple[int, int]] | None":
-        return self._slot.claim_guided_batch(self.total, self.min_chunk, self.num_threads, limit)
+    @classmethod
+    def on_heap(cls, workers: int, barrier: Any) -> "SlotArenas":
+        """Arenas on :func:`heap_cells` for ``workers`` threads of this process
+        whose team barrier is ``barrier`` (a plan wait ends when it breaks)."""
+        return cls(
+            SyncArena(cells=heap_cells),
+            TaskStealArena(max_workers=workers, cells=heap_cells),
+            TunePlanArena(barrier, max_workers=workers, cells=heap_cells),
+        )
 
 
 @dataclass
@@ -1071,12 +1092,11 @@ class ProcessSync:
     """Cross-process synchronisation bundle attached to a process-backed team.
 
     Created by the process backend *before* workers exist (fork inherits it);
-    the team's barrier and the worksharing loop states are built from it.
+    the team's barrier and its slot arenas (``arena``, ``steal``, ``tune``:
+    the :class:`SlotArenas` names) come from it.
     ``pooled`` records whether the region runs on the persistent worker pool
     (picklable SPMD body) or on per-region forked workers (arbitrary
-    closures, shipped by address-space inheritance).  ``steal`` carries the
-    pre-allocated work-stealing deck pool used by ``taskloop``; ``tune``
-    carries the plan-publication arena used by ``schedule="auto"`` loops.
+    closures, shipped by address-space inheritance).
     """
 
     barrier: SharedBarrier

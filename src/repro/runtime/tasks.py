@@ -40,10 +40,13 @@ strategy split as the rest of the runtime:
   thread-per-spawn shim), so tasks start eagerly and ``join(timeout=...)``
   keeps real-time semantics.
 * **On process-backed teams** arbitrary spawned closures cannot cross the
-  process boundary, so each member's spawns execute within its own process;
-  ``taskloop`` tiles — which every member can execute, because the SPMD body
-  was inherited on fork — are stolen across processes through the
-  pre-allocated :class:`~repro.runtime.shm.TaskStealArena`.
+  process boundary, so each member's spawns execute within its own process.
+
+``taskloop`` tiles are not spawned tasks: every member can execute any tile
+(the body is SPMD), so on every tier they are claimed and stolen through one
+deck, a slot of the team's :class:`~repro.runtime.shm.TaskStealArena`
+(in-heap for in-process teams, pre-allocated shared memory for process
+teams).
 
 Failure handling: a task body's exception is stored on its
 :class:`TaskHandle` together with the *spawn site*, and every ``join()``
@@ -711,55 +714,6 @@ def drain_team_tasks(team: Any, worker: int) -> None:
 DEFAULT_TASKS_PER_MEMBER = 8
 
 
-class _HeapTaskLoopState:
-    """In-heap tile deck for one taskloop execution (thread/serial teams).
-
-    One index deque per member, fully seeded at construction (the team's
-    shared-slot factory runs exactly once, so there is no seeding race):
-    member ``w`` starts with a contiguous block of tile indices, takes from
-    its *front* (ascending — cache-friendly) and steals from a victim's
-    *back*, mirroring the cross-process
-    :class:`~repro.runtime.shm.TaskStealArena` layout so chunk boundaries are
-    identical on every backend.
-    """
-
-    __slots__ = ("ntiles", "_deques", "_lock", "_completed")
-
-    def __init__(self, num_workers: int, ntiles: int) -> None:
-        self.ntiles = ntiles
-        self._deques = []
-        cursor = 0
-        for count in block_counts(ntiles, num_workers):
-            self._deques.append(deque(range(cursor, cursor + count)))
-            cursor += count
-        self._lock = threading.Lock()
-        self._completed = 0
-
-    def claim_local(self, worker: int) -> "int | None":
-        try:
-            return self._deques[worker].popleft()
-        except IndexError:
-            return None
-
-    def claim_steal(self, worker: int) -> "tuple[int, int] | None":
-        n = len(self._deques)
-        for offset in range(1, n):
-            victim = (worker + offset) % n
-            try:
-                return victim, self._deques[victim].pop()
-            except IndexError:
-                continue
-        return None
-
-    def mark_done(self, amount: int = 1) -> int:
-        with self._lock:
-            self._completed += amount
-            return self._completed
-
-    def finished(self) -> bool:
-        return self._completed >= self.ntiles
-
-
 def resolve_grainsize(total: int, team_size: int, grainsize: int | None, num_tasks: int | None) -> int:
     """Iterations per tile for a taskloop over ``total`` iterations.
 
@@ -840,12 +794,7 @@ def run_taskloop(
     grain = resolve_grainsize(total, team.size, grainsize, num_tasks)
     ntiles = -(-total // grain)
 
-    if team.is_process_team:
-        state = team.process_sync.steal.slot(ordinal, team.size, ntiles, level=team.nesting_level)
-    else:
-        state = team.shared_slot(
-            ("taskloop", ordinal), lambda: _HeapTaskLoopState(team.size, ntiles)
-        )
+    deck = team.proc_steal_slot(ordinal, ntiles)
 
     tracing = team.tracing
     metrics = team.metrics
@@ -863,13 +812,20 @@ def run_taskloop(
 
     result: Any = None
     executed = 0
+    # Tiles this member ran and has not yet counted on the deck: a member
+    # counts them in one ``mark_done`` once it runs out of tiles to claim,
+    # which is when the others, out of tiles too, start asking ``finished``.
+    ran = 0
     try:
         while True:
-            tile = state.claim_local(worker)
+            tile = deck.claim_local(worker)
             if tile is None:
-                claim = state.claim_steal(worker)
+                claim = deck.claim_steal(worker)
                 if claim is None:
-                    if state.finished():
+                    if ran:
+                        deck.mark_done(ran)
+                        ran = 0
+                    if deck.finished():
                         break
                     if team.broken:
                         # A sibling failed (its exception aborted the team) or a
@@ -902,10 +858,10 @@ def run_taskloop(
                 # this member's unclaimed tiles (abort the team so their idle
                 # loops escape); the exception then surfaces as BrokenTeamError
                 # through the region driver, exactly like a failing run_for body.
-                state.mark_done()
+                deck.mark_done(ran + 1)
                 team.abort()
                 raise
-            state.mark_done()
+            ran += 1
     finally:
         # Untraced tiles are batch-counted (the traced path counts per tile
         # inside _run_traced_chunk, so the totals line up either way).

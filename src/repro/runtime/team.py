@@ -46,8 +46,9 @@ class Team:
     """A team of ``size`` threads executing one parallel region.
 
     The team owns the synchronisation objects that have *team scope* in the
-    paper's model: the team barrier and the shared slots used by the
-    single/master/dynamic-for/ordered constructs.
+    paper's model: the team barrier, the slot arenas the claiming constructs
+    (dynamic/guided loops, sections, taskloop, ``auto`` plans) draw from,
+    and the shared slots used by the single/master/ordered constructs.
 
     Teams form a hierarchy: a member of an outer team that enters a nested
     parallel region spawns a *child* team whose :attr:`parent` points back to
@@ -107,6 +108,14 @@ class Team:
         self._arrivals = [0] * size
         self._shared: dict[Hashable, Any] = {}
         self._shared_lock = threading.Lock()
+        #: the claiming constructs' slot arenas: a process team's come with its
+        #: sync bundle; an in-process team builds heap ones on its first claim
+        #: (see :meth:`_slot_arenas`), so a region that never claims allocates none.
+        self._arenas: "shm.ProcessSync | shm.SlotArenas | None" = process_sync
+        #: a process team's slots are namespaced by nesting level (see
+        #: :data:`repro.runtime.shm.MAX_TEAM_LEVELS`); heap arenas are this
+        #: team's own and need no namespace.
+        self._slot_level = nesting_level if process_sync is not None else 0
 
     @property
     def level(self) -> int:
@@ -123,28 +132,36 @@ class Team:
         """Whether the team barrier was aborted (some member failed)."""
         return self._barrier.broken
 
-    def proc_loop_slot(self, ordinal: int) -> "shm.ArenaSlot | None":
-        """Cross-process claim slot for the ``ordinal``-th workshared loop.
+    def _slot_arenas(self) -> "shm.ProcessSync | shm.SlotArenas":
+        """The team's slot arenas, built on heap cells by the first claim of an
+        in-process team (under the team's lock, so every member sees one)."""
+        arenas = self._arenas
+        if arenas is None:
+            with self._shared_lock:
+                if self._arenas is None:
+                    self._arenas = shm.SlotArenas.on_heap(self.size, self._barrier)
+                arenas = self._arenas
+        return arenas
 
-        ``None`` for in-process teams, which use :meth:`shared_slot` instead.
-        Slots are namespaced by the team's nesting level so a nested team
-        sharing its ancestors' arenas can never collide with an outer loop's
-        claim slot (see :data:`repro.runtime.shm.MAX_TEAM_LEVELS`).
+    def proc_loop_slot(self, ordinal: int) -> "shm.ArenaSlot":
+        """Claim slot for the ``ordinal``-th claiming construct of this team.
+
+        The dynamic/guided loop cursor and the ``sections`` first-arriver flag
+        on every tier: a process team's slot is in its fork-inherited (or
+        coordinator-hosted) :class:`~repro.runtime.shm.SyncArena`, an
+        in-process team's in its heap one.
         """
-        if self.process_sync is None:
-            return None
-        return self.process_sync.arena.slot(ordinal, level=self.nesting_level)
+        return self._slot_arenas().arena.slot(ordinal, level=self._slot_level)
 
-    def proc_tune_slot(self, ordinal: int) -> "shm.TunePlanSlot | None":
-        """Cross-process tune-plan slot for the ``ordinal``-th workshared loop.
+    def proc_steal_slot(self, ordinal: int, ntiles: int) -> "shm.TaskStealSlot":
+        """The ``taskloop`` tile deck of ``ntiles`` tiles for the ``ordinal``-th
+        claiming construct, dealt over the team's members."""
+        return self._slot_arenas().steal.slot(ordinal, self.size, ntiles, level=self._slot_level)
 
-        ``None`` for in-process teams, which agree on a plan through
-        :meth:`shared_slot`.  Namespaced per nesting level exactly like
-        :meth:`proc_loop_slot`.
-        """
-        if self.process_sync is None:
-            return None
-        return self.process_sync.tune.slot(ordinal, level=self.nesting_level)
+    def proc_tune_slot(self, ordinal: int) -> "shm.TunePlanSlot":
+        """Tune-plan slot for the ``ordinal``-th claiming construct: member 0
+        publishes a ``schedule="auto"`` loop's plan, the others read it."""
+        return self._slot_arenas().tune.slot(ordinal, level=self._slot_level)
 
     # -- synchronisation ----------------------------------------------------
 
@@ -217,18 +234,13 @@ class Team:
 
         The first member to ask for ``key`` creates the object with
         ``factory``; all members then observe the same instance.  Used for
-        dynamic-loop claim counters, single/master result broadcasts and
-        ordered-region tickets.
+        single/master result broadcasts, ordered-region tickets and the
+        task pool.
         """
         with self._shared_lock:
             if key not in self._shared:
                 self._shared[key] = factory()
             return self._shared[key]
-
-    def drop_slot(self, key: Hashable) -> None:
-        """Remove a shared slot (used once a construct instance is finished)."""
-        with self._shared_lock:
-            self._shared.pop(key, None)
 
     def get_slot(self, key: Hashable, default: Any = None) -> Any:
         """Peek at a shared slot without creating it (unlike :meth:`shared_slot`).
@@ -537,12 +549,12 @@ def _execute_region(
     team.backend_name = backend.name
     team.backend_spinup_scale = backend.spinup_cost_scale
     # A thread-scoped tuner (per-tenant caches in the compute service) is
-    # stamped onto the team so every member agrees on it — the in-process
-    # auto path lets the first arriver open the invocation, and that can be
-    # a worker thread with no scope of its own.  Nested regions, entered on
-    # member threads, inherit the parent team's stamp.  A scope can only be
-    # open once the tune package is loaded, so a region need not load it to
-    # look (the tune package imports runtime modules).
+    # stamped onto the team so every member agrees on it.  Nested regions,
+    # whose member 0 (the one that opens an auto invocation) is a member
+    # thread of the parent with no scope of its own, inherit the parent
+    # team's stamp.  A scope can only be open once the tune package is
+    # loaded, so a region need not load it to look (the tune package imports
+    # runtime modules).
     tuner_module = sys.modules.get("repro.tune.tuner")
     team.tuner = tuner_module.scoped_tuner() if tuner_module is not None else None
     if team.tuner is None and parent is not None:

@@ -24,15 +24,15 @@ dies by.  A static member's chunks are arithmetic in its id: a
 ``static_block`` loop is one step and one body call per member, a
 ``static_cyclic`` one step and one call per chunk (:func:`_run_spans`), with
 no plan built or looked up.  Dynamic/guided loops run through one claim loop
-(:func:`_run_claims`): per claim it pays one lock-free abort read, one lock,
-arena or RPC round-trip and one body call over the claimed run; the run is
-split back into its chunks (boundaries from :mod:`~repro.runtime.scheduler`)
-only while tracing or a fault plan observes chunks.
+(:func:`_run_claims`): per claim it pays one lock-free abort read, one
+claim-slot round-trip (a lock on an in-heap or shm arena, or an RPC) and one
+body call over the claimed run; the run is split back into its chunks
+(boundaries from :mod:`~repro.runtime.scheduler`) only while tracing or a
+fault plan observes chunks.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Hashable
 
@@ -43,7 +43,6 @@ from repro.runtime.config import get_config
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.exceptions import BackendCapabilityError, SchedulingError
 from repro.runtime.ordered import OrderedRegion, install_ordered_region
-from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState
 from repro.runtime.scheduler import (
     CollapsedRange,
     DynamicScheduler,
@@ -53,7 +52,6 @@ from repro.runtime.scheduler import (
     cyclic_spans,
     make_scheduler,
     parse_schedule_spec,
-    partition_chunk_count,
     trip_count,
 )
 from repro.runtime.trace import EventKind, NO_REGION, TraceRecorder, get_global_recorder, global_tracing_active
@@ -88,8 +86,8 @@ def _loop_ordinal(context: ctx.ExecutionContext) -> int:
     """Monotone per-member counter of workshared loops in this region.
 
     SPMD execution makes the counter identical on every member, so it can
-    index the team's pre-allocated cross-process claim arena (process teams
-    cannot create new shared state after their workers exist).
+    index the team's slot arenas (process teams cannot create new shared
+    state after their workers exist).
     """
     ordinal = context.scratch.get("loop_ordinal", 0)
     context.scratch["loop_ordinal"] = ordinal + 1
@@ -347,17 +345,8 @@ def _dispatch_schedule(
             spans = cyclic_spans(total, size, member, chunk)
         return _run_spans(body, spans, start, step, args, kwargs, team, name, weight, _CHUNK_SLOTS[parsed])
     scheduler = make_scheduler(parsed, chunk=chunk)
-    guided = parsed is Schedule.GUIDED
-    if (slot := team.proc_loop_slot(ordinal)) is not None:
-        total = trip_count(start, end, step)
-        if guided:
-            state = ProcessGuidedState(slot, total, scheduler.min_chunk, team.size)
-        else:
-            state = ProcessDynamicState(slot, partition_chunk_count(parsed, chunk, team.size, total), team.size)
-    else:
-        new_state = scheduler.new_guided_state if guided else scheduler.new_state
-        state = team.shared_slot(_loop_encounter_key(name), lambda: new_state(start, end, step, team.size))
-    return _run_claims(body, scheduler, state, start, end, step, args, kwargs, team, name, weight)
+    cursor = team.proc_loop_slot(ordinal)
+    return _run_claims(body, scheduler, cursor, start, end, step, args, kwargs, team, name, weight)
 
 
 def _run_auto(
@@ -377,18 +366,18 @@ def _run_auto(
     """One invocation of an adaptively scheduled loop.
 
     Every member must execute the *same* concrete schedule, so the decision
-    is agreed on before dispatch: in-process teams share the tuner's ticket
-    through a team slot (first arriver asks the tuner); process teams cannot
-    share the ticket object, so the master — whose process hosts the
-    authoritative tuner — publishes the encoded plan through the shm
-    plan-publication arena and workers wait for it.
+    is agreed on before dispatch: member 0 — whose process hosts the
+    authoritative tuner — asks the tuner and publishes the encoded plan into
+    the team's tune-plan slot, and the other members wait for it there
+    (:meth:`~repro.runtime.shm.TunePlanSlot.read`, which ends on a broken
+    team barrier).
 
-    The master measures wall time from its dispatch start to the far side of
+    Member 0 measures wall time from its dispatch start to the far side of
     the implicit barrier (≈ the loop phase makespan) and feeds it back to the
     tuner, recording the acted-on decision as a ``TUNE_DECISION`` event.  A
     probe also asks every member what its own share cost
-    (:func:`~repro.tune.tuner.member_seconds`): members write it into the
-    shared ticket, or report it into the plan slot, before the barrier.
+    (:func:`~repro.tune.tuner.member_seconds`): members report it into the
+    plan slot before the barrier, and member 0 reads the reports after it.
     ``nowait`` loops have no barrier to collect behind, so they never report.
     """
     # Imported here, not at module level: repro.tune imports runtime modules
@@ -398,40 +387,25 @@ def _run_auto(
 
     total = trip_count(start, end, step)
     thread_id = context.thread_id
+    slot = team.proc_tune_slot(ordinal)
     ticket = None
-    ticket_key = None
-    if (slot := team.proc_tune_slot(ordinal)) is not None:
-        if thread_id == 0:
-            ticket = tuner_for_team(team).begin_invocation(
-                name,
-                total,
-                team.size,
-                backend=team.backend_name,
-                spinup_scale=team.backend_spinup_scale,
-            )
-            code, size, flags = ticket.candidate.encode()
-            if ticket.member_times is not None and not nowait:
-                flags |= FLAG_REPORT
-            slot.publish((code, size, flags, ticket.invocation))
-            candidate = ticket.candidate
-        else:
-            code, size, flags, _invocation = slot.read()
-            candidate = Candidate.decode(code, size, flags)
-        report = bool(flags & FLAG_REPORT)
-    else:
-        ticket_key = _loop_encounter_key(f"{name}#auto")
-        ticket = team.shared_slot(
-            ticket_key,
-            lambda: tuner_for_team(team).begin_invocation(
-                name,
-                total,
-                team.size,
-                backend=team.backend_name,
-                spinup_scale=team.backend_spinup_scale,
-            ),
+    if thread_id == 0:
+        ticket = tuner_for_team(team).begin_invocation(
+            name,
+            total,
+            team.size,
+            backend=team.backend_name,
+            spinup_scale=team.backend_spinup_scale,
         )
+        code, size, flags = ticket.candidate.encode()
+        if ticket.report and not nowait:
+            flags |= FLAG_REPORT
+        slot.publish((code, size, flags, ticket.invocation))
         candidate = ticket.candidate
-        report = ticket.member_times is not None and not nowait
+    else:
+        code, size, flags, _invocation = slot.read()
+        candidate = Candidate.decode(code, size, flags)
+    report = bool(flags & FLAG_REPORT)
 
     share_began = share_clock() if report else None
     began = time.perf_counter()
@@ -459,32 +433,18 @@ def _run_auto(
             weight,
         )
     if report:
-        share = member_seconds(share_began)
-        if slot is not None:
-            slot.report(thread_id, int(share * 1e9))
-        else:
-            ticket.member_times[thread_id] = share
+        slot.report(thread_id, int(member_seconds(share_began) * 1e9))
     if not nowait:
         team.barrier(label=f"for:{name}")
     elapsed = time.perf_counter() - began
 
-    if ticket is not None and thread_id == 0:
-        member_times = None
-        if report:
-            member_times = [ns / 1e9 for ns in slot.reports(team.size)] if slot is not None else ticket.member_times
+    if ticket is not None:
+        member_times = [ns / 1e9 for ns in slot.reports(team.size)] if report else None
         payload = tuner_for_team(team).observe(ticket, elapsed, member_times)
         if team.metrics:
             obsreg.inc(obsreg.TUNE_DECISIONS)
         if team.tracing:
             team.record(EventKind.TUNE_DECISION, **payload)
-        if ticket_key is not None and not nowait:
-            # Each invocation has its own slot key; after the implicit
-            # barrier every member has long since fetched the ticket, so the
-            # master can drop it — otherwise a long-lived region running an
-            # auto loop in a while-loop grows team._shared without bound.
-            # (nowait loops keep the slot: a slow member may not have
-            # fetched it yet, and re-creating it would double-decide.)
-            team.drop_slot(ticket_key)
     return result
 
 
@@ -572,7 +532,7 @@ def _run_spans(
 def _run_claims(
     body: Callable[..., Any],
     scheduler: DynamicScheduler,
-    state,
+    cursor,
     start: int,
     end: int,
     step: int,
@@ -582,7 +542,8 @@ def _run_claims(
     name: str,
     weight: Callable[[int], float] | None,
 ) -> Any:
-    """The dynamic/guided claim loop: one abort read, one claim, one body call.
+    """The dynamic/guided claim loop on ``cursor``, the team's claim slot for
+    this loop: one abort read, one claim, one body call.
 
     A claim's chunks are adjacent, so the member runs them as one body call
     over the claimed run.  The run is split back into its scheduling chunks
@@ -603,7 +564,7 @@ def _run_claims(
     per_chunk = tracing or getattr(body, "chunk_site", False)
     result: Any = None
     executed = 0
-    for run_start, run_end, chunks in scheduler.claims_from(state, start, end, step):
+    for run_start, run_end, chunks in scheduler.claims_from(cursor, start, end, step, team.size):
         if team.broken:
             raise BrokenBarrierError(f"loop {name!r} aborted: team {team.name!r} barrier is broken")
         if not per_chunk:
@@ -676,24 +637,7 @@ def _record_chunk(
     )
 
 
-class _ClaimOnce:
-    """Team-shared cell granting exactly one successful claim."""
-
-    __slots__ = ("_lock", "_claimed")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._claimed = False
-
-    def try_claim(self) -> bool:
-        with self._lock:
-            if self._claimed:
-                return False
-            self._claimed = True
-            return True
-
-
-def claim_section(name: str = "section") -> bool:
+def claim_section() -> bool:
     """First-arriver claim for one SPMD encounter of a section-style construct.
 
     Every team member is expected to reach the call (the region body is
@@ -701,22 +645,15 @@ def claim_section(name: str = "section") -> bool:
     should execute the construct, the rest get ``False`` and skip it.
     Outside a parallel region (or in a team of one) the caller always wins.
 
-    Works on every backend: in-process teams claim through a team-shared
-    cell, process teams through the pre-allocated cross-process claim arena
-    (the construct consumes one loop ordinal either way, keeping SPMD
-    ordinal alignment with work-shared loops).  This is the claim primitive
-    behind the ``@Section`` annotation.
+    The claim is a ``fetch_add`` on the team's claim slot for the construct's
+    ordinal (it consumes one, keeping SPMD ordinal alignment with
+    work-shared loops), so it works on every backend.  This is the claim
+    primitive behind the ``@Section`` annotation.
     """
     context = ctx.current_context()
     if context is None or context.team.size == 1:
         return True
-    team = context.team
-    ordinal = _loop_ordinal(context)
-    if (slot := team.proc_loop_slot(ordinal)) is not None:
-        return slot.fetch_add() == 0
-    key = _loop_encounter_key(f"{name}#section")
-    cell: _ClaimOnce = team.shared_slot(key, _ClaimOnce)
-    return cell.try_claim()
+    return context.team.proc_loop_slot(_loop_ordinal(context)).fetch_add() == 0
 
 
 def run_sections(

@@ -37,8 +37,11 @@ How a site evolves
 Decisions persist to a JSON cache (``AOMP_TUNE_CACHE``; see
 :mod:`repro.tune.cache`), so a warmed process starts converged — and worker
 processes forked before any tuning happened seed themselves from the same
-file.  Every decision the runtime acts on is recorded as a ``TUNE_DECISION``
-trace event by the work-sharing executor.
+file.  A cached entry is on probation: its first observation that has not
+drifted confirms it (``"cache-confirmed"``), and only ``drift_patience``
+drifted ones in a row reject it (``"cache-rejected"``) and re-explore.
+Every decision the runtime acts on is recorded as a ``TUNE_DECISION`` trace
+event by the work-sharing executor.
 
 The tuner does not execute anything itself: it maps ``(site, invocation)``
 to a :class:`Candidate` and consumes wall-time observations.  It does know
@@ -47,9 +50,9 @@ keyed per backend, and the serial cutoff scales with
 :attr:`repro.runtime.backend.Backend.spinup_cost_scale`) — a loop tuned
 under GIL-bound threads must not dictate the plan for the same loop under
 processes or distributed workers.  Cross-member agreement is the work-sharing
-executor's job
-(team shared slots in-process, the shm plan-publication arena for process
-teams — see :func:`repro.runtime.worksharing.run_for`).
+executor's job: member 0 publishes the plan into the team's
+plan-publication arena and the others read it (see
+:func:`repro.runtime.worksharing.run_for`).
 """
 
 from __future__ import annotations
@@ -224,8 +227,8 @@ class TuneTicket:
     candidate: Candidate
     invocation: int
     phase: str  # "probe" | "explore" | "confirm" | "converged" | "serial"
-    #: one cell per member for the time its share took; only a probe asks.
-    member_times: "list[float] | None" = None
+    #: whether every member reports the time its share took; only a probe asks.
+    report: bool = False
 
 
 class TuneSite:
@@ -301,7 +304,7 @@ class TuneSite:
         if not candidate.serial and Schedule.parse(entry["schedule"]) is Schedule.AUTO:
             return
         self.converged = True
-        self.probation = True  # first live observation must confirm the cache
+        self.probation = True  # a live observation must confirm the cache
         self.choice = candidate
         self.best_seconds = best
 
@@ -319,7 +322,7 @@ class TuneSite:
             # Probe with the cheapest static plan, first to learn the loop's
             # scale, then — once members report their shares — to take all
             # of its samples before the imbalance says whether to search.
-            return TuneTicket(self, static, self.invocations, "probe", [0.0] * self.key.team)
+            return TuneTicket(self, static, self.invocations, "probe", report=True)
         pending = min(self.candidates, key=lambda c: self.counts.get(c, 0))
         return TuneTicket(self, pending, self.invocations, "explore")
 
@@ -361,28 +364,23 @@ class TuneSite:
         return payload
 
     def _observe_converged(self, elapsed: float) -> "str | None":
-        if self.probation:
-            reference = self.best_seconds
-            if reference is None or not self._drifted(elapsed, reference):
-                self.probation = False
-                self.best_seconds = min(elapsed, reference) if reference is not None else elapsed
-                return "cache-confirmed"
-            self._reset_search()
-            return "cache-rejected"
-        if self.best_seconds is None:
-            # Serial convergence happens off the *parallel* probe measurement;
-            # the first observation of the choice itself sets the baseline.
-            self.best_seconds = elapsed
-            return None
-        if self._drifted(elapsed, self.best_seconds):
+        reference = self.best_seconds
+        if reference is not None and self._drifted(elapsed, reference):
+            # A cached entry on probation gets a converged site's patience:
+            # one slow sample (a loaded host) must not throw it away.
             self.drift_strikes += 1
-            if self.drift_strikes >= self._drift_patience:
-                self._reset_search()
-                return "re-explore"
-            return None
+            if self.drift_strikes < self._drift_patience:
+                return None
+            transition = "cache-rejected" if self.probation else "re-explore"
+            self._reset_search()
+            return transition
+        # A serial convergence happens off the *parallel* probe measurement,
+        # so the first observation of the choice itself sets the baseline.
         self.drift_strikes = 0
-        if elapsed < self.best_seconds:
-            self.best_seconds = elapsed
+        self.best_seconds = elapsed if reference is None else min(elapsed, reference)
+        if self.probation:
+            self.probation = False
+            return "cache-confirmed"
         return None
 
     def _drifted(self, elapsed: float, reference: float) -> bool:
@@ -633,9 +631,8 @@ class LoopTuner:
         observation (re)converged the site.
         """
         with self._lock:
-            was_converged = ticket.site.converged and not ticket.site.probation
             payload = ticket.site.observe(ticket.candidate, elapsed, ticket.invocation, member_times)
-            if ticket.site.converged and (not was_converged or "transition" in payload):
+            if ticket.site.converged and "transition" in payload:
                 self._persist_locked()
         return payload
 
@@ -710,9 +707,9 @@ def tuner_for_team(team: Any) -> LoopTuner:
 
     Regions started under a :class:`tuner_scope` stamp the scoped tuner onto
     the team at creation (see ``_execute_region``), so *every* member — not
-    just the thread that entered the scope — agrees on it; the in-process
-    auto path lets the first arriver open the invocation, and that can be a
-    worker thread.  Teams without a stamp use the process-wide tuner.
+    just the thread that entered the scope — agrees on it: member 0 opens an
+    auto invocation, and a nested team's member 0 is a member thread of its
+    parent.  Teams without a stamp use the process-wide tuner.
     """
     tuner = getattr(team, "tuner", None)
     return tuner if tuner is not None else get_tuner()

@@ -448,7 +448,7 @@ def test_unwaited_tasks_complete_on_every_tier(tier, probe):
             backend.shutdown()
 
 
-@pytest.mark.parametrize("tier", ["fork", "pool", "distributed"])
+@pytest.mark.parametrize("tier", ["threads", "fork", "pool", "distributed"])
 def test_a_worker_waiting_for_a_tune_plan_learns_the_team_is_broken(tier, probe, monkeypatch):
     """The master publishes an ``auto`` loop's plan; one that fails before the
     loop aborts the team instead, and the wait for its plan must end on that

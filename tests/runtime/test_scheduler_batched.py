@@ -1,7 +1,7 @@
-"""Property tests for batched dynamic/guided claim states.
+"""Property tests for batched dynamic/guided claims.
 
-Dynamic and guided schedules claim **batches** of chunks per lock (or shm
-arena) round-trip.  Whatever the range, chunk size, batch size and number of
+Dynamic and guided schedules claim **batches** of chunks per claim-slot
+round-trip (an in-heap or shm arena slot).  Whatever the range, chunk size, batch size and number of
 interleaved consumers, the batched claims must still cover every iteration
 exactly once, preserve chunk boundaries, and leave work for other consumers
 until the range is exhausted (tail fallback).
@@ -14,12 +14,8 @@ import random
 
 import pytest
 
-from repro.runtime.scheduler import (
-    DynamicScheduler,
-    GuidedScheduler,
-    _DynamicLoopState,
-)
-from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState, SyncArena
+from repro.runtime.scheduler import DynamicScheduler, GuidedScheduler
+from repro.runtime.shm import SyncArena, heap_cells
 
 CASES = 40
 
@@ -35,6 +31,11 @@ def _random_cases(seed: int):
         chunk = rng.randint(1, 9)
         batch = rng.randint(1, 32)
         yield start, end, step, num_threads, chunk, batch
+
+
+def _heap_slot():
+    """A fresh claim cursor, as an in-process team's arena hands out."""
+    return SyncArena(cells=heap_cells).slot(0)
 
 
 def _drain_interleaved(generators, rng: random.Random) -> list:
@@ -61,9 +62,9 @@ class TestBatchedDynamicClaims:
         rng = random.Random(99)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=20260730):
             scheduler = DynamicScheduler(chunk=chunk, batch=batch)
-            state = scheduler.new_state(start, end, step, num_threads)
+            slot = _heap_slot()
             generators = [
-                scheduler.chunks_from(state, start, end, step) for _ in range(num_threads)
+                scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             label = f"dynamic[range=({start},{end},{step}) chunk={chunk} batch={batch} nt={num_threads}]"
@@ -78,19 +79,19 @@ class TestBatchedDynamicClaims:
                 assert piece.count == min(chunk, total - begin), f"{label}: resized chunk {piece}"
 
     def test_tail_fallback_leaves_work_for_other_consumers(self):
-        """A single huge batch may not strip a shared state bare."""
-        state = _DynamicLoopState(total_chunks=10, num_threads=2)
-        first = state.next_chunks(limit=1000)
+        """A single huge batch may not strip a shared counter bare."""
+        slot = _heap_slot()
+        first = slot.claim_batch(1000, 2, 10)
         assert first is not None
         _, count = first
         assert count <= 5  # at most remaining // 2
-        assert state.next_chunks(1) is not None
+        assert slot.claim_batch(1, 2, 10) is not None
 
     def test_batched_claims_are_consecutive_and_monotone(self):
-        state = _DynamicLoopState(total_chunks=100, num_threads=1)
+        slot = _heap_slot()
         cursor = 0
         while True:
-            claim = state.next_chunks(7)
+            claim = slot.claim_batch(7, 1, 100)
             if claim is None:
                 break
             first, count = claim
@@ -125,9 +126,9 @@ class TestBatchedGuidedClaims:
         rng = random.Random(7)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=424242):
             scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
-            state = scheduler.new_guided_state(start, end, step, num_threads)
+            slot = _heap_slot()
             generators = [
-                scheduler.chunks_from_guided(state, start, end, step) for _ in range(num_threads)
+                scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             label = f"guided[range=({start},{end},{step}) min={chunk} batch={batch} nt={num_threads}]"
@@ -135,15 +136,13 @@ class TestBatchedGuidedClaims:
 
     def test_tail_fallback_leaves_blocks_for_other_consumers(self):
         """One batch may not strip the min_chunk tail bare (mirrors dynamic)."""
-        from repro.runtime.scheduler import _GuidedLoopState
-
         # 8 threads, min_chunk=64, 511 iterations left: decay has bottomed
         # out, the tail holds ~8 blocks — a huge batch must leave some.
-        state = _GuidedLoopState(total=511, min_chunk=64, num_threads=8)
-        blocks = state.next_ranges(limit=1000)
+        slot = _heap_slot()
+        blocks = slot.claim_guided_batch(511, 64, 8, 1000)
         assert blocks is not None
         assert len(blocks) <= 3  # at most remaining_blocks // num_threads-ish
-        assert state.next_ranges(1) is not None
+        assert slot.claim_guided_batch(511, 64, 8, 1) is not None
 
     def test_block_boundaries_match_unbatched_claiming(self):
         """Batching must not change the guided decay sequence."""
@@ -152,17 +151,17 @@ class TestBatchedGuidedClaims:
         batched = GuidedScheduler(min_chunk=min_chunk, batch=8)
         seq_a = [
             (piece.start, piece.end)
-            for piece in unbatched.chunks_for(0, num_threads, 0, total, 1)
+            for piece in unbatched.chunks_from_guided(_heap_slot(), 0, total, 1, num_threads)
         ]
         seq_b = [
             (piece.start, piece.end)
-            for piece in batched.chunks_for(0, num_threads, 0, total, 1)
+            for piece in batched.chunks_from_guided(_heap_slot(), 0, total, 1, num_threads)
         ]
         assert seq_a == seq_b
 
 
 class TestArenaBatchedClaims:
-    """The shm arena states must behave exactly like the in-process ones."""
+    """The fork-inherited shm arena claims cover like the in-heap one."""
 
     @pytest.fixture(scope="class")
     def arena(self):
@@ -174,11 +173,9 @@ class TestArenaBatchedClaims:
         rng = random.Random(5)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=31337):
             scheduler = DynamicScheduler(chunk=chunk, batch=batch)
-            total = len(range(start, end, step))
-            total_chunks = (total + chunk - 1) // chunk
-            state = ProcessDynamicState(arena.slot(next(self._ordinals)), total_chunks, num_threads)
+            slot = arena.slot(next(self._ordinals))
             generators = [
-                scheduler.chunks_from(state, start, end, step) for _ in range(num_threads)
+                scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             _assert_exact_coverage(
@@ -189,24 +186,11 @@ class TestArenaBatchedClaims:
         rng = random.Random(6)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=2718):
             scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
-            total = len(range(start, end, step))
-            state = ProcessGuidedState(arena.slot(next(self._ordinals)), total, chunk, num_threads)
+            slot = arena.slot(next(self._ordinals))
             generators = [
-                scheduler.chunks_from_guided(state, start, end, step) for _ in range(num_threads)
+                scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             _assert_exact_coverage(
                 pieces, start, end, step, f"arena-guided[({start},{end},{step})x{chunk}b{batch}]"
             )
-
-    def test_arena_single_consumer_sequence_equals_lock_state(self, arena):
-        """Same claims from the arena and the threading.Lock state."""
-        total_chunks, num_threads, batch = 53, 3, 8
-        lock_state = _DynamicLoopState(total_chunks, num_threads)
-        arena_state = ProcessDynamicState(arena.slot(next(self._ordinals)), total_chunks, num_threads)
-        while True:
-            a = lock_state.next_chunks(batch)
-            b = arena_state.next_chunks(batch)
-            assert a == b
-            if a is None:
-                break

@@ -28,7 +28,8 @@ from repro.runtime.scheduler import (
     StaticCyclicScheduler,
     make_scheduler,
 )
-from repro.runtime.shm import ProcessDynamicState, ProcessGuidedState, SyncArena, heap_cells
+from repro.runtime.shm import SyncArena, heap_cells
+from repro.runtime.team import Team
 
 CASES = 150
 
@@ -43,6 +44,11 @@ def _random_cases(seed: int):
         num_threads = rng.randint(1, 9)
         chunk = rng.randint(1, 10)
         yield start, end, step, num_threads, chunk
+
+
+def _heap_slot():
+    """A fresh claim cursor, as an in-process team's arena hands out."""
+    return SyncArena(cells=heap_cells).slot(0)
 
 
 def _expected(start, end, step):
@@ -72,11 +78,11 @@ def test_static_schedules_partition_any_range(schedule):
 
 
 def test_dynamic_schedule_partitions_under_interleaved_claims():
-    """Simulate team members draining one shared claim state round-robin."""
+    """Simulate team members draining one shared claim counter round-robin."""
     for start, end, step, num_threads, chunk in _random_cases(seed=1357):
         scheduler = DynamicScheduler(chunk=chunk)
-        state = scheduler.new_state(start, end, step)
-        iterators = [scheduler.chunks_from(state, start, end, step) for _ in range(num_threads)]
+        slot = _heap_slot()
+        iterators = [scheduler.chunks_from(slot, start, end, step) for _ in range(num_threads)]
         per_thread = [[] for _ in range(num_threads)]
         live = set(range(num_threads))
         while live:
@@ -92,8 +98,8 @@ def test_dynamic_schedule_partitions_under_interleaved_claims():
 def test_guided_schedule_partitions_under_interleaved_claims():
     for start, end, step, num_threads, chunk in _random_cases(seed=2468):
         scheduler = GuidedScheduler(min_chunk=chunk)
-        state = scheduler.new_guided_state(start, end, step, num_threads)
-        iterators = [scheduler.chunks_from_guided(state, start, end, step) for _ in range(num_threads)]
+        slot = _heap_slot()
+        iterators = [scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)]
         per_thread = [[] for _ in range(num_threads)]
         live = set(range(num_threads))
         while live:
@@ -104,26 +110,6 @@ def test_guided_schedule_partitions_under_interleaved_claims():
                 else:
                     per_thread[t].append(piece)
         _assert_disjoint_exhaustive(per_thread, start, end, step, f"guided[min_chunk={chunk}]")
-
-
-def test_process_states_partition_like_thread_states():
-    """The cross-process claim states must produce the same partitions as the
-    in-process ones for identical claim sequences."""
-    arena = SyncArena(capacity=512)
-    ordinal = 0
-    for start, end, step, num_threads, chunk in _random_cases(seed=97531):
-        scheduler = DynamicScheduler(chunk=chunk)
-        total = len(range(start, end, step))
-        total_chunks = (total + chunk - 1) // chunk
-        state = ProcessDynamicState(arena.slot(ordinal), total_chunks)
-        pieces = list(scheduler.chunks_from(state, start, end, step))
-        _assert_disjoint_exhaustive([pieces], start, end, step, f"proc-dynamic[chunk={chunk}]")
-
-        guided = GuidedScheduler(min_chunk=chunk)
-        guided_state = ProcessGuidedState(arena.slot(ordinal + 1), total, chunk, num_threads)
-        pieces = list(guided.chunks_from_guided(guided_state, start, end, step))
-        _assert_disjoint_exhaustive([pieces], start, end, step, f"proc-guided[min_chunk={chunk}]")
-        ordinal += 2
 
 
 def test_static_block_is_contiguous_and_balanced():
@@ -184,12 +170,11 @@ def _chunks_for_flat(schedule, chunk, num_threads, total):
     scheduler = make_scheduler(schedule, chunk=chunk)
     if schedule in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
         return [list(scheduler.chunks_for(t, num_threads, 0, total, 1)) for t in range(num_threads)]
+    slot = _heap_slot()
     if schedule is Schedule.GUIDED:
-        state = scheduler.new_guided_state(0, total, 1, num_threads)
-        iterators = [scheduler.chunks_from_guided(state, 0, total, 1) for _ in range(num_threads)]
+        iterators = [scheduler.chunks_from_guided(slot, 0, total, 1, num_threads) for _ in range(num_threads)]
     else:
-        state = scheduler.new_state(0, total, 1, num_threads)
-        iterators = [scheduler.chunks_from(state, 0, total, 1) for _ in range(num_threads)]
+        iterators = [scheduler.chunks_from(slot, 0, total, 1, num_threads) for _ in range(num_threads)]
     per_thread = [[] for _ in range(num_threads)]
     live = set(range(num_threads))
     while live:
@@ -296,7 +281,8 @@ def test_collapse_rejects_zero_step():
 
 @contextlib.contextmanager
 def _heap_slots():
-    yield None
+    # An in-process team's own arena, built on its first claim.
+    yield Team(2).proc_loop_slot
 
 
 @contextlib.contextmanager
@@ -345,24 +331,15 @@ def test_every_claim_is_a_run_of_whole_chunks_and_claims_tile_the_loop(slots):
             end = start + total * step
             if guided:
                 scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
-                oracle = list(
-                    scheduler.chunks_from_guided(scheduler.new_guided_state(start, end, step, team), start, end, step)
-                )
-                if slot_for is None:
-                    state = scheduler.new_guided_state(start, end, step, team)
-                else:
-                    state = ProcessGuidedState(slot_for(next(ordinals)), total, chunk, team)
+                oracle = list(scheduler.chunks_from_guided(_heap_slot(), start, end, step, team))
             else:
                 scheduler = DynamicScheduler(chunk=chunk, batch=batch)
-                oracle = list(scheduler.chunks_from(scheduler.new_state(start, end, step, team), start, end, step))
-                if slot_for is None:
-                    state = scheduler.new_state(start, end, step, team)
-                else:
-                    state = ProcessDynamicState(slot_for(next(ordinals)), -(-total // chunk), team)
+                oracle = list(scheduler.chunks_from(_heap_slot(), start, end, step, team))
             assert sum(piece.count for piece in oracle) == total
 
             # The team drains one shared cursor, one claim per member per turn.
-            claimers = [scheduler.claims_from(state, start, end, step) for _ in range(team)]
+            cursor = slot_for(next(ordinals))
+            claimers = [scheduler.claims_from(cursor, start, end, step, team) for _ in range(team)]
             claims = []
             while claimers:
                 for claimer in list(claimers):

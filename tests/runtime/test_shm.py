@@ -14,8 +14,6 @@ from repro.obs.arena import MetricsArena
 from repro.runtime import shm
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.shm import (
-    ProcessDynamicState,
-    ProcessGuidedState,
     SharedArray,
     SharedBarrier,
     SyncArena,
@@ -182,6 +180,21 @@ class TestSyncArena:
         recycled = arena.slot(2)
         assert recycled.fetch_add() == 0
 
+    def test_a_slot_a_later_construct_took_over_reads_exhausted(self):
+        # Member A claims ordinal 1, then moves on to ordinal 2 on the same
+        # cell while member B is still at 1 (attached before or after the
+        # take-over): B's handle writes nothing and claims nothing.
+        arena = SyncArena(capacity=8)
+        slow = arena.slot(1)
+        assert slow.fetch_add() == 0
+        fast = arena.slot(2)
+        late = arena.slot(1)
+        for stale in (slow, late):
+            assert stale.fetch_add() == -1
+            assert stale.claim_batch(4, 2, 10) is None
+            assert stale.claim_guided_batch(100, 2, 2, 4) is None
+        assert fast.fetch_add() == 0 and fast.fetch_add() == 1
+
     def test_reset_recycles_every_slot(self):
         """``reset`` clears only the tags; the next attach of the *same*
         ordinal (the pool's next region) must still start from zero."""
@@ -191,16 +204,14 @@ class TestSyncArena:
         assert arena.slot(0).fetch_add() == 0
 
     def test_dynamic_state_exhausts_exactly(self):
-        arena = SyncArena(capacity=8)
-        state = ProcessDynamicState(arena.slot(0), total_chunks=3)
-        claims = [state.next_chunk() for _ in range(5)]
-        assert claims == [0, 1, 2, None, None]
+        slot = SyncArena(capacity=8).slot(0)
+        claims = [slot.claim_batch(1, 1, 3) for _ in range(5)]
+        assert claims == [(0, 1), (1, 1), (2, 1), None, None]
 
     def test_guided_state_covers_range_with_decaying_chunks(self):
-        arena = SyncArena(capacity=8)
-        state = ProcessGuidedState(arena.slot(0), total=100, min_chunk=2, num_threads=4)
+        slot = SyncArena(capacity=8).slot(0)
         claims = []
-        while (claim := state.next_range()) is not None:
+        while (claim := slot.claim_guided(100, 2, 4)) is not None:
             claims.append(claim)
         # Exhaustive and disjoint:
         covered = sorted(i for begin, count in claims for i in range(begin, begin + count))
@@ -222,6 +233,13 @@ class TestTunePlanReports:
         arena.reset()  # clears the slot tags, never the report rows
         assert arena.slot(6).reports(3) == [10, 20, 30]  # one row per level
         assert inner.reports(1) == [7]
+
+    def test_a_plan_a_later_loop_overwrote_is_refused_at_once(self):
+        arena = shm.TunePlanArena(None, 8, cells=shm.heap_cells)
+        late = arena.slot(1)
+        arena.slot(2).publish((0, 1, 0, 2))
+        with pytest.raises(BrokenBarrierError, match="overwritten by ordinal 16's"):
+            late.read(timeout=30.0)
 
     def test_a_member_outside_max_workers_is_refused(self):
         arena = shm.TunePlanArena(None, 8, max_workers=2, cells=shm.heap_cells)

@@ -21,7 +21,6 @@ from repro.runtime.tasks import (
     TaskHandle,
     TaskPool,
     WorkStealingDeque,
-    _HeapTaskLoopState,
     resolve_grainsize,
     run_taskloop,
     spawn_task,
@@ -476,23 +475,28 @@ class TestGrainsize:
             resolve_grainsize(10, 2, grainsize=0, num_tasks=None)
 
 
+def _heap_deck(num_workers, ntiles):
+    """A taskloop deck as an in-process team's steal arena hands it out."""
+    return shm.TaskStealArena(max_workers=num_workers, cells=shm.heap_cells).slot(0, num_workers, ntiles)
+
+
 class TestHeapTaskLoopState:
     def test_partition_matches_block_distribution(self):
-        state = _HeapTaskLoopState(3, 8)  # blocks: 3, 3, 2
+        state = _heap_deck(3, 8)  # blocks: 3, 3, 2
         assert [state.claim_local(0) for _ in range(3)] == [0, 1, 2]
         assert [state.claim_local(1) for _ in range(3)] == [3, 4, 5]
         assert [state.claim_local(2) for _ in range(2)] == [6, 7]
         assert state.claim_local(0) is None
 
     def test_steal_takes_from_victims_tail(self):
-        state = _HeapTaskLoopState(2, 8)  # member 1 owns tiles 4..7
+        state = _heap_deck(2, 8)  # member 1 owns tiles 4..7
         victim, tile = state.claim_steal(0)
         assert (victim, tile) == (1, 7)
         victim, tile = state.claim_steal(0)
         assert (victim, tile) == (1, 6)
 
     def test_finished_tracks_completions(self):
-        state = _HeapTaskLoopState(2, 3)
+        state = _heap_deck(2, 3)
         assert not state.finished()
         for _ in range(3):
             state.mark_done()
@@ -526,6 +530,20 @@ class TestTaskStealArena:
         recycled = arena.slot(2, num_workers=2, ntiles=6)
         assert recycled.claim_local(0) == 0
         assert recycled.claim_steal(0) == (1, 5)
+
+    def test_a_deck_a_later_taskloop_took_over_reads_finished(self):
+        # A member still at taskloop 0 once a faster one moved on to ordinal 2
+        # (same cell): its deck writes nothing and reads finished, and the
+        # new deck keeps every tile.
+        arena = shm.TaskStealArena(max_workers=2, capacity=8)
+        slow = arena.slot(0, num_workers=2, ntiles=4)
+        fast = arena.slot(2, num_workers=2, ntiles=6)
+        late = arena.slot(0, num_workers=2, ntiles=4)
+        for stale in (slow, late):
+            assert stale.claim_local(0) is None and stale.claim_steal(0) is None
+            assert stale.mark_done() == 4 and stale.finished()
+        assert [fast.claim_local(0) for _ in range(3)] == [0, 1, 2]
+        assert fast.claim_steal(0) == (1, 5) and not fast.finished()
 
     def test_levels_keep_separate_decks(self):
         # The same ordinal at different team levels must never share a deck.

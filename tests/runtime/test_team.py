@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -589,12 +591,38 @@ class TestTeamObject:
         assert first is second
         assert len(created) == 1
 
-    def test_drop_slot(self):
-        team = Team(2)
-        team.shared_slot("key", list)
-        team.drop_slot("key")
-        fresh = team.shared_slot("key", dict)
-        assert isinstance(fresh, dict)
+    def test_only_a_claiming_construct_builds_the_slot_arenas(self):
+        """Static loops and barriers claim nothing, so a thread team that runs
+        only those allocates no slot arenas; the first dynamic loop builds
+        them, and they go with the team."""
+        from repro.runtime.worksharing import run_for
+
+        teams = []
+
+        def noop(start, end, step):
+            pass
+
+        def static_only():
+            if ctx.get_thread_id() == 0:
+                teams.append(ctx.current_team())
+            run_for(noop, 0, 64, 1, schedule="static_block")
+            run_for(noop, 0, 64, 1, schedule="static_cyclic", chunk=3, nowait=True)
+            ctx.current_team().barrier()
+
+        def claiming():
+            if ctx.get_thread_id() == 0:
+                teams.append(ctx.current_team())
+            run_for(noop, 0, 64, 1, schedule="static_block")
+            run_for(noop, 0, 64, 1, schedule="dynamic,4")
+
+        parallel_region(static_only, num_threads=2, backend="threads")
+        assert teams[0]._arenas is None
+        parallel_region(claiming, num_threads=2, backend="threads")
+        arena = weakref.ref(teams[1]._arenas.arena)
+        assert isinstance(arena(), shm.SyncArena)
+        teams.clear()
+        gc.collect()
+        assert arena() is None
 
     def test_region_trace_events(self, recorder):
         parallel_region(lambda: None, num_threads=2, name="traced")

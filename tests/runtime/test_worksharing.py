@@ -243,7 +243,10 @@ def test_untraced_and_traced_paths_execute_identical_chunk_boundaries(schedule):
             ctx.pop_context()
         return seen
 
-    oracle = [(c.start, c.end, c.step) for c in make_scheduler(schedule, chunk).chunks_for(0, 2, start, end, step)]
+    scheduler = make_scheduler(schedule, chunk)
+    oracle_claims = scheduler.chunks_from_guided if schedule == "guided" else scheduler.chunks_from
+    cursor = shm.SyncArena(cells=shm.heap_cells).slot(0)
+    oracle = [(c.start, c.end, c.step) for c in oracle_claims(cursor, start, end, step, 2)]
     recorder = TraceRecorder()
     assert boundaries(recorder) == oracle
     events = [(e.data["start"], e.data["end"], e.data["step"]) for e in recorder.events(EventKind.CHUNK)]
@@ -1101,6 +1104,54 @@ def test_empty_sections_still_barrier():
     parallel_region(body, num_threads=2)
 
 
+def test_thread_members_claim_every_unit_once_under_preemption():
+    """A thread team's dynamic/guided cursors, taskloop deck and section flags
+    are cells of one heap arena.  With more members than processors and a
+    thread switch every microsecond, a lost update would run a unit twice
+    or never."""
+    import sys
+
+    from repro.runtime.tasks import run_taskloop
+    from repro.runtime.worksharing import claim_section, run_sections
+
+    total, encounters = 1500, 40
+    runs = {label: np.zeros(total, dtype=np.int64) for label in ("dynamic,1", "guided", "taskloop")}
+    sections = np.zeros(8, dtype=np.int64)
+    winners = np.zeros(encounters, dtype=np.int64)
+
+    def marker(label):
+        def loop(start, end, step):
+            for index in range(start, end, step):
+                runs[label][index] += 1
+
+        return loop
+
+    def section(index):
+        def run():
+            sections[index] += 1
+
+        return run
+
+    def body():
+        run_for(marker("dynamic,1"), 0, total, 1, schedule="dynamic,1")
+        run_for(marker("guided"), 0, total, 1, schedule="guided")
+        run_taskloop(marker("taskloop"), 0, total, 1, grainsize=3)
+        run_sections(*(section(index) for index in range(len(sections))))
+        for encounter in range(encounters):
+            if claim_section():
+                winners[encounter] += 1
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        parallel_region(body, num_threads=6, backend="threads")
+    finally:
+        sys.setswitchinterval(previous)
+    for label, counts in runs.items():
+        assert (counts == 1).all(), f"{label}: units run {sorted(set(counts.tolist()))} times"
+    assert (sections == 1).all() and (winners == 1).all()
+
+
 def test_claim_section_distributes_encounters():
     from repro.runtime.worksharing import claim_section
 
@@ -1109,7 +1160,7 @@ def test_claim_section_distributes_encounters():
 
     def body():
         for encounter in range(6):
-            if claim_section("demo"):
+            if claim_section():
                 with lock:
                     winners.append(encounter)
 

@@ -115,10 +115,29 @@ class TestTunerPersistence:
         converge(cold, make_costs(best))
 
         warm = LoopTuner(TunerConfig(), cache_path=str(path))
-        ticket = warm.begin_invocation("loop", 1000, 4)
-        payload = warm.observe(ticket, 100 * BASE_COST)  # cached choice is now terrible
-        assert payload["transition"] == "cache-rejected"
+        patience = warm.config.drift_patience
+        payloads = []
+        for _ in range(patience):  # the cached choice is now terrible, every time
+            ticket = warm.begin_invocation("loop", 1000, 4)
+            assert ticket.phase == "confirm"
+            payloads.append(warm.observe(ticket, 100 * BASE_COST))
+        assert [p.get("transition") for p in payloads] == [None] * (patience - 1) + ["cache-rejected"]
         assert not warm.site("loop", 1000, 4).converged
+
+    def test_one_slow_sample_does_not_reject_a_cached_entry(self, tmp_path):
+        path = tmp_path / "cache.json"
+        best = candidates_for(1000, 4)[0]
+        converge(LoopTuner(TunerConfig(), cache_path=str(path)), make_costs(best))
+
+        warm = LoopTuner(TunerConfig(), cache_path=str(path))
+        outlier = warm.observe(warm.begin_invocation("loop", 1000, 4), 100 * BASE_COST)
+        assert "transition" not in outlier  # a loaded host, once
+        site = warm.site("loop", 1000, 4)
+        assert site.converged and site.probation
+        ticket = warm.begin_invocation("loop", 1000, 4)
+        assert ticket.candidate == best and ticket.phase == "confirm"
+        assert warm.observe(ticket, BASE_COST)["transition"] == "cache-confirmed"
+        assert site.converged and not site.probation and site.drift_strikes == 0
 
     def test_serial_decision_roundtrips(self, tmp_path):
         path = tmp_path / "cache.json"

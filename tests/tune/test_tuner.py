@@ -242,7 +242,7 @@ class TestBalancedVerdict:
         costs = make_costs(candidates_for(total, team)[2])
         for _ in range(limit):
             ticket = tuner.begin_invocation("loop", total, team)
-            times = member_times if ticket.member_times is not None else None
+            times = member_times if ticket.report else None
             payloads.append(tuner.observe(ticket, costs(ticket.candidate), times))
             if tuner.site("loop", total, team).converged:
                 return payloads
@@ -302,7 +302,7 @@ class TestBalancedVerdict:
         payloads = self.drive(tuner, [0.01] * 4)
         assert payloads[-1]["transition"] == "balanced"
         ticket = tuner.begin_invocation("loop", 1000, 4)
-        assert ticket.phase == "converged" and ticket.member_times is None
+        assert ticket.phase == "converged" and not ticket.report
 
     def test_member_seconds_counts_cpu_only_for_a_cpu_bound_share(self, monkeypatch):
         from repro.tune import tuner
@@ -324,4 +324,4 @@ class TestBalancedVerdict:
         ticket = tuner.begin_invocation("loop", 1000, 4)
         assert tuner.observe(ticket, 100 * BASE_COST)["transition"] == "re-explore"
         assert site.imbalances == []
-        assert tuner.begin_invocation("loop", 1000, 4).member_times == [0.0] * 4
+        assert tuner.begin_invocation("loop", 1000, 4).report
