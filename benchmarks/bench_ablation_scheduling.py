@@ -14,8 +14,7 @@ import pytest
 from repro.perf.cost import CostModel, LoopCost, triangular_weight
 from repro.perf.machines import MachineModel
 from repro.perf.model import MakespanModel
-from repro.runtime.scheduler import Schedule, make_scheduler
-from repro.runtime.shm import SyncArena, heap_cells
+from repro.runtime.scheduler import make_scheduler, oracle_chunks
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import TraceRecorder
 from repro.runtime.worksharing import run_for
@@ -50,16 +49,8 @@ def test_bench_schedule_partitioning(benchmark, schedule):
     """Time producing a full partition with each scheduler."""
     scheduler = make_scheduler(schedule, chunk=4)
 
-    def chunks(thread_id):
-        if scheduler.schedule in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
-            return list(scheduler.chunks_for(thread_id, THREADS, 0, ITERATIONS, 1))
-        cursor = SyncArena(cells=heap_cells).slot(0)
-        if scheduler.schedule is Schedule.GUIDED:
-            return list(scheduler.chunks_from_guided(cursor, 0, ITERATIONS, 1, THREADS))
-        return list(scheduler.chunks_from(cursor, 0, ITERATIONS, 1, THREADS))
-
     def partition():
-        return [chunks(t) for t in range(THREADS)]
+        return [list(oracle_chunks(scheduler, t, THREADS, 0, ITERATIONS, 1)) for t in range(THREADS)]
 
     chunks = benchmark(partition)
     if schedule in ("staticBlock", "staticCyclic"):

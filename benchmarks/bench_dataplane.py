@@ -86,7 +86,7 @@ def run_suite(mode: str = "quick", *, repeats: int = 3) -> "dict[str, Any]":
         metrics["fetch_add"] = {
             "proxy_rtt_seconds": _best_of(repeats, lambda: time_rpcs(lambda: proxy_slot.fetch_add(1)))
         }
-        direct = shm.SyncArena(cells=shm.heap_cells).slot(0)
+        direct = shm.heap_slot(shm.SyncArena, 0)
 
         def time_direct() -> float:
             start = time.perf_counter()

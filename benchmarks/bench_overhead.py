@@ -51,8 +51,7 @@ from repro.runtime import context as ctx
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override
 from repro.runtime.critical import critical_call
-from repro.runtime.scheduler import make_scheduler
-from repro.runtime.shm import SyncArena, heap_cells
+from repro.runtime.scheduler import make_scheduler, oracle_chunks
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
 
@@ -141,12 +140,7 @@ def _run_for_on_fake_team(
 def _member_zero_chunks(schedule: str, iterations: int) -> int:
     """Member 0's scheduling chunks in a 2-member team where only it claims,
     from the scheduler's per-chunk boundary oracle."""
-    scheduler = make_scheduler(schedule, 1)
-    if schedule in ("static_block", "static_cyclic"):
-        return sum(1 for _ in scheduler.chunks_for(0, 2, 0, iterations, 1))
-    cursor = SyncArena(cells=heap_cells).slot(0)
-    claims = scheduler.chunks_from_guided if schedule == "guided" else scheduler.chunks_from
-    return sum(1 for _ in claims(cursor, 0, iterations, 1, 2))
+    return sum(1 for _ in oracle_chunks(make_scheduler(schedule, 1), 0, 2, 0, iterations, 1))
 
 
 def measure_chunk_dispatch(iterations: int, repeats: int) -> dict[str, dict[str, float]]:

@@ -39,7 +39,7 @@ from typing import Any, Callable
 
 from repro.runtime import context as ctx
 from repro.runtime.config import config_override
-from repro.runtime.shm import TaskStealArena, heap_cells
+from repro.runtime.shm import TaskStealArena, heap_slot
 from repro.runtime.tasks import TaskPool, run_taskloop
 from repro.runtime.team import Team
 
@@ -153,16 +153,11 @@ def measure_taskloop_dispatch(iterations: int, repeats: int) -> dict[str, float]
     }
 
 
-def _heap_deck(num_workers: int, ntiles: int):
-    """A taskloop deck as an in-process team's steal arena hands it out."""
-    return TaskStealArena(max_workers=num_workers, cells=heap_cells).slot(0, num_workers, ntiles)
-
-
 def measure_steal_claim(tiles: int, repeats: int) -> dict[str, float]:
     """Raw deck claims: local pops vs cross-member steals, per claim."""
 
     def local() -> float:
-        deck = _heap_deck(1, tiles)
+        deck = heap_slot(TaskStealArena, 0, 1, tiles, max_workers=1)
         start = time.perf_counter()
         while deck.claim_local(0) is not None:
             pass
@@ -170,7 +165,7 @@ def measure_steal_claim(tiles: int, repeats: int) -> dict[str, float]:
 
     def steal() -> float:
         # Two-member deck, the claimer owns nothing: every claim is a steal.
-        deck = _heap_deck(2, 2 * tiles)
+        deck = heap_slot(TaskStealArena, 0, 2, 2 * tiles, max_workers=2)
         while deck.claim_local(0) is not None:
             pass
         start = time.perf_counter()

@@ -265,10 +265,8 @@ class ShmDataPlane(DataPlane):
         barrier = shm.SharedBarrier(size)
         return shm.ProcessSync(
             barrier,
-            shm.SyncArena(),
+            shm.SlotArenas.build(capacity, barrier),
             pooled=pooled,
-            steal=shm.TaskStealArena(max_workers=capacity),
-            tune=shm.TunePlanArena(barrier, max_workers=capacity),
             heartbeat=shm.HeartbeatArena(),
             metrics=metrics,
         )
@@ -319,7 +317,9 @@ class Coordinator:
         self.size = size
         self.token = secrets.token_hex(16)
         self.barrier = CyclicBarrier(size, action=self._answer_syncs, transport=SOCKET_TRANSPORT)
-        self.arena, self.steal, self.tune = shm.SlotArenas.on_heap(max(size, 2), self.barrier)
+        self.slots = shm.SlotArenas.build(max(size, 2), self.barrier, cells=shm.heap_cells)
+        #: each arena also under its kind's name, as the ``slot`` op looks it up.
+        self.arena, self.steal, self.tune = self.slots
         self.heartbeat = shm.HeartbeatArena(cells=shm.heap_cells)
         #: worker result frames, drained by ``collect_member_payloads`` —
         #: ``queue.Queue`` deliberately matches the ``empty()``/``get()``
@@ -371,7 +371,7 @@ class Coordinator:
         still to be spawned get the descriptor in their hello response.
         """
         self.barrier.reset()
-        for arena in (self.arena, self.steal, self.tune, self.heartbeat):
+        for arena in (*self.slots, self.heartbeat):
             arena.reset()
         self.results = queue.Queue()
         with self._state:
@@ -1080,9 +1080,7 @@ def worker_process_sync(session: WorkerSession, size: int) -> shm.ProcessSync:
     """The proxy ``ProcessSync`` bundle a socket-plane worker member runs on."""
     return shm.ProcessSync(
         SocketBarrier(session, size),
-        RemoteArena(session, "arena"),
-        steal=RemoteArena(session, "steal"),
-        tune=RemoteArena(session, "tune"),
+        shm.SlotArenas(*(RemoteArena(session, kind) for kind in shm.SlotArenas._fields)),
         heartbeat=SessionHeartbeat(),
     )
 
@@ -1098,10 +1096,8 @@ class SocketDataPlane(DataPlane):
         coordinator.start()
         return shm.ProcessSync(
             coordinator.barrier,
-            coordinator.arena,
+            coordinator.slots,
             pooled=pooled,
-            steal=coordinator.steal,
-            tune=coordinator.tune,
             heartbeat=coordinator.heartbeat,
             owned=coordinator,
         )

@@ -97,9 +97,7 @@ class PersistentProcessPool:
         # 64-worker width because pool team sizes vary region to region).
         self._sync = ShmDataPlane().create_sync(1, pooled=True, max_workers=64)
         self.barrier = self._sync.barrier
-        self.arena = self._sync.arena
-        self.steal = self._sync.steal
-        self.tune = self._sync.tune
+        self.slots = self._sync.slots
         self.heartbeat = self._sync.heartbeat
         self.metrics = self._sync.metrics
         self._tickets = itertools.count(1)
@@ -164,9 +162,8 @@ class PersistentProcessPool:
     def prepare(self, team_size: int) -> None:
         """Reset the shared barrier/arenas for a region of ``team_size`` members."""
         self.barrier.reset(team_size)
-        self.arena.reset()
-        self.steal.reset()
-        self.tune.reset()
+        for arena in self.slots:
+            arena.reset()
         self.heartbeat.reset()
         if self._sync.metrics is not None:
             # Orphaned counts from an aborted region's dead workers must not
@@ -332,7 +329,7 @@ class PersistentProcessPool:
         return self.healthy
 
     def _probe_locks(self, timeout: float = 0.5) -> bool:
-        for arena in (self.barrier, self.arena, self.steal, self.tune):
+        for arena in (self.barrier, *self.slots):
             if not arena._lock.acquire(timeout=timeout):
                 return False
             arena._lock.release()

@@ -501,7 +501,7 @@ class GuidedScheduler(DynamicScheduler):
         super().__init__(chunk=min_chunk, batch=batch)
         self.min_chunk = min_chunk
 
-    def chunks_from_guided(self, slot, start: int, end: int, step: int, num_threads: int) -> Iterator[LoopChunk]:
+    def chunks_from(self, slot, start: int, end: int, step: int, num_threads: int = 1) -> Iterator[LoopChunk]:
         """Yield the guided blocks the calling member claims from the cursor ``slot``."""
         total = trip_count(start, end, step)
         while blocks := slot.claim_guided_batch(total, self.min_chunk, num_threads, self.batch):
@@ -515,6 +515,26 @@ class GuidedScheduler(DynamicScheduler):
         while blocks := slot.claim_guided_batch(total, self.min_chunk, num_threads, self.batch):
             last_begin, last_count = blocks[-1]
             yield start + blocks[0][0] * step, start + (last_begin + last_count) * step, len(blocks)
+
+
+def oracle_chunks(
+    scheduler: LoopScheduler, thread_id: int, num_threads: int, start: int, end: int, step: int, cursor=None
+) -> Iterator[LoopChunk]:
+    """Member ``thread_id``'s scheduling chunks under ``scheduler``, one
+    :class:`LoopChunk` each: the reference the executor's paths are checked
+    against.
+
+    A static share is :meth:`~LoopScheduler.chunks_for`; a claiming member
+    drains ``cursor`` (:meth:`DynamicScheduler.chunks_from`) — by default a
+    fresh heap slot, so it claims alone.
+    """
+    if not isinstance(scheduler, DynamicScheduler):
+        return scheduler.chunks_for(thread_id, num_threads, start, end, step)
+    if cursor is None:
+        from repro.runtime.shm import SyncArena, heap_slot  # shm imports this module
+
+        cursor = heap_slot(SyncArena, 0)
+    return scheduler.chunks_from(cursor, start, end, step, num_threads)
 
 
 def block_counts(total: int, parts: int) -> "list[int]":

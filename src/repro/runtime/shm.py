@@ -27,7 +27,7 @@ backend does not.  This module provides the pieces that make OpenMP-style
 These three slot arenas are the *only* claim state a team has, on every
 tier: a :class:`ProcessSync` carries fork-inherited ones, and an in-process
 team (and the socket plane's coordinator) builds the same arenas on heap
-cells (:meth:`SlotArenas.on_heap`).
+cells (:meth:`SlotArenas.build`).
 
 **The fork constraint.**  Every ``multiprocessing`` primitive in this module
 (barrier semaphores, arena locks, the pipes of the persistent pool) is
@@ -67,7 +67,7 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -421,6 +421,12 @@ def heap_cells(count: int, locked: bool) -> "tuple[Any, Any]":
     (an in-process team's members; the socket plane's coordinator acting for
     its remote members)."""
     return [0] * count, threading.Lock() if locked else None
+
+
+def heap_slot(arena_class: "type[SlotArena]", *key: int, **options: Any) -> Any:
+    """Slot ``key`` of a fresh ``arena_class`` arena on :func:`heap_cells`:
+    one construct's claim state outside any team (oracles, tests, benchmarks)."""
+    return arena_class(cells=heap_cells, **options).slot(*key)
 
 
 class CellArena:
@@ -929,7 +935,7 @@ class TaskStealArena(SlotArena):
 
     Every tier's taskloop draws its deck from one: a process team's is
     fork-inherited, an in-process team's lives on heap cells
-    (:meth:`SlotArenas.on_heap`).  (Explicit ``@Task`` spawns use the
+    (:meth:`SlotArenas.build`).  (Explicit ``@Task`` spawns use the
     ``deque``-per-member :class:`~repro.runtime.tasks.TaskPool` instead.)
     """
 
@@ -946,64 +952,86 @@ class TunePlanSlot(_Slot):
     """Handle to one :class:`TunePlanArena` slot, bound to a loop ordinal."""
 
     __slots__ = ()
-    _SCHEDULE, _CHUNK, _FLAGS, _INVOCATION = range(1, 5)
-    CELLS = 5  # the tag, then the four plan fields
+    _SCHEDULE, _CHUNK, _FLAGS, _INVOCATION, _UNREAD = range(1, 6)
+    CELLS = 6  # the tag, the four plan fields, then how many readers have yet to read it
     OPS = ("publish", "read", "report", "reports")
 
     #: seconds between polls while waiting for the master's plan.
     POLL_INTERVAL = 0.0002
 
-    def publish(self, plan: "tuple[int, int, int, int]") -> None:
-        """Publish the master's ``(schedule, chunk, flags, invocation)`` plan."""
+    def publish(self, plan: "tuple[int, int, int, int]", readers: int = 0) -> None:
+        """Publish the master's ``(schedule, chunk, flags, invocation)`` plan
+        for ``readers`` members to :meth:`read`.
+
+        The slot is recycled (see :class:`SlotArena`): while an earlier loop's
+        plan there still has readers to come — members that many ``nowait``
+        auto loops behind the master — the master waits for them, so no plan
+        is overwritten before its last reader took it.  The wait ends as
+        :meth:`read`'s does.
+        """
         cells, base = self.arena._cells, self._base
-        with self.arena._lock:
+
+        def store() -> "bool | None":
+            if cells[base] >= 0 and cells[base + self._UNREAD] > 0:
+                return None
             schedule_code, chunk, flags, invocation = plan
             cells[base + self._SCHEDULE] = schedule_code
             cells[base + self._CHUNK] = chunk
             cells[base + self._FLAGS] = flags
             cells[base + self._INVOCATION] = invocation
+            cells[base + self._UNREAD] = readers
             # Tag written last: a reader that sees the tag sees the full plan.
             cells[base] = self.ordinal
+            return True
+
+        self._await(store, f"the readers of the tune plan before loop ordinal {self.ordinal}'s", None)
 
     def read(self, timeout: "float | None" = None) -> "tuple[int, int, int, int]":
         """Wait for and return the published plan (worker side).
 
         A master that failed before the loop never publishes; it aborts the
         team barrier instead, so the wait ends within one poll of that break.
-        A master that already published a later loop's plan into this slot
-        (see :class:`SlotArena`) overwrote this one, which is refused at
-        once.  Otherwise the wait is bounded by ``timeout`` — by default the
-        barrier timeout in force (``AOMP_BARRIER_TIMEOUT``; unbounded when
-        disabled).
+        A plan a later loop's overwrote — published with fewer ``readers``
+        than came — is refused at once.  Otherwise the wait is bounded by
+        ``timeout`` — by default the barrier timeout in force
+        (``AOMP_BARRIER_TIMEOUT``; unbounded when disabled).
         """
-        arena, cells, base = self.arena, self.arena._cells, self._base
+        cells, base = self.arena._cells, self._base
+
+        def take() -> "tuple[int, int, int, int] | None":
+            tag = cells[base]
+            if tag == self.ordinal:
+                cells[base + self._UNREAD] -= 1
+                return (
+                    int(cells[base + self._SCHEDULE]),
+                    int(cells[base + self._CHUNK]),
+                    int(cells[base + self._FLAGS]),
+                    int(cells[base + self._INVOCATION]),
+                )
+            if tag > self.ordinal:
+                raise BrokenBarrierError(
+                    f"the tune plan of loop ordinal {self.ordinal} was overwritten by ordinal {tag}'s "
+                    "before this member read it"
+                )
+            return None
+
+        return self._await(take, f"the tune plan of loop ordinal {self.ordinal}", timeout)
+
+    def _await(self, attempt: Callable[[], Any], what: str, timeout: "float | None") -> Any:
+        """Poll ``attempt`` under the arena lock until it returns non-``None``;
+        a broken team barrier or the ``timeout`` (see :meth:`read`) ends the wait."""
+        arena = self.arena
         limit = env("AOMP_BARRIER_TIMEOUT") if timeout is None else timeout
         deadline = None if limit is None else time.monotonic() + limit
         while True:
             with arena._lock:
-                tag = cells[base]
-                if tag == self.ordinal:
-                    return (
-                        int(cells[base + self._SCHEDULE]),
-                        int(cells[base + self._CHUNK]),
-                        int(cells[base + self._FLAGS]),
-                        int(cells[base + self._INVOCATION]),
-                    )
-            if tag > self.ordinal:
-                raise BrokenBarrierError(
-                    f"the tune plan of loop ordinal {self.ordinal} was overwritten by ordinal {tag}'s: more "
-                    f"than {arena.capacity // MAX_TEAM_LEVELS} auto loops with no barrier between them in flight"
-                )
+                result = attempt()
+            if result is not None:
+                return result
             if arena._barrier.broken:
-                raise BrokenBarrierError(
-                    f"the team barrier broke while waiting for the tune plan of loop ordinal {self.ordinal} "
-                    "(the master failed before the loop)"
-                )
+                raise BrokenBarrierError(f"the team barrier broke while waiting for {what} (a member failed)")
             if deadline is not None and time.monotonic() > deadline:
-                raise BrokenBarrierError(
-                    f"timed out after {limit:g}s waiting for the tune plan of loop ordinal {self.ordinal} "
-                    "(the master never published)"
-                )
+                raise BrokenBarrierError(f"timed out after {limit:g}s waiting for {what}")
             time.sleep(self.POLL_INTERVAL)
 
     def report(self, member: int, nanoseconds: int) -> None:
@@ -1039,7 +1067,9 @@ class TunePlanArena(SlotArena):
     dispatching, and workers read it, waiting for a master that has not
     arrived yet — until ``barrier``, the team barrier the arena is built
     with, breaks.  :meth:`~SlotArena.slot` takes the loop ordinal and returns
-    a :class:`TunePlanSlot`.
+    a :class:`TunePlanSlot`.  The master names the plan's readers, and
+    does not re-publish a recycled slot before they all read it, so a member
+    any number of ``nowait`` auto loops behind still finds its plan.
 
     When the plan's flags ask for it, each of up to ``max_workers`` members
     also reports the time its own share took, and the master reads the
@@ -1065,11 +1095,11 @@ class TunePlanArena(SlotArena):
 
 
 class SlotArenas(NamedTuple):
-    """The three slot arenas every claiming construct draws from.
+    """The three slot arenas every claiming construct draws from: a team's
+    whole claim state.
 
-    A :class:`ProcessSync` carries fork-inherited ones under the same three
-    names; an in-process team, and the socket plane's coordinator, build
-    theirs with :meth:`on_heap`.
+    A :class:`ProcessSync` carries fork-inherited ones; an in-process team,
+    and the socket plane's coordinator, build theirs on :func:`heap_cells`.
     """
 
     arena: SyncArena
@@ -1077,13 +1107,13 @@ class SlotArenas(NamedTuple):
     tune: TunePlanArena
 
     @classmethod
-    def on_heap(cls, workers: int, barrier: Any) -> "SlotArenas":
-        """Arenas on :func:`heap_cells` for ``workers`` threads of this process
-        whose team barrier is ``barrier`` (a plan wait ends when it breaks)."""
+    def build(cls, workers: int, barrier: Any, cells: Any = mp_cells) -> "SlotArenas":
+        """Arenas on ``cells`` for up to ``workers`` members whose team barrier
+        is ``barrier`` (a tune-plan wait ends when it breaks)."""
         return cls(
-            SyncArena(cells=heap_cells),
-            TaskStealArena(max_workers=workers, cells=heap_cells),
-            TunePlanArena(barrier, max_workers=workers, cells=heap_cells),
+            SyncArena(cells=cells),
+            TaskStealArena(max_workers=workers, cells=cells),
+            TunePlanArena(barrier, max_workers=workers, cells=cells),
         )
 
 
@@ -1092,17 +1122,14 @@ class ProcessSync:
     """Cross-process synchronisation bundle attached to a process-backed team.
 
     Created by the process backend *before* workers exist (fork inherits it);
-    the team's barrier and its slot arenas (``arena``, ``steal``, ``tune``:
-    the :class:`SlotArenas` names) come from it.
+    the team's barrier and its :class:`SlotArenas` come from it.
     ``pooled`` records whether the region runs on the persistent worker pool
     (picklable SPMD body) or on per-region forked workers (arbitrary
     closures, shipped by address-space inheritance).
     """
 
     barrier: SharedBarrier
-    arena: SyncArena
-    steal: TaskStealArena
-    tune: TunePlanArena
+    slots: SlotArenas
     #: per-member liveness cells (pid / beat / barrier arrivals) consulted by
     #: the worker monitor and the barrier-failure diagnostics.
     heartbeat: HeartbeatArena

@@ -111,7 +111,7 @@ class Team:
         #: the claiming constructs' slot arenas: a process team's come with its
         #: sync bundle; an in-process team builds heap ones on its first claim
         #: (see :meth:`_slot_arenas`), so a region that never claims allocates none.
-        self._arenas: "shm.ProcessSync | shm.SlotArenas | None" = process_sync
+        self._arenas: "shm.SlotArenas | None" = process_sync.slots if process_sync is not None else None
         #: a process team's slots are namespaced by nesting level (see
         #: :data:`repro.runtime.shm.MAX_TEAM_LEVELS`); heap arenas are this
         #: team's own and need no namespace.
@@ -132,14 +132,14 @@ class Team:
         """Whether the team barrier was aborted (some member failed)."""
         return self._barrier.broken
 
-    def _slot_arenas(self) -> "shm.ProcessSync | shm.SlotArenas":
+    def _slot_arenas(self) -> "shm.SlotArenas":
         """The team's slot arenas, built on heap cells by the first claim of an
         in-process team (under the team's lock, so every member sees one)."""
         arenas = self._arenas
         if arenas is None:
             with self._shared_lock:
                 if self._arenas is None:
-                    self._arenas = shm.SlotArenas.on_heap(self.size, self._barrier)
+                    self._arenas = shm.SlotArenas.build(self.size, self._barrier, cells=shm.heap_cells)
                 arenas = self._arenas
         return arenas
 

@@ -370,7 +370,9 @@ def _run_auto(
     authoritative tuner — asks the tuner and publishes the encoded plan into
     the team's tune-plan slot, and the other members wait for it there
     (:meth:`~repro.runtime.shm.TunePlanSlot.read`, which ends on a broken
-    team barrier).
+    team barrier).  Member 0 names the ``team.size - 1`` readers, so any
+    number of ``nowait`` auto loops may be in flight: it does not re-publish
+    a recycled slot before every reader took the plan there.
 
     Member 0 measures wall time from its dispatch start to the far side of
     the implicit barrier (≈ the loop phase makespan) and feeds it back to the
@@ -400,7 +402,7 @@ def _run_auto(
         code, size, flags = ticket.candidate.encode()
         if ticket.report and not nowait:
             flags |= FLAG_REPORT
-        slot.publish((code, size, flags, ticket.invocation))
+        slot.publish((code, size, flags, ticket.invocation), team.size - 1)
         candidate = ticket.candidate
     else:
         code, size, flags, _invocation = slot.read()

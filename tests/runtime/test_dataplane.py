@@ -129,9 +129,9 @@ class TestShmPlane:
         plane = dataplane.ShmDataPlane()
         sync = plane.create_sync(3)
         assert isinstance(sync.barrier, shm.SharedBarrier)
-        assert isinstance(sync.arena, shm.SyncArena)
-        assert isinstance(sync.steal, shm.TaskStealArena)
-        assert isinstance(sync.tune, shm.TunePlanArena)
+        assert isinstance(sync.slots.arena, shm.SyncArena)
+        assert isinstance(sync.slots.steal, shm.TaskStealArena)
+        assert isinstance(sync.slots.tune, shm.TunePlanArena)
         assert isinstance(sync.heartbeat, shm.HeartbeatArena)
         assert sync.barrier.parties == 3
         assert sync.pooled is False
@@ -139,7 +139,7 @@ class TestShmPlane:
     def test_pool_construction_knobs(self):
         sync = dataplane.ShmDataPlane().create_sync(1, pooled=True, max_workers=64)
         assert sync.pooled is True
-        assert sync.steal.max_workers == 64
+        assert sync.slots.steal.max_workers == 64
 
     def test_release_is_a_no_op(self):
         plane = dataplane.ShmDataPlane()
@@ -276,7 +276,7 @@ class TestCoordinatorRPC:
         the one ``slot`` request does with a name its table does not hold."""
 
         def cells():
-            return [list(arena._cells) for arena in (coordinator.arena, coordinator.steal, coordinator.tune)]
+            return [list(arena._cells) for arena in coordinator.slots]
 
         before = cells()
         with pytest.raises(error, match="unknown data-plane op" if error is ValueError else None):
@@ -496,9 +496,7 @@ class TestBarrierCoherence:
             remote.grid = session.attach_array(bench.grid.name, bench.grid.np.shape, bench.grid.np.dtype.str)
             master_sync = shm.ProcessSync(
                 coordinator.barrier,
-                coordinator.arena,
-                steal=coordinator.steal,
-                tune=coordinator.tune,
+                coordinator.slots,
                 heartbeat=coordinator.heartbeat,
             )
             teams = [

@@ -454,11 +454,11 @@ class TestWorkerDeathPoolPath:
         pool = PersistentProcessPool(1)
         try:
             # Simulate a worker that died holding the claim arena's lock.
-            pool.arena._lock.acquire()
+            pool.slots.arena._lock.acquire()
             try:
                 assert not pool.heal()
             finally:
-                pool.arena._lock.release()
+                pool.slots.arena._lock.release()
             assert pool.heal()
         finally:
             pool.shutdown()

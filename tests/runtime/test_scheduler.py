@@ -17,12 +17,7 @@ from repro.runtime.scheduler import (
     make_scheduler,
     parse_schedule_spec,
 )
-from repro.runtime.shm import SyncArena, heap_cells
-
-
-def heap_slot():
-    """A fresh claim cursor, as an in-process team's arena hands out."""
-    return SyncArena(cells=heap_cells).slot(0)
+from repro.runtime.shm import SyncArena, heap_slot
 
 
 def expand(chunks):
@@ -243,14 +238,14 @@ class TestStaticCyclic:
 class TestDynamic:
     def test_covers_all_iterations_once(self):
         sched = DynamicScheduler(chunk=3)
-        slot = heap_slot()
+        slot = heap_slot(SyncArena, 0)
         claimed = []
         claimed.extend(expand(list(sched.chunks_from(slot, 0, 10, 1))))
         assert sorted(claimed) == list(range(10))
 
     def test_shared_state_splits_work(self):
         sched = DynamicScheduler(chunk=2)
-        slot = heap_slot()
+        slot = heap_slot(SyncArena, 0)
         gen_a = sched.chunks_from(slot, 0, 10, 1)
         gen_b = sched.chunks_from(slot, 0, 10, 1)
         # Interleave claims from two logical consumers.
@@ -264,18 +259,18 @@ class TestDynamic:
 
     def test_fallback_single_consumer(self):
         sched = DynamicScheduler(chunk=4)
-        assert sorted(expand(list(sched.chunks_from(heap_slot(), 0, 11, 1, 4)))) == list(range(11))
+        assert sorted(expand(list(sched.chunks_from(heap_slot(SyncArena, 0), 0, 11, 1, 4)))) == list(range(11))
 
 
 class TestGuided:
     def test_covers_all_iterations(self):
         sched = GuidedScheduler(min_chunk=2)
-        chunks = list(sched.chunks_from_guided(heap_slot(), 0, 100, 1, 4))
+        chunks = list(sched.chunks_from(heap_slot(SyncArena, 0), 0, 100, 1, 4))
         assert sorted(expand(chunks)) == list(range(100))
 
     def test_chunk_sizes_decay(self):
         sched = GuidedScheduler(min_chunk=1)
-        chunks = list(sched.chunks_from_guided(heap_slot(), 0, 64, 1, 4))
+        chunks = list(sched.chunks_from(heap_slot(SyncArena, 0), 0, 64, 1, 4))
         counts = [c.count for c in chunks]
         assert counts[0] >= counts[-1]
         assert counts[0] == 16  # 64 / 4 threads
@@ -315,7 +310,7 @@ def test_static_schedules_partition_exactly(rng, num_threads, schedule, chunk):
 def test_dynamic_schedule_claims_every_iteration_once(rng, chunk):
     start, end, step = rng
     sched = DynamicScheduler(chunk=chunk)
-    claimed = expand(list(sched.chunks_from(heap_slot(), start, end, step)))
+    claimed = expand(list(sched.chunks_from(heap_slot(SyncArena, 0), start, end, step)))
     assert sorted(claimed) == sorted(range(start, end, step))
 
 

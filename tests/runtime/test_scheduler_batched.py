@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.runtime.scheduler import DynamicScheduler, GuidedScheduler
-from repro.runtime.shm import SyncArena, heap_cells
+from repro.runtime.shm import SyncArena, heap_slot
 
 CASES = 40
 
@@ -31,11 +31,6 @@ def _random_cases(seed: int):
         chunk = rng.randint(1, 9)
         batch = rng.randint(1, 32)
         yield start, end, step, num_threads, chunk, batch
-
-
-def _heap_slot():
-    """A fresh claim cursor, as an in-process team's arena hands out."""
-    return SyncArena(cells=heap_cells).slot(0)
 
 
 def _drain_interleaved(generators, rng: random.Random) -> list:
@@ -62,7 +57,7 @@ class TestBatchedDynamicClaims:
         rng = random.Random(99)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=20260730):
             scheduler = DynamicScheduler(chunk=chunk, batch=batch)
-            slot = _heap_slot()
+            slot = heap_slot(SyncArena, 0)
             generators = [
                 scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
@@ -80,7 +75,7 @@ class TestBatchedDynamicClaims:
 
     def test_tail_fallback_leaves_work_for_other_consumers(self):
         """A single huge batch may not strip a shared counter bare."""
-        slot = _heap_slot()
+        slot = heap_slot(SyncArena, 0)
         first = slot.claim_batch(1000, 2, 10)
         assert first is not None
         _, count = first
@@ -88,7 +83,7 @@ class TestBatchedDynamicClaims:
         assert slot.claim_batch(1, 2, 10) is not None
 
     def test_batched_claims_are_consecutive_and_monotone(self):
-        slot = _heap_slot()
+        slot = heap_slot(SyncArena, 0)
         cursor = 0
         while True:
             claim = slot.claim_batch(7, 1, 100)
@@ -126,9 +121,9 @@ class TestBatchedGuidedClaims:
         rng = random.Random(7)
         for start, end, step, num_threads, chunk, batch in _random_cases(seed=424242):
             scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
-            slot = _heap_slot()
+            slot = heap_slot(SyncArena, 0)
             generators = [
-                scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)
+                scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             label = f"guided[range=({start},{end},{step}) min={chunk} batch={batch} nt={num_threads}]"
@@ -138,7 +133,7 @@ class TestBatchedGuidedClaims:
         """One batch may not strip the min_chunk tail bare (mirrors dynamic)."""
         # 8 threads, min_chunk=64, 511 iterations left: decay has bottomed
         # out, the tail holds ~8 blocks — a huge batch must leave some.
-        slot = _heap_slot()
+        slot = heap_slot(SyncArena, 0)
         blocks = slot.claim_guided_batch(511, 64, 8, 1000)
         assert blocks is not None
         assert len(blocks) <= 3  # at most remaining_blocks // num_threads-ish
@@ -151,11 +146,11 @@ class TestBatchedGuidedClaims:
         batched = GuidedScheduler(min_chunk=min_chunk, batch=8)
         seq_a = [
             (piece.start, piece.end)
-            for piece in unbatched.chunks_from_guided(_heap_slot(), 0, total, 1, num_threads)
+            for piece in unbatched.chunks_from(heap_slot(SyncArena, 0), 0, total, 1, num_threads)
         ]
         seq_b = [
             (piece.start, piece.end)
-            for piece in batched.chunks_from_guided(_heap_slot(), 0, total, 1, num_threads)
+            for piece in batched.chunks_from(heap_slot(SyncArena, 0), 0, total, 1, num_threads)
         ]
         assert seq_a == seq_b
 
@@ -188,7 +183,7 @@ class TestArenaBatchedClaims:
             scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
             slot = arena.slot(next(self._ordinals))
             generators = [
-                scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)
+                scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)
             ]
             pieces = _drain_interleaved(generators, rng)
             _assert_exact_coverage(

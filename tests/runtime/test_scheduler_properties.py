@@ -27,8 +27,9 @@ from repro.runtime.scheduler import (
     StaticBlockScheduler,
     StaticCyclicScheduler,
     make_scheduler,
+    oracle_chunks,
 )
-from repro.runtime.shm import SyncArena, heap_cells
+from repro.runtime.shm import SyncArena, heap_cells, heap_slot
 from repro.runtime.team import Team
 
 CASES = 150
@@ -44,11 +45,6 @@ def _random_cases(seed: int):
         num_threads = rng.randint(1, 9)
         chunk = rng.randint(1, 10)
         yield start, end, step, num_threads, chunk
-
-
-def _heap_slot():
-    """A fresh claim cursor, as an in-process team's arena hands out."""
-    return SyncArena(cells=heap_cells).slot(0)
 
 
 def _expected(start, end, step):
@@ -81,7 +77,7 @@ def test_dynamic_schedule_partitions_under_interleaved_claims():
     """Simulate team members draining one shared claim counter round-robin."""
     for start, end, step, num_threads, chunk in _random_cases(seed=1357):
         scheduler = DynamicScheduler(chunk=chunk)
-        slot = _heap_slot()
+        slot = heap_slot(SyncArena, 0)
         iterators = [scheduler.chunks_from(slot, start, end, step) for _ in range(num_threads)]
         per_thread = [[] for _ in range(num_threads)]
         live = set(range(num_threads))
@@ -98,8 +94,8 @@ def test_dynamic_schedule_partitions_under_interleaved_claims():
 def test_guided_schedule_partitions_under_interleaved_claims():
     for start, end, step, num_threads, chunk in _random_cases(seed=2468):
         scheduler = GuidedScheduler(min_chunk=chunk)
-        slot = _heap_slot()
-        iterators = [scheduler.chunks_from_guided(slot, start, end, step, num_threads) for _ in range(num_threads)]
+        slot = heap_slot(SyncArena, 0)
+        iterators = [scheduler.chunks_from(slot, start, end, step, num_threads) for _ in range(num_threads)]
         per_thread = [[] for _ in range(num_threads)]
         live = set(range(num_threads))
         while live:
@@ -167,14 +163,8 @@ def _expected_tuples(dims):
 
 def _chunks_for_flat(schedule, chunk, num_threads, total):
     """Flat chunks of range(total) per thread, interleaving dynamic claims."""
-    scheduler = make_scheduler(schedule, chunk=chunk)
-    if schedule in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
-        return [list(scheduler.chunks_for(t, num_threads, 0, total, 1)) for t in range(num_threads)]
-    slot = _heap_slot()
-    if schedule is Schedule.GUIDED:
-        iterators = [scheduler.chunks_from_guided(slot, 0, total, 1, num_threads) for _ in range(num_threads)]
-    else:
-        iterators = [scheduler.chunks_from(slot, 0, total, 1, num_threads) for _ in range(num_threads)]
+    scheduler, slot = make_scheduler(schedule, chunk=chunk), heap_slot(SyncArena, 0)
+    iterators = [oracle_chunks(scheduler, t, num_threads, 0, total, 1, slot) for t in range(num_threads)]
     per_thread = [[] for _ in range(num_threads)]
     live = set(range(num_threads))
     while live:
@@ -312,7 +302,7 @@ def test_every_claim_is_a_run_of_whole_chunks_and_claims_tile_the_loop(slots):
     chunk boundary, be ``chunks <= batch`` consecutive scheduling chunks
     (short only at the loop's end), and the team's claims must tile the
     iteration space exactly once — with the chunk boundaries ``split``
-    recovers being the per-chunk oracle's (``chunks_from*``)."""
+    recovers being the per-chunk oracle's (:func:`oracle_chunks`)."""
     ordinals = itertools.count()
 
     with slots() as slot_for:
@@ -331,10 +321,9 @@ def test_every_claim_is_a_run_of_whole_chunks_and_claims_tile_the_loop(slots):
             end = start + total * step
             if guided:
                 scheduler = GuidedScheduler(min_chunk=chunk, batch=batch)
-                oracle = list(scheduler.chunks_from_guided(_heap_slot(), start, end, step, team))
             else:
                 scheduler = DynamicScheduler(chunk=chunk, batch=batch)
-                oracle = list(scheduler.chunks_from(_heap_slot(), start, end, step, team))
+            oracle = list(oracle_chunks(scheduler, 0, team, start, end, step))
             assert sum(piece.count for piece in oracle) == total
 
             # The team drains one shared cursor, one claim per member per turn.

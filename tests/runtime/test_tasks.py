@@ -475,28 +475,23 @@ class TestGrainsize:
             resolve_grainsize(10, 2, grainsize=0, num_tasks=None)
 
 
-def _heap_deck(num_workers, ntiles):
-    """A taskloop deck as an in-process team's steal arena hands it out."""
-    return shm.TaskStealArena(max_workers=num_workers, cells=shm.heap_cells).slot(0, num_workers, ntiles)
-
-
 class TestHeapTaskLoopState:
     def test_partition_matches_block_distribution(self):
-        state = _heap_deck(3, 8)  # blocks: 3, 3, 2
+        state = shm.heap_slot(shm.TaskStealArena, 0, 3, 8, max_workers=3)  # blocks: 3, 3, 2
         assert [state.claim_local(0) for _ in range(3)] == [0, 1, 2]
         assert [state.claim_local(1) for _ in range(3)] == [3, 4, 5]
         assert [state.claim_local(2) for _ in range(2)] == [6, 7]
         assert state.claim_local(0) is None
 
     def test_steal_takes_from_victims_tail(self):
-        state = _heap_deck(2, 8)  # member 1 owns tiles 4..7
+        state = shm.heap_slot(shm.TaskStealArena, 0, 2, 8, max_workers=2)  # member 1 owns tiles 4..7
         victim, tile = state.claim_steal(0)
         assert (victim, tile) == (1, 7)
         victim, tile = state.claim_steal(0)
         assert (victim, tile) == (1, 6)
 
     def test_finished_tracks_completions(self):
-        state = _heap_deck(2, 3)
+        state = shm.heap_slot(shm.TaskStealArena, 0, 2, 3, max_workers=2)
         assert not state.finished()
         for _ in range(3):
             state.mark_done()

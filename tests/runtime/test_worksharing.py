@@ -221,7 +221,7 @@ def test_untraced_and_traced_paths_execute_identical_chunk_boundaries(schedule):
     boundaries.  An untraced run makes one call per claim, and each call
     must be a run of those same chunks.
     """
-    from repro.runtime.scheduler import make_scheduler
+    from repro.runtime.scheduler import make_scheduler, oracle_chunks
     from repro.runtime.team import Team
 
     start, end, step, chunk = 3, 120, 2, 3
@@ -243,10 +243,7 @@ def test_untraced_and_traced_paths_execute_identical_chunk_boundaries(schedule):
             ctx.pop_context()
         return seen
 
-    scheduler = make_scheduler(schedule, chunk)
-    oracle_claims = scheduler.chunks_from_guided if schedule == "guided" else scheduler.chunks_from
-    cursor = shm.SyncArena(cells=shm.heap_cells).slot(0)
-    oracle = [(c.start, c.end, c.step) for c in oracle_claims(cursor, start, end, step, 2)]
+    oracle = [(c.start, c.end, c.step) for c in oracle_chunks(make_scheduler(schedule, chunk), 0, 2, start, end, step)]
     recorder = TraceRecorder()
     assert boundaries(recorder) == oracle
     events = [(e.data["start"], e.data["end"], e.data["step"]) for e in recorder.events(EventKind.CHUNK)]
@@ -556,6 +553,28 @@ class TestAutoScheduleConformance:
 
             parallel_region(body, num_threads=4, backend=backend_name)
             assert counts.np.tolist() == [invocations] * 101
+
+    def test_a_member_many_nowait_auto_loops_behind_still_reads_its_plans(self, backend_name):
+        """Tune-plan slots recycle every 32 loop ordinals: member 0, racing
+        100 ``nowait`` auto loops ahead of a late member, must not overwrite a
+        plan that member has yet to read."""
+        import time
+
+        loops, n = 100, 16
+        with shm.SharedArray.zeros((loops, n), np.int64) as counts:
+
+            def body():
+                if ctx.current_context().thread_id != 0:
+                    time.sleep(0.3)  # member 0 publishes far ahead meanwhile
+                for index in range(loops):
+
+                    def loop(start, end, step, row=index):
+                        counts.np[row, start:end:step] += 1
+
+                    run_for(loop, 0, n, 1, schedule="auto", loop_name="nowait-race", nowait=True)
+
+            parallel_region(body, num_threads=2, backend=backend_name)
+            assert counts.np.tolist() == [[1] * n] * loops
 
     def test_auto_loops_are_barrier_separated(self, backend_name):
         n = 24
