@@ -47,7 +47,6 @@ from repro.runtime.backend import (
 from repro.runtime.shm import (
     HeartbeatArena,
     SharedArray,
-    SharedBarrier,
     SyncArena,
     TaskStealArena,
     as_shared,
@@ -162,7 +161,6 @@ __all__ = [
     "available_backends",
     # shared memory
     "SharedArray",
-    "SharedBarrier",
     "SyncArena",
     "TaskStealArena",
     "shared_zeros",

@@ -459,8 +459,9 @@ class ProcessBackend(ExternalBackend):
       method (anything POSIX).
 
     In both paths the master executes inline in the parent, worksharing
-    chunks mutate :class:`~repro.runtime.shm.SharedArray` data in place, team
-    barriers are :class:`~repro.runtime.shm.SharedBarrier` instances, and
+    chunks mutate :class:`~repro.runtime.shm.SharedArray` data in place, the
+    team barrier is the thread teams' :class:`~repro.runtime.barrier.CyclicBarrier`
+    on fork-inherited cells (:func:`~repro.runtime.shm.mp_cells`), and
     dynamic/guided loop claims go through a pre-allocated
     :class:`~repro.runtime.shm.SyncArena`.  Member results and exceptions are
     shipped back over a private reply pipe per member, so ``BrokenTeamError``

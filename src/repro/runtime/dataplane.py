@@ -262,7 +262,7 @@ class ShmDataPlane(DataPlane):
             from repro.obs.arena import MetricsArena
 
             metrics = MetricsArena(capacity)
-        barrier = shm.SharedBarrier(size)
+        barrier = CyclicBarrier(size, cells=shm.mp_cells, transport=f"{self.name} data plane, {self.transport}")
         return shm.ProcessSync(
             barrier,
             shm.SlotArenas.build(capacity, barrier),

@@ -124,3 +124,7 @@ class InjectedFault(AOmpError):
         super().__init__(message)
         self.action = action
         self.site = site
+
+
+class BrokenBarrierError(RuntimeError):
+    """Raised when a barrier is broken because a participant failed or the barrier was aborted."""

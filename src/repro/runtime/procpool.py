@@ -4,9 +4,10 @@ Forking per region is cheap on Linux but not free; regions whose bodies are
 *picklable* SPMD callables (bound methods of kernels whose arrays live in
 shared memory) can instead be dispatched to this pool of long-lived worker
 processes.  The pool owns the cross-process synchronisation objects — one
-reusable :class:`~repro.runtime.shm.SharedBarrier` and the claim, steal,
-tune, heartbeat and metric arenas — created *before* the workers fork so
-every worker inherits them; they are reset between regions.  Each worker has
+reusable :class:`~repro.runtime.barrier.CyclicBarrier` on fork-inherited
+cells and the claim, steal, tune, heartbeat and metric arenas — created
+*before* the workers fork so every worker inherits them; they are reset
+between regions (a reset also sets the barrier's party count).  Each worker has
 two private pipes, descriptors in and replies out, and member ``k`` of a
 region always runs on worker ``k - 1``: only one region owns the pool at a
 time (the backend serialises access), so a pipe has one writer and one

@@ -9,9 +9,9 @@ backend does not.  This module provides the pieces that make OpenMP-style
   mutate the *same* pages the master reads, so a ``@For`` loop over a
   shared array behaves exactly as it does under threads — no pickling of
   array copies, no gather step.
-* :class:`SharedBarrier` — a reusable cyclic barrier over arena cells and
-  semaphores (one wake-up per waiting party), API-compatible with
-  :class:`repro.runtime.barrier.CyclicBarrier` (``wait``/``abort``/``reset``).
+* :class:`CellArena` — int64 cells in allocator-chosen storage, which every
+  arena here and the team barrier (:class:`repro.runtime.barrier.CyclicBarrier`,
+  on :func:`mp_cells` with semaphore wake-ups for fork and pool teams) build on.
 * :class:`SyncArena` — a pool of shared claim counters: the dynamic/guided
   loop cursors and the ``sections`` first-arriver flag.  Process teams need
   it pre-allocated, because loops are only *encountered* after worker
@@ -29,8 +29,8 @@ tier: a :class:`ProcessSync` carries fork-inherited ones, and an in-process
 team (and the socket plane's coordinator) builds the same arenas on heap
 cells (:meth:`SlotArenas.build`).
 
-**The fork constraint.**  Every ``multiprocessing`` primitive in this module
-(barrier semaphores, arena locks, the pipes of the persistent pool) is
+**The fork constraint.**  Every ``multiprocessing`` primitive a process team
+uses (barrier semaphores, arena locks, the pipes of the persistent pool) is
 created *before* worker processes exist and handed to them by address-space
 inheritance — which only the ``fork`` start method provides.
 Under ``spawn`` or ``forkserver`` the children would re-import and pickle
@@ -67,13 +67,12 @@ import threading
 import time
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.runtime.barrier import _UNSET, BrokenBarrierError
 from repro.runtime.config import env
-from repro.runtime.exceptions import BackendError
+from repro.runtime.exceptions import BackendError, BrokenBarrierError
 from repro.runtime.scheduler import block_counts
 
 #: start method used for every process-backend primitive.  Workers must
@@ -524,125 +523,6 @@ class HeartbeatArena(CellArena):
         """Barrier-arrival counts for the first ``size`` members."""
         size = min(size, self.capacity)
         return [int(self._cells[self.CELLS_PER_MEMBER * m + self._ARRIVALS]) for m in range(size)]
-
-
-class SharedBarrier(CellArena):
-    """A reusable cyclic barrier for a team whose members are processes.
-
-    Mirrors the :class:`~repro.runtime.barrier.CyclicBarrier` surface used by
-    :class:`~repro.runtime.team.Team` (``wait``, ``abort``, ``reset``,
-    ``parties``) and can be *reset* to a new party count, so a persistent
-    worker pool reuses one across regions.  The round's state — arrivals,
-    generation, broken flag, parties — is four fork-inherited cells under the
-    arena's lock.  A party that has to wait sleeps on a semaphore, and whoever
-    ends the round (its last arrival, an abort, a timeout, a reset) posts one
-    wake-up per sleeper and carries on: nobody waits for a sleeper to say it
-    woke, so a round costs each sleeper one wake-up and the last arrival none.
-    There is a semaphore per generation parity, so a party already asleep in
-    round *g + 1* can never take a wake-up meant for round *g*.
-    """
-
-    LOCKED = True
-    _COUNT, _GENERATION, _BROKEN, _PARTIES = range(4)
-
-    def __init__(self, parties: int, *, timeout: "float | None | object" = _UNSET) -> None:
-        """``timeout`` is the default wait bound, ``None`` for unbounded; when
-        omitted it is ``AOMP_BARRIER_TIMEOUT``, read now, as for
-        :class:`~repro.runtime.barrier.CyclicBarrier`."""
-        if parties < 1:
-            raise ValueError(f"barrier needs at least 1 party, got {parties}")
-        super().__init__(4, mp_cells, fresh=False)
-        ctx = _mp_context()
-        self._wakes = (ctx.Semaphore(0), ctx.Semaphore(0))
-        self._cells[self._PARTIES] = parties
-        self._timeout = env("AOMP_BARRIER_TIMEOUT") if timeout is _UNSET else timeout
-
-    @property
-    def parties(self) -> int:
-        return int(self._cells[self._PARTIES])
-
-    @property
-    def broken(self) -> bool:
-        """Lock-free read of the flag cell (an aligned 8-byte load); a stale
-        answer only delays a polling claim loop by one claim."""
-        return bool(self._cells[self._BROKEN])
-
-    def _wake(self, generation: int, sleepers: int) -> None:
-        """Post one wake-up to each of round ``generation``'s ``sleepers``.
-
-        Called with the lock held and *after* the round's new state is in
-        the cells: a woken party reads that state without the lock.
-        """
-        wake = self._wakes[generation & 1]
-        for _ in range(sleepers):
-            wake.release()
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        """Block until all parties arrive; raises :class:`BrokenBarrierError` on abort/timeout."""
-        limit = timeout if timeout is not None else self._timeout
-        cells = self._cells
-        with self._lock:
-            if cells[self._BROKEN]:
-                raise BrokenBarrierError("barrier is broken")
-            generation = cells[self._GENERATION]
-            index = int(cells[self._PARTIES] - 1 - cells[self._COUNT])
-            if index == 0:
-                sleepers = cells[self._COUNT]
-                cells[self._COUNT] = 0
-                cells[self._GENERATION] = generation + 1
-                self._wake(generation, sleepers)
-                return 0
-            cells[self._COUNT] += 1
-        # Whoever ends the round posts exactly one wake-up for this party.  A
-        # wake-up posted for a party that died asleep is never taken; whoever
-        # takes it in a later round finds that round still open and waits on.
-        wake = self._wakes[generation & 1]
-        deadline = None if limit is None else time.monotonic() + limit
-        while wake.acquire(True, None if deadline is None else max(0.0, deadline - time.monotonic())):
-            if cells[self._GENERATION] != generation or cells[self._BROKEN]:
-                break
-        else:
-            with self._lock:
-                if cells[self._GENERATION] == generation and not cells[self._BROKEN]:
-                    cells[self._BROKEN] = 1
-                    arrived = int(cells[self._COUNT])
-                    self._wake(generation, arrived - 1)  # everyone but this party
-                    raise BrokenBarrierError(
-                        f"barrier wait timed out after {limit:g}s "
-                        f"({arrived} of {int(cells[self._PARTIES])} parties arrived) "
-                        "[shm data plane, fork-inherited semaphore barrier]"
-                    )
-                # The round ended as the wait expired: take the wake-up it posted.
-                wake.acquire(False)
-        if cells[self._BROKEN]:
-            raise BrokenBarrierError("barrier is broken")
-        return index
-
-    def abort(self) -> None:
-        """Break the barrier, releasing all waiters with an error."""
-        with self._lock:
-            cells = self._cells
-            if not cells[self._BROKEN]:
-                cells[self._BROKEN] = 1
-                self._wake(cells[self._GENERATION], cells[self._COUNT])
-
-    def reset(self, parties: Optional[int] = None) -> None:
-        """Restore the barrier to a fresh state, optionally with a new party count.
-
-        Parties asleep in an open, unbroken round are released (as if it had
-        completed); a broken round already released its own.
-        """
-        if parties is not None and parties < 1:
-            raise ValueError(f"barrier needs at least 1 party, got {parties}")
-        with self._lock:
-            cells = self._cells
-            generation, sleepers = cells[self._GENERATION], 0 if cells[self._BROKEN] else cells[self._COUNT]
-            cells[self._COUNT] = 0
-            cells[self._GENERATION] = generation + 1
-            cells[self._BROKEN] = 0
-            if parties is not None:
-                cells[self._PARTIES] = parties
-            self._wake(generation, sleepers)
 
 
 # ---------------------------------------------------------------------------
@@ -1128,7 +1008,9 @@ class ProcessSync:
     closures, shipped by address-space inheritance).
     """
 
-    barrier: SharedBarrier
+    #: the team barrier: a :class:`~repro.runtime.barrier.CyclicBarrier`, or a
+    #: socket-plane worker's :class:`~repro.runtime.dataplane.SocketBarrier`.
+    barrier: Any
     slots: SlotArenas
     #: per-member liveness cells (pid / beat / barrier arrivals) consulted by
     #: the worker monitor and the barrier-failure diagnostics.

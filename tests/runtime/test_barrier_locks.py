@@ -1,4 +1,7 @@
-"""Tests for the cyclic barrier, lock registry, RW lock and striped locks."""
+"""Tests for the lock registry, RW lock and striped locks, and the barrier timeout knob.
+
+The barrier itself is covered on every storage by ``test_barrier_conformance.py``.
+"""
 
 from __future__ import annotations
 
@@ -7,133 +10,7 @@ import time
 
 import pytest
 
-from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.locks import LockRegistry, ReadWriteLock, StripedLocks
-
-
-class TestCyclicBarrier:
-    def test_requires_positive_parties(self):
-        with pytest.raises(ValueError):
-            CyclicBarrier(0)
-
-    def test_single_party_never_blocks(self):
-        barrier = CyclicBarrier(1)
-        for _ in range(5):
-            assert barrier.wait(timeout=1) == 0
-
-    def test_releases_all_parties(self):
-        barrier = CyclicBarrier(3)
-        released = []
-        lock = threading.Lock()
-
-        def worker():
-            barrier.wait(timeout=5)
-            with lock:
-                released.append(threading.get_ident())
-
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        time.sleep(0.05)
-        assert released == []  # nobody released until the last party arrives
-        barrier.wait(timeout=5)
-        for t in threads:
-            t.join(timeout=5)
-        assert len(released) == 2
-
-    def test_reusable_across_rounds(self):
-        barrier = CyclicBarrier(2)
-        counter = {"rounds": 0}
-
-        def worker():
-            for _ in range(10):
-                barrier.wait(timeout=5)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        for _ in range(10):
-            barrier.wait(timeout=5)
-            counter["rounds"] += 1
-        thread.join(timeout=5)
-        assert counter["rounds"] == 10
-
-    def test_barrier_action_runs_once_per_round(self):
-        actions = []
-        barrier = CyclicBarrier(2, action=lambda: actions.append(1))
-
-        def worker():
-            for _ in range(3):
-                barrier.wait(timeout=5)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        for _ in range(3):
-            barrier.wait(timeout=5)
-        thread.join(timeout=5)
-        assert len(actions) == 3
-
-    def test_abort_wakes_waiters_with_error(self):
-        barrier = CyclicBarrier(2)
-        failures = []
-
-        def worker():
-            try:
-                barrier.wait(timeout=5)
-            except BrokenBarrierError:
-                failures.append(True)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        time.sleep(0.05)
-        barrier.abort()
-        thread.join(timeout=5)
-        assert failures == [True]
-        assert barrier.broken
-        with pytest.raises(BrokenBarrierError):
-            barrier.wait(timeout=1)
-
-    def test_timeout_breaks_barrier(self):
-        barrier = CyclicBarrier(2)
-        with pytest.raises(BrokenBarrierError):
-            barrier.wait(timeout=0.05)
-
-    def test_reset_releases_waiters_and_reenables(self):
-        barrier = CyclicBarrier(2)
-        outcomes = []
-
-        def worker():
-            try:
-                barrier.wait(timeout=5)
-                outcomes.append("released")
-            except BrokenBarrierError:
-                outcomes.append("broken")
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        time.sleep(0.05)
-        barrier.reset()
-        thread.join(timeout=5)
-        assert outcomes == ["broken"]
-        assert not barrier.broken
-        # Fresh rounds work again.
-        t2 = threading.Thread(target=lambda: barrier.wait(timeout=5))
-        t2.start()
-        barrier.wait(timeout=5)
-        t2.join(timeout=5)
-
-    def test_arrival_index(self):
-        barrier = CyclicBarrier(2)
-        results = {}
-
-        def worker():
-            results["worker"] = barrier.wait(timeout=5)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        time.sleep(0.05)
-        results["main"] = barrier.wait(timeout=5)
-        thread.join(timeout=5)
-        assert sorted(results.values()) == [0, 1]
 
 
 class TestLockRegistry:
@@ -299,29 +176,6 @@ class TestBarrierTimeoutConfig:
         assert DEFAULT_BARRIER_TIMEOUT == 120.0
         assert CyclicBarrier(2)._timeout == DEFAULT_BARRIER_TIMEOUT  # noqa: SLF001
 
-    @pytest.mark.parametrize("make", ["thread", "shm"])
-    def test_every_team_barrier_reads_the_env_knob(self, make, monkeypatch):
-        """Thread teams and fork/pool teams follow one timeout contract."""
-        from repro.runtime import shm
-        from repro.runtime.config import DEFAULT_BARRIER_TIMEOUT
-
-        if make == "shm" and not shm.fork_available():
-            pytest.skip("the shm barrier lives in fork-inherited cells")
-        barrier_class = CyclicBarrier if make == "thread" else shm.SharedBarrier
-        monkeypatch.delenv("AOMP_BARRIER_TIMEOUT", raising=False)
-        assert barrier_class(2)._timeout == DEFAULT_BARRIER_TIMEOUT  # noqa: SLF001
-        monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
-        assert barrier_class(2)._timeout == 300.0  # noqa: SLF001
-        monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0")
-        barrier = barrier_class(2)
-        assert barrier._timeout is None  # noqa: SLF001 - disabled: wait forever
-        waiter = threading.Thread(target=barrier.wait)
-        waiter.start()
-        time.sleep(0.05)
-        barrier.wait(timeout=5)
-        waiter.join(timeout=5)
-        assert not waiter.is_alive() and not barrier.broken
-
     def test_env_knob_read_at_construction(self, monkeypatch):
         from repro.runtime.barrier import CyclicBarrier
         from repro.runtime.config import env
@@ -337,19 +191,3 @@ class TestBarrierTimeoutConfig:
                 env("AOMP_BARRIER_TIMEOUT")
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "300")
         assert env("AOMP_BARRIER_TIMEOUT") == 300.0
-
-    def test_explicit_none_waits_past_default(self):
-        """timeout=None is a true unbounded wait, distinct from the default."""
-        from repro.runtime.barrier import CyclicBarrier
-
-        barrier = CyclicBarrier(2, timeout=None)
-        assert barrier._timeout is None  # noqa: SLF001
-
-    def test_short_timeout_breaks_deadlocked_round(self):
-        import pytest as _pytest
-
-        from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
-
-        barrier = CyclicBarrier(2, timeout=0.05)
-        with _pytest.raises(BrokenBarrierError, match="timed out"):
-            barrier.wait()

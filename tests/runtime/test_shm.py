@@ -15,7 +15,6 @@ from repro.runtime import shm
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.shm import (
     SharedArray,
-    SharedBarrier,
     SyncArena,
     as_shared,
     fork_available,
@@ -65,77 +64,6 @@ class TestSharedArray:
         arr = shared_zeros(4)
         arr.close()
         arr.close()
-
-
-class TestSharedBarrier:
-    def test_wait_releases_all_parties(self):
-        barrier = SharedBarrier(3)
-        released = []
-        lock = threading.Lock()
-
-        def party():
-            barrier.wait()
-            with lock:
-                released.append(1)
-
-        threads = [threading.Thread(target=party) for _ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert len(released) == 3
-
-    def test_reusable_across_rounds(self):
-        barrier = SharedBarrier(2)
-        rounds = []
-
-        def party():
-            for r in range(3):
-                barrier.wait()
-                rounds.append(r)
-
-        threads = [threading.Thread(target=party) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert sorted(rounds) == [0, 0, 1, 1, 2, 2]
-
-    def test_abort_breaks_waiters(self):
-        barrier = SharedBarrier(2)
-        errors = []
-
-        def party():
-            try:
-                barrier.wait()
-            except BrokenBarrierError:
-                errors.append(1)
-
-        thread = threading.Thread(target=party)
-        thread.start()
-        barrier.abort()
-        thread.join(timeout=10)
-        assert errors == [1]
-        with pytest.raises(BrokenBarrierError):
-            barrier.wait()
-
-    def test_reset_restores_and_changes_parties(self):
-        barrier = SharedBarrier(4)
-        barrier.abort()
-        barrier.reset(1)
-        assert barrier.parties == 1 and not barrier.broken
-        barrier.wait()  # single party: returns immediately
-
-    def test_timeout_marks_broken(self):
-        barrier = SharedBarrier(2, timeout=0.05)
-        with pytest.raises(BrokenBarrierError):
-            barrier.wait()
-
-    def test_invalid_parties(self):
-        with pytest.raises(ValueError):
-            SharedBarrier(0)
-        with pytest.raises(ValueError):
-            SharedBarrier(2).reset(0)
 
 
 class TestSyncArena:
