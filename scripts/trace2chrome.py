@@ -46,7 +46,6 @@ DURATION_KINDS = {
     EventKind.CHUNK,
     EventKind.PHASE_WORK,
     EventKind.TASK_COMPLETE,
-    EventKind.SECTION,
 }
 
 #: payload keys shown in the trace viewer's argument pane, per kind.
@@ -70,7 +69,6 @@ _ARG_KEYS = {
     ),
     EventKind.BARRIER: ("label",),
     EventKind.REDUCTION: ("field", "count"),
-    EventKind.SECTION: ("sections", "index", "method"),
     EventKind.WORKER_DEAD: ("member", "pid", "exitcode", "signal"),
     EventKind.FAULT_INJECTED: ("action", "site", "member", "fault_region", "rule"),
     EventKind.REGION_RETRY: ("name", "action", "attempt", "backend", "from_backend", "delay"),
@@ -88,10 +86,6 @@ def _name_of(event: TraceEvent) -> str:
     if event.kind is EventKind.BARRIER:
         label = event.data.get("label")
         return f"barrier:{label}" if label else "barrier"
-    if event.kind is EventKind.SECTION:
-        group = event.data.get("sections", "sections")
-        index = event.data.get("index")
-        return f"{group}[{index}]" if index is not None else str(event.data.get("method", group))
     return event.kind.value
 
 

@@ -34,7 +34,6 @@ from repro.core.aspects import (
     MethodAspect,
     NestedParallelRegions,
     OrderedAspect,
-    SectionAspect,
     ParallelFor,
     ParallelRegion,
     ReadersWriterAspect,
@@ -83,7 +82,6 @@ __all__ = [
     "ForGuided",
     "AdaptiveSchedule",
     "OrderedAspect",
-    "SectionAspect",
     "CriticalAspect",
     "BarrierBeforeAspect",
     "BarrierAfterAspect",

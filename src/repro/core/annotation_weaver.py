@@ -38,7 +38,7 @@ from repro.core.aspects.synchronization import (
     ReaderAspect,
     WriterAspect,
 )
-from repro.core.aspects.worksharing import ForWorkSharing, OrderedAspect, SectionAspect
+from repro.core.aspects.worksharing import ForWorkSharing, OrderedAspect
 from repro.core.weaver.pointcut import call
 from repro.core.weaver.weaver import Weaver, original_function
 from repro.runtime.backend import Backend
@@ -56,7 +56,6 @@ _PRIORITY = {
     "writer": 3,
     "for": 4,
     "taskloop": 4,  # same nesting slot as "for" — the two are exclusive on one method
-    "section": 5,  # same nesting slot as "single" — both are claim-to-execute constructs
     "single": 5,
     "master": 6,
     "reduce": 7,
@@ -173,8 +172,6 @@ class AnnotationWeavingSession:
                 pointcut,
                 schedule=params.get("schedule", "staticBlock"),
                 chunk=params.get("chunk", 1),
-                collapse=params.get("collapse", 1),
-                pin_rows=params.get("pin_rows", False),
                 nowait=params.get("nowait", False),
                 ordered=params.get("ordered", False),
                 weight=weight,
@@ -185,12 +182,9 @@ class AnnotationWeavingSession:
                 pointcut,
                 grainsize=params.get("grainsize"),
                 num_tasks=params.get("num_tasks"),
-                collapse=params.get("collapse", 1),
                 nowait=params.get("nowait", False),
                 weight=weight,
             )
-        if key == "section":
-            return SectionAspect(pointcut, group=params.get("group"))
         if key == "ordered":
             return OrderedAspect(pointcut, index_arg=params.get("index_arg", 0))
         if key == "critical":

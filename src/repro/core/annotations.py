@@ -81,8 +81,6 @@ def for_loop(
     *,
     schedule: str = "staticBlock",
     chunk: int = 1,
-    collapse: int = 1,
-    pin_rows: bool = False,
     nowait: bool = False,
     ordered: bool = False,
     weight: Callable[[int], float] | None = None,
@@ -90,17 +88,11 @@ def for_loop(
     """``@For[(schedule=...)]`` — the method is a for method; its range is work-shared.
 
     The decorated method must expose ``(start, end, step)`` as its first three
-    parameters (after ``self``).  With ``collapse=n`` (OpenMP's ``collapse``
-    clause) it is a *collapsed* for method exposing ``n`` such triples as its
-    first ``3n`` parameters; the combined iteration space is linearised and
-    shared across the team as one flat range.  ``pin_rows`` keeps whole
-    innermost rows on one member (implied by ``ordered``).
+    parameters (after ``self``).
     """
     params = {
         "schedule": schedule,
         "chunk": chunk,
-        "collapse": collapse,
-        "pin_rows": pin_rows,
         "nowait": nowait,
         "ordered": ordered,
         "weight": weight,
@@ -136,7 +128,6 @@ def taskloop(
     *,
     grainsize: int | None = None,
     num_tasks: int | None = None,
-    collapse: int = 1,
     nowait: bool = False,
     weight: Callable[[int], float] | None = None,
 ) -> Any:
@@ -144,38 +135,17 @@ def taskloop(
 
     Extension beyond the paper's Table 1 (OpenMP's ``taskloop`` construct):
     like :func:`for_loop`, but idle team members steal tiles from busy ones,
-    balancing irregular iteration costs dynamically.  ``collapse=n``
-    linearises ``n`` nested ranges before tiling, exactly as for
-    :func:`for_loop`.
+    balancing irregular iteration costs dynamically.
     """
     params = {
         "grainsize": grainsize,
         "num_tasks": num_tasks,
-        "collapse": collapse,
         "nowait": nowait,
         "weight": weight,
     }
     if func is not None:
         return _annotate(func, "taskloop", params)
     return _decorator("taskloop", **params)
-
-
-def section(func: F | None = None, *, group: str | None = None) -> Any:
-    """``@Section`` — each call executes on exactly one team member.
-
-    Extension beyond the paper's Table 1 (OpenMP's ``sections`` construct,
-    annotation-style): within a parallel region where every member reaches
-    the same sequence of section calls (SPMD), each call is *claimed* by the
-    first-arriving member — it executes the method and receives its return
-    value, the rest skip it and receive ``None``.  Successive section calls
-    therefore spread over the team, one member per section.  There is no
-    implied barrier after an individual section; follow the group with
-    :func:`barrier_after` (or a work-shared loop's implicit barrier) before
-    consuming its results.  ``group`` names the construct in trace events.
-    """
-    if func is not None:
-        return _annotate(func, "section", {"group": group})
-    return _decorator("section", group=group)
 
 
 def ordered(func: F | None = None, *, index_arg: int = 0) -> Any:
@@ -301,7 +271,6 @@ METHOD_ANNOTATIONS = (
     "parallel",
     "for",
     "taskloop",
-    "section",
     "ordered",
     "critical",
     "barrier_before",

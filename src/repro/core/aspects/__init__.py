@@ -10,7 +10,6 @@ from repro.core.aspects.worksharing import (
     ForStatic,
     ForWorkSharing,
     OrderedAspect,
-    SectionAspect,
 )
 from repro.core.aspects.synchronization import (
     BarrierAfterAspect,
@@ -46,7 +45,6 @@ __all__ = [
     "ForGuided",
     "AdaptiveSchedule",
     "OrderedAspect",
-    "SectionAspect",
     "CriticalAspect",
     "BarrierBeforeAspect",
     "BarrierAfterAspect",

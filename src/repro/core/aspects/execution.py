@@ -126,7 +126,6 @@ class TaskLoopAspect(MethodAspect):
         *,
         grainsize: int | None = None,
         num_tasks: int | None = None,
-        collapse: int = 1,
         nowait: bool = False,
         weight: Callable[[int], float] | None = None,
         name: str | None = None,
@@ -134,19 +133,14 @@ class TaskLoopAspect(MethodAspect):
         super().__init__(pointcut, name=name)
         self.grainsize = grainsize
         self.num_tasks = num_tasks
-        self.collapse = collapse
         self.nowait = nowait
         self.weight = weight
 
     def around(self, joinpoint: JoinPoint) -> Any:
-        collapse = max(1, self.collapse)
-        needed = 3 * collapse
-        if len(joinpoint.args) < needed:
-            kind = "a for method" if collapse == 1 else f"a collapse({collapse}) for method"
+        if len(joinpoint.args) < 3:
             raise SchedulingError(
-                f"{joinpoint.qualified_name} is not {kind}: it must expose {needed} range "
-                f"parameters (start, end, step per dimension) as its first parameters, "
-                f"got {len(joinpoint.args)} args"
+                f"{joinpoint.qualified_name} is not a for method: it must expose (start, end, step) "
+                f"as its first three parameters, got {len(joinpoint.args)} args"
             )
         start, end, step, *rest = joinpoint.args
 
@@ -161,7 +155,6 @@ class TaskLoopAspect(MethodAspect):
             *rest,
             grainsize=self.grainsize,
             num_tasks=self.num_tasks,
-            collapse=self.collapse,
             loop_name=joinpoint.qualified_name,
             nowait=self.nowait,
             weight=self.weight,

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-import time
-
 from repro.core.aspects.base import MethodAspect, callable_or_value
 from repro.core.weaver.joinpoint import JoinPoint
 from repro.core.weaver.pointcut import Pointcut
-from repro.runtime import context as ctx
 from repro.runtime.ordered import ordered_call
 from repro.runtime.scheduler import Schedule, parse_schedule_spec
-from repro.runtime.trace import EventKind
-from repro.runtime.worksharing import claim_section, run_for
+from repro.runtime.worksharing import run_for
 from repro.runtime.exceptions import SchedulingError
 
 
@@ -39,14 +35,6 @@ class ForWorkSharing(MethodAspect):
         benchmark requires in Table 2).
     chunk:
         Chunk size for cyclic/dynamic/guided schedules.
-    collapse:
-        Number of perfectly nested loop dimensions the for method exposes
-        (OpenMP's ``collapse(n)`` clause); the method's first ``3 * collapse``
-        parameters must be that many ``(start, end, step)`` triples.  The
-        combined iteration space is linearised and shared as one flat range.
-    pin_rows:
-        With ``collapse``: schedule whole innermost rows instead of single
-        index tuples (implied by ``ordered``).
     nowait:
         Skip the implicit end-of-loop barrier.
     ordered:
@@ -65,8 +53,6 @@ class ForWorkSharing(MethodAspect):
         *,
         schedule: "str | Schedule | Callable[[], str | Schedule]" = Schedule.STATIC_BLOCK,
         chunk: int = 1,
-        collapse: int = 1,
-        pin_rows: bool = False,
         nowait: bool = False,
         ordered: bool = False,
         weight: Callable[[int], float] | None = None,
@@ -75,8 +61,6 @@ class ForWorkSharing(MethodAspect):
         super().__init__(pointcut, name=name)
         self._schedule = callable_or_value(schedule)
         self.chunk = chunk
-        self.collapse = collapse
-        self.pin_rows = pin_rows
         self.nowait = nowait
         self.ordered = ordered
         self.weight = weight
@@ -86,14 +70,10 @@ class ForWorkSharing(MethodAspect):
         return self._schedule()
 
     def around(self, joinpoint: JoinPoint) -> Any:
-        collapse = max(1, self.collapse)
-        needed = 3 * collapse
-        if len(joinpoint.args) < needed:
-            kind = "a for method" if collapse == 1 else f"a collapse({collapse}) for method"
+        if len(joinpoint.args) < 3:
             raise SchedulingError(
-                f"{joinpoint.qualified_name} is not {kind}: it must expose {needed} range "
-                f"parameters (start, end, step per dimension) as its first parameters, "
-                f"got {len(joinpoint.args)} args"
+                f"{joinpoint.qualified_name} is not a for method: it must expose (start, end, step) "
+                f"as its first three parameters, got {len(joinpoint.args)} args"
             )
         start, end, step, *rest = joinpoint.args
 
@@ -108,8 +88,6 @@ class ForWorkSharing(MethodAspect):
             *rest,
             schedule=self.loop_schedule(),
             chunk=self.chunk,
-            collapse=self.collapse,
-            pin_rows=self.pin_rows,
             loop_name=joinpoint.qualified_name,
             ordered=self.ordered,
             nowait=self.nowait,
@@ -176,50 +154,6 @@ class AdaptiveSchedule(ForWorkSharing):
     def __init__(self, pointcut: Pointcut | None = None, **kwargs: Any) -> None:
         kwargs.setdefault("schedule", Schedule.AUTO)
         super().__init__(pointcut, **kwargs)
-
-
-class SectionAspect(MethodAspect):
-    """``@Section`` — each matched call executes on exactly one team member.
-
-    The OpenMP ``sections`` construct in annotation style: the base program
-    calls a sequence of section methods one after another; woven into a
-    parallel region (SPMD), each call is claimed by the first-arriving
-    member, which executes the method and gets its return value, while the
-    other members skip it and get ``None``.  Successive sections therefore
-    spread across the team, one member per section.  Works on every backend:
-    the claim is a slot of the team's claim arena
-    (:func:`repro.runtime.worksharing.claim_section`).
-
-    There is no implied barrier after an individual section — combine with
-    ``@BarrierAfter`` (or a following work-shared loop's implicit barrier)
-    before consuming the group's results.
-    """
-
-    abstraction = "SECT"
-
-    def __init__(self, pointcut: Pointcut | None = None, *, group: str | None = None, name: str | None = None) -> None:
-        super().__init__(pointcut, name=name)
-        self.group = group
-
-    def around(self, joinpoint: JoinPoint) -> Any:
-        context = ctx.current_context()
-        if context is None or context.team.size == 1:
-            return joinpoint.proceed()
-        label = self.group or joinpoint.qualified_name
-        if not claim_section():
-            return None
-        team = context.team
-        began = time.perf_counter()
-        try:
-            return joinpoint.proceed()
-        finally:
-            if team.tracing:
-                team.record(
-                    EventKind.SECTION,
-                    sections=label,
-                    method=joinpoint.qualified_name,
-                    elapsed=time.perf_counter() - began,
-                )
 
 
 class OrderedAspect(MethodAspect):

@@ -1,12 +1,10 @@
-"""LUFact benchmark drivers: sequential, JGF-MT threaded, AOmp, and collapse(2)."""
+"""LUFact benchmark drivers: sequential, JGF-MT threaded and AOmp."""
 
 from __future__ import annotations
 
 from repro.core.annotation_weaver import weave_annotations
 from repro.jgf.common import BenchmarkInfo, BenchmarkResult, block_range, resolve_size, spawn_jgf_threads, timed
 from repro.jgf.lufact.kernel import Linpack
-from repro.runtime.backend import Backend, resolve_backend
-from repro.runtime.team import parallel_region
 from repro.runtime.trace import TraceRecorder
 
 #: Problem sizes (matrix order).  JGF size A is 500x500.
@@ -86,59 +84,6 @@ def run_aomp(size: "str | int" = "small", num_threads: int = 4, recorder: TraceR
         recorder=recorder,
         details={"valid": residual < RESIDUAL_THRESHOLD},
     )
-
-
-def run_collapse(
-    size: "str | int" = "small",
-    num_threads: int = 4,
-    backend: "Backend | str" = "threads",
-    *,
-    schedule: str | None = None,
-    chunk: int = 1,
-) -> BenchmarkResult:
-    """Runtime-API port with ``collapse(2)`` worksharing over columns × rows.
-
-    The row elimination of each step ``k`` covers a shrinking ``(n-k-1)²``
-    submatrix; a column-only distribution starves wide teams near the end of
-    the factorisation, while the collapsed column × row space keeps every
-    member busy.  Bit-identical to the sequential factorisation (the daxpy is
-    elementwise, so 2D tiling cannot change a single rounding) on serial,
-    thread and process backends; ``schedule`` may be any schedule spec,
-    including ``"auto"``.
-    """
-    n = resolve_size(SIZES, size)
-    backend_obj = resolve_backend(backend)
-    kernel = Linpack(n, shared=not backend_obj.supports_shared_locals)
-    kernel.spmd_schedule = schedule
-    kernel.spmd_chunk = chunk
-    try:
-
-        def drive() -> float:
-            parallel_region(
-                kernel.run_spmd_collapse,
-                num_threads=num_threads,
-                backend=backend_obj,
-                name="LUFact.collapse",
-            )
-            solution = kernel.dgesl()
-            return kernel.residual(solution)
-
-        residual, elapsed = timed(drive)
-        return BenchmarkResult(
-            "LUFact",
-            f"collapse:{backend_obj.name}",
-            size,
-            residual,
-            elapsed,
-            num_threads=num_threads,
-            details={
-                "valid": residual < RESIDUAL_THRESHOLD,
-                "backend": backend_obj.name,
-                "schedule": schedule or "default",
-            },
-        )
-    finally:
-        kernel.release_shared()
 
 
 def build_aspects(num_threads: int, recorder: TraceRecorder | None = None) -> list:

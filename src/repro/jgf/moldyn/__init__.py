@@ -2,12 +2,10 @@
 
 from repro.jgf.moldyn.kernel import MolDyn, fcc_particle_count
 from repro.jgf.moldyn.parallel import INFO, SIZES, run_aomp, run_sequential, run_threaded
-from repro.jgf.moldyn.sections import SectionedMolDyn, run_aomp_sections
 from repro.jgf.moldyn.variants import STRATEGIES, LockPerParticleAspect, build_aspects, run_variant
 
 __all__ = [
     "MolDyn",
-    "SectionedMolDyn",
     "fcc_particle_count",
     "INFO",
     "SIZES",
@@ -16,7 +14,6 @@ __all__ = [
     "build_aspects",
     "run_variant",
     "run_aomp",
-    "run_aomp_sections",
     "run_sequential",
     "run_threaded",
 ]

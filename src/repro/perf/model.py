@@ -292,18 +292,6 @@ class MakespanModel:
                 breakdown = phase_for(thread)
                 breakdown.compute_per_thread[thread] = breakdown.compute_per_thread.get(thread, 0.0) + cost
                 # Reductions are parallel-only work: not added to sequential.
-            elif event.kind is EventKind.SECTION:
-                if "method" not in event.data:
-                    # run_sections dispatcher style: the section body already
-                    # appears as the scheduler's CHUNK events — pricing the
-                    # recorded elapsed again would double count it.
-                    continue
-                # Aspect (@Section) style: the claimed body is the only record
-                # of the work, priced like master/single by measured elapsed.
-                elapsed = float(event.data.get("elapsed", 0.0))
-                breakdown = phase_for(thread)
-                breakdown.compute_per_thread[thread] = breakdown.compute_per_thread.get(thread, 0.0) + elapsed
-                sequential_time += elapsed
             elif event.kind is EventKind.TUNE_DECISION:
                 # Instant marker from the adaptive scheduler: the decided
                 # schedule's chunks already appear as CHUNK events and the

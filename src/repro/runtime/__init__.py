@@ -65,7 +65,6 @@ from repro.runtime.faults import (
 from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.locks import LockRegistry, ReadWriteLock, StripedLocks, global_locks
 from repro.runtime.scheduler import (
-    CollapsedRange,
     DynamicScheduler,
     GuidedScheduler,
     LoopChunk,
@@ -74,7 +73,7 @@ from repro.runtime.scheduler import (
     StaticCyclicScheduler,
     make_scheduler,
 )
-from repro.runtime.worksharing import collapse_loop, run_for, run_sections, static_partition
+from repro.runtime.worksharing import run_for
 from repro.runtime.critical import critical_call, fine_grained_call, reader_call, writer_call
 from repro.runtime.threadlocal import (
     ArrayReducer,
@@ -181,16 +180,12 @@ __all__ = [
     # scheduling / work sharing
     "Schedule",
     "LoopChunk",
-    "CollapsedRange",
     "StaticBlockScheduler",
     "StaticCyclicScheduler",
     "DynamicScheduler",
     "GuidedScheduler",
     "make_scheduler",
-    "collapse_loop",
     "run_for",
-    "run_sections",
-    "static_partition",
     # thread-local / reductions
     "ThreadLocalStore",
     "global_thread_locals",

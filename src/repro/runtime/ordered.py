@@ -12,23 +12,37 @@ Semantics implemented here (matching OpenMP's ``ordered`` clause):
   ordered region;
 * each iteration executes the ordered method at most once, passing its
   iteration index; the region blocks the caller until all preceding
-  iterations' ordered parts have completed.
+  iterations' ordered parts have completed or their iterations finished
+  without one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterator, Sequence
+import time
+from typing import Any, Callable
 
 from repro.runtime import context as ctx
-from repro.runtime.exceptions import SchedulingError
+from repro.runtime.config import env
+from repro.runtime.exceptions import BrokenBarrierError, SchedulingError
 from repro.runtime.trace import EventKind
+
+#: seconds between an ordered waiter's checks that its team is still whole.
+_POLL = 0.05
 
 
 class OrderedRegion:
-    """Ticket dispenser enforcing sequential order over a loop's iterations."""
+    """Ticket dispenser enforcing sequential order over a loop's iterations.
 
-    def __init__(self, start: int, end: int, step: int) -> None:
+    The ticket is the position of the next iteration allowed to run its
+    ordered part.  An iteration that finishes without an ordered call moves
+    the ticket past it (:meth:`wrap`), so a loop whose iterations run their
+    ordered part *at most* once still completes.  A wait ends with
+    :class:`BrokenBarrierError` once ``broken()`` reports a failed team or
+    after ``AOMP_BARRIER_TIMEOUT`` seconds, the team barrier's bound.
+    """
+
+    def __init__(self, start: int, end: int, step: int, *, broken: Callable[[], bool] | None = None) -> None:
         if step == 0:
             raise SchedulingError("ordered region needs a non-zero step")
         self.start = start
@@ -37,6 +51,13 @@ class OrderedRegion:
         self._order = range(start, end, step)
         self._cond = threading.Condition()
         self._position = 0  # index into self._order of the next iteration allowed to run
+        #: runs ``[first, end)`` of positions finished with no ordered call
+        #: while the ticket was still behind them, keyed by ``first``.
+        self._passed: dict[int, int] = {}
+        #: the calling member's chunk, as ``[next position, end position)``.
+        self._chunk = threading.local()
+        self._broken = broken
+        self._timeout = env("AOMP_BARRIER_TIMEOUT")
 
     @property
     def total(self) -> int:
@@ -53,26 +74,69 @@ class OrderedRegion:
                 raise SchedulingError(f"iteration {iteration} is not part of the ordered range")
         return offset // self.step
 
+    def wrap(self, body: Callable[..., Any]) -> Callable[..., Any]:
+        """``body`` (a for method) with each call's iterations tracked as the
+        calling member's chunk: the iterations of the chunk that made no
+        ordered call are passed when a later one makes it and when the call
+        returns.  A chunk runs its iterations in ascending order."""
+        chunk = self._chunk
+
+        def ordered_chunk(lo: int, hi: int, step: int, *args: Any, **kwargs: Any) -> Any:
+            chunk.next = first = self._index_of(lo)
+            chunk.end = first + len(range(lo, hi, step))
+            result = body(lo, hi, step, *args, **kwargs)
+            self._pass(chunk.next, chunk.end)
+            return result
+
+        ordered_chunk.chunk_site = getattr(body, "chunk_site", False)  # type: ignore[attr-defined]
+        return ordered_chunk
+
     def run(self, iteration: int, fn: Callable[[], Any]) -> Any:
         """Execute ``fn`` when ``iteration`` becomes the next one in order."""
         position = self._index_of(iteration)
+        chunk = self._chunk
+        first = getattr(chunk, "next", None)
+        if first is not None:
+            if not first <= position < chunk.end:
+                raise SchedulingError(
+                    f"iteration {iteration}: an ordered call must belong to the member's chunk and "
+                    "come after the chunk's earlier ordered calls"
+                )
+            self._pass(first, position)
+            chunk.next = position + 1
         with self._cond:
+            deadline = None if self._timeout is None else time.monotonic() + self._timeout
             while self._position != position:
-                self._cond.wait()
+                if self._broken is not None and self._broken():
+                    raise BrokenBarrierError(f"ordered wait at iteration {iteration}: the team is broken")
+                remaining = _POLL if deadline is None else min(_POLL, deadline - time.monotonic())
+                if remaining <= 0:
+                    raise BrokenBarrierError(
+                        f"ordered wait at iteration {iteration} timed out after {self._timeout:g}s"
+                    )
+                self._cond.wait(remaining)
         try:
             return fn()
         finally:
-            with self._cond:
-                self._position += 1
-                self._cond.notify_all()
+            self._pass(position, position + 1)
 
     def skip(self, iteration: int) -> None:
         """Mark ``iteration`` as not executing an ordered part (advance the ticket)."""
         position = self._index_of(iteration)
+        self._pass(position, position + 1)
+
+    def _pass(self, first: int, end: int) -> None:
+        """Positions ``[first, end)`` are done: move the ticket past them, and
+        past the runs recorded ahead of them, once it reaches ``first``."""
+        if first >= end:
+            return
         with self._cond:
-            while self._position != position:
-                self._cond.wait()
-            self._position += 1
+            if self._position != first:
+                self._passed[first] = end
+                return
+            while end in self._passed:
+                end = self._passed.pop(end)
+            self._position = end
             self._cond.notify_all()
 
 
@@ -115,16 +179,3 @@ def ordered_call(iteration: int, fn: Callable[[], Any]) -> Any:
         return fn()
     context.team.record(EventKind.ORDERED, iteration=iteration)
     return region.run(iteration, fn)
-
-
-def iterate_in_order(chunks: Sequence[range]) -> Iterator[int]:
-    """Yield the union of ``chunks`` in ascending iteration order.
-
-    Helper for tests and for hand-written threaded baselines that need the
-    global sequential order of a partitioned loop.
-    """
-    merged: list[int] = []
-    for chunk in chunks:
-        merged.extend(chunk)
-    merged.sort()
-    return iter(merged)

@@ -203,134 +203,6 @@ def cyclic_spans(total: int, parts: int, index: int, chunk: int) -> "Iterator[tu
         yield first, min(chunk, total - first)
 
 
-class CollapsedRange:
-    """``collapse(n)`` linearisation of ``n`` perfectly nested loop ranges.
-
-    OpenMP's ``collapse`` clause turns the iteration space of ``n`` nested
-    loops into one flat space so the scheduler can balance across *all*
-    dimensions — the lever for 2D kernels whose outer trip count alone would
-    starve a wide team.  This class is that linearisation: the flat index
-    space is ``range(total)`` in row-major order (first range slowest), every
-    existing scheduler runs over it untouched, and the executor maps each
-    claimed flat chunk back to index tuples with :meth:`segments`.
-
-    Two scheduling granularities:
-
-    * **tuple mode** (default) — the schedulable unit is one index tuple;
-      a chunk may start or end mid-row and :meth:`segments` splits it into
-      maximal per-row runs of the innermost dimension.
-    * **row-pinned mode** — the schedulable unit is one *row* (a full
-      innermost range with the outer indices fixed); chunks are expressed in
-      ``range(outer_total)`` and :meth:`row_segments` decodes them.  Rows are
-      never split across chunks, which is what ``ordered`` collapsed loops
-      (and callers whose rows must stay whole, like CSR row scatters) need.
-    """
-
-    __slots__ = ("ranges", "counts", "total", "inner_count", "outer_total")
-
-    def __init__(self, ranges: "tuple[tuple[int, int, int], ...]") -> None:
-        if len(ranges) < 2:
-            raise SchedulingError(f"collapse needs at least 2 loop ranges, got {len(ranges)}")
-        self.ranges = tuple((int(s), int(e), int(st)) for s, e, st in ranges)
-        self.counts = tuple(trip_count(*r) for r in self.ranges)
-        total = 1
-        for count in self.counts:
-            total *= count
-        self.total = total
-        self.inner_count = self.counts[-1]
-        self.outer_total = total // self.inner_count if self.inner_count else 0
-
-    @property
-    def ndim(self) -> int:
-        """Number of collapsed dimensions."""
-        return len(self.ranges)
-
-    def index_at(self, dim: int, ordinal: int) -> int:
-        """Original index of the ``ordinal``-th iteration of dimension ``dim``."""
-        start, _, step = self.ranges[dim]
-        return start + ordinal * step
-
-    def tuple_at(self, flat: int) -> "tuple[int, ...]":
-        """Original index tuple of flat iteration ``flat`` (row-major order)."""
-        if not (0 <= flat < self.total):
-            raise SchedulingError(f"flat index {flat} outside [0, {self.total})")
-        ordinals: list[int] = []
-        for count in reversed(self.counts):
-            flat, ordinal = divmod(flat, count)
-            ordinals.append(ordinal)
-        ordinals.reverse()
-        return tuple(self.index_at(dim, ordinal) for dim, ordinal in enumerate(ordinals))
-
-    def _pinned(self, dim: int, ordinal: int) -> "tuple[int, int, int]":
-        """A single-iteration ``(start, end, step)`` range pinning dimension ``dim``."""
-        index = self.index_at(dim, ordinal)
-        step = self.ranges[dim][2]
-        return (index, index + step, step)
-
-    def _sub_range(self, dim: int, lo: int, hi: int) -> "tuple[int, int, int]":
-        """The ``(start, end, step)`` range covering ordinals ``[lo, hi)`` of ``dim``."""
-        start, _, step = self.ranges[dim]
-        return (start + lo * step, start + hi * step, step)
-
-    def segments(self, flat_start: int, flat_end: int):
-        """Decode flat chunk ``[flat_start, flat_end)`` into body-call ranges.
-
-        Yields one ``3 * ndim``-tuple of range parameters per maximal run of
-        the innermost dimension: every outer dimension pinned to a single
-        index, the innermost covering the run.  The executor calls the
-        original (un-collapsed) for method once per yielded tuple.
-        """
-        inner = self.inner_count
-        flat = flat_start
-        while flat < flat_end:
-            outer, offset = divmod(flat, inner)
-            run = min(flat_end - flat, inner - offset)
-            params: list[int] = []
-            remaining = outer
-            ordinals: list[int] = []
-            for count in reversed(self.counts[:-1]):
-                remaining, ordinal = divmod(remaining, count)
-                ordinals.append(ordinal)
-            ordinals.reverse()
-            for dim, ordinal in enumerate(ordinals):
-                params.extend(self._pinned(dim, ordinal))
-            params.extend(self._sub_range(self.ndim - 1, offset, offset + run))
-            yield tuple(params)
-            flat += run
-
-    def row_segments(self, unit_start: int, unit_end: int):
-        """Decode a row-pinned chunk ``[unit_start, unit_end)`` of whole rows.
-
-        Units index the outer product space (``range(outer_total)``).  Yields
-        ``3 * ndim``-tuples whose first ``ndim - 2`` dimensions are pinned,
-        whose ``ndim - 2``-th dimension covers a maximal run of consecutive
-        rows, and whose innermost dimension is always the *full* inner range
-        — rows are never split.
-        """
-        last_outer = self.counts[-2]
-        unit = unit_start
-        while unit < unit_end:
-            prefix, offset = divmod(unit, last_outer)
-            run = min(unit_end - unit, last_outer - offset)
-            params: list[int] = []
-            remaining = prefix
-            ordinals: list[int] = []
-            for count in reversed(self.counts[:-2]):
-                remaining, ordinal = divmod(remaining, count)
-                ordinals.append(ordinal)
-            ordinals.reverse()
-            for dim, ordinal in enumerate(ordinals):
-                params.extend(self._pinned(dim, ordinal))
-            params.extend(self._sub_range(self.ndim - 2, offset, offset + run))
-            params.extend(self.ranges[-1])
-            yield tuple(params)
-            unit += run
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        spec = " x ".join(f"range({s}, {e}, {st})" for s, e, st in self.ranges)
-        return f"CollapsedRange({spec}, total={self.total})"
-
-
 class LoopScheduler:
     """Base class for loop schedulers."""
 
@@ -541,9 +413,9 @@ def block_counts(total: int, parts: int) -> "list[int]":
     """Sizes of ``parts`` contiguous blocks covering ``total`` units.
 
     The first ``total % parts`` blocks get one extra unit.  Shared by the
-    :class:`~repro.runtime.shm.TaskStealArena` deck seeding, the taskloop
-    trace payload and the MolDyn sections, so a taskloop's traced tile
-    counts are the deck's by construction.
+    :class:`~repro.runtime.shm.TaskStealArena` deck seeding and the
+    taskloop trace payload, so a taskloop's traced tile counts are the
+    deck's by construction.
     """
     per, extra = divmod(total, parts)
     return [per + (1 if index < extra else 0) for index in range(parts)]

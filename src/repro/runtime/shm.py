@@ -13,12 +13,11 @@ backend does not.  This module provides the pieces that make OpenMP-style
   arena here and the team barrier (:class:`repro.runtime.barrier.CyclicBarrier`,
   on :func:`mp_cells` with semaphore wake-ups for fork and pool teams) build on.
 * :class:`SyncArena` — a pool of shared claim counters: the dynamic/guided
-  loop cursors and the ``sections`` first-arriver flag.  Process teams need
-  it pre-allocated, because loops are only *encountered* after worker
-  processes have been created, when new ``multiprocessing`` primitives can
-  no longer be shared.  Because region bodies are SPMD, the *n*-th
-  workshared loop encountered by each member maps to the same arena slot on
-  every member.
+  loop cursors.  Process teams need it pre-allocated, because loops are
+  only *encountered* after worker processes have been created, when new
+  ``multiprocessing`` primitives can no longer be shared.  Because region
+  bodies are SPMD, the *n*-th workshared loop encountered by each member
+  maps to the same arena slot on every member.
 * :class:`TaskStealArena` — a pool of work-stealing *tile decks* for the task
   runtime's ``taskloop`` construct (see :mod:`repro.runtime.tasks`), and
   :class:`TunePlanArena` — the ``schedule="auto"`` plan hand-off; both are
@@ -560,12 +559,12 @@ class SlotArena(CellArena):
     ordinal is seen; ordinals increase monotonically, so :meth:`reset` only
     has to clear the tags: after it every attach starts afresh.
 
-    Constructs with no barrier between them (``nowait`` loops, ``sections``
-    claims) let a fast member take a slot over for a later ordinal while a
-    slow one has yet to finish an earlier one there.  The fast member only
-    moved on once the earlier construct was claimed out, so the slow member's
-    handle is *stale*: its claim and steal ops find a newer tag, write
-    nothing, and report the construct exhausted.
+    Constructs with no barrier between them (``nowait`` loops) let a fast
+    member take a slot over for a later ordinal while a slow one has yet to
+    finish an earlier one there.  The fast member only moved on once the
+    earlier construct was claimed out, so the slow member's handle is
+    *stale*: its claim and steal ops find a newer tag, write nothing, and
+    report the construct exhausted.
     """
 
     LOCKED = True

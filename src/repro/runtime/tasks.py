@@ -739,7 +739,6 @@ def run_taskloop(
     grainsize: int | None = None,
     num_tasks: int | None = None,
     loop_name: str | None = None,
-    collapse: int = 1,
     nowait: bool = False,
     weight: Callable[[int], float] | None = None,
     **kwargs: Any,
@@ -758,22 +757,11 @@ def run_taskloop(
     over the full range — the paper's sequential-semantics guarantee.
     Unless ``nowait`` is set, the loop ends with a team barrier.
 
-    With ``collapse=n`` the body is a collapsed for method exposing ``n``
-    ``(start, end, step)`` triples (see
-    :func:`repro.runtime.worksharing.collapse_loop`): the combined iteration
-    space is linearised and *then* tiled, so stealable tiles span row
-    boundaries and balance across every dimension.
-
     Tracing records one ``CHUNK`` event per executed tile (feeding the
     perf model), one ``TASK_SPAWN`` per member with its seeded tile count
     and one ``TASK_STEAL`` per successful steal.
     """
     from repro.runtime import worksharing
-
-    if collapse > 1:
-        body, start, end, step, args, _crange = worksharing.collapse_loop(
-            body, start, end, step, args, collapse
-        )
 
     context = ctx.current_context()
     if context is None or context.team.size == 1:

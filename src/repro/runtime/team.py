@@ -47,7 +47,7 @@ class Team:
 
     The team owns the synchronisation objects that have *team scope* in the
     paper's model: the team barrier, the slot arenas the claiming constructs
-    (dynamic/guided loops, sections, taskloop, ``auto`` plans) draw from,
+    (dynamic/guided loops, taskloop, ``auto`` plans) draw from,
     and the shared slots used by the single/master/ordered constructs.
 
     Teams form a hierarchy: a member of an outer team that enters a nested
@@ -146,10 +146,10 @@ class Team:
     def proc_loop_slot(self, ordinal: int) -> "shm.ArenaSlot":
         """Claim slot for the ``ordinal``-th claiming construct of this team.
 
-        The dynamic/guided loop cursor and the ``sections`` first-arriver flag
-        on every tier: a process team's slot is in its fork-inherited (or
-        coordinator-hosted) :class:`~repro.runtime.shm.SyncArena`, an
-        in-process team's in its heap one.
+        The dynamic/guided loop cursor on every tier: a process team's slot
+        is in its fork-inherited (or coordinator-hosted)
+        :class:`~repro.runtime.shm.SyncArena`, an in-process team's in its
+        heap one.
         """
         return self._slot_arenas().arena.slot(ordinal, level=self._slot_level)
 

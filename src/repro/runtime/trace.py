@@ -37,7 +37,6 @@ class EventKind(str, Enum):
     REDUCTION = "reduction"          # a reduction over `count` thread-local copies
     SINGLE = "single"
     MASTER = "master"
-    SECTION = "section"              # a member executed one section of a sections construct
     ORDERED = "ordered"
     TASK_SPAWN = "task_spawn"
     TASK_STEAL = "task_steal"        # a member executed a task stolen from another member's deque

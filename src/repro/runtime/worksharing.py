@@ -44,7 +44,6 @@ from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.exceptions import BackendCapabilityError, SchedulingError
 from repro.runtime.ordered import OrderedRegion, install_ordered_region
 from repro.runtime.scheduler import (
-    CollapsedRange,
     DynamicScheduler,
     LoopChunk,
     Schedule,
@@ -94,57 +93,6 @@ def _loop_ordinal(context: ctx.ExecutionContext) -> int:
     return ordinal
 
 
-def collapse_loop(
-    body: Callable[..., Any],
-    start: int,
-    end: int,
-    step: int,
-    args: tuple,
-    collapse: int,
-    *,
-    pin_rows: bool = False,
-) -> "tuple[Callable[..., Any], int, int, int, tuple, CollapsedRange]":
-    """Linearise a ``collapse(n)`` for method into a flat 1-D for method.
-
-    The collapsed for method exposes ``n`` ``(start, end, step)`` triples as
-    its first ``3n`` parameters; the first triple arrives through the normal
-    ``run_for`` range arguments and the remaining ``3 * (n - 1)`` lead
-    ``args``.  Returns ``(flat_body, 0, units, 1, rest_args, crange)`` where
-    ``flat_body`` decodes each flat sub-range back into per-row calls of the
-    original method — so every scheduler, claim arena and the adaptive tuner
-    compose with collapse untouched, simply by working on the flat range.
-
-    With ``pin_rows`` the schedulable unit is a whole row (the innermost
-    range with outer indices fixed) instead of a single index tuple.
-    """
-    if collapse < 2:
-        raise SchedulingError(f"collapse must be >= 2, got {collapse}")
-    needed = 3 * (collapse - 1)
-    if len(args) < needed:
-        raise SchedulingError(
-            f"collapse({collapse}) for method must receive {3 * collapse} range "
-            f"parameters; only {3 + len(args)} positional arguments were passed"
-        )
-    dims = [(int(start), int(end), int(step))]
-    for d in range(collapse - 1):
-        lo, hi, st = args[3 * d : 3 * d + 3]
-        dims.append((int(lo), int(hi), int(st)))
-    rest = tuple(args[needed:])
-    crange = CollapsedRange(tuple(dims))
-    decode = crange.row_segments if pin_rows else crange.segments
-    units = crange.outer_total if pin_rows else crange.total
-
-    def flat_body(flat_start: int, flat_end: int, flat_step: int, *extra: Any, **kwargs: Any) -> Any:
-        # flat_step is always 1: the linearised space is dense by construction.
-        result: Any = None
-        for params in decode(flat_start, flat_end):
-            result = body(*params, *extra, **kwargs)
-        return result
-
-    flat_body.__name__ = getattr(body, "__name__", "<loop>")
-    return flat_body, 0, units, 1, rest, crange
-
-
 def run_for(
     body: Callable[..., Any],
     start: int,
@@ -154,8 +102,6 @@ def run_for(
     schedule: "str | Schedule | None" = None,
     chunk: int = 1,
     loop_name: str | None = None,
-    collapse: int = 1,
-    pin_rows: bool = False,
     ordered: bool = False,
     nowait: bool = False,
     weight: Callable[[int], float] | None = None,
@@ -189,25 +135,9 @@ def run_for(
         amortise team spin-up — and the measured wall time feeds the search.
     loop_name:
         Name recorded in trace events; defaults to ``body.__name__``.
-    collapse:
-        Number of perfectly nested loop dimensions the for method exposes
-        (OpenMP's ``collapse(n)`` clause).  With ``collapse=n`` the method's
-        first ``3n`` parameters are ``n`` ``(start, end, step)`` triples
-        (the first through the normal range arguments, the rest leading
-        ``*args``); the combined iteration space is linearised and shared
-        under ``schedule`` exactly like a 1-D loop — every schedule,
-        including ``"auto"``, batched claims and the process arenas, composes
-        unchanged.  Trace ``CHUNK`` events and ``weight`` then refer to flat
-        linearised indices.
-    pin_rows:
-        With ``collapse``: make whole *rows* (the innermost range with outer
-        indices fixed) the schedulable unit, so no row is ever split across
-        chunks.  Implied by ``ordered``.
     ordered:
         Whether an ordered region spanning the full range should be installed
         while the loop runs (needed when the loop body uses ``@Ordered``).
-        With ``collapse=2`` the ordered index is the outer dimension's and
-        rows are pinned; deeper ordered collapses are rejected.
     nowait:
         Skip the implicit barrier at the end of the work-shared loop.
     weight:
@@ -218,17 +148,6 @@ def run_for(
     methods are normally ``void``, mirroring the paper).
     """
     context = ctx.current_context()
-
-    ordered_range = (start, end, step)
-    if collapse > 1:
-        if ordered and collapse > 2:
-            raise SchedulingError(
-                "ordered is only supported with collapse=2 (the ordered index is "
-                f"the outer dimension's), got collapse={collapse}"
-            )
-        body, start, end, step, args, _crange = collapse_loop(
-            body, start, end, step, args, collapse, pin_rows=pin_rows or ordered
-        )
 
     # Zero-trip fast path: nothing to execute means no scheduler state, no
     # CHUNK trace events and no tuner observation — a zero-trip "auto"
@@ -275,12 +194,12 @@ def run_for(
         # exactly the active() flag check above.
         body = faults.wrap_chunk_body(body, member=context.thread_id, team=team)
 
-    ordered_region: OrderedRegion | None = None
     previous_ordered: OrderedRegion | None = None
     if ordered:
         loop_key = _loop_encounter_key(f"{name}#ordered")
-        ordered_region = team.shared_slot(loop_key, lambda: OrderedRegion(*ordered_range))
-        previous_ordered = install_ordered_region(ordered_region)
+        region = team.shared_slot(loop_key, lambda: OrderedRegion(start, end, step, broken=lambda: team.broken))
+        previous_ordered = install_ordered_region(region)
+        body = region.wrap(body)
 
     result: Any = None
     barrier_done = False
@@ -331,9 +250,9 @@ def _dispatch_schedule(
     Shared by the normal ``run_for`` path and the adaptive (``auto``) path,
     which calls it with whatever schedule the tuner decided for this
     invocation.  A static member's share is arithmetic in its id, with the
-    boundaries of :func:`static_partition`: a ``static_block`` member runs
-    one contiguous block (:func:`~repro.runtime.scheduler.block_span`) in
-    one body call.
+    boundaries of :meth:`~repro.runtime.scheduler.LoopScheduler.partition`:
+    a ``static_block`` member runs one contiguous block
+    (:func:`~repro.runtime.scheduler.block_span`) in one body call.
     """
     if chunk < 1:
         raise SchedulingError("chunk must be >= 1")
@@ -637,174 +556,3 @@ def _record_chunk(
         weight=total_weight,
         elapsed=elapsed,
     )
-
-
-def claim_section() -> bool:
-    """First-arriver claim for one SPMD encounter of a section-style construct.
-
-    Every team member is expected to reach the call (the region body is
-    SPMD); exactly one member — the first to arrive — gets ``True`` and
-    should execute the construct, the rest get ``False`` and skip it.
-    Outside a parallel region (or in a team of one) the caller always wins.
-
-    The claim is a ``fetch_add`` on the team's claim slot for the construct's
-    ordinal (it consumes one, keeping SPMD ordinal alignment with
-    work-shared loops), so it works on every backend.  This is the claim
-    primitive behind the ``@Section`` annotation.
-    """
-    context = ctx.current_context()
-    if context is None or context.team.size == 1:
-        return True
-    return context.team.proc_loop_slot(_loop_ordinal(context)).fetch_add() == 0
-
-
-def run_sections(
-    *sections: Callable[[], Any],
-    schedule: "str | Schedule" = Schedule.DYNAMIC,
-    chunk: int = 1,
-    nowait: bool = False,
-    name: str | None = None,
-) -> "dict[int, Any]":
-    """Execute each of ``sections`` exactly once, distributed over the team.
-
-    The OpenMP ``sections`` construct: ``sections`` are zero-argument
-    callables (use closures/``functools.partial`` to bind arguments); every
-    one of them is executed by exactly one team member, with the assignment
-    decided by ``schedule`` over the section indices — the construct is
-    dispatched through the same schedule machinery as work-shared loops, so
-    dynamic claiming (the default: first-free member takes the next
-    section), static distributions and the cross-process claim arenas all
-    apply unchanged.  Ends with the implicit team barrier unless ``nowait``.
-
-    Outside a parallel region (or with a team of one) every section runs on
-    the calling thread, in order — the paper's sequential-semantics
-    guarantee.
-
-    Returns a dict mapping section index to result **for the sections the
-    calling member executed** (sequentially: all of them).  On process teams
-    a section's side effects must go through shared memory, exactly like
-    work-shared loop bodies.
-
-    Tracing records one ``SECTION`` event per executed section (index +
-    elapsed time) in addition to the scheduler's ``CHUNK`` events.
-    """
-    from repro.runtime.trace import EventKind as _EventKind
-
-    context = ctx.current_context()
-    label = name or "sections"
-    results: dict[int, Any] = {}
-
-    if context is None or context.team.size == 1:
-        recorder: TraceRecorder | None = None
-        region_id = NO_REGION
-        thread_id = 0
-        if context is not None:
-            metrics = context.team.metrics
-            if context.team.tracing:
-                recorder = context.team.recorder
-                region_id = context.team.region_id
-                thread_id = context.thread_id
-        else:
-            metrics = get_config().metrics
-            if global_tracing_active() and get_config().tracing:
-                recorder = get_global_recorder()
-        if metrics and sections:
-            # Mirrors the CHUNK cost carrier below: one serial chunk for the
-            # whole construct.
-            obsreg.inc(_SERIAL_SLOT)
-        total_began = time.perf_counter()
-        for index, section in enumerate(sections):
-            began = time.perf_counter()
-            results[index] = section()
-            if recorder is not None:
-                recorder.record(
-                    _EventKind.SECTION,
-                    region_id,
-                    thread_id,
-                    sections=label,
-                    index=index,
-                    elapsed=time.perf_counter() - began,
-                )
-        if recorder is not None and sections:
-            # Cost carrier, mirroring _run_sequential: the perf model prices
-            # sections through CHUNK events (the SECTION events above are
-            # markers), so the sequential path must emit one too or the work
-            # would vanish from sequential/parallel comparisons.
-            _record_chunk(
-                recorder,
-                region_id,
-                thread_id,
-                label,
-                LoopChunk(0, len(sections), 1),
-                None,
-                time.perf_counter() - total_began,
-            )
-        return results
-
-    team = context.team
-    # Claimed even for an empty construct so ordinals stay SPMD-aligned.
-    ordinal = _loop_ordinal(context)
-    if not sections:
-        if not nowait:
-            team.barrier(label=f"sections:{label}")
-        return results
-
-    tracing = team.tracing
-
-    def run_claimed(claim_start: int, claim_end: int, claim_step: int) -> None:
-        for index in range(claim_start, claim_end, claim_step):
-            began = time.perf_counter()
-            results[index] = sections[index]()
-            if tracing:
-                team.record(
-                    _EventKind.SECTION,
-                    sections=label,
-                    index=index,
-                    elapsed=time.perf_counter() - began,
-                )
-
-    run_claimed.__name__ = label
-    parsed, spec_chunk = parse_schedule_spec(schedule)
-    if parsed is Schedule.AUTO:
-        raise SchedulingError(
-            "sections cannot be scheduled 'auto': the adaptive tuner keys on "
-            "homogeneous loop sites; pick a concrete schedule (default: dynamic)"
-        )
-    if spec_chunk is not None and chunk == 1:
-        chunk = spec_chunk
-    _dispatch_schedule(
-        run_claimed,
-        parsed,
-        chunk,
-        0,
-        len(sections),
-        1,
-        (),
-        {},
-        context,
-        team,
-        label,
-        ordinal,
-        None,
-    )
-    if not nowait:
-        team.barrier(label=f"sections:{label}")
-    return results
-
-
-def static_partition(
-    num_threads: int,
-    start: int,
-    end: int,
-    step: int,
-    *,
-    schedule: "str | Schedule" = Schedule.STATIC_BLOCK,
-    chunk: int = 1,
-) -> list[list[LoopChunk]]:
-    """Return the per-thread chunk lists for a static schedule: the whole
-    team's plan at once, where a member of a ``run_for`` loop computes only
-    its own share."""
-    parsed = Schedule.parse(schedule)
-    if parsed not in (Schedule.STATIC_BLOCK, Schedule.STATIC_CYCLIC):
-        raise ValueError(f"schedule {schedule!r} has no static partition")
-    return make_scheduler(parsed, chunk).partition(num_threads, start, end, step)

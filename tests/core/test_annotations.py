@@ -78,10 +78,9 @@ class TestAnnotationMetadata:
 
     def test_method_annotation_inventory_is_complete(self):
         # Paper Table 1 lists 16 abstractions; thread-local-field is a class
-        # annotation, the remaining 15 are method annotations.  "taskloop" and
-        # "section" are this reproduction's extensions beyond Table 1
-        # (OpenMP's taskloop and sections constructs).
-        paper_annotations = set(ann.METHOD_ANNOTATIONS) - {"taskloop", "section"}
+        # annotation, the remaining 15 are method annotations.  "taskloop" is
+        # this reproduction's extension beyond Table 1 (OpenMP's taskloop).
+        paper_annotations = set(ann.METHOD_ANNOTATIONS) - {"taskloop"}
         assert len(paper_annotations) == 15
         assert len(ann.CLASS_ANNOTATIONS) == 1
 
@@ -294,84 +293,5 @@ class TestAnnotationWeaving:
             assert returned is weaver
             assert App().region() == "ok"
             assert weaver.records
-        finally:
-            weaver.unweave_all()
-
-
-class TestSectionAndCollapseAnnotations:
-    def test_section_annotation_attaches_metadata(self):
-        @ann.section(group="io")
-        def flush():
-            pass
-
-        assert ann.get_annotations(flush)["section"] == {"group": "io"}
-
-    def test_for_loop_collapse_metadata(self):
-        @ann.for_loop(schedule="dynamic", collapse=2, pin_rows=True)
-        def tiles(r0, r1, rs, c0, c1, cs):
-            pass
-
-        params = ann.get_annotations(tiles)["for"]
-        assert params["collapse"] == 2 and params["pin_rows"] is True
-
-    def test_woven_sections_distribute_over_team(self):
-        import threading
-
-        from repro.core.annotation_weaver import weave_annotations
-
-        class Pipeline:
-            def __init__(self):
-                self.log = []
-                self.lock = threading.Lock()
-
-            @ann.parallel(threads=3)
-            def region(self):
-                self.stage_a()
-                self.stage_b()
-
-            @ann.section(group="stages")
-            def stage_a(self):
-                with self.lock:
-                    self.log.append("a")
-
-            @ann.section(group="stages")
-            def stage_b(self):
-                with self.lock:
-                    self.log.append("b")
-
-        weaver = weave_annotations(Pipeline)
-        try:
-            app = Pipeline()
-            app.region()
-            assert sorted(app.log) == ["a", "b"]
-        finally:
-            weaver.unweave_all()
-
-    def test_woven_collapse_loop_covers_grid(self):
-        import numpy as np
-
-        from repro.core.annotation_weaver import weave_annotations
-
-        class Grid:
-            def __init__(self):
-                self.hits = np.zeros((4, 6), dtype=np.int64)
-                self.lock = __import__("threading").Lock()
-
-            @ann.parallel(threads=3)
-            def region(self):
-                self.tiles(0, 4, 1, 0, 6, 1)
-
-            @ann.for_loop(schedule="dynamic", collapse=2)
-            def tiles(self, r0, r1, rs, c0, c1, cs):
-                with self.lock:
-                    for r in range(r0, r1, rs):
-                        for c in range(c0, c1, cs):
-                            self.hits[r, c] += 1
-
-        weaver = weave_annotations(Grid)
-        try:
-            app = Grid()
-            app.region()
-            assert (app.hits == 1).all()
         finally:
             weaver.unweave_all()

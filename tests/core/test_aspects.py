@@ -122,18 +122,20 @@ class TestForAspects:
         thread_zero = sorted(i for tid, i in app.seen if tid == 0)
         assert thread_zero == list(range(0, 30, 3))
 
-    def test_non_for_method_raises(self, weaver):
+    @pytest.mark.parametrize("args", [(), (0, 4)])
+    def test_non_for_method_raises(self, weaver, args):
         class Bad:
             def region(self):
-                self.not_a_loop()
+                self.not_a_loop(*args)
 
-            def not_a_loop(self):
+            def not_a_loop(self, *range_args):
                 pass
 
         weaver.weave(ForStatic(call("Bad.not_a_loop")), Bad)
         weaver.weave(ParallelRegion(call("Bad.region"), threads=2), Bad)
-        with pytest.raises((SchedulingError, BrokenTeamError)):
+        with pytest.raises(BrokenTeamError) as excinfo:
             Bad().region()
+        assert "is not a for method" in str(excinfo.value.__cause__)
 
     def test_sequential_semantics_without_region(self, weaver):
         App = self.make_app()
@@ -541,129 +543,3 @@ class TestDataAspects:
         merged = field_aspect.reduce(obj, SumReducer(), include_shared=False)
         assert merged == 1 + 2 + 3 + 4
         assert obj.total == 10
-
-
-class TestCollapseAspect:
-    def make_grid_app(self):
-        class GridApp:
-            def __init__(self, rows=6, cols=5):
-                self.rows = rows
-                self.cols = cols
-                self.hits = np.zeros((rows, cols), dtype=np.int64)
-                self.lock = threading.Lock()
-
-            def region(self):
-                self.tiles(0, self.rows, 1, 0, self.cols, 1)
-
-            def tiles(self, r0, r1, rs, c0, c1, cs):
-                with self.lock:
-                    for r in range(r0, r1, rs):
-                        for c in range(c0, c1, cs):
-                            self.hits[r, c] += 1
-
-        return GridApp
-
-    @pytest.mark.parametrize("schedule", ["staticBlock", "dynamic", "guided"])
-    def test_collapse2_covers_grid_once(self, weaver, schedule, recorder):
-        GridApp = self.make_grid_app()
-        weaver.weave(ForWorkSharing(call("GridApp.tiles"), schedule=schedule, collapse=2), GridApp)
-        weaver.weave(ParallelRegion(call("GridApp.region"), threads=3, recorder=recorder), GridApp)
-        app = GridApp()
-        app.region()
-        assert (app.hits == 1).all()
-        # CHUNK events cover the flat 6x5 space exactly.
-        from repro.runtime.trace import EventKind
-
-        chunk_events = recorder.events(EventKind.CHUNK)
-        covered = sorted(
-            i for e in chunk_events for i in range(e.data["start"], e.data["end"], e.data["step"])
-        )
-        assert covered == list(range(app.rows * app.cols))
-
-    def test_collapse_arity_checked(self, weaver):
-        class Bad:
-            def region(self):
-                self.tiles(0, 4, 1)
-
-            def tiles(self, r0, r1, rs):
-                pass
-
-        weaver.weave(ForWorkSharing(call("Bad.tiles"), collapse=2), Bad)
-        weaver.weave(ParallelRegion(call("Bad.region"), threads=2), Bad)
-        with pytest.raises(BrokenTeamError) as excinfo:
-            Bad().region()
-        assert "collapse(2)" in str(excinfo.value.__cause__)
-
-
-class TestSectionAspect:
-    def make_pipeline_app(self):
-        class Pipeline:
-            def __init__(self):
-                self.log = []
-                self.lock = threading.Lock()
-
-            def region(self):
-                results = (self.stage_a(), self.stage_b(), self.stage_c())
-                return results
-
-            def stage_a(self):
-                with self.lock:
-                    self.log.append(("a", ctx.get_thread_id()))
-                return "a"
-
-            def stage_b(self):
-                with self.lock:
-                    self.log.append(("b", ctx.get_thread_id()))
-                return "b"
-
-            def stage_c(self):
-                with self.lock:
-                    self.log.append(("c", ctx.get_thread_id()))
-                return "c"
-
-        return Pipeline
-
-    def test_each_section_executes_once(self, weaver):
-        from repro.core.aspects.worksharing import SectionAspect
-
-        Pipeline = self.make_pipeline_app()
-        for stage in ("stage_a", "stage_b", "stage_c"):
-            weaver.weave(SectionAspect(call(f"Pipeline.{stage}"), group="pipeline"), Pipeline)
-        weaver.weave(ParallelRegion(call("Pipeline.region"), threads=3), Pipeline)
-        app = Pipeline()
-        app.region()
-        assert sorted(stage for stage, _ in app.log) == ["a", "b", "c"]
-
-    def test_winner_gets_value_others_none(self, weaver):
-        from repro.core.aspects.worksharing import SectionAspect
-
-        Pipeline = self.make_pipeline_app()
-        weaver.weave(SectionAspect(call("Pipeline.stage_a")), Pipeline)
-        weaver.weave(ParallelRegion(call("Pipeline.region"), threads=3), Pipeline)
-        app = Pipeline()
-        app.region()
-        # Exactly one member executed the woven stage_a (the unwoven stages
-        # stay replicated on every member — sequential base behaviour).
-        assert len([entry for entry in app.log if entry[0] == "a"]) == 1
-
-    def test_sequential_semantics_outside_region(self, weaver):
-        from repro.core.aspects.worksharing import SectionAspect
-
-        Pipeline = self.make_pipeline_app()
-        weaver.weave(SectionAspect(call("Pipeline.stage_a")), Pipeline)
-        app = Pipeline()
-        assert app.stage_a() == "a"
-        assert app.log == [("a", 0)]
-
-    def test_section_trace_events(self, weaver, recorder):
-        from repro.core.aspects.worksharing import SectionAspect
-        from repro.runtime.trace import EventKind
-
-        Pipeline = self.make_pipeline_app()
-        weaver.weave(SectionAspect(call("Pipeline.stage_a"), group="traced"), Pipeline)
-        weaver.weave(ParallelRegion(call("Pipeline.region"), threads=2, recorder=recorder), Pipeline)
-        Pipeline().region()
-        events = recorder.events(EventKind.SECTION)
-        assert len(events) == 1
-        assert events[0].data["sections"] == "traced"
-        assert events[0].data["method"] == "Pipeline.stage_a"

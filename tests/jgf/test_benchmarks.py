@@ -252,6 +252,13 @@ class TestLinpackDetails:
         solution = kernel.dgesl()
         assert np.allclose(solution, np.linalg.solve(dense, rhs), atol=1e-8)
 
+    def test_woven_factorisation_is_bit_identical(self):
+        """Columns are eliminated independently, so sharing them out over a
+        team cannot change a single rounding."""
+        from repro.jgf.lufact.parallel import run_aomp, run_sequential
+
+        assert run_aomp("tiny", num_threads=4).value == run_sequential("tiny").value
+
 
 class TestSorDetails:
     def test_relaxation_reduces_residual_vs_initial(self):
@@ -384,66 +391,3 @@ class TestRayTracerDetails:
 
         with pytest.raises(ValueError):
             RayTracer(2)
-
-
-class TestNestedWorksharingDrivers:
-    """The collapse(2) LUFact and sectioned MolDyn ports (acceptance drivers)."""
-
-    def test_lufact_collapse_identical_to_sequential_on_every_backend(self):
-        from repro.jgf.lufact.parallel import run_collapse, run_sequential
-
-        reference = run_sequential("tiny").value
-        for backend in ("serial", "threads", "processes"):
-            result = run_collapse("tiny", num_threads=4, backend=backend)
-            # Bit-identical: the collapsed daxpy is elementwise, so 2D tiling
-            # cannot change a single rounding.
-            assert result.value == reference, backend
-            assert result.details["valid"]
-
-    @pytest.mark.parametrize("schedule", ["dynamic", "guided", "staticCyclic", "auto"])
-    def test_lufact_collapse_identical_under_every_schedule(self, schedule):
-        from repro.jgf.lufact.parallel import run_collapse, run_sequential
-
-        reference = run_sequential("tiny").value
-        result = run_collapse("tiny", num_threads=3, backend="threads", schedule=schedule)
-        assert result.value == reference, schedule
-
-    def test_lufact_collapse_auto_on_processes(self):
-        from repro.jgf.lufact.parallel import run_collapse, run_sequential
-
-        reference = run_sequential("tiny").value
-        result = run_collapse("tiny", num_threads=3, backend="processes", schedule="auto")
-        assert result.value == reference
-
-    def test_moldyn_sections_match_sequential_on_every_backend(self):
-        from repro.jgf.moldyn.parallel import run_sequential
-        from repro.jgf.moldyn.sections import run_aomp_sections
-
-        reference = run_sequential("tiny").value
-        for backend in ("serial", "threads", "processes"):
-            result = run_aomp_sections("tiny", num_threads=4, backend=backend)
-            assert result.value == pytest.approx(reference, rel=1e-12), backend
-
-    def test_moldyn_sections_auto_schedule(self):
-        from repro.jgf.moldyn.parallel import run_sequential
-        from repro.jgf.moldyn.sections import run_aomp_sections
-
-        reference = run_sequential("tiny").value
-        for backend in ("threads", "processes"):
-            result = run_aomp_sections("tiny", num_threads=3, backend=backend, schedule="auto")
-            assert result.value == pytest.approx(reference, rel=1e-12), backend
-
-    def test_moldyn_sections_records_section_events(self):
-        from repro.jgf.moldyn.sections import SectionedMolDyn
-        from repro.runtime.team import parallel_region
-        from repro.runtime.trace import set_global_recorder
-
-        recorder = TraceRecorder()
-        set_global_recorder(recorder)
-        try:
-            kernel = SectionedMolDyn(32, moves=1, num_sections=3)
-            parallel_region(kernel.run_spmd, num_threads=2, name="sections-trace")
-            events = recorder.events(EventKind.SECTION)
-            assert sorted(e.data["index"] for e in events) == [0, 1, 2]
-        finally:
-            set_global_recorder(None)

@@ -549,32 +549,3 @@ class TestNestedRegionsInModel:
         machine = MachineModel("m", cores=4, hardware_threads=4, sync_overhead_us=0.0)
         model = MakespanModel(CostModel(loops={"work": LoopCost(seconds_per_unit=1e-3)}), machine)
         assert model.estimate(recorder, 4).speedup == pytest.approx(4.0, rel=0.05)
-
-
-class TestSectionEventsInModel:
-    def test_aspect_section_priced_by_elapsed(self):
-        recorder = TraceRecorder()
-        region = recorder.new_region_id()
-        recorder.record(EventKind.REGION_BEGIN, region, 0, name="r", size=2)
-        recorder.record(EventKind.SECTION, region, 1, sections="g", method="App.stage", elapsed=0.25)
-        recorder.record(EventKind.REGION_END, region, 0, name="r")
-        machine = MachineModel("m", cores=4, hardware_threads=4, sync_overhead_us=0.0)
-        estimate = MakespanModel(CostModel(), machine).estimate(recorder, 2)
-        assert estimate.makespan == pytest.approx(0.25)
-        assert estimate.sequential_time == pytest.approx(0.25)
-
-    def test_dispatcher_section_marker_not_double_counted(self):
-        """run_sections SECTION events ride along CHUNK events; only the
-        chunks may contribute cost."""
-        recorder = TraceRecorder()
-        region = recorder.new_region_id()
-        recorder.record(EventKind.REGION_BEGIN, region, 0, name="r", size=2)
-        recorder.record(
-            EventKind.CHUNK, region, 0, loop="sections", start=0, end=1, step=1, count=1
-        )
-        recorder.record(EventKind.SECTION, region, 0, sections="sections", index=0, elapsed=9.9)
-        recorder.record(EventKind.REGION_END, region, 0, name="r")
-        machine = MachineModel("m", cores=4, hardware_threads=4, sync_overhead_us=0.0)
-        cost_model = CostModel(loops={"sections": LoopCost(seconds_per_unit=1e-3)})
-        estimate = MakespanModel(cost_model, machine).estimate(recorder, 2)
-        assert estimate.makespan == pytest.approx(1e-3)

@@ -2,7 +2,8 @@
 
 The sync-constructs suite exercises the ordered aspect end-to-end; this file
 covers the runtime module itself: ticket sequencing, skipping, range
-validation, region installation and the iteration-order helper.
+validation, region installation, and loops whose iterations skip their
+ordered part or fail before it.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ import threading
 import pytest
 
 from repro.runtime import context as ctx
-from repro.runtime.exceptions import SchedulingError
+from repro.runtime.exceptions import BrokenTeamError, SchedulingError
 from repro.runtime.ordered import (
     OrderedRegion,
     current_ordered_region,
     install_ordered_region,
-    iterate_in_order,
     ordered_call,
 )
 from repro.runtime.team import parallel_region
@@ -145,11 +145,59 @@ class TestOrderedWithinWorksharing:
         assert order == list(range(12))
 
 
-class TestIterateInOrder:
-    def test_merges_chunks_ascending(self):
-        chunks = [range(4, 8), range(0, 4), range(8, 10)]
-        assert list(iterate_in_order(chunks)) == list(range(10))
+def _finishes(region, seconds=30.0):
+    """Run ``region`` in a daemon thread: a hang fails the test at the join
+    bound instead of stalling the suite.  Returns what ``region`` raised."""
+    outcome: dict = {}
 
-    def test_empty_chunks(self):
-        assert list(iterate_in_order([])) == []
-        assert list(iterate_in_order([range(0)])) == []
+    def target():
+        try:
+            region()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"ordered loop still running after {seconds:g}s"
+    return outcome.get("error")
+
+
+@pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided"])
+class TestOrderedLoopsThatSkipOrFail:
+    def test_iterations_without_an_ordered_call_are_passed(self, schedule):
+        skipped = {1, 2, 7}
+        order: list[int] = []
+
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                if i not in skipped:
+                    ordered_call(i, lambda i=i: order.append(i))
+
+        def region():
+            parallel_region(
+                lambda: run_for(loop, 0, 12, 1, schedule=schedule, chunk=2, ordered=True),
+                num_threads=2,
+                backend="threads",
+            )
+
+        assert _finishes(region) is None
+        assert order == [i for i in range(12) if i not in skipped]
+
+    def test_a_member_failing_before_its_ordered_call_breaks_the_team(self, schedule):
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                if i == 0:
+                    raise RuntimeError("iteration 0 failed")
+                ordered_call(i, lambda: None)
+
+        def region():
+            parallel_region(
+                lambda: run_for(loop, 0, 12, 1, schedule=schedule, chunk=2, ordered=True),
+                num_threads=2,
+                backend="threads",
+            )
+
+        error = _finishes(region)
+        assert isinstance(error, BrokenTeamError)
+        assert isinstance(error.__cause__, RuntimeError)

@@ -253,7 +253,7 @@ class TestDynamic:
         assert sorted(expand(chunks)) == list(range(10))
         assert list(gen_a) == [] and list(gen_b) == []
 
-    def test_no_static_partition(self):
+    def test_partition_is_refused(self):
         with pytest.raises(SchedulingError):
             DynamicScheduler().partition(4, 0, 10, 1)
 

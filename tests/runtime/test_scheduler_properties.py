@@ -18,9 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import dataplane
-from repro.runtime.exceptions import SchedulingError
 from repro.runtime.scheduler import (
-    CollapsedRange,
     DynamicScheduler,
     GuidedScheduler,
     Schedule,
@@ -133,134 +131,6 @@ def test_cyclic_stride_matches_team_size():
             for first, second in zip(blocks, blocks[1:]):
                 logical_gap = (second.start - first.start) // step
                 assert logical_gap == num_threads * chunk
-
-
-# ---------------------------------------------------------------------------
-# collapse(n) linearisation properties (hypothesis)
-# ---------------------------------------------------------------------------
-
-#: one (start, end, step) loop range with 0..9 iterations, any step direction
-_range_st = st.builds(
-    lambda start, count, step: (start, start + count * step, step),
-    st.integers(-20, 20),
-    st.integers(0, 9),
-    st.sampled_from([-3, -2, -1, 1, 2, 3]),
-)
-
-_dims_st = st.lists(_range_st, min_size=2, max_size=3).map(tuple)
-
-_ALL_SCHEDULES = [
-    Schedule.STATIC_BLOCK,
-    Schedule.STATIC_CYCLIC,
-    Schedule.DYNAMIC,
-    Schedule.GUIDED,
-]
-
-
-def _expected_tuples(dims):
-    return sorted(itertools.product(*(range(s, e, st_) for s, e, st_ in dims)))
-
-
-def _chunks_for_flat(schedule, chunk, num_threads, total):
-    """Flat chunks of range(total) per thread, interleaving dynamic claims."""
-    scheduler, slot = make_scheduler(schedule, chunk=chunk), heap_slot(SyncArena, 0)
-    iterators = [oracle_chunks(scheduler, t, num_threads, 0, total, 1, slot) for t in range(num_threads)]
-    per_thread = [[] for _ in range(num_threads)]
-    live = set(range(num_threads))
-    while live:
-        for t in sorted(live):
-            piece = next(iterators[t], None)
-            if piece is None:
-                live.discard(t)
-            else:
-                per_thread[t].append(piece)
-    return per_thread
-
-
-def _decode_segment_tuples(params):
-    """Expand one body-call parameter tuple into its index tuples."""
-    ranges = [range(params[i], params[i + 1], params[i + 2]) for i in range(0, len(params), 3)]
-    return list(itertools.product(*ranges))
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    dims=_dims_st,
-    schedule=st.sampled_from(_ALL_SCHEDULES),
-    chunk=st.integers(1, 8),
-    num_threads=st.integers(1, 6),
-)
-def test_collapse_every_tuple_visited_exactly_once(dims, schedule, chunk, num_threads):
-    """Any schedule over the flat space visits every index tuple exactly once."""
-    crange = CollapsedRange(dims)
-    visited = []
-    for chunks in _chunks_for_flat(schedule, chunk, num_threads, crange.total):
-        for piece in chunks:
-            for params in crange.segments(piece.start, piece.end):
-                visited.extend(_decode_segment_tuples(params))
-    assert sorted(visited) == _expected_tuples(dims)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    dims=_dims_st,
-    schedule=st.sampled_from(_ALL_SCHEDULES),
-    chunk=st.integers(1, 8),
-    num_threads=st.integers(1, 6),
-)
-def test_collapse_row_pinned_never_splits_a_row(dims, schedule, chunk, num_threads):
-    """Row-pinned (ordered) chunking keeps whole rows on one chunk.
-
-    Every decoded body call must cover the *full* innermost range, every
-    outer tuple must appear in exactly one chunk, and the union must still be
-    the complete tuple space.
-    """
-    crange = CollapsedRange(dims)
-    inner = dims[-1]
-    inner_count = len(range(*inner))
-    visited = []
-    outer_owners = {}
-    for thread, chunks in enumerate(
-        _chunks_for_flat(schedule, chunk, num_threads, crange.outer_total)
-    ):
-        for piece in chunks:
-            for params in crange.row_segments(piece.start, piece.end):
-                assert params[-3:] == inner  # full inner range, never split
-                for index_tuple in _decode_segment_tuples(params):
-                    visited.append(index_tuple)
-                    owner = outer_owners.setdefault(index_tuple[:-1], (thread, piece))
-                    assert owner == (thread, piece), (
-                        f"row {index_tuple[:-1]} split across chunks {owner} and {(thread, piece)}"
-                    )
-    if inner_count:
-        assert sorted(visited) == _expected_tuples(dims)
-    else:
-        assert visited == []
-
-
-@settings(max_examples=120, deadline=None)
-@given(dims=_dims_st, data=st.data())
-def test_collapse_tuple_at_round_trips(dims, data):
-    """tuple_at agrees with the row-major expansion of the tuple space."""
-    crange = CollapsedRange(dims)
-    expected = list(itertools.product(*(range(s, e, st_) for s, e, st_ in dims)))
-    assert crange.total == len(expected)
-    if not expected:
-        with pytest.raises(SchedulingError):
-            crange.tuple_at(0)
-        return
-    flat = data.draw(st.integers(0, crange.total - 1))
-    assert crange.tuple_at(flat) == expected[flat]
-
-
-def test_collapse_rejects_single_dimension():
-    with pytest.raises(SchedulingError):
-        CollapsedRange(((0, 4, 1),))
-
-
-def test_collapse_rejects_zero_step():
-    with pytest.raises(SchedulingError):
-        CollapsedRange(((0, 4, 1), (0, 4, 0)))
 
 
 # ---------------------------------------------------------------------------

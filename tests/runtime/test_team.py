@@ -483,20 +483,19 @@ class TestNestedTeamConformance:
             assert event.data["parent_region"] == outer_event.region
             assert 0 <= event.data["parent_thread"] < outer_event.data["size"]
 
-    def test_collapse_loop_inside_nested_team(self, backend_name, watchdog):
-        """collapse(2) worksharing is usable from an inner team."""
+    def test_dynamic_loop_inside_nested_team(self, backend_name, watchdog):
+        """Dynamic worksharing is usable from an inner team."""
         n = 4
         with shm.SharedArray.zeros((n, n), np.int64) as hits:
 
-            def tile(r0, r1, rs, c0, c1, cs, base):
-                for r in range(r0, r1, rs):
-                    for c in range(c0, c1, cs):
-                        hits[r, c] += base
+            def cells(start, end, step, base):
+                for cell in range(start, end, step):
+                    hits[cell // n, cell % n] += base
 
             def inner():
                 from repro.runtime.worksharing import run_for
 
-                run_for(tile, 0, n, 1, 0, n, 1, 1, collapse=2, schedule="dynamic")
+                run_for(cells, 0, n * n, 1, 1, schedule="dynamic")
 
             def outer():
                 if ctx.get_thread_id() == 0:

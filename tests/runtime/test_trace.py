@@ -212,7 +212,6 @@ _ROUND_TRIP_PAYLOADS: dict[EventKind, dict] = {
     EventKind.REDUCTION: {"count": 4, "op": "sum"},
     EventKind.SINGLE: {"winner": 2},
     EventKind.MASTER: {},
-    EventKind.SECTION: {"index": 1, "elapsed": 0.02},
     EventKind.ORDERED: {"index": 5, "waited": 0.004},
     EventKind.TASK_SPAWN: {"count": 3},
     EventKind.TASK_STEAL: {"victim": 1, "count": 2},

@@ -7,7 +7,7 @@ attachments of the shared arrays its body names.  These tests
 change each of them between two warm regions and check that the worker sees
 the change; break a region and check that the next one runs clean on the same
 workers; kill a parked pool worker; and check the one-step static ranges a
-member now computes against :func:`static_partition`.
+member now computes against the scheduler's partition.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from repro.runtime.config import get_config, config_override
 from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
 from repro.runtime.faults import parse_fault_spec, set_fault_plan
+from repro.runtime.scheduler import make_scheduler
 from repro.runtime.team import Team, parallel_region
-from repro.runtime.worksharing import run_for, static_partition
+from repro.runtime.worksharing import run_for
 
 SCHEDULES = ("static_block", "static_cyclic", "dynamic", "guided")
 
@@ -383,7 +384,7 @@ class _Calls:
     size=st.integers(1, 8),
     data=st.data(),
 )
-def test_a_members_static_range_is_static_partitions(start, end, step, size, data):
+def test_a_members_static_range_is_the_schedulers_partition(start, end, step, size, data):
     """One arithmetic step per member gives exactly the partition's chunks,
     zero-trip and negative-step loops included."""
     member = data.draw(st.integers(0, size - 1))
@@ -395,7 +396,7 @@ def test_a_members_static_range_is_static_partitions(start, end, step, size, dat
         run_for(calls, start, end, step, schedule=schedule, chunk=chunk, nowait=True)
     finally:
         ctx.pop_context()
-    expected = static_partition(size, start, end, step, schedule=schedule, chunk=chunk)[member]
+    expected = make_scheduler(schedule, chunk).partition(size, start, end, step)[member]
     if size > 1:
         assert calls.ranges == [(piece.start, piece.end, piece.step) for piece in expected]
     else:  # a team of one runs the untouched range: the same iterations, in one call

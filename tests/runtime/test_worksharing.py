@@ -10,10 +10,11 @@ import pytest
 from repro.runtime import context as ctx
 from repro.runtime import shm
 from repro.runtime.exceptions import BackendCapabilityError
+from repro.runtime.scheduler import make_scheduler
 from repro.runtime.single import MasterRegion, SingleRegion
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
-from repro.runtime.worksharing import run_for, static_partition
+from repro.runtime.worksharing import run_for
 
 CONFORMANCE_BACKENDS = ("serial", "threads", "processes", "distributed")
 
@@ -291,22 +292,20 @@ def test_sequential_run_for_honours_tracing_config(recorder):
     assert recorder.events(EventKind.CHUNK) == []
 
 
-def test_static_partition_helper():
-    parts = static_partition(4, 0, 16, 1, schedule="staticBlock")
+def test_static_block_partition_covers_the_range():
+    parts = make_scheduler("staticBlock").partition(4, 0, 16, 1)
     assert len(parts) == 4
     assert sum(len(list(c.indices())) for p in parts for c in p) == 16
-    with pytest.raises(ValueError):
-        static_partition(4, 0, 16, 1, schedule="dynamic")
 
 
-@pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic"])
+@pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided"])
 @pytest.mark.parametrize("chunk", [0, -1])
-def test_static_partition_rejects_a_chunk_below_one(schedule, chunk):
+def test_make_scheduler_rejects_a_chunk_below_one(schedule, chunk):
     """A scheduling error, never a ``ZeroDivisionError`` or an empty plan."""
     from repro.runtime.exceptions import SchedulingError
 
     with pytest.raises(SchedulingError, match="chunk must be >= 1"):
-        static_partition(4, 0, 100, 1, schedule=schedule, chunk=chunk)
+        make_scheduler(schedule, chunk)
 
 
 def test_zero_step_rejected():
@@ -351,15 +350,15 @@ class TestWorksharingConformance:
     def test_every_iteration_executed_exactly_once(self, backend_name, schedule):
         with shm.SharedArray.zeros(101, np.int64) as counts:
 
-            def loop(start, end, step):
+            def loop(start, end, step, bump):
                 for i in range(start, end, step):
-                    counts[i] += 1
+                    counts[i] += bump
 
             def body():
-                run_for(loop, 0, 101, 1, schedule=schedule, chunk=3)
+                run_for(loop, 0, 101, 1, 5, schedule=schedule, chunk=3)
 
             parallel_region(body, num_threads=4, backend=backend_name)
-            assert counts.np.tolist() == [1] * 101
+            assert counts.np.tolist() == [5] * 101
 
     @pytest.mark.parametrize("rng", [(1, 30, 3), (10, 0, -2), (5, 5, 1), (0, 7, 10)])
     def test_strided_and_degenerate_ranges(self, backend_name, rng):
@@ -917,226 +916,16 @@ class TestZeroTripFastPath:
             assert np.asarray(counts).tolist() == [1] * total
 
 
-# ---------------------------------------------------------------------------
-# collapse(n) worksharing
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
-class TestCollapseConformance:
-    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided", "auto"])
-    def test_collapse2_covers_grid_once(self, backend_name, schedule):
-        rows, cols = 5, 7
-        with shm.SharedArray.zeros((rows, cols), np.int64) as hits:
-
-            def tile(r0, r1, rs, c0, c1, cs):
-                for r in range(r0, r1, rs):
-                    for c in range(c0, c1, cs):
-                        hits[r, c] += 1
-
-            def body():
-                run_for(tile, 0, rows, 1, 0, cols, 1, collapse=2, schedule=schedule, chunk=2)
-
-            parallel_region(body, num_threads=3, backend=backend_name)
-            assert (np.asarray(hits) == 1).all()
-
-    def test_collapse3_with_extra_args(self, backend_name):
-        shape = (3, 4, 2)
-        with shm.SharedArray.zeros(shape, np.int64) as hits:
-
-            def tile(a0, a1, asn, b0, b1, bs, c0, c1, cs, bump):
-                for a in range(a0, a1, asn):
-                    for b in range(b0, b1, bs):
-                        for c in range(c0, c1, cs):
-                            hits[a, b, c] += bump
-
-            def body():
-                run_for(tile, 0, 3, 1, 0, 4, 1, 0, 2, 1, 5, collapse=3, schedule="dynamic")
-
-            parallel_region(body, num_threads=4, backend=backend_name)
-            assert (np.asarray(hits) == 5).all()
-
-
-def test_collapse_requires_all_range_parameters():
-    from repro.runtime.exceptions import SchedulingError
-
-    with pytest.raises(SchedulingError, match="collapse"):
-        run_for(lambda *a: None, 0, 4, 1, collapse=2)
-
-
-def test_collapse_ordered_pins_rows(recorder):
-    """ordered + collapse(2): rows stay whole and run in outer-index order."""
-    from repro.runtime.ordered import ordered_call
-
-    executed = []
-    lock = threading.Lock()
-
-    def tile(r0, r1, rs, c0, c1, cs):
-        for r in range(r0, r1, rs):
-            def record(row=r, lo=c0, hi=c1):
-                with lock:
-                    executed.append((row, lo, hi))
-            ordered_call(r, record)
-
-    def body():
-        run_for(tile, 0, 6, 1, 0, 5, 1, collapse=2, ordered=True, schedule="dynamic")
-
-    parallel_region(body, num_threads=3)
-    # Ordered hand-off: rows complete in outer order, and each body call saw
-    # the full (never split) inner range.
-    assert executed == [(row, 0, 5) for row in range(6)]
-
-
-def test_collapse_ordered_beyond_two_dims_rejected():
-    from repro.runtime.exceptions import SchedulingError
-
-    def body():
-        run_for(lambda *a: None, 0, 2, 1, 0, 2, 1, 0, 2, 1, collapse=3, ordered=True)
-
-    with pytest.raises(Exception) as excinfo:
-        parallel_region(body, num_threads=2)
-    assert "ordered" in str(excinfo.value)
-
-
-def test_collapse_taskloop_covers_grid():
-    from repro.runtime.tasks import run_taskloop
-
-    rows, cols = 6, 5
-    with shm.SharedArray.zeros((rows, cols), np.int64) as hits:
-
-        def tile(r0, r1, rs, c0, c1, cs):
-            for r in range(r0, r1, rs):
-                for c in range(c0, c1, cs):
-                    hits[r, c] += 1
-
-        def body():
-            run_taskloop(tile, 0, rows, 1, 0, cols, 1, collapse=2, grainsize=4)
-
-        parallel_region(body, num_threads=3)
-        assert (np.asarray(hits) == 1).all()
-
-
-# ---------------------------------------------------------------------------
-# sections construct
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend_name", CONFORMANCE_BACKENDS)
-class TestSectionsConformance:
-    def test_each_section_runs_exactly_once(self, backend_name):
-        sections = 7
-        with shm.SharedArray.zeros(sections, np.int64) as counts:
-
-            def make(index):
-                def section():
-                    counts[index] += 1
-                return section
-
-            def body():
-                from repro.runtime.worksharing import run_sections
-
-                run_sections(*[make(i) for i in range(sections)], name="conf")
-
-            parallel_region(body, num_threads=3, backend=backend_name)
-            assert np.asarray(counts).tolist() == [1] * sections
-
-    def test_static_schedule_assignment(self, backend_name):
-        """Sections accept static schedules through the same dispatch path."""
-        sections = 6
-        with shm.SharedArray.zeros(sections, np.int64) as owners:
-
-            def make(index):
-                def section():
-                    owners[index] = ctx.get_thread_id() + 1
-                return section
-
-            def body():
-                from repro.runtime.worksharing import run_sections
-
-                run_sections(*[make(i) for i in range(sections)], schedule="staticCyclic", name="static")
-
-            parallel_region(body, num_threads=2, backend=backend_name)
-            owned = np.asarray(owners)
-            assert (owned >= 1).all()
-            if backend_name != "serial":
-                # cyclic assignment: section i belongs to member i % 2
-                assert owned.tolist() == [(i % 2) + 1 for i in range(sections)]
-
-
-def test_sections_sequential_outside_region():
-    from repro.runtime.worksharing import run_sections
-
-    order = []
-    results = run_sections(*(lambda i=i: order.append(i) or i * 10 for i in range(4)))
-    assert order == [0, 1, 2, 3]
-    assert results == {0: 0, 1: 10, 2: 20, 3: 30}
-
-
-def test_sections_results_returned_per_member():
-    collected = {}
-    lock = threading.Lock()
-
-    def body():
-        from repro.runtime.worksharing import run_sections
-
-        mine = run_sections(*(lambda i=i: i * i for i in range(5)), name="res")
-        with lock:
-            collected[ctx.get_thread_id()] = mine
-
-    parallel_region(body, num_threads=2)
-    merged = {}
-    for mine in collected.values():
-        merged.update(mine)
-    assert merged == {i: i * i for i in range(5)}
-
-
-def test_sections_trace_events(recorder):
-    def body():
-        from repro.runtime.worksharing import run_sections
-
-        run_sections(*(lambda: None for _ in range(3)), name="traced")
-
-    parallel_region(body, num_threads=2)
-    events = recorder.events(EventKind.SECTION)
-    assert sorted(e.data["index"] for e in events) == [0, 1, 2]
-    assert all(e.data["sections"] == "traced" for e in events)
-    assert all(e.data["elapsed"] >= 0.0 for e in events)
-
-
-def test_sections_auto_schedule_rejected():
-    from repro.runtime.worksharing import run_sections
-
-    def body():
-        run_sections(lambda: None, schedule="auto")
-
-    with pytest.raises(Exception) as excinfo:
-        parallel_region(body, num_threads=2)
-    assert "auto" in str(excinfo.value)
-
-
-def test_empty_sections_still_barrier():
-    from repro.runtime.worksharing import run_sections
-
-    def body():
-        assert run_sections() == {}
-
-    parallel_region(body, num_threads=2)
-
-
 def test_thread_members_claim_every_unit_once_under_preemption():
-    """A thread team's dynamic/guided cursors, taskloop deck and section flags
-    are cells of one heap arena.  With more members than processors and a
-    thread switch every microsecond, a lost update would run a unit twice
-    or never."""
+    """A thread team's dynamic/guided cursors and taskloop deck are cells of
+    one heap arena.  With more members than processors and a thread switch
+    every microsecond, a lost update would run a unit twice or never."""
     import sys
 
     from repro.runtime.tasks import run_taskloop
-    from repro.runtime.worksharing import claim_section, run_sections
 
-    total, encounters = 1500, 40
+    total = 1500
     runs = {label: np.zeros(total, dtype=np.int64) for label in ("dynamic,1", "guided", "taskloop")}
-    sections = np.zeros(8, dtype=np.int64)
-    winners = np.zeros(encounters, dtype=np.int64)
 
     def marker(label):
         def loop(start, end, step):
@@ -1145,20 +934,10 @@ def test_thread_members_claim_every_unit_once_under_preemption():
 
         return loop
 
-    def section(index):
-        def run():
-            sections[index] += 1
-
-        return run
-
     def body():
         run_for(marker("dynamic,1"), 0, total, 1, schedule="dynamic,1")
         run_for(marker("guided"), 0, total, 1, schedule="guided")
         run_taskloop(marker("taskloop"), 0, total, 1, grainsize=3)
-        run_sections(*(section(index) for index in range(len(sections))))
-        for encounter in range(encounters):
-            if claim_section():
-                winners[encounter] += 1
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -1168,34 +947,3 @@ def test_thread_members_claim_every_unit_once_under_preemption():
         sys.setswitchinterval(previous)
     for label, counts in runs.items():
         assert (counts == 1).all(), f"{label}: units run {sorted(set(counts.tolist()))} times"
-    assert (sections == 1).all() and (winners == 1).all()
-
-
-def test_claim_section_distributes_encounters():
-    from repro.runtime.worksharing import claim_section
-
-    winners = []
-    lock = threading.Lock()
-
-    def body():
-        for encounter in range(6):
-            if claim_section():
-                with lock:
-                    winners.append(encounter)
-
-    parallel_region(body, num_threads=3)
-    assert sorted(winners) == list(range(6))
-
-
-def test_sequential_sections_record_a_cost_chunk(recorder):
-    """The sequential path must emit a CHUNK cost carrier alongside the
-    SECTION markers, or the perf model (which prices sections via CHUNK
-    events) would drop the work entirely."""
-    from repro.runtime.worksharing import run_sections
-
-    run_sections(*(lambda: None for _ in range(3)), name="seq-cost")
-    chunks = recorder.events(EventKind.CHUNK)
-    assert len(chunks) == 1
-    assert chunks[0].data["loop"] == "seq-cost"
-    assert (chunks[0].data["start"], chunks[0].data["end"]) == (0, 3)
-    assert len(recorder.events(EventKind.SECTION)) == 3
