@@ -295,3 +295,28 @@ class TestAnnotationWeaving:
             assert weaver.records
         finally:
             weaver.unweave_all()
+
+    @pytest.mark.parametrize("schedule", ["staticBlock", "dynamic", "guided"])
+    def test_woven_row_loop_covers_grid(self, schedule):
+        class Grid:
+            def __init__(self):
+                self.hits = np.zeros((4, 6), dtype=np.int64)
+                self.lock = threading.Lock()
+
+            @ann.parallel(threads=3)
+            def region(self):
+                self.rows(0, 4, 1)
+
+            @ann.for_loop(schedule=schedule)
+            def rows(self, start, end, step):
+                with self.lock:
+                    for r in range(start, end, step):
+                        self.hits[r, :] += 1
+
+        weaver = weave_annotations(Grid)
+        try:
+            app = Grid()
+            app.region()
+            assert (app.hits == 1).all()
+        finally:
+            weaver.unweave_all()

@@ -122,6 +122,36 @@ class TestForAspects:
         thread_zero = sorted(i for tid, i in app.seen if tid == 0)
         assert thread_zero == list(range(0, 30, 3))
 
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided", "auto"])
+    def test_row_loop_covers_grid_once(self, weaver, schedule, recorder):
+        class GridApp:
+            def __init__(self, rows=6, cols=5):
+                self.rows = rows
+                self.cols = cols
+                self.hits = np.zeros((rows, cols), dtype=np.int64)
+                self.lock = threading.Lock()
+
+            def region(self):
+                self.rows_loop(0, self.rows, 1)
+
+            def rows_loop(self, start, end, step):
+                with self.lock:
+                    for r in range(start, end, step):
+                        self.hits[r, :] += 1
+
+        weaver.weave(ForWorkSharing(call("GridApp.rows_loop"), schedule=schedule), GridApp)
+        weaver.weave(ParallelRegion(call("GridApp.region"), threads=3, recorder=recorder), GridApp)
+        app = GridApp()
+        app.region()
+        assert (app.hits == 1).all()
+        # CHUNK events cover the row range exactly.
+        from repro.runtime.trace import EventKind
+
+        covered = sorted(
+            i for e in recorder.events(EventKind.CHUNK) for i in range(e.data["start"], e.data["end"], e.data["step"])
+        )
+        assert covered == list(range(app.rows))
+
     @pytest.mark.parametrize("args", [(), (0, 4)])
     def test_non_for_method_raises(self, weaver, args):
         class Bad:

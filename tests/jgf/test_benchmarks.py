@@ -252,12 +252,21 @@ class TestLinpackDetails:
         solution = kernel.dgesl()
         assert np.allclose(solution, np.linalg.solve(dense, rhs), atol=1e-8)
 
-    def test_woven_factorisation_is_bit_identical(self):
+    @pytest.mark.parametrize("num_threads", [3, 4])
+    @pytest.mark.parametrize("backend_name", ("serial", "threads", "processes"))
+    def test_woven_factorisation_is_bit_identical(self, backend_name, num_threads):
         """Columns are eliminated independently, so sharing them out over a
         team cannot change a single rounding."""
         from repro.jgf.lufact.parallel import run_aomp, run_sequential
+        from repro.runtime.backend import backend_by_name, set_backend
 
-        assert run_aomp("tiny", num_threads=4).value == run_sequential("tiny").value
+        reference = run_sequential("tiny").value
+        previous = set_backend(backend_by_name(backend_name))
+        try:
+            result = run_aomp("tiny", num_threads=num_threads)
+        finally:
+            set_backend(previous)
+        assert result.value == reference
 
 
 class TestSorDetails:
@@ -332,6 +341,14 @@ class TestMolDynDetails:
         for strategy in ("jgf", "critical", "locks"):
             _, value = run_variant(strategy, n, num_threads=3, moves=2, lock_mode="exact")
             assert value == pytest.approx(reference, rel=1e-6)
+
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided", "auto"])
+    def test_force_sweep_matches_sequential_under_every_schedule(self, schedule):
+        from repro.jgf.moldyn.parallel import run_aomp, run_sequential
+
+        reference = run_sequential("tiny")
+        result = run_aomp("tiny", num_threads=3, schedule=schedule)
+        assert reference.validates_against(result, TOLERANCE)
 
     def test_unknown_strategy_rejected(self):
         from repro.jgf.moldyn import build_aspects

@@ -144,6 +144,44 @@ class TestOrderedWithinWorksharing:
         parallel_region(body, num_threads=3, backend="threads")
         assert order == list(range(12))
 
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided"])
+    def test_members_left_without_a_chunk_do_not_hold_the_ticket(self, schedule):
+        """Four members, two chunks: the members that get no chunk never
+        touch the ticket, and the ordered parts still run in order."""
+        order: list[int] = []
+
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                ordered_call(i, lambda i=i: order.append(i))
+
+        def region():
+            parallel_region(
+                lambda: run_for(loop, 0, 3, 1, schedule=schedule, chunk=2, ordered=True),
+                num_threads=4,
+                backend="threads",
+            )
+
+        assert _finishes(region) is None
+        assert order == [0, 1, 2]
+
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided"])
+    def test_an_empty_ordered_loop_finishes(self, schedule):
+        order: list[int] = []
+
+        def loop(start, end, step):
+            for i in range(start, end, step):
+                ordered_call(i, lambda i=i: order.append(i))
+
+        def region():
+            parallel_region(
+                lambda: run_for(loop, 5, 5, 1, schedule=schedule, chunk=2, ordered=True),
+                num_threads=2,
+                backend="threads",
+            )
+
+        assert _finishes(region) is None
+        assert order == []
+
 
 def _finishes(region, seconds=30.0):
     """Run ``region`` in a daemon thread: a hang fails the test at the join

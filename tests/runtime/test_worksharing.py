@@ -360,6 +360,48 @@ class TestWorksharingConformance:
             parallel_region(body, num_threads=4, backend=backend_name)
             assert counts.np.tolist() == [5] * 101
 
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided", "auto"])
+    def test_row_loop_covers_grid_once(self, backend_name, schedule):
+        """A loop over the rows of a 2-D shared array, each body call
+        sweeping whole rows: every cell is written exactly once."""
+        rows, cols = 5, 7
+        with shm.SharedArray.zeros((rows, cols), np.int64) as hits:
+
+            def row_loop(start, end, step):
+                for r in range(start, end, step):
+                    for c in range(cols):
+                        hits[r, c] += 1
+
+            def body():
+                run_for(row_loop, 0, rows, 1, schedule=schedule, chunk=2)
+
+            parallel_region(body, num_threads=3, backend=backend_name)
+            assert (np.asarray(hits) == 1).all()
+
+    @pytest.mark.parametrize("schedule", ["staticBlock", "staticCyclic", "dynamic", "guided"])
+    def test_more_members_than_iterations(self, backend_name, schedule):
+        """Four members share three outer iterations.  Every iteration runs
+        once with the extra argument, and a member left without work still
+        waits at the loop's barrier for the others' writes."""
+        shape = (3, 4, 2)
+        with shm.SharedArray.zeros(shape, np.int64) as hits, shm.SharedArray.zeros(4, np.int64) as seen:
+
+            def block(start, end, step, bump):
+                for a in range(start, end, step):
+                    for b in range(shape[1]):
+                        for c in range(shape[2]):
+                            hits[a, b, c] += bump
+
+            def body():
+                run_for(block, 0, shape[0], 1, 5, schedule=schedule)
+                seen[ctx.get_thread_id()] = int(hits.np.sum())
+
+            parallel_region(body, num_threads=4, backend=backend_name)
+            assert (np.asarray(hits) == 5).all()
+            total = 5 * shape[0] * shape[1] * shape[2]
+            members = 1 if backend_name == "serial" else 4
+            assert seen.np.tolist() == [total] * members + [0] * (4 - members)
+
     @pytest.mark.parametrize("rng", [(1, 30, 3), (10, 0, -2), (5, 5, 1), (0, 7, 10)])
     def test_strided_and_degenerate_ranges(self, backend_name, rng):
         start, end, step = rng
