@@ -15,10 +15,7 @@ hand-rolled baseline:
   is the repo's headline number for the task runtime (target: ≤ 2 µs/task
   on the threads backend);
 * ``steal_claim``       — the raw claim paths of the taskloop deck (local
-  pop vs cross-member steal), isolating the stealing cost itself;
-* ``dependency_chain``  — spawn-to-completion latency of a chain of
-  ``depends``-linked tasks on the executor pool (informational: includes
-  real thread hand-offs).
+  pop vs cross-member steal), isolating the stealing cost itself.
 
 Usage::
 
@@ -183,54 +180,28 @@ def measure_steal_claim(tiles: int, repeats: int) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# dependency chain (executor pool, informational)
-# ---------------------------------------------------------------------------
-
-
-def measure_dependency_chain(length: int, repeats: int) -> dict[str, float]:
-    """Spawn-to-completion latency of a ``depends``-linked chain of no-ops."""
-
-    def once() -> float:
-        pool = TaskPool(workers=2, name="bench-deps")
-        try:
-            start = time.perf_counter()
-            handle = pool.spawn(_noop)
-            for _ in range(length - 1):
-                handle = pool.spawn(_noop, depends=[handle])
-            handle.join(timeout=60.0)
-            return time.perf_counter() - start
-        finally:
-            pool.shutdown()
-
-    best = _best_of(repeats, once)
-    return {"length": length, "seconds_per_task": best / length}
-
-
-# ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
 
 
 #: measurement sizes per mode: (spawned tasks, taskloop iterations, steal
-#: tiles, dependency-chain length, repeats).  Fixed — runs are deterministic
-#: in shape.
+#: tiles, repeats).  Fixed — runs are deterministic in shape.
 MODES = {
-    "full": (20_000, 20_000, 20_000, 400, 5),
-    "quick": (4_000, 4_000, 4_000, 100, 2),
-    "smoke": (400, 400, 400, 20, 1),  # schema/plumbing check only
+    "full": (20_000, 20_000, 20_000, 5),
+    "quick": (4_000, 4_000, 4_000, 2),
+    "smoke": (400, 400, 400, 1),  # schema/plumbing check only
 }
 
 
 def run_suite(*, mode: str = "full") -> dict[str, Any]:
     """Run every measurement with tracing disabled; return the metrics payload."""
-    tasks, iters, tiles, chain, repeats = MODES[mode]
+    tasks, iters, tiles, repeats = MODES[mode]
 
     with config_override(tracing=False):
         metrics = {
             "task_spawn": measure_task_spawn(tasks, repeats),
             "taskloop_dispatch": measure_taskloop_dispatch(iters, repeats),
             "steal_claim": measure_steal_claim(tiles, repeats),
-            "dependency_chain": measure_dependency_chain(chain, repeats),
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -247,7 +218,6 @@ def _format_table(payload: dict[str, Any]) -> str:
     spawn = m["task_spawn"]
     loop = m["taskloop_dispatch"]
     claims = m["steal_claim"]
-    chain = m["dependency_chain"]
     return "\n".join(
         [
             f"Task-runtime overhead — mode={payload['mode']}, tracing off, Python {payload['python']}",
@@ -257,7 +227,6 @@ def _format_table(payload: dict[str, Any]) -> str:
             f"   ({loop['tasks']} tasks)",
             f"{'deck local claim':<34} {claims['seconds_per_local_claim'] * 1e6:>11.3f} us",
             f"{'deck steal':<34} {claims['seconds_per_steal'] * 1e6:>11.3f} us",
-            f"{'dependency chain (2 workers)':<34} {chain['seconds_per_task'] * 1e6:>11.3f} us/task",
         ]
     )
 

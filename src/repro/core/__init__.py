@@ -49,20 +49,13 @@ from repro.core.aspects import (
 )
 from repro.core.weaver import (
     Weaver,
-    annotated,
-    args,
     call,
-    calls,
     default_weaver,
-    execution,
     implements,
-    name,
     original_function,
-    subtype_of,
     unweave,
     unweave_all,
     weave,
-    within,
 )
 
 __all__ = [
@@ -103,14 +96,7 @@ __all__ = [
     # weaver / pointcuts
     "Weaver",
     "call",
-    "calls",
-    "execution",
-    "within",
-    "annotated",
-    "name",
-    "subtype_of",
     "implements",
-    "args",
     "weave",
     "unweave",
     "unweave_all",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.core.aspects.base import MethodAspect
 from repro.core.weaver.joinpoint import JoinPoint
@@ -11,7 +11,6 @@ from repro.runtime.exceptions import SchedulingError
 from repro.runtime.single import MasterRegion, SingleRegion
 from repro.runtime.tasks import (
     FutureResult,
-    TaskHandle,
     run_taskloop,
     spawn_future,
     spawn_task,
@@ -67,42 +66,13 @@ class TaskAspect(MethodAspect):
     Tasks are joined either through the handle, through a method advised by
     :class:`TaskWaitAspect`, or by an explicit
     :func:`repro.runtime.tasks.task_wait`.
-
-    ``depends`` orders the spawned task after other tasks (the runtime's
-    dependency edges): a static iterable of
-    :class:`~repro.runtime.tasks.TaskHandle`/:class:`~repro.runtime.tasks.FutureResult`
-    objects, or a callable ``(joinpoint) -> iterable`` evaluated at each
-    spawn (e.g. pulling handles off the target object, mirroring how the
-    paper's case-specific aspects capture context from the join point).
     """
 
     abstraction = "TASK"
     requires_shared_locals = True  # task handles/results live on the spawning heap
 
-    def __init__(
-        self,
-        pointcut: Pointcut | None = None,
-        *,
-        depends: "Iterable[TaskHandle | FutureResult] | Callable[[JoinPoint], Iterable] | None" = None,
-        name: str | None = None,
-    ) -> None:
-        super().__init__(pointcut, name=name)
-        self.depends = depends
-
-    def _resolve_depends(self, joinpoint: JoinPoint) -> "Iterable[TaskHandle | FutureResult] | None":
-        depends = self.depends
-        if depends is None:
-            return None
-        if callable(depends):
-            return depends(joinpoint)
-        return depends
-
     def around(self, joinpoint: JoinPoint) -> Any:
-        return spawn_task(
-            joinpoint.proceed,
-            name=joinpoint.qualified_name,
-            depends=self._resolve_depends(joinpoint),
-        )
+        return spawn_task(joinpoint.proceed, name=joinpoint.qualified_name)
 
 
 class TaskLoopAspect(MethodAspect):

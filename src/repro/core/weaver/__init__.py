@@ -1,22 +1,7 @@
 """AOP machinery: join points, pointcuts and the weaver."""
 
 from repro.core.weaver.joinpoint import JoinPoint, MethodDescriptor
-from repro.core.weaver.pointcut import (
-    Pointcut,
-    all_of,
-    annotated,
-    any_of,
-    args,
-    call,
-    calls,
-    execution,
-    implements,
-    name,
-    subtype_of,
-    within,
-    EverythingPointcut,
-    NothingPointcut,
-)
+from repro.core.weaver.pointcut import Pointcut, call, implements
 from repro.core.weaver.weaver import WeaveRecord, Weaver, is_woven, original_function
 from repro.core.weaver.registry import default_weaver, unweave, unweave_all, weave, woven_aspects
 
@@ -24,19 +9,8 @@ __all__ = [
     "JoinPoint",
     "MethodDescriptor",
     "Pointcut",
-    "EverythingPointcut",
-    "NothingPointcut",
     "call",
-    "calls",
-    "execution",
-    "within",
-    "annotated",
-    "name",
-    "subtype_of",
     "implements",
-    "args",
-    "any_of",
-    "all_of",
     "Weaver",
     "WeaveRecord",
     "is_woven",

@@ -1,10 +1,9 @@
-"""Pointcut DSL.
+"""Pointcuts.
 
 A pointcut selects the set of join points (method executions) an aspect acts
-on.  The paper uses AspectJ pointcuts such as ``call(void someMethod())``,
-``call(@Parallel * *(*))`` (annotation matching) and pointcuts defined over
-Java interfaces; this module provides the equivalent selectors for Python
-targets plus the usual boolean combinators (``&``, ``|``, ``~``).
+on.  The paper uses AspectJ ``call(...)`` pointcuts and pointcuts defined over
+Java interfaces; this module provides the two for Python targets:
+:func:`call` and :func:`implements`.
 
 A pointcut is a predicate over :class:`~repro.core.weaver.joinpoint.MethodDescriptor`
 objects, i.e. it is evaluated at *weave time* against the static structure of
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import fnmatch
 import inspect
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Generic, Protocol
 
 from repro.core.weaver.joinpoint import MethodDescriptor
 from repro.runtime.exceptions import PointcutError
@@ -29,17 +28,6 @@ class Pointcut:
         """Whether the descriptor's method is selected by this pointcut."""
         raise NotImplementedError
 
-    # -- combinators --------------------------------------------------------
-
-    def __and__(self, other: "Pointcut") -> "Pointcut":
-        return _And(self, other)
-
-    def __or__(self, other: "Pointcut") -> "Pointcut":
-        return _Or(self, other)
-
-    def __invert__(self) -> "Pointcut":
-        return _Not(self)
-
     def describe(self) -> str:
         """Human-readable description used in diagnostics."""
         return type(self).__name__
@@ -48,67 +36,14 @@ class Pointcut:
         return f"<pointcut {self.describe()}>"
 
 
-class _And(Pointcut):
-    def __init__(self, left: Pointcut, right: Pointcut) -> None:
-        self.left, self.right = left, right
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return self.left.matches(descriptor) and self.right.matches(descriptor)
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} & {self.right.describe()})"
-
-
-class _Or(Pointcut):
-    def __init__(self, left: Pointcut, right: Pointcut) -> None:
-        self.left, self.right = left, right
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return self.left.matches(descriptor) or self.right.matches(descriptor)
-
-    def describe(self) -> str:
-        return f"({self.left.describe()} | {self.right.describe()})"
-
-
-class _Not(Pointcut):
-    def __init__(self, inner: Pointcut) -> None:
-        self.inner = inner
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return not self.inner.matches(descriptor)
-
-    def describe(self) -> str:
-        return f"!{self.inner.describe()}"
-
-
-class NothingPointcut(Pointcut):
-    """Matches nothing — the 'abstract pointcut' placeholder."""
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return False
-
-    def describe(self) -> str:
-        return "nothing"
-
-
-class EverythingPointcut(Pointcut):
-    """Matches every method of the weaving target."""
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return True
-
-    def describe(self) -> str:
-        return "everything"
-
-
 class CallPointcut(Pointcut):
     """Match by (optionally qualified, wildcarded) method name.
 
     Patterns:
 
     * ``"force"`` — any method named ``force`` regardless of owner;
-    * ``"Particle.force"`` — method ``force`` of class ``Particle`` (or a
-      subclass, see :class:`SubtypePointcut` for explicit hierarchy matching);
+    * ``"Particle.force"`` — method ``force`` of class ``Particle`` (or of
+      a subclass that inherits it);
     * ``"Linpack.d*"`` — wildcards through :mod:`fnmatch` on either part;
     * a function object — matches that exact function (by identity or by
       ``__qualname__`` if the target stores a different but equally named
@@ -163,80 +98,6 @@ def call(pattern: "str | Callable[..., Any]") -> Pointcut:
     return CallPointcut(pattern)
 
 
-def execution(pattern: "str | Callable[..., Any]") -> Pointcut:
-    """Alias of :func:`call`.
-
-    The runtime weaver has a single join-point model (wrapping the method on
-    its owner), so AspectJ's call/execution distinction collapses; both
-    spellings are accepted for familiarity.
-    """
-    return CallPointcut(pattern)
-
-
-class WithinPointcut(Pointcut):
-    """Match methods defined within a given class or module (AspectJ ``within``)."""
-
-    def __init__(self, scope: Any) -> None:
-        self.scope = scope
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        if descriptor.owner is self.scope:
-            return True
-        if inspect.isclass(self.scope) and inspect.isclass(descriptor.owner):
-            return issubclass(descriptor.owner, self.scope)
-        if inspect.ismodule(self.scope):
-            return getattr(descriptor.func, "__module__", None) == self.scope.__name__
-        return False
-
-    def describe(self) -> str:
-        return f"within({getattr(self.scope, '__name__', self.scope)})"
-
-
-def within(scope: Any) -> Pointcut:
-    """Select methods defined within ``scope`` (a class, its subclasses, or a module)."""
-    return WithinPointcut(scope)
-
-
-class AnnotatedPointcut(Pointcut):
-    """Match methods carrying a given PyAOmpLib annotation (AspectJ ``@Parallel * *(..)``)."""
-
-    def __init__(self, annotation: str) -> None:
-        self.annotation = annotation
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        # Local import: annotations.py imports nothing from the weaver, but
-        # keeping the import lazy avoids ordering constraints at package init.
-        from repro.core.annotations import get_annotations
-
-        return self.annotation in get_annotations(descriptor.func)
-
-    def describe(self) -> str:
-        return f"annotated(@{self.annotation})"
-
-
-def annotated(annotation: str) -> Pointcut:
-    """Select methods annotated with the given PyAOmpLib annotation name."""
-    return AnnotatedPointcut(annotation)
-
-
-class NamePointcut(Pointcut):
-    """Match by method name only (wildcards allowed)."""
-
-    def __init__(self, pattern: str) -> None:
-        self.pattern = pattern
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        return fnmatch.fnmatchcase(descriptor.name, self.pattern)
-
-    def describe(self) -> str:
-        return f"name({self.pattern})"
-
-
-def name(pattern: str) -> Pointcut:
-    """Select methods whose name matches ``pattern``."""
-    return NamePointcut(pattern)
-
-
 class SubtypePointcut(Pointcut):
     """Match methods owned by (subclasses of) a base class or 'interface'.
 
@@ -250,21 +111,26 @@ class SubtypePointcut(Pointcut):
 
     def __init__(self, base: type, method: str | None = None) -> None:
         if not inspect.isclass(base):
-            raise PointcutError(f"implements()/subtype_of() needs a class, got {base!r}")
+            raise PointcutError(f"implements() needs a class, got {base!r}")
         self.base = base
         self.method = method
-        self._is_protocol = bool(getattr(base, "_is_protocol", False))
+        #: a protocol's public methods, the ones it inherits from other
+        #: protocols included; ``None`` for a nominal base class
+        self._required = None
+        if getattr(base, "_is_protocol", False):
+            self._required = {
+                attr
+                for cls in base.__mro__
+                if cls not in (Protocol, Generic, object)
+                for attr, value in vars(cls).items()
+                if callable(value) and not attr.startswith("_")
+            }
 
     def _owner_conforms(self, owner: Any) -> bool:
         if not inspect.isclass(owner):
             return False
-        if self._is_protocol:
-            required = [
-                attr
-                for attr, value in vars(self.base).items()
-                if callable(value) and not attr.startswith("_")
-            ]
-            return all(hasattr(owner, attr) for attr in required)
+        if self._required is not None:
+            return all(hasattr(owner, attr) for attr in self._required)
         try:
             return issubclass(owner, self.base)
         except TypeError:  # pragma: no cover - exotic metaclasses
@@ -282,72 +148,6 @@ class SubtypePointcut(Pointcut):
         return f"implements({self.base.__name__}{suffix})"
 
 
-def subtype_of(base: type, method: str | None = None) -> Pointcut:
-    """Select methods of classes deriving from ``base`` (optionally by name)."""
-    return SubtypePointcut(base, method)
-
-
 def implements(interface: type, method: str | None = None) -> Pointcut:
     """Select methods of classes implementing ``interface`` (ABC or Protocol)."""
     return SubtypePointcut(interface, method)
-
-
-class ArgCountPointcut(Pointcut):
-    """Match methods by number of positional parameters (excluding ``self``).
-
-    Handy for selecting *for methods*, whose first three parameters are the
-    loop range: ``args(min_args=3)``.
-    """
-
-    def __init__(self, min_args: int = 0, max_args: int | None = None) -> None:
-        self.min_args = min_args
-        self.max_args = max_args
-
-    def matches(self, descriptor: MethodDescriptor) -> bool:
-        try:
-            signature = inspect.signature(descriptor.func)
-        except (TypeError, ValueError):  # pragma: no cover - builtins
-            return False
-        params = [
-            p
-            for p in signature.parameters.values()
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD) and p.name != "self"
-        ]
-        if len(params) < self.min_args:
-            return False
-        if self.max_args is not None and len(params) > self.max_args:
-            return False
-        return True
-
-    def describe(self) -> str:
-        return f"args({self.min_args}..{self.max_args if self.max_args is not None else '*'})"
-
-
-def args(min_args: int = 0, max_args: int | None = None) -> Pointcut:
-    """Select methods taking between ``min_args`` and ``max_args`` positional parameters."""
-    return ArgCountPointcut(min_args, max_args)
-
-
-def any_of(*pointcuts: Pointcut) -> Pointcut:
-    """Union of several pointcuts (``call(a) || call(b)`` in AspectJ syntax)."""
-    if not pointcuts:
-        return NothingPointcut()
-    combined = pointcuts[0]
-    for extra in pointcuts[1:]:
-        combined = combined | extra
-    return combined
-
-
-def all_of(*pointcuts: Pointcut) -> Pointcut:
-    """Intersection of several pointcuts."""
-    if not pointcuts:
-        return EverythingPointcut()
-    combined = pointcuts[0]
-    for extra in pointcuts[1:]:
-        combined = combined & extra
-    return combined
-
-
-def calls(patterns: Iterable["str | Callable[..., Any]"]) -> Pointcut:
-    """Union of :func:`call` pointcuts over several patterns."""
-    return any_of(*(call(p) for p in patterns))

@@ -95,7 +95,6 @@ from repro.runtime.tasks import (
     spawn_future,
     spawn_task,
     task_wait,
-    wait_for,
 )
 from repro.runtime.ordered import OrderedRegion, current_ordered_region, install_ordered_region, ordered_call
 from repro.runtime.single import MasterRegion, SingleRegion
@@ -204,7 +203,6 @@ __all__ = [
     "spawn_task",
     "spawn_future",
     "task_wait",
-    "wait_for",
     "run_taskloop",
     # ordered / single / master
     "OrderedRegion",

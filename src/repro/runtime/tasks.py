@@ -1,12 +1,11 @@
-"""Work-stealing task runtime: explicit tasks, futures, dependencies, taskloop.
+"""Work-stealing task runtime: explicit tasks, futures, taskloop.
 
 Implements the runtime behind the paper's ``@Task``, ``@TaskWait``,
 ``@FutureTask`` and ``@FutureResult`` constructs (Section III.C) plus the
 ``taskloop`` extension:
 
 * ``@Task`` spawns a new parallel activity to execute the annotated method
-  (usable inside *or outside* a parallel region), optionally ordered after
-  other tasks through ``depends=[...]`` edges;
+  (usable inside *or outside* a parallel region);
 * ``@TaskWait`` marks a method execution as the join point between the
   spawning and the spawned activities;
 * ``@FutureTask`` targets methods returning a value; the returned object's
@@ -61,7 +60,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Generic, Iterable, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
@@ -76,11 +75,6 @@ T = TypeVar("T")
 #: how long an idle helper sleeps between steal attempts when the pool has
 #: outstanding-but-unavailable work (another member is mid-task).
 _IDLE_WAIT = 5e-4
-
-#: module-wide lock guarding dependency registration/resolution.  Dependency
-#: edges are rare compared to spawns, so one coarse lock keeps the common
-#: spawn path free of dependency bookkeeping entirely.
-_DEP_LOCK = threading.Lock()
 
 
 #: path fragments of runtime/aspect machinery skipped when attributing a
@@ -152,22 +146,19 @@ class WorkStealingDeque:
 class _SpawnedTask:
     """Internal record of one spawned-but-unfinished task."""
 
-    __slots__ = ("fn", "args", "kwargs", "handle", "pool", "unmet_deps")
+    __slots__ = ("fn", "args", "kwargs", "handle")
 
-    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict, handle: "TaskHandle", pool: "TaskPool") -> None:
+    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict, handle: "TaskHandle") -> None:
         self.fn = fn
         self.args = args
         self.kwargs = kwargs
         self.handle = handle
-        self.pool = pool
-        #: dependency handles not yet finished (guarded by _DEP_LOCK)
-        self.unmet_deps: list["TaskHandle"] = []
 
 
 class TaskHandle(Generic[T]):
     """Handle on a spawned task; ``join`` waits for completion and re-raises failures."""
 
-    __slots__ = ("name", "spawn_site", "_done", "_result", "_exception", "_pool", "_scope", "_dependents")
+    __slots__ = ("name", "spawn_site", "_done", "_result", "_exception", "_pool", "_scope")
 
     def __init__(self, name: str = "task", *, spawn_site: str | None = None, pool: "TaskPool | None" = None) -> None:
         self.name = name
@@ -177,20 +168,11 @@ class TaskHandle(Generic[T]):
         self._exception: BaseException | None = None
         self._pool = pool
         self._scope: Any = None
-        #: tasks waiting on this handle (guarded by the module _DEP_LOCK)
-        self._dependents: list[_SpawnedTask] = []
 
     def _complete(self, result: T | None = None, exception: BaseException | None = None) -> None:
         self._result = result
         self._exception = exception
         self._done.set()
-        # Release dependents *after* publishing completion, so a concurrent
-        # registration either sees the handle done (no edge recorded) or its
-        # edge is drained here.
-        with _DEP_LOCK:
-            dependents, self._dependents = self._dependents, []
-        for task in dependents:
-            task.pool._dependency_satisfied(task, self)
 
     @property
     def done(self) -> bool:
@@ -229,10 +211,6 @@ class TaskHandle(Generic[T]):
             ) from self._exception
         return self._result  # type: ignore[return-value]
 
-    def result(self, timeout: float | None = None) -> T:
-        """Alias for :meth:`join` (concurrent.futures-style spelling)."""
-        return self.join(timeout)
-
 
 class FutureResult(Generic[T]):
     """Proxy for a value produced asynchronously.
@@ -261,16 +239,8 @@ class FutureResult(Generic[T]):
         return f"FutureResult({self._handle.name!r}, {state})"
 
 
-def _unwrap_dependency(dep: "TaskHandle | FutureResult") -> TaskHandle:
-    if isinstance(dep, FutureResult):
-        return dep._handle
-    if isinstance(dep, TaskHandle):
-        return dep
-    raise TypeError(f"task dependency must be a TaskHandle or FutureResult, got {type(dep).__name__}")
-
-
 class TaskPool:
-    """A work-stealing pool of tasks with dependency edges.
+    """A work-stealing pool of tasks.
 
     Two flavours, selected by construction:
 
@@ -312,9 +282,7 @@ class TaskPool:
         self._deques = [WorkStealingDeque() for _ in range(size)]
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
-        self._pending = 0      # spawned and not yet finished (queued + blocked + running)
-        self._blocked = 0      # held back by unmet dependencies
-        self._blocked_tasks: set[_SpawnedTask] = set()
+        self._pending = 0      # spawned and not yet finished (queued + running)
         self._running = 0      # currently executing a body
         self._scopes: dict[Any, list[TaskHandle]] = {}
         self._rr = itertools.count()
@@ -361,51 +329,27 @@ class TaskPool:
         fn: Callable[..., T],
         *args: Any,
         name: str | None = None,
-        depends: "Iterable[TaskHandle | FutureResult] | None" = None,
         **kwargs: Any,
     ) -> TaskHandle[T]:
-        """Spawn ``fn(*args, **kwargs)`` and track its handle.
-
-        ``depends`` orders this task after other spawned tasks: it will not
-        start before every listed handle has *finished* (successfully or
-        not — a failed dependency still releases its dependents, whose own
-        results are unaffected; inspect the dependency handle to see its
-        failure).
-        """
+        """Spawn ``fn(*args, **kwargs)`` and track its handle."""
         if self._shutdown:
             raise TaskError(f"task pool {self.name!r} is shut down")
         handle: TaskHandle[T] = TaskHandle(
             name or getattr(fn, "__name__", "task"), spawn_site=_spawn_site(), pool=self
         )
-        task = _SpawnedTask(fn, args, kwargs, handle, self)
+        task = _SpawnedTask(fn, args, kwargs, handle)
         scope = self._scope_key()
         handle._scope = scope
         with self._lock:
             self._pending += 1
             self._scopes.setdefault(scope, []).append(handle)
-
-        deferred = False
-        if depends is not None:
-            with _DEP_LOCK:
-                for dep in depends:
-                    dep_handle = _unwrap_dependency(dep)
-                    if not dep_handle._done.is_set():
-                        dep_handle._dependents.append(task)
-                        task.unmet_deps.append(dep_handle)
-                if task.unmet_deps:
-                    deferred = True
-                    with self._lock:
-                        self._blocked += 1
-                        self._blocked_tasks.add(task)
-
         team = self._team
         if team is not None:
             if team.metrics:
                 obsreg.inc(obsreg.TASKS_SPAWNED)
             if team.tracing:
-                team.record(EventKind.TASK_SPAWN, task=handle.name, deferred=deferred)
-        if not deferred:
-            self._enqueue(task, self._spawn_worker())
+                team.record(EventKind.TASK_SPAWN, task=handle.name)
+        self._enqueue(task, self._spawn_worker())
         return handle
 
     def spawn_future(self, fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> FutureResult[T]:
@@ -433,46 +377,6 @@ class TaskPool:
                     pass
                 if not handles:
                     self._scopes.pop(handle._scope, None)
-
-    def _dependency_satisfied(self, task: _SpawnedTask, dep: "TaskHandle") -> None:
-        """One dependency of ``task`` finished (caller holds no pool lock)."""
-        with _DEP_LOCK:
-            try:
-                task.unmet_deps.remove(dep)
-            except ValueError:  # pragma: no cover - duplicate completion signal
-                return
-            release = not task.unmet_deps
-        if release:
-            with self._lock:
-                self._blocked -= 1
-                self._blocked_tasks.discard(task)
-            helper = self._helper_worker()
-            self._enqueue(task, helper if helper is not None else next(self._rr) % self._size)
-
-    def _blocked_progress_possible(self) -> bool:
-        """Whether any blocked task's unmet dependency can still complete.
-
-        A dependency can still complete when its handle is already done (its
-        resolution is in flight), or when the pool that owns it has *active*
-        work — something queued or running, i.e. ``pending`` beyond its own
-        blocked tasks.  A handle with no pool (manually constructed) or whose
-        pool consists entirely of blocked tasks will never finish: raising
-        beats deadlocking.  Cross-pool cycles fall out naturally — every
-        involved pool shows pending == blocked.
-
-        Called with the pool lock held, so it must not take ``_DEP_LOCK``
-        (spawn acquires dep-lock then pool-lock); the single-shot container
-        copies below are atomic under the GIL, and the caller samples the
-        verdict several times, so momentary inconsistency cannot misfire.
-        """
-        for task in list(self._blocked_tasks):
-            for dep in list(task.unmet_deps):
-                if dep._done.is_set():
-                    return True
-                pool = dep._pool
-                if pool is not None and (pool._pending - pool._blocked) > 0:
-                    return True
-        return False
 
     # -- execution ------------------------------------------------------------
 
@@ -530,17 +434,16 @@ class TaskPool:
     ) -> None:
         """Run/steal outstanding tasks until ``finished()`` — a scheduling point.
 
-        Raises :class:`TaskError` when ``timeout`` elapses first, or when the
-        pool deadlocks: nothing is queued, nothing is running, yet blocked
-        tasks remain (an unsatisfiable/cyclic dependency set — nobody will
-        ever release them).
+        Every pending task is either queued or running.  While nothing is
+        queued the caller sleeps on ``_work_available``, which each completion
+        notifies; ``finished`` is re-read under that lock first, so a
+        completion between the last check and the wait is not lost.  Raises
+        :class:`TaskError` when ``timeout`` elapses first.
         """
         deadline = time.monotonic() + timeout if timeout is not None else None
-        stuck_rounds = 0
         while not finished():
             task = self._take(worker)
             if task is not None:
-                stuck_rounds = 0
                 self._execute(task, worker)
                 continue
             if finished():
@@ -548,28 +451,9 @@ class TaskPool:
             if deadline is not None and time.monotonic() > deadline:
                 raise TaskError(f"waiting on {waiting_on!r} did not complete within {timeout}s")
             with self._work_available:
-                queued = self._pending - self._blocked - self._running
-                if queued > 0:
-                    # A task is queued on a deque we just saw empty (pushed
-                    # concurrently, or mid-release) — retry immediately.
-                    stuck_rounds = 0
-                    continue
-                maybe_stuck = self._pending and not self._running and self._blocked
-                if maybe_stuck and not self._blocked_progress_possible():
-                    # Nothing queued, nothing running, and no blocked task's
-                    # dependency can still complete anywhere: nobody will
-                    # ever release them.  Sampled several times so a task in
-                    # flight between counters cannot misfire.
-                    stuck_rounds += 1
-                    if stuck_rounds >= 3:
-                        raise TaskError(
-                            f"task pool {self.name!r} is stuck: {self._blocked} task(s) blocked on "
-                            "dependencies that can no longer complete (dependency cycle, or a "
-                            "dependency handle nothing will ever finish)"
-                        )
-                    self._work_available.wait(0.02)
-                else:
-                    stuck_rounds = 0
+                # A task queued on a deque we just saw empty (pushed
+                # concurrently) shows as pending beyond running: retry at once.
+                if self._pending == self._running and not finished():
                     self._work_available.wait(0.05)
 
     # -- waiting --------------------------------------------------------------
@@ -594,7 +478,7 @@ class TaskPool:
         Unlike :meth:`wait_all` this waits for *everyone's* tasks, and does
         not consume the per-scope handle lists (a later ``wait_all`` still
         returns results).  Task failures stay parked on their handles — the
-        drain itself only raises on timeout or dependency deadlock.
+        drain itself only raises on timeout.
         """
         if worker is None:
             worker = self._helper_worker() or 0
@@ -639,8 +523,7 @@ class TaskPool:
             with self._work_available:
                 if self._shutdown:
                     return
-                queued = self._pending - self._blocked - self._running
-                if queued <= 0:
+                if self._pending <= self._running:
                     self._work_available.wait(0.05)
                 # else: retry — a push raced with the deque scan.
 
@@ -669,11 +552,10 @@ def spawn_task(
     fn: Callable[..., T],
     *args: Any,
     name: str | None = None,
-    depends: "Iterable[TaskHandle | FutureResult] | None" = None,
     **kwargs: Any,
 ) -> TaskHandle[T]:
     """Spawn a task in the current scope's pool (``@Task``)."""
-    return current_pool().spawn(fn, *args, name=name, depends=depends, **kwargs)
+    return current_pool().spawn(fn, *args, name=name, **kwargs)
 
 
 def spawn_future(fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> FutureResult[T]:
@@ -684,11 +566,6 @@ def spawn_future(fn: Callable[..., T], *args: Any, name: str | None = None, **kw
 def task_wait(timeout: float | None = None) -> list[Any]:
     """Join all tasks spawned in the current scope since the last wait (``@TaskWait``)."""
     return current_pool().wait_all(timeout)
-
-
-def wait_for(handles: Iterable[TaskHandle[Any]], timeout: float | None = None) -> list[Any]:
-    """Join an explicit collection of task handles."""
-    return [handle.join(timeout) for handle in handles]
 
 
 def drain_team_tasks(team: Any, worker: int) -> None:
@@ -725,8 +602,11 @@ def resolve_grainsize(total: int, team_size: int, grainsize: int | None, num_tas
         if grainsize < 1:
             raise ValueError(f"grainsize must be >= 1, got {grainsize}")
         return grainsize
-    tiles = num_tasks if num_tasks is not None else DEFAULT_TASKS_PER_MEMBER * team_size
-    tiles = max(1, min(tiles, total))
+    if num_tasks is None:
+        num_tasks = DEFAULT_TASKS_PER_MEMBER * team_size
+    elif num_tasks < 1:
+        raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
+    tiles = max(1, min(num_tasks, total))
     return -(-total // tiles)
 
 

@@ -31,10 +31,6 @@ def _validate_payload(payload: dict) -> None:
     assert claims["seconds_per_local_claim"] > 0.0
     assert claims["seconds_per_steal"] > 0.0
 
-    chain = metrics["dependency_chain"]
-    assert chain["length"] >= 2
-    assert chain["seconds_per_task"] > 0.0
-
 
 def test_benchmark_runs_and_emits_schema_valid_json(tmp_path):
     output = tmp_path / "BENCH_tasks.json"

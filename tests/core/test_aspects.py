@@ -404,32 +404,6 @@ class TestExecutionAspects:
         assert isinstance(handle, TaskHandle)
         assert handle.join(timeout=5) == "done"
 
-    def test_task_depends_orders_execution(self, weaver):
-        class App:
-            def __init__(self):
-                self.log = []
-                self.lock = threading.Lock()
-                self.first_handle = None
-
-            def first(self):
-                with self.lock:
-                    self.log.append("first")
-
-            def second(self):
-                with self.lock:
-                    self.log.append("second")
-
-        weaver.weave(TaskAspect(call("App.first")), App)
-        weaver.weave(
-            TaskAspect(call("App.second"), depends=lambda jp: [jp.target.first_handle]),
-            App,
-        )
-        app = App()
-        app.first_handle = app.first()
-        handle = app.second()
-        handle.join(timeout=5)
-        assert app.log == ["first", "second"]
-
     def test_taskloop_distributes_and_matches_sequential(self, weaver):
         class App:
             def __init__(self, n):

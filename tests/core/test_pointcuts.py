@@ -1,28 +1,11 @@
-"""Tests for the pointcut DSL."""
+"""Tests for the two pointcuts: ``call`` and ``implements``."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.annotations import critical, parallel
 from repro.core.weaver.joinpoint import MethodDescriptor
-from repro.core.weaver.pointcut import (
-    EverythingPointcut,
-    NothingPointcut,
-    all_of,
-    annotated,
-    any_of,
-    args,
-    call,
-    calls,
-    execution,
-    implements,
-    name,
-    subtype_of,
-    within,
-)
+from repro.core.weaver.pointcut import call, implements
 from repro.runtime.exceptions import PointcutError
 
 
@@ -46,14 +29,6 @@ class Simulation:
     def run_iters(self, start, end, step):
         pass
 
-    @parallel
-    def annotated_region(self):
-        pass
-
-    @critical(id="lock")
-    def guarded(self):
-        pass
-
 
 def descriptor(cls, method_name):
     return MethodDescriptor(owner=cls, name=method_name, func=vars(cls)[method_name])
@@ -65,6 +40,10 @@ class TestCallPointcut:
         assert pc.matches(descriptor(Particle, "force"))
         assert pc.matches(descriptor(Simulation, "force"))
         assert not pc.matches(descriptor(Particle, "domove"))
+        assert call("domove").matches(descriptor(Particle, "domove"))
+        assert call("run_iters").matches(descriptor(Simulation, "run_iters"))
+        assert not call("domove").matches(descriptor(Particle, "force"))
+        assert not call("run_iters").matches(descriptor(Particle, "force"))
 
     def test_qualified_name(self):
         pc = call("Particle.force")
@@ -83,57 +62,22 @@ class TestCallPointcut:
         assert not pc.matches(descriptor(ChargedParticle, "force"))
         assert not pc.matches(descriptor(Simulation, "force"))
 
-    def test_execution_is_alias(self):
-        assert execution("force").matches(descriptor(Particle, "force"))
-
     def test_empty_pattern_rejected(self):
         with pytest.raises(PointcutError):
             call("")
         with pytest.raises(PointcutError):
             call("Particle.")
 
-    def test_calls_union(self):
-        pc = calls(["domove", "run_iters"])
-        assert pc.matches(descriptor(Particle, "domove"))
-        assert pc.matches(descriptor(Simulation, "run_iters"))
-        assert not pc.matches(descriptor(Particle, "force"))
-
-
-class TestWithinPointcut:
-    def test_class_scope_includes_subclasses(self):
-        pc = within(Particle)
-        assert pc.matches(descriptor(Particle, "force"))
-        assert pc.matches(descriptor(ChargedParticle, "force"))
-        assert not pc.matches(descriptor(Simulation, "force"))
-
-    def test_module_scope(self):
-        import repro.runtime.scheduler as sched_mod
-
-        pc = within(sched_mod)
-        desc = MethodDescriptor(owner=sched_mod, name="make_scheduler", func=sched_mod.make_scheduler)
-        assert pc.matches(desc)
-        assert not pc.matches(descriptor(Particle, "force"))
-
-
-class TestAnnotatedPointcut:
-    def test_matches_annotation(self):
-        pc = annotated("parallel")
-        assert pc.matches(descriptor(Simulation, "annotated_region"))
-        assert not pc.matches(descriptor(Simulation, "force"))
-
-    def test_matches_parameterised_annotation(self):
-        assert annotated("critical").matches(descriptor(Simulation, "guarded"))
-
 
 class TestSubtypeAndInterface:
     def test_subtype_matching(self):
-        pc = subtype_of(Particle)
+        pc = implements(Particle)
         assert pc.matches(descriptor(Particle, "force"))
         assert pc.matches(descriptor(ChargedParticle, "force"))
         assert not pc.matches(descriptor(Simulation, "force"))
 
     def test_subtype_with_method_filter(self):
-        pc = subtype_of(Particle, "force")
+        pc = implements(Particle, "force")
         assert pc.matches(descriptor(ChargedParticle, "force"))
         assert not pc.matches(descriptor(Particle, "domove"))
 
@@ -148,81 +92,31 @@ class TestSubtypeAndInterface:
         assert pc.matches(descriptor(Simulation, "force"))
         assert not pc.matches(descriptor(Particle, "domove"))
 
+        # A protocol requires the methods it inherits from another protocol.
+        class Greets(Protocol):
+            def greet(self, who): ...
+
+        class LoudGreets(Greets, Protocol):
+            def shout(self): ...
+
+        class OnlyShout:
+            def shout(self): ...
+
+        class GreetsAndShouts:
+            def greet(self, who): ...
+
+            def shout(self): ...
+
+        assert not implements(LoudGreets).matches(descriptor(OnlyShout, "shout"))
+        assert implements(LoudGreets).matches(descriptor(GreetsAndShouts, "shout"))
+
     def test_non_class_rejected(self):
         with pytest.raises(PointcutError):
-            subtype_of(42)  # type: ignore[arg-type]
+            implements(42)  # type: ignore[arg-type]
 
 
-class TestArgsPointcut:
-    def test_for_method_signature(self):
-        pc = args(min_args=3)
-        assert pc.matches(descriptor(Simulation, "run_iters"))
-        assert not pc.matches(descriptor(Particle, "force"))
-
-    def test_max_args(self):
-        pc = args(min_args=0, max_args=0)
-        assert pc.matches(descriptor(Particle, "domove"))
-        assert not pc.matches(descriptor(Particle, "force"))
-
-
-class TestCombinators:
-    def test_and_or_not(self):
-        force_everywhere = call("force")
-        in_particles = within(Particle)
-        both = force_everywhere & in_particles
-        either = force_everywhere | name("domove")
-        neither = ~force_everywhere
-
-        assert both.matches(descriptor(ChargedParticle, "force"))
-        assert not both.matches(descriptor(Simulation, "force"))
-        assert either.matches(descriptor(Particle, "domove"))
-        assert neither.matches(descriptor(Particle, "domove"))
-        assert not neither.matches(descriptor(Particle, "force"))
-
-    def test_any_of_all_of_degenerate(self):
-        assert isinstance(any_of(), NothingPointcut)
-        assert isinstance(all_of(), EverythingPointcut)
-        assert not any_of().matches(descriptor(Particle, "force"))
-        assert all_of().matches(descriptor(Particle, "force"))
-
+class TestDescribe:
     def test_describe_strings(self):
-        text = (call("a") & ~name("b")).describe()
-        assert "a" in text and "b" in text
-
-
-# -- property-based: combinator laws -----------------------------------------
-
-_DESCRIPTORS = [
-    descriptor(Particle, "force"),
-    descriptor(Particle, "domove"),
-    descriptor(ChargedParticle, "force"),
-    descriptor(Simulation, "force"),
-    descriptor(Simulation, "run_iters"),
-    descriptor(Simulation, "annotated_region"),
-]
-
-_POINTCUTS = [
-    call("force"),
-    call("Particle.*"),
-    within(Particle),
-    annotated("parallel"),
-    args(min_args=3),
-    name("do*"),
-    NothingPointcut(),
-    EverythingPointcut(),
-]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    a=st.sampled_from(_POINTCUTS),
-    b=st.sampled_from(_POINTCUTS),
-    d=st.sampled_from(_DESCRIPTORS),
-)
-def test_combinator_semantics_match_boolean_logic(a, b, d):
-    assert (a & b).matches(d) == (a.matches(d) and b.matches(d))
-    assert (a | b).matches(d) == (a.matches(d) or b.matches(d))
-    assert (~a).matches(d) == (not a.matches(d))
-    # De Morgan
-    assert (~(a & b)).matches(d) == ((~a) | (~b)).matches(d)
-    assert (~(a | b)).matches(d) == ((~a) & (~b)).matches(d)
+        assert "a" in call("a").describe()
+        assert call("Particle.force").describe() == "call(Particle.force)"
+        assert implements(Particle, "force").describe() == "implements(Particle.force)"

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.aspects.base import MethodAspect
 from repro.core.weaver.joinpoint import JoinPoint
-from repro.core.weaver.pointcut import call, implements, name, within
+from repro.core.weaver.pointcut import call, implements
 from repro.core.weaver.weaver import Weaver, is_woven, original_function
 from repro.runtime.exceptions import WeavingError
 
@@ -232,9 +232,9 @@ class TestInheritanceAndInterfaces:
             Greeter.__module__ = __name__
             LoudGreeter.__module__ = __name__
 
-    def test_name_pointcut_matches_overrides_in_subclass_weave(self):
+    def test_implements_matches_overrides_in_subclass_weave(self):
         weaver = Weaver()
-        aspect = TracingAspect(within(Greeter) & name("greet"))
+        aspect = TracingAspect(implements(Greeter, "greet"))
         weaver.weave(aspect, LoudGreeter)
         try:
             LoudGreeter().greet("z")

@@ -71,6 +71,7 @@ class Shipped:
         self.hits = shm.shared_zeros(40, np.int64)
         self.span = 0
         self.schedule: "str | None" = None
+        self.tasks_per_member = 0
 
     def observe(self) -> None:
         config = get_config()
@@ -88,6 +89,16 @@ class Shipped:
     def count(self, start: int, end: int, step: int) -> None:
         for i in range(start, end, step):
             self.hits[i] += 1
+
+    def spawn_marks(self) -> None:
+        """Spawn one task per cell of this member's block of ``hits`` and
+        never wait for them: the end-of-region drain must run them."""
+        first = ctx.get_thread_id() * self.tasks_per_member
+        for cell in range(first, first + self.tasks_per_member):
+            spawn_task(self.mark, cell)
+
+    def mark(self, cell: int) -> None:
+        self.hits[cell] += 1
 
     def reset(self) -> None:
         self.seen.np[:] = 0
@@ -216,6 +227,17 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         parallel_region(body, num_threads=2, backend=self.heap_backend, name="fuzz.tasks")
         assert sorted(done) == list(range(tasks))
 
+    @rule(num_threads=st.integers(min_value=1, max_value=4), tasks=st.integers(min_value=0, max_value=5))
+    def unwaited_tasks(self, num_threads, tasks):
+        """Tasks no member waits for still run, once each, before the region
+        ends — on the backend itself, so the pool's members drain too."""
+        self.shipped.reset()
+        self.shipped.tasks_per_member = tasks
+        parallel_region(self.shipped.spawn_marks, num_threads=num_threads, backend=self.backend, name="fuzz.unwaited")
+        cells = self._team_size(num_threads) * tasks
+        assert list(self.shipped.hits.np[:cells]) == [1] * cells
+        assert not self.shipped.hits.np[cells:].any()
+
     @rule(value=st.integers(min_value=-100, max_value=100))
     def future_result(self, value):
         """A future's result round-trips through the task pool."""
@@ -297,6 +319,7 @@ def test_machine_rules_run_once_each(backend):
     machine.config_between_regions(num_threads=3, span=23, schedule="guided")
     machine.critical_counter(num_threads=2, increments=3)
     machine.task_region(tasks=4)
+    machine.unwaited_tasks(num_threads=3, tasks=5)
     machine.future_result(value=21)
     machine.nested_teams(outer=2, inner=2)
     machine.move_master(slot=1, num_threads=3)

@@ -1,4 +1,4 @@
-"""Tests for the work-stealing task runtime: deques, pools, dependencies, taskloop.
+"""Tests for the work-stealing task runtime: deques, pools, taskloop.
 
 Mirrors the cross-backend conformance pattern of ``test_team.py``: the same
 taskloop program must produce identical results under the serial, thread and
@@ -18,7 +18,6 @@ from repro.runtime import shm
 from repro.runtime.backend import backend_by_name, set_backend
 from repro.runtime.exceptions import BrokenTeamError, TaskError
 from repro.runtime.tasks import (
-    TaskHandle,
     TaskPool,
     WorkStealingDeque,
     resolve_grainsize,
@@ -133,111 +132,6 @@ class TestTaskHandleJoin:
             handle.join(timeout=0.05)
         gate.set()
         assert handle.join(timeout=5) is True
-
-
-class TestDependencies:
-    def test_chain_executes_in_order(self):
-        pool = TaskPool(workers=2, name="deps-chain")
-        try:
-            order: list[int] = []
-            lock = threading.Lock()
-
-            def step(i):
-                with lock:
-                    order.append(i)
-
-            handle = pool.spawn(step, 0)
-            for i in range(1, 6):
-                handle = pool.spawn(step, i, depends=[handle])
-            handle.join(timeout=10)
-            assert order == [0, 1, 2, 3, 4, 5]
-        finally:
-            pool.shutdown()
-
-    def test_diamond_runs_sink_last(self):
-        pool = TaskPool(workers=3, name="deps-diamond")
-        try:
-            seen: list[str] = []
-            lock = threading.Lock()
-
-            def mark(label):
-                with lock:
-                    seen.append(label)
-
-            top = pool.spawn(mark, "top")
-            left = pool.spawn(mark, "left", depends=[top])
-            right = pool.spawn(mark, "right", depends=[top])
-            sink = pool.spawn(mark, "sink", depends=[left, right])
-            sink.join(timeout=10)
-            assert seen[0] == "top" and seen[-1] == "sink"
-            assert set(seen) == {"top", "left", "right", "sink"}
-        finally:
-            pool.shutdown()
-
-    def test_completed_dependency_does_not_defer(self):
-        pool = TaskPool(workers=2, name="deps-done")
-        try:
-            done = pool.spawn(lambda: "first")
-            done.join(timeout=5)
-            dependent = pool.spawn(lambda: "second", depends=[done])
-            assert dependent.join(timeout=5) == "second"
-        finally:
-            pool.shutdown()
-
-    def test_failed_dependency_still_releases_dependent(self):
-        pool = TaskPool(workers=2, name="deps-failed")
-        try:
-            def failing():
-                raise RuntimeError("dep failed")
-
-            dep = pool.spawn(failing)
-            dependent = pool.spawn(lambda: "ran anyway", depends=[dep])
-            assert dependent.join(timeout=5) == "ran anyway"
-            with pytest.raises(TaskError):
-                dep.join(timeout=5)
-        finally:
-            pool.shutdown()
-
-    def test_slow_cross_pool_dependency_is_not_misreported_as_stuck(self):
-        """Waiting on another pool's still-running task must not raise.
-
-        Regression test: the stuck detector used to sample only the local
-        pool's counters, flagging a slow external dependency as a cycle.
-        """
-        gate = threading.Event()
-        external = TaskPool(workers=1, name="external")
-        releaser = threading.Timer(0.25, gate.set)
-        try:
-            slow = external.spawn(lambda: gate.wait(10) and "slow done")
-            results = []
-
-            def body():
-                if ctx.get_thread_id() == 0:
-                    dependent = spawn_task(lambda: "released", depends=[slow])
-                    releaser.start()
-                    # join() sits in the help loop for ~250 ms — far longer
-                    # than the detector's sampling window — while the only
-                    # runnable work lives in the external pool.
-                    results.append(dependent.join(timeout=10))
-
-            parallel_region(body, num_threads=2, backend="threads")
-            assert results == ["released"]
-        finally:
-            gate.set()
-            releaser.cancel()
-            external.shutdown()
-
-    def test_unsatisfiable_dependency_detected_in_region(self):
-        never_done = TaskHandle("external")  # nothing will ever complete this
-
-        def body():
-            spawn_task(lambda: "blocked", depends=[never_done])
-            task_wait(timeout=10)
-
-        with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(body, num_threads=2, backend="threads")
-        assert isinstance(excinfo.value.__cause__, TaskError)
-        assert "stuck" in str(excinfo.value.__cause__)
 
 
 class TestTeamTaskPool:
@@ -473,6 +367,11 @@ class TestGrainsize:
     def test_invalid_grainsize_rejected(self):
         with pytest.raises(ValueError):
             resolve_grainsize(10, 2, grainsize=0, num_tasks=None)
+
+    @pytest.mark.parametrize("num_tasks", [0, -5])
+    def test_invalid_num_tasks_rejected(self, num_tasks):
+        with pytest.raises(ValueError, match="num_tasks must be >= 1"):
+            resolve_grainsize(100, 2, grainsize=None, num_tasks=num_tasks)
 
 
 class TestHeapTaskLoopState:
