@@ -404,6 +404,31 @@ class TestExecutionAspects:
         assert isinstance(handle, TaskHandle)
         assert handle.join(timeout=5) == "done"
 
+    def test_task_orders_after_an_earlier_task_by_joining_it(self, weaver):
+        class App:
+            def __init__(self):
+                self.log = []
+                self.lock = threading.Lock()
+                self.first_handle = None
+
+            def first(self):
+                time.sleep(0.05)
+                with self.lock:
+                    self.log.append("first")
+
+            def second(self):
+                self.first_handle.join(timeout=5)
+                with self.lock:
+                    self.log.append("second")
+
+        weaver.weave(TaskAspect(call("App.first")), App)
+        weaver.weave(TaskAspect(call("App.second")), App)
+        app = App()
+        app.first_handle = app.first()
+        handle = app.second()
+        handle.join(timeout=5)
+        assert app.log == ["first", "second"]
+
     def test_taskloop_distributes_and_matches_sequential(self, weaver):
         class App:
             def __init__(self, n):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import abc
+import functools
+
 import pytest
 
 from repro.core.weaver.joinpoint import MethodDescriptor
@@ -68,6 +71,23 @@ class TestCallPointcut:
         with pytest.raises(PointcutError):
             call("Particle.")
 
+    def test_callable_without_a_name_rejected(self):
+        with pytest.raises(PointcutError, match="__name__"):
+            call(functools.partial(Particle.force, None))
+
+    def test_function_object_matches_an_equally_named_replacement(self):
+        """After a weave the owner holds a different function object with the
+        original's ``__qualname__``: ``call(func)`` still selects it."""
+        original = vars(Particle)["force"]
+
+        @functools.wraps(original)
+        def rewoven(self, x):
+            return original(self, x)
+
+        pc = call(original)
+        assert pc.matches(MethodDescriptor(owner=Particle, name="force", func=rewoven))
+        assert not pc.matches(MethodDescriptor(owner=Particle, name="domove", func=rewoven))
+
 
 class TestSubtypeAndInterface:
     def test_subtype_matching(self):
@@ -110,6 +130,55 @@ class TestSubtypeAndInterface:
         assert not implements(LoudGreets).matches(descriptor(OnlyShout, "shout"))
         assert implements(LoudGreets).matches(descriptor(GreetsAndShouts, "shout"))
 
+    def test_abstract_base_class_and_virtual_subclass(self):
+        class Body(abc.ABC):
+            @abc.abstractmethod
+            def force(self, x): ...
+
+        class Planet(Body):
+            def force(self, x):
+                return x
+
+        Body.register(Simulation)  # a virtual subclass, no inheritance
+        pc = implements(Body, "force")
+        assert pc.matches(descriptor(Planet, "force"))
+        assert pc.matches(descriptor(Simulation, "force"))
+        assert not pc.matches(descriptor(Particle, "force"))
+
+    def test_method_filter_takes_wildcards(self):
+        pc = implements(Particle, "do*")
+        assert pc.matches(descriptor(Particle, "domove"))
+        assert not pc.matches(descriptor(Particle, "force"))
+        assert not implements(Simulation, "do*").matches(descriptor(Simulation, "run_iters"))
+
+    def test_protocol_without_method_filter_selects_every_method(self):
+        from typing import Protocol
+
+        class Moves(Protocol):
+            def domove(self): ...
+
+        pc = implements(Moves)
+        assert pc.matches(descriptor(Particle, "force"))
+        assert pc.matches(descriptor(Particle, "domove"))
+        assert not pc.matches(descriptor(Simulation, "force"))
+
+    def test_protocol_does_not_require_private_methods(self):
+        from typing import Protocol
+
+        class Forces(Protocol):
+            def force(self, x): ...
+
+            def _cache(self): ...
+
+        assert implements(Forces).matches(descriptor(Simulation, "force"))
+
+    def test_module_owner_never_implements(self):
+        import math
+
+        module_function = MethodDescriptor(owner=math, name="sqrt", func=math.sqrt)
+        assert not implements(Particle).matches(module_function)
+        assert call("math.sqrt").matches(module_function)
+
     def test_non_class_rejected(self):
         with pytest.raises(PointcutError):
             implements(42)  # type: ignore[arg-type]
@@ -120,3 +189,8 @@ class TestDescribe:
         assert "a" in call("a").describe()
         assert call("Particle.force").describe() == "call(Particle.force)"
         assert implements(Particle, "force").describe() == "implements(Particle.force)"
+
+    def test_describe_function_object_and_whole_interface(self):
+        assert call(Particle.force).describe() == "call('Particle.force')"
+        assert call("force").describe() == "call(*.force)"
+        assert implements(Particle).describe() == "implements(Particle)"

@@ -134,6 +134,218 @@ class TestTaskHandleJoin:
         assert handle.join(timeout=5) is True
 
 
+class TestOrderingByJoins:
+    """Task order is expressed by joining a spawned task's handle (the
+    paper's ``@FutureResult`` getter); a join inside a worker helps run other
+    tasks meanwhile.  Tasks join what they spawned: a worker helping while it
+    waits can stack a task that joins a *sibling* above the very task that
+    sibling needs, and neither can finish."""
+
+    def test_chain_executes_in_order(self):
+        pool = TaskPool(workers=2, name="join-chain")
+        try:
+            order: list[int] = []
+            lock = threading.Lock()
+
+            def step(i):
+                with lock:
+                    order.append(i)
+                if i < 5:
+                    pool.spawn(step, i + 1).join(timeout=10)
+
+            pool.spawn(step, 0).join(timeout=10)
+            assert order == [0, 1, 2, 3, 4, 5]
+            assert pool.pending == 0
+        finally:
+            pool.shutdown()
+
+    def test_diamond_runs_sink_last(self):
+        pool = TaskPool(workers=3, name="join-diamond")
+        try:
+            seen: list[str] = []
+            lock = threading.Lock()
+
+            def mark(label):
+                with lock:
+                    seen.append(label)
+
+            def top():
+                mark("top")
+                branches = [pool.spawn(mark, "left"), pool.spawn(mark, "right")]
+                for branch in branches:
+                    branch.join(timeout=10)
+                pool.spawn(mark, "sink").join(timeout=10)
+
+            pool.spawn(top).join(timeout=10)
+            assert seen[0] == "top" and seen[-1] == "sink"
+            assert set(seen) == {"top", "left", "right", "sink"}
+        finally:
+            pool.shutdown()
+
+    def test_joining_a_finished_task_returns_its_result(self):
+        pool = TaskPool(workers=2, name="join-done")
+        try:
+            done = pool.spawn(lambda: "first")
+            assert done.join(timeout=5) == "first"
+            later = pool.spawn(lambda: done.join(timeout=5) + " then second")
+            assert later.join(timeout=5) == "first then second"
+        finally:
+            pool.shutdown()
+
+    def test_failed_task_does_not_stop_a_later_task(self):
+        pool = TaskPool(workers=2, name="join-failed")
+        try:
+            def failing():
+                raise RuntimeError("first failed")
+
+            first = pool.spawn(failing)
+            later = pool.spawn(lambda: "ran anyway")
+            assert later.join(timeout=5) == "ran anyway"
+            with pytest.raises(TaskError):
+                first.join(timeout=5)
+        finally:
+            pool.shutdown()
+
+    def test_join_on_a_slow_task_of_another_pool_returns(self):
+        """A member's join inside a team task waits out an external pool's
+        still-running task: nothing is queued in the team pool meanwhile, so
+        the wait loop must sleep and retry, not give up."""
+        gate = threading.Event()
+        external = TaskPool(workers=1, name="external")
+        releaser = threading.Timer(0.25, gate.set)
+        try:
+            slow = external.spawn(lambda: gate.wait(10) and "slow done")
+            results = []
+
+            def body():
+                if ctx.get_thread_id() == 0:
+                    after = spawn_task(lambda: slow.join(timeout=10) + ", then released")
+                    releaser.start()
+                    results.append(after.join(timeout=10))
+
+            parallel_region(body, num_threads=2, backend="threads")
+            assert results == ["slow done, then released"]
+        finally:
+            gate.set()
+            releaser.cancel()
+            external.shutdown()
+
+
+class TestSchedulingPointWaits:
+    """The take-or-steal-else-sleep wait loop behind join, wait_all and drain."""
+
+    def test_join_timeout_inside_a_worker_raises_while_the_task_runs(self):
+        pool = TaskPool(workers=2, name="wait-timeout")
+        gate = threading.Event()
+        started = threading.Event()
+        try:
+            def blocked():
+                started.set()
+                return gate.wait(10)
+
+            running = pool.spawn(blocked)
+            assert started.wait(5)
+
+            def impatient():
+                try:
+                    running.join(timeout=0.1)
+                except TaskError as err:
+                    return str(err)
+                return "joined"
+
+            message = pool.spawn(impatient).join(timeout=5)
+            assert "did not complete within 0.1s" in message
+            gate.set()
+            assert running.join(timeout=5) is True
+        finally:
+            gate.set()
+            pool.shutdown()
+
+    def test_wait_all_returns_results_in_spawn_order(self):
+        pool = TaskPool(workers=3, name="wait-order")
+        try:
+            def late(i):
+                time.sleep(0.002 * (5 - i))
+                return i
+
+            for i in range(6):
+                pool.spawn(late, i)
+            assert pool.wait_all(timeout=10) == [0, 1, 2, 3, 4, 5]
+            assert pool.outstanding == 0
+            assert pool.pending == 0
+        finally:
+            pool.shutdown()
+
+    def test_wait_all_in_a_member_reraises_the_first_failure(self):
+        causes = []
+
+        def body():
+            if ctx.get_thread_id() == 0:
+                spawn_task(lambda: "fine")
+                spawn_task(lambda: 1 / 0)
+                try:
+                    task_wait(timeout=10)
+                except TaskError as err:
+                    causes.append(type(err.cause))
+
+        parallel_region(body, num_threads=2, backend="threads")
+        assert causes == [ZeroDivisionError]
+
+    def test_tasks_spawned_by_tasks_are_drained_at_region_end(self):
+        hits = []
+        lock = threading.Lock()
+
+        def leaf(tid, depth):
+            with lock:
+                hits.append((tid, depth))
+            if depth < 3:
+                spawn_task(leaf, tid, depth + 1)
+                spawn_task(leaf, tid, depth + 1)
+
+        def body():
+            spawn_task(leaf, ctx.get_thread_id(), 0)
+            # No waits anywhere: the end-of-region drain must chase every
+            # generation of children, each spawned while the drain runs.
+
+        parallel_region(body, num_threads=3, backend="threads")
+        assert len(hits) == 3 * (1 + 2 + 4 + 8)
+        for tid in range(3):
+            assert sorted(d for t, d in hits if t == tid) == [0] + [1] * 2 + [2] * 4 + [3] * 8
+
+    def test_drain_waits_for_a_task_another_member_is_running(self):
+        started = threading.Event()
+        finished = []
+
+        def slow():
+            started.set()
+            time.sleep(0.2)
+            finished.append(True)
+
+        def body():
+            if ctx.get_thread_id() == 0:
+                spawn_task(slow)
+            else:
+                # Reach the drain only once the task runs: nothing is queued,
+                # so this member's drain sleeps until the completion wakes it.
+                assert started.wait(10)
+
+        parallel_region(body, num_threads=2, backend="threads")
+        assert finished == [True]
+
+
+class TestTaskPoolLifecycle:
+    def test_spawn_after_shutdown_rejected(self):
+        pool = TaskPool(workers=1, name="closed")
+        assert pool.spawn(lambda: 1).join(timeout=5) == 1
+        pool.shutdown()
+        with pytest.raises(TaskError, match="shut down"):
+            pool.spawn(lambda: 2)
+
+    def test_pool_needs_a_worker(self):
+        with pytest.raises(ValueError, match="at least 1 worker"):
+            TaskPool(workers=0)
+
+
 class TestTeamTaskPool:
     def test_members_share_one_pool(self):
         pools = []
@@ -367,6 +579,10 @@ class TestGrainsize:
     def test_invalid_grainsize_rejected(self):
         with pytest.raises(ValueError):
             resolve_grainsize(10, 2, grainsize=0, num_tasks=None)
+
+    def test_more_tasks_than_iterations_gives_one_iteration_tiles(self):
+        assert resolve_grainsize(5, 2, grainsize=None, num_tasks=50) == 1
+        assert resolve_grainsize(7, 2, grainsize=None, num_tasks=3) == 3
 
     @pytest.mark.parametrize("num_tasks", [0, -5])
     def test_invalid_num_tasks_rejected(self, num_tasks):
