@@ -62,8 +62,10 @@ class MasterAspect(MethodAspect):
 class TaskAspect(MethodAspect):
     """``@Task`` — spawn a new activity to execute the matched method.
 
-    The call returns immediately with a :class:`~repro.runtime.tasks.TaskHandle`.
-    Tasks are joined either through the handle, through a method advised by
+    The call returns a :class:`~repro.runtime.tasks.TaskHandle`: inside a
+    region at once, the task deferred on the team's pool; outside any region
+    once the method has run on the caller (an undeferred task).  Tasks are
+    joined either through the handle, through a method advised by
     :class:`TaskWaitAspect`, or by an explicit
     :func:`repro.runtime.tasks.task_wait`.
     """

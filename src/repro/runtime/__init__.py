@@ -90,7 +90,6 @@ from repro.runtime.tasks import (
     TaskHandle,
     TaskPool,
     WorkStealingDeque,
-    current_pool,
     run_taskloop,
     spawn_future,
     spawn_task,
@@ -199,7 +198,6 @@ __all__ = [
     "TaskHandle",
     "FutureResult",
     "WorkStealingDeque",
-    "current_pool",
     "spawn_task",
     "spawn_future",
     "task_wait",

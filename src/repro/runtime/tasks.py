@@ -17,29 +17,34 @@ Implements the runtime behind the paper's ``@Task``, ``@TaskWait``,
 
 Execution model
 ---------------
-Tasks live in per-worker :class:`WorkStealingDeque`\\ s: the owning worker
-pushes and pops at one end (LIFO — newest task first, the classic
+A task is deferred only inside a parallel region.  The team owns one shared
+:class:`TaskPool` with a :class:`WorkStealingDeque` per member: the owning
+member pushes and pops at one end (LIFO — newest task first, the classic
 cache-friendly Cilk discipline) while thieves steal from the opposite end
 (FIFO — oldest task first, largest expected remaining work).  The deques are
 *lock-free-ish*: CPython's per-opcode atomicity makes single ``deque``
 operations safe without a lock, and the one-element race between a pop and a
 steal resolves to exactly one winner (the loser sees ``IndexError``).
 
-Who executes a task depends on where its pool lives — the same backend
-strategy split as the rest of the runtime:
+Members execute tasks at task scheduling points, under OpenMP's task
+scheduling constraint:
 
-* **Inside a parallel region** the team owns one shared :class:`TaskPool`
-  with a deque per member.  Tasks are *deferred*: members execute them at
-  task scheduling points (``task_wait``, ``TaskHandle.join``, ``taskloop``,
-  and the implicit end-of-region drain), where they first empty their own
-  deque and then steal from siblings.  Joins therefore *participate in
-  stealing* instead of parking the member on a condition variable.
-* **Outside any region** the process-global pool runs a small set of
-  lazily-started daemon worker threads (a real executor replacing the old
-  thread-per-spawn shim), so tasks start eagerly and ``join(timeout=...)``
-  keeps real-time semantics.
-* **On process-backed teams** arbitrary spawned closures cannot cross the
-  process boundary, so each member's spawns execute within its own process.
+* a member's *implicit task* — the region body's ``task_wait``/``join`` and
+  the end-of-region drain — helps with any queued task: its own deque first,
+  then stolen from siblings;
+* inside an *explicit task*, ``join(h)`` and ``task_wait`` run a waited-on
+  task inline if it is still queued (pulled from its deque), and otherwise
+  sleep until it finishes.
+
+So a member stacks on top of an explicit task only a task that task waits
+on.  With acyclic joins no task is ever buried beneath one that waits for it.
+
+Outside any region a task is *undeferred*, as in OpenMP's implicit team of
+one thread: the body runs on the caller, which gets back a finished handle,
+and ``task_wait`` returns the results of the tasks the calling thread spawned
+since its last wait.  On process-backed teams arbitrary spawned closures
+cannot cross the process boundary, so each member's spawns execute within its
+own process.
 
 ``taskloop`` tiles are not spawned tasks: every member can execute any tile
 (the body is SPMD), so on every tier they are claimed and stolen through one
@@ -55,7 +60,6 @@ chaining the original exception.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
 import time
@@ -65,15 +69,14 @@ from typing import Any, Callable, Generic, TypeVar
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime.barrier import BrokenBarrierError
-from repro.runtime.config import get_config
 from repro.runtime.exceptions import TaskError
 from repro.runtime.scheduler import LoopChunk, block_counts
 from repro.runtime.trace import EventKind
 
 T = TypeVar("T")
 
-#: how long an idle helper sleeps between steal attempts when the pool has
-#: outstanding-but-unavailable work (another member is mid-task).
+#: how long an idle taskloop member sleeps between claim attempts when every
+#: remaining tile is claimed and running on another member.
 _IDLE_WAIT = 5e-4
 
 
@@ -104,13 +107,21 @@ def _spawn_site() -> str:
     return f"{code.co_filename}:{frame.f_lineno} in {code.co_name}"
 
 
+def _call(fn: Callable[..., Any], args: tuple, kwargs: dict) -> tuple[Any, BaseException | None]:
+    """``(result, None)`` of ``fn(*args, **kwargs)``, or ``(None, exception)``."""
+    try:
+        return fn(*args, **kwargs), None
+    except BaseException as exc:  # noqa: BLE001 - stored and re-raised at join
+        return None, exc
+
+
 class WorkStealingDeque:
-    """A per-worker task deque: LIFO for the owner, FIFO for thieves.
+    """A per-member task deque: LIFO for the owner, FIFO for thieves.
 
     Built on :class:`collections.deque`, whose individual operations are
-    atomic under the GIL; no lock is taken on push/pop/steal.  When a pop and
-    a steal race for the final element exactly one succeeds and the other
-    observes the deque empty.
+    atomic under the GIL; no lock is taken on push/pop/steal/remove.  When two
+    of them race for the same element exactly one succeeds and the others
+    observe it gone.
     """
 
     __slots__ = ("_items",)
@@ -136,6 +147,14 @@ class WorkStealingDeque:
         except IndexError:
             return None
 
+    def remove(self, task: Any) -> bool:
+        """Waiter: take ``task`` itself; ``False`` if a pop or steal took it first."""
+        try:
+            self._items.remove(task)
+        except ValueError:
+            return False
+        return True
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -143,66 +162,54 @@ class WorkStealingDeque:
         return bool(self._items)
 
 
-class _SpawnedTask:
-    """Internal record of one spawned-but-unfinished task."""
-
-    __slots__ = ("fn", "args", "kwargs", "handle")
-
-    def __init__(self, fn: Callable[..., Any], args: tuple, kwargs: dict, handle: "TaskHandle") -> None:
-        self.fn = fn
-        self.args = args
-        self.kwargs = kwargs
-        self.handle = handle
-
-
 class TaskHandle(Generic[T]):
-    """Handle on a spawned task; ``join`` waits for completion and re-raises failures."""
+    """Handle on a spawned task; ``join`` waits for completion and re-raises failures.
 
-    __slots__ = ("name", "spawn_site", "_done", "_result", "_exception", "_pool", "_scope")
+    A deferred task's handle is also its entry in the deques: it carries the
+    call until a member runs it.
+    """
 
-    def __init__(self, name: str = "task", *, spawn_site: str | None = None, pool: "TaskPool | None" = None) -> None:
+    __slots__ = ("name", "spawn_site", "_done", "_result", "_exception", "_pool", "_scope", "_home", "_call")
+
+    def __init__(self, name: str = "task", *, spawn_site: str | None = None, pool: "TaskPool | None" = None,
+                 home: int = 0, call: tuple | None = None) -> None:
         self.name = name
         self.spawn_site = spawn_site
-        self._done = threading.Event()
+        self._done = False
         self._result: T | None = None
         self._exception: BaseException | None = None
         self._pool = pool
-        self._scope: Any = None
-
-    def _complete(self, result: T | None = None, exception: BaseException | None = None) -> None:
-        self._result = result
-        self._exception = exception
-        self._done.set()
+        self._scope: list | None = None  # the task_wait list holding this handle
+        self._home = home  # the deque it was pushed to
+        self._call = call  # (fn, args, kwargs) until a member runs it
 
     @property
     def done(self) -> bool:
         """Whether the task has finished (successfully or not)."""
-        return self._done.is_set()
+        return self._done
 
     def join(self, timeout: float | None = None) -> T:
         """Wait for the task and return its result, re-raising task failures.
 
-        Inside the task runtime's worker scope (a team member, or a global
-        executor worker) the wait is a *work loop*: the caller executes and
-        steals other outstanding tasks until this one finishes.  External
-        callers block on the completion event.
+        In a member's implicit task the wait helps run queued tasks; inside an
+        explicit task it runs this task inline if it is still queued and
+        otherwise sleeps until it finishes; any other thread sleeps.
 
         A failed task raises :class:`TaskError` with the spawn-site context
         attached and the original exception chained (``__cause__``); calling
         ``join`` again raises an equivalent fresh error — the failure is
         sticky, not one-shot.
         """
-        if not self._done.is_set():
-            pool = self._pool
-            helper = pool._helper_worker() if pool is not None else None
-            if helper is not None:
-                pool._help_until(helper, self._done.is_set, timeout, waiting_on=self.name)
-            elif not self._done.wait(timeout):
-                raise TaskError(f"task {self.name!r} did not complete within {timeout}s")
+        if not self._done:
+            self._pool._wait_for(self, timeout)
         # An explicitly joined task is settled: a later task_wait in the
-        # spawning scope must not join (and possibly re-raise) it again.
-        if self._pool is not None:
-            self._pool._discard_scope_handle(self)
+        # spawning task must not join (and possibly re-raise) it again.
+        scope, self._scope = self._scope, None
+        if scope:
+            try:
+                scope.remove(self)
+            except ValueError:
+                pass
         if self._exception is not None:
             site = f" (spawned at {self.spawn_site})" if self.spawn_site else ""
             raise TaskError(
@@ -217,9 +224,8 @@ class FutureResult(Generic[T]):
 
     Mirrors the paper's ``@FutureTask``/``@FutureResult`` pattern: the
     spawning call immediately returns this proxy; calling :meth:`get` (the
-    designated getter) blocks until the spawned activity has produced the
-    value — and, within the task runtime's workers, helps execute other
-    tasks while it waits.
+    designated getter) joins the spawned task, at the same scheduling point
+    as :meth:`TaskHandle.join`.
     """
 
     def __init__(self, handle: TaskHandle[T]) -> None:
@@ -239,205 +245,143 @@ class FutureResult(Generic[T]):
         return f"FutureResult({self._handle.name!r}, {state})"
 
 
+def _join_all(scope: list[TaskHandle], timeout: float | None) -> list[Any]:
+    """``@TaskWait``: join the handles of ``scope`` in spawn order, emptying it."""
+    handles = scope[:]
+    scope.clear()
+    return [handle.join(timeout) for handle in handles]
+
+
 class TaskPool:
-    """A work-stealing pool of tasks.
+    """The deferred tasks of one team: a work-stealing deque per member.
 
-    Two flavours, selected by construction:
+    No threads of its own: the members *are* the workers, executing tasks at
+    scheduling points (this is how OpenMP tasks defer).  A team's pool is
+    created lazily by :meth:`for_team`.
 
-    * **Team pool** (``team=...``) — one deque per team member, no threads of
-      its own: the members *are* the workers, executing tasks at scheduling
-      points (this is how OpenMP tasks defer).  Created lazily per region
-      through :func:`current_pool` / :meth:`for_team`.
-    * **Executor pool** (no team) — ``workers`` lazily-started daemon threads
-      with a deque each; spawns from outside are distributed round-robin.
-      The process-global pool used outside parallel regions is one of these.
-
-    ``wait_all`` (the ``@TaskWait`` construct) joins the tasks spawned *by
-    the calling scope* since its last wait — per member inside a team, per
-    OS thread outside — matching the paper's "join point between the
-    spawning and the spawned activity".
+    ``wait_all`` (the ``@TaskWait`` construct) joins the tasks spawned by the
+    calling task since its last wait — the member's implicit task, or the
+    explicit task the member is running — matching the paper's "join point
+    between the spawning and the spawned activity".
     """
 
     #: key under which a team's shared pool lives in ``Team._shared``
     TEAM_SLOT = "task_pool"
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        name: str = "tasks",
-        team: Any = None,
-    ) -> None:
-        self.name = name
+    def __init__(self, team: Any) -> None:
+        self.name = f"{team.name}-tasks"
         self._team = team
-        if team is not None:
-            size = team.size
-            self._executor = False
-        else:
-            size = workers if workers is not None else max(2, min(8, get_config().num_threads))
-            self._executor = True
-        if size < 1:
-            raise ValueError(f"task pool needs at least 1 worker, got {size}")
-        self._size = size
-        self._deques = [WorkStealingDeque() for _ in range(size)]
+        self._deques = [WorkStealingDeque() for _ in range(team.size)]
         self._lock = threading.Lock()
         self._work_available = threading.Condition(self._lock)
-        self._pending = 0      # spawned and not yet finished (queued + running)
-        self._running = 0      # currently executing a body
-        self._scopes: dict[Any, list[TaskHandle]] = {}
-        self._rr = itertools.count()
-        self._threads: list[threading.Thread] = []
-        self._worker_local = threading.local()
-        self._shutdown = False
-
-    # -- construction helpers -------------------------------------------------
+        self._pending = 0  # spawned and not yet finished (queued + running)
+        self._running = 0  # currently executing a body
+        self._sleepers = 0  # helpers asleep in _help_until, woken by a spawn
+        # Per member: the task_wait list of the task it runs, and how many
+        # explicit tasks are on its stack (0: it is in its implicit task).
+        self._scopes: list[list[TaskHandle]] = [[] for _ in range(team.size)]
+        self._depth = [0] * team.size
 
     @classmethod
     def for_team(cls, team: Any) -> "TaskPool":
         """The (lazily created) pool shared by ``team``'s members."""
-        return team.shared_slot(cls.TEAM_SLOT, lambda: cls(name=f"{team.name}-tasks", team=team))
+        return team.shared_slot(cls.TEAM_SLOT, lambda: cls(team))
 
-    # -- worker identity ------------------------------------------------------
-
-    def _helper_worker(self) -> int | None:
-        """Deque index the calling thread may help from, or ``None`` (external)."""
-        if self._executor:
-            return getattr(self._worker_local, "worker", None)
+    def _member(self) -> int | None:
+        """Deque index of the calling member, or ``None`` for a thread outside the team."""
         context = ctx.current_context()
         if context is not None and context.team is self._team:
             return context.thread_id
         return None
 
-    def _spawn_worker(self) -> int:
-        """Deque index new spawns are pushed to."""
-        helper = self._helper_worker()
-        if helper is not None:
-            return helper
-        return next(self._rr) % self._size
-
-    def _scope_key(self) -> Any:
-        """Identity of the calling spawn scope (member in a team, OS thread outside)."""
-        helper = self._helper_worker()
-        if helper is not None and not self._executor:
-            return ("member", helper)
-        return ("thread", threading.get_ident())
+    def _caller(self) -> int:
+        worker = self._member()
+        if worker is None:
+            raise TaskError(f"task pool {self.name!r} serves the members of its team only")
+        return worker
 
     # -- spawning -------------------------------------------------------------
 
-    def spawn(
-        self,
-        fn: Callable[..., T],
-        *args: Any,
-        name: str | None = None,
-        **kwargs: Any,
-    ) -> TaskHandle[T]:
-        """Spawn ``fn(*args, **kwargs)`` and track its handle."""
-        if self._shutdown:
-            raise TaskError(f"task pool {self.name!r} is shut down")
-        handle: TaskHandle[T] = TaskHandle(
-            name or getattr(fn, "__name__", "task"), spawn_site=_spawn_site(), pool=self
-        )
-        task = _SpawnedTask(fn, args, kwargs, handle)
-        scope = self._scope_key()
+    def spawn(self, fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> TaskHandle[T]:
+        """Defer ``fn(*args, **kwargs)`` on the calling member's deque."""
+        worker = self._caller()
+        name = name or getattr(fn, "__name__", "task")
+        handle = TaskHandle(name, spawn_site=_spawn_site(), pool=self, home=worker, call=(fn, args, kwargs))
+        scope = self._scopes[worker]
+        scope.append(handle)
         handle._scope = scope
         with self._lock:
             self._pending += 1
-            self._scopes.setdefault(scope, []).append(handle)
         team = self._team
-        if team is not None:
-            if team.metrics:
-                obsreg.inc(obsreg.TASKS_SPAWNED)
-            if team.tracing:
-                team.record(EventKind.TASK_SPAWN, task=handle.name)
-        self._enqueue(task, self._spawn_worker())
-        return handle
-
-    def spawn_future(self, fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> FutureResult[T]:
-        """Spawn ``fn`` and return a :class:`FutureResult` for its value."""
-        return FutureResult(self.spawn(fn, *args, name=name, **kwargs))
-
-    def _enqueue(self, task: _SpawnedTask, worker: int) -> None:
-        self._deques[worker].push(task)
-        team = self._team
-        if team is not None and team.metrics:
+        if team.metrics:
+            obsreg.inc(obsreg.TASKS_SPAWNED)
+        if team.tracing:
+            team.record(EventKind.TASK_SPAWN, task=handle.name)
+        self._deques[worker].push(handle)
+        if team.metrics:
             obsreg.set_gauge("aomp_task_deque_depth", {"member": worker}, len(self._deques[worker]))
-        if self._executor:
-            self._ensure_threads()
+        if self._sleepers:  # read after the push: a helper asleep before it is woken
             with self._work_available:
-                self._work_available.notify()
-
-    def _discard_scope_handle(self, handle: TaskHandle) -> None:
-        """Forget ``handle`` in its spawn scope (it was joined explicitly)."""
-        with self._lock:
-            handles = self._scopes.get(handle._scope)
-            if handles is not None:
-                try:
-                    handles.remove(handle)
-                except ValueError:
-                    pass
-                if not handles:
-                    self._scopes.pop(handle._scope, None)
+                self._work_available.notify_all()
+        return handle
 
     # -- execution ------------------------------------------------------------
 
-    def _execute(self, task: _SpawnedTask, worker: int) -> None:
+    def _execute(self, handle: TaskHandle, worker: int) -> None:
+        """Run ``handle``'s task on ``worker``, one explicit task deeper."""
         with self._lock:
             self._running += 1
+        scopes, depth = self._scopes, self._depth
+        outer = scopes[worker]
+        scopes[worker] = []
+        depth[worker] += 1
+        fn, args, kwargs = handle._call  # type: ignore[misc]
+        handle._call = None
         began = time.perf_counter()
-        try:
-            result = task.fn(*task.args, **task.kwargs)
-        except BaseException as exc:  # noqa: BLE001 - stored and re-raised at join
-            task.handle._complete(exception=exc)
-        else:
-            task.handle._complete(result=result)
+        result, exception = _call(fn, args, kwargs)
+        depth[worker] -= 1
+        scopes[worker] = outer
         with self._work_available:
+            handle._result, handle._exception, handle._done = result, exception, True
             self._running -= 1
             self._pending -= 1
             self._work_available.notify_all()
         team = self._team
-        if team is not None:
-            if team.metrics:
-                obsreg.inc(obsreg.TASKS_COMPLETED)
-            if team.tracing:
-                team.record(
-                    EventKind.TASK_COMPLETE,
-                    task=task.handle.name,
-                    elapsed=time.perf_counter() - began,
-                    failed=task.handle._exception is not None,
-                )
+        if team.metrics:
+            obsreg.inc(obsreg.TASKS_COMPLETED)
+        if team.tracing:
+            team.record(
+                EventKind.TASK_COMPLETE,
+                task=handle.name,
+                elapsed=time.perf_counter() - began,
+                failed=exception is not None,
+            )
 
-    def _take(self, worker: int) -> "_SpawnedTask | None":
+    def _take(self, worker: int) -> TaskHandle | None:
         """Next task for ``worker``: own deque first (LIFO), then steal (FIFO)."""
         task = self._deques[worker].pop()
         if task is not None:
             return task
-        for offset in range(1, self._size):
-            victim = (worker + offset) % self._size
+        size = len(self._deques)
+        for offset in range(1, size):
+            victim = (worker + offset) % size
             task = self._deques[victim].steal()
             if task is not None:
                 team = self._team
-                if team is not None:
-                    if team.metrics:
-                        obsreg.inc(obsreg.TASKS_STOLEN)
-                    if team.tracing:
-                        team.record(EventKind.TASK_STEAL, task=task.handle.name, victim=victim)
+                if team.metrics:
+                    obsreg.inc(obsreg.TASKS_STOLEN)
+                if team.tracing:
+                    team.record(EventKind.TASK_STEAL, task=task.name, victim=victim)
                 return task
         return None
 
-    def _help_until(
-        self,
-        worker: int,
-        finished: Callable[[], bool],
-        timeout: float | None = None,
-        *,
-        waiting_on: str = "tasks",
-    ) -> None:
-        """Run/steal outstanding tasks until ``finished()`` — a scheduling point.
+    def _help_until(self, worker: int, finished: Callable[[], bool], timeout: float | None, waiting_on: str) -> None:
+        """Run/steal queued tasks until ``finished()`` — an implicit task's scheduling point.
 
         Every pending task is either queued or running.  While nothing is
         queued the caller sleeps on ``_work_available``, which each completion
-        notifies; ``finished`` is re-read under that lock first, so a
-        completion between the last check and the wait is not lost.  Raises
+        notifies, and each spawn while a helper sleeps; ``finished`` and the
+        counts are re-read under that lock first, so neither is lost.  Raises
         :class:`TaskError` when ``timeout`` elapses first.
         """
         deadline = time.monotonic() + timeout if timeout is not None else None
@@ -454,118 +398,105 @@ class TaskPool:
                 # A task queued on a deque we just saw empty (pushed
                 # concurrently) shows as pending beyond running: retry at once.
                 if self._pending == self._running and not finished():
+                    self._sleepers += 1
                     self._work_available.wait(0.05)
+                    self._sleepers -= 1
 
     # -- waiting --------------------------------------------------------------
 
-    def wait_all(self, timeout: float | None = None) -> list[Any]:
-        """Join every task spawned by the calling scope since its last wait.
+    def _wait_for(self, handle: TaskHandle, timeout: float | None) -> None:
+        """The scheduling point of ``handle.join``: return once it has finished.
 
-        This is the ``@TaskWait`` construct: a task scheduling point where
-        the caller helps execute outstanding tasks (its own and stolen ones)
-        until all of *its* spawned tasks have finished.  Results are returned
-        in spawn order; the first failed task re-raises as
-        :class:`TaskError`.
+        A member in its implicit task helps with any queued task.  A member
+        inside an explicit task runs ``handle`` itself if it is still queued;
+        otherwise it, like a thread outside the team, sleeps until the
+        completion notifies.
         """
-        scope = self._scope_key()
-        with self._lock:
-            handles = self._scopes.pop(scope, [])
-        return [handle.join(timeout) for handle in handles]
+        worker = self._member()
+        if worker is not None and not self._depth[worker]:
+            self._help_until(worker, lambda: handle._done, timeout, handle.name)
+        elif worker is not None and self._deques[handle._home].remove(handle):
+            self._execute(handle, worker)
+        else:
+            deadline = time.monotonic() + timeout if timeout is not None else None
+            with self._work_available:
+                while not handle._done:
+                    remaining = deadline - time.monotonic() if deadline is not None else None
+                    if remaining is not None and remaining <= 0:
+                        raise TaskError(f"waiting on {handle.name!r} did not complete within {timeout}s")
+                    self._work_available.wait(remaining)
 
-    def drain(self, worker: int | None = None, timeout: float | None = None) -> None:
+    def wait_all(self, timeout: float | None = None) -> list[Any]:
+        """Join every task spawned by the calling task since its last wait.
+
+        This is the ``@TaskWait`` construct, each join a scheduling point as
+        in :meth:`TaskHandle.join`.  Results are returned in spawn order; the
+        first failed task re-raises as :class:`TaskError`.
+        """
+        return _join_all(self._scopes[self._caller()], timeout)
+
+    def drain(self, worker: int, timeout: float | None = None) -> None:
         """Execute outstanding tasks until none remain (end-of-region barrier).
 
         Unlike :meth:`wait_all` this waits for *everyone's* tasks, and does
-        not consume the per-scope handle lists (a later ``wait_all`` still
-        returns results).  Task failures stay parked on their handles — the
-        drain itself only raises on timeout.
+        not consume the task_wait lists (a later ``wait_all`` still returns
+        results).  Task failures stay parked on their handles — the drain
+        itself only raises on timeout.
         """
-        if worker is None:
-            worker = self._helper_worker() or 0
-        self._help_until(worker, lambda: self._pending == 0, timeout, waiting_on=f"{self.name} drain")
+        self._help_until(worker, lambda: self._pending == 0, timeout, f"{self.name} drain")
 
     @property
     def outstanding(self) -> int:
-        """Number of tasks spawned by the calling scope and not yet waited for."""
-        scope = self._scope_key()
-        with self._lock:
-            return len(self._scopes.get(scope, ()))
+        """Number of tasks spawned by the calling task and not yet waited for."""
+        return len(self._scopes[self._caller()])
 
     @property
     def pending(self) -> int:
-        """Number of spawned tasks (all scopes) that have not finished."""
+        """Number of spawned tasks (all members) that have not finished."""
         return self._pending
 
-    # -- executor threads ------------------------------------------------------
 
-    def _ensure_threads(self) -> None:
-        if len(self._threads) >= self._size:
-            return
-        with self._lock:
-            while len(self._threads) < self._size:
-                index = len(self._threads)
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    args=(index,),
-                    name=f"aomp-task-{self.name}-{index}",
-                    daemon=True,
-                )
-                self._threads.append(thread)
-                thread.start()
+class _Undeferred(threading.local):
+    """Per thread: the task_wait list of the tasks it spawned outside any region."""
 
-    def _worker_loop(self, worker: int) -> None:
-        self._worker_local.worker = worker
-        while True:
-            task = self._take(worker)
-            if task is not None:
-                self._execute(task, worker)
-                continue
-            with self._work_available:
-                if self._shutdown:
-                    return
-                if self._pending <= self._running:
-                    self._work_available.wait(0.05)
-                # else: retry — a push raced with the deque scan.
-
-    def shutdown(self) -> None:
-        """Stop executor workers (tests / interpreter exit); team pools are a no-op."""
-        with self._work_available:
-            self._shutdown = True
-            self._work_available.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads.clear()
+    def __init__(self) -> None:
+        self.scope: list[TaskHandle] = []
 
 
-_global_pool = TaskPool(name="global")
+_undeferred = _Undeferred()
 
 
-def current_pool() -> TaskPool:
-    """Return the task pool of the current scope (team-shared or process-global)."""
+def spawn_task(fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> TaskHandle[T]:
+    """Spawn a task (``@Task``): deferred on the team's pool inside a region.
+
+    Outside any region the body runs at once on the caller, with a task_wait
+    list of its own, and the returned handle is finished.
+    """
     context = ctx.current_context()
-    if context is None:
-        return _global_pool
-    return TaskPool.for_team(context.team)
-
-
-def spawn_task(
-    fn: Callable[..., T],
-    *args: Any,
-    name: str | None = None,
-    **kwargs: Any,
-) -> TaskHandle[T]:
-    """Spawn a task in the current scope's pool (``@Task``)."""
-    return current_pool().spawn(fn, *args, name=name, **kwargs)
+    if context is not None:
+        return TaskPool.for_team(context.team).spawn(fn, *args, name=name, **kwargs)
+    handle: TaskHandle[T] = TaskHandle(name or getattr(fn, "__name__", "task"), spawn_site=_spawn_site())
+    outer = _undeferred.scope
+    _undeferred.scope = []
+    handle._result, handle._exception = _call(fn, args, kwargs)
+    _undeferred.scope = outer
+    handle._done = True
+    outer.append(handle)
+    handle._scope = outer
+    return handle
 
 
 def spawn_future(fn: Callable[..., T], *args: Any, name: str | None = None, **kwargs: Any) -> FutureResult[T]:
-    """Spawn a value-returning task in the current scope's pool (``@FutureTask``)."""
-    return current_pool().spawn_future(fn, *args, name=name, **kwargs)
+    """Spawn a value-returning task (``@FutureTask``), as :func:`spawn_task` does."""
+    return FutureResult(spawn_task(fn, *args, name=name, **kwargs))
 
 
 def task_wait(timeout: float | None = None) -> list[Any]:
-    """Join all tasks spawned in the current scope since the last wait (``@TaskWait``)."""
-    return current_pool().wait_all(timeout)
+    """Join all tasks the calling task spawned since its last wait (``@TaskWait``)."""
+    context = ctx.current_context()
+    if context is None:
+        return _join_all(_undeferred.scope, timeout)
+    return TaskPool.for_team(context.team).wait_all(timeout)
 
 
 def drain_team_tasks(team: Any, worker: int) -> None:

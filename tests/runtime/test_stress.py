@@ -10,6 +10,8 @@ executed by ``scripts/test.sh``.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,20 +180,32 @@ def test_taskloop_steal_storm_processes(watchdog):
 
 
 def test_task_spawn_storm(watchdog):
-    """Thousands of spawns on a four-worker executor pool drain without deadlock."""
-    from repro.runtime.tasks import TaskPool
+    """Thousands of spawns drain without deadlock or a lost count while four
+    members (more than the cores) steal from each other, switching threads
+    every 10 us: member 0 spawns 500 tasks, each spawns three children and
+    joins them, running a still-queued child inline or sleeping on a stolen
+    one."""
+    from repro.runtime.tasks import TaskPool, spawn_task
 
-    def storm():
-        pool = TaskPool(workers=4, name="stress-storm")
-        try:
-            for _ in range(2000):
-                pool.spawn(lambda: None)
-            assert pool.wait_all(timeout=WATCHDOG) == [None] * 2000
-            assert pool.pending == 0
-        finally:
-            pool.shutdown()
+    def parent():
+        return sum(child.join(timeout=WATCHDOG) for child in [spawn_task(lambda: 1) for _ in range(3)])
 
-    watchdog(storm)
+    def body():
+        if ctx.get_thread_id() != 0:
+            return None
+        pool = TaskPool.for_team(ctx.current_team())
+        for _ in range(500):
+            pool.spawn(parent)
+        results = pool.wait_all(timeout=WATCHDOG)
+        assert pool.pending == 0
+        return results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert watchdog(lambda: parallel_region(body, num_threads=4, backend="threads")) == [3] * 500
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.nested

@@ -316,26 +316,42 @@ class TestTasks:
         assert handle.done
 
     def test_future_result_blocks_until_ready(self):
-        gate = threading.Event()
+        gate, started, handoff = threading.Event(), threading.Event(), threading.Event()
 
         def slow():
-            gate.wait(2)
+            started.set()
+            gate.wait(5)
             return "ready"
 
-        future = spawn_future(slow)
-        assert not future.ready
-        gate.set()
-        assert future.get(timeout=5) == "ready"
-        assert future.ready
+        def body():
+            if ctx.get_thread_id() == 1:
+                assert handoff.wait(5)  # then take the future's task in the drain
+                return None
+            future = spawn_future(slow)
+            handoff.set()
+            assert started.wait(5)
+            assert not future.ready
+            gate.set()
+            value = future.get(timeout=5)
+            assert future.ready
+            return value
+
+        try:
+            assert parallel_region(body, num_threads=2, backend="threads") == "ready"
+        finally:
+            gate.set()
 
     def test_task_wait_joins_outstanding_tasks(self):
-        pool = TaskPool()
-        for i in range(5):
-            pool.spawn(lambda i=i: i)
-        assert pool.outstanding == 5
-        results = pool.wait_all(timeout=5)
-        assert sorted(results) == [0, 1, 2, 3, 4]
-        assert pool.outstanding == 0
+        def body():
+            pool = TaskPool.for_team(ctx.current_team())
+            for i in range(5):
+                pool.spawn(lambda i=i: i)
+            assert pool.outstanding == 5
+            results = pool.wait_all(timeout=5)
+            assert pool.outstanding == 0
+            return results
+
+        assert parallel_region(body, num_threads=2, backend="threads") == [0, 1, 2, 3, 4]
 
     def test_task_failure_wrapped(self):
         def failing():
@@ -358,10 +374,3 @@ class TestTasks:
 
         parallel_region(body, num_threads=3)
         assert len(results) == 3
-
-    def test_join_timeout(self):
-        gate = threading.Event()
-        handle = spawn_task(lambda: gate.wait(5))
-        with pytest.raises(TaskError):
-            handle.join(timeout=0.05)
-        gate.set()

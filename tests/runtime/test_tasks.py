@@ -7,11 +7,14 @@ process backends, with steal activity visible in traces where tracing exists.
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.runtime import context as ctx
 from repro.runtime import shm
@@ -22,6 +25,7 @@ from repro.runtime.tasks import (
     WorkStealingDeque,
     resolve_grainsize,
     run_taskloop,
+    spawn_future,
     spawn_task,
     task_wait,
 )
@@ -35,10 +39,11 @@ CONFORMANCE_BACKENDS = ("serial", "threads", "processes", "distributed")
 class TestWorkStealingDeque:
     def test_owner_lifo_thief_fifo(self):
         dq = WorkStealingDeque()
-        for item in (1, 2, 3):
+        for item in (1, 2, 3, 4):
             dq.push(item)
         assert dq.steal() == 1  # thief takes the oldest
-        assert dq.pop() == 3   # owner takes the newest
+        assert dq.remove(3) and not dq.remove(3)  # a waiter takes its own task once
+        assert dq.pop() == 4   # owner takes the newest
         assert dq.pop() == 2
         assert dq.pop() is None
         assert dq.steal() is None
@@ -74,6 +79,25 @@ class TestWorkStealingDeque:
         drain(dq.pop)
         thief.join()
         assert sorted(taken) == list(range(total))
+
+
+def handed_off(master, *, num_threads=2):
+    """Run ``master(handoff)`` as member 0 of a threads team.  The other
+    members wait for ``handoff.set()`` and then enter the end-of-region drain,
+    so they take what member 0 queued before setting it while member 0 itself
+    stays in plain waits, which are no scheduling point."""
+    handoff = threading.Event()
+
+    def body():
+        if ctx.get_thread_id() != 0:
+            assert handoff.wait(10)
+            return None
+        try:
+            return master(handoff)
+        finally:
+            handoff.set()
+
+    return parallel_region(body, num_threads=num_threads, backend="threads")
 
 
 class TestTaskHandleJoin:
@@ -126,124 +150,236 @@ class TestTaskHandleJoin:
         assert "aspects/execution.py" not in message
 
     def test_join_timeout_still_raises(self):
-        gate = threading.Event()
-        handle = spawn_task(lambda: gate.wait(5))
-        with pytest.raises(TaskError):
-            handle.join(timeout=0.05)
-        gate.set()
-        assert handle.join(timeout=5) is True
+        """The implicit task's join times out on a task another member runs."""
+        gate, started = threading.Event(), threading.Event()
+
+        def master(handoff):
+            handle = spawn_task(lambda: started.set() or gate.wait(5))
+            handoff.set()
+            assert started.wait(5)
+            with pytest.raises(TaskError, match="did not complete within 0.05s"):
+                handle.join(timeout=0.05)
+            gate.set()
+            return handle.join(timeout=5)
+
+        assert handed_off(master) is True
+
+
+class TestUndeferredOutsideRegion:
+    """Outside any region a task runs at once on the caller (OpenMP's
+    implicit team of one thread)."""
+
+    def test_spawn_runs_the_body_and_task_wait_keeps_the_contract(self):
+        ran_on = []
+
+        def work(i):
+            ran_on.append(threading.get_ident())
+            if i == 2:
+                raise KeyError("third")
+            return i * 10
+
+        handles = []
+        for i in range(4):
+            handles.append(spawn_task(work, i))
+        assert all(handle.done for handle in handles)
+        assert ran_on == [threading.get_ident()] * 4
+        assert handles[3].join() == 30  # joined: task_wait no longer returns it
+        with pytest.raises(TaskError) as excinfo:
+            task_wait()
+        assert isinstance(excinfo.value.cause, KeyError)
+        assert "test_spawn_runs_the_body_and_task_wait_keeps_the_contract" in str(excinfo.value)
+        assert task_wait() == []  # the failed wait consumed the list
+        for i in (5, 6):
+            spawn_task(work, i)
+        assert task_wait() == [50, 60]
+
+    def test_a_task_waits_only_on_its_own_spawns(self):
+        def parent():
+            spawn_task(lambda: "child")
+            return task_wait()
+
+        spawn_task(lambda: "before")
+        handle = spawn_task(parent)
+        assert handle.join() == ["child"]
+        assert task_wait() == ["before"]
+
+    def test_a_future_is_ready_when_spawned(self):
+        future = spawn_future(lambda: "value")
+        assert future.ready
+        assert task_wait() == ["value"]
+        assert future.get() == "value"
 
 
 class TestOrderingByJoins:
     """Task order is expressed by joining a spawned task's handle (the
-    paper's ``@FutureResult`` getter); a join inside a worker helps run other
-    tasks meanwhile.  Tasks join what they spawned: a worker helping while it
-    waits can stack a task that joins a *sibling* above the very task that
-    sibling needs, and neither can finish."""
+    paper's ``@FutureResult`` getter).  Only a member's implicit task helps
+    with arbitrary work while it waits; a join inside a task runs the joined
+    task itself if it is still queued and otherwise sleeps, so no task is ever
+    stacked above a task that waits for it."""
 
     def test_chain_executes_in_order(self):
-        pool = TaskPool(workers=2, name="join-chain")
-        try:
-            order: list[int] = []
-            lock = threading.Lock()
+        order: list[int] = []
 
-            def step(i):
-                with lock:
-                    order.append(i)
-                if i < 5:
-                    pool.spawn(step, i + 1).join(timeout=10)
+        def step(i):
+            order.append(i)
+            if i < 5:
+                spawn_task(step, i + 1).join(timeout=10)
 
-            pool.spawn(step, 0).join(timeout=10)
-            assert order == [0, 1, 2, 3, 4, 5]
-            assert pool.pending == 0
-        finally:
-            pool.shutdown()
+        handed_off(lambda handoff: spawn_task(step, 0).join(timeout=10))
+        assert order == [0, 1, 2, 3, 4, 5]
 
     def test_diamond_runs_sink_last(self):
-        pool = TaskPool(workers=3, name="join-diamond")
-        try:
-            seen: list[str] = []
-            lock = threading.Lock()
+        seen: list[str] = []
+        lock = threading.Lock()
 
-            def mark(label):
-                with lock:
-                    seen.append(label)
+        def mark(label):
+            with lock:
+                seen.append(label)
 
-            def top():
-                mark("top")
-                branches = [pool.spawn(mark, "left"), pool.spawn(mark, "right")]
-                for branch in branches:
-                    branch.join(timeout=10)
-                pool.spawn(mark, "sink").join(timeout=10)
+        def top():
+            mark("top")
+            branches = [spawn_task(mark, "left"), spawn_task(mark, "right")]
+            for branch in branches:
+                branch.join(timeout=10)
+            spawn_task(mark, "sink").join(timeout=10)
 
-            pool.spawn(top).join(timeout=10)
-            assert seen[0] == "top" and seen[-1] == "sink"
-            assert set(seen) == {"top", "left", "right", "sink"}
-        finally:
-            pool.shutdown()
+        def master(handoff):
+            handle = spawn_task(top)
+            handoff.set()
+            handle.join(timeout=10)
+
+        handed_off(master, num_threads=3)
+        assert seen[0] == "top" and seen[-1] == "sink"
+        assert set(seen) == {"top", "left", "right", "sink"}
 
     def test_joining_a_finished_task_returns_its_result(self):
-        pool = TaskPool(workers=2, name="join-done")
-        try:
-            done = pool.spawn(lambda: "first")
+        def master(handoff):
+            done = spawn_task(lambda: "first")
             assert done.join(timeout=5) == "first"
-            later = pool.spawn(lambda: done.join(timeout=5) + " then second")
-            assert later.join(timeout=5) == "first then second"
-        finally:
-            pool.shutdown()
+            later = spawn_task(lambda: done.join(timeout=5) + " then second")
+            handoff.set()
+            return later.join(timeout=5)
+
+        assert handed_off(master) == "first then second"
 
     def test_failed_task_does_not_stop_a_later_task(self):
-        pool = TaskPool(workers=2, name="join-failed")
-        try:
-            def failing():
-                raise RuntimeError("first failed")
+        def failing():
+            raise RuntimeError("first failed")
 
-            first = pool.spawn(failing)
-            later = pool.spawn(lambda: "ran anyway")
+        def master(handoff):
+            first = spawn_task(failing)
+            later = spawn_task(lambda: "ran anyway")
+            handoff.set()
             assert later.join(timeout=5) == "ran anyway"
             with pytest.raises(TaskError):
                 first.join(timeout=5)
-        finally:
-            pool.shutdown()
 
-    def test_join_on_a_slow_task_of_another_pool_returns(self):
-        """A member's join inside a team task waits out an external pool's
-        still-running task: nothing is queued in the team pool meanwhile, so
-        the wait loop must sleep and retry, not give up."""
-        gate = threading.Event()
-        external = TaskPool(workers=1, name="external")
+        handed_off(master)
+
+    def test_join_on_a_slow_task_of_another_member_returns(self):
+        """A join inside a task waits out a task another member is running:
+        nothing is queued meanwhile, so the join must sleep until the
+        completion wakes it, not give up."""
+        gate, started = threading.Event(), threading.Event()
         releaser = threading.Timer(0.25, gate.set)
+
+        def master(handoff):
+            slow = spawn_task(lambda: started.set() or gate.wait(10) and "slow done")
+            handoff.set()
+            assert started.wait(5)
+            after = spawn_task(lambda: slow.join(timeout=10) + ", then released")
+            releaser.start()
+            return after.join(timeout=10)
+
         try:
-            slow = external.spawn(lambda: gate.wait(10) and "slow done")
-            results = []
-
-            def body():
-                if ctx.get_thread_id() == 0:
-                    after = spawn_task(lambda: slow.join(timeout=10) + ", then released")
-                    releaser.start()
-                    results.append(after.join(timeout=10))
-
-            parallel_region(body, num_threads=2, backend="threads")
-            assert results == ["slow done, then released"]
+            assert handed_off(master) == "slow done, then released"
         finally:
             gate.set()
             releaser.cancel()
-            external.shutdown()
+
+    def test_sibling_chain_spawned_by_one_member_finishes(self):
+        """Six tasks, each joining its predecessor's handle.  On a pool whose
+        every waiter helped with any queued task, a worker could stack a task
+        above the sibling it waits on, and both waited out their timeouts."""
+        order: list[int] = []
+
+        def link(handles, i):
+            if i:
+                handles[i - 1].join(timeout=10)
+            order.append(i)
+            return i
+
+        def master(handoff):
+            handles: list = []
+            for i in range(6):
+                handles.append(spawn_task(link, handles, i))
+            handoff.set()
+            return task_wait(timeout=10)
+
+        began = time.monotonic()
+        assert handed_off(master) == [0, 1, 2, 3, 4, 5]
+        assert order == [0, 1, 2, 3, 4, 5]
+        assert time.monotonic() - began < 5
+
+    def test_a_task_waiting_on_its_child_stacks_no_unrelated_task(self):
+        """Three members.  Task S spawns a child c, which member 2 steals; S
+        then waits for c.  A task T that joins S sits queued on member 1.  If
+        S's wait helped with any queued task it would run T above itself on
+        member 0, and T would wait for S forever."""
+        events = {name: threading.Event() for name in ("S started", "c spawned", "c started", "T spawned", "T started")}
+        handles: dict = {}
+        ran_on: dict = {}
+
+        def child():
+            ran_on["c"] = ctx.get_thread_id()
+            events["c started"].set()
+            assert events["T spawned"].wait(5)
+            time.sleep(0.05)  # still running while S waits on it
+            return "c"
+
+        def s_task():
+            ran_on["S"] = ctx.get_thread_id()
+            events["S started"].set()
+            spawn_task(child)
+            events["c spawned"].set()
+            assert events["c started"].wait(5) and events["T spawned"].wait(5)
+            return task_wait(timeout=10)
+
+        def t_task():
+            events["T started"].set()
+            ran_on["T"] = ctx.get_thread_id()
+            return handles["S"].join(timeout=10)
+
+        def body():
+            tid = ctx.get_thread_id()
+            if tid == 0:
+                handles["S"] = spawn_task(s_task)
+                return task_wait(timeout=10)
+            if tid == 1:
+                assert events["S started"].wait(5)
+                handles["T"] = spawn_task(t_task)
+                events["T spawned"].set()
+                assert events["T started"].wait(10)  # keep T queued until someone takes it
+            else:
+                assert events["c spawned"].wait(5)  # then steal c from member 0
+            return None
+
+        began = time.monotonic()
+        assert parallel_region(body, num_threads=3, backend="threads") == [["c"]]
+        assert handles["T"].join() == ["c"]
+        assert ran_on["S"] == 0 and ran_on["c"] == 2
+        assert time.monotonic() - began < 5
 
 
 class TestSchedulingPointWaits:
-    """The take-or-steal-else-sleep wait loop behind join, wait_all and drain."""
+    """The waits behind join, wait_all and drain."""
 
-    def test_join_timeout_inside_a_worker_raises_while_the_task_runs(self):
-        pool = TaskPool(workers=2, name="wait-timeout")
-        gate = threading.Event()
-        started = threading.Event()
-        try:
-            def blocked():
-                started.set()
-                return gate.wait(10)
+    def test_join_timeout_inside_a_task_raises_while_the_task_runs(self):
+        gate, started = threading.Event(), threading.Event()
 
-            running = pool.spawn(blocked)
+        def master(handoff):
+            running = spawn_task(lambda: started.set() or gate.wait(10))
+            handoff.set()
             assert started.wait(5)
 
             def impatient():
@@ -253,28 +389,33 @@ class TestSchedulingPointWaits:
                     return str(err)
                 return "joined"
 
-            message = pool.spawn(impatient).join(timeout=5)
-            assert "did not complete within 0.1s" in message
+            message = spawn_task(impatient).join(timeout=5)
             gate.set()
-            assert running.join(timeout=5) is True
+            return message, running.join(timeout=5)
+
+        try:
+            message, result = handed_off(master)
         finally:
             gate.set()
-            pool.shutdown()
+        assert "did not complete within 0.1s" in message
+        assert result is True
 
     def test_wait_all_returns_results_in_spawn_order(self):
-        pool = TaskPool(workers=3, name="wait-order")
-        try:
-            def late(i):
-                time.sleep(0.002 * (5 - i))
-                return i
+        def late(i):
+            time.sleep(0.002 * (5 - i))
+            return i
 
+        def master(handoff):
+            pool = TaskPool.for_team(ctx.current_team())
             for i in range(6):
                 pool.spawn(late, i)
-            assert pool.wait_all(timeout=10) == [0, 1, 2, 3, 4, 5]
+            handoff.set()
+            assert pool.outstanding == 6
+            results = pool.wait_all(timeout=10)
             assert pool.outstanding == 0
-            assert pool.pending == 0
-        finally:
-            pool.shutdown()
+            return results
+
+        assert handed_off(master, num_threads=3) == [0, 1, 2, 3, 4, 5]
 
     def test_wait_all_in_a_member_reraises_the_first_failure(self):
         causes = []
@@ -332,18 +473,33 @@ class TestSchedulingPointWaits:
         parallel_region(body, num_threads=2, backend="threads")
         assert finished == [True]
 
+    def test_a_spawn_wakes_a_member_asleep_in_the_drain(self):
+        """A running task's child starts at once on the member asleep in the
+        drain, not at that member's next poll (50 ms)."""
+        delays = []
 
-class TestTaskPoolLifecycle:
-    def test_spawn_after_shutdown_rejected(self):
-        pool = TaskPool(workers=1, name="closed")
-        assert pool.spawn(lambda: 1).join(timeout=5) == 1
-        pool.shutdown()
-        with pytest.raises(TaskError, match="shut down"):
-            pool.spawn(lambda: 2)
+        def trial():
+            child_started = threading.Event()
 
-    def test_pool_needs_a_worker(self):
-        with pytest.raises(ValueError, match="at least 1 worker"):
-            TaskPool(workers=0)
+            def child(spawned_at):
+                delays.append(time.perf_counter() - spawned_at)
+                child_started.set()
+
+            def parent():
+                time.sleep(0.02)  # the other member goes to sleep in the drain
+                spawn_task(child, time.perf_counter())
+                assert child_started.wait(1)  # a sleeping parent: no scheduling point
+
+            def master(handoff):
+                spawn_task(parent)
+                handoff.set()
+
+            handed_off(master)
+
+        for _ in range(9):
+            trial()
+        assert len(delays) == 9
+        assert statistics.median(delays) < 0.005, [f"{d * 1e3:.1f} ms" for d in delays]
 
 
 class TestTeamTaskPool:
@@ -386,7 +542,8 @@ class TestTeamTaskPool:
         assert results == {0: [0], 1: [10], 2: [20]}
 
     def test_join_inside_region_participates_in_stealing(self):
-        """A member blocked in join() executes other queued tasks meanwhile."""
+        """A member blocked in join() from its implicit task executes other
+        queued tasks meanwhile."""
         ran_by: dict[str, int] = {}
         lock = threading.Lock()
 
@@ -404,6 +561,78 @@ class TestTeamTaskPool:
         # The task was executed by whoever got to it — crucially, join()
         # returned because *someone* (possibly the joiner itself) ran it.
         assert "task" in ran_by
+
+    def test_only_members_spawn_on_a_team_pool(self):
+        pools = []
+        parallel_region(lambda: pools.append(TaskPool.for_team(ctx.current_team())), num_threads=1)
+        with pytest.raises(TaskError, match="members of its team only"):
+            pools[0].spawn(lambda: None)
+
+
+@st.composite
+def task_programs(draw):
+    """A random spawn/join DAG.  Node ``i`` is spawned by ``parent[i]`` (-1:
+    the member's implicit task), spawns its children in order, then joins
+    some handles spawned before its own spawn (earlier siblings of itself or
+    of an ancestor) or its own children, and may end with ``task_wait``."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    parent = [draw(st.integers(min_value=-1, max_value=i - 1)) for i in range(n)]
+    children = {p: [i for i in range(n) if parent[i] == p] for p in range(-1, n)}
+    visible: dict[int, list[int]] = {-1: []}
+    joins = {}
+    for i in range(n):  # a parent precedes its children, so visible[parent] is known
+        visible[i] = visible[parent[i]] + [s for s in children[parent[i]] if s < i]
+        targets = visible[i] + children[i]
+        joins[i] = draw(st.lists(st.sampled_from(targets), unique=True)) if targets else []
+    waits = [draw(st.booleans()) for _ in range(n)]
+    return n, children, joins, waits, draw(st.booleans())
+
+
+def sequential_values(n, joins):
+    values: dict[int, int] = {}
+
+    def value(i):
+        if i not in values:
+            values[i] = i + 1 + sum(value(j) for j in joins[i])
+        return values[i]
+
+    return [value(i) for i in range(n)]
+
+
+class TestRandomTaskGraphs:
+    """Random spawn/join DAGs give the sequential answer on every backend,
+    and no wait sticks (a stuck join raises after its timeout)."""
+
+    MEMBERS = {"serial": 1, "threads": 3, "processes": 2}
+
+    @pytest.mark.parametrize("backend_name", sorted(MEMBERS))
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(program=task_programs())
+    def test_matches_sequential_evaluation(self, backend_name, program, watchdog):
+        n, children, joins, waits, root_wait = program
+        members = self.MEMBERS[backend_name]
+        out = shm.shared_zeros((members, n), np.int64)
+        try:
+            def node(member, handles, i):
+                for c in children[i]:
+                    handles[c] = spawn_task(node, member, handles, c)
+                total = i + 1 + sum(handles[j].join(timeout=10) for j in joins[i])
+                if waits[i]:
+                    task_wait(timeout=10)
+                out.np[member, i] = total
+                return total
+
+            def body():
+                member, handles = ctx.get_thread_id(), {}
+                for c in children[-1]:
+                    handles[c] = spawn_task(node, member, handles, c)
+                if root_wait:
+                    task_wait(timeout=10)
+
+            watchdog(lambda: parallel_region(body, num_threads=members, backend=backend_name), timeout=30)
+            assert out.np.tolist() == [sequential_values(n, joins)] * members
+        finally:
+            out.close()
 
 
 class TestTaskloopConformance:
