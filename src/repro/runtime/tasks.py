@@ -26,8 +26,9 @@ cache-friendly Cilk discipline) while thieves steal from the opposite end
 operations safe without a lock, and the one-element race between a pop and a
 steal resolves to exactly one winner (the loser sees ``IndexError``).
 
-Members execute tasks at task scheduling points, under OpenMP's task
-scheduling constraint:
+Members execute tasks at task scheduling points, under a rule stricter than
+OpenMP's task scheduling constraint (which lets a waiting task run any queued
+descendant of its own):
 
 * a member's *implicit task* — the region body's ``task_wait``/``join`` and
   the end-of-region drain — helps with any queued task: its own deque first,
@@ -276,7 +277,6 @@ class TaskPool:
         self._work_available = threading.Condition(self._lock)
         self._pending = 0  # spawned and not yet finished (queued + running)
         self._running = 0  # currently executing a body
-        self._sleepers = 0  # helpers asleep in _help_until, woken by a spawn
         # Per member: the task_wait list of the task it runs, and how many
         # explicit tasks are on its stack (0: it is in its implicit task).
         self._scopes: list[list[TaskHandle]] = [[] for _ in range(team.size)]
@@ -310,19 +310,18 @@ class TaskPool:
         scope = self._scopes[worker]
         scope.append(handle)
         handle._scope = scope
-        with self._lock:
-            self._pending += 1
         team = self._team
         if team.metrics:
             obsreg.inc(obsreg.TASKS_SPAWNED)
         if team.tracing:
             team.record(EventKind.TASK_SPAWN, task=handle.name)
-        self._deques[worker].push(handle)
+        own = self._deques[worker]
+        with self._lock:  # the lock of _work_available: wakes a helper asleep in _help_until
+            self._pending += 1
+            own.push(handle)
+            self._work_available.notify_all()
         if team.metrics:
-            obsreg.set_gauge("aomp_task_deque_depth", {"member": worker}, len(self._deques[worker]))
-        if self._sleepers:  # read after the push: a helper asleep before it is woken
-            with self._work_available:
-                self._work_available.notify_all()
+            obsreg.set_gauge("aomp_task_deque_depth", {"member": worker}, len(own))
         return handle
 
     # -- execution ------------------------------------------------------------
@@ -380,8 +379,8 @@ class TaskPool:
 
         Every pending task is either queued or running.  While nothing is
         queued the caller sleeps on ``_work_available``, which each completion
-        notifies, and each spawn while a helper sleeps; ``finished`` and the
-        counts are re-read under that lock first, so neither is lost.  Raises
+        notifies, and each spawn; ``finished`` and the counts are re-read
+        under that lock first, so neither is lost.  Raises
         :class:`TaskError` when ``timeout`` elapses first.
         """
         deadline = time.monotonic() + timeout if timeout is not None else None
@@ -398,9 +397,7 @@ class TaskPool:
                 # A task queued on a deque we just saw empty (pushed
                 # concurrently) shows as pending beyond running: retry at once.
                 if self._pending == self._running and not finished():
-                    self._sleepers += 1
                     self._work_available.wait(0.05)
-                    self._sleepers -= 1
 
     # -- waiting --------------------------------------------------------------
 
@@ -470,7 +467,8 @@ def spawn_task(fn: Callable[..., T], *args: Any, name: str | None = None, **kwar
     """Spawn a task (``@Task``): deferred on the team's pool inside a region.
 
     Outside any region the body runs at once on the caller, with a task_wait
-    list of its own, and the returned handle is finished.
+    list of its own, and the returned handle is finished.  A failure stays on
+    the handle, except ``KeyboardInterrupt``/``SystemExit``, which propagate.
     """
     context = ctx.current_context()
     if context is not None:
@@ -480,6 +478,8 @@ def spawn_task(fn: Callable[..., T], *args: Any, name: str | None = None, **kwar
     _undeferred.scope = []
     handle._result, handle._exception = _call(fn, args, kwargs)
     _undeferred.scope = outer
+    if handle._exception is not None and not isinstance(handle._exception, Exception):
+        raise handle._exception  # KeyboardInterrupt, SystemExit: the caller's own thread
     handle._done = True
     outer.append(handle)
     handle._scope = outer

@@ -8,6 +8,7 @@ process backends, with steal activity visible in traces where tracing exists.
 from __future__ import annotations
 
 import statistics
+import sys
 import threading
 import time
 
@@ -203,6 +204,17 @@ class TestUndeferredOutsideRegion:
         assert handle.join() == ["child"]
         assert task_wait() == ["before"]
 
+    def test_an_interrupt_in_the_body_propagates_from_spawn(self):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        spawn_task(lambda: "before")
+        with pytest.raises(KeyboardInterrupt):
+            spawn_task(interrupted)
+        with pytest.raises(SystemExit):
+            spawn_future(sys.exit, 3)
+        assert task_wait() == ["before"]  # neither interrupted task was kept
+
     def test_a_future_is_ready_when_spawned(self):
         future = spawn_future(lambda: "value")
         assert future.ready
@@ -225,7 +237,11 @@ class TestOrderingByJoins:
             if i < 5:
                 spawn_task(step, i + 1).join(timeout=10)
 
-        handed_off(lambda handoff: spawn_task(step, 0).join(timeout=10))
+        def master(handoff):
+            spawn_task(step, 0).join(timeout=10)
+            return TaskPool.for_team(ctx.current_team()).pending
+
+        assert handed_off(master) == 0
         assert order == [0, 1, 2, 3, 4, 5]
 
     def test_diamond_runs_sink_last(self):
@@ -412,6 +428,7 @@ class TestSchedulingPointWaits:
             handoff.set()
             assert pool.outstanding == 6
             results = pool.wait_all(timeout=10)
+            assert pool.pending == 0
             assert pool.outstanding == 0
             return results
 
