@@ -24,6 +24,7 @@ import itertools
 import os
 import queue
 import threading
+import time
 
 import repro.obs.registry as obsreg
 from repro.obs.exposition import suppress_exporter
@@ -45,6 +46,10 @@ from repro.runtime.member import (
 #: memory is only freed once every mapping is gone.
 IDLE_RELEASE = 1.0
 
+#: Longest a worker whose master's pipe closed waits to be re-parented
+#: before it sweeps (see :func:`_pool_worker`).
+ORPHAN_WAIT = 1.0
+
 
 def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "list[int]") -> None:
     """Worker loop (runs in a forked child): one team member per task frame.
@@ -54,25 +59,38 @@ def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "
     end of the pipe closing — sends the worker home.  ``inherited`` are the
     master's ends of every pipe this child was forked with; closing them is
     what lets a pipe report its other side gone.
+
+    On the way out the worker sweeps ownerless shared-memory segments
+    (:func:`shm.sweep_orphans`): what a master killed with a warm pool left.
+    A dying master's pipes may close before its segment locks are released,
+    but it has released them all by the time its children are re-parented,
+    so a worker that found its master gone waits for that first.
     """
     for fd in inherited:
         os.close(fd)
     suppress_exporter()  # only the master serves scrapes: it alone holds the team-wide counts
     reader, state, wait = FrameReader([tasks]), WorkerState(), IDLE_RELEASE
-    while True:
-        try:
-            task = reader.get(wait)
-        except queue.Empty:
-            if not reader.open:
-                return  # the master has gone
-            state.close()  # idle: nothing kept mapped until the next task
-            wait = None
-            continue
-        if task is None:
-            return
-        ticket, thread_id, descriptor = task
-        send_frame(replies, (ticket, thread_id, run_shipped_member(descriptor, thread_id, sync, state)))
-        wait = IDLE_RELEASE
+    master = os.getppid()
+    try:
+        while True:
+            try:
+                task = reader.get(wait)
+            except queue.Empty:
+                if not reader.open:  # the master has gone
+                    deadline = time.monotonic() + ORPHAN_WAIT
+                    while os.getppid() == master and time.monotonic() < deadline:
+                        time.sleep(0.005)
+                    return
+                state.close()  # idle: nothing kept mapped until the next task
+                wait = None
+                continue
+            if task is None:
+                return
+            ticket, thread_id, descriptor = task
+            send_frame(replies, (ticket, thread_id, run_shipped_member(descriptor, thread_id, sync, state)))
+            wait = IDLE_RELEASE
+    finally:
+        shm.sweep_orphans()
 
 
 class PersistentProcessPool:

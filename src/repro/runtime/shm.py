@@ -4,11 +4,11 @@ The thread backend shares state for free (one address space); the process
 backend does not.  This module provides the pieces that make OpenMP-style
 *shared* data and team synchronisation work across process boundaries:
 
-* :class:`SharedArray` — a numpy array living in ``multiprocessing``
-  POSIX shared memory.  Worksharing chunks executed by worker processes
-  mutate the *same* pages the master reads, so a ``@For`` loop over a
-  shared array behaves exactly as it does under threads — no pickling of
-  array copies, no gather step.
+* :class:`SharedArray` — a numpy array living in a POSIX shared-memory
+  segment the array creates, maps and unlinks itself.  Worksharing chunks
+  executed by worker processes mutate the *same* pages the master reads, so
+  a ``@For`` loop over a shared array behaves exactly as it does under
+  threads — no pickling of array copies, no gather step.
 * :class:`CellArena` — int64 cells in allocator-chosen storage, which every
   arena here and the team barrier (:class:`repro.runtime.barrier.CyclicBarrier`,
   on :func:`mp_cells` with semaphore wake-ups for fork and pool teams) build on.
@@ -41,6 +41,19 @@ changed away from fork), degrades to the thread backend where fork is
 missing, and components that cannot degrade — the persistent pool — fail
 loudly through :func:`require_fork`.
 
+**Segment lifecycle and the crash net.**  The process that creates a
+segment owns it: it holds a shared ``flock`` on the segment's descriptor from
+before the segment has a size until :meth:`SharedArray.close` unlinks it, and
+an exit hook closes what a body left open.  A forked child maps its parent's
+arrays but drops their locks (:func:`_disown_inherited`), so only a living
+owner holds one, and the kernel releases it when the owner dies — killed,
+reaped or not.  :func:`sweep_orphans` unlinks every ``aomp_<pid>_<hex>``
+segment that has a size and no lock holder.  It runs at a process's first
+allocation and in every pool worker as it leaves, so a master killed with a
+warm pool leaves nothing once its workers see it gone, and one killed
+without a pool leaves its segments to the next process that allocates one.
+No helper process watches the segments.
+
 **One arena surface.**  Every arena here is a :class:`CellArena`: a count of
 int64 cells only the arena knows, put wherever its *allocator* says —
 :func:`mp_cells` (fork-inherited ``multiprocessing`` cells, the default),
@@ -57,16 +70,21 @@ its whole remote surface from those two tuples).
 from __future__ import annotations
 
 import atexit
+import contextlib
+import fcntl
 import functools
+import mmap
 import multiprocessing
 import os
 import pickle
+import re
 import secrets
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, NamedTuple
+
+import _posixshmem
 
 import numpy as np
 
@@ -164,7 +182,7 @@ def fill_cells(cells: Any, start: int, stop: int, step: int, value: int) -> None
 
 
 class SharedArray:
-    """A numpy array backed by ``multiprocessing.shared_memory``.
+    """A numpy array in a POSIX shared-memory segment.
 
     Behaves like an ndarray for the operations kernels use (indexing, slice
     assignment, ufuncs through ``__array__``, attribute delegation for
@@ -173,39 +191,38 @@ class SharedArray:
     methods of kernels holding shared arrays can be sent to a persistent
     worker pool without copying the data.
 
-    The creating process owns the segment and unlinks it in :meth:`close`;
-    attached processes merely detach.  Both register :meth:`close` with
-    ``atexit`` as a safety net — the owner's net guarantees no ``/dev/shm``
-    residue even when a region body raises before its ``finally`` cleanup
-    runs, the non-owner's guarantees a clean detach so the resource tracker
-    has nothing to complain about at interpreter shutdown — and both
-    unregister it again on an explicit close.
+    ``SharedArray(name, shape, dtype, create=True)`` creates segment
+    ``name`` and owns it; without ``create`` it attaches to an existing one.
+    The owner keeps a shared ``flock`` on its descriptor, taken before the
+    segment has a size, and unlinks the segment in :meth:`close` before it
+    lets the lock go; attached processes, and forked children of the owner,
+    merely detach.  Every array registers :meth:`close` with ``atexit`` so a
+    body that raised before its cleanup leaves no ``/dev/shm`` residue, and
+    unregisters it again on an explicit close.  An owner that dies without
+    either leaves a segment nobody locks, which :func:`sweep_orphans`
+    removes (see the module docstring).
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, shape: tuple, dtype: np.dtype, *, owner: bool) -> None:
-        self._shm = shm
-        self._shape = tuple(shape)
+    def __init__(self, name: str, shape: "int | tuple", dtype: Any = np.float64, *, create: bool = False) -> None:
+        self._shape = (shape,) if isinstance(shape, int) else tuple(shape)
         self._dtype = np.dtype(dtype)
         #: what a reference to this array pickles to: segment, shape, dtype
-        self._ref = (shm.name, self._shape, self._dtype.str)
-        self._owner = owner
+        self._ref = (name, self._shape, self._dtype.str)
+        self._owner = create
         self._closed = False
-        self.np: np.ndarray = np.ndarray(self._shape, dtype=self._dtype, buffer=shm.buf)
+        size = max(1, int(np.prod(self._shape)) * self._dtype.itemsize)
+        self._fd, self._map = _create(name, size) if create else _attach(name)
+        if create:
+            _owned.add(self)
+        self.np: np.ndarray = np.ndarray(self._shape, dtype=self._dtype, buffer=self._map)
         atexit.register(self.close)
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zeros(cls, shape: "int | tuple", dtype: Any = np.float64) -> "SharedArray":
-        """Allocate a zero-filled shared array."""
-        if isinstance(shape, int):
-            shape = (shape,)
-        dtype = np.dtype(dtype)
-        size = max(1, int(np.prod(shape)) * dtype.itemsize)
-        shm = shared_memory.SharedMemory(create=True, size=size, name=_segment_name())
-        array = cls(shm, shape, dtype, owner=True)
-        array.np.fill(0)
-        return array
+        """Allocate a zero-filled shared array (a new segment reads as zeros)."""
+        return cls(f"aomp_{os.getpid()}_{secrets.token_hex(4)}", shape, dtype, create=True)
 
     @classmethod
     def from_array(cls, source: np.ndarray) -> "SharedArray":
@@ -239,23 +256,23 @@ class SharedArray:
         return getattr(object.__getattribute__(self, "np"), name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"SharedArray(name={self._shm.name!r}, shape={self._shape}, dtype={self._dtype})"
+        return f"SharedArray(name={self.name!r}, shape={self._shape}, dtype={self._dtype})"
 
     # -- lifecycle -----------------------------------------------------------
 
     @property
     def name(self) -> str:
         """Name of the backing shared-memory segment."""
-        return self._shm.name
+        return self._ref[0]
 
     def close(self) -> None:
         """Detach from the segment; only the owner ever unlinks it.
 
         Safe to call twice and safe in an attached process racing the owner's
         unlink: the non-owner path never unlinks, so the owner's unlink is the
-        single point where the segment's name disappears, and only the benign
-        double-unlink race (two exits of the *owning* process's safety nets)
-        is swallowed.
+        single point where the segment's name disappears.  The owner unlinks
+        before it closes the descriptor its lock is on, so no sweep can find
+        the segment linked and unlocked in between.
         """
         if self._closed:
             return
@@ -264,16 +281,14 @@ class SharedArray:
         atexit.unregister(self.close)
         # Drop the view before closing the mmap underneath it.
         self.np = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - an exported view pins the mmap
-            return  # stay attached rather than crash; unlink still runs below
-        finally:
-            if self._owner:
-                try:
-                    self._shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - already unlinked
-                    pass
+        with contextlib.suppress(BufferError):  # an exported view pins the mapping: it lives on with it
+            self._map.close()
+        if self._owner:
+            _owned.discard(self)
+            with contextlib.suppress(FileNotFoundError):
+                _posixshmem.shm_unlink("/" + self.name)
+        if self._fd >= 0:
+            os.close(self._fd)
 
     def __enter__(self) -> "SharedArray":
         return self
@@ -282,8 +297,81 @@ class SharedArray:
         self.close()
 
 
-def _segment_name() -> str:
-    return f"aomp_{os.getpid()}_{secrets.token_hex(4)}"
+def _create(name: str, size: int) -> "tuple[int, mmap.mmap]":
+    """Create segment ``name`` of ``size`` bytes: the owner's locked descriptor and the mapping.
+
+    The mapping is made through a descriptor of its own, closed at once
+    (``mmap`` keeps a duplicate of what it maps), so that a forked child,
+    which keeps the mapping, can close every reference to the locked one.
+    """
+    _first_sweep()
+    path = "/" + name
+    fd = _posixshmem.shm_open(path, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o600)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH)  # before ftruncate: a segment with a size has its owner's lock
+        os.ftruncate(fd, size)
+        mapped, mapping = _attach(name)
+        os.close(mapped)
+        return fd, mapping
+    except BaseException:
+        _posixshmem.shm_unlink(path)
+        os.close(fd)
+        raise
+
+
+def _attach(name: str) -> "tuple[int, mmap.mmap]":
+    """Open existing segment ``name`` and map it whole: the descriptor and the mapping."""
+    fd = _posixshmem.shm_open("/" + name, os.O_RDWR)
+    try:
+        return fd, mmap.mmap(fd, 0)
+    except BaseException:
+        os.close(fd)
+        raise
+
+
+#: the arrays this process created and has not closed
+_owned: "set[SharedArray]" = set()
+_SEGMENT = re.compile(r"aomp_\d+_[0-9a-f]+")
+
+
+def _disown_inherited() -> None:
+    """In a forked child: keep the parent's arrays mapped, not their locks.
+
+    The child closes its copy of every owner descriptor, so the parent is the
+    only holder of each lock and its segments read ownerless once it dies,
+    however long its children outlive it; the child never unlinks them.
+    """
+    for array in _owned:
+        os.close(array._fd)
+        array._fd, array._owner = -1, False
+    _owned.clear()
+
+
+os.register_at_fork(after_in_child=_disown_inherited)
+
+
+def sweep_orphans() -> None:
+    """Unlink every ``aomp_<pid>_<hex>`` segment that has a size and no owner.
+
+    No owner means no shared lock: ``LOCK_EX | LOCK_NB`` succeeds.  A live
+    owner — in any process, in any pid namespace sharing ``/dev/shm`` —
+    holds its lock from before the segment has a size, so neither its
+    segments nor one caught between ``shm_open`` and ``ftruncate`` are taken.
+    """
+    for name in filter(_SEGMENT.fullmatch, os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else ()):
+        with contextlib.suppress(OSError):  # gone meanwhile, not ours to open, or owned
+            fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                stat = os.fstat(fd)
+                if stat.st_size and stat.st_nlink:  # sized, and no other sweeper unlinked it first
+                    _posixshmem.shm_unlink("/" + name)
+            finally:
+                os.close(fd)
+
+
+#: the sweep at a process's first allocation (a forked child inherits "done")
+_first_sweep = functools.lru_cache(maxsize=None)(sweep_orphans)
 
 
 #: Attach redirection hook installed by the socket data plane
@@ -304,19 +392,13 @@ def _still_attachable(array: SharedArray, shape: tuple, dtype_str: str) -> bool:
     open, the same view, and its segment still linked — a linked name
     denotes exactly one segment, so the name cannot have been recycled."""
     try:
-        return array._ref[1:] == (shape, dtype_str) and os.fstat(array._shm._fd).st_nlink > 0
-    except (AttributeError, OSError):  # closed, or no descriptor to ask on this platform
+        return array._ref[1:] == (shape, dtype_str) and os.fstat(array._fd).st_nlink > 0
+    except OSError:  # closed
         return False
 
 
 def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
     """Re-attach to an existing segment (pickle support for worker processes).
-
-    Attaching registers the segment with the resource tracker (CPython
-    < 3.13), and the duplicate register/unregister traffic from several
-    workers attaching the same segment confuses the tracker at shutdown.
-    Lifetime is managed by the creating process alone, so registration is
-    suppressed for the duration of the attach.
 
     When a data-plane attach hook is installed (socket-plane worker), the
     reference resolves through it instead of touching local shared memory.
@@ -331,17 +413,7 @@ def _attach_shared_array(name: str, shape: tuple, dtype_str: str):
                 resolved.append(array)
                 return array
             array.close()
-
-    def _suppress_register(*args: Any, **kwargs: Any) -> None:
-        return None
-
-    original_register = resource_tracker.register
-    resource_tracker.register = _suppress_register  # type: ignore[assignment]
-    try:
-        shm = shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register  # type: ignore[assignment]
-    array = SharedArray(shm, shape, np.dtype(dtype_str), owner=False)
+    array = SharedArray(name, shape, dtype_str)
     if _attach_log is not None:
         _attach_log[1].append(array)
     return array

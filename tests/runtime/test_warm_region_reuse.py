@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -227,8 +226,7 @@ class TestWhatAWorkerKeeps:
             parallel_region(Filler(old, 1.0).run, num_threads=2, backend=backend)
         finally:
             old.close()
-        segment = shared_memory.SharedMemory(create=True, size=64 * 8, name=name)
-        new = shm.SharedArray(segment, (64,), np.float64, owner=True)
+        new = shm.SharedArray(name, (64,), np.float64, create=True)
         try:
             parallel_region(Filler(new, 2.0).run, num_threads=2, backend=backend)
             assert np.all(new.np == 2.0)
