@@ -70,7 +70,6 @@ _ARG_KEYS = {
     EventKind.BARRIER: ("label",),
     EventKind.REDUCTION: ("field", "count"),
     EventKind.WORKER_DEAD: ("member", "pid", "exitcode", "signal"),
-    EventKind.FAULT_INJECTED: ("action", "site", "member", "fault_region", "rule"),
     EventKind.REGION_RETRY: ("name", "action", "attempt", "backend", "from_backend", "delay"),
 }
 

@@ -51,8 +51,6 @@ COUNTER_SPECS: "tuple[tuple[str, str, str | None, tuple[str, ...]], ...]" = (
     ("aomp_barriers_total", "Team barrier rounds entered.", None, ()),
     ("aomp_barrier_breaks_total", "Team barriers broken (abort or timeout).", None, ()),
     ("aomp_tune_decisions_total", "Adaptive tuner schedule decisions.", None, ()),
-    ("aomp_faults_injected_total", "Deterministic AOMP_FAULTS rules fired, by action.", "action",
-     ("kill", "raise", "stall", "other")),
     ("aomp_worker_deaths_total", "Team member processes seen dead by the monitor.", None, ()),
     ("aomp_pool_heals_total", "Persistent-pool workers replaced after a death.", None, ()),
     ("aomp_rpc_calls_total", "Data-plane RPC round-trips (socket-plane workers).", None, ()),
@@ -128,10 +126,6 @@ TASKS_COMPLETED = counter_slot("aomp_tasks_total", "completed")
 BARRIERS = counter_slot("aomp_barriers_total")
 BARRIER_BREAKS = counter_slot("aomp_barrier_breaks_total")
 TUNE_DECISIONS = counter_slot("aomp_tune_decisions_total")
-FAULT_SLOTS = {
-    value: counter_slot("aomp_faults_injected_total", value)
-    for value in ("kill", "raise", "stall", "other")
-}
 WORKER_DEATHS = counter_slot("aomp_worker_deaths_total")
 POOL_HEALS = counter_slot("aomp_pool_heals_total")
 RPC_CALLS = counter_slot("aomp_rpc_calls_total")

@@ -54,14 +54,7 @@ from repro.runtime.shm import (
     is_shared,
     shared_zeros,
 )
-from repro.runtime.faults import (
-    FaultPlan,
-    FaultRule,
-    WorkerMonitor,
-    parse_fault_spec,
-    reset_fault_plan,
-    set_fault_plan,
-)
+from repro.runtime.monitor import WorkerMonitor
 from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.locks import LockRegistry, ReadWriteLock, StripedLocks, global_locks
 from repro.runtime.scheduler import (
@@ -111,8 +104,6 @@ from repro.runtime.exceptions import (
     AOmpError,
     BackendCapabilityError,
     BrokenTeamError,
-    FaultSpecError,
-    InjectedFault,
     NotInParallelRegionError,
     PointcutError,
     ReductionError,
@@ -218,21 +209,14 @@ __all__ = [
     "global_tracing_active",
     "NO_REGION",
     "merge_traces",
-    # faults
-    "FaultPlan",
-    "FaultRule",
+    # failure detection
     "HeartbeatArena",
     "WorkerMonitor",
-    "parse_fault_spec",
-    "set_fault_plan",
-    "reset_fault_plan",
     # errors
     "AOmpError",
     "BackendCapabilityError",
     "WorkerProcessError",
     "BrokenTeamError",
-    "FaultSpecError",
-    "InjectedFault",
     "NotInParallelRegionError",
     "PointcutError",
     "ReductionError",

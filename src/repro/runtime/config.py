@@ -9,11 +9,11 @@ the ``OMP_*`` spelling it falls back to (if any), its parse rule and its
 default — and :func:`env` is the only reader of the process environment.  A
 blank value means unset.  Garbage is rejected *loudly*, naming the exact
 variable the user set: a typo'd setting that silently does nothing is worse
-than a crash at startup.  ``AOMP_BACKEND``, ``AOMP_SCHEDULE``,
-``AOMP_SERVICE_BACKEND`` and ``AOMP_FAULTS`` are read as words or text here
-and validated where they are used (the backend registry, the schedule parser
-and the fault-spec parser), so plugin backends registered after import still
-resolve.
+than a crash at startup.  ``AOMP_BACKEND``, ``AOMP_SCHEDULE`` and
+``AOMP_SERVICE_BACKEND`` are read as words or text here and validated where
+they are used (the backend registry and the schedule parser), so plugin
+backends registered after import still resolve.  A variable the table does
+not list is never read.
 """
 
 from __future__ import annotations
@@ -131,7 +131,6 @@ ENV_VARS = (
     EnvVar("AOMP_NESTED", "OMP_NESTED", _BOOLEAN, True),
     EnvVar("AOMP_MAX_ACTIVE_LEVELS", "OMP_MAX_ACTIVE_LEVELS", _integer(1), 4),
     EnvVar("AOMP_BARRIER_TIMEOUT", None, _seconds(None), DEFAULT_BARRIER_TIMEOUT),
-    EnvVar("AOMP_FAULTS", None, _TEXT, None),
     EnvVar("AOMP_HEARTBEAT_INTERVAL", None, _seconds("> 0"), 0.25),
     EnvVar("AOMP_HEARTBEAT_TIMEOUT", None, _seconds(None), None),
     EnvVar("AOMP_ON_FAILURE", None, _choice(*ON_FAILURE_POLICIES), "raise"),
@@ -231,7 +230,7 @@ class RuntimeConfig:
         Default region failure policy (``"raise"``, ``"retry"`` or
         ``"degrade"``; ``AOMP_ON_FAILURE``).  ``retry`` re-runs a region
         whose failure was recoverable infrastructure (dead worker, broken
-        barrier, injected fault) with exponential backoff; ``degrade``
+        barrier) with exponential backoff; ``degrade``
         additionally walks down the backend fallback chain (processes →
         threads → serial) once the retry budget is exhausted.  Both only act
         on bodies marked ``retry_safe`` — see

@@ -7,7 +7,7 @@ runtime one.  This module separates the two:
 
 * :class:`DataPlane` — the constructor-level abstraction.  A plane builds
   the :class:`~repro.runtime.shm.ProcessSync` bundle a team synchronises
-  through; everything above it (worksharing, tasks, tuning, fault
+  through; everything above it (worksharing, tasks, tuning, failure
   monitoring) is plane-agnostic because it only ever touches the
   ``ArenaSlot`` / ``TaskStealSlot`` / ``TunePlanSlot`` / barrier surfaces.
 

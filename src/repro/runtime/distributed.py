@@ -80,10 +80,9 @@ def _worker_main(host: str, port: int, token: str, member: int) -> None:
     connect and handshake (the hello response carries the first region's
     descriptor), run the member over proxy synchronisation, send the reply as
     the region's ``result`` frame, then block in ``next_region`` until the
-    master hands over another descriptor or sends the worker home.  The
-    worker's pid is not the fault plan's (master) origin pid, so an injected
-    ``kill`` is a real SIGKILL here: the connection drops and the
-    coordinator's loss path takes over.
+    master hands over another descriptor or sends the worker home.  A worker
+    that dies drops its connection, and the coordinator's loss path takes
+    over.
 
     Never returns: interpreter finalisation after numpy's import costs about
     half as much again as the start did, and nothing it does is wanted, so

@@ -46,8 +46,7 @@ class BrokenTeamError(AOmpError):
 
     Carries the full failure roster so the region-level recovery policy
     (``parallel_region(on_failure=...)``) can distinguish infrastructure
-    failures — dead worker processes, broken barriers, injected faults —
-    from deterministic body exceptions that would fail again on retry.
+    failures — dead worker processes, broken barriers — from deterministic body exceptions that would fail again on retry.
     """
 
     def __init__(
@@ -104,26 +103,6 @@ class WorkerProcessError(AOmpError):
         self.member = member
         self.pid = pid
         self.exitcode = exitcode
-
-
-class FaultSpecError(AOmpError):
-    """Raised for malformed ``AOMP_FAULTS`` fault-injection specs."""
-
-
-class InjectedFault(AOmpError):
-    """Raised by the fault-injection layer (:mod:`repro.runtime.faults`).
-
-    Either directly (``raise`` actions, and ``kill`` actions fired in a
-    member that shares the master's process, where a real ``SIGKILL`` would
-    take down the whole program) — always deliberate, never a product bug.
-    The region recovery policy treats it as a recoverable infrastructure
-    failure.
-    """
-
-    def __init__(self, message: str, *, action: str = "raise", site: str = "member") -> None:
-        super().__init__(message)
-        self.action = action
-        self.site = site
 
 
 class BrokenBarrierError(RuntimeError):

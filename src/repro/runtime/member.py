@@ -6,10 +6,10 @@ through this module; a tier is only *how the descriptor arrives and how the
 reply leaves*:
 
 * :func:`run_member` — the core sequence every member of every tier
-  executes: push the context, claim the heartbeat cell, pass the member
-  fault site, run the body, drain the team's deferred tasks, record the
-  failure and abort the barrier on error, flush the metrics delta, pop the
-  context.  Thread, serial and forked members call it with the live team.
+  executes: push the context, claim the heartbeat cell, run the body,
+  drain the team's deferred tasks, record the failure and abort the barrier
+  on error, flush the metrics delta, pop the context.  Thread, serial and
+  forked members call it with the live team.
 * :func:`run_shipped_member` — wraps the core for members that rebuild
   their world from a :func:`describe_region` descriptor (pool workers,
   socket workers) and encodes the outcome for the reply.
@@ -38,9 +38,10 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
-from repro.runtime import faults, shm, tasks
+from repro.runtime import shm, tasks
 from repro.runtime.config import RuntimeConfig, env, get_config, set_config
 from repro.runtime.exceptions import WorkerProcessError
+from repro.runtime.monitor import WorkerMonitor
 from repro.runtime.trace import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,14 +85,6 @@ def run_member(
             # member, so the cell carries that worker's own pid (the monitor
             # maps dead pids back to members through it).
             sync.heartbeat.register(thread_id)
-        if faults.active():
-            faults.fire(
-                "member",
-                member=thread_id,
-                region=team.fault_region,
-                backend=team.backend_name or None,
-                team=team,
-            )
         member.result = body()
         # Implicit end-of-region task scheduling point: every member helps
         # finish deferred tasks before the region's barrier, so
@@ -166,22 +159,11 @@ def describe_region(team: "Team", body_bytes: bytes) -> "dict[str, Any]":
     Values are primitives (ints, strings, bytes, tuples, dicts, ``None``).
     """
     config = get_config()
-    plan = faults.current_plan()
-    shipped_plan = None
-    if plan is not None:
-        # The round-trippable rule spec plus the *master's* pid: parsing
-        # stamps the parser's own pid as the plan's origin, and a plan whose
-        # origin is the worker downgrades every ``kill`` to an exception.
-        rules = [repr(rule) for rule in plan.rules]
-        if plan.seed is not None:
-            rules.append(f"seed:{plan.seed}")
-        shipped_plan = (";".join(rules), plan.origin_pid)
     return {
         "size": team.size,
         "region_id": team.region_id,
         "name": team.name,
         "nesting_level": team.nesting_level,
-        "fault_region": team.fault_region,
         "backend": team.backend_name,
         "body": body_bytes,
         # SPMD agreement: the fields that shape scheduling decisions must
@@ -199,9 +181,6 @@ def describe_region(team: "Team", body_bytes: bytes) -> "dict[str, Any]":
             "metrics": config.metrics,
             "metrics_buckets": config.metrics_buckets,
         },
-        # ``None`` disarms explicitly: a worker never resolves ``AOMP_FAULTS``
-        # on its own with the wrong origin, nor keeps a plan the master dropped.
-        "faults": shipped_plan,
     }
 
 
@@ -210,34 +189,19 @@ class WorkerState:
 
     A pool worker or a parked socket worker runs one shipped member after
     another; handing each the same state lets a region rebuild only what its
-    descriptor says changed.  The fault plan is re-parsed — and its rule
-    state reset — only for a different spec, the configuration rebuilt only
-    for different fields, and the shared arrays the last body attached stay
+    descriptor says changed.  The configuration is rebuilt only for
+    different fields, and the shared arrays the last body attached stay
     mapped for a body that names them again: at most one body's, so nothing
     grows with the number of regions, and only while regions keep coming (a
     pool worker closes them once idle, a parked socket worker retires).
     """
 
     def __init__(self) -> None:
-        #: ``(descriptor["faults"], the plan installed from it)``
-        self._faults: Any = (False, None)
         #: ``(base, fields, config)``: the worker's own configuration, the
         #: master's shipped fields, and the configuration built from the two
         self._config: Any = None
         #: the shared arrays the last body attached
         self._arrays: "list[shm.SharedArray]" = []
-
-    def install_faults(self, shipped: "tuple[str, int] | None") -> None:
-        """Install the master's fault plan, unless it is the one installed."""
-        spec, plan = self._faults
-        if shipped == spec and faults.current_plan() is plan:
-            return
-        plan = None
-        if shipped is not None:
-            plan = faults.parse_fault_spec(shipped[0])
-            plan.origin_pid = shipped[1]
-        faults.set_fault_plan(plan)
-        self._faults = (shipped, plan)
 
     def config(self, fields: "dict[str, Any]") -> RuntimeConfig:
         """The configuration to run under: the master's shipped ``fields``
@@ -269,9 +233,9 @@ def run_shipped_member(
     """Run member ``thread_id`` of the region ``descriptor`` names, over ``sync``.
 
     For members that share nothing with the master but the sync bundle:
-    rebuild the team under the master's shipped configuration and fault
-    plan, run :func:`run_member`, and return the reply — the pickled result
-    and ``None``, or ``None`` and the encoded exception.  Never raises: a
+    rebuild the team under the master's shipped configuration, run
+    :func:`run_member`, and return the reply — the pickled result and
+    ``None``, or ``None`` and the encoded exception.  Never raises: a
     failure anywhere aborts the team barrier (releasing siblings blocked in
     it) and travels back in the reply.  ``state`` is the
     :class:`WorkerState` the long-lived worker keeps between regions.
@@ -279,7 +243,6 @@ def run_shipped_member(
     from repro.runtime.team import Team  # team.py imports this module
 
     try:
-        state.install_faults(descriptor["faults"])
         body = state.load(descriptor["body"])
         previous = set_config(state.config(descriptor["config"]))
         try:
@@ -290,7 +253,6 @@ def run_shipped_member(
                 nesting_level=descriptor["nesting_level"],
                 process_sync=sync,
             )
-            team.fault_region = descriptor["fault_region"]
             team.backend_name = descriptor["backend"]
             return _encode_result(run_member(team, thread_id, body)), None
         finally:
@@ -333,7 +295,7 @@ def join_team(
     legitimately blocked in a long barrier must not be declared lost by a
     join deadline shorter than the barrier's.  ``watcher``
     is an object whose ``watch(team)`` returns a
-    :class:`~repro.runtime.faults.WorkerMonitor` it drives for the region —
+    :class:`~repro.runtime.monitor.WorkerMonitor` it drives for the region —
     its own, re-armed, with its own ``dead_workers`` (the pool's long-lived
     watcher thread) — and whose ``unwatch(monitor)`` disarms it; without one
     a monitor of the region's own runs its own thread.  Returns the master's
@@ -341,7 +303,7 @@ def join_team(
     """
     if watcher is None:
         sync = team.process_sync
-        monitor = faults.WorkerMonitor(team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None)
+        monitor = WorkerMonitor(team, dead_workers, heartbeat=sync.heartbeat if sync is not None else None)
         monitor.start()
     else:
         monitor = watcher.watch(team)

@@ -88,7 +88,6 @@ class OrderedRegion:
             self._pass(chunk.next, chunk.end)
             return result
 
-        ordered_chunk.chunk_site = getattr(body, "chunk_site", False)  # type: ignore[attr-defined]
         return ordered_chunk
 
     def run(self, iteration: int, fn: Callable[[], Any]) -> Any:

@@ -23,12 +23,12 @@ from __future__ import annotations
 import itertools
 import os
 import queue
+import select
 import threading
-import time
 
 import repro.obs.registry as obsreg
 from repro.obs.exposition import suppress_exporter
-from repro.runtime import faults, shm
+from repro.runtime import shm
 from repro.runtime.config import get_config
 from repro.runtime.dataplane import ShmDataPlane
 from repro.runtime.member import (
@@ -39,6 +39,7 @@ from repro.runtime.member import (
     run_shipped_member,
     send_frame,
 )
+from repro.runtime.monitor import WorkerMonitor
 
 
 #: Seconds without a task after which a worker lets go of the shared arrays
@@ -46,8 +47,8 @@ from repro.runtime.member import (
 #: memory is only freed once every mapping is gone.
 IDLE_RELEASE = 1.0
 
-#: Longest a worker whose master's pipe closed waits to be re-parented
-#: before it sweeps (see :func:`_pool_worker`).
+#: Longest a worker whose master's pipe closed waits for the master to be
+#: gone before it sweeps (see :func:`_pool_worker`).
 ORPHAN_WAIT = 1.0
 
 
@@ -56,41 +57,68 @@ def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "
 
     A task is ``(ticket, thread_id, descriptor)``; the reply is the member's
     encoded outcome under the same ticket and id.  ``None`` — or the master's
-    end of the pipe closing — sends the worker home.  ``inherited`` are the
+    end of a pipe closing — sends the worker home.  ``inherited`` are the
     master's ends of every pipe this child was forked with; closing them is
     what lets a pipe report its other side gone.
 
-    On the way out the worker sweeps ownerless shared-memory segments
+    A master that dies mid-region never ends the round its workers sleep in:
+    :func:`_watch_master` breaks the pool barrier once it has gone, so they
+    leave within moments instead of at the barrier timeout.  On the way out
+    the worker sweeps ownerless shared-memory segments
     (:func:`shm.sweep_orphans`): what a master killed with a warm pool left.
     A dying master's pipes may close before its segment locks are released,
-    but it has released them all by the time its children are re-parented,
-    so a worker that found its master gone waits for that first.
+    so a worker that found its master's pipe closed waits for the master to
+    be gone first.
     """
     for fd in inherited:
         os.close(fd)
     suppress_exporter()  # only the master serves scrapes: it alone holds the team-wide counts
     reader, state, wait = FrameReader([tasks]), WorkerState(), IDLE_RELEASE
-    master = os.getppid()
+    master_gone = threading.Event()
+    threading.Thread(
+        target=_watch_master, args=(os.getppid(), sync.barrier, master_gone), name="aomp-master-watch", daemon=True
+    ).start()
     try:
         while True:
             try:
                 task = reader.get(wait)
             except queue.Empty:
-                if not reader.open:  # the master has gone
-                    deadline = time.monotonic() + ORPHAN_WAIT
-                    while os.getppid() == master and time.monotonic() < deadline:
-                        time.sleep(0.005)
-                    return
+                if not reader.open:
+                    break
                 state.close()  # idle: nothing kept mapped until the next task
                 wait = None
                 continue
             if task is None:
                 return
             ticket, thread_id, descriptor = task
-            send_frame(replies, (ticket, thread_id, run_shipped_member(descriptor, thread_id, sync, state)))
+            try:
+                send_frame(replies, (ticket, thread_id, run_shipped_member(descriptor, thread_id, sync, state)))
+            except BrokenPipeError:
+                break
             wait = IDLE_RELEASE
+        master_gone.wait(ORPHAN_WAIT)  # the master's pipe has closed
     finally:
         shm.sweep_orphans()
+
+
+def _watch_master(master: int, barrier, gone: threading.Event) -> None:
+    """A pool worker's daemon thread: sleep until every thread of ``master``
+    has exited — and so released its segment locks — then say so and break
+    the pool barrier.  Without pidfds there is nothing to sleep on, and the
+    worker falls back on its pipe and :data:`ORPHAN_WAIT`."""
+    try:
+        fd = os.pidfd_open(master)
+    except ProcessLookupError:
+        pass  # gone already
+    except (AttributeError, OSError):
+        return
+    else:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        poller.poll()  # readable once the whole thread group has exited
+        os.close(fd)
+    gone.set()
+    barrier.abort()
 
 
 class PersistentProcessPool:
@@ -126,9 +154,9 @@ class PersistentProcessPool:
         self._condemned = False
         # One watcher thread and one monitor for the pool's lifetime, armed
         # per region with that region's team and parked in between.
-        self._monitor = faults.WorkerMonitor(None, lambda: self.dead_workers(), heartbeat=self.heartbeat)
+        self._monitor = WorkerMonitor(None, lambda: self.dead_workers(), heartbeat=self.heartbeat)
         self._watch_cond = threading.Condition()
-        self._watching: "faults.WorkerMonitor | None" = None
+        self._watching: "WorkerMonitor | None" = None
         self._watcher_parked = False
         self._watcher = threading.Thread(target=self._watch_loop, name="aomp-pool-watcher", daemon=True)
         self._watcher.start()
@@ -242,7 +270,7 @@ class PersistentProcessPool:
                 dead.append((index + 1 if index + 1 < parties else None, proc.pid, code))
         return dead
 
-    def watch(self, team) -> "faults.WorkerMonitor":
+    def watch(self, team) -> "WorkerMonitor":
         """Arm the pool's watcher for ``team``, the region in flight.
 
         Dead workers and, when configured, stale heartbeats abort the team
@@ -259,7 +287,7 @@ class PersistentProcessPool:
         monitor.publish_liveness()
         return monitor
 
-    def unwatch(self, monitor: "faults.WorkerMonitor") -> None:
+    def unwatch(self, monitor: "WorkerMonitor") -> None:
         """Disarm the watcher; on return no check of ``monitor`` is running.
 
         Checks run under the watcher's lock, so taking it here means a late

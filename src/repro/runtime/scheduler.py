@@ -328,8 +328,7 @@ class DynamicScheduler(LoopScheduler):
         The chunks one claim hands out are adjacent by construction, so a
         claim is one contiguous run ``range(run_start, run_end, step)`` of
         ``chunks`` scheduling chunks.  The executor runs it as one body call
-        and asks :meth:`split` for the chunk boundaries only when something
-        observes chunks (tracing, an armed fault plan).
+        and asks :meth:`split` for the chunk boundaries only while tracing.
         """
         total = trip_count(start, end, step)
         chunk = self.chunk

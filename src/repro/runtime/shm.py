@@ -529,7 +529,7 @@ class HeartbeatArena(CellArena):
     region entry), a monotonic-nanosecond **beat** refreshed at every team
     barrier, and a **barrier-arrival counter**.  Each member writes only its
     own cells and every write is an aligned 8-byte store, so no lock is
-    needed; readers (the master's :class:`~repro.runtime.faults.WorkerMonitor`
+    needed; readers (the master's :class:`~repro.runtime.monitor.WorkerMonitor`
     and error-enrichment paths) tolerate slightly stale values by design.
 
     The pid cell names the process of a member that never reported; the beat

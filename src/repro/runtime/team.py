@@ -23,11 +23,10 @@ from typing import Any, Callable, Hashable, Optional
 from repro.runtime import shm  # isort: skip
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
-from repro.runtime import faults
 from repro.runtime.backend import Backend, backend_by_name, resolve_backend
 from repro.runtime.barrier import BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import ON_FAILURE_POLICIES, get_config
-from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.member import run_member as run_region_member
 from repro.runtime.trace import NO_REGION, EventKind, TraceRecorder, get_global_recorder
 
@@ -97,11 +96,6 @@ class Team:
         #: :class:`repro.tune.tuner_scope` (per-tenant caches in the compute
         #: service).  ``None`` means the process-wide tuner.
         self.tuner: Any = None
-        #: occurrence index matched by ``AOMP_FAULTS`` ``region=`` selectors,
-        #: stamped by the region driver while a fault plan is active (and
-        #: shipped to worker processes with the region
-        #: descriptor so the SPMD sides agree).
-        self.fault_region = 0
         self._barrier = process_sync.barrier if process_sync is not None else CyclicBarrier(size)
         #: in-process barrier-arrival counts (process teams use the heartbeat
         #: arena's cells instead — see ``arrival_counts``).
@@ -191,14 +185,6 @@ class Team:
             sync.heartbeat.note_arrival(member)
         elif member < len(self._arrivals):
             self._arrivals[member] += 1
-        if faults.active():
-            faults.fire(
-                "barrier",
-                member=member,
-                region=self.fault_region,
-                backend=self.backend_name or None,
-                team=self,
-            )
         if self.size > 1:
             wait_start = time.perf_counter() if metrics else 0.0
             try:
@@ -324,10 +310,10 @@ def _body_retry_safe(body: Callable[[], Any]) -> bool:
 
 
 #: failure types the recovery policy may retry: infrastructure breakage
-#: (a worker process died, a barrier was aborted/timed out, a deliberately
-#: injected fault) — never a deterministic body exception, which would fail
-#: identically on every attempt.
-_RECOVERABLE_TYPES = (WorkerProcessError, BrokenBarrierError, InjectedFault)
+#: (a worker process died, a barrier was aborted/timed out) — never a
+#: deterministic body exception, which would fail identically on every
+#: attempt.
+_RECOVERABLE_TYPES = (WorkerProcessError, BrokenBarrierError)
 
 
 def _infrastructure_failure(exc: BaseException) -> bool:
@@ -409,8 +395,8 @@ def parallel_region(
         ``"raise"`` propagates a :class:`BrokenTeamError` immediately;
         ``"retry"`` re-runs the region — with exponential backoff, up to
         ``max_retries`` times — when every member failure was *recoverable
-        infrastructure* (a dead worker process, a broken barrier, an injected
-        fault; deterministic body exceptions always raise); ``"degrade"``
+        infrastructure* (a dead worker process, a broken barrier;
+        deterministic body exceptions always raise); ``"degrade"``
         additionally walks down the backend fallback chain (processes →
         threads → serial, each with its own retry budget) before giving up.
     max_retries / retry_backoff:
@@ -569,8 +555,6 @@ def _execute_region(
         from repro.obs.exposition import ensure_exporter
 
         ensure_exporter()
-    if faults.active():
-        team.fault_region = faults.next_region()
     # From here on the backend may hold per-region resources (the process
     # backend's pool lock); every exit path below must reach finish_region.
     try:

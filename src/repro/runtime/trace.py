@@ -44,7 +44,6 @@ class EventKind(str, Enum):
     PHASE_WORK = "phase_work"        # generic replicated (non-loop) work performed by a member
     TUNE_DECISION = "tune_decision"  # the adaptive tuner picked a schedule for a loop invocation
     WORKER_DEAD = "worker_dead"      # the heartbeat monitor saw a team member's process die
-    FAULT_INJECTED = "fault_injected"  # a deterministic AOMP_FAULTS rule fired on this member
     REGION_RETRY = "region_retry"    # the on_failure policy re-ran (or degraded) a failed region
 
 

@@ -27,8 +27,8 @@ no plan built or looked up.  Dynamic/guided loops run through one claim loop
 (:func:`_run_claims`): per claim it pays one lock-free abort read, one
 claim-slot round-trip (a lock on an in-heap or shm arena, or an RPC) and one
 body call over the claimed run; the run is split back into its chunks
-(boundaries from :mod:`~repro.runtime.scheduler`) only while tracing or a
-fault plan observes chunks.
+(boundaries from :mod:`~repro.runtime.scheduler`) only while tracing
+observes chunks.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Any, Callable, Hashable
 
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
-from repro.runtime import faults
 from repro.runtime.config import get_config
 from repro.runtime.barrier import BrokenBarrierError
 from repro.runtime.exceptions import BackendCapabilityError, SchedulingError
@@ -119,8 +118,8 @@ def run_for(
         :data:`~repro.runtime.scheduler.DEFAULT_CLAIM_BATCH` adjacent chunks
         and the body receives them as a single range that starts on a chunk
         boundary and is a whole number of chunks (short only at the loop's
-        end).  While tracing is on or a fault plan is armed the claim is
-        dispatched chunk by chunk instead.
+        end).  While tracing is on the claim is dispatched chunk by chunk
+        instead.
     start, end, step:
         The full loop range as passed by the caller of the for method.
     schedule, chunk:
@@ -187,12 +186,6 @@ def run_for(
             "honour it (weave with threads, or mark the region as requiring "
             "shared locals to get the automatic fallback)"
         )
-
-    if faults.active():
-        # One wrapper install per loop while a fault plan is armed: each chunk
-        # dispatch then passes the "chunk" injection site.  Inactive runs pay
-        # exactly the active() flag check above.
-        body = faults.wrap_chunk_body(body, member=context.thread_id, team=team)
 
     previous_ordered: OrderedRegion | None = None
     if ordered:
@@ -469,8 +462,7 @@ def _run_claims(
     A claim's chunks are adjacent, so the member runs them as one body call
     over the claimed run.  The run is split back into its scheduling chunks
     only where something observes chunks: tracing (one ``CHUNK`` event per
-    chunk) or an armed fault plan (``chunk=N`` is the member's N-th chunk).
-    The chunk counter counts scheduling chunks either way.
+    chunk).  The chunk counter counts scheduling chunks either way.
 
     External cancellation (``Team.abort`` — the compute service's cancel
     path, the worker monitor's death diagnosis) breaks the barrier, but a
@@ -482,22 +474,17 @@ def _run_claims(
     """
     slot = _CHUNK_SLOTS[scheduler.schedule]
     tracing = team.tracing
-    per_chunk = tracing or getattr(body, "chunk_site", False)
     result: Any = None
     executed = 0
     for run_start, run_end, chunks in scheduler.claims_from(cursor, start, end, step, team.size):
         if team.broken:
             raise BrokenBarrierError(f"loop {name!r} aborted: team {team.name!r} barrier is broken")
-        if not per_chunk:
+        if not tracing:
             result = body(run_start, run_end, step, *args, **kwargs)
             executed += chunks
             continue
         for piece in scheduler.split(run_start, run_end, step, chunks):
-            if tracing:
-                result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, slot)
-            else:
-                result = body(piece.start, piece.end, step, *args, **kwargs)
-                executed += 1
+            result = _run_traced_chunk(body, piece, args, kwargs, team, name, weight, slot)
     # One batched increment per loop (traced chunks count themselves).
     if executed and team.metrics:
         obsreg.inc(slot, executed)

@@ -27,6 +27,7 @@ import pytest
 
 import aomp
 import repro.obs.exposition as expo
+from faultkit import dies
 import repro.obs.registry as obsreg
 from repro.runtime import context as ctx
 from repro.runtime import shm
@@ -34,7 +35,6 @@ from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override
 from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BrokenTeamError
-from repro.runtime.faults import parse_fault_spec, set_fault_plan
 from repro.runtime.tasks import spawn_task, task_wait
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
@@ -247,14 +247,7 @@ class TestDistributedScrapeConformance:
 class TestLivenessInStats:
     """Satellite: heartbeat liveness must surface in ``aomp.stats()``."""
 
-    @pytest.fixture(autouse=True)
-    def _no_fault_leak(self):
-        previous = set_fault_plan(None)
-        yield
-        set_fault_plan(previous)
-
     def test_sigkilled_member_appears_dead_in_the_snapshot(self):
-        set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
         backend = ProcessBackend()
         marker = object()
 
@@ -267,7 +260,7 @@ class TestLivenessInStats:
         try:
             with config_override(metrics=True, num_threads=3):
                 with pytest.raises(BrokenTeamError):
-                    parallel_region(body, num_threads=3, backend=backend, name="conf-kill")
+                    parallel_region(dies(body, member=1).run, num_threads=3, backend=backend, name="conf-kill")
         finally:
             backend.shutdown()
 
@@ -278,7 +271,7 @@ class TestLivenessInStats:
         assert snap["gauges"]["aomp_member_alive"]['{member="1"}'] == 0.0
 
     def test_monitor_exposes_last_beat_ages_while_running(self):
-        from repro.runtime.faults import WorkerMonitor
+        from repro.runtime.monitor import WorkerMonitor
         from repro.runtime.team import Team
 
         arena = shm.HeartbeatArena(capacity=4)

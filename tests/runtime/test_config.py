@@ -9,11 +9,10 @@ Contract under test, uniformly for each variable, read through ``env(name)``:
   the exact variable the user set, never silently replaced by the default
   (a typo'd setting that does nothing is worse than a crash at import).
 
-Four variables are deliberately deferred-but-loud instead of parse-at-import:
+Three variables are deliberately deferred-but-loud instead of parse-at-import:
 ``AOMP_BACKEND`` and ``AOMP_SERVICE_BACKEND`` (validity depends on the
-backend registry, which plugins may extend after import), ``AOMP_SCHEDULE``
-(validated by ``parse_schedule_spec`` at loop execution) and ``AOMP_FAULTS``
-(validated by ``parse_fault_spec`` when the plan is resolved).  Their garbage
+backend registry, which plugins may extend after import) and ``AOMP_SCHEDULE``
+(validated by ``parse_schedule_spec`` at loop execution).  Their garbage
 cases assert the *use-site* rejection names the valid forms.
 """
 
@@ -38,14 +37,12 @@ from repro.runtime.config import (
     env,
     usable_cpus,
 )
-from repro.runtime.exceptions import FaultSpecError
-from repro.runtime.faults import parse_fault_spec
 
 #: every name the contract reads: each row's variable and its OMP_* fallback
 ALL_VARS = tuple(name for row in ENV_VARS for name in (row.name, row.fallback) if name)
 
 #: read as words or text by the table, validated where they are used
-VALIDATED_AT_USE = ("AOMP_BACKEND", "AOMP_SCHEDULE", "AOMP_SERVICE_BACKEND", "AOMP_FAULTS")
+VALIDATED_AT_USE = ("AOMP_BACKEND", "AOMP_SCHEDULE", "AOMP_SERVICE_BACKEND")
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 README = Path(__file__).resolve().parents[2] / "README.md"
@@ -104,12 +101,6 @@ CASES = (
         default=None,  # unset disables the persistent cache
         valid=(("/tmp/tune.json", "/tmp/tune.json"),),
         garbage=(),  # free-form path; IO errors surface at persist time
-    ),
-    EnvVarCase(
-        var="AOMP_FAULTS",
-        default=None,  # no plan
-        valid=(("kill:member=1,region=0", "kill:member=1,region=0"),),
-        garbage=(),  # parsed loudly by parse_fault_spec when the plan resolves
     ),
     EnvVarCase(
         var="AOMP_NESTED",
@@ -314,12 +305,6 @@ class TestDeferredButLoudVariables:
         with pytest.raises(SchedulingError):
             parse_schedule_spec(env("AOMP_SCHEDULE"))
 
-    def test_faults_spec_garbage_rejected_at_parse(self):
-        with pytest.raises(FaultSpecError):
-            parse_fault_spec("explode:everything")
-        plan = parse_fault_spec("kill:member=1,region=0")
-        assert plan is not None and len(plan.rules) == 1
-
 
 class TestOneContract:
     """One table, one reader, and every row of it tested and documented."""
@@ -341,7 +326,21 @@ class TestOneContract:
     def test_every_variable_has_a_test_row(self):
         tested = {case.var for case in CASES} | {name for case in CASES for name, *_ in case.fallback}
         assert tested | set(VALIDATED_AT_USE) == set(ALL_VARS)
-        assert len(ALL_VARS) == len(set(ALL_VARS)) == 27
+        assert len(ALL_VARS) == len(set(ALL_VARS)) == 26
+
+    def test_a_variable_the_table_does_not_list_is_ignored(self, monkeypatch):
+        """``AOMP_FAULTS`` once armed fault injection; left set, it changes nothing."""
+        from repro.runtime.team import parallel_region
+
+        baseline = RuntimeConfig()
+        monkeypatch.setenv("AOMP_FAULTS", "kill:member=1,region=0")
+        assert "AOMP_FAULTS" not in ALL_VARS
+        assert RuntimeConfig() == baseline
+        with pytest.raises(KeyError):
+            env("AOMP_FAULTS")
+        ran = []
+        parallel_region(lambda: ran.append(1), num_threads=2, name="stale-variable")
+        assert ran == [1, 1]
 
     def test_validated_at_use_rows_accept_any_word(self, monkeypatch):
         for name in VALIDATED_AT_USE:

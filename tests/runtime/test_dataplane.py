@@ -33,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.obs.registry as obsreg
+from faultkit import dies
 from repro.runtime import context as ctx
 from repro.runtime import dataplane, member, shm
 from repro.runtime.backend import available_backends, backend_by_name
@@ -40,7 +41,6 @@ from repro.runtime.barrier import _COUNT, BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import config_override
 from repro.runtime.distributed import DistributedBackend
 from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
-from repro.runtime.faults import parse_fault_spec, set_fault_plan
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
 
@@ -64,13 +64,6 @@ class _UnpicklePayload:
 
 #: schedules the conformance acceptance criterion names explicitly.
 CONFORMANCE_SCHEDULES = ("static_block", "static_cyclic", "dynamic,2")
-
-
-@pytest.fixture(autouse=True)
-def _isolated_fault_plan():
-    previous = set_fault_plan(None)
-    yield
-    set_fault_plan(previous)
 
 
 @pytest.fixture
@@ -790,13 +783,12 @@ class TestDeadMemberDetection:
     def test_sigkilled_remote_member_is_diagnosed_fast(self):
         """Acceptance bar: socket close + missed beats -> WorkerProcessError
         well inside 5s, with the member and signal named."""
-        set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
         backend = DistributedBackend()
         body = _SharedFillBody(16)
         try:
             start = time.monotonic()
             with pytest.raises(BrokenTeamError) as excinfo:
-                parallel_region(body.run, num_threads=3, backend=backend, name="dist-kill")
+                parallel_region(dies(body.run, member=1).run, num_threads=3, backend=backend, name="dist-kill")
             elapsed = time.monotonic() - start
             assert elapsed < DETECTION_BOUND, f"detection took {elapsed:.1f}s"
             cause = excinfo.value.__cause__
@@ -804,18 +796,15 @@ class TestDeadMemberDetection:
             assert cause.member == 1
             assert "SIGKILL" in str(cause)
         finally:
-            set_fault_plan(None)
             body.close()
 
     def test_region_after_a_death_still_works(self):
         """A team that lost a member is not handed back: a death must not poison the backend."""
-        set_fault_plan(parse_fault_spec("kill:member=1,region=0"))
         backend = DistributedBackend()
         body = _SharedFillBody(8)
         try:
             with pytest.raises(BrokenTeamError):
-                parallel_region(body.run, num_threads=3, backend=backend, name="dist-kill-1")
-            set_fault_plan(None)
+                parallel_region(dies(body.run, member=1).run, num_threads=3, backend=backend, name="dist-kill-1")
             body.out.view()[:] = 0.0
             parallel_region(body.run, num_threads=3, backend=backend, name="dist-after")
             assert np.array_equal(body.out.view(), np.arange(8) * 2.0)

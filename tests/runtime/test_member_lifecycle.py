@@ -12,9 +12,9 @@ once per tier against a private copy:
   process, over the sync bundle of every transport (fork/shm and the socket
   plane's proxies).
 * **the join** — ``join_team`` against an in-memory tier.
-* **regressions, end to end on real tiers** — the two bugs the drift between
-  the copies had produced: un-waited tasks dropped on every shipped tier, and
-  a fault plan installed after the pool was warm never reaching its workers.
+* **regressions, end to end on real tiers** — un-waited tasks, which the
+  drift between the copies had dropped on every shipped tier, and a failing
+  body on a warm pool, which must cost its region and not the pool.
 """
 
 from __future__ import annotations
@@ -31,21 +31,20 @@ import numpy as np
 import pytest
 
 import repro.obs.registry as obsreg
+from faultkit import InjectedFault, raises
 from repro.runtime import context as ctx
-from repro.runtime import dataplane, faults, shm
+from repro.runtime import dataplane, shm
 from repro.runtime import member as lifecycle
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override, get_config
-from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
+from repro.runtime.monitor import WorkerMonitor
 from repro.runtime.tasks import spawn_task
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
 
 #: what the probe body saw while it ran as a shipped member (same process).
 _OBSERVED: "dict[str, Any]" = {}
-
-#: stand-in for the master's pid in shipped fault plans.
-MASTER_PID = 424242
 
 
 class Probe:
@@ -64,7 +63,7 @@ class Probe:
             tracing=config.tracing,
             metrics=team.metrics,
             backend=team.backend_name,
-            fault_region=team.fault_region,
+            region_id=team.region_id,
             name=team.name,
         )
         if team.metrics:
@@ -107,15 +106,6 @@ def probe():
     body = Probe()
     yield body
     body.close()
-
-
-@pytest.fixture(autouse=True)
-def _worker_state_does_not_leak():
-    """Shipped members leave an installed fault plan behind; this process is
-    not a worker."""
-    previous = faults.set_fault_plan(None)
-    yield
-    faults.set_fault_plan(previous)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +168,6 @@ def ship(transport: Transport, body: Callable[[], Any], **master_config: Any) ->
     """
     team = Team(2, region_id=7, name="lifecycle", process_sync=transport.master_sync)
     team.backend_name = "tier-under-test"
-    team.fault_region = 5
     with config_override(**master_config):
         descriptor = lifecycle.describe_region(team, lifecycle.body_payload(body))
     return run_once(descriptor, transport)
@@ -199,10 +188,10 @@ class TestShippedMemberObligations:
     def test_result_is_encoded_and_the_team_is_rebuilt_as_described(self, transport, probe):
         result, exc = ship(transport, probe.run)
         assert exc is None and lifecycle._decode_result(result) == "done"
-        assert (_OBSERVED["name"], _OBSERVED["backend"], _OBSERVED["fault_region"]) == (
+        assert (_OBSERVED["name"], _OBSERVED["backend"], _OBSERVED["region_id"]) == (
             "lifecycle",
             "tier-under-test",
-            5,
+            7,
         )
 
     def test_heartbeat_cell_carries_the_workers_pid(self, transport, probe):
@@ -219,11 +208,10 @@ class TestShippedMemberObligations:
         assert get_config() == ambient
 
     def test_shipped_member_fault_fires(self, transport, probe):
-        faults.set_fault_plan(faults.parse_fault_spec("raise:member=1"))
-        result, exc = ship(transport, probe.run)
+        result, exc = ship(transport, raises(probe.run, member=1).run)
         assert result is None
         assert isinstance(lifecycle._decode_exception(exc), InjectedFault)
-        assert not _OBSERVED, "the fault site precedes the body"
+        assert not _OBSERVED, "the failure precedes the body"
 
     def test_unwaited_tasks_are_drained(self, transport, probe):
         _result, exc = ship(transport, probe.spawn_unwaited)
@@ -258,46 +246,8 @@ class TestShippedMemberObligations:
         assert transport.master_sync.barrier.broken
 
 
-class TestShippedFaultPlan:
-    """The plan travels in the descriptor: spec plus the master's pid."""
-
-    def _descriptor(self, spec: "str | None") -> dict:
-        descriptor = lifecycle.describe_region(Team(2, name="plan"), b"")
-        descriptor["faults"] = None if spec is None else (spec, MASTER_PID)
-        return descriptor
-
-    def test_describe_region_ships_spec_seed_and_origin(self):
-        faults.set_fault_plan(faults.parse_fault_spec("kill:member=1,region=2;seed:9"))
-        spec, origin = lifecycle.describe_region(Team(2, name="plan"), b"")["faults"]
-        assert origin == os.getpid()
-        reparsed = faults.parse_fault_spec(spec)
-        assert reparsed.seed == 9 and repr(reparsed.rules[0]) == "kill:member=1,region=2"
-
-    def test_no_plan_ships_none_and_disarms_the_worker(self):
-        assert lifecycle.describe_region(Team(2, name="plan"), b"")["faults"] is None
-        faults.set_fault_plan(faults.parse_fault_spec("raise:member=0"))  # e.g. inherited at fork
-        lifecycle.WorkerState().install_faults(None)
-        assert faults.current_plan() is None
-
-    def test_installed_plan_keeps_the_masters_origin_so_kill_stays_real(self):
-        lifecycle.WorkerState().install_faults(("kill:member=1", MASTER_PID))
-        assert faults.current_plan().origin_pid == MASTER_PID != os.getpid()
-
-    def test_unchanged_spec_is_not_reparsed(self, monkeypatch):
-        parses = []
-        real = faults.parse_fault_spec
-        monkeypatch.setattr(faults, "parse_fault_spec", lambda spec: parses.append(spec) or real(spec))
-        state = lifecycle.WorkerState()
-        for _ in range(3):
-            state.install_faults(("raise:member=1,region=4", MASTER_PID))
-        installed = faults.current_plan()
-        assert parses == ["raise:member=1,region=4"]
-        state.install_faults(("raise:member=1,region=5", MASTER_PID))
-        assert len(parses) == 2 and faults.current_plan() is not installed
-        # A plan someone else installed since is not the one the state knows.
-        faults.set_fault_plan(None)
-        state.install_faults(("raise:member=1,region=5", MASTER_PID))
-        assert len(parses) == 3 and faults.current_plan() is not None
+class TestWorkerState:
+    """What a long-lived worker carries from one region to the next."""
 
     def test_unchanged_fields_reuse_the_configuration(self):
         state = lifecycle.WorkerState()
@@ -400,7 +350,7 @@ class TestJoinTeam:
         replies: "queue.Queue" = queue.Queue()
         replies.put((1, (None, None)))
         calls = []
-        monitor = faults.WorkerMonitor(team, lambda: [])
+        monitor = WorkerMonitor(team, lambda: [])
 
         def watch(watched):
             calls.append(("watch", watched))
@@ -488,21 +438,19 @@ def test_a_team_barrier_gives_up_after_the_env_bound_on_every_tier(tier, probe, 
 
 
 @pytest.mark.skipif(not shm.fork_available(), reason="the pool needs fork")
-def test_fault_plan_installed_after_warm_up_reaches_the_pool(probe):
-    """``set_fault_plan`` at any time: the plan rides the region descriptor
-    (it silently did nothing once the workers had forked)."""
+def test_a_failing_body_after_warm_up_costs_the_region_not_the_pool(probe):
+    """A member that raises on a warm pool fails its region; the same
+    workers run the next one clean, tasks drained."""
     backend = ProcessBackend()
     try:
         parallel_region(probe.run, num_threads=2, backend=backend, name="pool-warm")
         warm = backend._pool
-        faults.set_fault_plan(faults.parse_fault_spec("raise:member=1"))
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(probe.run, num_threads=2, backend=backend, name="pool-armed")
+            parallel_region(raises(probe.run, member=1).run, num_threads=2, backend=backend, name="pool-failing")
         assert isinstance(excinfo.value.__cause__, InjectedFault)
         assert backend._pool is warm and warm.healthy, "a raise costs the region, not the pool"
 
-        faults.set_fault_plan(None)
-        parallel_region(probe.spawn_unwaited, num_threads=2, backend=backend, name="pool-disarmed")
+        parallel_region(probe.spawn_unwaited, num_threads=2, backend=backend, name="pool-clean")
         assert np.array_equal(probe.out.np, [1.0, 1.0])
     finally:
         backend.shutdown()

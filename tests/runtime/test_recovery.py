@@ -1,10 +1,12 @@
-"""Fault injection, fast failure detection, and region-level recovery.
+"""Fast failure detection and region-level recovery, driven by bodies that fail.
 
-Covers the fault subsystem end to end:
+Failures are rehearsed the way they happen (:mod:`faultkit`): a member's body
+is killed, raises or stalls.  Covers:
 
-* ``AOMP_FAULTS`` spec parsing (:func:`repro.runtime.faults.parse_fault_spec`);
-* deterministic injection at the member / chunk / barrier sites, with the
-  backend-aware ``kill`` degradation for in-process members;
+* failures in a member, a loop chunk or before a barrier, with ``dies``
+  raising instead of killing in a member that shares the master's process,
+  and the same failures in the worker processes of the pool and of
+  ``distributed`` teams;
 * the :class:`~repro.runtime.shm.HeartbeatArena` data plane;
 * the SIGKILL regression the subsystem exists for: a worker process killed
   mid-region must surface a diagnosed ``WorkerProcessError`` in seconds (not
@@ -27,17 +29,13 @@ import time
 import numpy as np
 import pytest
 
+from faultkit import InjectedFault, dies, raises, raises_on_chunk, stalls
 from repro.runtime import context as ctx
-from repro.runtime import faults, shm
-from repro.runtime.backend import ProcessBackend, SerialBackend
+from repro.runtime import shm
+from repro.runtime.backend import ProcessBackend
+from repro.runtime.distributed import DistributedBackend
 from repro.runtime.barrier import BrokenBarrierError
-from repro.runtime.exceptions import (
-    BrokenTeamError,
-    FaultSpecError,
-    InjectedFault,
-    WorkerProcessError,
-)
-from repro.runtime.faults import FaultPlan, FaultRule, parse_fault_spec, set_fault_plan
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind
 from repro.runtime.worksharing import run_for
@@ -49,14 +47,6 @@ requires_fork = pytest.mark.skipif(not shm.fork_available(), reason="process sce
 DETECTION_BOUND = 5.0
 
 
-@pytest.fixture(autouse=True)
-def _isolated_fault_plan():
-    """No fault plan leaks into or out of a test (conftest doesn't cover this)."""
-    previous = set_fault_plan(None)
-    yield
-    set_fault_plan(previous)
-
-
 @pytest.fixture
 def process_backend():
     backend = ProcessBackend()
@@ -64,10 +54,8 @@ def process_backend():
     backend.shutdown()
 
 
-def install(spec: str) -> FaultPlan:
-    plan = parse_fault_spec(spec)
-    set_fault_plan(plan)
-    return plan
+def nothing() -> None:
+    pass
 
 
 class SharedFillBody:
@@ -84,7 +72,7 @@ class SharedFillBody:
         self.out = shm.shared_zeros(n)
 
     def run(self) -> None:
-        run_for(self.fill, 0, len(self.out.view()), 1, loop_name="faults.fill")
+        run_for(self.fill, 0, len(self.out.view()), 1, loop_name="recovery.fill")
 
     def fill(self, start: int, end: int, step: int) -> None:
         view = self.out.view()
@@ -98,98 +86,38 @@ class SharedFillBody:
         self.out.close()
 
 
-class TestParseFaultSpec:
-    def test_member_rule(self):
-        plan = parse_fault_spec("raise:member=1,region=2")
-        (rule,) = plan.rules
-        assert (rule.action, rule.site, rule.member, rule.region) == ("raise", "member", 1, 2)
-        assert rule.times == 1 and rule.p is None
+class TestFailuresInProcess:
+    """Thread-backend failures: every member shares the master's process."""
 
-    def test_chunk_and_barrier_selectors_pick_the_site(self):
-        chunk, barrier = parse_fault_spec("raise:chunk=3;stall:barrier=1,seconds=0.5").rules
-        assert (chunk.site, chunk.index) == ("chunk", 3)
-        assert (barrier.site, barrier.index, barrier.seconds) == ("barrier", 1, 0.5)
-
-    def test_seed_rule_and_multiple_rules(self):
-        plan = parse_fault_spec("seed:42; raise:member=0,p=0.5; kill:member=1,times=3")
-        assert plan.seed == 42
-        assert [r.action for r in plan.rules] == ["raise", "kill"]
-        assert plan.rules[1].times == 3
-
-    def test_repr_round_trips_through_the_parser(self):
-        plan = parse_fault_spec("stall:member=1,region=0,seconds=2,times=2")
-        (reparsed,) = parse_fault_spec(repr(plan.rules[0])).rules
-        original = plan.rules[0]
-        for slot in ("action", "site", "member", "region", "index", "seconds", "times", "p"):
-            assert getattr(reparsed, slot) == getattr(original, slot)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            "",  # no rules
-            "explode:member=1",  # unknown action
-            "raise:wat=1",  # unknown selector
-            "raise:member",  # missing value
-            "raise:member=x",  # non-integer
-            "raise:p=nope",  # non-number
-            "raise:chunk=1,barrier=2",  # two sites
-            "seed:xyz",  # malformed seed
-            "raise:times=0",  # times < 1
-            "raise:p=1.5",  # p out of range
-            "stall:seconds=-1",  # negative stall
-        ],
-    )
-    def test_invalid_specs_raise(self, spec):
-        with pytest.raises(FaultSpecError):
-            parse_fault_spec(spec)
-
-    def test_rule_validation_direct(self):
-        with pytest.raises(FaultSpecError):
-            FaultRule("raise", site="nowhere")
-
-
-class TestInjectionInProcess:
-    """Thread/serial-backend injection: everything shares the master's process."""
-
-    def test_raise_fires_on_selected_member_and_region(self):
-        install("raise:member=1,region=0")
+    def test_raise_fails_the_selected_member(self):
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(lambda: None, num_threads=2, name="inject")
+            parallel_region(raises(nothing, member=1).run, num_threads=2, name="inject")
         assert isinstance(excinfo.value.__cause__, InjectedFault)
         assert [(m, type(e)) for m, e in excinfo.value.failures] == [(1, InjectedFault)]
-        # region=0 was consumed (times=1 default): the next region is clean.
-        parallel_region(lambda: None, num_threads=2, name="inject-after")
+        # The failure was the body's: the next region is clean.
+        parallel_region(nothing, num_threads=2, name="inject-after")
 
-    def test_kill_degrades_to_injected_fault_in_process(self):
-        # Threads share the plan's origin pid; a real SIGKILL would take the
-        # test process down, so the action must degrade to InjectedFault.
-        install("kill:member=1,region=0")
+    def test_dies_raises_instead_in_process(self):
+        # Threads share the master's pid; a real SIGKILL would take the test
+        # process down, so the member raises InjectedFault instead.
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(lambda: None, num_threads=2, name="kill-threads")
+            parallel_region(dies(nothing, member=1).run, num_threads=2, name="kill-threads")
         cause = excinfo.value.__cause__
         assert isinstance(cause, InjectedFault)
         assert cause.action == "kill"
 
-    def test_region_selector_skips_earlier_regions(self):
-        install("raise:member=0,region=1")
-        parallel_region(lambda: None, num_threads=2, name="region-0")
+    def test_a_failure_after_clean_regions(self):
+        parallel_region(nothing, num_threads=2, name="region-0")
         with pytest.raises(BrokenTeamError):
-            parallel_region(lambda: None, num_threads=2, name="region-1")
-
-    def test_backend_selector(self):
-        install("raise:member=0,backend=serial")
-        parallel_region(lambda: None, num_threads=2, name="not-serial")  # threads: no match
-        with pytest.raises(BrokenTeamError):
-            parallel_region(lambda: None, num_threads=1, backend=SerialBackend(), name="serial")
+            parallel_region(raises(nothing, member=0).run, num_threads=2, name="region-1")
 
     @pytest.mark.parametrize("schedule", ["static_cyclic", "dynamic"])
-    def test_chunk_site_counts_per_member_dispatches(self, schedule):
+    def test_a_chunk_failure_stops_the_member_after_its_earlier_chunks(self, schedule, recorder):
         # static_cyclic with chunk=2 over [0, 32) gives member 0 the
         # dispatches [0,2), [4,6), ...; under dynamic,2 its first claim is
-        # several adjacent chunks, which an armed plan makes it dispatch
-        # chunk by chunk — ``chunk=1`` is its second *chunk*, not its second
-        # claim.
-        install("raise:chunk=1,member=0")
+        # several adjacent chunks, which tracing makes it dispatch chunk by
+        # chunk — the body's second call is its second *chunk*, not its
+        # second claim.
         seen = []
         first_chunk_done = threading.Event()
 
@@ -202,95 +130,108 @@ class TestInjectionInProcess:
                 # 0 has claimed: hold its first dispatch until member 0 ran one.
                 first_chunk_done.wait(timeout=10.0)
 
+        failing = raises_on_chunk(loop, 1, member=0)
+
         def body():
-            run_for(loop, 0, 32, 1, schedule=schedule, chunk=2)
+            run_for(failing, 0, 32, 1, schedule=schedule, chunk=2)
 
         with pytest.raises(BrokenTeamError) as excinfo:
             parallel_region(body, num_threads=2, name="chunk-site")
         cause = excinfo.value.__cause__
         assert isinstance(cause, InjectedFault) and cause.site == "chunk"
         # member 0 completed exactly its first chunk (its writes are there)
-        # before its 2nd dispatch fired
+        # before its 2nd dispatch failed
         assert [e - s for s, e in seen] == [2]
         if schedule == "static_cyclic":
             assert seen == [(0, 2)]
 
-    def test_inactive_plan_costs_a_claim_loop_one_active_check(self, monkeypatch):
-        from repro.runtime.team import Team
-
-        checks = []
-        real_active = faults.active
-        monkeypatch.setattr(faults, "active", lambda: checks.append(1) or real_active())
-        calls = []
-        # Member 0 of a 2-member team on the calling thread, no barrier: the
-        # only fault hooks passed are the loop's own.
-        ctx.push_context(ctx.ExecutionContext(team=Team(2), thread_id=0, nesting_level=0))
-        try:
-            run_for(lambda s, e, st: calls.append((s, e)), 0, 400, 1, schedule="dynamic", chunk=2, nowait=True)
-        finally:
-            ctx.pop_context()
-        assert len(calls) > 4 and len(checks) == 1
-
-    def test_barrier_site_fires_on_nth_arrival(self):
-        install("raise:barrier=1,member=1")
-
+    def test_a_failure_before_the_second_barrier(self):
         def body():
             team = ctx.current_team()
-            team.barrier(label="first")  # arrival 0: no fault
-            team.barrier(label="second")  # arrival 1: member 1 faults
+            team.barrier(label="first")
+            if ctx.get_thread_id() == 1:
+                raise InjectedFault("raise fault at the second barrier", site="barrier")
+            team.barrier(label="second")
 
         with pytest.raises(BrokenTeamError) as excinfo:
             parallel_region(body, num_threads=2, name="barrier-site")
         assert any(isinstance(e, InjectedFault) and e.site == "barrier" for _, e in excinfo.value.failures)
 
     def test_stall_delays_but_does_not_fail(self):
-        install("stall:member=1,region=0,seconds=0.2")
         start = time.monotonic()
-        parallel_region(lambda: None, num_threads=2, name="stall")
+        parallel_region(stalls(nothing, member=1, seconds=0.2).run, num_threads=2, name="stall")
         assert time.monotonic() - start >= 0.2
 
-    def test_times_bounds_firing(self):
-        install("raise:member=1,times=2")
-        for name in ("t0", "t1"):
-            with pytest.raises(BrokenTeamError):
-                parallel_region(lambda: None, num_threads=2, name=name)
-        parallel_region(lambda: None, num_threads=2, name="t2")  # rule exhausted
 
-    def test_seeded_probability_is_deterministic(self):
-        def fired_pattern() -> list[bool]:
-            plan = parse_fault_spec("seed:7;raise:member=0,times=100,p=0.5")
-            pattern = []
-            for _ in range(20):
-                try:
-                    plan.fire("member", member=0, region=0, backend="threads")
-                    pattern.append(False)
-                except InjectedFault:
-                    pattern.append(True)
-            return pattern
+class WorkerBody(SharedFillBody):
+    """:class:`SharedFillBody` with bodies that fail inside a worker process."""
 
-        first, second = fired_pattern(), fired_pattern()
-        assert first == second
-        assert any(first) and not all(first)
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self.failing_fill = raises_on_chunk(self.fill, 0, member=1)
 
-    def test_fault_injected_trace_event(self, recorder):
-        install("raise:member=1,region=0")
-        with pytest.raises(BrokenTeamError):
-            parallel_region(lambda: None, num_threads=2, name="traced")
-        events = [e for e in recorder.events() if e.kind is EventKind.FAULT_INJECTED]
-        assert len(events) == 1
-        assert events[0].data["action"] == "raise"
-        assert events[0].data["member"] == 1
+    def run_failing_loop(self) -> None:
+        run_for(self.failing_fill, 0, len(self.out.view()), 1, schedule="static_block", loop_name="recovery.fail")
 
-    def test_env_spec_is_resolved_lazily(self, monkeypatch):
-        monkeypatch.setenv("AOMP_FAULTS", "raise:member=0,region=0")
-        faults.reset_fault_plan()
-        try:
-            assert faults.active()
-            with pytest.raises(BrokenTeamError):
-                parallel_region(lambda: None, num_threads=2, name="env-spec")
-        finally:
-            monkeypatch.delenv("AOMP_FAULTS")
-            faults.reset_fault_plan()
+    def fail_before_the_second_barrier(self) -> None:
+        team = ctx.current_team()
+        team.barrier(label="first")
+        if ctx.get_thread_id() == 1:
+            raise InjectedFault("raise fault at the second barrier", site="barrier")
+        team.barrier(label="second")
+
+
+@pytest.fixture(params=["processes", "distributed"])
+def worker_tier(request):
+    if request.param == "processes" and not shm.fork_available():
+        pytest.skip("the pool needs fork")
+    backend = ProcessBackend() if request.param == "processes" else DistributedBackend()
+    yield backend
+    backend.shutdown()
+
+
+@pytest.fixture
+def worker_body():
+    body = WorkerBody(32)
+    yield body
+    body.close()
+
+
+class TestFailuresInWorkers:
+    """The failures above, in members that run in worker processes: the
+    failure is shipped back to the master with what it says intact."""
+
+    def test_raise_fails_the_selected_member(self, worker_tier, worker_body):
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(raises(worker_body.run, member=1).run, num_threads=2, backend=worker_tier, name="inject")
+        failures = dict(excinfo.value.failures)
+        assert isinstance(failures.pop(1), InjectedFault)
+        assert all(isinstance(e, BrokenBarrierError) for e in failures.values()), "the others saw the team break"
+        parallel_region(worker_body.run, num_threads=2, backend=worker_tier, name="inject-after")
+        assert np.array_equal(worker_body.out.view(), worker_body.expected())
+
+    def test_a_chunk_failure_stops_the_member_before_its_writes(self, worker_tier, worker_body):
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(worker_body.run_failing_loop, num_threads=2, backend=worker_tier, name="chunk-site")
+        assert any(m == 1 and isinstance(e, InjectedFault) and e.site == "chunk" for m, e in excinfo.value.failures)
+        out = worker_body.out.view()
+        assert np.array_equal(out[:16], worker_body.expected()[:16]), "member 0 ran its block"
+        assert not out[16:].any(), "member 1 failed on its first chunk"
+
+    def test_a_failure_before_the_second_barrier(self, worker_tier, worker_body):
+        with pytest.raises(BrokenTeamError) as excinfo:
+            parallel_region(
+                worker_body.fail_before_the_second_barrier, num_threads=2, backend=worker_tier, name="barrier-site"
+            )
+        assert any(m == 1 and isinstance(e, InjectedFault) and e.site == "barrier" for m, e in excinfo.value.failures)
+
+    def test_stall_delays_but_does_not_fail(self, worker_tier, worker_body):
+        start = time.monotonic()
+        parallel_region(
+            stalls(worker_body.run, member=1, seconds=0.2).run, num_threads=2, backend=worker_tier, name="stall"
+        )
+        assert time.monotonic() - start >= 0.2
+        assert np.array_equal(worker_body.out.view(), worker_body.expected())
 
 
 class TestHeartbeatArena:
@@ -340,16 +281,14 @@ class TestBarrierDiagnostics:
         assert "arrivals by member" in message
 
     def test_broken_team_message_names_team_and_members(self):
-        install("raise:member=1,region=0")
         with pytest.raises(BrokenTeamError, match=r"team 'roster'.*member 1.*InjectedFault"):
-            parallel_region(lambda: None, num_threads=2, name="roster")
+            parallel_region(raises(nothing, member=1).run, num_threads=2, name="roster")
 
 
 @requires_fork
 class TestWorkerDeathForkPath:
     def test_sigkill_mid_region_is_diagnosed_fast(self, process_backend, recorder):
         """The headline regression: SIGKILL surfaces in seconds, fully named."""
-        install("kill:member=1,region=0")
         marker = object()  # closure capture forces the fork-per-region path
 
         def body():
@@ -358,7 +297,7 @@ class TestWorkerDeathForkPath:
 
         start = time.monotonic()
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(body, num_threads=3, backend=process_backend, name="fork-kill")
+            parallel_region(dies(body, member=1).run, num_threads=3, backend=process_backend, name="fork-kill")
         elapsed = time.monotonic() - start
         assert elapsed < DETECTION_BOUND, f"detection took {elapsed:.1f}s"
 
@@ -374,14 +313,13 @@ class TestWorkerDeathForkPath:
         assert dead[0].data["signal"] == "SIGKILL"
 
     def test_survivors_of_a_sibling_death_still_report(self, process_backend):
-        install("kill:member=1,region=0")
         marker = object()
 
         def body():
             assert marker is not None
 
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(body, num_threads=4, backend=process_backend, name="survivors")
+            parallel_region(dies(body, member=1).run, num_threads=4, backend=process_backend, name="survivors")
         by_member = dict(excinfo.value.failures)
         assert isinstance(by_member[1], WorkerProcessError)
         # Members 2 and 3 were alive: they must not be misdiagnosed as dead.
@@ -395,10 +333,9 @@ class TestWorkerDeathPoolPath:
     def test_pool_worker_sigkill_is_diagnosed_and_pool_heals(self, process_backend):
         body = SharedFillBody(32)
         try:
-            install("kill:member=1,region=0")
             start = time.monotonic()
             with pytest.raises(BrokenTeamError) as excinfo:
-                parallel_region(body.run, num_threads=3, backend=process_backend, name="pool-kill")
+                parallel_region(dies(body.run, member=1).run, num_threads=3, backend=process_backend, name="pool-kill")
             elapsed = time.monotonic() - start
             assert elapsed < DETECTION_BOUND, f"detection took {elapsed:.1f}s"
             cause = excinfo.value.__cause__
@@ -407,7 +344,6 @@ class TestWorkerDeathPoolPath:
 
             # The backend must replace/heal the poisoned pool: the next region
             # on the same backend instance runs to completion.
-            set_fault_plan(None)
             body.out.view()[:] = 0.0
             parallel_region(body.run, num_threads=3, backend=process_backend, name="pool-after")
             assert np.array_equal(body.out.view(), body.expected())
@@ -418,9 +354,8 @@ class TestWorkerDeathPoolPath:
         """A worker killed *in the body* holds no locks: heal replaces it in place."""
         body = SharedFillBody(16)
         try:
-            install("kill:member=1,region=0")
             with pytest.raises(BrokenTeamError):
-                parallel_region(body.run, num_threads=3, backend=process_backend, name="heal-prep")
+                parallel_region(dies(body.run, member=1).run, num_threads=3, backend=process_backend, name="heal-prep")
             pool = process_backend._pool
             dead_pids = {proc.pid for proc in pool._procs if not proc.is_alive()}
             assert dead_pids and not pool.healthy
@@ -520,12 +455,10 @@ class TestPoolWatcher:
         monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.1")
         body = SharedFillBody(32)
         try:
-            # Pool workers keep the plan they were forked with: arm it first.
-            install("kill:member=1,region=1")
             parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-warm")
             start = time.monotonic()
             with pytest.raises(BrokenTeamError) as excinfo:
-                parallel_region(body.run, num_threads=2, backend=process_backend, name="pool-kill")
+                parallel_region(dies(body.run, member=1).run, num_threads=2, backend=process_backend, name="pool-kill")
             elapsed = time.monotonic() - start
             cause = excinfo.value.__cause__
             assert isinstance(cause, WorkerProcessError)
@@ -542,17 +475,16 @@ class TestPoolWatcher:
         monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.05")
         body = SharedFillBody(8)
         try:
-            install("stall:member=1,region=1,seconds=1.0")
             parallel_region(body.run, num_threads=2, backend=process_backend, name="stall-warm")
             stalled_pool = process_backend._pool
             start = time.monotonic()
+            stalled = stalls(body.run, member=1, seconds=1.0)
             with pytest.raises(BrokenTeamError) as excinfo:
-                parallel_region(body.run, num_threads=2, backend=process_backend, name="stall")
+                parallel_region(stalled.run, num_threads=2, backend=process_backend, name="stall")
             assert time.monotonic() - start < DETECTION_BOUND
             assert "stopped heartbeating" in str(excinfo.value.__cause__)
             assert stalled_pool._condemned and not stalled_pool.heal()
             # The next region must not meet the wedged worker: fresh pool.
-            set_fault_plan(None)
             body.out.view()[:] = 0.0
             parallel_region(body.run, num_threads=2, backend=process_backend, name="stall-after")
             assert process_backend._pool is not stalled_pool
@@ -657,32 +589,31 @@ class TestRecoveryPolicy:
         with pytest.raises(ValueError, match="on_failure"):
             parallel_region(lambda: None, num_threads=2, on_failure="panic")
 
-    def test_retry_reruns_to_clean_result(self, recorder):
-        install("raise:member=1,region=0")
+    def test_retry_reruns_to_clean_result(self, recorder, tmp_path):
         runs = []
 
         def body():
             runs.append(ctx.get_thread_id())
 
         body.retry_safe = True
-        parallel_region(body, num_threads=2, name="retry-ok", on_failure="retry")
-        # first attempt faulted on member 1; the retry ran the full team.
+        once = raises(body, member=1, once=tmp_path / "fired")
+        parallel_region(once.run, num_threads=2, name="retry-ok", on_failure="retry")
+        # first attempt failed on member 1; the retry ran the full team.
         assert runs.count(1) == 1 and runs.count(0) == 2
         retries = [e for e in recorder.events() if e.kind is EventKind.REGION_RETRY]
         assert len(retries) == 1
         assert retries[0].data["action"] == "retry"
 
     def test_retry_requires_retry_safe(self):
-        install("raise:member=1,region=0")
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(lambda: None, num_threads=2, name="unsafe", on_failure="retry")
+            parallel_region(raises(nothing, member=1).run, num_threads=2, name="unsafe", on_failure="retry")
         assert any("retry_safe" in note for note in getattr(excinfo.value, "__notes__", []))
 
-    def test_retry_safe_attribute_on_body_owner(self):
-        install("raise:member=1,region=0")
+    def test_retry_safe_attribute_on_body_owner(self, tmp_path):
         body = SharedFillBody(8)  # class sets retry_safe = True
         try:
-            parallel_region(body.run, num_threads=2, name="owner-safe", on_failure="retry")
+            once = raises(body.run, member=1, once=tmp_path / "fired")
+            parallel_region(once.run, num_threads=2, name="owner-safe", on_failure="retry")
             assert np.array_equal(body.out.view(), body.expected())
         finally:
             body.close()
@@ -702,30 +633,34 @@ class TestRecoveryPolicy:
         assert attempts == [1], "an application error must not be replayed"
 
     def test_retries_are_bounded(self):
-        install("raise:member=1,times=99")  # fires on every attempt
+        attempts = []
 
         def body():
-            pass
+            attempts.append(ctx.get_thread_id())
 
         body.retry_safe = True
         start = time.monotonic()
         with pytest.raises(BrokenTeamError):
             parallel_region(
-                body, num_threads=2, name="bounded", on_failure="retry", max_retries=2, retry_backoff=0.01
+                raises(body, member=1).run,  # fails on every attempt
+                num_threads=2,
+                name="bounded",
+                on_failure="retry",
+                max_retries=2,
+                retry_backoff=0.01,
             )
         assert time.monotonic() - start < DETECTION_BOUND
-        plan = faults.current_plan()
-        assert plan.rules[0].fired == 3  # initial attempt + 2 retries
+        assert attempts == [0, 0, 0]  # initial attempt + 2 retries
 
     def test_degrade_walks_the_fallback_chain_to_serial(self, recorder):
-        install("raise:member=1,times=99")  # any team with a member 1 faults
         witness = []
 
         def body():
             witness.append((ctx.get_thread_id(), ctx.get_num_team_threads()))
 
         body.retry_safe = True
-        parallel_region(body, num_threads=2, name="degrade", on_failure="degrade", max_retries=0)
+        failing = raises(body, member=1)  # any team with a member 1 fails
+        parallel_region(failing.run, num_threads=2, name="degrade", on_failure="degrade", max_retries=0)
         assert witness[-1] == (0, 1), "only the serial team-of-one can finish"
         degrades = [
             e for e in recorder.events() if e.kind is EventKind.REGION_RETRY and e.data["action"] == "degrade"
@@ -733,30 +668,30 @@ class TestRecoveryPolicy:
         assert degrades, "the degrade decision must be traced"
         assert degrades[-1].data["backend"] == "serial"
 
-    def test_policy_default_comes_from_config(self, monkeypatch):
+    def test_policy_default_comes_from_config(self, tmp_path):
         from repro.runtime.config import RuntimeConfig, set_config
 
-        install("raise:member=1,region=0")
         set_config(RuntimeConfig(num_threads=2, on_failure="retry"))
 
         def body():
             pass
 
         body.retry_safe = True
-        parallel_region(body, num_threads=2, name="config-default")  # no explicit policy
+        once = raises(body, member=1, once=tmp_path / "fired")
+        parallel_region(once.run, num_threads=2, name="config-default")  # no explicit policy
 
 
 @requires_fork
 @pytest.mark.chaos
 class TestChaosScenarios:
-    """Broader fault scenarios for the non-blocking CI chaos job."""
+    """Broader failure scenarios for the non-blocking CI chaos job."""
 
-    def test_pool_retry_after_sigkill_matches_serial(self, process_backend):
+    def test_pool_retry_after_sigkill_matches_serial(self, process_backend, tmp_path):
         """Acceptance scenario: kill a pool member, retry, compare to serial."""
         body = SharedFillBody(128)
         try:
-            install("kill:member=1,region=0")
-            parallel_region(body.run, num_threads=4, backend=process_backend, name="chaos-retry", on_failure="retry")
+            once = dies(body.run, member=1, once=tmp_path / "fired")
+            parallel_region(once.run, num_threads=4, backend=process_backend, name="chaos-retry", on_failure="retry")
             assert np.array_equal(body.out.view(), body.expected())
         finally:
             body.close()
@@ -764,9 +699,8 @@ class TestChaosScenarios:
     def test_repeated_kills_degrade_to_completion(self, process_backend):
         body = SharedFillBody(64)
         try:
-            install("kill:member=1,times=99")
             parallel_region(
-                body.run,
+                dies(body.run, member=1).run,
                 num_threads=3,
                 backend=process_backend,
                 name="chaos-degrade",
@@ -779,16 +713,16 @@ class TestChaosScenarios:
             body.close()
 
     def test_two_simultaneous_deaths(self, process_backend):
-        install("kill:member=1,region=0;kill:member=2,region=0")
         marker = object()
 
         def body():
             assert marker is not None
             time.sleep(0.05)
 
+        both = dies(dies(body, member=1).run, member=2)
         start = time.monotonic()
         with pytest.raises(BrokenTeamError) as excinfo:
-            parallel_region(body, num_threads=4, backend=process_backend, name="chaos-two")
+            parallel_region(both.run, num_threads=4, backend=process_backend, name="chaos-two")
         assert time.monotonic() - start < DETECTION_BOUND
         dead = [m for m, e in excinfo.value.failures if isinstance(e, WorkerProcessError)]
         assert set(dead) == {1, 2}
@@ -796,7 +730,6 @@ class TestChaosScenarios:
     def test_stalled_worker_hits_heartbeat_timeout(self, process_backend, monkeypatch):
         monkeypatch.setenv("AOMP_HEARTBEAT_TIMEOUT", "0.5")
         monkeypatch.setenv("AOMP_HEARTBEAT_INTERVAL", "0.1")
-        install("stall:member=1,region=0,seconds=30")
         marker = object()
 
         def body():
@@ -806,8 +739,33 @@ class TestChaosScenarios:
 
         start = time.monotonic()
         with pytest.raises(BrokenTeamError):
-            parallel_region(body, num_threads=3, backend=process_backend, name="chaos-stall")
+            stalled = stalls(body, member=1, seconds=30)
+            parallel_region(stalled.run, num_threads=3, backend=process_backend, name="chaos-stall")
         assert time.monotonic() - start < DETECTION_BOUND
+
+
+@requires_fork
+@pytest.mark.chaos
+@pytest.mark.parametrize("backend, members", [("processes", 2), ("distributed", 3)])
+def test_a_killed_series_member_retries_to_the_sequential_result(backend, members, tmp_path, recorder):
+    """The headline scenario on a JGF kernel, built as ``series.run_backend``
+    builds it: member 1 is SIGKILLed mid-region, and the retry recomputes the
+    sequential answer — on the warm pool and on spawned socket workers."""
+    from repro.jgf.common import BenchmarkResult, resolve_size
+    from repro.jgf.series import parallel as series
+    from repro.jgf.series.kernel import FourierSeries
+    from repro.runtime.backend import resolve_backend
+
+    tier = resolve_backend(backend)
+    bench = FourierSeries(resolve_size(series.SIZES, "tiny"), shared=not tier.supports_shared_locals)
+    try:
+        once = dies(bench.run_spmd, member=1, once=tmp_path / "fired")
+        parallel_region(once.run, num_threads=members, backend=tier, on_failure="retry", retry_safe=True)
+        assert [e.data["action"] for e in recorder.events() if e.kind is EventKind.REGION_RETRY] == ["retry"]
+        result = BenchmarkResult("Series", f"backend:{tier.name}", "tiny", bench.checksum(), 0.0)
+        assert result.validates_against(series.run_sequential("tiny")), "recovered result diverged from serial"
+    finally:
+        bench.release_shared()
 
 
 class TestMonitorTeardown:
@@ -816,7 +774,7 @@ class TestMonitorTeardown:
 
     def _monitor(self, metrics: bool = True):
         import repro.obs.registry as obsreg
-        from repro.runtime.faults import WorkerMonitor
+        from repro.runtime.monitor import WorkerMonitor
         from repro.runtime.team import Team
 
         team = Team(2, region_id=0, name="monitor-teardown")
@@ -850,7 +808,7 @@ class TestMonitorTeardown:
 
     def test_check_once_is_the_whole_detection_step(self):
         """What the monitor's own loop and the pool's watcher both call."""
-        from repro.runtime.faults import WorkerMonitor
+        from repro.runtime.monitor import WorkerMonitor
         from repro.runtime.team import Team
 
         team = Team(2, region_id=0, name="check-once")

@@ -14,13 +14,15 @@ import os
 import secrets
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import _posixshmem
+import fcntl
 import pytest
 
-from repro.runtime import shm
+from repro.runtime import procpool, shm
 
 pytestmark = [
     pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"),
@@ -89,11 +91,37 @@ def _running(pid: str) -> bool:
         return False
 
 
-def _wait_exited(pids: "list[str]", seconds: float = 10.0) -> None:
+def _wait_exited(pids: "list[str]", seconds: float = 10.0) -> bool:
     """Give the orphaned workers of a killed master time to leave (they are not our children)."""
     deadline = time.monotonic() + seconds
     while any(map(_running, pids)) and time.monotonic() < deadline:
         time.sleep(0.05)
+    return not any(map(_running, pids))
+
+
+def _residue(name: str, workers: "list[str]") -> str:
+    """What was left: each worker's state and parent, and whether the segment is locked."""
+    rows = []
+    for pid in workers:
+        try:
+            fields = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+            wchan = Path(f"/proc/{pid}/wchan").read_text() or "-"
+            rows.append(f"worker {pid}: state {fields[0]}, ppid {fields[1]}, wchan {wchan}")
+        except OSError:
+            rows.append(f"worker {pid}: gone")
+    try:
+        fd = _posixshmem.shm_open("/" + name, os.O_RDONLY)
+    except OSError:
+        rows.append(f"{name}: unlinked")
+    else:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            rows.append(f"{name}: linked, nobody holds its lock")
+        except OSError:
+            rows.append(f"{name}: linked, its lock is held")
+        finally:
+            os.close(fd)
+    return "; ".join(rows)
 
 
 def _first_allocation_elsewhere() -> None:
@@ -124,8 +152,35 @@ def test_a_master_killed_with_a_warm_pool_leaves_no_residue():
     name, workers = words[0], words[1:]
     assert len(workers) == 2 and (SHM / name).exists()
     _kill(master)
-    assert _gone_within(SHM / name, 5.0), f"{name} outlived its killed master by 5 s"
+    assert _gone_within(SHM / name, 5.0), f"{name} outlived its killed master by 5 s: {_residue(name, workers)}"
     _wait_exited(workers)
+
+
+def test_a_master_killed_mid_region_leaves_no_worker_and_no_segment():
+    """Member 0 (the master) is killed before the closing barrier of a loop
+    its workers have finished: they sleep in that barrier, whose round the
+    master will never end, and must leave long before its timeout."""
+    master, words = _start(
+        "class Stall(Fill):\n"
+        "    stall = False\n"
+        "    def run(self):\n"
+        "        if self.stall and get_thread_id() == 0:\n"
+        "            while self.out.np[22:].sum() < 42:\n"  # members 1 and 2 did their static shares
+        "                time.sleep(0.005)\n"
+        "            print(self.out.name, *[p.pid for p in pool.live_workers()], flush=True)\n"
+        "            time.sleep(600)\n"
+        "        super().run()\n"
+        "fill, pool = Stall(), ProcessBackend()\n"
+        "parallel_region(fill.run, num_threads=3, backend=pool)\n"
+        "fill.stall, fill.out[:] = True, 0\n"
+        "parallel_region(fill.run, num_threads=3, backend=pool)\n"
+    )
+    name, workers = words[0], words[1:]
+    assert len(workers) == 2
+    time.sleep(0.2)  # the workers reach the barrier
+    _kill(master)
+    left = _wait_exited(workers, 5.0) and _gone_within(SHM / name, 0.0)
+    assert left, f"5 s after the master's death: {_residue(name, workers)}"
 
 
 def test_a_master_killed_without_a_pool_is_swept_by_the_next_allocation():
@@ -223,3 +278,52 @@ def test_no_resource_tracker_starts_and_register_stays_the_stdlib_function():
     master.stdin.close()
     master.stdout.close()
     assert report == {"tracker_pid": None, "tracker_children": [], "register_is_stdlib": True}
+
+
+class _Barrier:
+    """Stands in for the pool barrier a worker's master watch breaks."""
+
+    def __init__(self) -> None:
+        self.aborted = threading.Event()
+
+    def abort(self) -> None:
+        self.aborted.set()
+
+
+def _watch(master: int) -> "tuple[threading.Thread, _Barrier, threading.Event]":
+    barrier, gone = _Barrier(), threading.Event()
+    thread = threading.Thread(target=procpool._watch_master, args=(master, barrier, gone), daemon=True)
+    thread.start()
+    return thread, barrier, gone
+
+
+requires_pidfd = pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="needs pidfds")
+
+
+@requires_pidfd
+def test_the_master_watch_breaks_the_barrier_once_the_master_exits_and_not_before():
+    master = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"], stdin=subprocess.PIPE)
+    thread, barrier, gone = _watch(master.pid)
+    try:
+        assert not gone.wait(0.3) and not barrier.aborted.is_set(), "a live master is never affected"
+    finally:
+        master.stdin.close()
+        master.wait(timeout=30)
+    thread.join(5.0)
+    assert not thread.is_alive() and gone.is_set() and barrier.aborted.is_set()
+
+
+@requires_pidfd
+def test_the_master_watch_of_a_master_already_gone_breaks_the_barrier_at_once():
+    master = subprocess.Popen([sys.executable, "-c", "pass"])
+    master.wait(timeout=30)
+    barrier, gone = _Barrier(), threading.Event()
+    procpool._watch_master(master.pid, barrier, gone)
+    assert gone.is_set() and barrier.aborted.is_set()
+
+
+def test_without_pidfds_the_master_watch_leaves_it_to_the_pipe(monkeypatch):
+    monkeypatch.delattr(os, "pidfd_open", raising=False)
+    barrier, gone = _Barrier(), threading.Event()
+    procpool._watch_master(os.getpid(), barrier, gone)  # returns at once: nothing to sleep on
+    assert not gone.is_set() and not barrier.aborted.is_set()

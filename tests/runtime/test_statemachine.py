@@ -14,9 +14,12 @@ SPMD and loop rules ship a picklable shared-memory body (:class:`Shipped`),
 the rules that need one Python heap run their regions on threads between the
 pool's, and ``config_between_regions`` changes the configuration a pooled
 worker must follow from one region to the next (a worker that kept a stale
-``default_schedule`` computed the wrong partition once).  The fork-per-region
-path gets its own deterministic suite (``test_faults.py``); forking per fuzz
-step would dominate the runtime without adding interleaving coverage.
+``default_schedule`` computed the wrong partition once), and
+``failing_body_then_clean_region`` has a member's body die or raise
+(:mod:`faultkit`) and the same backend run the next region clean.  The
+fork-per-region path gets its own deterministic suite
+(``test_recovery.py``); forking per fuzz step would dominate the runtime
+without adding interleaving coverage.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule, run_state_machine_as_test
 
+from faultkit import InjectedFault, dies, raises
 from repro.runtime import backend as backend_mod
 from repro.runtime import context as ctx
 from repro.runtime import shm
 from repro.runtime.backend import ProcessBackend, SerialBackend, ThreadBackend
 from repro.runtime.config import config_override, get_config
 from repro.runtime.critical import critical_call
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.locks import global_locks
 from repro.runtime.tasks import spawn_future, spawn_task, task_wait
 from repro.runtime.team import parallel_region
@@ -193,6 +198,32 @@ class RuntimeLifecycleMachine(RuleBasedStateMachine):
         assert list(self.shipped.hits.np[:span]) == [1] * span
 
     @rule(
+        num_threads=st.integers(min_value=2, max_value=4),
+        span=st.integers(min_value=0, max_value=40),
+        kill=st.booleans(),
+    )
+    def failing_body_then_clean_region(self, num_threads, span, kill):
+        """Member 1's body dies or raises: the region fails naming that as
+        its cause, and the next region on the same backend matches serial
+        with no worker left behind by the failed one."""
+        live_workers = getattr(self.backend, "live_workers", list)
+        before = live_workers()
+        self.shipped.reset()
+        self.shipped.span, self.shipped.schedule = span, "dynamic"
+        failing = (dies if kill else raises)(self.shipped.loop, member=1)
+        if self._team_size(num_threads) == 1:
+            parallel_region(failing.run, num_threads=num_threads, backend=self.backend, name="fuzz.fail")
+        else:
+            with pytest.raises(BrokenTeamError) as excinfo:
+                parallel_region(failing.run, num_threads=num_threads, backend=self.backend, name="fuzz.fail")
+            assert isinstance(excinfo.value.__cause__, (InjectedFault, WorkerProcessError))
+        self.shipped.reset()
+        parallel_region(self.shipped.loop, num_threads=num_threads, backend=self.backend, name="fuzz.after")
+        assert list(self.shipped.hits.np[:span]) == [1] * span
+        kept = live_workers()
+        assert [proc for proc in before if proc.is_alive() and proc not in kept] == []
+
+    @rule(
         num_threads=st.integers(min_value=1, max_value=4),
         increments=st.integers(min_value=1, max_value=8),
     )
@@ -317,6 +348,8 @@ def test_machine_rules_run_once_each(backend):
     machine.workshared_loop(num_threads=2, span=17, schedule="dynamic")
     machine.config_between_regions(num_threads=3, span=23, schedule="static_cyclic")
     machine.config_between_regions(num_threads=3, span=23, schedule="guided")
+    machine.failing_body_then_clean_region(num_threads=3, span=19, kill=True)
+    machine.failing_body_then_clean_region(num_threads=2, span=11, kill=False)
     machine.critical_counter(num_threads=2, increments=3)
     machine.task_region(tasks=4)
     machine.unwaited_tasks(num_threads=3, tasks=5)

@@ -219,13 +219,6 @@ _ROUND_TRIP_PAYLOADS: dict[EventKind, dict] = {
     EventKind.PHASE_WORK: {"index": 9},
     EventKind.TUNE_DECISION: {"loop": "l", "schedule": "dynamic", "chunk": 8, "source": "measured"},
     EventKind.WORKER_DEAD: {"member": 2, "pid": 12345, "exitcode": -9, "signal": "SIGKILL"},
-    EventKind.FAULT_INJECTED: {
-        "action": "kill",
-        "site": "member",
-        "member": 1,
-        "fault_region": 0,
-        "rule": "kill:member=1,region=0",
-    },
     EventKind.REGION_RETRY: {
         "name": "r",
         "action": "retry",

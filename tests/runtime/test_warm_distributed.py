@@ -1,8 +1,8 @@
 """Warm distributed teams: a team of socket workers outlives its region.
 
 What parks and what does not, who retires a team and when, and that a parked
-worker is only ever a cache of *processes*: configuration, metrics and fault
-plans reach it with every region's descriptor.  Every assertion is on state
+worker is only ever a cache of *processes*: configuration and metrics reach
+it with every region's descriptor.  Every assertion is on state
 (pids, ``/proc``, the parked team, counters) — waits are polls with a
 generous deadline, never a bound on wall time.  Tests that assert *reuse*
 pin the linger to a minute (it is a measurement of this host, and a loaded
@@ -20,12 +20,12 @@ import numpy as np
 import pytest
 
 import repro.obs.registry as obsreg
+from faultkit import InjectedFault, dies, raises
 from repro.runtime import context as ctx
 from repro.runtime import distributed, shm
 from repro.runtime.config import config_override
 from repro.runtime.distributed import DistributedBackend
-from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
-from repro.runtime.faults import parse_fault_spec, set_fault_plan
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.team import parallel_region
 from repro.runtime.worksharing import run_for
 
@@ -102,13 +102,6 @@ def _region(backend, probe: Probe, size: int = 3, body=None) -> "list[int]":
 def _blocks(size: int, iterations: int = 12) -> "list[int]":
     per = iterations // size
     return [member + 1 for member in range(size) for _ in range(per)]
-
-
-@pytest.fixture(autouse=True)
-def _isolated_fault_plan():
-    previous = set_fault_plan(None)
-    yield
-    set_fault_plan(previous)
 
 
 @pytest.fixture
@@ -205,13 +198,10 @@ class TestWhatDoesNotPark:
 
     def test_a_killed_worker_retires_the_team(self, backend, probe):
         warm = _region(backend, probe)
-        # Installed after warm-up: the plan travels with the region's descriptor.
-        set_fault_plan(parse_fault_spec("kill:member=1"))
         with pytest.raises(BrokenTeamError) as excinfo:
-            _region(backend, probe)
+            _region(backend, probe, body=dies(probe.run, member=1).run)
         cause = excinfo.value.__cause__
         assert isinstance(cause, WorkerProcessError) and cause.member == 1 and cause.pid == warm[0]
-        set_fault_plan(None)
         self._assert_fresh_team_after(backend, probe, warm)
 
     def test_an_aborted_barrier_retires_the_team_even_if_every_member_finished(self, backend, probe):
@@ -265,9 +255,8 @@ class TestDescriptorReachesAParkedWorker:
         teams = counters["aomp_distributed_teams_total"]
         assert (teams["spawned"], teams["reused"]) == (0, 1)
 
-    def test_fault_plan_installed_after_warm_up(self, backend, probe):
+    def test_a_failing_body_after_warm_up(self, backend, probe):
         _region(backend, probe)
-        set_fault_plan(parse_fault_spec("raise:member=2"))
         with pytest.raises(BrokenTeamError) as excinfo:
-            _region(backend, probe)
+            _region(backend, probe, body=raises(probe.run, member=2).run)
         assert any(member == 2 and isinstance(exc, InjectedFault) for member, exc in excinfo.value.failures)

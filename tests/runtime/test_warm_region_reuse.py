@@ -2,11 +2,11 @@
 
 A long-lived worker — a ``processes`` pool worker or a parked
 ``distributed`` socket worker — keeps what the last region built when the
-next descriptor ships the same: the configuration, the fault plan, the
-attachments of the shared arrays its body names.  These tests
+next descriptor ships the same: the configuration and the attachments of
+the shared arrays its body names.  These tests
 change each of them between two warm regions and check that the worker sees
-the change; break a region and check that the next one runs clean on the same
-workers; kill a parked pool worker; and check the one-step static ranges a
+the change; fail a member's body after warm-up, or break a region, and check
+that the next one runs clean; kill a parked pool worker; and check the one-step static ranges a
 member now computes against the scheduler's partition.
 """
 
@@ -21,13 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultkit import InjectedFault, dies, raises
 from repro.runtime import context as ctx
 from repro.runtime import distributed, procpool, shm
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import get_config, config_override
 from repro.runtime.distributed import DistributedBackend
-from repro.runtime.exceptions import BrokenTeamError, InjectedFault, WorkerProcessError
-from repro.runtime.faults import parse_fault_spec, set_fault_plan
+from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.scheduler import make_scheduler
 from repro.runtime.team import Team, parallel_region
 from repro.runtime.worksharing import run_for
@@ -152,7 +152,6 @@ def backend(request, monkeypatch):
         monkeypatch.setattr(distributed._WorkerTeam, "start_seconds", property(lambda self: 60.0))
         instance = DistributedBackend()
     yield instance
-    set_fault_plan(None)
     shutdown = getattr(instance, "shutdown", None)
     if shutdown is not None:
         shutdown()
@@ -186,17 +185,15 @@ class TestWhatAWorkerKeeps:
             assert _worker_row(seen) == (1, 0, 1, 0, 1)
             assert list(seen.owner.np) == [1] * 6 + [2] * 6
 
-    def test_a_fault_plan_installed_after_warm_up_fires_and_once_removed_does_not(self, backend, seen):
+    def test_a_failing_body_after_warm_up_fires_and_a_clean_one_after_it_does_not(self, backend, seen):
         parallel_region(seen.record, num_threads=2, backend=backend, name="warm")
-        set_fault_plan(parse_fault_spec("raise:member=1,times=100"))  # every region while installed
         for _ in range(2):
             with pytest.raises(BrokenTeamError) as excinfo:
-                parallel_region(seen.record, num_threads=2, backend=backend, name="armed")
+                parallel_region(raises(seen.record, member=1).run, num_threads=2, backend=backend, name="failing")
             assert any(isinstance(exc, InjectedFault) for _, exc in excinfo.value.failures)
-        set_fault_plan(None)
         for _ in range(3):
             seen.owner.np[:] = 0
-            parallel_region(seen.record, num_threads=2, backend=backend, name="disarmed")
+            parallel_region(seen.record, num_threads=2, backend=backend, name="clean")
             assert list(seen.owner.np) == [1] * 6 + [2] * 6
 
     def test_bodies_naming_different_arrays_compute_right(self, backend):
@@ -234,12 +231,20 @@ class TestWhatAWorkerKeeps:
             new.close()
 
 
+#: how a region breaks: a member raises, the team is aborted, a member's process is killed
+BREAKS = {
+    "explode": lambda seen: seen.explode,
+    "abort": lambda seen: seen.abort,
+    "dies": lambda seen: dies(seen.record, member=1).run,
+}
+
+
 class TestABrokenRegionThenACleanOne:
-    @pytest.mark.parametrize("breaks", ["explode", "abort"])
+    @pytest.mark.parametrize("breaks", BREAKS)
     def test_the_next_region_runs_clean(self, backend, seen, breaks):
         parallel_region(seen.record, num_threads=2, backend=backend, name="warm")
         with pytest.raises(BrokenTeamError):
-            parallel_region(getattr(seen, breaks), num_threads=2, backend=backend, name=breaks)
+            parallel_region(BREAKS[breaks](seen), num_threads=2, backend=backend, name=breaks)
         for _ in range(3):
             seen.owner.np[:] = 0
             parallel_region(seen.record, num_threads=2, backend=backend, name="after")
