@@ -14,12 +14,14 @@ Sub-packages
 ``repro.core``
     The paper's contribution: annotations, abstract aspects and the weaver.
 ``repro.perf``
-    Calibrated performance model substituting for the paper's multi-core
-    machines (see DESIGN.md).
+    Calibrated performance model: replays a runtime trace against a cost and
+    a machine model to predict a speedup.
 ``repro.jgf``
     A Python port of the Java Grande Forum benchmarks used in the evaluation.
 ``repro.experiments``
-    Drivers regenerating the paper's Figure 13, Table 2 and Figure 15.
+    Calibrates the performance model's cost model from a single-member trace.
+
+Performance is measured by ``bench/`` (``python3 bench/run.py``).
 """
 
 __version__ = "1.0.0"

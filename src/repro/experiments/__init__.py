@@ -1,29 +1,6 @@
-"""Experiment drivers regenerating the paper's evaluation artefacts.
+"""Trace-calibrated cost models for the paper's performance model.
 
-* :mod:`repro.experiments.figure13` — JGF-MT vs AOmp speedups (Figure 13);
-* :mod:`repro.experiments.table2` — refactorings/abstractions per benchmark (Table 2);
-* :mod:`repro.experiments.figure15` — MolDyn parallelisation strategies (Figure 15).
-
-Each module can be run as a script (``python -m repro.experiments.figureNN``)
-and exposes a ``run(...)`` function used by the benchmark harness and tests.
+:mod:`repro.experiments.harness` turns a single-member calibration trace into
+a :class:`~repro.perf.cost.CostModel`; ``bench/probes.py`` replays a parallel
+trace against it (``perf.predicted_over_measured``).
 """
-
-from repro.experiments import figure13, figure15, table2
-from repro.experiments.harness import (
-    BenchmarkEstimate,
-    aspect_interception_cost,
-    calibrate_cost_model_from_trace,
-    count_advice_activations,
-    estimate_jgf_and_aomp,
-)
-
-__all__ = [
-    "figure13",
-    "figure15",
-    "table2",
-    "BenchmarkEstimate",
-    "aspect_interception_cost",
-    "calibrate_cost_model_from_trace",
-    "count_advice_activations",
-    "estimate_jgf_and_aomp",
-]

@@ -1,28 +1,19 @@
-"""Shared plumbing for the experiment drivers.
+"""Calibrate a cost model from a single-member trace.
 
-The experiment recipe is always the same:
-
-1. run the AOmp version of a benchmark with a **team of one** and a trace
-   recorder — this is the *calibration run*: it measures, per work-shared
-   loop, how long the actual Python kernel takes per unit of work, free of
-   GIL interference;
-2. build a :class:`~repro.perf.cost.CostModel` from that calibration trace;
-3. run the AOmp version again with the full team to obtain the *parallel
-   trace* (which iterations each member executed, where barriers fell, how
-   much time was serialised);
-4. replay the parallel trace against the cost model and the paper's machine
-   models to estimate the speedups the figures report.
+Run the AOmp version of a benchmark with a **team of one** and a trace
+recorder: per work-shared loop, the trace says how long the Python kernel
+took per unit of work, free of GIL interference.
+:func:`calibrate_cost_model_from_trace` turns that into a
+:class:`~repro.perf.cost.CostModel`, which :class:`~repro.perf.model.MakespanModel`
+replays a parallel trace against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from repro.perf.calibrate import measure_critical_overhead, measure_lock_overhead, measure_reduction_cost
 from repro.perf.cost import CostModel, LoopCost
-from repro.perf.machines import MachineModel
-from repro.perf.model import MakespanModel, SpeedupEstimate
 from repro.runtime.trace import EventKind, TraceRecorder
 
 
@@ -78,126 +69,3 @@ def calibrate_cost_model_from_trace(
         reduction_cost_per_element=measure_reduction_cost(elements=50000),
         reduction_elements=reduction_elements,
     )
-
-
-def count_advice_activations(recorder: TraceRecorder) -> int:
-    """Approximate number of advice executions recorded in a trace.
-
-    Used to price the AOmp-specific interception overhead when comparing the
-    AOmp parallelisation against the hand-written JGF-MT one (Figure 13): each
-    woven method execution adds roughly one wrapper call plus a JoinPoint
-    allocation.  Interceptions happen once per *method call*, not once per
-    scheduler chunk, so ``CHUNK`` events are deliberately excluded; barrier,
-    master/single, critical, reduction and region events each correspond to
-    one advised call on one member.
-    """
-    counted = 0
-    for event in recorder.events():
-        if event.kind in (
-            EventKind.BARRIER,
-            EventKind.CRITICAL,
-            EventKind.MASTER,
-            EventKind.SINGLE,
-            EventKind.REGION_BEGIN,
-            EventKind.REDUCTION,
-        ):
-            counted += 1
-    return counted
-
-
-#: Measured cost of one aspect interception (wrapper call + JoinPoint build),
-#: in seconds.  Measured once per process by :func:`aspect_interception_cost`.
-_interception_cost: float | None = None
-
-
-def aspect_interception_cost(samples: int = 20000) -> float:
-    """Micro-benchmark the per-join-point overhead added by the weaver."""
-    global _interception_cost
-    if _interception_cost is not None:
-        return _interception_cost
-    import time
-
-    from repro.core import MethodAspect, Weaver, call
-
-    class _Probe:
-        def poke(self) -> int:
-            return 1
-
-    baseline_obj = _Probe()
-    start = time.perf_counter()
-    for _ in range(samples):
-        baseline_obj.poke()
-    baseline = time.perf_counter() - start
-
-    weaver = Weaver()
-    weaver.weave(MethodAspect(call("_Probe.poke")), _Probe)
-    try:
-        woven_obj = _Probe()
-        start = time.perf_counter()
-        for _ in range(samples):
-            woven_obj.poke()
-        woven = time.perf_counter() - start
-    finally:
-        weaver.unweave_all()
-    _interception_cost = max((woven - baseline) / samples, 1e-8)
-    return _interception_cost
-
-
-@dataclass
-class BenchmarkEstimate:
-    """Modelled speedups of the JGF-MT and AOmp versions of one benchmark."""
-
-    benchmark: str
-    machine: MachineModel
-    num_threads: int
-    jgf: SpeedupEstimate
-    aomp: SpeedupEstimate
-
-    @property
-    def relative_difference(self) -> float:
-        """|JGF - AOmp| / JGF — the quantity the paper bounds by 1%."""
-        if self.jgf.speedup == 0:
-            return 0.0
-        return abs(self.jgf.speedup - self.aomp.speedup) / self.jgf.speedup
-
-
-#: Modelled per-activation advice overhead of the paper's system: AspectJ
-#: weaves at compile/load time and the JIT inlines the advice, so one advice
-#: activation costs on the order of a (non-inlined) JVM method call.  Used by
-#: default for the Figure 13 comparison; pass ``advice_cost=None`` to charge
-#: the measured *Python* wrapper cost instead (EXPERIMENTS.md reports both).
-MODELLED_ASPECTJ_ADVICE_COST = 5.0e-8
-
-
-def estimate_jgf_and_aomp(
-    benchmark: str,
-    parallel_trace: TraceRecorder,
-    cost_model: CostModel,
-    machine: MachineModel,
-    num_threads: int,
-    *,
-    extra_sequential_time: float = 0.0,
-    advice_cost: float | None = MODELLED_ASPECTJ_ADVICE_COST,
-) -> BenchmarkEstimate:
-    """Estimate the JGF-MT and AOmp speedups from one parallel trace.
-
-    Both versions distribute the work identically (the AOmp aspects reproduce
-    the JGF-MT partitioning), so they share the same replayed makespan; the
-    AOmp version additionally pays ``advice_cost`` seconds at every advice
-    activation.  By default that cost models the paper's AspectJ/JIT setup
-    (:data:`MODELLED_ASPECTJ_ADVICE_COST`); ``advice_cost=None`` charges the
-    measured cost of this library's Python wrappers instead, quantifying the
-    substitution's own overhead.
-    """
-    model = MakespanModel(cost_model, machine)
-    base = model.estimate(parallel_trace, num_threads, name=f"{benchmark}-jgf", extra_sequential_time=extra_sequential_time)
-    per_activation = aspect_interception_cost() if advice_cost is None else advice_cost
-    overhead = count_advice_activations(parallel_trace) * per_activation
-    aomp = SpeedupEstimate(
-        name=f"{benchmark}-aomp",
-        num_threads=num_threads,
-        sequential_time=base.sequential_time,
-        makespan=base.makespan + overhead,
-        phases=base.phases,
-    )
-    return BenchmarkEstimate(benchmark=benchmark, machine=machine, num_threads=num_threads, jgf=base, aomp=aomp)

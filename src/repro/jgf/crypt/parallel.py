@@ -108,8 +108,8 @@ def run_backend(
 ) -> BenchmarkResult:
     """Runtime-API port: execute :meth:`CryptBenchmark.run_spmd` on ``backend``.
 
-    This is the entry point :mod:`benchmarks.bench_backends` compares across
-    serial/threads/processes; the body is picklable (all mutable state in
+    This is the entry point ``bench/``'s ``jgf_coarse`` and ``socket_plane``
+    workloads and the compute service run; the body is picklable (all mutable state in
     shared memory under the process backend), so the persistent worker pool
     path is exercised.  ``on_failure`` forwards the recovery policy (each
     block is encrypted/decrypted by pure assignment, so replay is safe).

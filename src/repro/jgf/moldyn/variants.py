@@ -106,10 +106,9 @@ def _force_sweep_aspect(schedule: "str | None"):
     """The for aspect of the force sweep: cyclic by default, overridable.
 
     The triangular per-iteration cost (particle i interacts with the n-1-i
-    particles above it) is priced by the experiments' cost models
-    (LoopCost.weight_fn), so no weight function is attached here.  Passing
-    ``schedule`` (e.g. ``"auto"``) swaps Figure 15's cyclic choice for an
-    explicit one — ``"auto"`` lets the adaptive tuner discover the balanced
+    particles above it) is what cyclic scheduling balances; no weight
+    function is attached here.  Passing ``schedule`` (e.g. ``"auto"``)
+    swaps the paper's cyclic choice for an explicit one — ``"auto"`` lets the adaptive tuner discover the balanced
     schedule the paper hand-picks.
     """
     if schedule is None:

@@ -1,58 +1,27 @@
 """Calibrated performance model.
 
-This package is the substitution for the paper's physical machines (see
-DESIGN.md): the runtime records *what* the parallel execution did (which
-thread ran which iterations, where barriers fell, how much time was
-serialised), the cost models record *how expensive* each unit of work is
-(calibrated from sequential runs), and the machine models describe the
-hardware the paper used.  Combining the three yields the speedups reported in
-the reproduced figures.
+The runtime records *what* a parallel execution did (which member ran which
+iterations, where barriers fell, how much time was serialised), a cost model
+records *how expensive* each unit of work is (calibrated from a
+single-member run), and a machine model describes the hardware.  Replaying a
+trace against the two yields a predicted speedup; ``bench/`` reports it
+beside the measured one as ``perf.predicted_over_measured``.
 """
 
-from repro.perf.calibrate import (
-    CalibrationResult,
-    calibrate,
-    clear_cache,
-    measure_critical_overhead,
-    measure_lock_overhead,
-    measure_reduction_cost,
-)
-from repro.perf.cost import CostModel, LoopCost, make_cost_model, sequential_loop_time, triangular_weight, uniform_weight
-from repro.perf.machines import DUAL_XEON_X5650, INTEL_I7, PAPER_MACHINES, MachineModel
-from repro.perf.model import (
-    AnalyticPhase,
-    AnalyticScenario,
-    MakespanModel,
-    PhaseBreakdown,
-    SpeedupEstimate,
-    phase_duration,
-)
-from repro.perf.report import SpeedupReport, format_bar_chart, format_table
+from repro.perf.calibrate import measure_critical_overhead, measure_lock_overhead, measure_reduction_cost
+from repro.perf.cost import CostModel, LoopCost
+from repro.perf.machines import MachineModel
+from repro.perf.model import MakespanModel, PhaseBreakdown, SpeedupEstimate, phase_duration
 
 __all__ = [
-    "CalibrationResult",
-    "calibrate",
-    "clear_cache",
     "measure_lock_overhead",
     "measure_critical_overhead",
     "measure_reduction_cost",
     "CostModel",
     "LoopCost",
-    "make_cost_model",
-    "sequential_loop_time",
-    "uniform_weight",
-    "triangular_weight",
     "MachineModel",
-    "INTEL_I7",
-    "DUAL_XEON_X5650",
-    "PAPER_MACHINES",
     "MakespanModel",
-    "AnalyticPhase",
-    "AnalyticScenario",
     "SpeedupEstimate",
     "PhaseBreakdown",
     "phase_duration",
-    "SpeedupReport",
-    "format_table",
-    "format_bar_chart",
 ]

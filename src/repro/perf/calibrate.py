@@ -1,67 +1,13 @@
-"""Calibration of cost-model unit costs from sequential runs.
+"""Host measurements of the cost model's synchronisation unit costs.
 
-The figure-shape claims of the paper depend on *relative* costs (how expensive
-is one force interaction compared with one lock acquisition, one reduction
-element, one barrier).  Those relative costs are measured here by timing the
-actual Python kernels sequentially, so the performance model's inputs come
-from measurements on the host rather than hard-coded guesses.  Measurements
-are cached per process because calibration runs take a few milliseconds each.
+The performance model prices a lock acquisition, a critical section and a
+reduction element at what they cost on the host, measured here, rather than
+at hard-coded guesses.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Outcome of one calibration measurement."""
-
-    label: str
-    seconds_per_unit: float
-    units: float
-    repeats: int
-
-
-_cache: dict[str, CalibrationResult] = {}
-
-
-def clear_cache() -> None:
-    """Drop all cached calibration results (used by tests)."""
-    _cache.clear()
-
-
-def calibrate(
-    label: str,
-    workload: Callable[[], float],
-    *,
-    repeats: int = 3,
-    use_cache: bool = True,
-) -> CalibrationResult:
-    """Measure ``workload`` and return seconds per unit of work.
-
-    ``workload`` runs a representative sequential computation and returns the
-    number of *work units* it performed (iterations, interactions, samples,
-    ...).  The best (minimum) time over ``repeats`` runs is used, as
-    recommended for micro-benchmarks (timeit's strategy).
-    """
-    if use_cache and label in _cache:
-        return _cache[label]
-    best = float("inf")
-    units = 0.0
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        units = float(workload())
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    if units <= 0:
-        raise ValueError(f"calibration workload {label!r} reported no work units")
-    result = CalibrationResult(label=label, seconds_per_unit=best / units, units=units, repeats=repeats)
-    if use_cache:
-        _cache[label] = result
-    return result
 
 
 def measure_lock_overhead(samples: int = 20000) -> float:

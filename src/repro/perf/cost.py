@@ -3,16 +3,16 @@
 A cost model answers, for each work-shared loop, "how long would this chunk of
 iterations take on one core of the modelled machine?", and gives prices for
 the synchronisation mechanisms (critical sections, fine-grained locks,
-reductions).  Unit costs are *calibrated* from sequential runs of the actual
-Python kernels (see :mod:`repro.perf.calibrate`), so relative magnitudes —
-which is what the figure shapes depend on — come from measurements, not from
-guesses.
+reductions).  Loop unit costs are calibrated from a single-member trace of
+the actual Python kernels (:mod:`repro.experiments.harness`) and the
+synchronisation prices are measured on the host (:mod:`repro.perf.calibrate`),
+so relative magnitudes come from measurements, not from guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 
 WeightFn = Callable[[int], float]
@@ -24,19 +24,6 @@ _UNRESOLVED = object()
 def uniform_weight(_: int) -> float:
     """Weight function for loops whose iterations all cost the same."""
     return 1.0
-
-
-def triangular_weight(total: int) -> WeightFn:
-    """Weight function for triangular loops (iteration ``i`` touches ``total - i - 1`` pairs).
-
-    This is the cost shape of the MolDyn force loop and of LUFact's
-    elimination loop, and the reason the paper uses cyclic scheduling there.
-    """
-
-    def weight(i: int) -> float:
-        return float(max(total - i - 1, 0))
-
-    return weight
 
 
 @dataclass
@@ -108,9 +95,9 @@ class CostModel:
         Measured cost of spinning up (and joining) a parallel team, used by
         the adaptive tuner's serial-fallback arbitration: a loop predicted to
         finish within a few team spin-ups is routed to the serial fallback
-        instead of being dispatched to the team.  The default matches the
-        committed ``region_spawn`` overhead benchmark's order of magnitude;
-        calibrated models may overwrite it.
+        instead of being dispatched to the team.  The default is the order
+        of magnitude of an empty 2-member region (``bench/``'s
+        ``team.region_us.*``); calibrated models may overwrite it.
     replicated_seconds:
         Per-region, per-thread replicated (non-work-shared) work, in seconds.
         Most JGF kernels have negligible replicated work; LUFact's pivot
@@ -179,16 +166,3 @@ class CostModel:
             task_steal_overhead=self.task_steal_overhead,
             team_spinup_seconds=self.team_spinup_seconds,
         )
-
-
-def sequential_loop_time(cost: LoopCost, start: int, end: int, step: int = 1) -> float:
-    """Time to execute the whole loop sequentially under ``cost``."""
-    return cost.chunk_cost(start, end, step)
-
-
-def make_cost_model(
-    loop_costs: Mapping[str, LoopCost] | None = None,
-    **kwargs,
-) -> CostModel:
-    """Convenience constructor for :class:`CostModel`."""
-    return CostModel(loops=dict(loop_costs or {}), **kwargs)

@@ -1,17 +1,10 @@
 """Modelled machine descriptions.
 
-The paper evaluates on two machines:
-
-1. an Intel i7 (4 cores / 8 hardware threads, 3.2 GHz, 8 MB shared L3), and
-2. a dual Intel Xeon X5650 (2 x 6 cores / 24 hardware threads, 2.66 GHz,
-   12 MB L3 per socket).
-
-Since this reproduction cannot measure real multi-core speedups under the
-CPython GIL (see DESIGN.md), those machines are *modelled*: a machine model
-turns a requested team size into an effective parallelism factor, accounting
-for physical cores and the lower yield of SMT (hyper-threaded) logical cores,
-plus a memory-bandwidth ceiling used by memory-bound kernels (the paper notes
-LUFact and SOR "scale poorly due to the lack of locality of memory accesses").
+A machine model turns a requested team size into an effective parallelism
+factor, accounting for physical cores and the lower yield of SMT
+(hyper-threaded) logical cores, plus a memory-bandwidth ceiling used by
+memory-bound kernels (the paper notes LUFact and SOR "scale poorly due to
+the lack of locality of memory accesses").
 """
 
 from __future__ import annotations
@@ -76,30 +69,3 @@ class MachineModel:
 
         scale = math.log2(min(num_threads, self.hardware_threads)) / max(1.0, math.log2(self.hardware_threads))
         return self.sync_overhead_us * 1e-6 * scale
-
-
-#: Machine 1 of the paper: Intel i7, 4 cores / 8 threads.
-INTEL_I7 = MachineModel(
-    name="Intel i7 (4C/8T, 3.2 GHz)",
-    cores=4,
-    hardware_threads=8,
-    smt_yield=0.3,
-    memory_bound_cap=3.0,
-    sync_overhead_us=4.0,
-)
-
-#: Machine 2 of the paper: dual Xeon X5650, 12 cores / 24 threads.
-DUAL_XEON_X5650 = MachineModel(
-    name="Dual Intel Xeon X5650 (12C/24T, 2.66 GHz)",
-    cores=12,
-    hardware_threads=24,
-    smt_yield=0.3,
-    memory_bound_cap=5.0,
-    sync_overhead_us=8.0,
-)
-
-#: The two machines of the paper's evaluation, keyed as in Figure 13.
-PAPER_MACHINES = {
-    "i7-8threads": (INTEL_I7, 8),
-    "xeon-24threads": (DUAL_XEON_X5650, 24),
-}

@@ -1,15 +1,10 @@
 """Makespan and speedup estimation.
 
-Two entry points:
-
-* :class:`MakespanModel` — replays an execution trace produced by the runtime
-  (:class:`~repro.runtime.trace.TraceRecorder`) against a
-  :class:`~repro.perf.cost.CostModel` and a
-  :class:`~repro.perf.machines.MachineModel`, and estimates the parallel
-  makespan, sequential time and speedup the modelled machine would achieve.
-* :class:`AnalyticScenario` — the same phase algebra applied to analytically
-  constructed phases, used for problem sizes too large to execute (the 256k
-  and 500k particle points of Figure 15).
+:class:`MakespanModel` replays an execution trace produced by the runtime
+(:class:`~repro.runtime.trace.TraceRecorder`) against a
+:class:`~repro.perf.cost.CostModel` and a
+:class:`~repro.perf.machines.MachineModel`, and estimates the parallel
+makespan, sequential time and speedup the modelled machine would achieve.
 
 The phase algebra: a parallel region is a sequence of *phases* delimited by
 team barriers.  The duration of one phase is bounded below by
@@ -86,22 +81,6 @@ class SpeedupEstimate:
         if self.makespan <= 0.0:
             return 1.0
         return self.sequential_time / self.makespan
-
-    @property
-    def efficiency(self) -> float:
-        """Speedup divided by the number of threads."""
-        return self.speedup / max(1, self.num_threads)
-
-    def as_dict(self) -> dict:
-        """Plain-dict form used by the experiment reports."""
-        return {
-            "name": self.name,
-            "threads": self.num_threads,
-            "sequential_time": self.sequential_time,
-            "makespan": self.makespan,
-            "speedup": self.speedup,
-            "efficiency": self.efficiency,
-        }
 
 
 class MakespanModel:
@@ -329,44 +308,3 @@ class MakespanModel:
             makespan += breakdown.duration
         makespan += barrier_rounds * self.machine.barrier_cost(num_threads)
         return makespan, sequential_time, ordered
-
-
-@dataclass
-class AnalyticPhase:
-    """One phase of an analytically constructed scenario."""
-
-    work_per_thread: list[float]
-    serialized_per_thread: list[float] | None = None
-    memory_bound_fraction: float = 0.0
-    overhead: float = 0.0
-
-    def duration(self, machine: MachineModel, num_threads: int) -> float:
-        compute = {t: w for t, w in enumerate(self.work_per_thread)}
-        serialized = {t: s for t, s in enumerate(self.serialized_per_thread or [])}
-        return (
-            phase_duration(compute, serialized, machine, num_threads, self.memory_bound_fraction)
-            + self.overhead
-        )
-
-
-@dataclass
-class AnalyticScenario:
-    """A sequence of analytic phases plus the sequential reference time."""
-
-    name: str
-    phases: list[AnalyticPhase]
-    sequential_time: float
-    num_threads: int
-
-    def makespan(self, machine: MachineModel) -> float:
-        """Total modelled parallel time."""
-        return sum(phase.duration(machine, self.num_threads) for phase in self.phases)
-
-    def estimate(self, machine: MachineModel) -> SpeedupEstimate:
-        """Speedup estimate under ``machine``."""
-        return SpeedupEstimate(
-            name=self.name,
-            num_threads=self.num_threads,
-            sequential_time=self.sequential_time,
-            makespan=self.makespan(machine),
-        )

@@ -49,8 +49,16 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 from repro.runtime import shm
 import repro.obs.registry as obsreg
 from repro.runtime.config import get_config, usable_cpus
-from repro.runtime.dataplane import ShmDataPlane
-from repro.runtime.member import FrameReader, _encode_exception, _encode_result, body_payload, join_team, send_frame
+from repro.runtime.dataplane import shm_process_sync
+from repro.runtime.member import (
+    FrameReader,
+    _encode_exception,
+    _encode_result,
+    body_payload,
+    join_team,
+    send_frame,
+    watch_master,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
@@ -495,7 +503,6 @@ class ProcessBackend(ExternalBackend):
         use_pool: bool = True,
     ) -> None:
         super().__init__(fallback)
-        self._plane = ShmDataPlane()
         self._pool_workers = pool_workers
         self._use_pool = use_pool
         self._pool = None
@@ -518,7 +525,7 @@ class ProcessBackend(ExternalBackend):
                 pool.prepare(size)
                 return pool.region_sync(body_bytes, self._pool_lock)
             self._pool_lock.release()
-        return self._plane.create_sync(size)
+        return shm_process_sync(size)
 
     def finish_region(self, team: "Team") -> None:
         sync = team.process_sync
@@ -541,11 +548,24 @@ class ProcessBackend(ExternalBackend):
         ctx = shm._mp_context()
 
         def child(thread_id: int, reply_fd: int) -> None:
+            # Only the master keeps read ends, so a reply to a dead master
+            # fails instead of filling a pipe nobody reads.
+            for fd in read_fds:
+                os.close(fd)
+            threading.Thread(
+                target=watch_master,
+                args=(os.getppid(), team.process_sync.barrier, threading.Event()),
+                name="aomp-master-watch",
+                daemon=True,
+            ).start()
             try:
                 reply = (_encode_result(run_member(thread_id)), None)
             except BaseException as exc:
                 reply = (None, _encode_exception(exc))
-            send_frame(reply_fd, (thread_id, reply))
+            try:
+                send_frame(reply_fd, (thread_id, reply))
+            except BrokenPipeError:
+                shm.sweep_orphans()  # the master is gone, and with it the owner of the team's segments
 
         # One reply pipe per member, its write end closed here as soon as its
         # child holds it: a child that dies without replying leaves EOF.

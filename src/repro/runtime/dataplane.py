@@ -1,35 +1,31 @@
-"""Pluggable data planes: where a team's shared state physically lives.
+"""Data planes: where a process team's shared state physically lives.
 
-Every process-backed team needs the same five services — bulk array
-segments, claim/fetch-add slots, a cyclic barrier, heartbeat cells and the
-locks guarding them — but *where* those live is a transport decision, not a
-runtime one.  This module separates the two:
+Every process-backed team synchronises through one
+:class:`~repro.runtime.shm.ProcessSync` bundle — a cyclic barrier, the
+claim / steal / tune slot arenas and heartbeat cells — and everything above
+it (worksharing, tasks, tuning, failure monitoring) only ever touches the
+``ArenaSlot`` / ``TaskStealSlot`` / ``TunePlanSlot`` / barrier surfaces.
+Two transports build that bundle:
 
-* :class:`DataPlane` — the constructor-level abstraction.  A plane builds
-  the :class:`~repro.runtime.shm.ProcessSync` bundle a team synchronises
-  through; everything above it (worksharing, tasks, tuning, failure
-  monitoring) is plane-agnostic because it only ever touches the
-  ``ArenaSlot`` / ``TaskStealSlot`` / ``TunePlanSlot`` / barrier surfaces.
+* **shm** — :func:`shm_process_sync`: arenas over ``multiprocessing``
+  shared memory and locks, handed to forked members by address-space
+  inheritance.  The process backend's fork-per-region teams and the
+  persistent pool are built by it.
 
-* :class:`ShmDataPlane` — today's machinery, unchanged: arenas over
-  ``multiprocessing`` shared memory and locks, handed to forked workers by
-  address-space inheritance.  The process backend and the persistent pool
-  construct through it, bit-identical to their historical direct
-  construction.
-
-* :class:`SocketDataPlane` — a message-passing plane for members in
-  *independent* (non-forked, possibly remote-capable) processes.  A
-  :class:`Coordinator` in the master process hosts the **real** arena
-  instances over plain heap cells (the :func:`~repro.runtime.shm.heap_cells`
-  allocator) and serves claim / barrier / heartbeat RPCs over
-  length-prefixed TCP on localhost.  Workers hold a :class:`RemoteArena` per
-  slot kind; the master, living in the coordinator's process, uses the
-  arenas directly and pays zero round-trips.  Claim *policy* (the slot ops
-  ``claim_batch`` / ``claim_guided_batch``, steal-deck seeding) therefore
-  runs exactly once, master-side, through exactly the same code the shm
-  plane and every in-process team use — which is
-  what makes chunk boundaries identical across planes by construction
-  rather than by testing luck.
+* **socket** — for members in *independent* (non-forked, possibly
+  remote-capable) processes.  A :class:`Coordinator` in the master process
+  hosts the **real** arena instances over plain heap cells (the
+  :func:`~repro.runtime.shm.heap_cells` allocator) and serves claim /
+  barrier / heartbeat RPCs over length-prefixed TCP on localhost; the
+  ``distributed`` backend's worker team builds its bundle from the
+  coordinator's own barrier, arenas and heartbeat cells.  Workers hold a
+  :class:`RemoteArena` per slot kind (:func:`worker_process_sync`); the
+  master, living in the coordinator's process, uses the arenas directly and
+  pays zero round-trips.  Claim *policy* (the slot ops ``claim_batch`` /
+  ``claim_guided_batch``, steal-deck seeding) therefore runs exactly once,
+  master-side, through exactly the same code the shm plane and every
+  in-process team use — which is what makes chunk boundaries identical
+  across planes by construction rather than by testing luck.
 
 The slot surface is not written here at all.  Each slot class in
 :mod:`repro.runtime.shm` declares the operations the wire may name
@@ -219,57 +215,37 @@ def _put_changes(runs: bytes, values: bytes, *targets: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The abstraction + the shm plane
+# The shm plane
 # ---------------------------------------------------------------------------
 
-
-class DataPlane:
-    """Where a team's shared state lives and how members reach it."""
-
-    #: short identifier (``shm`` / ``socket``) used in error messages.
-    name = "abstract"
-    #: human-readable transport description for diagnostics.
-    transport = "unspecified transport"
-
-    def create_sync(self, size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
-        """Build the ``ProcessSync`` bundle a ``size``-member team runs on."""
-        raise NotImplementedError
-
-    def release_sync(self, sync: shm.ProcessSync) -> None:
-        """Tear down plane resources held by ``sync`` (no-op by default)."""
+#: transport label threaded into a fork-inherited team's barrier-timeout messages.
+SHM_TRANSPORT = "shm data plane, fork-inherited shared memory"
 
 
-class ShmDataPlane(DataPlane):
-    """Today's shared-memory/fork machinery, constructed through the plane API.
+def shm_process_sync(size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
+    """The ``ProcessSync`` bundle a ``size``-member fork-inherited team runs on.
 
-    Deliberately nothing but a constructor shim: the arenas, barrier and
-    heartbeat cells are exactly the objects the process backend and the
-    persistent pool built directly before the data-plane split, so existing
-    backends are bit-identical through it.
+    ``max_workers`` sizes the arenas (default ``max(size, 2)``); the pool
+    passes its full width, as its team sizes vary region to region.
     """
+    capacity = max_workers if max_workers is not None else max(size, 2)
+    metrics = None
+    if pooled or get_config().metrics:
+        # Pool syncs always carry an arena: pooled workers are forked once
+        # at pool construction and can only ever flush into cells that
+        # existed at fork time, so the arena must exist even if metrics
+        # are enabled later via ``config_override``.
+        from repro.obs.arena import MetricsArena
 
-    name = "shm"
-    transport = "fork-inherited shared memory"
-
-    def create_sync(self, size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
-        capacity = max_workers if max_workers is not None else max(size, 2)
-        metrics = None
-        if pooled or get_config().metrics:
-            # Pool syncs always carry an arena: pooled workers are forked once
-            # at pool construction and can only ever flush into cells that
-            # existed at fork time, so the arena must exist even if metrics
-            # are enabled later via ``config_override``.
-            from repro.obs.arena import MetricsArena
-
-            metrics = MetricsArena(capacity)
-        barrier = CyclicBarrier(size, cells=shm.mp_cells, transport=f"{self.name} data plane, {self.transport}")
-        return shm.ProcessSync(
-            barrier,
-            shm.SlotArenas.build(capacity, barrier),
-            pooled=pooled,
-            heartbeat=shm.HeartbeatArena(),
-            metrics=metrics,
-        )
+        metrics = MetricsArena(capacity)
+    barrier = CyclicBarrier(size, cells=shm.mp_cells, transport=SHM_TRANSPORT)
+    return shm.ProcessSync(
+        barrier,
+        shm.SlotArenas.build(capacity, barrier),
+        pooled=pooled,
+        heartbeat=shm.HeartbeatArena(),
+        metrics=metrics,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1083,25 +1059,3 @@ def worker_process_sync(session: WorkerSession, size: int) -> shm.ProcessSync:
         shm.SlotArenas(*(RemoteArena(session, kind) for kind in shm.SlotArenas._fields)),
         heartbeat=SessionHeartbeat(),
     )
-
-
-class SocketDataPlane(DataPlane):
-    """Message-passing plane: coordinator-hosted state, TCP-connected members."""
-
-    name = "socket"
-    transport = SOCKET_TRANSPORT
-
-    def create_sync(self, size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
-        coordinator = Coordinator(size)
-        coordinator.start()
-        return shm.ProcessSync(
-            coordinator.barrier,
-            coordinator.slots,
-            pooled=pooled,
-            heartbeat=coordinator.heartbeat,
-            owned=coordinator,
-        )
-
-    def release_sync(self, sync: shm.ProcessSync) -> None:
-        if sync.owned is not None:
-            sync.owned.shutdown()

@@ -129,10 +129,10 @@ class _WorkerTeam:
     every region that ends clean, retired otherwise.
     """
 
-    def __init__(self, plane: dataplane.SocketDataPlane, size: int) -> None:
-        self.sync = plane.create_sync(size)
-        self.coordinator: dataplane.Coordinator = self.sync.owned
-        self.sync.owned = self
+    def __init__(self, size: int) -> None:
+        coordinator = self.coordinator = dataplane.Coordinator(size)
+        coordinator.start()
+        self.sync = shm.ProcessSync(coordinator.barrier, coordinator.slots, heartbeat=coordinator.heartbeat, owned=self)
         self.workers: "dict[int, subprocess.Popen]" = {}
         self._spawned_at = 0.0
         #: the timer that retires the team when no region comes for it
@@ -241,15 +241,9 @@ class DistributedBackend(ExternalBackend):
 
     def __init__(self, fallback: "Backend | None" = None) -> None:
         super().__init__(fallback)
-        self._plane = dataplane.SocketDataPlane()
         self._parked: "_WorkerTeam | None" = None
         self._lock = threading.Lock()
         self._exit_hook = False
-
-    @property
-    def plane(self) -> dataplane.SocketDataPlane:
-        """The socket data plane this backend constructs teams through."""
-        return self._plane
 
     @property
     def true_parallel(self) -> bool:
@@ -267,7 +261,7 @@ class DistributedBackend(ExternalBackend):
             self._retire(workers, 5.0, wait=False)
             workers = None
         if workers is None:
-            workers = _WorkerTeam(self._plane, size)
+            workers = _WorkerTeam(size)
         else:
             _count(obsreg.DISTRIBUTED_TEAMS_REUSED)
         workers.sync.body_bytes = body_bytes

@@ -33,6 +33,7 @@ import select
 import signal
 import struct
 import sys
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -466,6 +467,28 @@ def _worker_death_message(team: "Team", member: int, pid: "int | None", exitcode
     if exitcode is not None:
         return f"{who} for {where} exited with code {exitcode} before reporting"
     return f"{who} for {where} died without reporting"
+
+
+def watch_master(master: int, barrier, gone: threading.Event) -> None:
+    """A forked member's daemon thread (pool worker or fork-per-region child):
+    sleep until every thread of ``master`` has exited — and so released its
+    segment locks — then say so and break ``barrier``, so a member asleep in
+    a round the master will never end leaves at once.  Without pidfds there
+    is nothing to sleep on, and the member falls back on its pipe and the
+    barrier timeout."""
+    try:
+        fd = os.pidfd_open(master)
+    except ProcessLookupError:
+        pass  # gone already
+    except (AttributeError, OSError):
+        return
+    else:
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        poller.poll()  # readable once the whole thread group has exited
+        os.close(fd)
+    gone.set()
+    barrier.abort()
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import os
 import queue
-import select
 import threading
 
 import repro.obs.registry as obsreg
 from repro.obs.exposition import suppress_exporter
 from repro.runtime import shm
 from repro.runtime.config import get_config
-from repro.runtime.dataplane import ShmDataPlane
+from repro.runtime.dataplane import shm_process_sync
 from repro.runtime.member import (
     FrameReader,
     WorkerState,
@@ -38,6 +37,7 @@ from repro.runtime.member import (
     join_team,
     run_shipped_member,
     send_frame,
+    watch_master,
 )
 from repro.runtime.monitor import WorkerMonitor
 
@@ -62,10 +62,11 @@ def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "
     what lets a pipe report its other side gone.
 
     A master that dies mid-region never ends the round its workers sleep in:
-    :func:`_watch_master` breaks the pool barrier once it has gone, so they
-    leave within moments instead of at the barrier timeout.  On the way out
-    the worker sweeps ownerless shared-memory segments
-    (:func:`shm.sweep_orphans`): what a master killed with a warm pool left.
+    :func:`~repro.runtime.member.watch_master` breaks the pool barrier once
+    it has gone, so they leave within moments instead of at the barrier
+    timeout.  On the way out the worker sweeps ownerless shared-memory
+    segments (:func:`shm.sweep_orphans`): what a master killed with a warm
+    pool left.
     A dying master's pipes may close before its segment locks are released,
     so a worker that found its master's pipe closed waits for the master to
     be gone first.
@@ -76,7 +77,7 @@ def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "
     reader, state, wait = FrameReader([tasks]), WorkerState(), IDLE_RELEASE
     master_gone = threading.Event()
     threading.Thread(
-        target=_watch_master, args=(os.getppid(), sync.barrier, master_gone), name="aomp-master-watch", daemon=True
+        target=watch_master, args=(os.getppid(), sync.barrier, master_gone), name="aomp-master-watch", daemon=True
     ).start()
     try:
         while True:
@@ -101,26 +102,6 @@ def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "
         shm.sweep_orphans()
 
 
-def _watch_master(master: int, barrier, gone: threading.Event) -> None:
-    """A pool worker's daemon thread: sleep until every thread of ``master``
-    has exited — and so released its segment locks — then say so and break
-    the pool barrier.  Without pidfds there is nothing to sleep on, and the
-    worker falls back on its pipe and :data:`ORPHAN_WAIT`."""
-    try:
-        fd = os.pidfd_open(master)
-    except ProcessLookupError:
-        pass  # gone already
-    except (AttributeError, OSError):
-        return
-    else:
-        poller = select.poll()
-        poller.register(fd, select.POLLIN)
-        poller.poll()  # readable once the whole thread group has exited
-        os.close(fd)
-    gone.set()
-    barrier.abort()
-
-
 class PersistentProcessPool:
     """A fixed-size pool of forked worker processes executing team members."""
 
@@ -139,10 +120,10 @@ class PersistentProcessPool:
         # the explicit "fork" context, never the ambient default.
         shm.require_fork("the persistent process pool")
         self.workers = workers
-        # Constructed through the shm data plane (the barrier starts with one
-        # party and is reset per region; the steal arena gets the full
-        # 64-worker width because pool team sizes vary region to region).
-        self._sync = ShmDataPlane().create_sync(1, pooled=True, max_workers=64)
+        # The barrier starts with one party and is reset per region; the
+        # arenas get the full 64-worker width because pool team sizes vary
+        # region to region.
+        self._sync = shm_process_sync(1, pooled=True, max_workers=64)
         self.barrier = self._sync.barrier
         self.slots = self._sync.slots
         self.heartbeat = self._sync.heartbeat

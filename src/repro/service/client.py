@@ -1,9 +1,10 @@
 """A small blocking client for the compute service's line-JSON protocol.
 
-Used by the end-to-end tests, ``benchmarks/bench_service.py`` and the CI
-driver — anything that needs to speak to the service from plain synchronous
-code.  One socket per client; thread-safe for *sequential* use per instance
-(drive concurrency with one client per thread, like real callers would).
+Used by the end-to-end tests, ``bench/``'s ``service_open`` workload and the
+CI ``service`` job — anything that needs to speak to the service from plain
+synchronous code.  One socket per client; thread-safe for *sequential* use
+per instance (drive concurrency with one client per thread, like real
+callers would).
 """
 
 from __future__ import annotations

@@ -270,7 +270,7 @@ class ComputeService:
 class ServiceThread:
     """Run a :class:`ComputeService` on a dedicated event-loop thread.
 
-    The synchronous harness tests, benchmarks and ``scripts/aomp_serve.py``'s
+    The synchronous harness tests, ``bench/`` and ``scripts/aomp_serve.py``'s
     signal handling all need a service that *blocks someone else* — this
     wrapper owns the event loop thread and exposes a blocking start/stop API.
     """

@@ -70,8 +70,7 @@ def _default_team_spinup_seconds() -> float:
     """The un-calibrated team spin-up estimate.
 
     Single source of truth is :attr:`repro.perf.cost.CostModel.team_spinup_seconds`
-    (whose default matches the committed ``region_spawn`` benchmark's order of
-    magnitude); imported lazily so the tune package stays importable without
+    (the order of magnitude of an empty 2-member region); imported lazily so the tune package stays importable without
     pulling in the whole perf package at module-import time.
     """
     from repro.perf.cost import CostModel
@@ -96,7 +95,7 @@ FLAG_REPORT = 2
 #: a 2-vCPU host, single probes of the balanced 16k-iteration loop of
 #: ``irregular_claims`` read 0.00-0.20 (threads and pool, quiet and with four
 #: spinning processes beside them), while triangular and random sleep loops
-#: (``bench_tune`` and the tuner tests) read 0.29-0.51.
+#: (the ``perfgate`` targets and the tuner tests) read 0.29-0.51.
 BALANCED_IMBALANCE = 0.25
 
 #: A member whose CPU seconds are at least this share of the time its share

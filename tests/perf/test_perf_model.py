@@ -7,15 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ParallelRegion, ForCyclic, call, Weaver
-from repro.perf.calibrate import calibrate, clear_cache, measure_lock_overhead
-from repro.perf.cost import CostModel, LoopCost, triangular_weight
-from repro.perf.machines import DUAL_XEON_X5650, INTEL_I7, PAPER_MACHINES, MachineModel
-from repro.perf.model import AnalyticPhase, AnalyticScenario, MakespanModel, phase_duration
-from repro.perf.report import SpeedupReport, format_bar_chart, format_table
+from repro.experiments.harness import calibrate_cost_model_from_trace
+from repro.jgf import BENCHMARKS
+from repro.perf.calibrate import measure_critical_overhead, measure_lock_overhead, measure_reduction_cost
+from repro.perf.cost import CostModel, LoopCost
+from repro.perf.machines import MachineModel
+from repro.perf.model import MakespanModel, phase_duration
+from repro.runtime.config import config_override
 from repro.runtime.tasks import run_taskloop
 from repro.runtime.team import parallel_region
 from repro.runtime.trace import EventKind, TraceRecorder
 from repro.runtime.worksharing import run_for
+
+
+def triangular_weight(total):
+    """Iteration ``i`` touches ``total - i - 1`` pairs: the MolDyn/LUFact loop shape."""
+    return lambda i: float(max(total - i - 1, 0))
 
 
 class TestMachineModel:
@@ -43,16 +50,12 @@ class TestMachineModel:
 
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
-            INTEL_I7.effective_parallelism(0)
+            MachineModel("m", cores=4, hardware_threads=8).effective_parallelism(0)
 
     def test_barrier_cost_grows_with_team(self):
-        assert DUAL_XEON_X5650.barrier_cost(1) == 0.0
-        assert DUAL_XEON_X5650.barrier_cost(24) > DUAL_XEON_X5650.barrier_cost(2) > 0.0
-
-    def test_paper_machines_registry(self):
-        assert set(PAPER_MACHINES) == {"i7-8threads", "xeon-24threads"}
-        machine, threads = PAPER_MACHINES["i7-8threads"]
-        assert machine is INTEL_I7 and threads == 8
+        machine = MachineModel("m", cores=12, hardware_threads=24)
+        assert machine.barrier_cost(1) == 0.0
+        assert machine.barrier_cost(24) > machine.barrier_cost(2) > 0.0
 
 
 class TestCostModel:
@@ -375,81 +378,50 @@ class TestTuneEventsInModel:
         assert 1.0 <= estimate.speedup <= 2.0 + 1e-9
 
 
-class TestAnalyticScenario:
-    def test_balanced_scenario(self):
-        machine = MachineModel("m", cores=4, hardware_threads=4, sync_overhead_us=0.0)
-        scenario = AnalyticScenario(
-            name="balanced",
-            phases=[AnalyticPhase(work_per_thread=[1.0] * 4)],
-            sequential_time=4.0,
-            num_threads=4,
-        )
-        assert scenario.estimate(machine).speedup == pytest.approx(4.0)
-
-    def test_serialized_phase(self):
-        machine = MachineModel("m", cores=4, hardware_threads=4)
-        scenario = AnalyticScenario(
-            name="serial",
-            phases=[AnalyticPhase(work_per_thread=[0.0] * 4, serialized_per_thread=[1.0] * 4)],
-            sequential_time=4.0,
-            num_threads=4,
-        )
-        assert scenario.estimate(machine).speedup == pytest.approx(1.0)
-
-    def test_overhead_reduces_speedup(self):
-        machine = MachineModel("m", cores=4, hardware_threads=4)
-        base = AnalyticScenario("a", [AnalyticPhase([1.0] * 4)], 4.0, 4)
-        slow = AnalyticScenario("b", [AnalyticPhase([1.0] * 4, overhead=1.0)], 4.0, 4)
-        assert slow.estimate(machine).speedup < base.estimate(machine).speedup
-
-
 class TestCalibration:
-    def test_calibrate_returns_positive_unit_cost(self):
-        clear_cache()
-        result = calibrate("square-sum", lambda: (sum(i * i for i in range(20000)), 20000)[1], repeats=2)
-        assert result.seconds_per_unit > 0
-        assert result.units == 20000
-
-    def test_calibrate_caches(self):
-        clear_cache()
-        first = calibrate("cached", lambda: 100, repeats=1)
-        second = calibrate("cached", lambda: 100, repeats=1)
-        assert first is second
-
-    def test_zero_units_rejected(self):
-        clear_cache()
-        with pytest.raises(ValueError):
-            calibrate("empty", lambda: 0, repeats=1, use_cache=False)
-
     def test_lock_overhead_is_small_but_positive(self):
         overhead = measure_lock_overhead(samples=2000)
         assert 0 < overhead < 1e-4
 
+    def test_critical_overhead_is_small_but_positive(self):
+        overhead = measure_critical_overhead(samples=2000)
+        assert 0 < overhead < 1e-4
 
-class TestReports:
-    def test_format_table_alignment(self):
-        text = format_table(["name", "value"], [["a", 1.5], ["long-name", 2.25]])
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert "long-name" in lines[3]
+    def test_reduction_cost_per_element_is_small_but_positive(self):
+        cost = measure_reduction_cost(elements=20000)
+        assert 0 < cost < 1e-6
 
-    def test_bar_chart(self):
-        chart = format_bar_chart({"a": 2.0, "b": 4.0})
-        assert "####" in chart
-        assert format_bar_chart({}) == "(empty)"
+    def test_a_weight_function_prices_each_unit_of_weight(self):
+        recorder = TraceRecorder()
+        # Two chunks of kernel.sweep: iterations 0..3 and 4..7, weight i + 1 each.
+        recorder.record(EventKind.CHUNK, 0, 0, loop="kernel.sweep", start=0, end=4, step=1, count=4, elapsed=0.010)
+        recorder.record(EventKind.CHUNK, 0, 0, loop="kernel.sweep", start=4, end=8, step=1, count=4, elapsed=0.026)
+        recorder.record(EventKind.CHUNK, 0, 0, loop="kernel.copy", start=0, end=5, step=1, count=5, elapsed=0.005)
+        recorder.record(EventKind.CHUNK, 0, 0, loop="kernel.untimed", start=0, end=5, step=1, count=5)
+        model = calibrate_cost_model_from_trace(
+            recorder,
+            weight_fns={"sweep": lambda i: float(i + 1)},
+            memory_bound_fractions={"kernel.copy": 0.5},
+            reduction_elements=3.0,
+        )
+        assert set(model.loops) == {"kernel.sweep", "kernel.copy"}
+        sweep, copy = model.loops["kernel.sweep"], model.loops["kernel.copy"]
+        assert sweep.seconds_per_unit == pytest.approx(0.036 / 36)
+        assert sweep.weight_fn(7) == 8.0
+        assert copy.seconds_per_unit == pytest.approx(0.001)
+        assert copy.weight_fn(3) == 1.0
+        assert (sweep.memory_bound_fraction, copy.memory_bound_fraction) == (0.0, 0.5)
+        assert model.reduction_elements == 3.0
+        assert min(model.critical_overhead, model.lock_overhead, model.reduction_cost_per_element) > 0
 
-    def test_speedup_report_round_trip(self):
-        report = SpeedupReport("demo")
-        machine = MachineModel("m", cores=2, hardware_threads=2)
-        scenario = AnalyticScenario("x", [AnalyticPhase([1.0, 1.0])], 2.0, 2)
-        report.add("config-a", "bench-1", scenario.estimate(machine))
-        report.add_value("config-b", "bench-1", 1.5)
-        assert report.speedup("config-a", "bench-1") == pytest.approx(2.0)
-        assert report.speedup("config-b", "bench-1") == 1.5
-        assert report.configurations() == ["config-a", "config-b"]
-        assert "bench-1" in report.to_table()
-        with pytest.raises(KeyError):
-            report.speedup("missing", "bench-1")
+    def test_calibration_builds_loop_costs(self):
+        recorder = TraceRecorder()
+        with config_override(num_threads=1):
+            BENCHMARKS["Series"].run_aomp("tiny", num_threads=1, recorder=recorder)
+        model = calibrate_cost_model_from_trace(recorder)
+        assert model.loops
+        for cost in model.loops.values():
+            assert cost.seconds_per_unit > 0
 
 
 # -- property-based sanity on the phase algebra -------------------------------

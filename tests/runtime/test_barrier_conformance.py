@@ -263,6 +263,6 @@ class TestBarrierTimeoutContract:
         if not shm.fork_available():
             pytest.skip("the shm plane needs multiprocessing primitives")
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0.05")
-        barrier = dataplane.ShmDataPlane().create_sync(2).barrier
+        barrier = dataplane.shm_process_sync(2).barrier
         with pytest.raises(BrokenBarrierError, match=r"shm data plane"):
             barrier.wait()

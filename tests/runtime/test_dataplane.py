@@ -116,11 +116,10 @@ class TestWireFraming:
 
 
 class TestShmPlane:
-    """The shm plane is a constructor shim: components are the historical types."""
+    """The shm bundle is built from the same arena and barrier types every team uses."""
 
     def test_components_are_the_historical_types(self):
-        plane = dataplane.ShmDataPlane()
-        sync = plane.create_sync(3)
+        sync = dataplane.shm_process_sync(3)
         assert isinstance(sync.barrier, CyclicBarrier) and sync.barrier.parties == 3
         assert isinstance(sync.slots.arena, shm.SyncArena)
         assert isinstance(sync.slots.steal, shm.TaskStealArena)
@@ -130,13 +129,9 @@ class TestShmPlane:
         assert sync.pooled is False
 
     def test_pool_construction_knobs(self):
-        sync = dataplane.ShmDataPlane().create_sync(1, pooled=True, max_workers=64)
+        sync = dataplane.shm_process_sync(1, pooled=True, max_workers=64)
         assert sync.pooled is True
         assert sync.slots.steal.max_workers == 64
-
-    def test_release_is_a_no_op(self):
-        plane = dataplane.ShmDataPlane()
-        plane.release_sync(plane.create_sync(2))  # must not raise
 
 
 class TestCoordinatorRPC:
@@ -732,6 +727,7 @@ class TestDistributedExecution:
             assert np.array_equal(body.out.view(), np.arange(24) * 2.0)
         finally:
             body.close()
+            backend.shutdown()
 
     @staticmethod
     def _assert_matches_processes(kernel, schedule):
@@ -797,6 +793,7 @@ class TestDeadMemberDetection:
             assert "SIGKILL" in str(cause)
         finally:
             body.close()
+            backend.shutdown()
 
     def test_region_after_a_death_still_works(self):
         """A team that lost a member is not handed back: a death must not poison the backend."""
@@ -810,3 +807,4 @@ class TestDeadMemberDetection:
             assert np.array_equal(body.out.view(), np.arange(8) * 2.0)
         finally:
             body.close()
+            backend.shutdown()

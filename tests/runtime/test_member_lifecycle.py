@@ -33,7 +33,7 @@ import pytest
 import repro.obs.registry as obsreg
 from faultkit import InjectedFault, raises
 from repro.runtime import context as ctx
-from repro.runtime import dataplane, shm
+from repro.runtime import dataplane, distributed, shm
 from repro.runtime import member as lifecycle
 from repro.runtime.backend import ProcessBackend
 from repro.runtime.config import config_override, get_config
@@ -127,14 +127,13 @@ def _shm_transport(monkeypatch):
     if not shm.fork_available():
         pytest.skip("the shm plane's primitives need the fork context")
     with config_override(metrics=True):
-        sync = dataplane.ShmDataPlane().create_sync(2)
+        sync = dataplane.shm_process_sync(2)
     yield Transport(sync, sync, lambda reply: dict(sync.metrics.drain()))
 
 
 def _socket_transport(monkeypatch):
-    plane = dataplane.SocketDataPlane()
-    sync = plane.create_sync(2)
-    coordinator = sync.owned
+    workers = distributed._WorkerTeam(2)  # the master's bundle; no worker process is spawned
+    sync, coordinator = workers.sync, workers.coordinator
     session = dataplane.WorkerSession(
         dataplane.LOOPBACK_HOST, coordinator.port, coordinator.token, 1, install_hook=False
     )
@@ -151,7 +150,7 @@ def _socket_transport(monkeypatch):
         yield Transport(sync, dataplane.worker_process_sync(session, 2), flushed)
     finally:
         session.close()
-        plane.release_sync(sync)
+        coordinator.shutdown()
 
 
 @pytest.fixture(params=["shm", "socket"])

@@ -22,7 +22,7 @@ import _posixshmem
 import fcntl
 import pytest
 
-from repro.runtime import procpool, shm
+from repro.runtime import member, shm
 
 pytestmark = [
     pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"),
@@ -183,6 +183,29 @@ def test_a_master_killed_mid_region_leaves_no_worker_and_no_segment():
     assert left, f"5 s after the master's death: {_residue(name, workers)}"
 
 
+def test_a_master_killed_mid_fork_region_leaves_no_member_and_no_segment():
+    """The same on the fork-per-region path: the forked members sleep in the
+    loop's closing barrier while the master sleeps before it."""
+    master, words = _start(
+        "class Stall(Fill):\n"
+        "    def run(self):\n"
+        "        if get_thread_id() == 0:\n"
+        "            while self.out.np[22:].sum() < 42:\n"  # members 1 and 2 did their static shares
+        "                time.sleep(0.005)\n"
+        "            print(self.out.name, *self.pids.np[1:3], flush=True)\n"
+        "            time.sleep(600)\n"
+        "        super().run()\n"
+        "fill = Stall()\n"
+        "parallel_region(fill.run, num_threads=3, backend=ProcessBackend(use_pool=False))\n"
+    )
+    name, members = words[0], words[1:]
+    assert len(members) == 2
+    time.sleep(0.2)  # the members reach the barrier
+    _kill(master)
+    left = _wait_exited(members, 5.0) and _gone_within(SHM / name, 0.0)
+    assert left, f"5 s after the master's death: {_residue(name, members)}"
+
+
 def test_a_master_killed_without_a_pool_is_swept_by_the_next_allocation():
     """Nothing watches a master that has no pool: its segment stays in
     ``/dev/shm`` until the next process that allocates an array sweeps."""
@@ -292,7 +315,7 @@ class _Barrier:
 
 def _watch(master: int) -> "tuple[threading.Thread, _Barrier, threading.Event]":
     barrier, gone = _Barrier(), threading.Event()
-    thread = threading.Thread(target=procpool._watch_master, args=(master, barrier, gone), daemon=True)
+    thread = threading.Thread(target=member.watch_master, args=(master, barrier, gone), daemon=True)
     thread.start()
     return thread, barrier, gone
 
@@ -318,12 +341,12 @@ def test_the_master_watch_of_a_master_already_gone_breaks_the_barrier_at_once():
     master = subprocess.Popen([sys.executable, "-c", "pass"])
     master.wait(timeout=30)
     barrier, gone = _Barrier(), threading.Event()
-    procpool._watch_master(master.pid, barrier, gone)
+    member.watch_master(master.pid, barrier, gone)
     assert gone.is_set() and barrier.aborted.is_set()
 
 
 def test_without_pidfds_the_master_watch_leaves_it_to_the_pipe(monkeypatch):
     monkeypatch.delattr(os, "pidfd_open", raising=False)
     barrier, gone = _Barrier(), threading.Event()
-    procpool._watch_master(os.getpid(), barrier, gone)  # returns at once: nothing to sleep on
+    member.watch_master(os.getpid(), barrier, gone)  # returns at once: nothing to sleep on
     assert not gone.is_set() and not barrier.aborted.is_set()
