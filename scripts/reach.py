@@ -3,6 +3,7 @@
 
     python scripts/reach.py                       # all six workloads, 2 s each
     python scripts/reach.py --workload fine_regions --seconds 4
+    python scripts/reach.py --runs 3              # the whole audit three times
 
 Each workload runs as ``bench/run.py --workload W --seed 7 --seconds S
 --trace 1`` with a generated ``sitecustomize`` first on ``PYTHONPATH``.  The
@@ -15,7 +16,12 @@ to a file of its own, one write per function, so nothing waits for an exit
 hook.
 
 The report is reached/total, then the unreached functions by module with
-their raw line counts (decorators to last line), largest module first.
+their raw line counts (decorators to last line), largest module first.  A
+short audit is not repeatable to the function (a tuner's drift re-explore,
+say, is entered in one run and not the next), so ``--runs N`` repeats the
+whole audit and first counts the functions reached in every run and in any
+run, listing those reached in some runs only; the report is then of the
+any-run set, which is the one to compare between two trees.
 Stdlib only.
 """
 
@@ -119,24 +125,46 @@ def report(found: dict, hit: "set[tuple[str, int]]", root: Path) -> str:
     return "\n".join(lines)
 
 
+def steadiness(found: dict, runs: "list[set[tuple[str, int]]]", root: Path) -> str:
+    """Functions reached in every run and in any run, then those reached in
+    some runs only, with how many."""
+    every, anywhere = set.intersection(*runs), set().union(*runs)
+    lines = [f"reached in every one of {len(runs)} runs: {len(every)}, in any run: {len(anywhere)} of {len(found)}"]
+    for key in sorted(anywhere - every):
+        name, _raw = found[key]
+        module = os.path.relpath(key[0], root.resolve().parent)
+        lines.append(f"    {module} {name} (line {key[1]}): {sum(key in hit for hit in runs)} of {len(runs)} runs")
+    return "\n".join(lines)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default all six")
     parser.add_argument("--seconds", type=float, default=2.0, help="bench/run.py --seconds per workload")
+    parser.add_argument("--runs", type=int, default=1, help="repeat the whole audit N times (default 1)")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
     root = REPO / "src" / "repro"
     found = functions(root)
-    hit: "set[tuple[str, int]]" = set()
+    runs: "list[set[tuple[str, int]]]" = []
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        for workload in args.workload or WORKLOADS:
-            command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7"]
-            status = trace([*command, "--seconds", str(args.seconds), "--trace", "1"], root, Path(scratch) / workload)
-            per_pid = reached(Path(scratch) / workload)
-            mine = set().union(*per_pid.values()) & found.keys()
-            hit |= mine
-            processes = f"{len(per_pid)} processes, exit {status}"
-            print(f"{workload}: {len(mine)} of {len(found)} functions, {processes}", flush=True)
-    print(report(found, hit, root))
+        for run in range(args.runs):
+            hit: "set[tuple[str, int]]" = set()
+            for workload in args.workload or WORKLOADS:
+                out = Path(scratch) / str(run) / workload
+                command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7"]
+                status = trace([*command, "--seconds", str(args.seconds), "--trace", "1"], root, out)
+                per_pid = reached(out)
+                mine = set().union(*per_pid.values()) & found.keys()
+                hit |= mine
+                prefix = f"run {run + 1}: " if args.runs > 1 else ""
+                processes = f"{len(per_pid)} processes, exit {status}"
+                print(f"{prefix}{workload}: {len(mine)} of {len(found)} functions, {processes}", flush=True)
+            runs.append(hit)
+    if args.runs > 1:
+        print(steadiness(found, runs, root))
+    print(report(found, set().union(*runs), root))
     return 0
 
 

@@ -11,6 +11,11 @@ Three surfaces over the same registry snapshot:
   (:func:`suppress_exporter`) — only the master, which aggregates team-wide
   counts, has anything worth scraping — and a failed bind (port already
   taken) disables the endpoint with one warning instead of failing regions.
+
+``http.server`` is imported only once a port is configured: it brings
+``http.client``, ``ssl``, ``email`` and ``socketserver`` with it, which a
+process that never serves a scrape (every worker, and every master without
+a port) would otherwise carry for its whole life.
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import repro.obs.registry as _registry_mod
 from repro.obs.registry import COUNTER_SPECS, GAUGE_HELP, HISTOGRAM_SPECS
+
+if TYPE_CHECKING:  # pragma: no cover
+    from http.server import ThreadingHTTPServer
 
 #: scrape endpoints bind loopback only, like the socket data plane.
 EXPORTER_HOST = "127.0.0.1"
@@ -115,25 +122,6 @@ _suppressed = False
 _failed = False
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    server_version = "aomp-metrics/1.0"
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        path = self.path.split("?", 1)[0].rstrip("/") or "/metrics"
-        if path != "/metrics":
-            self.send_error(404, "only /metrics is served here")
-            return
-        body = render_prometheus().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # scrapes must not spam the embedding application's stderr
-
-
 def ensure_exporter(port: "int | None" = None) -> "int | None":
     """Start the scrape endpoint once; return its bound port (or ``None``).
 
@@ -153,8 +141,28 @@ def ensure_exporter(port: "int | None" = None) -> "int | None":
             port = get_config().metrics_port
         if port is None:
             return None
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class MetricsHandler(BaseHTTPRequestHandler):
+            server_version = "aomp-metrics/1.0"
+
+            def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+                path = self.path.split("?", 1)[0].rstrip("/") or "/metrics"
+                if path != "/metrics":
+                    self.send_error(404, "only /metrics is served here")
+                    return
+                body = render_prometheus().encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", CONTENT_TYPE)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
+                pass  # scrapes must not spam the embedding application's stderr
+
         try:
-            server = ThreadingHTTPServer((EXPORTER_HOST, int(port)), _MetricsHandler)
+            server = ThreadingHTTPServer((EXPORTER_HOST, int(port)), MetricsHandler)
         except OSError as exc:
             _failed = True
             warnings.warn(

@@ -48,8 +48,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.runtime import shm
 import repro.obs.registry as obsreg
+from repro.runtime.barrier import CyclicBarrier
 from repro.runtime.config import get_config, usable_cpus
-from repro.runtime.dataplane import shm_process_sync
 from repro.runtime.member import (
     FrameReader,
     _encode_exception,
@@ -447,6 +447,38 @@ class ExternalBackend(Backend):
         if key not in self._warned_fallback:
             self._warned_fallback.add(key)
             warnings.warn(f"{type(self).__name__}: {message}", RuntimeWarning, stacklevel=3)
+
+
+#: transport label threaded into a fork-inherited team's barrier-timeout messages.
+SHM_TRANSPORT = "shm data plane, fork-inherited shared memory"
+
+
+def shm_process_sync(size: int, *, pooled: bool = False, max_workers: int | None = None) -> shm.ProcessSync:
+    """The ``ProcessSync`` bundle a ``size``-member fork-inherited team runs on:
+    the shm data plane, whose arenas and barrier live in ``multiprocessing``
+    shared memory and reach forked members by address-space inheritance.
+
+    ``max_workers`` sizes the arenas (default ``max(size, 2)``); the pool
+    passes its full width, as its team sizes vary region to region.
+    """
+    capacity = max_workers if max_workers is not None else max(size, 2)
+    metrics = None
+    if pooled or get_config().metrics:
+        # Pool syncs always carry an arena: pooled workers are forked once
+        # at pool construction and can only ever flush into cells that
+        # existed at fork time, so the arena must exist even if metrics
+        # are enabled later via ``config_override``.
+        from repro.obs.arena import MetricsArena
+
+        metrics = MetricsArena(capacity)
+    barrier = CyclicBarrier(size, cells=shm.mp_cells, transport=SHM_TRANSPORT)
+    return shm.ProcessSync(
+        barrier,
+        shm.SlotArenas.build(capacity, barrier),
+        pooled=pooled,
+        heartbeat=shm.HeartbeatArena(),
+        metrics=metrics,
+    )
 
 
 class ProcessBackend(ExternalBackend):

@@ -7,16 +7,18 @@ it (worksharing, tasks, tuning, failure monitoring) only ever touches the
 ``ArenaSlot`` / ``TaskStealSlot`` / ``TunePlanSlot`` / barrier surfaces.
 Two transports build that bundle:
 
-* **shm** — :func:`shm_process_sync`: arenas over ``multiprocessing``
-  shared memory and locks, handed to forked members by address-space
-  inheritance.  The process backend's fork-per-region teams and the
-  persistent pool are built by it.
+* **shm** — :func:`~repro.runtime.backend.shm_process_sync`, beside the
+  process backend that uses it: arenas over ``multiprocessing`` shared
+  memory and locks, handed to forked members by address-space inheritance.
+  The process backend's fork-per-region teams and the persistent pool are
+  built by it, and never import this module.
 
-* **socket** — for members in *independent* (non-forked, possibly
-  remote-capable) processes.  A :class:`Coordinator` in the master process
-  hosts the **real** arena instances over plain heap cells (the
-  :func:`~repro.runtime.shm.heap_cells` allocator) and serves claim /
-  barrier / heartbeat RPCs over length-prefixed TCP on localhost; the
+* **socket** — this module, imported only by the ``distributed`` backend
+  (:mod:`repro.runtime.distributed`), for members in *independent*
+  (non-forked, possibly remote-capable) processes.  A :class:`Coordinator`
+  in the master process hosts the **real** arena instances over plain heap
+  cells (the :func:`~repro.runtime.shm.heap_cells` allocator) and serves
+  claim / barrier / heartbeat RPCs over length-prefixed TCP on localhost; the
   ``distributed`` backend's worker team builds its bundle from the
   coordinator's own barrier, arenas and heartbeat cells.  Workers hold a
   :class:`RemoteArena` per slot kind (:func:`worker_process_sync`); the
@@ -63,7 +65,10 @@ Wire protocol (see ``send_message``/``recv_message``): a connection opens
 with the coordinator's token as a **raw fixed-length preamble**,
 constant-time-compared *before* any pickled frame is read — an
 unauthenticated peer never reaches ``pickle.loads``, so a crafted frame
-cannot execute code in the master.  After authentication, every frame is a
+cannot execute code in the master.  The token is 16 bytes of
+``os.urandom`` in hex; ``hmac.compare_digest`` is imported by the master's
+first handshake, so a worker, which only sends the token, never loads
+OpenSSL.  After authentication, every frame is a
 4-byte little-endian length followed by a pickled payload: first a
 ``hello`` carrying the member id and pid (a member outside ``[1, size)``,
 or one whose seat is already taken by an open connection, is turned away
@@ -77,7 +82,6 @@ from __future__ import annotations
 import os
 import pickle
 import queue
-import secrets
 import socket
 import struct
 import threading
@@ -215,40 +219,6 @@ def _put_changes(runs: bytes, values: bytes, *targets: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The shm plane
-# ---------------------------------------------------------------------------
-
-#: transport label threaded into a fork-inherited team's barrier-timeout messages.
-SHM_TRANSPORT = "shm data plane, fork-inherited shared memory"
-
-
-def shm_process_sync(size: int, *, pooled: bool = False, max_workers: Optional[int] = None) -> shm.ProcessSync:
-    """The ``ProcessSync`` bundle a ``size``-member fork-inherited team runs on.
-
-    ``max_workers`` sizes the arenas (default ``max(size, 2)``); the pool
-    passes its full width, as its team sizes vary region to region.
-    """
-    capacity = max_workers if max_workers is not None else max(size, 2)
-    metrics = None
-    if pooled or get_config().metrics:
-        # Pool syncs always carry an arena: pooled workers are forked once
-        # at pool construction and can only ever flush into cells that
-        # existed at fork time, so the arena must exist even if metrics
-        # are enabled later via ``config_override``.
-        from repro.obs.arena import MetricsArena
-
-        metrics = MetricsArena(capacity)
-    barrier = CyclicBarrier(size, cells=shm.mp_cells, transport=SHM_TRANSPORT)
-    return shm.ProcessSync(
-        barrier,
-        shm.SlotArenas.build(capacity, barrier),
-        pooled=pooled,
-        heartbeat=shm.HeartbeatArena(),
-        metrics=metrics,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Socket plane: master-side coordinator
 # ---------------------------------------------------------------------------
 
@@ -291,7 +261,7 @@ class Coordinator:
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.token = secrets.token_hex(16)
+        self.token = os.urandom(16).hex()
         self.barrier = CyclicBarrier(size, action=self._answer_syncs, transport=SOCKET_TRANSPORT)
         self.slots = shm.SlotArenas.build(max(size, 2), self.barrier, cells=shm.heap_cells)
         #: each arena also under its kind's name, as the ``slot`` op looks it up.
@@ -447,9 +417,11 @@ class Coordinator:
             # raw token bytes, fixed length, compared in constant time.  An
             # unauthenticated peer never reaches pickle.loads, so a crafted
             # pickle frame cannot execute code in the master.
+            from hmac import compare_digest  # master-side only: hmac loads OpenSSL
+
             conn.settimeout(HANDSHAKE_TIMEOUT)
             preamble = _recv_exact(conn, len(self.token))
-            if not secrets.compare_digest(preamble, self.token.encode("ascii")):
+            if not compare_digest(preamble, self.token.encode("ascii")):
                 send_message(conn, (False, _encode_error(PermissionError("data-plane token rejected"))))
                 return  # member is still None: an impostor is never marked lost
             conn.settimeout(None)

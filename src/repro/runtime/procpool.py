@@ -28,8 +28,8 @@ import threading
 import repro.obs.registry as obsreg
 from repro.obs.exposition import suppress_exporter
 from repro.runtime import shm
+from repro.runtime.backend import shm_process_sync
 from repro.runtime.config import get_config
-from repro.runtime.dataplane import shm_process_sync
 from repro.runtime.member import (
     FrameReader,
     WorkerState,

@@ -24,7 +24,8 @@ backend does not.  This module provides the pieces that make OpenMP-style
   indexed by the SPMD loop ordinal like the :class:`SyncArena`.
 
 These three slot arenas are the *only* claim state a team has, on every
-tier: a :class:`ProcessSync` carries fork-inherited ones, and an in-process
+tier: a :class:`ProcessSync` carries fork-inherited ones (built by
+:func:`repro.runtime.backend.shm_process_sync`), and an in-process
 team (and the socket plane's coordinator) builds the same arenas on heap
 cells (:meth:`SlotArenas.build`).
 
@@ -47,8 +48,11 @@ before the segment has a size until :meth:`SharedArray.close` unlinks it, and
 an exit hook closes what a body left open.  A forked child maps its parent's
 arrays but drops their locks (:func:`_disown_inherited`), so only a living
 owner holds one, and the kernel releases it when the owner dies — killed,
-reaped or not.  :func:`sweep_orphans` unlinks every ``aomp_<pid>_<hex>``
-segment that has a size and no lock holder.  It runs at a process's first
+reaped or not.  A segment is named ``aomp_<pid>_<hex>``, the hex four
+bytes of ``os.urandom`` (what ``secrets`` draws from, without the
+``hashlib``/OpenSSL import ``secrets`` brings into every process that
+allocates).  :func:`sweep_orphans` unlinks every such segment that has a
+size and no lock holder.  It runs at a process's first
 allocation and in every pool worker as it leaves, so a master killed with a
 warm pool leaves nothing once its workers see it gone, and one killed
 without a pool leaves its segments to the next process that allocates one.
@@ -78,7 +82,6 @@ import multiprocessing
 import os
 import pickle
 import re
-import secrets
 import threading
 import time
 from dataclasses import dataclass
@@ -222,7 +225,7 @@ class SharedArray:
     @classmethod
     def zeros(cls, shape: "int | tuple", dtype: Any = np.float64) -> "SharedArray":
         """Allocate a zero-filled shared array (a new segment reads as zeros)."""
-        return cls(f"aomp_{os.getpid()}_{secrets.token_hex(4)}", shape, dtype, create=True)
+        return cls(f"aomp_{os.getpid()}_{os.urandom(4).hex()}", shape, dtype, create=True)
 
     @classmethod
     def from_array(cls, source: np.ndarray) -> "SharedArray":

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.runtime import dataplane, shm
+from repro.runtime.backend import shm_process_sync
 from repro.runtime.barrier import _COUNT, BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import DEFAULT_BARRIER_TIMEOUT
 
@@ -263,6 +264,6 @@ class TestBarrierTimeoutContract:
         if not shm.fork_available():
             pytest.skip("the shm plane needs multiprocessing primitives")
         monkeypatch.setenv("AOMP_BARRIER_TIMEOUT", "0.05")
-        barrier = dataplane.shm_process_sync(2).barrier
+        barrier = shm_process_sync(2).barrier
         with pytest.raises(BrokenBarrierError, match=r"shm data plane"):
             barrier.wait()

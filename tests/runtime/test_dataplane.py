@@ -36,7 +36,7 @@ import repro.obs.registry as obsreg
 from faultkit import dies
 from repro.runtime import context as ctx
 from repro.runtime import dataplane, member, shm
-from repro.runtime.backend import available_backends, backend_by_name
+from repro.runtime.backend import available_backends, backend_by_name, shm_process_sync
 from repro.runtime.barrier import _COUNT, BrokenBarrierError, CyclicBarrier
 from repro.runtime.config import config_override
 from repro.runtime.distributed import DistributedBackend
@@ -119,7 +119,7 @@ class TestShmPlane:
     """The shm bundle is built from the same arena and barrier types every team uses."""
 
     def test_components_are_the_historical_types(self):
-        sync = dataplane.shm_process_sync(3)
+        sync = shm_process_sync(3)
         assert isinstance(sync.barrier, CyclicBarrier) and sync.barrier.parties == 3
         assert isinstance(sync.slots.arena, shm.SyncArena)
         assert isinstance(sync.slots.steal, shm.TaskStealArena)
@@ -129,7 +129,7 @@ class TestShmPlane:
         assert sync.pooled is False
 
     def test_pool_construction_knobs(self):
-        sync = dataplane.shm_process_sync(1, pooled=True, max_workers=64)
+        sync = shm_process_sync(1, pooled=True, max_workers=64)
         assert sync.pooled is True
         assert sync.slots.steal.max_workers == 64
 

@@ -35,7 +35,7 @@ from faultkit import InjectedFault, raises
 from repro.runtime import context as ctx
 from repro.runtime import dataplane, distributed, shm
 from repro.runtime import member as lifecycle
-from repro.runtime.backend import ProcessBackend
+from repro.runtime.backend import ProcessBackend, shm_process_sync
 from repro.runtime.config import config_override, get_config
 from repro.runtime.exceptions import BrokenTeamError, WorkerProcessError
 from repro.runtime.monitor import WorkerMonitor
@@ -127,7 +127,7 @@ def _shm_transport(monkeypatch):
     if not shm.fork_available():
         pytest.skip("the shm plane's primitives need the fork context")
     with config_override(metrics=True):
-        sync = dataplane.shm_process_sync(2)
+        sync = shm_process_sync(2)
     yield Transport(sync, sync, lambda reply: dict(sync.metrics.drain()))
 
 

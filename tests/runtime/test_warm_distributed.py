@@ -21,6 +21,7 @@ import pytest
 
 import repro.obs.registry as obsreg
 from faultkit import InjectedFault, dies, raises
+from footprint import LoadedModules
 from repro.runtime import context as ctx
 from repro.runtime import distributed, shm
 from repro.runtime.config import config_override
@@ -209,6 +210,20 @@ class TestWhatDoesNotPark:
         assert _region(backend, probe, body=probe.abort_late) == warm  # nobody failed ...
         assert list(probe.owner.np) == _blocks(3)
         self._assert_fresh_team_after(backend, probe, warm)  # ... and still it did not park
+
+
+class TestWhatAWorkerLoads:
+    def test_a_spawned_worker_loads_the_socket_plane_and_no_openssl_or_http(self, backend):
+        """A worker sends the token and never checks one, and never serves a
+        scrape: ``hmac`` and ``http.server`` are the master's alone.  Row 0 is
+        this test process, which ``pytest`` has already filled."""
+        body = LoadedModules(3)
+        try:
+            with config_override(metrics=True):
+                parallel_region(body.run, num_threads=3, backend=backend, name="footprint")
+            assert body.report()[1:] == [(0, 1), (0, 1)]
+        finally:
+            body.close()
 
 
 class TestRetirement:

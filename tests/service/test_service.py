@@ -142,10 +142,19 @@ class TestBackpressure:
     def test_queue_full_rejection_is_loud_and_recoverable(self, service):
         thread = service(workers=1, queue_limit=2, tenant_cap=1)
         with client_for(thread) as client:
-            # one running + two queued fills the worker and the wait queue
-            ids = [
+            # one running + two queued fills the worker and the wait queue;
+            # the first is claimed before the others arrive, or the third
+            # would find two waiting and be the one refused.  It runs for
+            # seconds, not a fraction of one, so it is still running when
+            # the over-limit submit arrives.
+            ids = [client.submit("sleep", size="a", num_threads=2, coalesce=False)["id"]]
+            deadline = time.monotonic() + 30
+            while client.stats()["service"]["running"] < 1:
+                assert time.monotonic() < deadline, "the worker never claimed the first request"
+                time.sleep(0.02)
+            ids += [
                 client.submit("sleep", size="small", num_threads=2, coalesce=False)["id"]
-                for _ in range(3)
+                for _ in range(2)
             ]
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("sleep", size="small", num_threads=2, coalesce=False)

@@ -63,3 +63,19 @@ def test_the_parent_a_forked_child_and_a_spawned_child_are_all_reported(tmp_path
     assert text.splitlines()[0] == f"reached 3 of 4 functions under {package}"
     assert "src/toy.py: 1 unreached, 2 raw lines" in text
     assert "    never_called (line 14, 2 lines)" in text
+
+
+def test_repeated_runs_report_every_run_and_any_run(tmp_path):
+    package = tmp_path / "src"
+    package.mkdir()
+    (package / "toy.py").write_text(TOY)
+    found = reach.functions(package)
+    key = {name: key for key, (name, _raw) in found.items()}
+    runs = [{key["main"], key["in_forked_child"]}, {key["main"]}, {key["main"], key["in_spawned_child"]}]
+
+    lines = reach.steadiness(found, runs, package).splitlines()
+    assert lines[0] == "reached in every one of 3 runs: 1, in any run: 3 of 4"
+    assert lines[1:] == [
+        "    src/toy.py in_forked_child (line 6): 1 of 3 runs",
+        "    src/toy.py in_spawned_child (line 10): 1 of 3 runs",
+    ]
