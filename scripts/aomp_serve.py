@@ -14,17 +14,18 @@ Quick start::
 Configuration comes from ``AOMP_SERVICE_*`` (see ``repro/service/config.py``)
 with flags overriding the environment.  The service prints one
 ``listening host:port`` line to stdout once ready (CI waits on it), and a
-SIGTERM or SIGINT triggers a graceful drain: no new admissions, in-flight
-requests finish (bounded by ``--drain-timeout``, then cancelled through the
-team-abort path), pools and the metrics endpoint shut down, exit code 0.
+SIGTERM or SIGINT starts a graceful drain on a thread of its own, which the
+main thread waits for: no new admissions, in-flight requests finish
+(bounded by ``--drain-timeout``, then cancelled through the team-abort
+path), pools and the metrics endpoint shut down, exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
+import threading
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -63,28 +64,36 @@ def build_config(argv: "list[str] | None" = None) -> ServiceConfig:
     )
 
 
-async def _main(config: ServiceConfig) -> int:
-    service = ComputeService(config)
-    host, port = await service.start()
-    if service.metrics_port is not None:
-        print(f"metrics http://127.0.0.1:{service.metrics_port}/metrics", flush=True)
-    print(f"listening {host}:{port}", flush=True)
-
-    loop = asyncio.get_running_loop()
+def main(argv: "list[str] | None" = None) -> int:
+    service = ComputeService(build_config(argv))
+    host, port = service.start()
     draining = False
 
-    def request_drain(signame: str) -> None:
+    def drain(signame: str) -> None:
+        try:
+            print(f"{signame} received; draining", flush=True)
+        except OSError:
+            pass  # the launcher's end of stdout is gone: drain all the same
+        service.drain()
+
+    def request_drain(signum: int, _frame: object) -> None:
+        # The handler runs on the main thread, maybe inside one of its own
+        # prints: it starts the drain and writes nothing itself.
         nonlocal draining
         if draining:
             return
         draining = True
-        print(f"{signame} received; draining", flush=True)
-        asyncio.ensure_future(service.drain())
+        threading.Thread(
+            target=drain, args=(signal.Signals(signum).name,), name="aomp-service-drain", daemon=True
+        ).start()
 
-    for signame in ("SIGTERM", "SIGINT"):
-        loop.add_signal_handler(getattr(signal, signame), request_drain, signame)
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, request_drain)
+    if service.metrics_port is not None:
+        print(f"metrics http://127.0.0.1:{service.metrics_port}/metrics", flush=True)
+    print(f"listening {host}:{port}", flush=True)
 
-    await service.serve_forever()
+    service.serve_forever()  # until a drain (a signal's, or the drain op's) is done
     leaked = service.dispatch.leaked_workers()
     snapshot = service.queue.snapshot()
     print(
@@ -93,10 +102,6 @@ async def _main(config: ServiceConfig) -> int:
         flush=True,
     )
     return 1 if leaked else 0
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    return asyncio.run(_main(build_config(argv)))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ fork-per-region path instead.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import os
 import queue
@@ -50,6 +51,18 @@ IDLE_RELEASE = 1.0
 #: Longest a worker whose master's pipe closed waits for the master to be
 #: gone before it sweeps (see :func:`_pool_worker`).
 ORPHAN_WAIT = 1.0
+
+
+def _trim_heap() -> None:
+    """Give the allocator's free pages back to the kernel (glibc
+    ``malloc_trim``), so that the workers forked next do not inherit them as
+    resident memory; a silent no-op on a C library without the call."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 def _pool_worker(tasks: int, replies: int, sync: "shm.ProcessSync", inherited: "list[int]") -> None:
@@ -148,8 +161,10 @@ class PersistentProcessPool:
         A pipe is created just before its worker forks and the master closes
         the worker's ends just after, so no later worker inherits them: a
         worker that dies leaves its reply pipe at EOF and its task pipe
-        without a reader.
+        without a reader.  The master's heap is trimmed first, so none of its
+        freed pages is resident in the new generation.
         """
+        _trim_heap()
         ctx = shm._mp_context()
         self._procs = []
         self._tasks: "list[int]" = []

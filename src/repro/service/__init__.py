@@ -1,13 +1,15 @@
-"""The always-on compute service: an asyncio front-end over warm teams.
+"""The always-on compute service: a threaded TCP front door over warm teams.
 
 ROADMAP item 3: wrap the runtime in a long-lived server so the SPMD kernels
 the paper ran once per script are served per-request to concurrent clients.
 
 Layers (one module each, front to back):
 
-* :mod:`repro.service.server` — asyncio TCP front-end speaking
-  newline-delimited JSON (submit / poll / wait / cancel / stats), graceful
-  drain on SIGTERM;
+* :mod:`repro.service.server` — the TCP front door speaking
+  newline-delimited JSON (submit / poll / wait / cancel / stats), one thread
+  per connection, a ``wait`` blocked on its request's own event; graceful
+  drain on SIGTERM.  It imports no ``asyncio``, so the service master and
+  the pool workers it forks load no OpenSSL;
 * :mod:`repro.service.admission` — bounded queue with backpressure
   (``queue_full`` rejections), per-tenant concurrency caps and duplicate
   coalescing;

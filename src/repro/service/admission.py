@@ -1,9 +1,10 @@
 """Admission control: bounded queueing, per-tenant caps, request coalescing.
 
 The admission queue is the synchronous heart of the service — plain
-``threading`` primitives, no asyncio — so dispatch workers block on it
-directly and the asyncio front-end bridges through
-``loop.call_soon_threadsafe`` waiter callbacks.
+``threading`` primitives — so dispatch workers block on it directly, and a
+front-door thread serving ``wait`` blocks on the request's own
+:attr:`Request.done` event, which :meth:`AdmissionQueue.finish` and a
+queued cancel set.
 
 Backpressure is a *bounded wait queue*: a submit past ``queue_limit``
 waiting requests is rejected immediately with ``queue_full`` (the 429 of
@@ -92,9 +93,8 @@ class Request:
         self.cancel_requested = False
         #: followers coalesced onto this request (diagnostics).
         self.merged = 0
+        #: set once the request is done, failed or cancelled.
         self.done = threading.Event()
-        #: ``(loop, future)`` pairs resolved via call_soon_threadsafe on finish.
-        self._waiters: "list[tuple[Any, Any]]" = []
 
     # -- wire views ----------------------------------------------------------
 
@@ -118,45 +118,6 @@ class Request:
         if self.error_code is not None:
             out["error_code"] = self.error_code
         return out
-
-    # -- waiter plumbing (called by the asyncio front-end) -------------------
-
-    def add_waiter(self, loop: Any, future: Any) -> None:
-        notify = False
-        with _WAITER_LOCK:
-            if self.done.is_set():
-                notify = True
-            else:
-                self._waiters.append((loop, future))
-        if notify:
-            _resolve_waiter(loop, future, self)
-
-    def discard_waiter(self, future: Any) -> None:
-        """Detach a waiter whose client went away; the request keeps running."""
-        with _WAITER_LOCK:
-            self._waiters = [(lp, fut) for lp, fut in self._waiters if fut is not future]
-
-    def _notify(self) -> None:
-        with _WAITER_LOCK:
-            waiters, self._waiters = self._waiters, []
-            self.done.set()
-        for loop, future in waiters:
-            _resolve_waiter(loop, future, self)
-
-
-#: waiter registration vs completion ordering (shared: contention is nil).
-_WAITER_LOCK = threading.Lock()
-
-
-def _resolve_waiter(loop: Any, future: Any, request: Request) -> None:
-    def complete() -> None:
-        if not future.done():
-            future.set_result(request)
-
-    try:
-        loop.call_soon_threadsafe(complete)
-    except RuntimeError:
-        pass  # the waiter's event loop already closed (client is gone)
 
 
 def _coalesce_key(tenant: str, kernel: str, params: "dict[str, Any]") -> "tuple[Any, ...]":
@@ -307,7 +268,7 @@ class AdmissionQueue:
                     "failed" if request.state == FAILED else "completed")
         if get_config().metrics:
             obsreg.observe("aomp_service_request_seconds", request.finished - request.created)
-        request._notify()
+        request.done.set()
 
     # -- cancellation --------------------------------------------------------
 
@@ -336,7 +297,7 @@ class AdmissionQueue:
                 return request.state  # already finished; nothing to do
         if request.state == CANCELLED:
             self._count("cancelled")
-            request._notify()
+            request.done.set()
             return CANCELLED
         if abort_running is not None:
             abort_running(request)

@@ -1,4 +1,4 @@
-"""The asyncio front-end: newline-delimited JSON over TCP.
+"""The front door: newline-delimited JSON over TCP, one thread per connection.
 
 Protocol: one JSON object per line in each direction.  Every request names
 an ``op``; every response is ``{"ok": true, ...}`` or ``{"ok": false,
@@ -21,21 +21,29 @@ stats      admission snapshot + metrics endpoint metadata
 drain      stop admissions, wait for in-flight work, then shut down
 =========  ==================================================================
 
-A client that disconnects mid-``wait`` merely detaches its waiter — the
-request keeps running and stays pollable from another connection.
+An accept thread (``aomp-service-accept``) hands each connection to a
+thread of its own (``aomp-service-conn``), which reads a line, answers it
+and reads the next.  A ``wait`` blocks that thread on the request's own
+:class:`threading.Event`; a client that disconnects mid-``wait`` leaves the
+request running and pollable from another connection.  Nothing here imports
+``asyncio`` (which loads OpenSSL), so neither the service master nor the
+pool workers it forks carry it.
 
-Lifecycle: :meth:`ComputeService.drain` (wired to SIGTERM in
-``scripts/aomp_serve.py``) stops admissions, waits for in-flight requests
-(bounded by ``drain_timeout``, then cancels stragglers via the team-abort
-path), stops the dispatch workers and their pools, and unregisters the
-service's gauge collector — repeated start/stop cycles leak neither threads
-nor collectors.
+Lifecycle: :meth:`ComputeService.drain` (SIGTERM in ``scripts/aomp_serve.py``,
+or the ``drain`` op) stops admissions and the listener, waits for in-flight
+requests (bounded by ``drain_timeout``, then cancels stragglers via the
+team-abort path), stops the dispatch workers and their pools, unregisters the
+service's gauge collector, and then hangs up on every connection and joins
+its thread; the connection that asked for the drain gets its reply first.
+Repeated start/stop cycles leak neither threads nor collectors.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
+import threading
+import time
 from typing import Any
 
 import repro.obs.registry as obsreg
@@ -50,6 +58,17 @@ PROTOCOL_VERSION = 1
 #: request line size bound (a kernel submission is tiny; oversized lines are
 #: a protocol error, not a memory commitment).
 MAX_LINE_BYTES = 64 * 1024
+
+#: longest a drain waits for a connection's thread once it hung up on it (a
+#: thread still blocked in a ``wait`` leaves when its request finishes).
+_HANGUP_JOIN = 10.0
+
+
+def _hang_up(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass  # already closed by its own thread, or never connected
 
 
 class ComputeService:
@@ -68,16 +87,21 @@ class ComputeService:
             tune_dir=self.config.tune_dir,
             default_num_threads=self.config.num_threads,
         )
-        self._server: "asyncio.base_events.Server | None" = None
+        self._listener: "socket.socket | None" = None
+        self._acceptor: "threading.Thread | None" = None
+        #: open connections and the thread serving each; ``_lock`` also
+        #: guards ``_draining``.
+        self._connections: "dict[socket.socket, threading.Thread]" = {}
+        self._lock = threading.Lock()
         self._collector = self.queue.gauge_samples
         self._metrics_port: "int | None" = None
         self._draining = False
-        self._drained = asyncio.Event()
+        self._drained = threading.Event()
 
     # -- lifecycle -----------------------------------------------------------
 
-    async def start(self) -> "tuple[str, int]":
-        """Start dispatch workers (warming pools) and the TCP listener."""
+    def start(self) -> "tuple[str, int]":
+        """Start dispatch workers (warming pools), bind the listener, accept."""
         warm_size = self.config.num_threads or get_config().num_threads
         self.dispatch.start(warm_team_size=warm_size)
         if get_config().metrics:
@@ -86,88 +110,120 @@ class ComputeService:
             from repro.obs.exposition import ensure_exporter
 
             self._metrics_port = ensure_exporter()
-        self._server = await asyncio.start_server(
-            self._handle_client, host=self.config.host, port=self.config.port
-        )
+        host = self.config.host
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, self.config.port), family=family, backlog=100)
+        self._acceptor = threading.Thread(target=self._accept_loop, name="aomp-service-accept", daemon=True)
+        self._acceptor.start()
         return self.address
 
     @property
     def address(self) -> "tuple[str, int]":
-        assert self._server is not None, "service not started"
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
+        assert self._listener is not None, "service not started"
+        host, port = self._listener.getsockname()[:2]
         return host, port
 
     @property
     def metrics_port(self) -> "int | None":
         return self._metrics_port
 
-    async def serve_forever(self) -> None:
-        """Serve until :meth:`drain` completes (the aomp_serve main loop)."""
-        await self._drained.wait()
+    def serve_forever(self) -> None:
+        """Block until a drain has finished and every connection is closed
+        (the ``aomp_serve`` main thread)."""
+        self._drained.wait()
+        self._join_connections()
 
-    async def drain(self) -> "dict[str, Any]":
+    def drain(self) -> "dict[str, Any]":
         """Graceful shutdown: reject new work, finish in-flight, tear down."""
-        if self._draining:
-            await self._drained.wait()
+        with self._lock:
+            already, self._draining = self._draining, True
+        if already:
+            self._drained.wait()
             return {"drained": True, "forced_cancels": 0}
-        self._draining = True
         self.queue.drain()
-        if self._server is not None:
-            self._server.close()
+        if self._listener is not None:
+            _hang_up(self._listener, socket.SHUT_RDWR)  # wakes the accept thread
+            self._acceptor.join()
+            self._listener.close()
         # Bounded wait for in-flight work; stragglers are cancelled through
         # the same team-abort path a client cancel uses, so a wedged region
         # cannot hold the drain hostage.
-        loop = asyncio.get_running_loop()
-        idle = await loop.run_in_executor(
-            None, lambda: self.queue.wait_idle(self.config.drain_timeout)
-        )
         forced = 0
-        if not idle:
+        if not self.queue.wait_idle(self.config.drain_timeout):
             for request_id in self.queue.live_request_ids():
                 self.queue.cancel(request_id, abort_running=self.dispatch.abort_request)
                 forced += 1
-            await loop.run_in_executor(None, lambda: self.queue.wait_idle(10.0))
-        await loop.run_in_executor(None, self.dispatch.shutdown)
+            self.queue.wait_idle(10.0)
+        self.dispatch.shutdown()
         if get_config().metrics:
             obsreg.unregister_collector(self._collector)
             obsreg.clear_gauge("aomp_service_workers")
-        if self._server is not None:
-            await self._server.wait_closed()
+        # A hung-up connection reads end-of-file at its next line, after the
+        # reply it may still be writing (the drain op's own, for one); a line
+        # already received is still answered, and then the connection closes.
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            _hang_up(conn, socket.SHUT_RD)
         self._drained.set()
+        self._join_connections()
         return {"drained": True, "forced_cancels": forced}
+
+    def _join_connections(self) -> None:
+        with self._lock:
+            threads = list(self._connections.values())
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(_HANGUP_JOIN)
 
     # -- connection handling -------------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                conn, _peer = self._listener.accept()
+            except OSError:
+                if self._draining:
+                    return  # the drain shut the listener
+                time.sleep(0.1)  # out of descriptors, or a peer gone before its accept: retry
+                continue
+            thread = threading.Thread(
+                target=self._serve_connection, args=(conn,), name="aomp-service-conn", daemon=True
+            )
+            with self._lock:
+                self._connections[conn] = thread
+            thread.start()
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        reader = conn.makefile("rb")
         try:
-            while True:
+            while not self._drained.is_set():  # a line read after a drain is answered, then the door closes
                 try:
-                    line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                    line = reader.readline(MAX_LINE_BYTES + 1)
+                except OSError:
                     break
                 if not line:
-                    break  # client closed its end; in-flight requests continue
+                    break  # client closed its end (or the drain hung up); in-flight requests continue
                 if len(line) > MAX_LINE_BYTES:
-                    await self._send(writer, {"ok": False, "error": "request line too long", "code": "bad_request"})
+                    self._send(conn, {"ok": False, "error": "request line too long", "code": "bad_request"})
                     break
-                response = await self._dispatch_op(line)
-                try:
-                    await self._send(writer, response)
-                except (ConnectionError, RuntimeError):
+                if not self._send(conn, self._dispatch_op(line)):
                     break
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            with self._lock:
+                del self._connections[conn]
+            reader.close()
+            conn.close()
 
-    async def _send(self, writer: asyncio.StreamWriter, payload: "dict[str, Any]") -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await writer.drain()
+    @staticmethod
+    def _send(conn: socket.socket, payload: "dict[str, Any]") -> bool:
+        try:
+            conn.sendall(json.dumps(payload).encode("utf-8") + b"\n")
+        except OSError:
+            return False
+        return True
 
-    async def _dispatch_op(self, line: bytes) -> "dict[str, Any]":
+    def _dispatch_op(self, line: bytes) -> "dict[str, Any]":
         try:
             message = json.loads(line)
         except ValueError:
@@ -179,7 +235,7 @@ class ComputeService:
         if handler is None:
             return {"ok": False, "error": f"unknown op {op!r}", "code": "unknown_op"}
         try:
-            return await handler(message)
+            return handler(message)
         except AdmissionError as exc:
             return {"ok": False, "error": str(exc), "code": exc.code}
         except Exception as exc:  # a malformed field must not kill the connection
@@ -187,13 +243,13 @@ class ComputeService:
 
     # -- ops -----------------------------------------------------------------
 
-    async def _op_ping(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_ping(self, message: "dict[str, Any]") -> "dict[str, Any]":
         return {"ok": True, "pong": True, "version": PROTOCOL_VERSION}
 
-    async def _op_kernels(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_kernels(self, message: "dict[str, Any]") -> "dict[str, Any]":
         return {"ok": True, "kernels": [kernel.describe() for kernel in KERNELS.values()]}
 
-    async def _op_submit(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_submit(self, message: "dict[str, Any]") -> "dict[str, Any]":
         kernel_name = message.get("kernel")
         kernel = KERNELS.get(kernel_name)
         if kernel is None:
@@ -215,29 +271,29 @@ class ComputeService:
             coalescable=coalescable,
         )
         if message.get("wait"):
-            return await self._await_request(request, message.get("timeout"))
+            return self._await_request(request, message.get("timeout"))
         return {"ok": True, "id": request.id, "status": request.state, "coalesced": coalesced}
 
-    async def _op_poll(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_poll(self, message: "dict[str, Any]") -> "dict[str, Any]":
         request = self.queue.get(str(message.get("id")))
         if request is None:
             return {"ok": False, "error": "unknown request id", "code": "not_found"}
         return {"ok": True, **request.payload()}
 
-    async def _op_wait(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_wait(self, message: "dict[str, Any]") -> "dict[str, Any]":
         request = self.queue.get(str(message.get("id")))
         if request is None:
             return {"ok": False, "error": "unknown request id", "code": "not_found"}
-        return await self._await_request(request, message.get("timeout"))
+        return self._await_request(request, message.get("timeout"))
 
-    async def _op_cancel(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_cancel(self, message: "dict[str, Any]") -> "dict[str, Any]":
         request_id = str(message.get("id"))
         status = self.queue.cancel(request_id, abort_running=self.dispatch.abort_request)
         if status == "unknown":
             return {"ok": False, "error": "unknown request id", "code": "not_found"}
         return {"ok": True, "id": request_id, "status": status}
 
-    async def _op_stats(self, message: "dict[str, Any]") -> "dict[str, Any]":
+    def _op_stats(self, message: "dict[str, Any]") -> "dict[str, Any]":
         return {
             "ok": True,
             "service": self.queue.snapshot(),
@@ -247,76 +303,35 @@ class ComputeService:
             "version": PROTOCOL_VERSION,
         }
 
-    async def _op_drain(self, message: "dict[str, Any]") -> "dict[str, Any]":
-        result = await self.drain()
-        return {"ok": True, **result}
+    def _op_drain(self, message: "dict[str, Any]") -> "dict[str, Any]":
+        return {"ok": True, **self.drain()}
 
-    async def _await_request(self, request: Any, timeout: Any) -> "dict[str, Any]":
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
-        request.add_waiter(loop, future)
-        try:
-            await asyncio.wait_for(
-                asyncio.shield(future), float(timeout) if timeout is not None else None
-            )
-        except asyncio.TimeoutError:
+    @staticmethod
+    def _await_request(request: Any, timeout: Any) -> "dict[str, Any]":
+        if not request.done.wait(float(timeout) if timeout is not None else None):
             return {"ok": True, **request.payload(), "timed_out": True}
-        finally:
-            request.discard_waiter(future)
-            future.cancel()
         return {"ok": True, **request.payload()}
 
 
 class ServiceThread:
-    """Run a :class:`ComputeService` on a dedicated event-loop thread.
+    """A :class:`ComputeService` behind the blocking start/drain surface that
+    the tests, ``bench/`` and embedding programs drive.
 
-    The synchronous harness tests, ``bench/`` and ``scripts/aomp_serve.py``'s
-    signal handling all need a service that *blocks someone else* — this
-    wrapper owns the event loop thread and exposes a blocking start/stop API.
+    The service serves on its own accept and connection threads, so this is
+    only a holder: :meth:`start` returns once it listens, :meth:`drain` once
+    it is down.
     """
 
     def __init__(self, config: "ServiceConfig | None" = None, **overrides: Any) -> None:
-        import threading
-
         self.service = ComputeService(config, **overrides)
-        self._loop: "asyncio.AbstractEventLoop | None" = None
-        self._started = threading.Event()
-        self._thread = threading.Thread(target=self._run, name="aomp-service", daemon=True)
-        self._start_error: "BaseException | None" = None
 
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.service.start()
-        except BaseException as exc:
-            self._start_error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self.service.serve_forever()
-        # One extra turn so a connection that *requested* the drain gets its
-        # response written before asyncio.run tears the loop down.
-        await asyncio.sleep(0.1)
-
-    def start(self, timeout: float = 30.0) -> "tuple[str, int]":
-        self._thread.start()
-        if not self._started.wait(timeout):
-            raise TimeoutError("service failed to start within the timeout")
-        if self._start_error is not None:
-            raise RuntimeError(f"service failed to start: {self._start_error}") from self._start_error
-        return self.service.address
+    def start(self) -> "tuple[str, int]":
+        return self.service.start()
 
     @property
     def address(self) -> "tuple[str, int]":
         return self.service.address
 
-    def drain(self, timeout: float = 60.0) -> "dict[str, Any]":
+    def drain(self) -> "dict[str, Any]":
         """Blocking graceful shutdown from any thread."""
-        assert self._loop is not None, "service not started"
-        future = asyncio.run_coroutine_threadsafe(self.service.drain(), self._loop)
-        result = future.result(timeout)
-        self._thread.join(timeout=10.0)
-        return result
+        return self.service.drain()

@@ -1,8 +1,9 @@
 """The modules a runtime process loads only when it runs the tier that needs them.
 
 OpenSSL comes in through ``secrets``/``hashlib``/``hmac`` (the socket plane's
-token check needs ``hmac``, master-side), and the HTTP stack through
-``http.server`` (the opt-in scrape endpoint).  No other tier uses either.
+token check needs ``hmac``, master-side) and through ``asyncio`` (which no
+tier uses), and the HTTP stack through ``http.server`` (the opt-in scrape
+endpoint).  No other tier uses either.
 
 Shared by ``tests/runtime/test_footprint.py`` (the master, in a fresh
 interpreter) and ``tests/runtime/test_warm_distributed.py`` (a spawned
@@ -20,7 +21,9 @@ import numpy as np
 from repro.runtime import context as ctx
 from repro.runtime import shm
 
-HEAVY_MODULES = ("ssl", "_ssl", "_hashlib", "hashlib", "hmac", "secrets", "http.server", "http.client", "email")
+HEAVY_MODULES = (
+    "asyncio", "ssl", "_ssl", "_hashlib", "hashlib", "hmac", "secrets", "http.server", "http.client", "email",
+)
 
 #: the socket plane, which only the ``distributed`` backend imports.
 SOCKET_PLANE = "repro.runtime.dataplane"

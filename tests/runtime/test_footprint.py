@@ -69,6 +69,31 @@ def test_a_pooled_region_with_metrics_on_loads_none_of_them():
     assert seen == {"heavy": [], "plane": False, "members": [[0, 0], [0, 0]]}
 
 
+@pytest.mark.skipif(not shm.fork_available(), reason="the pool needs fork")
+def test_the_compute_service_on_warm_pools_loads_none_of_them():
+    """``import repro.service``, a service on the process backend serving one
+    request over its socket, a region on the dispatch worker's own warm pool,
+    and a drain: the master and the pool workers it forked load none of the
+    heavy modules (``asyncio`` included, which loads OpenSSL)."""
+    seen = _fresh(
+        REPORT
+        + "import repro.service\n"
+        + "from footprint import LoadedModules\n"
+        + "from repro.runtime.team import parallel_region\n"
+        + "service = repro.service.ServiceThread(backend='processes', workers=1, num_threads=2, port=0, tune_dir=None)\n"
+        + "host, port = service.start()\n"
+        + "with repro.service.ServiceClient(host, port) as client:\n"
+        + "    EXTRA['status'] = client.submit('series', size='tiny', wait=True, timeout=60)['status']\n"
+        + "body = LoadedModules(2)\n"
+        + "parallel_region(body.run, num_threads=2, backend=service.service.dispatch.workers[0].backend)\n"
+        + "EXTRA['members'] = body.report()\n"
+        + "body.close()\n"
+        + "EXTRA['drained'] = service.drain()['drained']\n"
+        + PRINT
+    )
+    assert seen == {"heavy": [], "plane": False, "status": "done", "members": [[0, 0], [0, 0]], "drained": True}
+
+
 def test_a_scrape_port_loads_the_http_stack():
     """The names above are the ones the endpoint really loads: the check is
     not passing because they are misspelt."""

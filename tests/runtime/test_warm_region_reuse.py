@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+import types
 
 import numpy as np
 import pytest
@@ -335,6 +336,26 @@ class TestThePoolWorker:
             assert np.all(fresh.np == 2.0) and [proc.pid for proc in pool.live_workers()] == workers
         finally:
             fresh.close()
+
+    @pytest.mark.parametrize("libc", ["without malloc_trim", "not loadable"])
+    def test_a_pool_forks_heals_and_serves_where_the_heap_cannot_be_trimmed(self, pool, seen, monkeypatch, libc):
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            if libc == "not loadable":
+                raise OSError("no C library handle")
+            return types.SimpleNamespace()  # no malloc_trim: AttributeError
+
+        monkeypatch.setattr(procpool, "ctypes", types.SimpleNamespace(CDLL=cdll))
+        parallel_region(seen.record, num_threads=2, backend=pool)  # forks the first generation
+        first = seen.pid(1)
+        assert opened == [None] and _worker_row(seen)[PRESENT] == 1
+        assert pool._pool.heal()  # a new generation, forked through the same trim
+        seen.rows.np[:] = 0
+        parallel_region(seen.record, num_threads=2, backend=pool)
+        assert opened == [None, None] and _worker_row(seen)[PRESENT] == 1
+        assert seen.pid(1) not in (0, first)
 
     def test_fds_and_mappings_stay_flat_over_two_thousand_regions(self, pool):
         arrays = [shm.shared_zeros(512) for _ in range(3)]

@@ -23,7 +23,7 @@ from repro.runtime import shm
 from repro.runtime.config import config_override
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.kernels import KERNELS
-from repro.service.server import ServiceThread
+from repro.service.server import MAX_LINE_BYTES, ServiceThread
 
 requires_fork = pytest.mark.skipif(not shm.fork_available(), reason="process scenarios need fork")
 
@@ -54,6 +54,11 @@ def client_for(thread: ServiceThread) -> ServiceClient:
     return ServiceClient(host, port, timeout=60.0)
 
 
+def front_door_threads() -> "list[str]":
+    """Names of the live threads of any service's accept and connection loop."""
+    return [thread.name for thread in threading.enumerate() if thread.name.startswith("aomp-service")]
+
+
 class TestProtocol:
     def test_ping_kernels_and_error_codes(self, service):
         thread = service()
@@ -78,6 +83,15 @@ class TestProtocol:
             sock.sendall(b"this is not json\n")
             response = json.loads(sock.makefile("rb").readline())
         assert response == {"ok": False, "error": "request is not valid JSON", "code": "bad_json"}
+
+    def test_an_overlong_line_gets_an_error_then_a_hangup(self, service):
+        thread = service()
+        with socket.create_connection(thread.address, timeout=10) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b" " * (MAX_LINE_BYTES + 1))  # no end of line within the bound
+            response = json.loads(reader.readline())
+            assert response == {"ok": False, "error": "request line too long", "code": "bad_request"}
+            assert reader.readline() == b""
 
     def test_submit_poll_roundtrip(self, service):
         thread = service()
@@ -280,6 +294,30 @@ class TestDrain:
         thread.drain()
         outside = [path for path in tmp_path.rglob("*") if path.is_file() and tune_dir not in path.parents]
         assert outside == []
+
+    def test_drain_hangs_up_on_connected_clients_and_leaves_no_front_door_thread(self, service):
+        thread = service()
+        host, port = thread.address
+        with socket.create_connection((host, port), timeout=10) as idle:
+            reader = idle.makefile("rb")
+            idle.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["pong"] is True
+            assert front_door_threads() != []
+            thread.drain()  # the client is still connected and sends nothing more
+            assert front_door_threads() == []
+            assert reader.readline() == b""  # the service closed its end
+
+    def test_the_drain_op_gets_its_reply_before_the_connection_closes(self, service):
+        thread = service()
+        with client_for(thread) as client:
+            client.submit("series", size="tiny", wait=True, timeout=60)
+            assert client.drain() == {"ok": True, "drained": True, "forced_cancels": 0}
+            with pytest.raises(ConnectionError):
+                client.ping()
+        thread.service.serve_forever()  # returns once every connection's thread has left
+        assert front_door_threads() == []
+        assert thread.service.queue.draining
+        self._assert_clean(thread)
 
     @staticmethod
     def _assert_clean(thread: ServiceThread) -> None:
