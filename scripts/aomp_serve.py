@@ -23,6 +23,7 @@ path), pools and the metrics endpoint shut down, exit code 0.
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -96,11 +97,17 @@ def main(argv: "list[str] | None" = None) -> int:
     service.serve_forever()  # until a drain (a signal's, or the drain op's) is done
     leaked = service.dispatch.leaked_workers()
     snapshot = service.queue.snapshot()
-    print(
-        f"drained: requests_by_state={snapshot['requests_by_state']} "
-        f"leaked_workers={len(leaked)}",
-        flush=True,
-    )
+    try:
+        print(
+            f"drained: requests_by_state={snapshot['requests_by_state']} "
+            f"leaked_workers={len(leaked)}",
+            flush=True,
+        )
+    except OSError:
+        # Nobody reads stdout any more.  Point it at /dev/null, so that the
+        # interpreter's flush at exit does not fail on the unwritten lines
+        # (the SIGPIPE note in Python's ``signal`` documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if leaked else 0
 
 

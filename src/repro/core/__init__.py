@@ -14,18 +14,14 @@ Unweaving restores the original program: sequential semantics are intrinsic.
 """
 
 from repro.core import annotations
-from repro.core.annotation_weaver import AnnotationWeavingSession, weave_annotations
+from repro.core.annotation_weaver import weave_annotations
 from repro.core.aspects import (
     AdaptiveSchedule,
-    Aspect,
     BarrierAfterAspect,
     BarrierBeforeAspect,
-    ClassAspect,
-    CompositeAspect,
     CriticalAspect,
     ForCyclic,
     ForDynamic,
-    ForGuided,
     ForStatic,
     ForWorkSharing,
     FutureResultAspect,
@@ -34,72 +30,50 @@ from repro.core.aspects import (
     MethodAspect,
     NestedParallelRegions,
     OrderedAspect,
-    ParallelFor,
     ParallelRegion,
-    ReadersWriterAspect,
     ReaderAspect,
     ReduceAspect,
     SingleAspect,
     TaskAspect,
     TaskLoop,
-    TaskLoopAspect,
     TaskWaitAspect,
     ThreadLocalFieldAspect,
     WriterAspect,
 )
-from repro.core.weaver import (
-    Weaver,
-    call,
-    default_weaver,
-    implements,
-    original_function,
-    unweave,
-    unweave_all,
-    weave,
-)
+from repro.core.weaver import Weaver, call, implements
 
+#: README's "Public API" table, row for row (``tests/test_public_api.py``).
 __all__ = [
+    # annotation style
     "annotations",
     "weave_annotations",
-    "AnnotationWeavingSession",
-    # aspects
-    "Aspect",
-    "MethodAspect",
-    "ClassAspect",
-    "CompositeAspect",
+    # the paper's Table 1
     "ParallelRegion",
     "ForWorkSharing",
-    "ForStatic",
-    "ForCyclic",
-    "ForDynamic",
-    "ForGuided",
-    "AdaptiveSchedule",
+    "TaskAspect",
+    "TaskWaitAspect",
+    "FutureTaskAspect",
+    "FutureResultAspect",
     "OrderedAspect",
     "CriticalAspect",
     "BarrierBeforeAspect",
     "BarrierAfterAspect",
     "ReaderAspect",
     "WriterAspect",
-    "ReadersWriterAspect",
     "SingleAspect",
     "MasterAspect",
-    "TaskAspect",
-    "TaskLoopAspect",
-    "TaskLoop",
-    "TaskWaitAspect",
-    "FutureTaskAspect",
-    "FutureResultAspect",
     "ThreadLocalFieldAspect",
     "ReduceAspect",
-    "ParallelFor",
+    # schedules and compositions
+    "ForStatic",
+    "ForCyclic",
+    "ForDynamic",
+    "AdaptiveSchedule",
+    "TaskLoop",
     "NestedParallelRegions",
-    # weaver / pointcuts
+    # pointcut style
     "Weaver",
     "call",
     "implements",
-    "weave",
-    "unweave",
-    "unweave_all",
-    "default_weaver",
-    "original_function",
+    "MethodAspect",
 ]

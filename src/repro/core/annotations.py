@@ -53,11 +53,6 @@ def get_annotations(obj: Any) -> dict[str, dict[str, Any]]:
     return dict(getattr(obj, ANNOTATIONS_ATTR, {}))
 
 
-def has_annotation(obj: Any, key: str) -> bool:
-    """Whether ``obj`` carries the given annotation."""
-    return key in get_annotations(obj)
-
-
 def _decorator(key: str, **params: Any) -> Callable[[F], F]:
     def apply(func: F) -> F:
         return _annotate(func, key, params)

@@ -2,7 +2,7 @@
 
 from repro.core.weaver.joinpoint import JoinPoint, MethodDescriptor
 from repro.core.weaver.pointcut import Pointcut, call, implements
-from repro.core.weaver.weaver import WeaveRecord, Weaver, is_woven, original_function
+from repro.core.weaver.weaver import WeaveRecord, Weaver, original_function
 from repro.core.weaver.registry import default_weaver, unweave, unweave_all, weave, woven_aspects
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "implements",
     "Weaver",
     "WeaveRecord",
-    "is_woven",
     "original_function",
     "default_weaver",
     "weave",

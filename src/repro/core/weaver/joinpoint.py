@@ -124,16 +124,5 @@ class JoinPoint:
             return self._proceed(self.target, *call_args, **call_kwargs)
         return self._proceed(*call_args, **call_kwargs)
 
-    def with_args(self, *args: Any, **kwargs: Any) -> "JoinPoint":
-        """Return a copy of this join point with different arguments."""
-        return JoinPoint(
-            descriptor=self.descriptor,
-            target=self.target,
-            args=args if args else self.args,
-            kwargs=kwargs if kwargs else dict(self.kwargs),
-            _proceed=self._proceed,
-            extras=dict(self._extras) if self._extras else None,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"JoinPoint({self.qualified_name}, args={self.args!r}, kwargs={self.kwargs!r})"

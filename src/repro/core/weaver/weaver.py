@@ -354,11 +354,6 @@ def _make_instance_wrapper(aspect: MethodAspect, descriptor: MethodDescriptor, c
     return wrapper
 
 
-def is_woven(func: Any) -> bool:
-    """Whether ``func`` is a weaver-installed wrapper."""
-    return hasattr(func, _WOVEN_MARKER)
-
-
 def original_function(func: Callable[..., Any]) -> Callable[..., Any]:
     """Return the original function behind a (possibly repeatedly) woven wrapper."""
     return _original_of(func)

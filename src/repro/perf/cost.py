@@ -150,19 +150,3 @@ class CostModel:
                 return key
         return None
 
-    def with_loop(self, name: str, cost: LoopCost) -> "CostModel":
-        """Return a copy of the model with one loop cost added/replaced."""
-        loops = dict(self.loops)
-        loops[name] = cost
-        return CostModel(
-            loops=loops,
-            default_loop=self.default_loop,
-            critical_overhead=self.critical_overhead,
-            lock_overhead=self.lock_overhead,
-            reduction_cost_per_element=self.reduction_cost_per_element,
-            reduction_elements=self.reduction_elements,
-            replicated_seconds=self.replicated_seconds,
-            task_spawn_overhead=self.task_spawn_overhead,
-            task_steal_overhead=self.task_steal_overhead,
-            team_spinup_seconds=self.team_spinup_seconds,
-        )

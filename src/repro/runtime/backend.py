@@ -41,7 +41,6 @@ import functools
 import itertools
 import os
 import sys
-import sysconfig
 import threading
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
@@ -62,11 +61,6 @@ from repro.runtime.member import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.team import Team
-
-
-def free_threaded_build() -> bool:
-    """Whether this CPython was built with ``Py_GIL_DISABLED`` (PEP 703)."""
-    return bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
 #: the live GIL probe of free-threaded builds; regular builds lack it

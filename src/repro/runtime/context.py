@@ -113,11 +113,6 @@ def current_context() -> ExecutionContext | None:
     return stack[-1] if stack else None
 
 
-def context_depth() -> int:
-    """Return how many nested parallel regions the calling thread is inside."""
-    return len(_contexts.stack)
-
-
 def current_team() -> "Team | None":
     """Return the team of the innermost region, or ``None`` outside regions."""
     context = current_context()

@@ -84,28 +84,6 @@ def critical_call(
     return result
 
 
-def fine_grained_call(
-    fn: Callable[[], Any],
-    lock,
-    *,
-    label: str = "fine",
-) -> Any:
-    """Run ``fn`` under an explicit (fine-grained) lock, tracing the acquisition.
-
-    Used by the "lock per particle" style parallelisations: the caller picks
-    the lock (e.g. from a :class:`~repro.runtime.locks.StripedLocks` pool);
-    the runtime only contributes tracing.
-    """
-    context = _require_shared_heap("fine-grained lock")
-    lock.acquire()
-    try:
-        return fn()
-    finally:
-        lock.release()
-        if context is not None:
-            context.team.record(EventKind.LOCK_ACQUIRE, key=label)
-
-
 def reader_call(fn: Callable[[], Any], rwlock: ReadWriteLock) -> Any:
     """Run ``fn`` holding ``rwlock`` for shared (read) access."""
     _require_shared_heap("reader lock")

@@ -672,11 +672,6 @@ def _effective_rpc_timeout() -> "float | None":
 _worker_session: "WorkerSession | None" = None
 
 
-def current_worker_session() -> "WorkerSession | None":
-    """The socket-plane session this process runs under, or ``None``."""
-    return _worker_session
-
-
 class WorkerSession:
     """A worker process's connection to the coordinator.
 
@@ -986,8 +981,8 @@ class RemoteArena:
         self._session = session
         self._slot = REMOTE_SLOTS[kind]
 
-    def slot(self, *key: int, level: int = 0) -> RemoteSlot:
-        return self._slot(self._session, (*key, level))
+    def slot(self, *key: int) -> RemoteSlot:
+        return self._slot(self._session, key)
 
 
 def ProxySyncArena(session: WorkerSession) -> RemoteArena:

@@ -164,7 +164,6 @@ def describe_region(team: "Team", body_bytes: bytes) -> "dict[str, Any]":
         "size": team.size,
         "region_id": team.region_id,
         "name": team.name,
-        "nesting_level": team.nesting_level,
         "backend": team.backend_name,
         "body": body_bytes,
         # SPMD agreement: the fields that shape scheduling decisions must
@@ -251,7 +250,6 @@ def run_shipped_member(
                 descriptor["size"],
                 region_id=descriptor["region_id"],
                 name=descriptor["name"],
-                nesting_level=descriptor["nesting_level"],
                 process_sync=sync,
             )
             team.backend_name = descriptor["backend"]

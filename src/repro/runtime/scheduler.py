@@ -167,11 +167,6 @@ class LoopChunk:
         """Return the iteration indices as a :class:`range`."""
         return range(self.start, self.end, self.step)
 
-    def is_empty(self) -> bool:
-        """Whether the chunk contains no iterations."""
-        return self.count == 0
-
-
 def trip_count(start: int, end: int, step: int) -> int:
     """Number of iterations of ``range(start, end, step)``; a zero step is an error."""
     if step > 0:

@@ -129,36 +129,6 @@ def require_fork(component: str) -> None:
         )
 
 
-#: Number of team nesting levels the arenas can namespace.  Loop ordinals are
-#: per-team-level counters (SPMD bodies count the loops *their* team
-#: workshares), so two teams at different levels sharing one arena would
-#: collide on ordinal ``k`` without a namespace.  Every arena therefore maps
-#: ``(ordinal, level)`` to the cell index ``ordinal * MAX_TEAM_LEVELS +
-#: level``: distinct levels occupy distinct residues modulo
-#: ``MAX_TEAM_LEVELS``, and because every arena capacity is a multiple of
-#: ``MAX_TEAM_LEVELS`` the residues stay disjoint after the ``% capacity``
-#: slot recycling too.
-#:
-#: Today this is a *defensive* invariant: process teams only exist at
-#: nesting level 0 (``ProcessBackend.resolve_for_region`` routes nested
-#: regions to in-process thread sub-teams, each of which builds arenas of
-#: its own), so production slots always carry ``level=0``.  The namespace
-#: guarantees the arenas stay correct the day a nested team *does* share an
-#: ancestor's ProcessSync — a silent claim-slot collision would corrupt loop
-#: results, the worst failure mode this module can have.
-MAX_TEAM_LEVELS = 8
-
-
-def _namespaced_ordinal(ordinal: int, level: int) -> int:
-    """Map a per-level loop ordinal to the arena-wide slot ordinal."""
-    if not (0 <= level < MAX_TEAM_LEVELS):
-        raise ValueError(
-            f"team nesting level {level} outside the arena namespace "
-            f"[0, {MAX_TEAM_LEVELS}); deeper teams must not share this arena"
-        )
-    return ordinal * MAX_TEAM_LEVELS + level
-
-
 def _mp_context():
     return multiprocessing.get_context(FORK_METHOD)
 
@@ -620,9 +590,9 @@ class _Slot:
     OPS: "tuple[str, ...]" = ()
     CLAIMS: "tuple[str, ...]" = ()
 
-    def __init__(self, arena: "SlotArena", ordinal: int, level: int = 0) -> None:
+    def __init__(self, arena: "SlotArena", ordinal: int) -> None:
         self.arena = arena
-        self.ordinal = ordinal = _namespaced_ordinal(ordinal, level)
+        self.ordinal = ordinal
         self._base = (ordinal % arena.capacity) * arena._stride
 
 
@@ -650,8 +620,6 @@ class SlotArena(CellArena):
 
     def __init__(self, capacity: int, stride: int, cells: Any, fresh: bool, extra: int = 0) -> None:
         """``extra`` cells follow the slots, outside the tag-recycled layout."""
-        if capacity % MAX_TEAM_LEVELS:
-            raise ValueError(f"capacity must be a multiple of {MAX_TEAM_LEVELS}, got {capacity}")
         self.capacity = capacity
         self._stride = stride
         super().__init__(stride * capacity + extra, cells, fresh)
@@ -662,13 +630,10 @@ class SlotArena(CellArena):
             fill_cells(self._cells, self._TAG, self._stride * self.capacity, self._stride, -1)
 
     def slot(self, *key: int, **named: int) -> Any:
-        """Attach the slot ``key`` names — ``SLOT``'s arguments: the loop ordinal
-        first, a trailing ``level=0``.
-
-        Ordinals count the loops encountered by one team; ``level`` namespaces
-        them so nested teams sharing the arena cannot collide with an
-        ancestor's slots (see :data:`MAX_TEAM_LEVELS`).
-        """
+        """Attach the slot ``key`` names — ``SLOT``'s arguments, the loop
+        ordinal first.  Ordinals count the loops one team encounters, and
+        only a level-0 team owns arenas shared across processes (see
+        :class:`~repro.runtime.team.Team`), so an ordinal names one loop."""
         return self.SLOT(self, *key, **named)
 
 
@@ -696,8 +661,8 @@ class ArenaSlot(_Slot):
     OPS = ("fetch_add", "claim_batch", "claim_guided", "claim_guided_batch")
     CLAIMS = ("claim_batch", "claim_guided", "claim_guided_batch")
 
-    def __init__(self, arena: "SyncArena", ordinal: int, level: int = 0) -> None:
-        super().__init__(arena, ordinal, level)
+    def __init__(self, arena: "SyncArena", ordinal: int) -> None:
+        super().__init__(arena, ordinal)
         cells, base = arena._cells, self._base
         with arena._lock:
             if cells[base] < self.ordinal:
@@ -793,9 +758,7 @@ class TaskStealSlot(_Slot):
     OPS = ("claim_local", "claim_steal", "mark_done", "finished")
     CLAIMS = ("claim_local", "claim_steal")
 
-    def __init__(
-        self, arena: "TaskStealArena", ordinal: int, num_workers: int, ntiles: int, level: int = 0
-    ) -> None:
+    def __init__(self, arena: "TaskStealArena", ordinal: int, num_workers: int, ntiles: int) -> None:
         """Attach the deck and, first time, seed its per-worker blocks (SPMD:
         every member computes the identical partition, only the first write wins)."""
         if num_workers > arena.max_workers:
@@ -803,7 +766,7 @@ class TaskStealSlot(_Slot):
                 f"taskloop team of {num_workers} exceeds the steal arena's "
                 f"max_workers={arena.max_workers}"
             )
-        super().__init__(arena, ordinal, level)
+        super().__init__(arena, ordinal)
         self.num_workers = num_workers
         self.ntiles = ntiles
         cells, base = arena._cells, self._base
@@ -997,17 +960,14 @@ class TunePlanSlot(_Slot):
         arena = self.arena
         if not 0 <= member < arena.max_workers:
             raise ValueError(f"member {member} outside the tune arena's max_workers={arena.max_workers}")
-        arena._cells[self._reports() + member] = nanoseconds
+        arena._cells[arena._stride * arena.capacity + member] = nanoseconds
 
     def reports(self, count: int) -> "list[int]":
-        """The report cells of members ``0 .. count - 1`` (master side)."""
-        first = self._reports()
-        return [int(value) for value in self.arena._cells[first : first + count]]
-
-    def _reports(self) -> int:
-        """First report cell of this slot's team level (see :class:`TunePlanArena`)."""
+        """The report cells of members ``0 .. count - 1`` (master side): the
+        row after the slots (see :class:`TunePlanArena`)."""
         arena = self.arena
-        return arena._stride * arena.capacity + self.ordinal % MAX_TEAM_LEVELS * arena.max_workers
+        first = arena._stride * arena.capacity
+        return [int(value) for value in arena._cells[first : first + count]]
 
 
 class TunePlanArena(SlotArena):
@@ -1028,8 +988,8 @@ class TunePlanArena(SlotArena):
     When the plan's flags ask for it, each of up to ``max_workers`` members
     also reports the time its own share took, and the master reads the
     reports after the loop's barrier: the tuner's imbalance probe.  The
-    report cells follow the slots, one row of ``max_workers`` per team level
-    rather than per slot: a member reports only after it read the plan, and
+    report cells follow the slots, one row of ``max_workers`` for the arena
+    rather than one per slot: a member reports only after it read the plan, and
     the master publishes the next plan only after it read the last reports,
     so one team never has two reporting loops in flight.
 
@@ -1045,7 +1005,7 @@ class TunePlanArena(SlotArena):
     ) -> None:
         self._barrier = barrier
         self.max_workers = max_workers
-        super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh, MAX_TEAM_LEVELS * max_workers)
+        super().__init__(capacity, TunePlanSlot.CELLS, cells, fresh, max_workers)
 
 
 class SlotArenas(NamedTuple):

@@ -69,6 +69,11 @@ class Team:
     ) -> None:
         if size < 1:
             raise ValueError(f"team size must be >= 1, got {size}")
+        if process_sync is not None and nesting_level > 0:
+            # Process teams exist only at level 0 (nested regions resolve to
+            # thread sub-teams with heap arenas of their own), so a shared
+            # arena's loop ordinals belong to exactly one team.
+            raise ValueError(f"a process team is a level-0 team, got nesting level {nesting_level}")
         self.size = size
         self.name = name or f"region-{region_id}"
         self.region_id = region_id
@@ -106,15 +111,6 @@ class Team:
         #: sync bundle; an in-process team builds heap ones on its first claim
         #: (see :meth:`_slot_arenas`), so a region that never claims allocates none.
         self._arenas: "shm.SlotArenas | None" = process_sync.slots if process_sync is not None else None
-        #: a process team's slots are namespaced by nesting level (see
-        #: :data:`repro.runtime.shm.MAX_TEAM_LEVELS`); heap arenas are this
-        #: team's own and need no namespace.
-        self._slot_level = nesting_level if process_sync is not None else 0
-
-    @property
-    def level(self) -> int:
-        """Nesting level of the region this team executes (0 = outermost)."""
-        return self.nesting_level
 
     @property
     def is_process_team(self) -> bool:
@@ -145,17 +141,17 @@ class Team:
         :class:`~repro.runtime.shm.SyncArena`, an in-process team's in its
         heap one.
         """
-        return self._slot_arenas().arena.slot(ordinal, level=self._slot_level)
+        return self._slot_arenas().arena.slot(ordinal)
 
     def proc_steal_slot(self, ordinal: int, ntiles: int) -> "shm.TaskStealSlot":
         """The ``taskloop`` tile deck of ``ntiles`` tiles for the ``ordinal``-th
         claiming construct, dealt over the team's members."""
-        return self._slot_arenas().steal.slot(ordinal, self.size, ntiles, level=self._slot_level)
+        return self._slot_arenas().steal.slot(ordinal, self.size, ntiles)
 
     def proc_tune_slot(self, ordinal: int) -> "shm.TunePlanSlot":
         """Tune-plan slot for the ``ordinal``-th claiming construct: member 0
         publishes a ``schedule="auto"`` loop's plan, the others read it."""
-        return self._slot_arenas().tune.slot(ordinal, level=self._slot_level)
+        return self._slot_arenas().tune.slot(ordinal)
 
     # -- synchronisation ----------------------------------------------------
 

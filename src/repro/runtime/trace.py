@@ -212,41 +212,6 @@ class TraceRecorder:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self.events())
 
-    # -- convenience accessors used by the perf model and tests ------------
-
-    def chunks_by_thread(self, region: int | None = None, loop: str | None = None) -> dict[int, list[TraceEvent]]:
-        """Group ``CHUNK`` events by executing thread id."""
-        grouped: dict[int, list[TraceEvent]] = {}
-        for event in self.events(EventKind.CHUNK, region):
-            if loop is not None and event.data.get("loop") != loop:
-                continue
-            grouped.setdefault(event.thread_id, []).append(event)
-        return grouped
-
-    def iterations_by_thread(self, region: int | None = None, loop: str | None = None) -> dict[int, list[int]]:
-        """Expand ``CHUNK`` events into the explicit iteration indices per thread."""
-        expanded: dict[int, list[int]] = {}
-        for thread_id, events in self.chunks_by_thread(region, loop).items():
-            indices: list[int] = []
-            for event in events:
-                start = event.data["start"]
-                end = event.data["end"]
-                step = event.data.get("step", 1)
-                indices.extend(range(start, end, step))
-            expanded[thread_id] = indices
-        return expanded
-
-    def loops(self, region: int | None = None) -> list[str]:
-        """Names of work-shared loops seen in the trace, in first-seen order."""
-        seen: dict[str, None] = {}
-        for event in self.events(EventKind.CHUNK, region):
-            seen.setdefault(event.data.get("loop", "<anonymous>"), None)
-        return list(seen)
-
-    def tune_decisions(self, region: int | None = None) -> list[TraceEvent]:
-        """``TUNE_DECISION`` events (emitted by the adaptive scheduler)."""
-        return self.events(EventKind.TUNE_DECISION, region)
-
     def to_dicts(self, kind: EventKind | None = None, region: int | None = None) -> list[dict]:
         """Snapshot the recorded events as JSON-serialisable dicts.
 

@@ -55,8 +55,7 @@ class TestAnnotationMetadata:
         def once():
             pass
 
-        assert ann.has_annotation(once, "single")
-        assert not ann.has_annotation(once, "master")
+        assert set(ann.get_annotations(once)) == {"single"}
 
     def test_for_loop_parameters_recorded(self):
         @ann.for_loop(schedule="staticCyclic", chunk=4, nowait=True)

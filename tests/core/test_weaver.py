@@ -10,7 +10,7 @@ import pytest
 from repro.core.aspects.base import MethodAspect
 from repro.core.weaver.joinpoint import JoinPoint
 from repro.core.weaver.pointcut import call, implements
-from repro.core.weaver.weaver import Weaver, is_woven, original_function
+from repro.core.weaver.weaver import Weaver, original_function
 from repro.runtime.exceptions import WeavingError
 
 
@@ -69,10 +69,9 @@ class TestBasicWeaving:
         original = Greeter.greet
         weaver.weave(aspect, Greeter)
         assert Greeter.greet is not original
-        assert is_woven(Greeter.greet)
+        assert original_function(Greeter.greet) is original
         weaver.unweave_all()
         assert Greeter.greet is original
-        assert not is_woven(Greeter.greet)
 
     def test_unmatched_pointcut_raises(self):
         weaver = Weaver()
@@ -317,11 +316,10 @@ class TestJoinPoint:
         finally:
             weaver.unweave_all()
 
-    def test_with_args_copy(self):
+    def test_proceed_with_replaced_args(self):
         class UseCopy(MethodAspect):
             def around(self, joinpoint):
-                clone = joinpoint.with_args("copied")
-                return clone.proceed()
+                return joinpoint.proceed("copied")
 
         weaver = Weaver()
         weaver.weave(UseCopy(call("Greeter.greet")), Greeter)

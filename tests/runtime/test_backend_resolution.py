@@ -9,6 +9,7 @@ execution tier).
 
 from __future__ import annotations
 
+import sysconfig
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +22,6 @@ from repro.runtime.backend import (
     ThreadBackend,
     available_backends,
     backend_by_name,
-    free_threaded_build,
     gil_enabled,
 )
 from repro.runtime import subinterp
@@ -197,9 +197,8 @@ class TestTrueParallel:
         assert ProcessBackend().true_parallel is False
 
     def test_build_introspection_is_consistent(self):
-        assert isinstance(free_threaded_build(), bool)
         assert isinstance(gil_enabled(), bool)
-        if not free_threaded_build():
+        if not sysconfig.get_config_var("Py_GIL_DISABLED"):
             # A regular build cannot have its GIL disabled.
             assert gil_enabled() is True
 

@@ -157,7 +157,7 @@ class TestFailingMember:
         def healthy():
             if ctx.get_thread_id() == 1:
                 workers.append(threading.get_ident())
-                depths.append(ctx.context_depth())
+                depths.append(len(ctx._contexts.stack))
             return ctx.get_thread_id()
 
         with pytest.raises(BrokenTeamError) as excinfo:

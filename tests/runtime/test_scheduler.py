@@ -49,8 +49,8 @@ class TestLoopChunk:
         assert chunk.count == len(list(chunk.indices()))
 
     def test_is_empty(self):
-        assert LoopChunk(4, 4, 1).is_empty()
-        assert not LoopChunk(4, 5, 1).is_empty()
+        assert LoopChunk(4, 4, 1).count == 0
+        assert LoopChunk(4, 5, 1).count == 1
 
 
 class TestSchedule:

@@ -79,43 +79,46 @@ class TestSyncArena:
         a.fetch_add()
         assert b.fetch_add() == 0
 
-    def test_levels_are_independent(self):
-        """The same ordinal at different team levels must never share a cell."""
-        arena = SyncArena(capacity=16)
-        outer = arena.slot(0, level=0)
-        inner = arena.slot(0, level=1)
-        outer.fetch_add()
-        outer.fetch_add()
-        assert inner.fetch_add() == 0
+    def test_an_ordinal_recycles_a_cell_every_capacity_ordinals(self):
+        """Ordinal ``n`` owns cell ``n % capacity``, for any capacity: the
+        ordinals in between keep cells of their own."""
+        arena = SyncArena(capacity=7)
+        first = arena.slot(0)
+        first.fetch_add(3)
+        assert [arena.slot(n).fetch_add() for n in range(1, 7)] == [0] * 6
+        assert first.fetch_add() == 3
+        assert arena.slot(7).fetch_add() == 0
+        assert first.fetch_add() == -1  # ordinal 7 took its cell over
 
-    def test_level_outside_namespace_rejected(self):
-        arena = SyncArena(capacity=8)
-        with pytest.raises(ValueError):
-            arena.slot(0, level=shm.MAX_TEAM_LEVELS)
+    def test_a_nested_team_cannot_take_a_process_sync(self):
+        """Only level-0 teams run on shared arenas, so one arena's ordinals
+        always count one team's loops."""
+        from repro.runtime.backend import shm_process_sync
+        from repro.runtime.team import Team
 
-    def test_capacity_must_be_level_aligned(self):
-        with pytest.raises(ValueError):
-            SyncArena(capacity=7)
+        sync = shm_process_sync(2)
+        with pytest.raises(ValueError, match="level-0"):
+            Team(2, nesting_level=1, process_sync=sync)
+        assert Team(2, nesting_level=0, process_sync=sync).proc_loop_slot(0).fetch_add() == 0
 
     def test_new_ordinal_resets_recycled_cell(self):
-        # Ordinals recycle cells modulo capacity / MAX_TEAM_LEVELS per level:
-        # with capacity 8 every level-0 ordinal lands on the same cell, and a
-        # fresh ordinal must reset the recycled counter.
+        # With capacity 8, ordinal 9 lands on ordinal 1's cell, and a fresh
+        # ordinal must reset the recycled counter.
         arena = SyncArena(capacity=8)
         old = arena.slot(1)
         old.fetch_add()
         old.fetch_add()
-        recycled = arena.slot(2)
+        recycled = arena.slot(9)
         assert recycled.fetch_add() == 0
 
     def test_a_slot_a_later_construct_took_over_reads_exhausted(self):
-        # Member A claims ordinal 1, then moves on to ordinal 2 on the same
+        # Member A claims ordinal 1, then moves on to ordinal 9 on the same
         # cell while member B is still at 1 (attached before or after the
         # take-over): B's handle writes nothing and claims nothing.
         arena = SyncArena(capacity=8)
         slow = arena.slot(1)
         assert slow.fetch_add() == 0
-        fast = arena.slot(2)
+        fast = arena.slot(9)
         late = arena.slot(1)
         for stale in (slow, late):
             assert stale.fetch_add() == -1
@@ -152,21 +155,18 @@ class TestSyncArena:
 
 
 class TestTunePlanReports:
-    def test_reports_are_per_level_and_survive_reset(self):
+    def test_reports_survive_reset(self):
         arena = shm.TunePlanArena(None, 8, max_workers=3, cells=shm.heap_cells)
-        outer, inner = arena.slot(5, level=0), arena.slot(5, level=1)
         for member, nanoseconds in enumerate((10, 20, 30)):
-            outer.report(member, nanoseconds)
-        inner.report(0, 7)
-        arena.reset()  # clears the slot tags, never the report rows
-        assert arena.slot(6).reports(3) == [10, 20, 30]  # one row per level
-        assert inner.reports(1) == [7]
+            arena.slot(5).report(member, nanoseconds)
+        arena.reset()  # clears the slot tags, never the report row
+        assert arena.slot(6).reports(3) == [10, 20, 30]  # one row for the arena
 
     def test_a_plan_a_later_loop_overwrote_is_refused_at_once(self):
         arena = shm.TunePlanArena(None, 8, cells=shm.heap_cells)
         late = arena.slot(1)
-        arena.slot(2).publish((0, 1, 0, 2))
-        with pytest.raises(BrokenBarrierError, match="overwritten by ordinal 16's"):
+        arena.slot(9).publish((0, 1, 0, 2))
+        with pytest.raises(BrokenBarrierError, match="overwritten by ordinal 9's"):
             late.read(timeout=30.0)
 
     def test_a_member_outside_max_workers_is_refused(self):

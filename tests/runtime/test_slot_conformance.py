@@ -34,7 +34,7 @@ _INTACT = SimpleNamespace(broken=False)
 
 
 class Step(NamedTuple):
-    """One recorded op: ``slot(*key, level=level).op(*args)``."""
+    """One recorded op: ``slot(*key).op(*args)``."""
 
     key: tuple
     op: str
@@ -42,7 +42,6 @@ class Step(NamedTuple):
     #: the literal return, where one is worth pinning; ``...`` pins nothing —
     #: the return must only equal the reference arena's.
     pinned: Any = ...
-    level: int = 0
 
 
 #: kind -> its recorded sequence, covering every op the kind declares.
@@ -57,8 +56,8 @@ SEQUENCES = {
         *[Step((1,), "claim_batch", (3, 2, 25))] * 10,
         *[Step((2,), "claim_guided", (100, 4, 2))] * 12,
         *[Step((3,), "claim_guided_batch", (100, 4, 2, 3))] * 6,
-        # a nested team's level is a different slot
-        Step((0,), "fetch_add", (1,), 0, level=1),
+        # ordinal 16 recycles ordinal 0's cell of the 16-slot arena, afresh
+        Step((16,), "fetch_add", (1,), 0),
     ],
     "steal": [
         # worker 1 drains its half of the 8-tile deck ...
@@ -147,7 +146,7 @@ def _drive(kind, views):
     """Run the kind's sequence, op *i* through view ``i % 2``; return the returns."""
     returns = []
     for step, view in zip(SEQUENCES[kind], itertools.cycle(views)):
-        returns.append(getattr(view.slot(*step.key, level=step.level), step.op)(*step.args))
+        returns.append(getattr(view.slot(*step.key), step.op)(*step.args))
     return returns
 
 

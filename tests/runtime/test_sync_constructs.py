@@ -8,9 +8,9 @@ import time
 import pytest
 
 from repro.runtime import context as ctx
-from repro.runtime.critical import critical_call, fine_grained_call, reader_call, writer_call
+from repro.runtime.critical import critical_call, reader_call, writer_call
 from repro.runtime.exceptions import ReductionError, TaskError
-from repro.runtime.locks import LockRegistry, ReadWriteLock, StripedLocks
+from repro.runtime.locks import LockRegistry, ReadWriteLock
 from repro.runtime.ordered import OrderedRegion, install_ordered_region, ordered_call
 from repro.runtime.single import MasterRegion, SingleRegion
 from repro.runtime.tasks import TaskPool, spawn_future, spawn_task, task_wait
@@ -86,9 +86,7 @@ class TestCritical:
     def test_sequential_semantics_outside_region(self):
         assert critical_call(lambda: 42, key="solo") == 42
 
-    def test_fine_grained_and_rw_helpers(self):
-        striped = StripedLocks(4)
-        assert fine_grained_call(lambda: "x", striped.lock_for(1)) == "x"
+    def test_rw_helpers(self):
         rw = ReadWriteLock()
         assert reader_call(lambda: 1, rw) == 1
         assert writer_call(lambda: 2, rw) == 2

@@ -878,22 +878,22 @@ class TestTaskStealArena:
         assert slot.finished()
 
     def test_slots_recycle_by_ordinal_tag(self):
-        # With capacity 8 every level-0 ordinal maps to the same cell; a new
-        # ordinal arriving on a recycled cell must re-seed the deck.
+        # With capacity 8, ordinal 8 maps to ordinal 0's cell; a new ordinal
+        # arriving on a recycled cell must re-seed the deck.
         arena = shm.TaskStealArena(max_workers=2, capacity=8)
         first = arena.slot(0, num_workers=2, ntiles=4)
         assert first.claim_local(0) == 0
-        recycled = arena.slot(2, num_workers=2, ntiles=6)
+        recycled = arena.slot(8, num_workers=2, ntiles=6)
         assert recycled.claim_local(0) == 0
         assert recycled.claim_steal(0) == (1, 5)
 
     def test_a_deck_a_later_taskloop_took_over_reads_finished(self):
-        # A member still at taskloop 0 once a faster one moved on to ordinal 2
+        # A member still at taskloop 0 once a faster one moved on to ordinal 8
         # (same cell): its deck writes nothing and reads finished, and the
         # new deck keeps every tile.
         arena = shm.TaskStealArena(max_workers=2, capacity=8)
         slow = arena.slot(0, num_workers=2, ntiles=4)
-        fast = arena.slot(2, num_workers=2, ntiles=6)
+        fast = arena.slot(8, num_workers=2, ntiles=6)
         late = arena.slot(0, num_workers=2, ntiles=4)
         for stale in (slow, late):
             assert stale.claim_local(0) is None and stale.claim_steal(0) is None
@@ -901,11 +901,11 @@ class TestTaskStealArena:
         assert [fast.claim_local(0) for _ in range(3)] == [0, 1, 2]
         assert fast.claim_steal(0) == (1, 5) and not fast.finished()
 
-    def test_levels_keep_separate_decks(self):
-        # The same ordinal at different team levels must never share a deck.
+    def test_ordinals_within_capacity_keep_separate_decks(self):
+        # Ordinals 0 and 15 of a 16-deck arena never share a deck.
         arena = shm.TaskStealArena(max_workers=2, capacity=16)
-        outer = arena.slot(0, num_workers=2, ntiles=4, level=0)
-        inner = arena.slot(0, num_workers=2, ntiles=6, level=1)
+        outer = arena.slot(0, num_workers=2, ntiles=4)
+        inner = arena.slot(15, num_workers=2, ntiles=6)
         assert outer.claim_local(0) == 0
         assert inner.claim_local(0) == 0
         assert outer.claim_local(0) == 1

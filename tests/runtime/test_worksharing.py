@@ -682,7 +682,7 @@ class TestAutoScheduleTuning:
                 run_for(loop, 0, 64, 1, schedule="auto", loop_name="tuned")
 
         parallel_region(body, num_threads=2)
-        decisions = recorder.tune_decisions()
+        decisions = recorder.events(EventKind.TUNE_DECISION)
         assert len(decisions) == 4
         assert {e.data["loop"] for e in decisions} == {"tuned"}
         assert [e.data["invocation"] for e in decisions] == [1, 2, 3, 4]
@@ -739,7 +739,7 @@ class TestAutoScheduleTuning:
 
         with tuner_override(LoopTuner(TunerConfig(serial_margin=0.0), cache_path=None)):
             parallel_region(body, num_threads=2, backend="threads")
-        decisions = [event.data for event in recorder.tune_decisions()]
+        decisions = [event.data for event in recorder.events(EventKind.TUNE_DECISION)]
         expected = candidates_for(n, 2)[:3]
         assert [(d["schedule"], d["chunk"]) for d in decisions] == [(c.schedule.value, c.chunk) for c in expected]
         assert not any("imbalance" in d or d.get("transition") == "balanced" for d in decisions)
@@ -796,7 +796,7 @@ def test_uniform_cpu_loop_commits_static_block_in_two_invocations(backend_name, 
             parallel_region(body, num_threads=2, backend=backend_name)
             (site,) = tuner.sites()
         assert out.np.tolist() == [sum(range(3000))] * n
-    decisions = [event.data for event in recorder.tune_decisions()]
+    decisions = [event.data for event in recorder.events(EventKind.TUNE_DECISION)]
     assert [d["schedule"] for d in decisions] == ["static_block", "static_block"]
     assert decisions[-1]["transition"] == "balanced"
     assert all(0.0 <= d["imbalance"] < 1.0 for d in decisions)

@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +403,30 @@ class TestDistributedBackendService:
         # Reaped before the drain returned: not running, and no zombie either.
         assert not any(os.path.exists(f"/proc/{pid}") for pid in spawned)
 
+
+
+class TestServeScript:
+    def test_a_drain_after_the_stdout_reader_left_exits_zero(self):
+        """``aomp_serve.py`` whose launcher stopped reading: SIGTERM still
+        drains, and the process exits 0 with no segment left behind."""
+        before = {name for name in os.listdir("/dev/shm") if name.startswith("aomp_")}
+        script = Path(__file__).resolve().parents[2] / "scripts" / "aomp_serve.py"
+        proc = subprocess.Popen(
+            [sys.executable, str(script), "--port", "0", "--workers", "1", "--backend", "threads"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("listening "), line
+            proc.stdout.close()
+            proc.send_signal(signal.SIGTERM)
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, stderr
+        after = {name for name in os.listdir("/dev/shm") if name.startswith("aomp_")}
+        assert after <= before
